@@ -184,23 +184,38 @@ def write_qubo(path: Path, qubo: Qubo) -> None:
 
 
 def read_qubo(path: Path) -> Qubo:
+    """Inverse of :func:`write_qubo`. A malformed dump raises
+    :class:`DataFormatError` naming the file and line: an index outside
+    0..n-1, a self-coupling, or a pair listed twice (in either order)."""
     path = Path(path)
     with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
+        lines = [(lineno, ln.split()) for lineno, ln in enumerate(f, start=1)
+                 if ln.strip()]
     if not lines:
         raise DataFormatError(f"{path}: empty objective dump")
-    n = int(lines[0])
+    first, header = lines[0]
+    if len(header) != 1:
+        raise DataFormatError(f"{path}:{first}: expected the variable count alone")
+    n = _parse_int(header[0], path, first, "n")
     linear = np.zeros(n)
     quadratic: dict[tuple[int, int], float] = {}
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = ln.split()
-        if len(parts) == 2:
-            linear[int(parts[0])] = float(parts[1])
-        elif len(parts) == 3:
-            i, j = int(parts[0]), int(parts[1])
-            quadratic[(min(i, j), max(i, j))] = float(parts[2])
-        else:
+    for lineno, parts in lines[1:]:
+        if len(parts) not in (2, 3):
             raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 tokens")
+        ids = [_parse_int(p, path, lineno, "index") for p in parts[:-1]]
+        value = _parse_float(parts[-1], path, lineno, "coefficient")
+        for i in ids:
+            if not 0 <= i < n:
+                raise DataFormatError(f"{path}:{lineno}: index {i} outside 0..{n - 1}")
+        if len(ids) == 1:
+            linear[ids[0]] = value
+            continue
+        i, j = sorted(ids)
+        if i == j:
+            raise DataFormatError(f"{path}:{lineno}: self-coupling {i} {j}")
+        if (i, j) in quadratic:
+            raise DataFormatError(f"{path}:{lineno}: pair ({i}, {j}) listed twice")
+        quadratic[(i, j)] = value
     return Qubo(n=n, linear=linear, quadratic=quadratic)
 
 

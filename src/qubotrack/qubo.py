@@ -55,29 +55,53 @@ class QuboScaling:
 
 @dataclass
 class Qubo:
+    """Selection objective with its couplings in one symmetric CSR.
+
+    ``quadratic`` lists every nonzero coupling once, keyed (i, j) with
+    i < j; it is what the dump writer and the spin mapping read. At
+    construction the pairs are laid out once as a symmetric compressed
+    sparse row matrix: row i occupies ``indices[indptr[i]:indptr[i + 1]]``
+    (column indices, ascending) and the same slice of ``data`` (b_ij), with
+    every pair stored in both of its rows and no diagonal. Every energy
+    evaluation reads these rows, so memory and time scale with the number
+    of couplings and no n x n array is ever formed. Treat an instance as
+    immutable: the rows are not rebuilt if ``quadratic`` is edited.
+    """
+
     n: int
     linear: np.ndarray                      # shape (n,)
     quadratic: dict[tuple[int, int], float]  # keys (i, j) with i < j, no zeros
     triplet_refs: list[Triplet] | None = None
-    _dense: np.ndarray | None = field(default=None, repr=False, compare=False)
+    indptr: np.ndarray = field(init=False, repr=False, compare=False)
+    indices: np.ndarray = field(init=False, repr=False, compare=False)
+    data: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.linear = np.asarray(self.linear, dtype=float)
         if self.linear.shape != (self.n,):
             raise ValueError(f"linear shape {self.linear.shape} != ({self.n},)")
-        for (i, j) in self.quadratic:
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"bad coefficient index pair ({i}, {j})")
+        pairs = np.array(list(self.quadratic), dtype=np.intp).reshape(-1, 2)
+        i, j = pairs[:, 0], pairs[:, 1]
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
+        if bad.size:
+            raise ValueError(f"bad coefficient index pair ({i[bad[0]]}, {j[bad[0]]})")
+        values = np.array(list(self.quadratic.values()), dtype=float)
+        rows = np.concatenate([i, j])
+        cols = np.concatenate([j, i])
+        order = np.lexsort((cols, rows))
+        self.indptr = np.zeros(self.n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=self.n), out=self.indptr[1:])
+        self.indices = cols[order]
+        self.data = np.concatenate([values, values])[order]
 
-    def coupling_matrix(self) -> np.ndarray:
-        """Dense symmetric coefficient matrix with zero diagonal (cached)."""
-        if self._dense is None:
-            m = np.zeros((self.n, self.n))
-            for (i, j), b in self.quadratic.items():
-                m[i, j] = b
-                m[j, i] = b
-            self._dense = m
-        return self._dense
+    def entry_rows(self) -> np.ndarray:
+        """Row index of every stored entry, aligned with ``indices``."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def coupling_field(self, t: np.ndarray) -> np.ndarray:
+        """Coupling field sum_j b_ij t_j of every variable (a CSR matvec)."""
+        return np.bincount(self.entry_rows(), weights=self.data * t[self.indices],
+                           minlength=self.n)
 
 
 def linear_coefficient(triplet: Triplet, theta_scale: float) -> float:
@@ -194,8 +218,7 @@ def objective(qubo: Qubo, bits: Assignment) -> float:
     t = np.asarray(bits, dtype=float)
     if t.shape != (qubo.n,):
         raise ValueError(f"assignment length {t.shape} does not match n={qubo.n}")
-    b = qubo.coupling_matrix()
-    return float(qubo.linear @ t + 0.5 * t @ (b @ t))
+    return float(qubo.linear @ t + 0.5 * t @ qubo.coupling_field(t))
 
 
 def impact(qubo: Qubo, bits: Assignment, i: int) -> float:
@@ -203,15 +226,15 @@ def impact(qubo: Qubo, bits: Assignment, i: int) -> float:
     if not 0 <= i < qubo.n:
         raise IndexError(i)
     t = np.asarray(bits, dtype=float)
-    b = qubo.coupling_matrix()
-    return float((1.0 - 2.0 * t[i]) * (qubo.linear[i] + b[i] @ t))
+    row = slice(qubo.indptr[i], qubo.indptr[i + 1])
+    return float((1.0 - 2.0 * t[i])
+                 * (qubo.linear[i] + qubo.data[row] @ t[qubo.indices[row]]))
 
 
 def impacts(qubo: Qubo, bits: Assignment) -> np.ndarray:
     """Vector of flip impacts for all variables at once."""
     t = np.asarray(bits, dtype=float)
-    b = qubo.coupling_matrix()
-    return (1.0 - 2.0 * t) * (qubo.linear + b @ t)
+    return (1.0 - 2.0 * t) * (qubo.linear + qubo.coupling_field(t))
 
 
 @dataclass

@@ -8,6 +8,14 @@ term per variable (the summed interactions with the frozen outside
 assignment folded into its linear coefficient), is solved by a pluggable
 sub-solver, and the merged solution is accepted only if the global
 objective does not increase.
+
+Every solver reads the couplings from the objective's symmetric CSR rows
+(see :class:`~qubotrack.qubo.Qubo`); no n x n matrix is formed. Restricting
+to a group reads only that group's rows, O(k * degree). Since a
+sub-problem differs from the full objective by a constant, the sequential
+(Gauss-Seidel) loop scores a group's update as the change of the
+sub-problem objective, O(k^2), instead of re-evaluating the full
+objective, and skips a group whose sub-solve returns its current bits.
 """
 
 from __future__ import annotations
@@ -43,7 +51,8 @@ def solve_exact(qubo: Qubo) -> Assignment:
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
     a = qubo.linear
-    b = qubo.coupling_matrix()
+    b = np.zeros((n, n))
+    b[qubo.entry_rows(), qubo.indices] = qubo.data
     best_energy = np.inf
     best_state = 0
     var_bits = np.arange(n)
@@ -91,19 +100,31 @@ def extract_subqubos(qubo: Qubo, bits: Assignment, k: int) -> list[SubQubo]:
 
 
 def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> SubQubo:
-    t = np.asarray(bits, dtype=float)
-    b = qubo.coupling_matrix()
-    inside = b[np.ix_(indices, indices)]
-    boundary = b[indices] @ t - inside @ t[indices]
-    local_pos = {int(g): l for l, g in enumerate(indices)}
-    quadratic = {}
-    for (i, j), bij in qubo.quadratic.items():
-        li, lj = local_pos.get(i), local_pos.get(j)
-        if li is not None and lj is not None:
-            quadratic[(min(li, lj), max(li, lj))] = bij
-    sub = Qubo(n=len(indices), linear=qubo.linear[indices] + boundary,
-               quadratic=quadratic)
-    return SubQubo(indices=np.asarray(indices), problem=sub)
+    """Read the CSR rows of ``indices`` (ascending, as the groups are):
+    entries whose column lies in the group form the sub-problem's
+    couplings, all others are summed against ``bits`` into the boundary
+    term. Costs O(k * degree), independent of n."""
+    indices = np.asarray(indices)
+    bits = np.asarray(bits)
+    k = len(indices)
+    starts = qubo.indptr[indices]
+    lengths = qubo.indptr[indices + 1] - starts
+    # positions of the k rows' entries in the CSR arrays, row after row
+    local_row = np.repeat(np.arange(k), lengths)
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    entries = np.arange(len(local_row)) + offsets
+    cols, vals = qubo.indices[entries], qubo.data[entries]
+
+    slot = np.searchsorted(indices, cols).clip(max=k - 1)
+    inside = indices[slot] == cols
+    outside = ~inside
+    boundary = np.bincount(local_row[outside],
+                           weights=vals[outside] * bits[cols[outside]], minlength=k)
+    quadratic = {(int(r), int(c)): float(v)
+                 for r, c, v in zip(local_row[inside], slot[inside], vals[inside])
+                 if r < c}
+    sub = Qubo(n=k, linear=qubo.linear[indices] + boundary, quadratic=quadratic)
+    return SubQubo(indices=indices, problem=sub)
 
 
 @dataclass
@@ -182,11 +203,17 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                     sub = _restrict(qubo, bits, indices)
                     rng = np.random.default_rng(
                         np.random.SeedSequence((seed, iteration, si)))
-                    candidate = bits.copy()
-                    candidate[sub.indices] = subsolver(sub.problem, rng)
-                    cand_obj = objective(qubo, candidate)
-                    if cand_obj <= current and not np.array_equal(candidate, bits):
-                        bits, current, changed = candidate, cand_obj, True
+                    old = bits[sub.indices]
+                    new = np.asarray(subsolver(sub.problem, rng), dtype=np.int8)
+                    if np.array_equal(new, old):
+                        continue
+                    # the sub-problem differs from the full objective by a
+                    # constant, so its change is the global change
+                    cand_obj = current + (objective(sub.problem, new)
+                                          - objective(sub.problem, old))
+                    if cand_obj <= current:
+                        bits[sub.indices] = new
+                        current, changed = cand_obj, True
         except Exception as exc:  # sub-solver failure: keep last accepted state
             warning = f"sub-solver failed in iteration {iteration}: {exc}"
             trace.append(current)
@@ -229,9 +256,10 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     schedule = schedule or AnnealSchedule()
     rng = np.random.default_rng(seed)
     n = qubo.n
-    b = qubo.coupling_matrix()
+    rows = [(qubo.indices[a:b], qubo.data[a:b])
+            for a, b in zip(qubo.indptr[:-1], qubo.indptr[1:])]
     bits = np.ones(n, dtype=np.int8)
-    local = qubo.linear + b @ bits.astype(float)  # a_i + sum_j b_ij T_j
+    local = qubo.linear + qubo.coupling_field(bits.astype(float))  # a_i + sum_j b_ij T_j
     current = objective(qubo, bits)
     best_bits, best_obj = bits.copy(), current
 
@@ -243,7 +271,8 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
             if delta <= 0.0 or u < np.exp(-delta / temperature):
                 step = 1.0 - 2.0 * bits[i]  # +1 if turning on, -1 if off
                 bits[i] ^= 1
-                local += b[:, i] * step
+                cols, couplings = rows[i]
+                local[cols] += couplings * step
                 current += delta
                 if current < best_obj:
                     best_obj = current

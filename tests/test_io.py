@@ -123,6 +123,18 @@ def test_qubo_dump_round_trip_lossless():
     assert objective(back, bits) == objective(q, bits)
 
 
+@pytest.mark.parametrize("body, message", [
+    ("0 0.5\n1 -0.5\n1 1 0.25\n", r"q\.txt:4: self-coupling"),
+    ("0 0.5\n1 -0.5\n0 2 0.25\n", r"q\.txt:4: index 2 outside 0\.\.1"),
+    ("0 0.5\n1 -0.5\n0 1 0.25\n1 0 -1.0\n", r"q\.txt:5: pair \(0, 1\) listed twice"),
+], ids=["self-coupling", "index-out-of-range", "pair-listed-twice"])
+def test_malformed_qubo_dump_names_file_and_line(tmp_path, body, message):
+    path = tmp_path / "q.txt"
+    path.write_text("2\n" + body)
+    with pytest.raises(DataFormatError, match=message):
+        read_qubo(path)
+
+
 def test_counts_csv_sorted_by_frequency(tmp_path):
     write_counts_csv(tmp_path / "c.csv", {"101": 5, "011": 17, "000": 2})
     lines = (tmp_path / "c.csv").read_text().strip().splitlines()
