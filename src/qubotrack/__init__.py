@@ -12,7 +12,7 @@ from .preselect import (Doublet, PreselectionWindow, Triplet,
                         build_doublets, build_triplets, calibrate_dx_window,
                         triplet_delta_theta)
 from .qubo import (IsingHamiltonian, Qubo, QuboScaling, assemble_qubo,
-                   impact, objective, to_ising)
+                   objective, to_ising)
 from .solvers import (AnnealSchedule, SolveReport, SubQubo, extract_subqubos,
                       solve_annealing, solve_exact, solve_iterative)
 from .vqe import VqeConfig, VqeResult, nft_update, prepare_state, run_vqe

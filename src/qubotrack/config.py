@@ -39,7 +39,6 @@ class RunConfig:
     iterations: int = 10
     shots: int = 512
     vqe_max_evaluations: int = 300
-    update: str = "gauss-seidel"
     seed: int = 1
 
     def __post_init__(self):

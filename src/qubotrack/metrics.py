@@ -34,11 +34,18 @@ class TrackRecord:
     matched_particle_id: int | None = None
 
 
+def _truth_by_hit(event: Event) -> dict[int, int | None]:
+    return {h.hit_id: h.truth_particle_id for h in event.hits}
+
+
 def match_track(track: TrackRecord, event: Event) -> int | None:
     """Recompute the matched particle from the event's truth links."""
-    by_id = {h.hit_id: h.truth_particle_id for h in event.hits}
+    return _match_hits(track.hit_ids, _truth_by_hit(event))
+
+
+def _match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | None:
     counts: dict[int, int] = {}
-    for hid in track.hit_ids:
+    for hid in hit_ids:
         pid = by_id.get(hid)
         if pid is not None:
             counts[pid] = counts.get(pid, 0) + 1
@@ -50,7 +57,7 @@ def match_track(track: TrackRecord, event: Event) -> int | None:
 
 def distinct_particle_count(track: TrackRecord, event: Event) -> int:
     """Number of distinct truth particles contributing hits to the track."""
-    by_id = {h.hit_id: h.truth_particle_id for h in event.hits}
+    by_id = _truth_by_hit(event)
     return len({by_id.get(hid) for hid in track.hit_ids})
 
 
@@ -66,13 +73,13 @@ def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
 
 def _match_all(events: list[Event], tracks: list[TrackRecord]
                ) -> list[tuple[TrackRecord, int | None]]:
-    by_event = {e.event_id: e for e in events}
+    truth = {e.event_id: _truth_by_hit(e) for e in events}
     out = []
     for t in tracks:
-        event = by_event.get(t.event_id)
-        if event is None:
+        by_id = truth.get(t.event_id)
+        if by_id is None:
             raise KeyError(f"track references unknown event {t.event_id}")
-        out.append((t, match_track(t, event)))
+        out.append((t, _match_hits(t.hit_ids, by_id)))
     return out
 
 
@@ -232,11 +239,11 @@ def build_report(events: list[Event], tracks: list[TrackRecord],
     """Full report over a set of events; adds per-xi-label scalar metrics
     when more than one label is present."""
     matches = _match_all(events, tracks)
+    by_event = {e.event_id: e for e in events}
     matched_tracks = sum(1 for _, pid in matches if pid is not None)
     combinatorial = sum(
         1 for t, pid in matches
-        if pid is None and distinct_particle_count(
-            t, next(e for e in events if e.event_id == t.event_id)) == 4
+        if pid is None and distinct_particle_count(t, by_event[t.event_id]) == 4
     )
     counts = {
         "generated": sum(len(reconstructable_particles(e)) for e in events),

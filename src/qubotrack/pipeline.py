@@ -107,8 +107,7 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     problem = assemble_qubo(triplets, scaling)
     report = solve_iterative(
         problem, _make_subsolver(config), k=config.subqubo_size,
-        max_iterations=config.iterations, seed=config.seed ^ event.event_id,
-        update=config.update)
+        max_iterations=config.iterations, seed=config.seed ^ event.event_id)
     selected = [t for t, bit in zip(triplets, report.best_assignment) if bit]
 
     candidates = triplets_to_candidates(selected)

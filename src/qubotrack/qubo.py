@@ -111,46 +111,39 @@ def linear_coefficient(triplet: Triplet, theta_scale: float) -> float:
     return float(np.clip(2.0 * triplet.delta_theta / theta_scale - 1.0, -1.0, 1.0))
 
 
-def classify_pair(t_i: Triplet, t_j: Triplet) -> str:
-    """Relation of two triplets: 'chained', 'conflict' or 'disjoint'.
+def chained_pairs(triplets: list[Triplet]) -> list[tuple[int, int]]:
+    """Index pairs (first, second) of triplets that chain into a 4-hit candidate.
 
-    Chained means they share exactly one doublet and span complementary
-    layer ranges, so their union is a 4-hit candidate with one hit per
-    layer. Sharing any hit without chaining is a conflict.
+    ``triplets[first].doublet_second`` and ``triplets[second].doublet_first``
+    are the same doublet (same inner and outer hit ids), so the union has
+    one hit per layer. Found by a join on the shared doublet; pairs come
+    back in ascending (min, max) index order. This is the one definition
+    of chaining that the objective, the calibration and track building use.
     """
-    if t_i.layer_span != t_j.layer_span:
-        first, second = (t_i, t_j) if t_i.layer_span < t_j.layer_span else (t_j, t_i)
-        d_shared = first.doublet_second
-        d_other = second.doublet_first
-        if (d_shared.hit_inner.hit_id == d_other.hit_inner.hit_id
-                and d_shared.hit_outer.hit_id == d_other.hit_outer.hit_id):
-            return "chained"
-    shared = set(t_i.hit_ids()) & set(t_j.hit_ids())
-    return "conflict" if shared else "disjoint"
+    by_first: dict[tuple[int, int], list[int]] = {}
+    for idx, t in enumerate(triplets):
+        d = t.doublet_first
+        by_first.setdefault((d.hit_inner.hit_id, d.hit_outer.hit_id), []).append(idx)
+    pairs = []
+    for first, t in enumerate(triplets):
+        d = t.doublet_second
+        for second in by_first.get((d.hit_inner.hit_id, d.hit_outer.hit_id), ()):
+            pairs.append((first, second))
+    pairs.sort(key=lambda p: (min(p), max(p)))
+    return pairs
 
 
-def chained_angle_spread(t_i: Triplet, t_j: Triplet) -> float:
+def chained_angle_spread(first: Triplet, second: Triplet) -> float:
     """Norm of the angle standard deviations over the three doublets of a chain.
 
     s = sqrt(std(theta_xz)^2 + std(theta_yz)^2), population convention,
-    taken over the three distinct doublets of the chained pair.
+    taken over the three distinct doublets of the chained pair, given in
+    chain order (as :func:`chained_pairs` returns them).
     """
-    first, second = (t_i, t_j) if t_i.layer_span < t_j.layer_span else (t_j, t_i)
     ds = (first.doublet_first, first.doublet_second, second.doublet_second)
     txz = np.array([d.theta_xz for d in ds])
     tyz = np.array([d.theta_yz for d in ds])
     return float(np.sqrt(txz.var() + tyz.var()))
-
-
-def quadratic_coefficient(t_i: Triplet, t_j: Triplet, scaling: QuboScaling) -> float:
-    """Pair coefficient b_ij; see module docstring for the three cases."""
-    relation = classify_pair(t_i, t_j)
-    if relation == "disjoint":
-        return 0.0
-    if relation == "conflict":
-        return 1.0
-    s = chained_angle_spread(t_i, t_j)
-    return -1.0 + 0.1 * float(np.clip(s / scaling.s_max, 0.0, 1.0))
 
 
 def truth_chain_spreads(triplets: list[Triplet]) -> list[float]:
@@ -159,17 +152,11 @@ def truth_chain_spreads(triplets: list[Triplet]) -> list[float]:
     Triplet lists from different events must not be pooled here: particle
     and hit ids restart per event.
     """
-    by_pid: dict[int, list[Triplet]] = {}
-    for t in triplets:
-        pid = t.truth_particle_id()
-        if pid is not None:
-            by_pid.setdefault(pid, []).append(t)
     spreads = []
-    for ts in by_pid.values():
-        for i, t_i in enumerate(ts):
-            for t_j in ts[i + 1:]:
-                if classify_pair(t_i, t_j) == "chained":
-                    spreads.append(chained_angle_spread(t_i, t_j))
+    for first, second in chained_pairs(triplets):
+        pid = triplets[first].truth_particle_id()
+        if pid is not None and pid == triplets[second].truth_particle_id():
+            spreads.append(chained_angle_spread(triplets[first], triplets[second]))
     return spreads
 
 
@@ -203,11 +190,15 @@ def assemble_qubo(triplets: list[Triplet],
             for j in indices[a + 1:]:
                 pairs.add((i, j) if i < j else (j, i))
 
+    chained = {(min(p), max(p)): p for p in chained_pairs(triplets)}
     quadratic: dict[tuple[int, int], float] = {}
-    for i, j in sorted(pairs):
-        b = quadratic_coefficient(triplets[i], triplets[j], scaling)
-        if b != 0.0:
-            quadratic[(i, j)] = b
+    for pair in sorted(pairs):
+        if pair in chained:
+            first, second = chained[pair]
+            s = chained_angle_spread(triplets[first], triplets[second])
+            quadratic[pair] = -1.0 + 0.1 * float(np.clip(s / scaling.s_max, 0.0, 1.0))
+        else:
+            quadratic[pair] = 1.0
 
     return Qubo(n=len(triplets), linear=linear, quadratic=quadratic,
                 triplet_refs=list(triplets))
@@ -219,16 +210,6 @@ def objective(qubo: Qubo, bits: Assignment) -> float:
     if t.shape != (qubo.n,):
         raise ValueError(f"assignment length {t.shape} does not match n={qubo.n}")
     return float(qubo.linear @ t + 0.5 * t @ qubo.coupling_field(t))
-
-
-def impact(qubo: Qubo, bits: Assignment, i: int) -> float:
-    """Objective change when flipping variable i: O(flip) - O(current)."""
-    if not 0 <= i < qubo.n:
-        raise IndexError(i)
-    t = np.asarray(bits, dtype=float)
-    row = slice(qubo.indptr[i], qubo.indptr[i + 1])
-    return float((1.0 - 2.0 * t[i])
-                 * (qubo.linear[i] + qubo.data[row] @ t[qubo.indices[row]]))
 
 
 def impacts(qubo: Qubo, bits: Assignment) -> np.ndarray:

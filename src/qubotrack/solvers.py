@@ -152,18 +152,14 @@ def exact_subsolver(problem: Qubo, rng: np.random.Generator) -> Assignment:
 
 
 def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
-                    max_iterations: int = 10, seed: int = 0,
-                    update: str = "gauss-seidel") -> SolveReport:
+                    max_iterations: int = 10, seed: int = 0) -> SolveReport:
     """Iterative impact-ordered decomposition, starting from all-ones.
 
     Per iteration the variables are regrouped by |impact| and each group is
-    solved by ``subsolver``. In the default ``gauss-seidel`` mode groups
-    are solved sequentially, each seeing the running assignment, with a
-    per-group guard that rejects objective-increasing updates. The
-    ``jacobi`` mode instead freezes the iteration-start assignment for all
-    groups and accepts or rejects the whole merge; it allows parallel
-    sub-solves but stalls noticeably earlier on dense conflict structures.
-    Stops early once an iteration changes nothing.
+    solved by ``subsolver``. Groups are solved sequentially (Gauss-Seidel),
+    each seeing the running assignment, with a per-group guard that rejects
+    objective-increasing updates. Stops early once an iteration changes
+    nothing.
 
     ``objective_trace[0]`` is the starting objective; one entry is appended
     per completed iteration, and the trace is non-increasing by
@@ -172,8 +168,6 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    if update not in ("jacobi", "gauss-seidel"):
-        raise ValueError(f"unknown update mode {update!r}")
 
     bits = np.ones(qubo.n, dtype=np.int8)
     current = objective(qubo, bits)
@@ -185,35 +179,23 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
     for iteration in range(max_iterations):
         changed = False
         try:
-            if update == "jacobi":
-                subs = extract_subqubos(qubo, bits, k)
-                subqubo_count += len(subs)
-                candidate = bits.copy()
-                for si, sub in enumerate(subs):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((seed, iteration, si)))
-                    candidate[sub.indices] = subsolver(sub.problem, rng)
-                cand_obj = objective(qubo, candidate)
-                if cand_obj <= current and not np.array_equal(candidate, bits):
-                    bits, current, changed = candidate, cand_obj, True
-            else:
-                groups = _impact_groups(qubo, bits, k)
-                subqubo_count += len(groups)
-                for si, indices in enumerate(groups):
-                    sub = _restrict(qubo, bits, indices)
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence((seed, iteration, si)))
-                    old = bits[sub.indices]
-                    new = np.asarray(subsolver(sub.problem, rng), dtype=np.int8)
-                    if np.array_equal(new, old):
-                        continue
-                    # the sub-problem differs from the full objective by a
-                    # constant, so its change is the global change
-                    cand_obj = current + (objective(sub.problem, new)
-                                          - objective(sub.problem, old))
-                    if cand_obj <= current:
-                        bits[sub.indices] = new
-                        current, changed = cand_obj, True
+            groups = _impact_groups(qubo, bits, k)
+            subqubo_count += len(groups)
+            for si, indices in enumerate(groups):
+                sub = _restrict(qubo, bits, indices)
+                rng = np.random.default_rng(
+                    np.random.SeedSequence((seed, iteration, si)))
+                old = bits[sub.indices]
+                new = np.asarray(subsolver(sub.problem, rng), dtype=np.int8)
+                if np.array_equal(new, old):
+                    continue
+                # the sub-problem differs from the full objective by a
+                # constant, so its change is the global change
+                cand_obj = current + (objective(sub.problem, new)
+                                      - objective(sub.problem, old))
+                if cand_obj <= current:
+                    bits[sub.indices] = new
+                    current, changed = cand_obj, True
         except Exception as exc:  # sub-solver failure: keep last accepted state
             warning = f"sub-solver failed in iteration {iteration}: {exc}"
             trace.append(current)

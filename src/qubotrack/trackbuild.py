@@ -12,7 +12,7 @@ import numpy as np
 from .fastsim import PT_KICK_PER_TESLA_METER
 from .geometry import DetectorGeometry, Event, Hit
 from .preselect import Triplet
-from .qubo import classify_pair
+from .qubo import chained_pairs
 
 
 class FitError(ValueError):
@@ -54,17 +54,14 @@ def triplets_to_candidates(selected: list[Triplet]) -> list[TrackCandidate]:
     """Every chained pair of selected triplets, deduplicated by hit set."""
     out: list[TrackCandidate] = []
     seen: set[tuple[int, ...]] = set()
-    for i, t_i in enumerate(selected):
-        for t_j in selected[i + 1:]:
-            if classify_pair(t_i, t_j) != "chained":
-                continue
-            first, second = (t_i, t_j) if t_i.layer_span < t_j.layer_span else (t_j, t_i)
-            hits = (*first.hits(), second.hits()[2])
-            key = tuple(h.hit_id for h in hits)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(TrackCandidate(hits=hits, source_triplets=(first, second)))
+    for i, j in chained_pairs(selected):
+        first, second = selected[i], selected[j]
+        hits = (*first.hits(), second.hits()[2])
+        key = tuple(h.hit_id for h in hits)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(TrackCandidate(hits=hits, source_triplets=(first, second)))
     return out
 
 

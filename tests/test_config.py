@@ -32,6 +32,8 @@ def test_round_trip():
 def test_unknown_keys_rejected():
     with pytest.raises(ConfigError, match="unknown config keys"):
         RunConfig.from_dict({"solevr": "exact"})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        RunConfig.from_dict({"update": "jacobi"})
 
 
 def test_unknown_solver_rejected():

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_minimum, brute_force_objective, random_qubo
-from qubotrack.qubo import Qubo, impact, impacts, objective
+from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import exact_subsolver, extract_subqubos, solve_iterative
 
 
@@ -48,7 +48,6 @@ def test_impacts_match_flip_and_recompute(case):
         flipped[i] ^= 1
         expected = brute_force_objective(q, flipped) - before
         assert all_impacts[i] == pytest.approx(expected, abs=1e-12)
-        assert impact(q, bits, i) == pytest.approx(expected, abs=1e-12)
 
 
 @settings(max_examples=100, deadline=None)

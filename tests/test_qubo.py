@@ -5,11 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_objective, random_qubo
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
+from qubotrack.metrics import reconstructable_particles
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
-                                 build_triplets)
-from qubotrack.qubo import (Qubo, QuboScaling, assemble_qubo,
-                            chained_angle_spread, classify_pair, impact,
-                            impacts, linear_coefficient, objective, to_ising)
+                                 build_triplets, calibrate_dx_window,
+                                 truth_doublets, truth_triplets)
+from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spread,
+                            chained_pairs, impacts, linear_coefficient,
+                            objective, to_ising, truth_chain_spreads)
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.solvers import solve_exact
 
@@ -42,7 +44,25 @@ def test_linear_coefficient_endpoints(geometry):
     assert linear_coefficient(FakeTriplet(), 1e-3) == 1.0
 
 
-# -- quadratic coefficient -------------------------------------------------------
+# -- chained pairs and quadratic coefficient ------------------------------------
+
+def chained_pairs_oracle(triplets):
+    """Pairwise definition of chaining: the layer spans differ and the lower
+    triplet's second doublet has the hit ids of the upper one's first."""
+    out = []
+    for i, t_i in enumerate(triplets):
+        for j in range(i + 1, len(triplets)):
+            t_j = triplets[j]
+            if t_i.layer_span == t_j.layer_span:
+                continue
+            first, second = (i, j) if t_i.layer_span < t_j.layer_span else (j, i)
+            d = triplets[first].doublet_second
+            e = triplets[second].doublet_first
+            if (d.hit_inner.hit_id, d.hit_outer.hit_id) == (e.hit_inner.hit_id,
+                                                             e.hit_outer.hit_id):
+                out.append((first, second))
+    return out
+
 
 def test_chained_noiseless_pair_is_minus_one(geometry):
     _, triplets = clean_two_particle_triplets(geometry)
@@ -52,15 +72,14 @@ def test_chained_noiseless_pair_is_minus_one(geometry):
     for ts in by_pid.values():
         t02 = next(t for t in ts if t.layer_span == (0, 2))
         t13 = next(t for t in ts if t.layer_span == (1, 3))
-        assert classify_pair(t02, t13) == "chained"
+        assert chained_pairs([t02, t13]) == [(0, 1)]
+        assert chained_pairs([t13, t02]) == [(1, 0)]
         assert chained_angle_spread(t02, t13) < 1e-12
-        from qubotrack.qubo import quadratic_coefficient
-        assert quadratic_coefficient(t02, t13, QuboScaling()) == pytest.approx(-1.0)
+        assert assemble_qubo([t02, t13]).quadratic == {(0, 1): pytest.approx(-1.0)}
 
 
 def test_conflict_and_disjoint_cases(geometry):
     event, triplets = clean_two_particle_triplets(geometry)
-    from qubotrack.qubo import quadratic_coefficient
     pids = sorted({t.truth_particle_id() for t in triplets})
     a02 = next(t for t in triplets
                if t.truth_particle_id() == pids[0] and t.layer_span == (0, 2))
@@ -68,25 +87,59 @@ def test_conflict_and_disjoint_cases(geometry):
                if t.truth_particle_id() == pids[0] and t.layer_span == (1, 3))
     b02 = next(t for t in triplets
                if t.truth_particle_id() == pids[1] and t.layer_span == (0, 2))
-    # same-span triplets of one particle share hits but cannot chain
-    assert classify_pair(a02, b02) == "disjoint"
-    assert quadratic_coefficient(a02, b02, QuboScaling()) == 0.0
-    # conflicting: same span, overlapping hits
+    # triplets of two separate particles neither chain nor conflict
+    assert chained_pairs([a02, b02]) == []
+    assert assemble_qubo([a02, b02]).quadratic == {}
+    # conflicting: overlapping hits without chaining
     scen_event, scen_geo = two_nearby_particles_event()
     w = PreselectionWindow(dx_mean=0.17, dx_sigma=0.05)
     ts = build_triplets(build_doublets(scen_event.hits, scen_geo, w), w)
-    conflicts = [(x, y) for i, x in enumerate(ts) for y in ts[i + 1:]
-                 if classify_pair(x, y) == "conflict"]
-    assert conflicts
-    for x, y in conflicts:
-        assert set(x.hit_ids()) & set(y.hit_ids())
-        assert quadratic_coefficient(x, y, QuboScaling()) == 1.0
-    # symmetry: argument order never matters
-    for x, y in conflicts[:3]:
-        assert (quadratic_coefficient(x, y, QuboScaling())
-                == quadratic_coefficient(y, x, QuboScaling()))
-    assert (quadratic_coefficient(a02, a13, QuboScaling())
-            == quadratic_coefficient(a13, a02, QuboScaling()))
+    q = assemble_qubo(ts)
+    chained = {(min(p), max(p)) for p in chained_pairs(ts)}
+    conflicts = [pair for pair in q.quadratic if pair not in chained]
+    assert chained and conflicts
+    for i, j in ((i, j) for i in range(len(ts)) for j in range(i + 1, len(ts))):
+        shared = set(ts[i].hit_ids()) & set(ts[j].hit_ids())
+        if (i, j) in chained:
+            assert -1.0 <= q.quadratic[(i, j)] <= -0.9
+        elif shared:
+            assert q.quadratic[(i, j)] == 1.0
+        else:
+            assert (i, j) not in q.quadratic
+    # argument order never matters: reversing the list mirrors the couplings
+    n = len(ts)
+    mirrored = {(n - 1 - j, n - 1 - i): b for (i, j), b in q.quadratic.items()}
+    assert assemble_qubo(ts[::-1]).quadratic == mirrored
+    assert (assemble_qubo([a02, a13]).quadratic
+            == assemble_qubo([a13, a02]).quadratic)
+
+
+@pytest.fixture(scope="module")
+def dense_triplets(geometry):
+    sim = SimConfig(mean_multiplicity=150, rng_seed=2024)
+    event = generate_event(sim, geometry, 0)
+    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    w = PreselectionWindow.from_calibration(mean, sigma)
+    return build_triplets(build_doublets(event.hits, geometry, w), w)
+
+
+@pytest.mark.parametrize("copies", [1, 2])
+def test_chained_pairs_match_pairwise_oracle(dense_triplets, copies):
+    triplets = dense_triplets * copies
+    expected = chained_pairs_oracle(triplets)
+    assert len(expected) > 50 * copies
+    assert chained_pairs(triplets) == expected
+
+
+def test_truth_chain_spreads_one_per_four_layer_particle(geometry):
+    spectrum = EnergySpectrum(kind="uniform", minimum=2.0, maximum=12.0)
+    sim = SimConfig(mean_multiplicity=20, rng_seed=11, poisson_multiplicity=False,
+                    energy_spectrum=spectrum, ip_smear=(0, 0, 0),
+                    emittance_angle_sigma=0.0, scattering=False, smear_hits=False)
+    event = generate_event(sim, geometry, 0)
+    spreads = truth_chain_spreads(truth_triplets(event))
+    assert len(spreads) == len(reconstructable_particles(event)) > 10
+    assert max(spreads) < 1e-12
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -114,7 +167,6 @@ def test_assemble_empty_rejected():
 
 def test_assemble_seven_triplet_scenario():
     event, geometry = two_nearby_particles_event()
-    from qubotrack.preselect import calibrate_dx_window, truth_doublets
     mean, sigma = calibrate_dx_window(truth_doublets(event))
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
@@ -158,8 +210,8 @@ def test_objective_matches_brute_force_on_random_instances():
 
 def test_impact_single_variable():
     q = Qubo(n=1, linear=np.array([-1.0]), quadratic={})
-    assert impact(q, np.array([1]), 0) == pytest.approx(1.0)  # -1 -> 0
-    assert impact(q, np.array([0]), 0) == pytest.approx(-1.0)
+    assert impacts(q, np.array([1]))[0] == pytest.approx(1.0)  # -1 -> 0
+    assert impacts(q, np.array([0]))[0] == pytest.approx(-1.0)
 
 
 def test_impact_zero_qubo():
@@ -174,10 +226,10 @@ def test_impact_is_an_involution(seed, n):
     q = random_qubo(rng, n)
     bits = rng.integers(0, 2, n).astype(np.int8)
     i = int(rng.integers(0, n))
-    before = impact(q, bits, i)
+    before = impacts(q, bits)[i]
     flipped = bits.copy()
     flipped[i] ^= 1
-    assert impact(q, flipped, i) == pytest.approx(-before, abs=1e-12)
+    assert impacts(q, flipped)[i] == pytest.approx(-before, abs=1e-12)
     # and the impact is exactly the objective difference
     assert before == pytest.approx(objective(q, flipped) - objective(q, bits),
                                    abs=1e-12)

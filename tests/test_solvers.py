@@ -112,9 +112,8 @@ def test_iterative_equals_exact_when_k_covers_n():
 
 def test_iterative_matches_exact_tie_break_bit_for_bit():
     q = Qubo(n=2, linear=np.array([-0.5, -0.5]), quadratic={(0, 1): 1.0})
-    for update in ("jacobi", "gauss-seidel"):
-        report = solve_iterative(q, exact_subsolver, k=7, update=update)
-        assert report.best_assignment.tolist() == solve_exact(q).tolist() == [1, 0]
+    report = solve_iterative(q, exact_subsolver, k=7)
+    assert report.best_assignment.tolist() == solve_exact(q).tolist() == [1, 0]
 
 
 def test_iterative_block_diagonal_two_blocks():
@@ -144,12 +143,11 @@ def test_iterative_block_diagonal_two_blocks():
     assert any(abs(v - optimum) < 1e-9 for v in report.objective_trace[1:3])
 
 
-@pytest.mark.parametrize("update", ["jacobi", "gauss-seidel"])
-def test_iterative_trace_non_increasing(update):
+def test_iterative_trace_non_increasing():
     rng = np.random.default_rng(4)
     for trial in range(30):
         q = random_qubo(rng, 30, coupling_prob=0.15)
-        report = solve_iterative(q, exact_subsolver, k=7, seed=trial, update=update)
+        report = solve_iterative(q, exact_subsolver, k=7, seed=trial)
         trace = report.objective_trace
         assert all(b <= a + 1e-12 for a, b in zip(trace, trace[1:]))
         assert report.best_objective == pytest.approx(trace[-1])
