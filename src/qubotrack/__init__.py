@@ -13,12 +13,11 @@ from .preselect import (Doublet, PreselectionWindow, Triplet,
                         triplet_delta_theta)
 from .qubo import (IsingHamiltonian, Qubo, QuboScaling, assemble_qubo,
                    objective, to_ising)
-from .solvers import (AnnealSchedule, SolveReport, SubQubo, extract_subqubos,
-                      solve_annealing, solve_exact, solve_iterative)
+from .solvers import (AnnealSchedule, SolveReport, solve_annealing, solve_exact,
+                      solve_iterative)
 from .vqe import VqeConfig, VqeResult, nft_update, prepare_state, run_vqe
 from .trackbuild import (TrackCandidate, TrackFit, estimate_energy, fit_track,
-                         match_candidate, resolve_ambiguities,
-                         triplets_to_candidates)
+                         resolve_ambiguities, triplets_to_candidates)
 from .metrics import (MetricsReport, TrackRecord, binned_curves, build_report,
                       duplication_rate, efficiency, energy_resolution,
                       fake_rate)

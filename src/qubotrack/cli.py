@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, SOLVERS
 from .fastsim import xi_to_multiplicity
-from .geometry import Event, build_geometry
+from .geometry import Event, build_geometry, shared_hits
 from .io import (DataFormatError, config_hash, read_events, read_json,
                  read_tracks_csv, write_curves_csv, write_doublet_debug_csv,
                  write_hits_csv, write_json, write_particles_csv, write_qubo,
@@ -168,18 +168,16 @@ def _offset_events(events: list[Event], tracks: list[TrackRecord], offset: int
     return shifted_events, shifted_tracks
 
 
-def _check_shared_hits(events: list[Event], tracks: list[TrackRecord]) -> None:
+def _check_shared_hits(tracks: list[TrackRecord]) -> None:
     by_event: dict[int, list[TrackRecord]] = {}
     for t in tracks:
         by_event.setdefault(t.event_id, []).append(t)
     for eid, ts in by_event.items():
-        for i, a in enumerate(ts):
-            sa = set(a.hit_ids)
-            for b in ts[i + 1:]:
-                if len(sa & set(b.hit_ids)) >= 2:
-                    raise InvariantViolation(
-                        f"event {eid}: final tracks {a.track_id} and {b.track_id} "
-                        f"share >= 2 hits")
+        for (i, j), n in shared_hits(t.hit_ids for t in ts).items():
+            if n >= 2:
+                raise InvariantViolation(
+                    f"event {eid}: final tracks {ts[i].track_id} and {ts[j].track_id} "
+                    f"share >= 2 hits")
 
 
 def cmd_evaluate(args) -> int:
@@ -206,7 +204,7 @@ def cmd_evaluate(args) -> int:
 
     edges = args.energy_bins or DEFAULT_ENERGY_BINS
     report = build_report(all_events, all_tracks, edges=edges)
-    _check_shared_hits(all_events, all_tracks)
+    _check_shared_hits(all_tracks)
     problems = report.check_invariants()
     if problems:
         raise InvariantViolation("; ".join(problems))

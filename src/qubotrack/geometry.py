@@ -8,7 +8,10 @@ the beam (z) axis; each plane is a single continuous sensitive area.
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field, asdict
+from itertools import chain, combinations
 
 
 class GeometryError(ValueError):
@@ -158,6 +161,26 @@ class Event:
             if p.particle_id == pid:
                 return p
         raise KeyError(pid)
+
+
+def shared_hits(hit_sets: Iterable[Iterable[int]]) -> dict[tuple[int, int], int]:
+    """Number of hit ids shared by every pair of items that share any.
+
+    Keys are index pairs (i, j) with i < j, in ascending order; a value
+    equals ``len(set(hit_sets[i]) & set(hit_sets[j]))``, so an id an item
+    lists twice counts once. Pairs are found through a hit-id -> item
+    index, so disjoint pairs cost nothing. This is the one definition of
+    hit overlap that the objective, ambiguity resolution and the evaluate
+    invariant read.
+    """
+    by_hit: dict[int, list[int]] = {}
+    for idx, ids in enumerate(hit_sets):
+        for hid in set(ids):
+            by_hit.setdefault(hid, []).append(idx)
+    # each list is ascending, so its combinations are (i, j) with i < j
+    counts = Counter(chain.from_iterable(combinations(items, 2)
+                                         for items in by_hit.values()))
+    return {pair: counts[pair] for pair in sorted(counts)}
 
 
 def validate_event(event: Event, geometry: DetectorGeometry) -> list[str]:

@@ -34,16 +34,17 @@ class TrackRecord:
     matched_particle_id: int | None = None
 
 
-def _truth_by_hit(event: Event) -> dict[int, int | None]:
+def truth_by_hit(event: Event) -> dict[int, int | None]:
+    """Truth particle id of every hit id of the event (None for noise)."""
     return {h.hit_id: h.truth_particle_id for h in event.hits}
 
 
-def match_track(track: TrackRecord, event: Event) -> int | None:
-    """Recompute the matched particle from the event's truth links."""
-    return _match_hits(track.hit_ids, _truth_by_hit(event))
+def match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | None:
+    """Particle owning at least MATCH_MIN_HITS of the hits, else None.
 
-
-def _match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | None:
+    ``by_id`` maps hit ids to particle ids, as :func:`truth_by_hit` builds
+    it. Between equally large shares the lower particle id wins.
+    """
     counts: dict[int, int] = {}
     for hid in hit_ids:
         pid = by_id.get(hid)
@@ -57,7 +58,7 @@ def _match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int |
 
 def distinct_particle_count(track: TrackRecord, event: Event) -> int:
     """Number of distinct truth particles contributing hits to the track."""
-    by_id = _truth_by_hit(event)
+    by_id = truth_by_hit(event)
     return len({by_id.get(hid) for hid in track.hit_ids})
 
 
@@ -73,13 +74,13 @@ def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
 
 def _match_all(events: list[Event], tracks: list[TrackRecord]
                ) -> list[tuple[TrackRecord, int | None]]:
-    truth = {e.event_id: _truth_by_hit(e) for e in events}
+    truth = {e.event_id: truth_by_hit(e) for e in events}
     out = []
     for t in tracks:
         by_id = truth.get(t.event_id)
         if by_id is None:
             raise KeyError(f"track references unknown event {t.event_id}")
-        out.append((t, _match_hits(t.hit_ids, by_id)))
+        out.append((t, match_hits(t.hit_ids, by_id)))
     return out
 
 

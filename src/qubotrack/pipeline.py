@@ -9,15 +9,14 @@ from dataclasses import dataclass
 from .config import RunConfig
 from .fastsim import generate_event
 from .geometry import DetectorGeometry, Event, build_geometry
-from .metrics import TrackRecord
+from .metrics import TrackRecord, match_hits, truth_by_hit
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
                         calibrate_dx_window, truth_doublets, truth_triplets)
 from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
                    truth_chain_spreads)
 from .solvers import (AnnealSchedule, SolveReport, exact_subsolver,
                       make_annealing_subsolver, solve_iterative)
-from .trackbuild import fit_track, match_candidate, resolve_ambiguities, \
-    triplets_to_candidates
+from .trackbuild import fit_track, resolve_ambiguities, triplets_to_candidates
 from .vqe import make_vqe_subsolver
 
 S_MAX_FALLBACK = 1e-3
@@ -113,6 +112,7 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     candidates = triplets_to_candidates(selected)
     fits = [fit_track(c, geometry) for c in candidates]
     keep = resolve_ambiguities(candidates, fits)
+    truth = truth_by_hit(event)
     tracks = []
     for track_id, idx in enumerate(keep):
         c, f = candidates[idx], fits[idx]
@@ -120,7 +120,7 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
             event_id=event.event_id, track_id=track_id,
             hit_ids=c.hit_ids(), chi2=f.chi2, ndf=f.ndf,
             energy=f.energy_estimate,
-            matched_particle_id=match_candidate(c, event)))
+            matched_particle_id=match_hits(c.hit_ids(), truth)))
     return EventResult(event.event_id, tracks, report,
                        len(doublets), len(triplets))
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import shared_hits
 from .preselect import Triplet
 
 # selection bit vector, dtype int8, values {0, 1}
@@ -171,8 +172,8 @@ def assemble_qubo(triplets: list[Triplet],
                   scaling: QuboScaling | None = None) -> Qubo:
     """Build the selection objective from a nonempty triplet list.
 
-    Only connected pairs are enumerated (via a hit-to-triplet index), so
-    disjoint pairs never cost time or storage.
+    Only pairs that share a hit (:func:`~qubotrack.geometry.shared_hits`)
+    are enumerated, so disjoint pairs never cost time or storage.
     """
     if not triplets:
         raise ValueError("cannot assemble a QUBO from an empty triplet list")
@@ -180,19 +181,9 @@ def assemble_qubo(triplets: list[Triplet],
 
     linear = np.array([linear_coefficient(t, scaling.theta_scale) for t in triplets])
 
-    by_hit: dict[int, list[int]] = {}
-    for idx, t in enumerate(triplets):
-        for hid in t.hit_ids():
-            by_hit.setdefault(hid, []).append(idx)
-    pairs: set[tuple[int, int]] = set()
-    for indices in by_hit.values():
-        for a, i in enumerate(indices):
-            for j in indices[a + 1:]:
-                pairs.add((i, j) if i < j else (j, i))
-
     chained = {(min(p), max(p)): p for p in chained_pairs(triplets)}
     quadratic: dict[tuple[int, int], float] = {}
-    for pair in sorted(pairs):
+    for pair in shared_hits(t.hit_ids() for t in triplets):
         if pair in chained:
             first, second = chained[pair]
             s = chained_angle_spread(triplets[first], triplets[second])

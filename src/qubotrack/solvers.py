@@ -68,19 +68,6 @@ def solve_exact(qubo: Qubo) -> Assignment:
     return ((best_state >> var_bits) & 1).astype(np.int8)
 
 
-@dataclass
-class SubQubo:
-    """Restriction of a problem to ``indices``, boundary terms folded in.
-
-    ``problem.linear`` holds a_i plus the sum of interactions with the
-    frozen outside assignment; minimising it over the subset is equivalent
-    to minimising the full objective with outside variables fixed.
-    """
-
-    indices: np.ndarray
-    problem: Qubo
-
-
 def _impact_groups(qubo: Qubo, bits: Assignment, k: int) -> list[np.ndarray]:
     """Group variables by descending |impact| into runs of at most k.
 
@@ -94,16 +81,15 @@ def _impact_groups(qubo: Qubo, bits: Assignment, k: int) -> list[np.ndarray]:
     return [np.sort(order[start:start + k]) for start in range(0, qubo.n, k)]
 
 
-def extract_subqubos(qubo: Qubo, bits: Assignment, k: int) -> list[SubQubo]:
-    """Partition variables by descending |impact| into sub-problems of size <= k."""
-    return [_restrict(qubo, bits, g) for g in _impact_groups(qubo, bits, k)]
+def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> Qubo:
+    """Sub-problem over ``indices`` with the outside assignment frozen.
 
-
-def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> SubQubo:
-    """Read the CSR rows of ``indices`` (ascending, as the groups are):
+    Reads the CSR rows of ``indices`` (ascending, as the groups are):
     entries whose column lies in the group form the sub-problem's
     couplings, all others are summed against ``bits`` into the boundary
-    term. Costs O(k * degree), independent of n."""
+    term folded into its linear coefficients. Minimising it is equivalent
+    to minimising the full objective with the outside variables fixed.
+    Costs O(k * degree), independent of n."""
     indices = np.asarray(indices)
     bits = np.asarray(bits)
     k = len(indices)
@@ -123,8 +109,7 @@ def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> SubQubo:
     quadratic = {(int(r), int(c)): float(v)
                  for r, c, v in zip(local_row[inside], slot[inside], vals[inside])
                  if r < c}
-    sub = Qubo(n=k, linear=qubo.linear[indices] + boundary, quadratic=quadratic)
-    return SubQubo(indices=indices, problem=sub)
+    return Qubo(n=k, linear=qubo.linear[indices] + boundary, quadratic=quadratic)
 
 
 @dataclass
@@ -185,16 +170,15 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                 sub = _restrict(qubo, bits, indices)
                 rng = np.random.default_rng(
                     np.random.SeedSequence((seed, iteration, si)))
-                old = bits[sub.indices]
-                new = np.asarray(subsolver(sub.problem, rng), dtype=np.int8)
+                old = bits[indices]
+                new = np.asarray(subsolver(sub, rng), dtype=np.int8)
                 if np.array_equal(new, old):
                     continue
                 # the sub-problem differs from the full objective by a
                 # constant, so its change is the global change
-                cand_obj = current + (objective(sub.problem, new)
-                                      - objective(sub.problem, old))
+                cand_obj = current + (objective(sub, new) - objective(sub, old))
                 if cand_obj <= current:
-                    bits[sub.indices] = new
+                    bits[indices] = new
                     current, changed = cand_obj, True
         except Exception as exc:  # sub-solver failure: keep last accepted state
             warning = f"sub-solver failed in iteration {iteration}: {exc}"

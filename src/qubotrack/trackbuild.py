@@ -1,5 +1,5 @@
 """Quadruplet building from selected triplets, straight-line fitting,
-energy estimation, truth matching and ambiguity resolution.
+energy estimation and ambiguity resolution.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastsim import PT_KICK_PER_TESLA_METER
-from .geometry import DetectorGeometry, Event, Hit
+from .geometry import DetectorGeometry, Hit, shared_hits
 from .preselect import Triplet
 from .qubo import chained_pairs
 
@@ -24,7 +24,6 @@ class TrackCandidate:
     """Exactly four hits, one per layer, built from a chained triplet pair."""
 
     hits: tuple[Hit, Hit, Hit, Hit]
-    source_triplets: tuple[Triplet, Triplet]
 
     def __post_init__(self):
         layers = tuple(h.layer for h in self.hits)
@@ -61,7 +60,7 @@ def triplets_to_candidates(selected: list[Triplet]) -> list[TrackCandidate]:
         if key in seen:
             continue
         seen.add(key)
-        out.append(TrackCandidate(hits=hits, source_triplets=(first, second)))
+        out.append(TrackCandidate(hits=hits))
     return out
 
 
@@ -119,18 +118,6 @@ def fit_track(candidate: TrackCandidate, geometry: DetectorGeometry) -> TrackFit
                     energy_estimate=energy)
 
 
-def match_candidate(candidate: TrackCandidate, event: Event) -> int | None:
-    """Truth particle owning at least 3 of the 4 hits, else None."""
-    counts: dict[int, int] = {}
-    for h in candidate.hits:
-        if h.truth_particle_id is not None:
-            counts[h.truth_particle_id] = counts.get(h.truth_particle_id, 0) + 1
-    if not counts:
-        return None
-    pid, best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return pid if best >= 3 else None
-
-
 def resolve_ambiguities(candidates: list[TrackCandidate],
                         fits: list[TrackFit]) -> list[int]:
     """Indices of candidates surviving shared-hit resolution.
@@ -140,35 +127,35 @@ def resolve_ambiguities(candidates: list[TrackCandidate],
     its conflicting partners, and rejects the worse chi2/ndf of every pair
     (ties keep the lower creation index). Terminates when all surviving
     pairs share at most one hit.
+
+    Overlaps come from :func:`~qubotrack.geometry.shared_hits` once; each
+    candidate keeps a map of its live neighbours to their shared-hit
+    count, and a rejected candidate is removed from its neighbours' maps.
     """
     if len(candidates) != len(fits):
         raise ValueError("candidates and fits must align")
-    hit_sets = [set(c.hit_ids()) for c in candidates]
     alive = set(range(len(candidates)))
+    overlap: list[dict[int, int]] = [{} for _ in candidates]
+    for (i, j), n in shared_hits(c.hit_ids() for c in candidates).items():
+        overlap[i][j] = overlap[j][i] = n
 
-    def shared(i: int, j: int) -> int:
-        return len(hit_sets[i] & hit_sets[j])
+    def reject(i: int) -> None:
+        alive.discard(i)
+        for j in overlap[i]:
+            del overlap[j][i]
 
     while True:
-        conflicts = {
-            i: [j for j in alive if j != i and shared(i, j) >= 2]
-            for i in alive
-        }
-        in_conflict = [i for i, js in conflicts.items() if js]
+        in_conflict = [i for i in alive if any(n >= 2 for n in overlap[i].values())]
         if not in_conflict:
             break
-        totals = {
-            i: sum(shared(i, j) for j in alive if j != i)
-            for i in in_conflict
-        }
-        pivot = min(in_conflict, key=lambda i: (-totals[i], i))
+        pivot = min(in_conflict, key=lambda i: (-sum(overlap[i].values()), i))
         pivot_key = (fits[pivot].chi2_ndf, pivot)
         reject_pivot = False
-        for partner in conflicts[pivot]:
+        for partner in [j for j, n in overlap[pivot].items() if n >= 2]:
             if (fits[partner].chi2_ndf, partner) > pivot_key:
-                alive.discard(partner)
+                reject(partner)
             else:
                 reject_pivot = True
         if reject_pivot:
-            alive.discard(pivot)
+            reject(pivot)
     return sorted(alive)

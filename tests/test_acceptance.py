@@ -301,7 +301,7 @@ def test_criterion_09_numerical_checks(geometry):
             if len(hits) == 4:
                 ordered = tuple(sorted(hits, key=lambda h: h.layer))
                 values.append(fit_track(
-                    TrackCandidate(hits=ordered, source_triplets=(None, None)),
+                    TrackCandidate(hits=ordered),
                     geometry).chi2_ndf)
     chi2_mean = float(np.mean(values))
     chi2_ok = 0.7 <= chi2_mean <= 1.3 and len(values) >= 1000

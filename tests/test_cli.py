@@ -125,16 +125,26 @@ def test_evaluate_join_error_lists_missing_events(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
-def test_evaluate_invariant_violation_exit_three(tmp_path):
+def test_evaluate_invariant_violation_exit_three(tmp_path, capsys):
     run, _ = run_pipeline(tmp_path)
     lines = (run / "tracks.csv").read_text().splitlines()
-    # duplicate the first track with a new id: shares all 4 hits
     first = lines[1].split(",")
-    first[1] = "77"
-    lines.append(",".join(first))
+    # a track sharing only one hit with the first is allowed
+    single = [first[0], "76",
+              ";".join([first[2].split(";")[0], "1000001", "1000002", "1000003"]),
+              *first[3:]]
+    lines.append(",".join(single))
     (run / "tracks.csv").write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "--in", str(run),
+                 "--out", str(tmp_path / "m")]) == EXIT_OK
+    # duplicate the first track with a new id: shares all 4 hits
+    lines.append(",".join([first[0], "77", *first[2:]]))
+    (run / "tracks.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run),
                  "--out", str(tmp_path / "m")]) == EXIT_INVARIANT
+    assert (f"event {first[0]}: final tracks {first[1]} and 77 share >= 2 hits"
+            in capsys.readouterr().err)
 
 
 def test_determinism_across_jobs(tmp_path):

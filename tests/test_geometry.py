@@ -5,7 +5,11 @@ import pytest
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import (DetectorGeometry, Event, GeometryConfig,
                                 GeometryError, Hit, TruthParticle,
-                                build_geometry, validate_event)
+                                build_geometry, shared_hits, validate_event)
+from qubotrack.preselect import (PreselectionWindow, build_doublets,
+                                 build_triplets, calibrate_dx_window,
+                                 truth_doublets)
+from qubotrack.trackbuild import triplets_to_candidates
 
 
 def test_default_geometry_matches_documented_values():
@@ -83,3 +87,45 @@ def test_generated_events_always_validate(geometry):
         sim = SimConfig(mean_multiplicity=20, rng_seed=seed)
         event = generate_event(sim, geometry, event_id=seed)
         assert validate_event(event, geometry) == []
+
+
+# -- hit overlap -------------------------------------------------------------------
+
+def shared_hits_oracle(hit_sets):
+    """Pairwise definition: every pair with a nonempty set intersection."""
+    out = {}
+    for i, a in enumerate(hit_sets):
+        for j in range(i + 1, len(hit_sets)):
+            n = len(set(a) & set(hit_sets[j]))
+            if n:
+                out[(i, j)] = n
+    return out
+
+
+@pytest.fixture(scope="module")
+def dense_hit_sets(geometry):
+    sim = SimConfig(mean_multiplicity=150, rng_seed=2024)
+    event = generate_event(sim, geometry, 0)
+    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    w = PreselectionWindow.from_calibration(mean, sigma)
+    triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
+    return {"triplets": [t.hit_ids() for t in triplets],
+            "candidates": [c.hit_ids() for c in triplets_to_candidates(triplets)]}
+
+
+@pytest.mark.parametrize("items", ["triplets", "candidates"])
+def test_shared_hits_match_pairwise_oracle(dense_hit_sets, items):
+    hit_sets = dense_hit_sets[items]
+    expected = shared_hits_oracle(hit_sets)
+    got = shared_hits(hit_sets)
+    assert len(expected) > 100
+    assert got == expected
+    assert list(got) == sorted(got)
+    assert set(got.values()) >= {1, 2}
+
+
+def test_shared_hits_counts_a_repeated_id_once():
+    got = shared_hits([(1, 2, 2, 3), (2, 3, 3), (4,), (4, 4), (5, 1)])
+    assert got == {(0, 1): 2, (0, 4): 1, (2, 3): 1}
+    assert list(got) == [(0, 1), (0, 4), (2, 3)]
+    assert shared_hits([]) == {}

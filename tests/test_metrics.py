@@ -8,8 +8,8 @@ from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 from qubotrack.metrics import (TrackRecord, binned_curves, build_report,
                                duplication_rate, efficiency, energy_resolution,
-                               fake_rate, match_track, reconstructable_particles,
-                               wilson_interval)
+                               fake_rate, match_hits, reconstructable_particles,
+                               truth_by_hit, wilson_interval)
 from qubotrack.pipeline import reconstruct_events, simulate_events
 
 
@@ -91,10 +91,10 @@ def test_duplication_rate():
 def test_match_track_majority_rule():
     e = toy_event()
     t = track_for(e, 1)
-    assert match_track(t, e) == 1
+    assert match_hits(t.hit_ids, truth_by_hit(e)) == 1
     mixed = TrackRecord(event_id=0, track_id=0,
                         hit_ids=(10, 11, 2, 3), chi2=1.0, ndf=4, energy=3.0)
-    assert match_track(mixed, e) is None  # 2-2 split
+    assert match_hits(mixed.hit_ids, truth_by_hit(e)) is None  # 2-2 split
 
 
 def test_energy_resolution_exact_and_absent():
@@ -124,7 +124,7 @@ def test_resolution_grows_with_hit_resolution():
                 if len(hits) != 4:
                     continue
                 ordered = tuple(sorted(hits, key=lambda h: h.layer))
-                fit = fit_track(TrackCandidate(hits=ordered, source_triplets=(None, None)),
+                fit = fit_track(TrackCandidate(hits=ordered),
                                 geometry)
                 truth = e.particle_by_id(pid).energy
                 rel.append((fit.energy_estimate - truth) / truth)

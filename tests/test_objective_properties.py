@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_minimum, brute_force_objective, random_qubo
 from qubotrack.qubo import Qubo, impacts, objective
-from qubotrack.solvers import exact_subsolver, extract_subqubos, solve_iterative
+from qubotrack.solvers import (_impact_groups, _restrict, exact_subsolver,
+                               solve_iterative)
 
 
 @st.composite
@@ -56,17 +57,18 @@ def test_subqubos_reproduce_full_objective_up_to_a_constant(case, k, seed):
     q, bits = case
     rng = np.random.default_rng(seed)
     covered = []
-    for sub in extract_subqubos(q, bits, k):
-        covered.extend(sub.indices.tolist())
+    for group in _impact_groups(q, bits, k):
+        sub = _restrict(q, bits, group)
+        covered.extend(group.tolist())
         merged = bits.copy()
         offsets = []
         for _ in range(4):
-            trial = rng.integers(0, 2, sub.problem.n).astype(np.int8)
-            merged[sub.indices] = trial
+            trial = rng.integers(0, 2, sub.n).astype(np.int8)
+            merged[group] = trial
             offsets.append(brute_force_objective(q, merged)
-                           - brute_force_objective(sub.problem, trial))
-            assert objective(sub.problem, trial) == pytest.approx(
-                brute_force_objective(sub.problem, trial), abs=1e-12)
+                           - brute_force_objective(sub, trial))
+            assert objective(sub, trial) == pytest.approx(
+                brute_force_objective(sub, trial), abs=1e-12)
         assert offsets == pytest.approx([offsets[0]] * 4, abs=1e-9)
     assert sorted(covered) == list(range(q.n))
 

@@ -3,8 +3,8 @@ import pytest
 
 from conftest import brute_force_minimum, random_qubo
 from qubotrack.qubo import Qubo, impacts, objective
-from qubotrack.solvers import (AnnealSchedule, ProblemSizeError,
-                               exact_subsolver, extract_subqubos,
+from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _impact_groups,
+                               _restrict, exact_subsolver,
                                make_annealing_subsolver, solve_annealing,
                                solve_exact, solve_iterative)
 
@@ -65,9 +65,14 @@ def test_exact_spans_chunk_boundaries():
 def test_single_group_when_k_covers_n():
     rng = np.random.default_rng(1)
     q = random_qubo(rng, 7)
-    subs = extract_subqubos(q, np.ones(7, dtype=np.int8), k=7)
-    assert len(subs) == 1
-    assert subs[0].indices.tolist() == list(range(7))
+    bits = np.ones(7, dtype=np.int8)
+    groups = _impact_groups(q, bits, k=7)
+    assert len(groups) == 1
+    assert groups[0].tolist() == list(range(7))
+    sub = _restrict(q, bits, groups[0])
+    assert sub.n == 7
+    assert sub.quadratic == q.quadratic
+    assert sub.linear.tolist() == q.linear.tolist()
 
 
 def test_grouping_follows_impact_order():
@@ -75,8 +80,8 @@ def test_grouping_follows_impact_order():
     q = Qubo(n=3, linear=np.array([0.1, 5.0, 2.0]), quadratic={})
     bits = np.ones(3, dtype=np.int8)
     assert np.abs(impacts(q, bits)).tolist() == [0.1, 5.0, 2.0]
-    subs = extract_subqubos(q, bits, k=2)
-    assert [s.indices.tolist() for s in subs] == [[1, 2], [0]]
+    groups = _impact_groups(q, bits, k=2)
+    assert [g.tolist() for g in groups] == [[1, 2], [0]]
 
 
 def test_boundary_terms_reproduce_full_objective():
@@ -87,16 +92,17 @@ def test_boundary_terms_reproduce_full_objective():
         q = random_qubo(rng, n, coupling_prob=0.5)
         bits = rng.integers(0, 2, n).astype(np.int8)
         k = int(rng.integers(1, n))
-        for sub in extract_subqubos(q, bits, k):
+        for group in _impact_groups(q, bits, k):
+            sub = _restrict(q, bits, group)
             merged = bits.copy()
-            ref_sub = rng.integers(0, 2, sub.problem.n).astype(np.int8)
-            merged[sub.indices] = ref_sub
-            offset = objective(q, merged) - objective(sub.problem, ref_sub)
+            ref_sub = rng.integers(0, 2, sub.n).astype(np.int8)
+            merged[group] = ref_sub
+            offset = objective(q, merged) - objective(sub, ref_sub)
             for _ in range(4):
-                trial = rng.integers(0, 2, sub.problem.n).astype(np.int8)
-                merged[sub.indices] = trial
+                trial = rng.integers(0, 2, sub.n).astype(np.int8)
+                merged[group] = trial
                 assert objective(q, merged) == pytest.approx(
-                    objective(sub.problem, trial) + offset, abs=1e-9)
+                    objective(sub, trial) + offset, abs=1e-9)
 
 
 # -- iterative decomposition -----------------------------------------------------------

@@ -5,10 +5,11 @@ import pytest
 
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.geometry import Event, Hit, TruthParticle
+from qubotrack.metrics import match_hits, truth_by_hit
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.trackbuild import (FitError, TrackCandidate, TrackFit,
-                                  estimate_energy, fit_track, match_candidate,
+                                  estimate_energy, fit_track,
                                   resolve_ambiguities, triplets_to_candidates)
 
 
@@ -77,14 +78,14 @@ def test_candidate_layer_invariant():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048])
     bad = (hits[0], hits[0], hits[2], hits[3])
     with pytest.raises(ValueError, match="one hit per layer"):
-        TrackCandidate(hits=bad, source_triplets=(None, None))
+        TrackCandidate(hits=bad)
 
 
 # -- fitting ---------------------------------------------------------------------
 
 def fake_candidate(xs, ys=None):
     hits = quad_hits(xs, ys)
-    return TrackCandidate(hits=hits, source_triplets=(None, None))
+    return TrackCandidate(hits=hits)
 
 
 def test_collinear_fit_zero_chi2(geometry):
@@ -125,7 +126,7 @@ def test_chi2_distribution_on_smeared_scattering_free_tracks(geometry):
             if len(hits) != 4:
                 continue
             ordered = tuple(sorted(hits, key=lambda h: h.layer))
-            fit = fit_track(TrackCandidate(hits=ordered, source_triplets=(None, None)),
+            fit = fit_track(TrackCandidate(hits=ordered),
                             geometry)
             values.append(fit.chi2_ndf)
     assert len(values) >= 1000
@@ -142,7 +143,7 @@ def test_energy_inversion_exact_on_noiseless_track(geometry):
                     emittance_angle_sigma=0.0, scattering=False, smear_hits=False)
     event = generate_event(sim, geometry, 0)
     ordered = tuple(sorted(event.hits, key=lambda h: h.layer))
-    fit = fit_track(TrackCandidate(hits=ordered, source_triplets=(None, None)),
+    fit = fit_track(TrackCandidate(hits=ordered),
                     geometry)
     assert fit.energy_estimate == pytest.approx(10.0, rel=1e-6)
 
@@ -170,7 +171,7 @@ def test_energy_resolution_on_smeared_tracks(geometry):
             if len(hits) != 4:
                 continue
             ordered = tuple(sorted(hits, key=lambda h: h.layer))
-            fit = fit_track(TrackCandidate(hits=ordered, source_triplets=(None, None)),
+            fit = fit_track(TrackCandidate(hits=ordered),
                             geometry)
             truth = event.particle_by_id(pid).energy
             rel.append((fit.energy_estimate - truth) / truth)
@@ -191,16 +192,16 @@ def make_event(hits, n_particles=3):
 def test_match_all_four_hits():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=1)
     event = make_event(hits)
-    c = TrackCandidate(hits=hits, source_triplets=(None, None))
-    assert match_candidate(c, event) == 1
+    c = TrackCandidate(hits=hits)
+    assert match_hits(c.hit_ids(), truth_by_hit(event)) == 1
 
 
 def test_match_three_of_four():
     hits = list(quad_hits([0.03, 0.036, 0.042, 0.048], pid=1))
     hits[3] = Hit(hit_id=3, layer=3, position=hits[3].position, truth_particle_id=2)
     event = make_event(hits)
-    c = TrackCandidate(hits=tuple(hits), source_triplets=(None, None))
-    assert match_candidate(c, event) == 1
+    c = TrackCandidate(hits=tuple(hits))
+    assert match_hits(c.hit_ids(), truth_by_hit(event)) == 1
 
 
 def test_two_two_split_is_fake():
@@ -209,15 +210,15 @@ def test_two_two_split_is_fake():
         hits[k] = Hit(hit_id=k, layer=k, position=hits[k].position,
                       truth_particle_id=2)
     event = make_event(hits)
-    c = TrackCandidate(hits=tuple(hits), source_triplets=(None, None))
-    assert match_candidate(c, event) is None
+    c = TrackCandidate(hits=tuple(hits))
+    assert match_hits(c.hit_ids(), truth_by_hit(event)) is None
 
 
 def test_noise_hits_do_not_match():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=None)
     event = make_event(hits)
-    c = TrackCandidate(hits=hits, source_triplets=(None, None))
-    assert match_candidate(c, event) is None
+    c = TrackCandidate(hits=hits)
+    assert match_hits(c.hit_ids(), truth_by_hit(event)) is None
 
 
 # -- ambiguity resolution --------------------------------------------------------------
@@ -230,7 +231,7 @@ def fit_with(chi2):
 def test_disjoint_candidates_both_kept():
     c1 = fake_candidate([0.03, 0.036, 0.042, 0.048])
     c2_hits = quad_hits([0.05, 0.06, 0.07, 0.08], hid0=10)
-    c2 = TrackCandidate(hits=c2_hits, source_triplets=(None, None))
+    c2 = TrackCandidate(hits=c2_hits)
     keep = resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(2.0)])
     assert keep == [0, 1]
 
@@ -240,8 +241,8 @@ def test_two_hit_overlap_keeps_better_chi2():
     other = (base[0], base[1],
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base, source_triplets=(None, None))
-    c2 = TrackCandidate(hits=other, source_triplets=(None, None))
+    c1 = TrackCandidate(hits=base)
+    c2 = TrackCandidate(hits=other)
     assert resolve_ambiguities([c1, c2], [fit_with(0.5 * 4), fit_with(3.0 * 4)]) == [0]
     assert resolve_ambiguities([c1, c2], [fit_with(3.0 * 4), fit_with(0.5 * 4)]) == [1]
 
@@ -251,8 +252,8 @@ def test_equal_chi2_keeps_lower_index():
     other = (base[0], base[1],
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base, source_triplets=(None, None))
-    c2 = TrackCandidate(hits=other, source_triplets=(None, None))
+    c1 = TrackCandidate(hits=base)
+    c2 = TrackCandidate(hits=other)
     assert resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(1.0)]) == [0]
 
 
@@ -262,8 +263,8 @@ def test_single_hit_overlap_not_a_conflict():
              Hit(hit_id=11, layer=1, position=(0.037, 0, 1.1)),
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base, source_triplets=(None, None))
-    c2 = TrackCandidate(hits=other, source_triplets=(None, None))
+    c1 = TrackCandidate(hits=base)
+    c2 = TrackCandidate(hits=other)
     assert resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(9.0)]) == [0, 1]
 
 
@@ -278,7 +279,7 @@ def test_pivot_comparison_batch_rejects_all_worse_partners():
     c_hits = (Hit(hit_id=20, layer=0, position=(0.031, 0, 1.0)),
               Hit(hit_id=21, layer=1, position=(0.037, 0, 1.1)),
               a_hits[2], a_hits[3])
-    cands = [TrackCandidate(hits=h, source_triplets=(None, None))
+    cands = [TrackCandidate(hits=h)
              for h in (a_hits, b_hits, c_hits)]
     fits = [fit_with(2.0), fit_with(1.0), fit_with(3.0)]
     keep = resolve_ambiguities(cands, fits)
@@ -310,7 +311,8 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
         fits = [fit_track(c, geometry) for c in candidates]
         if not candidates:
             continue
-        matched = [match_candidate(c, event) is not None for c in candidates]
+        truth = truth_by_hit(event)
+        matched = [match_hits(c.hit_ids(), truth) is not None for c in candidates]
         matched_chi2 = [f.chi2_ndf for f, m in zip(fits, matched) if m]
         if not matched_chi2:
             continue
@@ -338,10 +340,63 @@ def test_post_resolution_no_pair_shares_two_hits(geometry):
     candidates, fits = [], []
     for _ in range(30):
         hits = tuple(pool[l][rng.integers(0, 4)] for l in range(4))
-        candidates.append(TrackCandidate(hits=hits, source_triplets=(None, None)))
+        candidates.append(TrackCandidate(hits=hits))
         fits.append(fit_with(float(rng.uniform(0.1, 10.0))))
     keep = resolve_ambiguities(candidates, fits)
     for i, a in enumerate(keep):
         for b in keep[i + 1:]:
             shared = set(candidates[a].hit_ids()) & set(candidates[b].hit_ids())
             assert len(shared) <= 1
+
+
+def resolve_ambiguities_oracle(candidates, fits):
+    """The all-pairs resolution: every pairwise hit-set intersection of the
+    live candidates is recomputed at each pivot."""
+    hit_sets = [set(c.hit_ids()) for c in candidates]
+    alive = set(range(len(candidates)))
+
+    def shared(i, j):
+        return len(hit_sets[i] & hit_sets[j])
+
+    while True:
+        conflicts = {
+            i: [j for j in alive if j != i and shared(i, j) >= 2]
+            for i in alive
+        }
+        in_conflict = [i for i, js in conflicts.items() if js]
+        if not in_conflict:
+            break
+        totals = {
+            i: sum(shared(i, j) for j in alive if j != i)
+            for i in in_conflict
+        }
+        pivot = min(in_conflict, key=lambda i: (-totals[i], i))
+        pivot_key = (fits[pivot].chi2_ndf, pivot)
+        reject_pivot = False
+        for partner in conflicts[pivot]:
+            if (fits[partner].chi2_ndf, partner) > pivot_key:
+                alive.discard(partner)
+            else:
+                reject_pivot = True
+        if reject_pivot:
+            alive.discard(pivot)
+    return sorted(alive)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_resolution_matches_all_pairs_oracle(seed):
+    rng = np.random.default_rng(seed)
+    layers_z = [1.0, 1.1, 1.2, 1.3]
+    width = int(rng.integers(3, 7))
+    pool = [[Hit(hit_id=100 * l + i, layer=l,
+                 position=(0.03 + 0.002 * i, 0, layers_z[l]))
+             for i in range(width)] for l in range(4)]
+    n = int(rng.integers(30, 201))
+    candidates = [TrackCandidate(hits=tuple(pool[l][rng.integers(0, width)]
+                                            for l in range(4)))
+                  for _ in range(n)]
+    # few distinct chi2 values, so the index tie-break decides many pairs
+    fits = [fit_with(float(rng.integers(1, 5))) for _ in range(n)]
+    keep = resolve_ambiguities(candidates, fits)
+    assert keep == resolve_ambiguities_oracle(candidates, fits)
+    assert 0 < len(keep) < n
