@@ -12,6 +12,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +57,6 @@ def match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | 
     return pid if best >= MATCH_MIN_HITS else None
 
 
-def distinct_particle_count(track: TrackRecord, event: Event) -> int:
-    """Number of distinct truth particles contributing hits to the track."""
-    by_id = truth_by_hit(event)
-    return len({by_id.get(hid) for hid in track.hit_ids})
-
-
 def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
     """Particles with at least one hit on every layer."""
     layers_by_pid: dict[int, set[int]] = {}
@@ -72,62 +67,65 @@ def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
                   if len(layers) == n_layers)
 
 
-def _match_all(events: list[Event], tracks: list[TrackRecord]
-               ) -> list[tuple[TrackRecord, int | None]]:
-    truth = {e.event_id: truth_by_hit(e) for e in events}
+def _true_energies(event: Event) -> dict[int, float]:
+    """Truth energy by particle id (the first particle with an id wins, as in
+    :meth:`Event.particle_by_id`)."""
+    return {p.particle_id: p.energy for p in reversed(event.particles)}
+
+
+_Matches = list[tuple[TrackRecord, "int | None"]]
+
+
+def _match_all(truth_by_event: dict[int, dict[int, int | None]],
+               tracks: list[TrackRecord]) -> _Matches:
     out = []
     for t in tracks:
-        by_id = truth.get(t.event_id)
+        by_id = truth_by_event.get(t.event_id)
         if by_id is None:
             raise KeyError(f"track references unknown event {t.event_id}")
         out.append((t, match_hits(t.hit_ids, by_id)))
     return out
 
 
+def _matches(events: list[Event], tracks: list[TrackRecord]) -> _Matches:
+    return _match_all({e.event_id: truth_by_hit(e) for e in events}, tracks)
+
+
+def _scalar_metrics(events: list[Event], matches: _Matches) -> dict:
+    """The four scalar metrics of already matched tracks, keyed by name."""
+    matched = [(t, pid) for t, pid in matches if pid is not None]
+    per_particle = Counter((t.event_id, pid) for t, pid in matched)
+    denom = sum(len(reconstructable_particles(e)) for e in events)
+    energies = {e.event_id: _true_energies(e) for e in events}
+    r = np.asarray([(t.energy - energies[t.event_id][pid]) / energies[t.event_id][pid]
+                    for t, pid in matched if math.isfinite(t.energy)])
+    return {
+        "efficiency": len(per_particle) / denom if denom else None,
+        "fake_rate": (len(matches) - len(matched)) / len(matches) if matches else None,
+        "duplication_rate": (sum(1 for c in per_particle.values() if c > 1)
+                             / len(per_particle) if per_particle else None),
+        "energy_resolution": float(np.sqrt(np.mean(r * r))) if len(r) >= 2 else None,
+    }
+
+
 def efficiency(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Matched particles / reconstructable particles; None if no denominator."""
-    denom = sum(len(reconstructable_particles(e)) for e in events)
-    if denom == 0:
-        return None
-    matched_pairs = {
-        (t.event_id, pid) for t, pid in _match_all(events, tracks) if pid is not None
-    }
-    return len(matched_pairs) / denom
+    return _scalar_metrics(events, _matches(events, tracks))["efficiency"]
 
 
 def fake_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Unmatched final tracks / all final tracks; None if no tracks."""
-    if not tracks:
-        return None
-    matches = _match_all(events, tracks)
-    fakes = sum(1 for _, pid in matches if pid is None)
-    return fakes / len(tracks)
+    return _scalar_metrics(events, _matches(events, tracks))["fake_rate"]
 
 
 def duplication_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Particles matched by more than one track / matched particles."""
-    counts: dict[tuple[int, int], int] = {}
-    for t, pid in _match_all(events, tracks):
-        if pid is not None:
-            counts[(t.event_id, pid)] = counts.get((t.event_id, pid), 0) + 1
-    if not counts:
-        return None
-    return sum(1 for c in counts.values() if c > 1) / len(counts)
+    return _scalar_metrics(events, _matches(events, tracks))["duplication_rate"]
 
 
 def energy_resolution(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """RMS of (E_track - E_true)/E_true over matched tracks; None below 2 entries."""
-    by_event = {e.event_id: e for e in events}
-    residuals = []
-    for t, pid in _match_all(events, tracks):
-        if pid is None or not math.isfinite(t.energy):
-            continue
-        e_true = by_event[t.event_id].particle_by_id(pid).energy
-        residuals.append((t.energy - e_true) / e_true)
-    if len(residuals) < 2:
-        return None
-    r = np.asarray(residuals)
-    return float(np.sqrt(np.mean(r * r)))
+    return _scalar_metrics(events, _matches(events, tracks))["energy_resolution"]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
@@ -177,15 +175,20 @@ def binned_curves(events: list[Event], tracks: list[TrackRecord],
                   edges: list[float]) -> dict[str, list[BinnedValue]]:
     """Efficiency binned in true particle energy, fake rate in measured
     track energy, as a dict of curves keyed by name."""
+    return _binned_curves(events, _matches(events, tracks), edges)
+
+
+def _binned_curves(events: list[Event], matches: _Matches,
+                   edges: list[float]) -> dict[str, list[BinnedValue]]:
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin edges must be strictly increasing")
-    matches = _match_all(events, tracks)
     matched_pids = {(t.event_id, pid) for t, pid in matches if pid is not None}
 
     true_energies, found = [], []
     for e in events:
+        energies = _true_energies(e)
         for pid in reconstructable_particles(e):
-            true_energies.append(e.particle_by_id(pid).energy)
+            true_energies.append(energies[pid])
             found.append((e.event_id, pid) in matched_pids)
 
     track_energies, is_fake = [], []
@@ -239,12 +242,12 @@ def build_report(events: list[Event], tracks: list[TrackRecord],
                  edges: list[float] | None = None) -> MetricsReport:
     """Full report over a set of events; adds per-xi-label scalar metrics
     when more than one label is present."""
-    matches = _match_all(events, tracks)
-    by_event = {e.event_id: e for e in events}
+    truth = {e.event_id: truth_by_hit(e) for e in events}
+    matches = _match_all(truth, tracks)
     matched_tracks = sum(1 for _, pid in matches if pid is not None)
     combinatorial = sum(
         1 for t, pid in matches
-        if pid is None and distinct_particle_count(t, by_event[t.event_id]) == 4
+        if pid is None and len({truth[t.event_id].get(h) for h in t.hit_ids}) == 4
     )
     counts = {
         "generated": sum(len(reconstructable_particles(e)) for e in events),
@@ -254,28 +257,16 @@ def build_report(events: list[Event], tracks: list[TrackRecord],
         "fake_combinatorial": combinatorial,
         "events": len(events),
     }
-    report = MetricsReport(
-        efficiency=efficiency(events, tracks),
-        fake_rate=fake_rate(events, tracks),
-        duplication_rate=duplication_rate(events, tracks),
-        energy_resolution=energy_resolution(events, tracks),
-        counts=counts,
-    )
+    report = MetricsReport(**_scalar_metrics(events, matches), counts=counts)
     if edges is not None:
-        report.curves = binned_curves(events, tracks, edges)
+        report.curves = _binned_curves(events, matches, edges)
 
     labels = sorted({e.xi_label for e in events})
     if len(labels) > 1:
         for label in labels:
             evs = [e for e in events if e.xi_label == label]
             ids = {e.event_id for e in evs}
-            trs = [t for t in tracks if t.event_id in ids]
+            ms = [(t, pid) for t, pid in matches if t.event_id in ids]
             report.per_xi_label[repr(label)] = {
-                "efficiency": efficiency(evs, trs),
-                "fake_rate": fake_rate(evs, trs),
-                "duplication_rate": duplication_rate(evs, trs),
-                "energy_resolution": energy_resolution(evs, trs),
-                "events": len(evs),
-                "tracks": len(trs),
-            }
+                **_scalar_metrics(evs, ms), "events": len(evs), "tracks": len(ms)}
     return report

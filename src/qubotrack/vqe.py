@@ -7,9 +7,11 @@ Circuit: one R_Y rotation layer, a linear CNOT entangling chain
     R_Y(theta) = [[cos(theta/2), -sin(theta/2)],
                   [sin(theta/2), cos(theta/2)]]
 
-All gates are real, so the state stays real up to float noise. Basis index
-convention: qubit 0 is the most significant bit of the 2^n amplitude index,
-matching bitstrings printed with variable 0 leftmost.
+All gates are real, so the state is 2^n real float64 amplitudes. Basis index
+convention: qubit 0 is the most significant bit of the amplitude index,
+matching bitstrings printed with variable 0 leftmost. The first R_Y layer on
+|0...0> is a product state, the CNOT chain a basis permutation cached per n,
+and the second layer one 2x2 matmul per qubit, for a batch of states at once.
 
 Because the target Hamiltonian is diagonal, the energy of every sampled
 bitstring is evaluated classically; no Pauli-term measurement batching is
@@ -20,15 +22,17 @@ t-convention (bit=1 <=> triplet selected).
 The optimizer is coordinate-wise: the cost along any single R_Y angle is an
 exact sinusoid c0 + c1*cos(theta - c2), reconstructed from three evaluations
 (current and +-pi/2), after which the parameter jumps to the sinusoid's
-global minimum.
+global minimum (Nakanishi, Fujii & Todo 2020). The three trial states of
+each coordinate step are prepared as one batch and scored in that order.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -38,6 +42,9 @@ MAX_QUBITS = 20
 
 # vector of 2n rotation angles: first layer then second layer
 AnsatzParams = np.ndarray
+
+# angle offsets of the three evaluations of one coordinate step, in scoring order
+NFT_SHIFTS = (0.0, math.pi / 2.0, -math.pi / 2.0)
 
 
 class ResourceError(ValueError):
@@ -60,40 +67,45 @@ class VqeConfig:
             raise ValueError("readout_flip_probability must be in [0, 1)")
 
 
-def _apply_ry(psi: np.ndarray, qubit: int, theta: float) -> np.ndarray:
-    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
-    gate = np.array([[c, -s], [s, c]], dtype=psi.dtype)
-    moved = np.moveaxis(psi, qubit, 0)
-    shape = moved.shape
-    out = gate @ moved.reshape(2, -1)
-    return np.moveaxis(out.reshape(shape), 0, qubit)
+@functools.lru_cache(maxsize=None)
+def _cnot_chain_gather(n: int) -> np.ndarray:
+    # the chain sets bit k to the XOR of bits 0..k, so amplitude j after it
+    # is amplitude j ^ (j >> 1) before it
+    j = np.arange(2 ** n)
+    gather = j ^ (j >> 1)
+    gather.setflags(write=False)
+    return gather
 
 
-def _apply_cnot(psi: np.ndarray, control: int, target: int) -> None:
-    sl = [slice(None)] * psi.ndim
-    sl[control] = 1
-    sub = psi[tuple(sl)]
-    t_ax = target - 1 if target > control else target
-    psi[tuple(sl)] = np.flip(sub, axis=t_ax).copy()
-
-
-def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
-    """Run the ansatz circuit on |0...0>, returning 2^n complex amplitudes."""
+def prepare_states(params: np.ndarray, n: int) -> np.ndarray:
+    """Run the ansatz circuit on |0...0> for each row of ``params`` (shape
+    (batch, 2n)), returning real float64 amplitudes of shape (batch, 2^n)."""
     if n > MAX_QUBITS:
         raise ResourceError(f"statevector simulation limited to {MAX_QUBITS} qubits")
     params = np.asarray(params, dtype=float)
-    if params.shape != (2 * n,):
-        raise ValueError(f"expected {2 * n} parameters, got {params.shape}")
-    psi = np.zeros((2,) * n, dtype=np.complex128)
-    psi[(0,) * n] = 1.0
+    if params.ndim != 2 or params.shape[1] != 2 * n:
+        raise ValueError(f"expected {2 * n} parameters per state, got shape {params.shape}")
+    batch = len(params)
+    cos, sin = np.cos(params / 2.0), np.sin(params / 2.0)
+    # each angle's R_Y matrix, row-major; its first column (cos, sin) is R_Y|0>
+    ry = np.stack([cos, -sin, sin, cos], axis=-1)
+    psi = np.ones((batch, 1))
     for q in range(n):
-        psi = _apply_ry(psi, q, params[q])
-    psi = np.ascontiguousarray(psi)
-    for q in range(n - 1):
-        _apply_cnot(psi, q, q + 1)
+        psi = (psi[:, :, None] * ry[:, q, None, 0::2]).reshape(batch, -1)
+    psi = psi.take(_cnot_chain_gather(n), axis=1)
+    spare = np.empty_like(psi)
     for q in range(n):
-        psi = _apply_ry(psi, q, params[n + q])
-    return psi.reshape(-1)
+        # qubit q leads the index; the result is written with it in last
+        # place, so qubit q + 1 leads next and n moves restore the order
+        np.matmul(ry[:, n + q].reshape(batch, 2, 2), psi.reshape(batch, 2, -1),
+                  out=spare.reshape(batch, -1, 2).transpose(0, 2, 1))
+        psi, spare = spare, psi
+    return psi
+
+
+def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
+    """Run the ansatz circuit on |0...0>: 2^n real float64 amplitudes."""
+    return prepare_states(np.asarray(params, dtype=float)[None, :], n)[0]
 
 
 def _probabilities(state: np.ndarray) -> np.ndarray:
@@ -106,8 +118,12 @@ def _probabilities(state: np.ndarray) -> np.ndarray:
 
 def sample_counts(state: np.ndarray, shots: int,
                   rng: np.random.Generator) -> np.ndarray:
-    """Measured basis-state indices for ``shots`` samples of |psi|^2."""
-    return rng.choice(len(state), size=shots, p=_probabilities(state))
+    """Measured basis-state indices for ``shots`` samples of |psi|^2: the
+    draw ``rng.choice(len(state), size=shots, p=...)`` makes, without its
+    per-call argument checks (same indices, same generator state after)."""
+    cdf = np.cumsum(_probabilities(state))
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(shots), side="right")
 
 
 def energy_expectation(state: np.ndarray, ising: IsingHamiltonian, shots: int,
@@ -121,17 +137,15 @@ def energy_expectation(state: np.ndarray, ising: IsingHamiltonian, shots: int,
     return float(table[sample_counts(state, shots, rng)].mean())
 
 
-def nft_update(cost_along_parameter: Callable[[float], float],
-               current_theta: float) -> float:
+def nft_update(current_theta: float, costs: Sequence[float]) -> float:
     """One sinusoid-reconstruction step for a single rotation angle.
 
-    Evaluates the cost at the current angle and at +-pi/2, solves for
-    (c0, c1, c2) in c0 + c1*cos(theta - c2), and returns the sinusoid's
+    ``costs`` holds the cost at ``current_theta + shift`` for each shift in
+    NFT_SHIFTS: the current angle, then +pi/2, then -pi/2. Solves for
+    (c0, c1, c2) in c0 + c1*cos(theta - c2) and returns the sinusoid's
     minimizer c2 + pi. A flat direction (c1 ~ 0) leaves theta unchanged.
     """
-    z1 = cost_along_parameter(current_theta)
-    z2 = cost_along_parameter(current_theta + math.pi / 2.0)
-    z3 = cost_along_parameter(current_theta - math.pi / 2.0)
+    z1, z2, z3 = costs
     c0 = 0.5 * (z2 + z3)
     amp_cos = z1 - c0            # c1 * cos(theta0 - c2)
     amp_sin = 0.5 * (z3 - z2)    # c1 * sin(theta0 - c2)
@@ -201,19 +215,22 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
         masks = (flips << np.arange(n - 1, -1, -1)).sum(axis=1)
         return samples ^ masks
 
-    def evaluate(params: np.ndarray) -> float:
-        nonlocal evaluations, best_sampled_index, best_sampled_energy
-        evaluations += 1
-        state = prepare_state(params, n)
-        if config.shots == 0:
-            return float(_probabilities(state) @ table)
+    def measure(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        nonlocal best_sampled_index, best_sampled_energy
         samples = flip_readout(sample_counts(state, config.shots, rng))
         energies = table[samples]
         lowest = int(np.argmin(energies))
         if energies[lowest] < best_sampled_energy:
             best_sampled_energy = float(energies[lowest])
             best_sampled_index = int(samples[lowest])
-        return float(energies.mean())
+        return samples, energies
+
+    def evaluate(state: np.ndarray) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        if config.shots == 0:
+            return float(_probabilities(state) @ table)
+        return float(measure(state)[1].mean())
 
     def exact_expectation(params: np.ndarray) -> float:
         return float(_probabilities(prepare_state(params, n)) @ table)
@@ -225,13 +242,10 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
         for d in range(2 * n):
             if evaluations + 3 > config.max_evaluations:
                 break
-
-            def cost(theta: float, _d: int = d) -> float:
-                trial = thetas.copy()
-                trial[_d] = theta
-                return evaluate(trial)
-
-            thetas[d] = nft_update(cost, thetas[d])
+            trials = np.repeat(thetas[None, :], len(NFT_SHIFTS), axis=0)
+            trials[:, d] += NFT_SHIFTS
+            costs = [evaluate(state) for state in prepare_states(trials, n)]
+            thetas[d] = nft_update(thetas[d], costs)
         if config.shots == 0:
             # exact mode: bank the best sweep result and restart from fresh
             # angles once a sweep stops improving (single-angle descent can
@@ -255,14 +269,8 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
 
     counts: Counter = Counter()
     if config.shots > 0:
-        samples = flip_readout(sample_counts(final_state, config.shots, rng))
-        for s in samples.tolist():
-            counts[measured_index_to_bitstring(s, n)] += 1
-        energies = table[samples]
-        lowest = int(np.argmin(energies))
-        if energies[lowest] < best_sampled_energy:
-            best_sampled_energy = float(energies[lowest])
-            best_sampled_index = int(samples[lowest])
+        samples, _ = measure(final_state)
+        counts.update(measured_index_to_bitstring(s, n) for s in samples.tolist())
         best_index = best_sampled_index
     else:
         support = np.nonzero(probs > 1e-6)[0]

@@ -23,7 +23,8 @@ from qubotrack.preselect import (PreselectionWindow, build_doublets,
 from qubotrack.qubo import Qubo, assemble_qubo, objective, to_ising
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.solvers import exact_subsolver, solve_exact, solve_iterative
-from qubotrack.vqe import VqeConfig, nft_update, prepare_state, run_vqe
+from qubotrack.vqe import (NFT_SHIFTS, VqeConfig, nft_update, prepare_state,
+                           run_vqe)
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -283,8 +284,9 @@ def test_criterion_09_numerical_checks(geometry):
         c0 = float(rng.uniform(-5, 5))
         c1 = float(rng.uniform(0.1, 3.0))
         c2 = float(rng.uniform(-3, 3))
-        theta = nft_update(lambda t: c0 + c1 * math.cos(t - c2),
-                           float(rng.uniform(-3, 3)))
+        start = float(rng.uniform(-3, 3))
+        theta = nft_update(start, [c0 + c1 * math.cos(start + shift - c2)
+                                   for shift in NFT_SHIFTS])
         nft_worst = max(nft_worst, abs((c0 + c1 * math.cos(theta - c2)) - (c0 - c1)))
     nft_ok = nft_worst < 1e-9
 

@@ -242,3 +242,111 @@ def test_noiseless_well_separated_particles_perfect_metrics(geometry):
     assert report.fake_rate == 0.0
     assert report.duplication_rate == 0.0
     assert report.energy_resolution < 1e-6
+
+
+# -- report pinned to the per-metric implementation it replaced ---------------------------
+
+def _report_scenario():
+    """Five events over three xi labels with every kind of track the metrics
+    tell apart: 4-of-4 and 3-of-4 matches, duplicates, NaN energies, fakes
+    with four owners (noise counting as one), three and two owners,
+    noise-only tracks, missed and non-reconstructable particles."""
+    rng = np.random.default_rng(31)
+    events, tracks = [], []
+    for event_id, xi in enumerate([0.0, 0.0, 2.5, 2.5, 5.0]):
+        n_particles = 6 + event_id
+        particles = tuple(
+            TruthParticle(particle_id=p, energy=float(rng.uniform(1.0, 15.0)),
+                          origin=(0, 0, 0), direction=(0, 0, 1.0))
+            for p in range(n_particles))
+        hits, by_particle = [], {}
+        for p in range(n_particles):
+            for layer in range(3 if p % 5 == 4 else 4):  # every 5th misses a layer
+                hits.append(Hit(hit_id=len(hits), layer=layer,
+                                position=(0.0, 0.0, 1.0 + 0.1 * layer),
+                                truth_particle_id=p))
+                by_particle.setdefault(p, []).append(hits[-1].hit_id)
+        noise = []
+        for layer in range(4):
+            hits.append(Hit(hit_id=len(hits), layer=layer,
+                            position=(0.01, 0.0, 1.0 + 0.1 * layer)))
+            noise.append(hits[-1].hit_id)
+        events.append(Event(event_id=event_id, xi_label=xi, hits=tuple(hits),
+                            particles=particles))
+
+        def add(hit_ids, energy):
+            tracks.append(TrackRecord(event_id=event_id, track_id=len(tracks),
+                                      hit_ids=tuple(hit_ids), chi2=1.0, ndf=4,
+                                      energy=energy))
+
+        for p in range(n_particles):
+            if p % 4 == 3 or p % 5 == 4:
+                continue  # missed, or not reconstructable
+            smear = 1.0 + 0.04 * (float(rng.uniform()) - 0.5)
+            add(by_particle[p], math.nan if p == 2 else particles[p].energy * smear)
+        add(by_particle[0][:3] + [noise[3]], particles[0].energy * 1.01)  # duplicate
+        add([by_particle[p][p] for p in range(4)], 5.0)                    # four owners
+        add(by_particle[1][:2] + by_particle[5][2:4], float(rng.uniform(1, 15)))
+        add(noise, 2.0)
+        add(by_particle[1][:2] + [by_particle[2][2], by_particle[3][3]], 3.0)
+        add([noise[0], by_particle[1][1], by_particle[2][2], by_particle[3][3]], 4.0)
+    return events, tracks
+
+
+def _rounded(value):
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def test_report_unchanged_on_multi_event_multi_label_run():
+    # recorded with the implementation that matched every track once per
+    # metric and looked truth particles up by linear scan
+    def row(lo, hi, value, err_lo, err_hi):
+        return {"bin_lo": lo, "bin_hi": hi, "value": value,
+                "err_lo": err_lo, "err_hi": err_hi}
+
+    expected = {
+        "efficiency": 0.7647058823529411,
+        "fake_rate": 0.44642857142857145,
+        "duplication_rate": 0.19230769230769232,
+        "energy_resolution": 0.010829560850563877,
+        "counts": {"generated": 34, "reconstructed": 56, "matched": 31, "fake": 25,
+                   "fake_combinatorial": 10, "events": 5},
+        "curves": {
+            "efficiency_vs_true_energy": [
+                row(0.0, 3.0, 0.6, 0.21735990964653817, 0.18402657631320496),
+                row(3.0, 6.0, 1.0, 0.19999999999999996, 0.0),
+                row(6.0, 10.0, 0.5555555555555556, 0.16278857442316563, 0.15167746331205456),
+                row(10.0, 16.0, 0.875, 0.1052478566101821, 0.061130209551358505)],
+            "fake_rate_vs_track_energy": [
+                row(0.0, 3.0, 0.625, 0.17585977485681387, 0.14808199707903613),
+                row(3.0, 6.0, 0.8823529411764706, 0.10009757197394553, 0.057613911843226506),
+                row(6.0, 10.0, 0.42857142857142855, 0.16626265062811235, 0.18411979348525526),
+                row(10.0, 16.0, 0.10526315789473684, 0.05166822921692177, 0.0911419134274481)],
+        },
+        "per_xi_label": {
+            "0.0": {"efficiency": 0.8181818181818182, "fake_rate": 0.47619047619047616,
+                    "duplication_rate": 0.2222222222222222,
+                    "energy_resolution": 0.012199597531085673, "events": 2, "tracks": 21},
+            "2.5": {"efficiency": 0.7333333333333333, "fake_rate": 0.43478260869565216,
+                    "duplication_rate": 0.18181818181818182,
+                    "energy_resolution": 0.011432098386648508, "events": 2, "tracks": 23},
+            "5.0": {"efficiency": 0.75, "fake_rate": 0.4166666666666667,
+                    "duplication_rate": 0.16666666666666666,
+                    "energy_resolution": 0.006735117737047364, "events": 1, "tracks": 12},
+        },
+    }
+    events, tracks = _report_scenario()
+    report = build_report(events, tracks, edges=[0.0, 3.0, 6.0, 10.0, 16.0])
+    assert _rounded(report.to_dict()) == _rounded(expected)
+    # the standalone metric functions agree with the report
+    assert efficiency(events, tracks) == report.efficiency
+    assert fake_rate(events, tracks) == report.fake_rate
+    assert duplication_rate(events, tracks) == report.duplication_rate
+    assert energy_resolution(events, tracks) == report.energy_resolution
+    assert binned_curves(events, tracks, [0.0, 3.0, 6.0, 10.0, 16.0]) == report.curves

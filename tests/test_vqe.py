@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from conftest import random_qubo
 from qubotrack.qubo import Qubo, objective, to_ising
 from qubotrack.solvers import solve_exact
-from qubotrack.vqe import (ResourceError, VqeConfig, bitstring_to_bits,
-                           energy_expectation, measured_index_to_bitstring,
-                           nft_update, prepare_state, run_vqe, sample_counts)
+from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig,
+                           bitstring_to_bits, energy_expectation,
+                           measured_index_to_bitstring, nft_update,
+                           prepare_state, prepare_states, run_vqe,
+                           sample_counts)
 
 
 # -- state preparation -----------------------------------------------------------
@@ -55,6 +57,53 @@ def test_entangler_produces_correlations():
     assert probs[0] == pytest.approx(0.5, abs=1e-12)  # |00>
     assert probs[3] == pytest.approx(0.5, abs=1e-12)  # |11>
     assert probs[1] == probs[2] == 0.0
+
+
+def _ry(theta):
+    return np.array([[math.cos(theta / 2), -math.sin(theta / 2)],
+                     [math.sin(theta / 2), math.cos(theta / 2)]])
+
+
+# CNOT with control on the left (more significant) of two adjacent qubits
+_CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+
+
+def _dense_circuit(params, n):
+    """The ansatz as one 2^n x 2^n matrix, gate by gate with np.kron
+    (qubit 0 is the leftmost factor, i.e. the most significant bit)."""
+    def embed(gate, q):  # gate on qubit q, or on q and q + 1
+        width = gate.shape[0].bit_length() - 1
+        return np.kron(np.kron(np.eye(2 ** q), gate), np.eye(2 ** (n - q - width)))
+
+    u = np.eye(2 ** n)
+    for q in range(n):
+        u = embed(_ry(params[q]), q) @ u
+    for q in range(n - 1):
+        u = embed(_CNOT, q) @ u
+    for q in range(n):
+        u = embed(_ry(params[n + q]), q) @ u
+    return u
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_matches_dense_circuit_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(3):
+        params = rng.uniform(-2 * math.pi, 2 * math.pi, 2 * n)
+        state = prepare_state(params, n)
+        assert state.dtype == np.float64 and state.shape == (2 ** n,)
+        expected = _dense_circuit(params, n)[:, 0]
+        assert np.allclose(state, expected, rtol=0.0, atol=1e-12)
+
+
+def test_batched_rows_equal_single_states():
+    rng = np.random.default_rng(12)
+    for n in (1, 3, 7):
+        params = rng.uniform(0, 2 * math.pi, (5, 2 * n))
+        states = prepare_states(params, n)
+        assert states.dtype == np.float64 and states.shape == (5, 2 ** n)
+        for row, state in zip(params, states):
+            assert np.array_equal(prepare_state(row, n), state)
 
 
 def test_param_count_and_qubit_limit():
@@ -127,10 +176,34 @@ def test_sampled_distribution_matches_probabilities():
     assert result.pvalue > 0.001
 
 
+def test_sampler_is_the_draw_rng_choice_makes():
+    # same indices and the same generator state afterwards, so swapping the
+    # sampler leaves every later draw of a run unchanged
+    meta = np.random.default_rng(13)
+    for trial in range(60):
+        size = int(meta.integers(1, 300))
+        weights = meta.random(size) ** 4
+        weights[meta.random(size) < 0.3] = 0.0
+        weights[int(meta.integers(size))] += 1e-3
+        state = np.sqrt(weights / weights.sum())
+        p = np.abs(state) ** 2 / (np.abs(state) ** 2).sum()
+        shots = int(meta.integers(0, 2000))
+        ours = np.random.default_rng(trial)
+        theirs = np.random.default_rng(trial)
+        got = sample_counts(state, shots, ours)
+        want = theirs.choice(len(p), size=shots, p=p)
+        assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 # -- the sinusoid optimizer -----------------------------------------------------------
 
+def _nft_step(cost, theta):
+    return nft_update(theta, [cost(theta + shift) for shift in NFT_SHIFTS])
+
+
 def test_nft_pure_cosine():
-    assert nft_update(math.cos, 0.0) == pytest.approx(math.pi, abs=1e-12)
+    assert _nft_step(math.cos, 0.0) == pytest.approx(math.pi, abs=1e-12)
 
 
 def test_nft_shifted_sinusoid():
@@ -139,14 +212,14 @@ def test_nft_shifted_sinusoid():
     # lands on theta* = 0.3 + pi (the update steps to the nearest equivalent
     # angle, so compare modulo 2 pi) and reaches the exact minimum value
     for start in (0.0, 1.0, -2.0, 4.0):
-        theta_star = nft_update(cost, start)
+        theta_star = _nft_step(cost, start)
         assert theta_star % (2 * math.pi) == pytest.approx(
             (0.3 + math.pi) % (2 * math.pi), abs=1e-9)
         assert cost(theta_star) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_nft_flat_direction_no_move():
-    assert nft_update(lambda theta: 1.5, 0.7) == 0.7
+    assert _nft_step(lambda theta: 1.5, 0.7) == 0.7
 
 
 def test_nft_exact_reconstruction_random_sinusoids():
@@ -157,7 +230,7 @@ def test_nft_exact_reconstruction_random_sinusoids():
         def cost(theta):
             return c0 + c1 * math.cos(theta - c2)
 
-        theta_star = nft_update(cost, float(rng.uniform(-3, 3)))
+        theta_star = _nft_step(cost, float(rng.uniform(-3, 3)))
         assert cost(theta_star) == pytest.approx(c0 - c1, abs=1e-9)
 
 
@@ -241,3 +314,51 @@ def test_readout_error_hook_off_by_default_and_usable():
                                            readout_flip_probability=0.25))
     assert sum(noisy.counts.values()) == 512
     assert len(noisy.counts) > 1  # flips spread the histogram
+
+
+# -- outputs pinned to the gate-by-gate complex simulator this one replaced ------------
+# best bitstring, histogram, evaluation count and final angles of run_vqe on
+# one 7-variable problem, recorded with the earlier simulator (complex128
+# state, one R_Y and CNOT at a time, one state per evaluation)
+
+GOLDEN_SHOTS_THETAS = [
+    8.258211914941025, 1.594029995385192, 1.6040897588207268, 4.705222059394113,
+    1.5635977694531573, 4.7098002273458945, 1.5202629060785378, 4.244599825716339,
+    4.728490574486207, -1.6156492785518926, 1.5611124933190044, 4.7147606752482405,
+    1.6141789128374944, 7.876195216134085]
+GOLDEN_EXACT_THETAS = [
+    8.395399096752643, 1.5708042878148518, 1.570796326794897, 4.71238898038469,
+    1.5707963267948966, 4.71238898038469, 1.570796326794897, 4.170971517567684,
+    4.712393083106234, -1.570796326794897, 1.570796326794897, 4.7123889803846915,
+    1.570796326794897, 7.853981633974482]
+GOLDEN_FLIP_THETAS = [
+    7.844335542725455, 1.576803649940817, 1.5780891015013072, 4.707367239949927,
+    1.526037846788065, 4.712964908063447, 1.520042017477004, 4.737632846037105,
+    4.70082860950397, -1.5481018066705658, 1.5263262203428631, 4.119572991340762,
+    1.5271200036947126, 8.103164942840209]
+GOLDEN_FLIP_COUNTS = {
+    "0001010": 1, "0101000": 1, "0101010": 13, "0101011": 3, "0101100": 1,
+    "0101110": 5, "0111010": 5, "0111110": 1, "1000010": 1, "1001010": 19,
+    "1001011": 1, "1001110": 6, "1100000": 1, "1100001": 1, "1100010": 21,
+    "1100011": 3, "1100110": 1, "1101000": 12, "1101001": 5, "1101010": 328,
+    "1101011": 18, "1101100": 4, "1101110": 34, "1101111": 2, "1110010": 1,
+    "1111000": 2, "1111010": 18, "1111100": 1, "1111110": 3}
+
+
+@pytest.mark.parametrize("config, evaluations, counts, thetas", [
+    (VqeConfig(shots=512, max_evaluations=300, seed=17), 300,
+     {"0101010": 2, "1101000": 1, "1101010": 509}, GOLDEN_SHOTS_THETAS),
+    # exact mode restarts twice within this budget (after 336 and 600 evaluations)
+    (VqeConfig(shots=0, max_evaluations=600, seed=17), 600, {}, GOLDEN_EXACT_THETAS),
+    # readout flips draw from the same generator between the sampling draws
+    (VqeConfig(shots=512, max_evaluations=300, seed=17,
+               readout_flip_probability=0.05), 300, GOLDEN_FLIP_COUNTS,
+     GOLDEN_FLIP_THETAS),
+], ids=["shots", "exact-restarts", "readout-flips"])
+def test_run_vqe_outputs_pinned(config, evaluations, counts, thetas):
+    q = random_qubo(np.random.default_rng(2), 7)
+    result = run_vqe(to_ising(q), config)
+    assert result.best_bitstring == "1101010"
+    assert result.evaluations == evaluations
+    assert dict(result.counts) == counts
+    assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
