@@ -1,8 +1,9 @@
 """Command line front-end: simulate | reconstruct | evaluate | plotdata.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error
-(unreadable or inconsistent input files), 3 invariant violation detected
-in otherwise well-formed data.
+(unreadable or inconsistent input files, or input too large for the
+available memory), 3 invariant violation detected in otherwise
+well-formed data.
 """
 
 from __future__ import annotations
@@ -330,6 +331,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (DataFormatError, CalibrationDataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("data error: out of memory; the input is too large for this machine",
+              file=sys.stderr)
         return EXIT_DATA
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -100,11 +100,6 @@ class PreselectionWindow:
         return cls(dx_mean=dx_mean, dx_sigma=max(dx_sigma, DX_SIGMA_FLOOR),
                    n_sigma=n_sigma, max_delta_theta=max_delta_theta)
 
-    def accepts(self, dx_over_x0: float) -> bool:
-        # boundaries inclusive at exactly +- n_sigma
-        half = self.n_sigma * self.dx_sigma
-        return self.dx_mean - half <= dx_over_x0 <= self.dx_mean + half
-
 
 @dataclass
 class DoubletDiagnostics:
@@ -183,6 +178,7 @@ def build_doublets(hits: list[Hit] | tuple[Hit, ...], geometry: DetectorGeometry
     for h in hits:
         by_layer.setdefault(h.layer, []).append(h)
 
+    # the window: dx_mean +- n_sigma * dx_sigma, boundaries inclusive
     half = window.n_sigma * window.dx_sigma
     lo, hi = window.dx_mean - half, window.dx_mean + half
 

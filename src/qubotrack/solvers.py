@@ -16,12 +16,24 @@ sub-problem differs from the full objective by a constant, the sequential
 (Gauss-Seidel) loop scores a group's update as the change of the
 sub-problem objective, O(k^2), instead of re-evaluating the full
 objective, and skips a group whose sub-solve returns its current bits.
+
+Simulated annealing (:func:`solve_annealing`) is one single-flip
+Metropolis loop for every problem size, whole objective or 7-variable
+sub-problem alike. It returns the bits a per-flip NumPy loop returns
+that draws each sweep's flip indices with ``rng.integers(0, n, size=n)``
+and its uniforms with ``rng.random(n)``, but pays none of that loop's
+per-call overhead: the draws are replayed in bulk from the generator's
+raw PCG64 words by the arithmetic NumPy itself applies to them (and by
+NumPy itself where that arithmetic would redraw), the loop reads Python
+floats, and each acceptance is decided as ``u < np.exp(y)`` even where
+``math.exp`` rounds differently.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,6 +41,7 @@ from .qubo import Assignment, Qubo, impacts, objective
 
 EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
+_REPLAY_PROPOSALS = 2 ** 16
 
 # sub-solver contract: (sub-problem, per-call rng) -> bit vector
 SubSolver = Callable[[Qubo, np.random.Generator], Assignment]
@@ -216,34 +229,119 @@ class AnnealSchedule:
         return self.t_initial * ratio ** np.arange(self.sweeps)
 
 
+def _sweep_draws(rng: np.random.Generator, n: int,
+                 sweeps: int) -> Iterator[tuple[list[int], list[float]]]:
+    """Yield one ``(flips, uniforms)`` pair of lists per sweep: exactly what
+    ``rng.integers(0, n, size=n)`` and then ``rng.random(n)`` return.
+
+    The draws are replayed from raw PCG64 words, read in blocks of an even
+    number of sweeps (about ``_REPLAY_PROPOSALS`` proposals a block).
+    NumPy draws each flip from a 32-bit half of a word, low half first,
+    with the high half buffered until the next flip, and maps it to
+    ``(half * n) >> 32`` (Lemire's multiply-shift); for n == 1 it draws
+    nothing. Each uniform takes one whole word as ``(word >> 11) * 2**-53``.
+    Proposal k of a block therefore reads half-word h = k // 2, the word at
+    h + n * (2h // n) (the high half when k is odd), and sweep s's uniforms
+    sit at words ceil((s + 1) n / 2) + s n + [0, n). An even number of
+    sweeps uses an even number of halves, so no half is buffered across a
+    block boundary. Where NumPy would reject a half and draw again (its
+    low 32 bits of ``half * n`` below ``2**32 mod n``), the block is
+    abandoned: the generator is reset to the block start and the remaining
+    sweeps come from ``rng.integers`` and ``rng.random`` themselves.
+    """
+    halves_per_sweep = n if n > 1 else 0
+    threshold = 2 ** 32 % max(n, 1)
+    block = max(2, _REPLAY_PROPOSALS // max(n, 1) // 2 * 2)
+    done = 0
+    while done < sweeps:
+        b = min(block, sweeps - done)
+        start = rng.bit_generator.state
+        flip_words = -(-b * halves_per_sweep // 2)
+        words = rng.bit_generator.random_raw(flip_words + b * n)
+        k = np.arange(b * halves_per_sweep)
+        h = k >> 1
+        halves = words[h + n * (2 * h // max(halves_per_sweep, 1))]
+        halves = np.where(k & 1, halves >> np.uint64(32), halves & np.uint64(0xFFFFFFFF))
+        scaled = halves * np.uint64(n)
+        if np.any((scaled & np.uint64(0xFFFFFFFF)) < threshold):
+            rng.bit_generator.state = start
+            break
+        flips = (scaled >> np.uint64(32)) if halves_per_sweep else np.zeros(b * n, np.int64)
+        s = np.arange(b)
+        first = -(-(s + 1) * halves_per_sweep // 2) + s * n
+        uniforms = (words[first[:, None] + np.arange(n)] >> np.uint64(11)) * 2.0 ** -53
+        yield from zip(flips.reshape(b, n).tolist(), uniforms.tolist())
+        done += b
+    for _ in range(done, sweeps):
+        yield rng.integers(0, n, size=n).tolist(), rng.random(n).tolist()
+
+
+def _metropolis_accepts(u: float, y: float) -> bool:
+    """``u < np.exp(y)``, decided by ``math.exp`` away from the boundary.
+
+    ``math.exp`` and ``np.exp`` differ by at most 1 ulp (measured over
+    6 M arguments). A band of 1e-12 relative, thousands of ulps, plus
+    1e-300 for subnormal results, around ``math.exp(y)`` holds every u
+    for which that difference could matter, and only there is ``np.exp``
+    called, so the decision is always NumPy's."""
+    e = math.exp(y)
+    if u < e * (1.0 - 1e-12) - 1e-300:
+        return True
+    if u > e * (1.0 + 1e-12) + 1e-300:
+        return False
+    return bool(u < np.exp(y))
+
+
 def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
                     seed: int = 0) -> Assignment:
-    """Single-flip Metropolis with geometric cooling; returns the best state seen."""
+    """Single-flip Metropolis with geometric cooling; returns the best state seen.
+
+    Starts from all-ones. Each sweep proposes n flips at indices from
+    ``rng.integers(0, n, size=n)`` and accepts flip i when its change
+    delta = (1 - 2 T_i) * field_i is <= 0 or when ``rng.random(n)``'s
+    matching uniform is below exp(-delta / temperature). The draws are
+    replayed in bulk from the generator's raw words (:func:`_sweep_draws`)
+    and the loop runs on Python scalars: delta is +-field_i exactly, the
+    acceptance test is NumPy's (:func:`_metropolis_accepts`), the field
+    update adds or subtracts the CSR row (equal to adding the row times
+    +-1), and the best state is brought up to date from a log of the flips
+    made since the last improvement instead of a copy per improvement. So
+    every size runs the same loop, with the bits a per-flip NumPy loop over
+    the same generator would return.
+    """
     schedule = schedule or AnnealSchedule()
     rng = np.random.default_rng(seed)
     n = qubo.n
-    rows = [(qubo.indices[a:b], qubo.data[a:b])
-            for a, b in zip(qubo.indptr[:-1], qubo.indptr[1:])]
-    bits = np.ones(n, dtype=np.int8)
-    local = qubo.linear + qubo.coupling_field(bits.astype(float))  # a_i + sum_j b_ij T_j
-    current = objective(qubo, bits)
-    best_bits, best_obj = bits.copy(), current
+    bounds = qubo.indptr.tolist()
+    rows = [(qubo.indices[a:b], qubo.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    ones = np.ones(n, dtype=np.int8)
+    local = qubo.linear + qubo.coupling_field(ones.astype(float))  # a_i + sum_j b_ij T_j
+    current = objective(qubo, ones)
+    best_obj = current
+    bits, best = [1] * n, [1] * n
+    since_best: list[int] = []  # flips made since ``best`` was last equal to ``bits``
 
-    for temperature in schedule.temperatures():
-        flips = rng.integers(0, n, size=n)
-        draws = rng.random(n)
+    temperatures = schedule.temperatures().tolist()
+    for temperature, (flips, draws) in zip(temperatures,
+                                           _sweep_draws(rng, n, len(temperatures))):
         for i, u in zip(flips, draws):
-            delta = (1.0 - 2.0 * bits[i]) * local[i]
-            if delta <= 0.0 or u < np.exp(-delta / temperature):
-                step = 1.0 - 2.0 * bits[i]  # +1 if turning on, -1 if off
-                bits[i] ^= 1
+            field = local.item(i)
+            delta = -field if bits[i] else field
+            if delta <= 0.0 or _metropolis_accepts(u, -delta / temperature):
                 cols, couplings = rows[i]
-                local[cols] += couplings * step
+                if bits[i]:
+                    local[cols] -= couplings
+                else:
+                    local[cols] += couplings
+                bits[i] ^= 1
+                since_best.append(i)
                 current += delta
                 if current < best_obj:
                     best_obj = current
-                    best_bits = bits.copy()
-    return best_bits
+                    for j in since_best:
+                        best[j] ^= 1
+                    since_best.clear()
+    return np.array(best, dtype=np.int8)
 
 
 def make_annealing_subsolver(schedule: AnnealSchedule | None = None) -> SubSolver:

@@ -194,13 +194,20 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     remains it restarts from fresh random angles and keeps the best
     converged point, since the sinusoid updates can stall on basis states
     that are minima under every single-angle move.
+
+    A 0-variable problem returns at once: empty bitstring, no counts and
+    0 evaluations.
     """
     config = config or VqeConfig()
     n = ising.n
     if n > MAX_QUBITS:
         raise ResourceError(f"statevector simulation limited to {MAX_QUBITS} qubits")
-    rng = np.random.default_rng(config.seed)
     table = ising.measured_energy_table()
+    if n == 0:  # no angle to optimise: the one (empty) state is the answer
+        energy = float(table[0])
+        return VqeResult(best_bitstring="", best_energy=energy, counts=Counter(),
+                         final_expectation=energy, evaluations=0, thetas=np.zeros(0))
+    rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
 
     best_sampled_index: int | None = None

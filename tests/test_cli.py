@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from qubotrack import cli
 from qubotrack.cli import (EXIT_DATA, EXIT_INVARIANT, EXIT_OK, EXIT_USAGE, main)
 from qubotrack.io import read_json, read_tracks_csv
 
@@ -113,6 +114,21 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path):
     (run / "hits.csv").write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
                                   "0,0,0,notafloat,0,1.0,,\n")
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+
+
+def test_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--events", "1"]) == EXIT_OK
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "reconstruct_events", exhausted)
+    capsys.readouterr()
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: out of memory")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_evaluate_join_error_lists_missing_events(tmp_path, capsys):

@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import brute_force_minimum, random_qubo
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _impact_groups,
-                               _restrict, exact_subsolver,
-                               make_annealing_subsolver, solve_annealing,
-                               solve_exact, solve_iterative)
+                               _metropolis_accepts, _restrict, _sweep_draws,
+                               exact_subsolver, make_annealing_subsolver,
+                               solve_annealing, solve_exact, solve_iterative)
 
 
 # -- exact enumeration -------------------------------------------------------------
@@ -221,3 +223,143 @@ def test_annealing_subsolver_adapter():
     assert report.best_objective >= objective(q, solve_exact(q)) - 1e-12
     repeat = solve_iterative(q, make_annealing_subsolver(), k=5, seed=3)
     assert np.array_equal(report.best_assignment, repeat.best_assignment)
+
+
+class CountingRng:
+    """A Generator that counts the sweeps drawn through ``rng.integers``."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.integers_calls = 0
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+    def random(self, *args, **kwargs):
+        return self.rng.random(*args, **kwargs)
+
+
+def assert_draws_match_numpy(n, seed, sweeps):
+    """Every sweep's replayed draws equal NumPy's own; returns the number of
+    sweeps that NumPy drew itself."""
+    reference = np.random.default_rng(seed)
+    rng = CountingRng(seed)
+    count = 0
+    for flips, uniforms in _sweep_draws(rng, n, sweeps):
+        assert flips == reference.integers(0, n, size=n).tolist()
+        assert uniforms == reference.random(n).tolist()
+        count += 1
+    assert count == sweeps
+    assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
+    return rng.integers_calls
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 7, 24, 101])
+def test_replayed_draws_equal_numpy_draws(n):
+    for seed in range(30):
+        assert assert_draws_match_numpy(n, seed, sweeps=40) == 0  # all replayed
+
+
+def test_replay_falls_back_to_numpy_where_it_would_redraw():
+    # at n = 5000 NumPy rejects a 32-bit half with probability 2**32 % n / 2**32;
+    # at this seed the first rejection falls in sweep block 13 of 25
+    calls = assert_draws_match_numpy(5000, seed=4, sweeps=300)
+    assert 0 < calls < 300
+
+
+@pytest.mark.parametrize("y", [-1e-300, -1e-12, -0.3, -0.5303102798931427,
+                               -1.3223463917696752, -17.2, -702.4603206664049,
+                               -740.0, -744.4])
+def test_metropolis_acceptance_is_numpy_exp(y):
+    """At u = np.exp(y) and at its float neighbours the decision is numpy's
+    (on some platforms math.exp differs by one ulp at the listed y)."""
+    for e in (float(np.exp(y)), math.exp(y)):
+        for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)):
+            assert _metropolis_accepts(float(u), y) == bool(u < np.exp(y))
+
+
+def test_metropolis_rejects_zero_uniform_once_exp_underflows():
+    for y in (-745.2, -800.0, -1e5):
+        assert np.exp(y) == 0.0
+        assert _metropolis_accepts(0.0, y) is False
+
+
+def reference_annealing(qubo, schedule, seed):
+    """Per-flip Metropolis on NumPy scalars, drawing every sweep from
+    ``rng.integers`` and ``rng.random``: the loop the solver must equal."""
+    rng = np.random.default_rng(seed)
+    n = qubo.n
+    rows = [(qubo.indices[a:b], qubo.data[a:b])
+            for a, b in zip(qubo.indptr[:-1], qubo.indptr[1:])]
+    bits = np.ones(n, dtype=np.int8)
+    local = qubo.linear + qubo.coupling_field(bits.astype(float))
+    current = objective(qubo, bits)
+    best_bits, best_obj = bits.copy(), current
+    for temperature in schedule.temperatures():
+        flips = rng.integers(0, n, size=n)
+        draws = rng.random(n)
+        for i, u in zip(flips, draws):
+            delta = (1.0 - 2.0 * bits[i]) * local[i]
+            if delta <= 0.0 or u < np.exp(-delta / temperature):
+                step = 1.0 - 2.0 * bits[i]
+                bits[i] ^= 1
+                cols, couplings = rows[i]
+                local[cols] += couplings * step
+                current += delta
+                if current < best_obj:
+                    best_obj = current
+                    best_bits = bits.copy()
+    return best_bits
+
+
+def test_annealing_equals_per_flip_reference():
+    rng = np.random.default_rng(2718)
+    for trial in range(60):
+        n = int(rng.integers(0, 25))
+        q = random_qubo(rng, n, coupling_prob=float(rng.uniform(0.05, 0.6)),
+                        paper_like=bool(trial % 2))
+        schedule = AnnealSchedule(t_initial=float(rng.uniform(0.05, 3.0)),
+                                  t_final=float(rng.uniform(1e-4, 0.05)),
+                                  sweeps=int(rng.integers(1, 80)))
+        got = solve_annealing(q, schedule, seed=trial)
+        assert got.dtype == np.int8
+        assert got.tolist() == reference_annealing(q, schedule, trial).tolist()
+
+
+# packed bits (np.packbits) of solve_annealing(random_qubo(default_rng(500 + n), n),
+# AnnealSchedule(sweeps=sweeps), seed=n + sweeps), recorded with the per-flip loop
+ANNEALING_PINNED = {
+    (0, 1): "", (0, 2): "", (0, 50): "", (0, 300): "",
+    (1, 1): "00", (1, 2): "00", (1, 50): "00", (1, 300): "00",
+    (7, 1): "9c", (7, 2): "9c", (7, 50): "9c", (7, 300): "9c",
+    (24, 1): "f575f6", (24, 2): "f23aa8", (24, 50): "aadef8", (24, 300): "aadef8",
+    (300, 1): "b0f2fffe76badc03ae2ebd5995b2dc7775ec9dbdff7e97fe6fcddfa7fcddf13df6b2f66eeef0",
+    (300, 2): "baf6bdf7e71c7e42ae7a7ffdb3b3ce27a7fc9cf3fffe16ff7d5d1ff3afdd66f533aef7cbbe90",
+    (300, 50): "baf6bfd7c7b9c946ee1abffcbf93de6677d49591dfff17ff7f1f1f373f5d75f117b777ea2ef0",
+    (300, 300): "faf6bfd7c7995e06ee7a7ffcb793dc34eff49591dbff17ff5f0d1fd33d5d74f1b3b7e7ea6ff0",
+}
+
+
+@pytest.mark.parametrize("n, sweeps", sorted(ANNEALING_PINNED))
+def test_annealing_bits_pinned(n, sweeps):
+    q = random_qubo(np.random.default_rng(500 + n), n)
+    bits = solve_annealing(q, AnnealSchedule(sweeps=sweeps), seed=n + sweeps)
+    assert bits.shape == (n,)
+    assert np.packbits(bits).tobytes().hex() == ANNEALING_PINNED[(n, sweeps)]
+
+
+def test_annealing_iterative_report_pinned():
+    q = random_qubo(np.random.default_rng(77), 40, coupling_prob=0.15)
+    report = solve_iterative(q, make_annealing_subsolver(AnnealSchedule(sweeps=60)),
+                             k=7, seed=5)
+    assert "".join(map(str, report.best_assignment.tolist())) == \
+        "1011111111011000010011111011101101010000"
+    assert (report.iterations_run, report.subqubo_count) == (2, 12)
+    assert report.best_objective == pytest.approx(-17.4841708761196, rel=1e-12)
+    assert report.objective_trace == pytest.approx(
+        [5.618351109723904, -17.4841708761196, -17.4841708761196], rel=1e-12)

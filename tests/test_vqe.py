@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qubotrack
 from conftest import random_qubo
 from qubotrack.qubo import Qubo, objective, to_ising
 from qubotrack.solvers import solve_exact
@@ -306,6 +311,26 @@ def test_run_vqe_respects_budget():
     q = random_qubo(np.random.default_rng(10), 4)
     result = run_vqe(to_ising(q), VqeConfig(shots=64, max_evaluations=50, seed=0))
     assert result.evaluations <= 50
+
+
+def test_run_vqe_zero_variables_returns_at_once():
+    # a child process, so that a loop that never ends fails the test by its
+    # timeout instead of hanging the suite
+    code = """
+import numpy as np
+from qubotrack.qubo import Qubo, to_ising
+from qubotrack.vqe import VqeConfig, run_vqe
+ising = to_ising(Qubo(n=0, linear=np.zeros(0), quadratic={}))
+for shots in (0, 512):
+    r = run_vqe(ising, VqeConfig(shots=shots, seed=1))
+    print(repr(r.best_bitstring), r.evaluations, r.best_energy, len(r.counts), r.thetas.size)
+"""
+    src = str(Path(qubotrack.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60, check=True)
+    assert done.stdout.splitlines() == ["'' 0 0.0 0 0"] * 2
 
 
 def test_readout_error_hook_off_by_default_and_usable():
