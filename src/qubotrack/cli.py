@@ -11,20 +11,18 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, SOLVERS
 from .fastsim import xi_to_multiplicity
-from .geometry import Event, build_geometry, shared_hits
+from .geometry import Event, shared_hits
 from .io import (DataFormatError, config_hash, read_events, read_json,
-                 read_tracks_csv, write_curves_csv, write_doublet_debug_csv,
-                 write_hits_csv, write_json, write_particles_csv, write_qubo,
-                 write_tracks_csv, write_triplet_debug_csv)
+                 read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
+                 write_particles_csv, write_tracks_csv)
 from .metrics import TrackRecord, build_report
-from .pipeline import (CalibrationDataError, calibrate, reconstruct_events,
+from .pipeline import (CalibrationDataError, EventDumps, reconstruct_events,
                        simulate_events)
-from .preselect import build_doublets, build_triplets
-from .qubo import assemble_qubo
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,9 +51,8 @@ def _load_config(args) -> RunConfig:
         config = config.with_seed(args.seed)
     if getattr(args, "xi", None) is not None:
         config = config.with_xi(args.xi, xi_to_multiplicity(args.xi))
-    for attr, key in (("solver", "solver"), ("subqubo_size", "subqubo_size"),
-                      ("iterations", "iterations"), ("shots", "shots")):
-        value = getattr(args, attr, None)
+    for key in ("solver", "subqubo_size", "iterations", "shots"):
+        value = getattr(args, key, None)
         if value is not None:
             d = config.to_dict()
             d[key] = value
@@ -105,9 +102,10 @@ def cmd_reconstruct(args) -> int:
     run_dir = Path(args.input)
     out = Path(args.out) if args.out else run_dir
     events, _ = _read_run_dir(run_dir)
-    results, calib_info = reconstruct_events(events, config, jobs=args.jobs)
-
     out.mkdir(parents=True, exist_ok=True)
+    results, calib_info = reconstruct_events(
+        events, config, args.jobs, EventDumps(out, args.dump_qubo, args.debug_dump))
+
     tracks = [t for r in results for t in r.tracks]
     write_tracks_csv(out / "tracks.csv", tracks)
     write_json(out / "solve_report.json", {
@@ -132,21 +130,6 @@ def cmd_reconstruct(args) -> int:
         ],
     })
 
-    if args.dump_qubo or args.debug_dump:
-        geometry = build_geometry(config.geometry)
-        window, scaling, _ = calibrate(events, config)
-        for event in sorted(events, key=lambda e: e.event_id):
-            doublets = build_doublets(event.hits, geometry, window)
-            triplets = build_triplets(doublets, window)
-            if args.debug_dump:
-                write_doublet_debug_csv(
-                    out / f"doublets_event{event.event_id}.csv", event.event_id, doublets)
-                write_triplet_debug_csv(
-                    out / f"triplets_event{event.event_id}.csv", event.event_id, triplets)
-            if args.dump_qubo and triplets:
-                write_qubo(out / f"qubo_event{event.event_id}.txt",
-                           assemble_qubo(triplets, scaling))
-
     print(f"reconstructed {len(events)} events, {len(tracks)} tracks -> {out}")
     return EXIT_OK
 
@@ -155,18 +138,8 @@ def _offset_events(events: list[Event], tracks: list[TrackRecord], offset: int
                    ) -> tuple[list[Event], list[TrackRecord]]:
     if offset == 0:
         return events, tracks
-    shifted_events = [
-        Event(event_id=e.event_id + offset, xi_label=e.xi_label,
-              hits=e.hits, particles=e.particles)
-        for e in events
-    ]
-    shifted_tracks = [
-        TrackRecord(event_id=t.event_id + offset, track_id=t.track_id,
-                    hit_ids=t.hit_ids, chi2=t.chi2, ndf=t.ndf,
-                    energy=t.energy, matched_particle_id=t.matched_particle_id)
-        for t in tracks
-    ]
-    return shifted_events, shifted_tracks
+    return ([replace(e, event_id=e.event_id + offset) for e in events],
+            [replace(t, event_id=t.event_id + offset) for t in tracks])
 
 
 def _check_shared_hits(tracks: list[TrackRecord]) -> None:

@@ -174,19 +174,20 @@ def read_tracks_csv(path: Path) -> list[TrackRecord]:
 
 def write_qubo(path: Path, qubo: Qubo) -> None:
     """Text dump: first line n, then `i a_i` lines, then `i j b_ij` lines
-    (nonzero couplings only), with lossless float reprs."""
+    (nonzero couplings only, i < j, ascending), with lossless float reprs."""
     with open(path, "w") as f:
         f.write(f"{qubo.n}\n")
-        for i, a in enumerate(qubo.linear):
-            f.write(f"{i} {float(a)!r}\n")
-        for (i, j), b in sorted(qubo.quadratic.items()):
-            f.write(f"{i} {j} {float(b)!r}\n")
+        for i, a in enumerate(qubo.linear.tolist()):
+            f.write(f"{i} {a!r}\n")
+        for i, j, b in zip(*(column.tolist() for column in qubo.upper_triangle())):
+            f.write(f"{i} {j} {b!r}\n")
 
 
 def read_qubo(path: Path) -> Qubo:
     """Inverse of :func:`write_qubo`. A malformed dump raises
-    :class:`DataFormatError` naming the file and line: an index outside
-    0..n-1, a self-coupling, or a pair listed twice (in either order)."""
+    :class:`DataFormatError` naming the file and line: a negative count, a
+    non-finite coefficient, an index outside 0..n-1, a self-coupling, or a
+    pair listed twice (in either order)."""
     path = Path(path)
     with open(path) as f:
         lines = [(lineno, ln.split()) for lineno, ln in enumerate(f, start=1)
@@ -197,13 +198,18 @@ def read_qubo(path: Path) -> Qubo:
     if len(header) != 1:
         raise DataFormatError(f"{path}:{first}: expected the variable count alone")
     n = _parse_int(header[0], path, first, "n")
+    if n < 0:
+        raise DataFormatError(f"{path}:{first}: negative variable count {n}")
     linear = np.zeros(n)
-    quadratic: dict[tuple[int, int], float] = {}
+    pairs: list[tuple[int, int, float]] = []
+    seen: set[tuple[int, int]] = set()
     for lineno, parts in lines[1:]:
         if len(parts) not in (2, 3):
             raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 tokens")
         ids = [_parse_int(p, path, lineno, "index") for p in parts[:-1]]
         value = _parse_float(parts[-1], path, lineno, "coefficient")
+        if not math.isfinite(value):
+            raise DataFormatError(f"{path}:{lineno}: non-finite coefficient {parts[-1]!r}")
         for i in ids:
             if not 0 <= i < n:
                 raise DataFormatError(f"{path}:{lineno}: index {i} outside 0..{n - 1}")
@@ -213,10 +219,11 @@ def read_qubo(path: Path) -> Qubo:
         i, j = sorted(ids)
         if i == j:
             raise DataFormatError(f"{path}:{lineno}: self-coupling {i} {j}")
-        if (i, j) in quadratic:
+        if (i, j) in seen:
             raise DataFormatError(f"{path}:{lineno}: pair ({i}, {j}) listed twice")
-        quadratic[(i, j)] = value
-    return Qubo(n=n, linear=linear, quadratic=quadratic)
+        seen.add((i, j))
+        pairs.append((i, j, value))
+    return Qubo(n, linear, *(list(zip(*pairs)) or [(), (), ()]))
 
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> None:

@@ -1,14 +1,17 @@
-"""Event-level orchestration: calibration, reconstruction of one event,
-and parallel-safe worker entry points used by the command line front-end.
+"""Event-level orchestration: calibration, reconstruction of one event
+with its dumps, and the event loop (serial or in a process pool).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
 
 from .config import RunConfig
 from .fastsim import generate_event
 from .geometry import DetectorGeometry, Event, build_geometry
+from .io import write_doublet_debug_csv, write_qubo, write_triplet_debug_csv
 from .metrics import TrackRecord, match_hits, truth_by_hit
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
                         calibrate_dx_window, truth_doublets, truth_triplets)
@@ -92,21 +95,36 @@ class EventResult:
     n_triplets: int
 
 
+@dataclass(frozen=True)
+class EventDumps:
+    """Per-event files to write into the existing directory ``out``."""
+    out: Path
+    qubo: bool   # the objective dump
+    debug: bool  # the doublet and triplet feature tables
+
+
 def reconstruct_event(event: Event, geometry: DetectorGeometry,
                       window: PreselectionWindow, scaling: QuboScaling,
-                      config: RunConfig) -> EventResult:
-    """Pre-selection, objective assembly, solving and track building for
-    one event. Deterministic given the config seed (per-event solver seed
-    is ``seed ^ event_id``)."""
+                      config: RunConfig, dumps: EventDumps | None = None
+                      ) -> EventResult:
+    """Pre-selection, objective assembly (both written to ``dumps``),
+    solving and track building for one event. Deterministic given the
+    config seed (per-event solver seed is ``seed ^ event_id``)."""
     doublets = build_doublets(event.hits, geometry, window)
     triplets = build_triplets(doublets, window)
-    if not triplets:
-        return EventResult(event.event_id, [], None, len(doublets), 0)
+    problem = assemble_qubo(triplets, scaling) if triplets else None
+    eid = event.event_id
+    if dumps and dumps.debug:
+        write_doublet_debug_csv(dumps.out / f"doublets_event{eid}.csv", eid, doublets)
+        write_triplet_debug_csv(dumps.out / f"triplets_event{eid}.csv", eid, triplets)
+    if dumps and dumps.qubo and problem is not None:
+        write_qubo(dumps.out / f"qubo_event{eid}.txt", problem)
+    if problem is None:
+        return EventResult(eid, [], None, len(doublets), 0)
 
-    problem = assemble_qubo(triplets, scaling)
     report = solve_iterative(
         problem, _make_subsolver(config), k=config.subqubo_size,
-        max_iterations=config.iterations, seed=config.seed ^ event.event_id)
+        max_iterations=config.iterations, seed=config.seed ^ eid)
     selected = [t for t, bit in zip(triplets, report.best_assignment) if bit]
 
     candidates = triplets_to_candidates(selected)
@@ -117,36 +135,29 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     for track_id, idx in enumerate(keep):
         c, f = candidates[idx], fits[idx]
         tracks.append(TrackRecord(
-            event_id=event.event_id, track_id=track_id,
+            event_id=eid, track_id=track_id,
             hit_ids=c.hit_ids(), chi2=f.chi2, ndf=f.ndf,
             energy=f.energy_estimate,
             matched_particle_id=match_hits(c.hit_ids(), truth)))
-    return EventResult(event.event_id, tracks, report,
+    return EventResult(eid, tracks, report,
                        len(doublets), len(triplets))
 
 
-def reconstruct_event_task(args: tuple) -> EventResult:
-    """Picklable worker wrapper for process pools."""
-    event, geometry, window, scaling, config_dict = args
-    return reconstruct_event(event, geometry, window, scaling,
-                             RunConfig.from_dict(config_dict))
-
-
-def reconstruct_events(events: list[Event], config: RunConfig,
-                       jobs: int = 1) -> tuple[list[EventResult], dict]:
+def reconstruct_events(events: list[Event], config: RunConfig, jobs: int = 1,
+                       dumps: EventDumps | None = None
+                       ) -> tuple[list[EventResult], dict]:
     """Calibrate once, then reconstruct every event (optionally in a
-    process pool); results come back ordered by event id regardless of
-    the parallelism level."""
+    process pool), each writing its ``dumps``; results come back ordered
+    by event id regardless of the parallelism level."""
     geometry = build_geometry(config.geometry)
     window, scaling, calib_info = calibrate(events, config)
     ordered = sorted(events, key=lambda e: e.event_id)
+    shared = [repeat(v) for v in (geometry, window, scaling, config, dumps)]
     if jobs <= 1:
-        results = [reconstruct_event(e, geometry, window, scaling, config)
-                   for e in ordered]
+        results = list(map(reconstruct_event, ordered, *shared))
     else:
         from concurrent.futures import ProcessPoolExecutor
-        payload = [(e, geometry, window, scaling, config.to_dict()) for e in ordered]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(reconstruct_event_task, payload))
+            results = list(pool.map(reconstruct_event, ordered, *shared))
     results.sort(key=lambda r: r.event_id)
     return results, calib_info

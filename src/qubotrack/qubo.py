@@ -15,6 +15,10 @@ is better) and b_ij the pair compatibility:
                    chain,
   * disjoint    -> b = 0 (not stored).
 
+Storage: assembly emits the nonzero b_ij as aligned upper-triangle arrays
+(i, j, b_ij), i < j, and :class:`Qubo` stores them once, as the symmetric
+CSR that every solver, the dump writer and the spin mapping read.
+
 Spin form: substituting T_i = (1 + Z_i)/2 turns O into a diagonal
 Hamiltonian whose ground state encodes the optimal selection. With the
 computational-basis convention Z|0> = +|0>, a measured bit m corresponds to
@@ -24,7 +28,7 @@ bit=1 <=> triplet selected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,50 +58,59 @@ class QuboScaling:
             raise ValueError("scaling constants must be positive")
 
 
-@dataclass
 class Qubo:
-    """Selection objective with its couplings in one symmetric CSR.
+    """Selection objective with its couplings stored once, as a symmetric CSR.
 
-    ``quadratic`` lists every nonzero coupling once, keyed (i, j) with
-    i < j; it is what the dump writer and the spin mapping read. At
-    construction the pairs are laid out once as a symmetric compressed
-    sparse row matrix: row i occupies ``indices[indptr[i]:indptr[i + 1]]``
-    (column indices, ascending) and the same slice of ``data`` (b_ij), with
-    every pair stored in both of its rows and no diagonal. Every energy
-    evaluation reads these rows, so memory and time scale with the number
-    of couplings and no n x n array is ever formed. Treat an instance as
-    immutable: the rows are not rebuilt if ``quadratic`` is edited.
+    Couplings come in as aligned upper-triangle arrays: pair p couples
+    i[p] < j[p] with b[p]; a pair outside 0..n-1, with i >= j or listed
+    twice raises ``ValueError``. Only the CSR is kept: row i occupies
+    ``indices[indptr[i]:indptr[i + 1]]`` (columns ascending) and the same
+    slice of ``data`` (b_ij), every pair in both of its rows, no diagonal.
+    Energies read these rows, so no n x n array is ever formed, and
+    :meth:`upper_triangle` reads the pairs back. Treat it as immutable.
     """
 
-    n: int
-    linear: np.ndarray                      # shape (n,)
-    quadratic: dict[tuple[int, int], float]  # keys (i, j) with i < j, no zeros
-    triplet_refs: list[Triplet] | None = None
-    indptr: np.ndarray = field(init=False, repr=False, compare=False)
-    indices: np.ndarray = field(init=False, repr=False, compare=False)
-    data: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.linear = np.asarray(self.linear, dtype=float)
-        if self.linear.shape != (self.n,):
-            raise ValueError(f"linear shape {self.linear.shape} != ({self.n},)")
-        pairs = np.array(list(self.quadratic), dtype=np.intp).reshape(-1, 2)
-        i, j = pairs[:, 0], pairs[:, 1]
-        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= self.n))
+    def __init__(self, n: int, linear, i=(), j=(), b=()):
+        self.n = n
+        self.linear = np.asarray(linear, dtype=float)
+        if self.linear.shape != (n,):
+            raise ValueError(f"linear shape {self.linear.shape} != ({n},)")
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        b = np.asarray(b, dtype=float)
+        if not i.shape == j.shape == b.shape == (len(i),):
+            raise ValueError("coupling arrays i, j and b must be 1-d and aligned")
+        bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
         if bad.size:
             raise ValueError(f"bad coefficient index pair ({i[bad[0]]}, {j[bad[0]]})")
-        values = np.array(list(self.quadratic.values()), dtype=float)
-        rows = np.concatenate([i, j])
-        cols = np.concatenate([j, i])
+        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
         order = np.lexsort((cols, rows))
-        self.indptr = np.zeros(self.n + 1, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=self.indptr[1:])
-        self.indices = cols[order]
-        self.data = np.concatenate([values, values])[order]
+        rows, self.indices = rows[order], cols[order]
+        # a repeated pair leaves equal neighbours; the smallest later position,
+        # an upper-triangle entry's input index, names its first repeat
+        repeats = np.flatnonzero((rows[1:] == rows[:-1])
+                                 & (self.indices[1:] == self.indices[:-1]))
+        if repeats.size:
+            p = order[repeats + 1].min()
+            raise ValueError(f"coefficient pair ({i[p]}, {j[p]}) listed twice")
+        self.indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self.data = np.concatenate([b, b])[order]
 
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
+    def upper_triangle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each coupling once, as arrays (i, j, b_ij), i < j, ascending (i, j)."""
+        rows = self.entry_rows()
+        upper = self.indices > rows
+        return rows[upper], self.indices[upper], self.data[upper]
+
+    @property
+    def quadratic(self) -> dict[tuple[int, int], float]:
+        """Read-only ``{(i, j): b_ij}`` copy of :meth:`upper_triangle`."""
+        i, j, b = self.upper_triangle()
+        return dict(zip(zip(i.tolist(), j.tolist()), b.tolist()))
 
     def coupling_field(self, t: np.ndarray) -> np.ndarray:
         """Coupling field sum_j b_ij t_j of every variable (a CSR matvec)."""
@@ -182,17 +195,14 @@ def assemble_qubo(triplets: list[Triplet],
     linear = np.array([linear_coefficient(t, scaling.theta_scale) for t in triplets])
 
     chained = {(min(p), max(p)): p for p in chained_pairs(triplets)}
-    quadratic: dict[tuple[int, int], float] = {}
-    for pair in shared_hits(t.hit_ids() for t in triplets):
+    pairs = shared_hits(t.hit_ids() for t in triplets)
+    b = np.ones(len(pairs))
+    for p, pair in enumerate(pairs):
         if pair in chained:
-            first, second = chained[pair]
-            s = chained_angle_spread(triplets[first], triplets[second])
-            quadratic[pair] = -1.0 + 0.1 * float(np.clip(s / scaling.s_max, 0.0, 1.0))
-        else:
-            quadratic[pair] = 1.0
-
-    return Qubo(n=len(triplets), linear=linear, quadratic=quadratic,
-                triplet_refs=list(triplets))
+            s = chained_angle_spread(*(triplets[t] for t in chained[pair]))
+            b[p] = -1.0 + 0.1 * float(np.clip(s / scaling.s_max, 0.0, 1.0))
+    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
+    return Qubo(len(triplets), linear, i, j, b)
 
 
 def objective(qubo: Qubo, bits: Assignment) -> float:
@@ -213,28 +223,26 @@ def impacts(qubo: Qubo, bits: Assignment) -> np.ndarray:
 class IsingHamiltonian:
     """Diagonal spin Hamiltonian equivalent to a Qubo under T = (1 + Z)/2.
 
-    E(z) = constant + sum_i field_i z_i + sum_{i<j} coupling_ij z_i z_j for
-    spins z in {+1, -1}; z = +1 corresponds to T = 1 (selected).
+    E(z) = constant + sum_i field_i z_i + sum_p coupling_p z_{pair_i[p]} z_{pair_j[p]}
+    over the objective's pairs, in its order, for spins z in {+1, -1};
+    z = +1 corresponds to T = 1 (selected).
     """
 
     constant: float
     field: np.ndarray
-    coupling: dict[tuple[int, int], float]
+    pair_i: np.ndarray
+    pair_j: np.ndarray
+    coupling: np.ndarray
 
     @property
     def n(self) -> int:
         return len(self.field)
 
-    def energy_of_spins(self, spins: np.ndarray) -> float:
-        z = np.asarray(spins, dtype=float)
-        e = self.constant + float(self.field @ z)
-        for (i, j), cij in self.coupling.items():
-            e += cij * z[i] * z[j]
-        return e
-
     def energy_of_bits(self, bits: Assignment) -> float:
         """Energy of a selection bit vector (bit=1 <=> T=1 <=> z=+1)."""
-        return self.energy_of_spins(2 * np.asarray(bits, dtype=float) - 1.0)
+        z = 2 * np.asarray(bits, dtype=float) - 1.0
+        return (self.constant + float(self.field @ z)
+                + float(self.coupling @ (z[self.pair_i] * z[self.pair_j])))
 
     def measured_energy_table(self) -> np.ndarray:
         """Energies of all 2^n computational basis states.
@@ -249,19 +257,21 @@ class IsingHamiltonian:
             z[q] = 1.0 - 2.0 * ((s >> (n - 1 - q)) & 1)
         e = np.full(2 ** n, self.constant)
         e += self.field @ z
-        for (i, j), cij in self.coupling.items():
-            e += cij * z[i] * z[j]
+        for i, j, c in zip(self.pair_i.tolist(), self.pair_j.tolist(),
+                           self.coupling.tolist()):
+            e += c * z[i] * z[j]
         return e
 
 
 def to_ising(qubo: Qubo) -> IsingHamiltonian:
-    """Substitute T_i = (1 + Z_i)/2 and collect constant, field and coupling."""
+    """Substitute T_i = (1 + Z_i)/2 and collect constant, field and coupling;
+    each pair adds b/4 to the constant and both its fields, in pair order."""
+    i, j, b = qubo.upper_triangle()
+    coupling = b / 4.0
     constant = float(qubo.linear.sum() / 2.0)
     h = qubo.linear / 2.0
-    coupling: dict[tuple[int, int], float] = {}
-    for (i, j), b in qubo.quadratic.items():
-        constant += b / 4.0
-        h[i] += b / 4.0
-        h[j] += b / 4.0
-        coupling[(i, j)] = b / 4.0
-    return IsingHamiltonian(constant=constant, field=h, coupling=coupling)
+    for a, c, quarter in zip(i.tolist(), j.tolist(), coupling.tolist()):
+        constant += quarter
+        h[a] += quarter
+        h[c] += quarter
+    return IsingHamiltonian(constant, h, i, j, coupling)

@@ -98,8 +98,8 @@ def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> Qubo:
     """Sub-problem over ``indices`` with the outside assignment frozen.
 
     Reads the CSR rows of ``indices`` (ascending, as the groups are):
-    entries whose column lies in the group form the sub-problem's
-    couplings, all others are summed against ``bits`` into the boundary
+    in-group entries above the diagonal, row-major, are the sub-problem's
+    pair arrays; all others are summed against ``bits`` into the boundary
     term folded into its linear coefficients. Minimising it is equivalent
     to minimising the full objective with the outside variables fixed.
     Costs O(k * degree), independent of n."""
@@ -119,10 +119,9 @@ def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> Qubo:
     outside = ~inside
     boundary = np.bincount(local_row[outside],
                            weights=vals[outside] * bits[cols[outside]], minlength=k)
-    quadratic = {(int(r), int(c)): float(v)
-                 for r, c, v in zip(local_row[inside], slot[inside], vals[inside])
-                 if r < c}
-    return Qubo(n=k, linear=qubo.linear[indices] + boundary, quadratic=quadratic)
+    upper = inside & (local_row < slot)
+    return Qubo(k, qubo.linear[indices] + boundary,
+                local_row[upper], slot[upper], vals[upper])
 
 
 @dataclass

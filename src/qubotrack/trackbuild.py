@@ -5,7 +5,7 @@ energy estimation and ambiguity resolution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -111,11 +111,9 @@ def fit_track(candidate: TrackCandidate, geometry: DetectorGeometry) -> TrackFit
     fit = TrackFit(x0=x0, y0=y0, tx=tx, ty=ty, chi2=chi2, ndf=4,
                    energy_estimate=math.nan)
     try:
-        energy = estimate_energy(fit, geometry)
+        return replace(fit, energy_estimate=estimate_energy(fit, geometry))
     except FitError:
-        energy = math.nan
-    return TrackFit(x0=x0, y0=y0, tx=tx, ty=ty, chi2=chi2, ndf=4,
-                    energy_estimate=energy)
+        return fit
 
 
 def resolve_ambiguities(candidates: list[TrackCandidate],

@@ -25,10 +25,18 @@ def desk_events(desk_config):
     return simulate_events(desk_config, 20)
 
 
+def qubo_from_dict(n: int, linear, quadratic: dict):
+    """Objective from a ``{(i, j): b_ij}`` dict with i < j, pairs in the
+    dict's order."""
+    from qubotrack.qubo import Qubo
+    pairs = list(quadratic)
+    return Qubo(n, linear, [i for i, _ in pairs], [j for _, j in pairs],
+                list(quadratic.values()))
+
+
 def random_qubo(rng: np.random.Generator, n: int, coupling_prob: float = 0.4,
                 paper_like: bool = False):
     """Random objective; paper_like restricts couplings to {1} u [-1, -0.9]."""
-    from qubotrack.qubo import Qubo
     linear = rng.uniform(-1, 1, n)
     quadratic = {}
     for i in range(n):
@@ -39,7 +47,7 @@ def random_qubo(rng: np.random.Generator, n: int, coupling_prob: float = 0.4,
                 else:
                     value = float(rng.uniform(-1, 1))
                 quadratic[(i, j)] = value
-    return Qubo(n=n, linear=linear, quadratic=quadratic)
+    return qubo_from_dict(n, linear, quadratic)
 
 
 def brute_force_minimum(qubo):

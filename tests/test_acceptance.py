@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_qubo
+from conftest import qubo_from_dict, random_qubo
 from qubotrack.cli import EXIT_OK, main
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
@@ -163,9 +163,9 @@ def test_criterion_05_iterative_decomposition():
                         v = float(rng.uniform(-0.1, 0.1) * scale)
                         quadratic[(off + i, off + j)] = v
                         sub_quad[(i, j)] = v
-            sub = Qubo(n=7, linear=linear[off:off + 7].copy(), quadratic=sub_quad)
+            sub = qubo_from_dict(7, linear[off:off + 7].copy(), sub_quad)
             block_opt += enumeration_oracle(sub)[1]
-        q = Qubo(n=28, linear=linear, quadratic=quadratic)
+        q = qubo_from_dict(28, linear, quadratic)
         rep = solve_iterative(q, exact_subsolver, k=7, max_iterations=10,
                               seed=trial)
         if any(abs(v - block_opt) < 1e-9 for v in rep.objective_trace[1:3]):

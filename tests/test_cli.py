@@ -242,12 +242,39 @@ def test_plotdata_tidy_output(tmp_path):
     assert any(line.startswith("vqe_counts,,1001101,400") for line in text)
 
 
-def test_dump_flags_write_extra_artifacts(tmp_path):
+# sha256 of qubo_event0.txt from "simulate --events 2 --seed 5", then
+# "reconstruct --seed 5 --dump-qubo --debug-dump", recorded when the dumps
+# were still written by a second pass over the events
+QUBO_EVENT0_SHA256 = "71b640d35f855c4e3d35077f9fc8f7e2ffebf5e2da444ba4f8ab20700a57d318"
+
+
+def test_dump_flags_write_extra_artifacts(tmp_path, monkeypatch):
+    import hashlib
+    from qubotrack import pipeline
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run), "--events", "2",
                  "--seed", "5"]) == EXIT_OK
-    assert main(["reconstruct", "--in", str(run), "--seed", "5",
-                 "--dump-qubo", "--debug-dump"]) == EXIT_OK
-    assert (run / "qubo_event0.txt").exists()
-    assert (run / "doublets_event0.csv").exists()
-    assert (run / "triplets_event1.csv").exists()
+    calls = {"calibrate": 0, "assemble_qubo": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(pipeline, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(pipeline, name, counted)
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert main(["reconstruct", "--in", str(run), "--seed", "5",
+                     "--out", str(outs[jobs]), "--jobs", jobs,
+                     "--dump-qubo", "--debug-dump"]) == EXIT_OK
+        if jobs == "1":
+            # the dumps come from the one pass that reconstructs the events
+            assert calls == {"calibrate": 1, "assemble_qubo": 2}
+    names = sorted(p.name for p in outs["1"].iterdir())
+    assert {"qubo_event0.txt", "qubo_event1.txt", "doublets_event0.csv",
+            "doublets_event1.csv", "triplets_event0.csv",
+            "triplets_event1.csv"} <= set(names)
+    assert names == sorted(p.name for p in outs["2"].iterdir())
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+    digest = hashlib.sha256((outs["1"] / "qubo_event0.txt").read_bytes()).hexdigest()
+    assert digest == QUBO_EVENT0_SHA256

@@ -123,14 +123,19 @@ def test_qubo_dump_round_trip_lossless():
     assert objective(back, bits) == objective(q, bits)
 
 
-@pytest.mark.parametrize("body, message", [
-    ("0 0.5\n1 -0.5\n1 1 0.25\n", r"q\.txt:4: self-coupling"),
-    ("0 0.5\n1 -0.5\n0 2 0.25\n", r"q\.txt:4: index 2 outside 0\.\.1"),
-    ("0 0.5\n1 -0.5\n0 1 0.25\n1 0 -1.0\n", r"q\.txt:5: pair \(0, 1\) listed twice"),
-], ids=["self-coupling", "index-out-of-range", "pair-listed-twice"])
-def test_malformed_qubo_dump_names_file_and_line(tmp_path, body, message):
+@pytest.mark.parametrize("text, message", [
+    ("2\n0 0.5\n1 -0.5\n1 1 0.25\n", r"q\.txt:4: self-coupling"),
+    ("2\n0 0.5\n1 -0.5\n0 2 0.25\n", r"q\.txt:4: index 2 outside 0\.\.1"),
+    ("2\n0 0.5\n1 -0.5\n0 1 0.25\n1 0 -1.0\n",
+     r"q\.txt:5: pair \(0, 1\) listed twice"),
+    ("-1\n", r"q\.txt:1: negative variable count -1"),
+    ("2\n0 nan\n1 -0.5\n", r"q\.txt:2: non-finite coefficient 'nan'"),
+    ("2\n0 0.5\n1 -0.5\n0 1 -inf\n", r"q\.txt:4: non-finite coefficient '-inf'"),
+], ids=["self-coupling", "index-out-of-range", "pair-listed-twice",
+        "negative-count", "nan-linear", "inf-coupling"])
+def test_malformed_qubo_dump_names_file_and_line(tmp_path, text, message):
     path = tmp_path / "q.txt"
-    path.write_text("2\n" + body)
+    path.write_text(text)
     with pytest.raises(DataFormatError, match=message):
         read_qubo(path)
 

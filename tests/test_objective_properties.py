@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_minimum, brute_force_objective, random_qubo
+from conftest import (brute_force_minimum, brute_force_objective, qubo_from_dict,
+                      random_qubo)
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (_impact_groups, _restrict, exact_subsolver,
                                solve_iterative)
@@ -87,7 +88,7 @@ def chain_plus_conflict_qubo(n: int) -> Qubo:
     rng = np.random.default_rng(0)
     quadratic = {(i, i + 1): float(rng.uniform(-1.0, -0.9)) for i in range(n - 1)}
     quadratic.update({(i, i + 2): 1.0 for i in range(n - 2)})
-    return Qubo(n=n, linear=rng.uniform(-1.0, 1.0, n), quadratic=quadratic)
+    return qubo_from_dict(n, rng.uniform(-1.0, 1.0, n), quadratic)
 
 
 def test_solve_never_allocates_an_n_by_n_matrix():

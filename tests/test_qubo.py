@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_objective, random_qubo
+from conftest import brute_force_objective, qubo_from_dict, random_qubo
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import reconstructable_particles
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
@@ -182,7 +182,7 @@ def test_assemble_seven_triplet_scenario():
 # -- objective and impact -----------------------------------------------------------
 
 def hand_qubo():
-    return Qubo(n=2, linear=np.array([-1.0, 0.5]), quadratic={(0, 1): -0.95})
+    return qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
 
 
 def test_objective_hand_values():
@@ -209,13 +209,13 @@ def test_objective_matches_brute_force_on_random_instances():
 
 
 def test_impact_single_variable():
-    q = Qubo(n=1, linear=np.array([-1.0]), quadratic={})
+    q = qubo_from_dict(1, np.array([-1.0]), {})
     assert impacts(q, np.array([1]))[0] == pytest.approx(1.0)  # -1 -> 0
     assert impacts(q, np.array([0]))[0] == pytest.approx(-1.0)
 
 
 def test_impact_zero_qubo():
-    q = Qubo(n=3, linear=np.zeros(3), quadratic={})
+    q = qubo_from_dict(3, np.zeros(3), {})
     assert np.allclose(impacts(q, np.array([1, 0, 1])), 0.0)
 
 
@@ -239,17 +239,17 @@ def test_impact_is_an_involution(seed, n):
 
 def test_to_ising_single_variable():
     c = 0.7
-    ising = to_ising(Qubo(n=1, linear=np.array([c]), quadratic={}))
+    ising = to_ising(qubo_from_dict(1, np.array([c]), {}))
     assert ising.constant == pytest.approx(c / 2)
     assert ising.field[0] == pytest.approx(c / 2)
-    assert ising.coupling == {}
+    assert ising.coupling.size == 0
 
 
 def test_to_ising_zero_qubo():
-    ising = to_ising(Qubo(n=3, linear=np.zeros(3), quadratic={}))
+    ising = to_ising(qubo_from_dict(3, np.zeros(3), {}))
     assert ising.constant == 0.0
     assert np.all(ising.field == 0.0)
-    assert ising.coupling == {}
+    assert ising.coupling.size == 0
 
 
 def test_ising_energy_equals_objective_exhaustively():
@@ -265,7 +265,7 @@ def test_ising_energy_equals_objective_exhaustively():
 
 def test_measured_energy_table_convention():
     # qubit 0 is the most significant index bit; measured 0 means selected
-    q = Qubo(n=2, linear=np.array([-1.0, 0.5]), quadratic={(0, 1): -0.95})
+    q = qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
     table = to_ising(q).measured_energy_table()
     # index 0 = measured 00 = T (1, 1)
     assert table[0] == pytest.approx(objective(q, np.array([1, 1])))
@@ -294,3 +294,144 @@ def test_enumeration_selects_exactly_the_truth_triplets(geometry):
     for t, bit in zip(triplets, best):
         assert bool(bit) == (t.truth_particle_id() is not None)
     assert best.sum() == 4
+
+
+# -- pair-array storage -----------------------------------------------------------------
+
+@pytest.mark.parametrize("i, j, bad", [
+    ([0, 2, 1], [1, 2, 0], r"\(2, 2\)"),   # i == j, before the i > j pair
+    ([0, 2], [1, 1], r"\(2, 1\)"),         # i > j
+    ([0, -1], [1, 2], r"\(-1, 2\)"),       # below the range
+    ([0, 1], [3, 2], r"\(0, 3\)"),         # beyond the range
+], ids=["i-equals-j", "i-above-j", "negative-index", "index-beyond-n"])
+def test_constructor_rejects_bad_index_pair(i, j, bad):
+    with pytest.raises(ValueError, match=r"bad coefficient index pair " + bad):
+        Qubo(3, np.zeros(3), i, j, np.ones(len(i)))
+
+
+def test_constructor_rejects_pair_listed_twice():
+    i, j = [0, 1, 0, 1, 0], [2, 2, 1, 2, 2]
+    with pytest.raises(ValueError, match=r"pair \(1, 2\) listed twice"):
+        Qubo(3, np.zeros(3), i, j, np.arange(5.0))
+
+
+def test_constructor_rejects_misaligned_arrays():
+    with pytest.raises(ValueError, match="aligned"):
+        Qubo(3, np.zeros(3), [0, 1], [1, 2], [1.0])
+
+
+@st.composite
+def coupling_dicts(draw):
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] < p[1])
+    values = st.floats(-2.0, 2.0, allow_nan=False)
+    return n, draw(st.dictionaries(pairs, values, max_size=n * (n - 1) // 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=coupling_dicts())
+def test_pair_arrays_round_trip_to_the_coupling_dict(problem):
+    n, couplings = problem
+    q = qubo_from_dict(n, np.zeros(n), couplings)
+    assert q.quadratic == couplings
+    assert list(q.quadratic) == sorted(couplings)  # row-major order
+    i, j, b = q.upper_triangle()
+    assert [(a, c) for a, c in zip(i.tolist(), j.tolist())] == sorted(couplings)
+    assert b.tolist() == [couplings[p] for p in sorted(couplings)]
+
+
+def test_assemble_retains_only_the_csr_arrays():
+    """The objective of the mult 300, seed 2024 event 0 keeps little beyond
+    its linear vector and its three CSR arrays (a dict of pairs beside them
+    would retain several times their size)."""
+    import gc
+    import tracemalloc
+    from qubotrack.config import RunConfig
+    from qubotrack.geometry import build_geometry
+    from qubotrack.pipeline import calibrate, simulate_events
+    d = RunConfig().with_seed(2024).to_dict()
+    d["sim"]["mean_multiplicity"] = 300.0
+    cfg = RunConfig.from_dict(d)
+    events = simulate_events(cfg, 1)
+    window, scaling, _ = calibrate(events, cfg)
+    triplets = build_triplets(build_doublets(
+        events[0].hits, build_geometry(cfg.geometry), window), window)
+    assemble_qubo(triplets, scaling)  # warm any lazily built state
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        q = assemble_qubo(triplets, scaling)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = sum(a.nbytes for a in (q.linear, q.indptr, q.indices, q.data))
+    assert len(q.indices) // 2 > 20_000
+    assert retained <= 1.25 * arrays
+
+
+# -- spin mapping against the dict-loop reference -----------------------------------------
+
+def dict_loop_to_ising(qubo):
+    """The spin mapping as it read a ``{(i, j): b}`` dict, pair by pair:
+    (constant, field, coupling dict, energy table)."""
+    constant = float(qubo.linear.sum() / 2.0)
+    h = qubo.linear / 2.0
+    coupling = {}
+    for (i, j), b in qubo.quadratic.items():
+        constant += b / 4.0
+        h[i] += b / 4.0
+        h[j] += b / 4.0
+        coupling[(i, j)] = b / 4.0
+    n = qubo.n
+    s = np.arange(2 ** n)
+    z = np.empty((n, 2 ** n))
+    for q in range(n):
+        z[q] = 1.0 - 2.0 * ((s >> (n - 1 - q)) & 1)
+    e = np.full(2 ** n, constant)
+    e += h @ z
+    for (i, j), cij in coupling.items():
+        e += cij * z[i] * z[j]
+    return constant, h, coupling, e
+
+
+def assert_ising_equals_dict_loop(qubo):
+    ising = to_ising(qubo)
+    constant, field, coupling, table = dict_loop_to_ising(qubo)
+    assert ising.constant == constant
+    assert np.array_equal(ising.field, field)
+    assert dict(zip(zip(ising.pair_i.tolist(), ising.pair_j.tolist()),
+                    ising.coupling.tolist())) == coupling
+    assert list(zip(ising.pair_i.tolist(), ising.pair_j.tolist())) == list(coupling)
+    assert np.array_equal(ising.measured_energy_table(), table)
+
+
+def test_to_ising_equals_dict_loop_on_random_problems():
+    rng = np.random.default_rng(77)
+    for trial in range(200):
+        n = int(rng.integers(0, 13))
+        assert_ising_equals_dict_loop(
+            random_qubo(rng, n, coupling_prob=float(rng.uniform(0.1, 0.9)),
+                        paper_like=bool(trial % 2)))
+
+
+def test_to_ising_equals_dict_loop_on_restricted_event_problems(desk_config, desk_events):
+    from qubotrack.geometry import build_geometry
+    from qubotrack.pipeline import calibrate
+    from qubotrack.solvers import _impact_groups, _restrict
+    window, scaling, _ = calibrate(desk_events, desk_config)
+    triplets = build_triplets(build_doublets(
+        desk_events[0].hits, build_geometry(desk_config.geometry), window), window)
+    q = assemble_qubo(triplets, scaling)
+    rng = np.random.default_rng(5)
+    checked = coupled = 0
+    for bits in (np.ones(q.n, dtype=np.int8),
+                 rng.integers(0, 2, q.n).astype(np.int8)):
+        for indices in _impact_groups(q, bits, 7):
+            sub = _restrict(q, bits, indices)
+            assert_ising_equals_dict_loop(sub)
+            checked += 1
+            coupled += len(sub.indices) > 0
+    assert checked >= 20 and coupled >= 10

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimum, random_qubo
-from qubotrack.qubo import Qubo, impacts, objective
+from conftest import brute_force_minimum, qubo_from_dict, random_qubo
+from qubotrack.qubo import impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _impact_groups,
                                _metropolis_accepts, _restrict, _sweep_draws,
                                exact_subsolver, make_annealing_subsolver,
@@ -14,7 +14,7 @@ from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _impact_groups,
 # -- exact enumeration -------------------------------------------------------------
 
 def test_exact_hand_example():
-    q = Qubo(n=2, linear=np.array([-1.0, 0.5]), quadratic={(0, 1): -0.95})
+    q = qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
     best = solve_exact(q)
     assert best.tolist() == [1, 1]
     assert objective(q, best) == pytest.approx(-1.45)
@@ -23,12 +23,12 @@ def test_exact_hand_example():
 def test_exact_tie_break():
     # degenerate minimum at T=(1,0) and T=(0,1); the enumeration order
     # (variable 0 = least significant state bit) prefers (1,0)
-    q = Qubo(n=2, linear=np.array([-0.5, -0.5]), quadratic={(0, 1): 1.0})
+    q = qubo_from_dict(2, np.array([-0.5, -0.5]), {(0, 1): 1.0})
     assert solve_exact(q).tolist() == [1, 0]
 
 
 def test_exact_zero_qubo_gives_all_zeros():
-    q = Qubo(n=5, linear=np.zeros(5), quadratic={})
+    q = qubo_from_dict(5, np.zeros(5), {})
     assert solve_exact(q).tolist() == [0] * 5
 
 
@@ -44,7 +44,7 @@ def test_exact_matches_brute_force():
 
 
 def test_exact_size_limit():
-    q = Qubo(n=25, linear=np.zeros(25), quadratic={})
+    q = qubo_from_dict(25, np.zeros(25), {})
     with pytest.raises(ProblemSizeError):
         solve_exact(q)
 
@@ -79,7 +79,7 @@ def test_single_group_when_k_covers_n():
 
 def test_grouping_follows_impact_order():
     # impacts at all-ones are (-a_i); magnitudes (0.1, 5, 2) group as {1,2},{0}
-    q = Qubo(n=3, linear=np.array([0.1, 5.0, 2.0]), quadratic={})
+    q = qubo_from_dict(3, np.array([0.1, 5.0, 2.0]), {})
     bits = np.ones(3, dtype=np.int8)
     assert np.abs(impacts(q, bits)).tolist() == [0.1, 5.0, 2.0]
     groups = _impact_groups(q, bits, k=2)
@@ -119,7 +119,7 @@ def test_iterative_equals_exact_when_k_covers_n():
 
 
 def test_iterative_matches_exact_tie_break_bit_for_bit():
-    q = Qubo(n=2, linear=np.array([-0.5, -0.5]), quadratic={(0, 1): 1.0})
+    q = qubo_from_dict(2, np.array([-0.5, -0.5]), {(0, 1): 1.0})
     report = solve_iterative(q, exact_subsolver, k=7)
     assert report.best_assignment.tolist() == solve_exact(q).tolist() == [1, 0]
 
@@ -142,8 +142,8 @@ def test_iterative_block_diagonal_two_blocks():
                     v = float(rng.uniform(-0.1, 0.1) * scale)
                     quadratic[(off + i, off + j)] = v
                     sub_quad[(i, j)] = v
-        blocks.append(Qubo(n=7, linear=sub_lin, quadratic=sub_quad))
-    q = Qubo(n=14, linear=linear, quadratic=quadratic)
+        blocks.append(qubo_from_dict(7, sub_lin, sub_quad))
+    q = qubo_from_dict(14, linear, quadratic)
     composed = np.concatenate([solve_exact(b) for b in blocks])
     optimum = objective(q, composed)
 
@@ -193,7 +193,7 @@ def test_iterative_subsolver_failure_returns_last_accepted():
 # -- simulated annealing -----------------------------------------------------------
 
 def test_annealing_single_variable_over_seeds():
-    q = Qubo(n=1, linear=np.array([-1.0]), quadratic={})
+    q = qubo_from_dict(1, np.array([-1.0]), {})
     correct = sum(int(solve_annealing(q, seed=s)[0] == 1) for s in range(100))
     assert correct >= 99
 

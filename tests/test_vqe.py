@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubotrack
-from conftest import random_qubo
-from qubotrack.qubo import Qubo, objective, to_ising
+from conftest import qubo_from_dict, random_qubo
+from qubotrack.qubo import objective, to_ising
 from qubotrack.solvers import solve_exact
 from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig,
                            bitstring_to_bits, energy_expectation,
@@ -242,7 +242,7 @@ def test_nft_exact_reconstruction_random_sinusoids():
 # -- the full loop ----------------------------------------------------------------------
 
 def test_run_vqe_single_variable():
-    q = Qubo(n=1, linear=np.array([-1.0]), quadratic={})
+    q = qubo_from_dict(1, np.array([-1.0]), {})
     result = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=0))
     assert result.best_bitstring == "1"
     assert result.best_energy == pytest.approx(-1.0)
@@ -284,7 +284,7 @@ def test_run_vqe_exact_mode_finds_tiny_ground_states():
 
 
 def test_counts_sum_to_shots_and_use_selection_convention():
-    q = Qubo(n=2, linear=np.array([-1.0, -1.0]), quadratic={})
+    q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
     result = run_vqe(to_ising(q), VqeConfig(shots=128, max_evaluations=100, seed=1))
     assert sum(result.counts.values()) == 128
     assert result.best_bitstring == "11"  # both selected, measured bits 00
@@ -320,7 +320,7 @@ def test_run_vqe_zero_variables_returns_at_once():
 import numpy as np
 from qubotrack.qubo import Qubo, to_ising
 from qubotrack.vqe import VqeConfig, run_vqe
-ising = to_ising(Qubo(n=0, linear=np.zeros(0), quadratic={}))
+ising = to_ising(Qubo(n=0, linear=np.zeros(0)))
 for shots in (0, 512):
     r = run_vqe(ising, VqeConfig(shots=shots, seed=1))
     print(repr(r.best_bitstring), r.evaluations, r.best_energy, len(r.counts), r.thetas.size)
@@ -334,7 +334,7 @@ for shots in (0, 512):
 
 
 def test_readout_error_hook_off_by_default_and_usable():
-    q = Qubo(n=2, linear=np.array([-1.0, -1.0]), quadratic={})
+    q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
     noisy = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=2,
                                            readout_flip_probability=0.25))
     assert sum(noisy.counts.values()) == 512
