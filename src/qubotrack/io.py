@@ -186,8 +186,9 @@ def write_qubo(path: Path, qubo: Qubo) -> None:
 def read_qubo(path: Path) -> Qubo:
     """Inverse of :func:`write_qubo`. A malformed dump raises
     :class:`DataFormatError` naming the file and line: a negative count, a
-    non-finite coefficient, an index outside 0..n-1, a self-coupling, or a
-    pair listed twice (in either order)."""
+    non-finite coefficient, an index outside 0..n-1, a self-coupling, a
+    pair listed twice (in either order) or a variable's linear line listed
+    twice. A variable without a linear line raises it naming the variable."""
     path = Path(path)
     with open(path) as f:
         lines = [(lineno, ln.split()) for lineno, ln in enumerate(f, start=1)
@@ -201,6 +202,7 @@ def read_qubo(path: Path) -> Qubo:
     if n < 0:
         raise DataFormatError(f"{path}:{first}: negative variable count {n}")
     linear = np.zeros(n)
+    listed = np.zeros(n, dtype=bool)
     pairs: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, parts in lines[1:]:
@@ -214,6 +216,10 @@ def read_qubo(path: Path) -> Qubo:
             if not 0 <= i < n:
                 raise DataFormatError(f"{path}:{lineno}: index {i} outside 0..{n - 1}")
         if len(ids) == 1:
+            if listed[ids[0]]:
+                raise DataFormatError(
+                    f"{path}:{lineno}: linear coefficient of variable {ids[0]} listed twice")
+            listed[ids[0]] = True
             linear[ids[0]] = value
             continue
         i, j = sorted(ids)
@@ -223,6 +229,9 @@ def read_qubo(path: Path) -> Qubo:
             raise DataFormatError(f"{path}:{lineno}: pair ({i}, {j}) listed twice")
         seen.add((i, j))
         pairs.append((i, j, value))
+    missing = np.flatnonzero(~listed)
+    if missing.size:
+        raise DataFormatError(f"{path}: no linear coefficient for variable {missing[0]}")
     return Qubo(n, linear, *(list(zip(*pairs)) or [(), (), ()]))
 
 

@@ -96,6 +96,13 @@ class Qubo:
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.data = np.concatenate([b, b])[order]
 
+    @classmethod
+    def from_dense(cls, linear, block) -> "Qubo":
+        """Objective of a dense sub-problem: ``linear`` and the nonzero
+        couplings above the diagonal of the symmetric ``block``, row-major."""
+        i, j = np.nonzero(np.triu(block, 1))
+        return cls(len(linear), linear, i, j, block[i, j])
+
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))

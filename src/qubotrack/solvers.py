@@ -9,13 +9,21 @@ assignment folded into its linear coefficient), is solved by a pluggable
 sub-solver, and the merged solution is accepted only if the global
 objective does not increase.
 
-Every solver reads the couplings from the objective's symmetric CSR rows
-(see :class:`~qubotrack.qubo.Qubo`); no n x n matrix is formed. Restricting
-to a group reads only that group's rows, O(k * degree). Since a
-sub-problem differs from the full objective by a constant, the sequential
-(Gauss-Seidel) loop scores a group's update as the change of the
-sub-problem objective, O(k^2), instead of re-evaluating the full
-objective, and skips a group whose sub-solve returns its current bits.
+The full objective stays a symmetric CSR (see :class:`~qubotrack.qubo.Qubo`);
+no n x n matrix is formed. Once per iteration, one vectorised pass over the
+CSR labels every entry with its variable's group and position, scatters
+the entries inside a group into a dense k x k block per group, and keeps
+each group's outside entries in CSR order. A group's sub-problem is then
+its block and the linear vector ``linear[group] + boundary``, the boundary
+summed from those outside entries against the running assignment, so no
+per-group ``Qubo`` is built. Exact enumeration scores all 2^k states of a
+block with a state table cached per k. Since a sub-problem differs from
+the full objective by a constant, the sequential (Gauss-Seidel) loop
+scores a group's update as the change of the sub-problem objective, read
+from the block in O(k^2), and skips a group whose sub-solve returns its
+current bits. Every sum runs in the order the sparse objective sums it,
+so the loop's values are bit for bit those of per-group sparse
+sub-problems.
 
 Simulated annealing (:func:`solve_annealing`) is one single-flip
 Metropolis loop for every problem size, whole objective or 7-variable
@@ -31,6 +39,7 @@ floats, and each acceptance is decided as ``u < np.exp(y)`` even where
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -43,36 +52,58 @@ EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
 _REPLAY_PROPOSALS = 2 ** 16
 
-# sub-solver contract: (sub-problem, per-call rng) -> bit vector
-SubSolver = Callable[[Qubo, np.random.Generator], Assignment]
+# sub-solver contract: (linear a, symmetric k x k block B with zero diagonal,
+# entropy) -> bit vector. The entropy (seed, iteration, group) seeds the
+# generator of a sub-solver that draws random numbers.
+SubSolver = Callable[[np.ndarray, np.ndarray, tuple[int, int, int]], Assignment]
 
 
 class ProblemSizeError(ValueError):
     pass
 
 
-def solve_exact(qubo: Qubo) -> Assignment:
+@functools.lru_cache(maxsize=None)
+def _state_table(n: int) -> np.ndarray:
+    """Bits of the states 0 .. 2^n - 1, one row of floats each, variable 0
+    in the least significant bit (read-only, cached per n)."""
+    states = np.arange(2 ** n)
+    table = ((states[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
+    table.setflags(write=False)
+    return table
+
+
+def solve_exact(problem: Qubo | tuple[np.ndarray, np.ndarray]) -> Assignment:
     """Globally minimal assignment by full enumeration (n <= 24).
 
+    ``problem`` is an objective or its dense form ``(a, B)``: the linear
+    coefficients and the symmetric n x n coupling block with zero diagonal,
+    as :func:`_restrict` cuts it. A state t scores ``t @ a + 0.5 * (t @ B) @ t``.
     States are enumerated as integers with variable 0 in the least
-    significant bit; ties resolve to the first (smallest) state index,
-    so the all-zero assignment wins on a fully degenerate objective.
+    significant bit, 2^16 at a time from a cached state table; ties resolve
+    to the first (smallest) state index, so the all-zero assignment wins on
+    a fully degenerate objective.
     """
-    n = qubo.n
+    if isinstance(problem, Qubo):
+        a = problem.linear
+        b = np.zeros((problem.n, problem.n))
+        b[problem.entry_rows(), problem.indices] = problem.data
+    else:
+        a, b = problem
+    n = len(a)
     if n > EXACT_ENUMERATION_LIMIT:
         raise ProblemSizeError(
             f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
         )
-    a = qubo.linear
-    b = np.zeros((n, n))
-    b[qubo.entry_rows(), qubo.indices] = qubo.data
+    table = _state_table(min(n, _CHUNK_BITS))
+    var_bits = np.arange(n)
     best_energy = np.inf
     best_state = 0
-    var_bits = np.arange(n)
-    for start in range(0, 2 ** n, 2 ** _CHUNK_BITS):
-        stop = min(start + 2 ** _CHUNK_BITS, 2 ** n)
-        states = np.arange(start, stop)
-        bits = ((states[:, None] >> var_bits[None, :]) & 1).astype(float)
+    for start in range(0, 2 ** n, len(table)):
+        bits = table
+        if n > _CHUNK_BITS:  # the chunk's high bits are those of its start
+            bits = np.empty((len(table), n))
+            bits[:, :_CHUNK_BITS] = table
+            bits[:, _CHUNK_BITS:] = (start >> var_bits[_CHUNK_BITS:]) & 1
         energies = bits @ a + 0.5 * np.einsum("si,si->s", bits @ b, bits)
         local = int(np.argmin(energies))
         if energies[local] < best_energy:
@@ -94,34 +125,78 @@ def _impact_groups(qubo: Qubo, bits: Assignment, k: int) -> list[np.ndarray]:
     return [np.sort(order[start:start + k]) for start in range(0, qubo.n, k)]
 
 
-def _restrict(qubo: Qubo, bits: Assignment, indices: np.ndarray) -> Qubo:
-    """Sub-problem over ``indices`` with the outside assignment frozen.
+@dataclass(frozen=True)
+class _GroupSplit:
+    """One iteration's groups cut out of the objective (:func:`_split_groups`)."""
 
-    Reads the CSR rows of ``indices`` (ascending, as the groups are):
-    in-group entries above the diagonal, row-major, are the sub-problem's
-    pair arrays; all others are summed against ``bits`` into the boundary
-    term folded into its linear coefficients. Minimising it is equivalent
-    to minimising the full objective with the outside variables fixed.
-    Costs O(k * degree), independent of n."""
-    indices = np.asarray(indices)
-    bits = np.asarray(bits)
-    k = len(indices)
-    starts = qubo.indptr[indices]
-    lengths = qubo.indptr[indices + 1] - starts
-    # positions of the k rows' entries in the CSR arrays, row after row
-    local_row = np.repeat(np.arange(k), lengths)
-    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-    entries = np.arange(len(local_row)) + offsets
+    linear: np.ndarray
+    groups: list[np.ndarray]
+    blocks: np.ndarray   # (groups, k, k): couplings inside a group, by position
+    bounds: list[int]    # group g's outside entries are [bounds[g], bounds[g + 1])
+    rows: np.ndarray     # an outside entry's position in its group
+    cols: np.ndarray     # an outside entry's variable
+    vals: np.ndarray     # an outside entry's coupling
+
+
+def _split_groups(qubo: Qubo, groups: list[np.ndarray], k: int) -> _GroupSplit:
+    """Cut every group's couplings out of the CSR in one vectorised pass.
+
+    ``groups`` are :func:`_impact_groups`' runs: ascending indices, k in
+    every group but the last. The rows are read group after group, each
+    row's entries in column order. An entry whose column is in its row's
+    group goes into that group's dense block; the others are kept in that
+    order as the group's outside entries."""
+    n = qubo.n
+    order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.intp)
+    group_of = np.empty(n, dtype=np.intp)
+    pos_of = np.empty(n, dtype=np.intp)
+    group_of[order], pos_of[order] = np.divmod(np.arange(n), k)
+    lengths = np.diff(qubo.indptr)[order]
+    rows = np.repeat(order, lengths)
+    # positions of the rows' entries in the CSR arrays, row after row
+    entries = np.arange(len(rows)) + np.repeat(
+        qubo.indptr[order] - np.cumsum(lengths) + lengths, lengths)
     cols, vals = qubo.indices[entries], qubo.data[entries]
-
-    slot = np.searchsorted(indices, cols).clip(max=k - 1)
-    inside = indices[slot] == cols
+    group = group_of[rows]
+    inside = group_of[cols] == group
+    blocks = np.zeros((len(groups), k, k))
+    blocks[group[inside], pos_of[rows[inside]], pos_of[cols[inside]]] = vals[inside]
     outside = ~inside
-    boundary = np.bincount(local_row[outside],
-                           weights=vals[outside] * bits[cols[outside]], minlength=k)
-    upper = inside & (local_row < slot)
-    return Qubo(k, qubo.linear[indices] + boundary,
-                local_row[upper], slot[upper], vals[upper])
+    bounds = np.zeros(len(groups) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(group[outside], minlength=len(groups)), out=bounds[1:])
+    return _GroupSplit(qubo.linear, groups, blocks, bounds.tolist(),
+                       pos_of[rows[outside]], cols[outside], vals[outside])
+
+
+def _restrict(split: _GroupSplit, g: int,
+              bits: Assignment) -> tuple[np.ndarray, np.ndarray]:
+    """Group g's sub-problem ``(a, B)`` with the outside assignment frozen.
+
+    B is the group's dense block. ``a`` is the group's linear coefficients
+    plus the boundary term: its outside entries summed against ``bits``, in
+    CSR order. Minimising the sub-problem is equivalent to minimising the
+    full objective with the outside variables fixed. Costs O(k * degree),
+    independent of n."""
+    indices = split.groups[g]
+    m = len(indices)
+    lo, hi = split.bounds[g], split.bounds[g + 1]
+    boundary = np.bincount(split.rows[lo:hi],
+                           weights=split.vals[lo:hi] * bits[split.cols[lo:hi]],
+                           minlength=m)
+    return split.linear[indices] + boundary, split.blocks[g, :m, :m].copy()
+
+
+def _block_objective(a: np.ndarray, block: np.ndarray, bits: Assignment) -> float:
+    """:func:`~qubotrack.qubo.objective` of the sub-problem ``(a, B)``.
+
+    Each row of B t is summed left to right, as the CSR matvec sums a row
+    (the zeros of B add nothing), and copied out as a contiguous vector,
+    as the matvec returns it (a strided one takes another BLAS dot kernel
+    that adds in another order). So the value is the sparse sub-problem's
+    bit for bit, for any k."""
+    t = np.asarray(bits, dtype=float)
+    field = np.add.accumulate(block * t, axis=1)[:, -1].copy()
+    return float(a @ t + 0.5 * t @ field)
 
 
 @dataclass
@@ -144,16 +219,18 @@ class SolveReport:
         }
 
 
-def exact_subsolver(problem: Qubo, rng: np.random.Generator) -> Assignment:
-    return solve_exact(problem)
+def exact_subsolver(a: np.ndarray, block: np.ndarray,
+                    entropy: tuple[int, int, int]) -> Assignment:
+    return solve_exact((a, block))
 
 
 def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                     max_iterations: int = 10, seed: int = 0) -> SolveReport:
     """Iterative impact-ordered decomposition, starting from all-ones.
 
-    Per iteration the variables are regrouped by |impact| and each group is
-    solved by ``subsolver``. Groups are solved sequentially (Gauss-Seidel),
+    Per iteration the variables are regrouped by |impact|, the groups are
+    cut out of the objective at once, and each group is solved by
+    ``subsolver`` with the entropy ``(seed, iteration, group)``. Groups are solved sequentially (Gauss-Seidel),
     each seeing the running assignment, with a per-group guard that rejects
     objective-increasing updates. Stops early once an iteration changes
     nothing.
@@ -177,18 +254,19 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
         changed = False
         try:
             groups = _impact_groups(qubo, bits, k)
+            split = _split_groups(qubo, groups, k)
             subqubo_count += len(groups)
             for si, indices in enumerate(groups):
-                sub = _restrict(qubo, bits, indices)
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((seed, iteration, si)))
+                a, block = _restrict(split, si, bits)
                 old = bits[indices]
-                new = np.asarray(subsolver(sub, rng), dtype=np.int8)
+                new = np.asarray(subsolver(a, block, (seed, iteration, si)),
+                                 dtype=np.int8)
                 if np.array_equal(new, old):
                     continue
                 # the sub-problem differs from the full objective by a
                 # constant, so its change is the global change
-                cand_obj = current + (objective(sub, new) - objective(sub, old))
+                cand_obj = current + (_block_objective(a, block, new)
+                                      - _block_objective(a, block, old))
                 if cand_obj <= current:
                     bits[indices] = new
                     current, changed = cand_obj, True
@@ -344,6 +422,9 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
 
 
 def make_annealing_subsolver(schedule: AnnealSchedule | None = None) -> SubSolver:
-    def _solve(problem: Qubo, rng: np.random.Generator) -> Assignment:
-        return solve_annealing(problem, schedule, seed=int(rng.integers(2 ** 31)))
+    def _solve(a: np.ndarray, block: np.ndarray,
+               entropy: tuple[int, int, int]) -> Assignment:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
+        return solve_annealing(Qubo.from_dense(a, block), schedule,
+                               seed=int(rng.integers(2 ** 31)))
     return _solve

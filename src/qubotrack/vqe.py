@@ -295,8 +295,10 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
 
 def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300):
     """Adapter: use the simulated VQE as a sub-problem solver."""
-    def _solve(problem: Qubo, rng: np.random.Generator) -> Assignment:
+    def _solve(a: np.ndarray, block: np.ndarray,
+               entropy: tuple[int, int, int]) -> Assignment:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy))
         config = VqeConfig(shots=shots, max_evaluations=max_evaluations,
                            seed=int(rng.integers(2 ** 31)))
-        return run_vqe(to_ising(problem), config).best_bits
+        return run_vqe(to_ising(Qubo.from_dense(a, block)), config).best_bits
     return _solve

@@ -34,6 +34,17 @@ def qubo_from_dict(n: int, linear, quadratic: dict):
                 list(quadratic.values()))
 
 
+def sub_problems(qubo, bits, k: int):
+    """(group, sub-problem) for every impact group of ``qubo`` at ``bits``:
+    the dense ``(a, B)`` the decomposition cuts, as a ``Qubo``."""
+    from qubotrack.qubo import Qubo
+    from qubotrack.solvers import _impact_groups, _restrict, _split_groups
+    groups = _impact_groups(qubo, bits, k)
+    split = _split_groups(qubo, groups, k)
+    return [(group, Qubo.from_dense(*_restrict(split, g, bits)))
+            for g, group in enumerate(groups)]
+
+
 def random_qubo(rng: np.random.Generator, n: int, coupling_prob: float = 0.4,
                 paper_like: bool = False):
     """Random objective; paper_like restricts couplings to {1} u [-1, -0.9]."""

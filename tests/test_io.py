@@ -11,7 +11,7 @@ from qubotrack.io import (DataFormatError, config_hash, fmt, read_events,
                           write_hits_csv, write_particles_csv, write_qubo,
                           write_tracks_csv, write_triplet_debug_csv)
 from qubotrack.metrics import BinnedValue, TrackRecord, build_report
-from qubotrack.qubo import objective
+from qubotrack.qubo import Qubo, objective
 
 
 def test_fmt_nine_significant_digits():
@@ -123,6 +123,21 @@ def test_qubo_dump_round_trip_lossless():
     assert objective(back, bits) == objective(q, bits)
 
 
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_qubo_dump_round_trip_every_linear_line_once(tmp_path, n):
+    """The writer lists every variable's linear line exactly once, so its
+    dumps, zero coefficients included, read back under the repeat and
+    missing-line checks."""
+    rng = np.random.default_rng(n)
+    q = random_qubo(rng, n, coupling_prob=0.2)
+    q = Qubo(n, np.where(rng.random(n) < 0.3, 0.0, q.linear), *q.upper_triangle())
+    write_qubo(tmp_path / "q.txt", q)
+    back = read_qubo(tmp_path / "q.txt")
+    assert np.array_equal(back.linear, q.linear)
+    assert [c.tolist() for c in back.upper_triangle()] == \
+        [c.tolist() for c in q.upper_triangle()]
+
+
 @pytest.mark.parametrize("text, message", [
     ("2\n0 0.5\n1 -0.5\n1 1 0.25\n", r"q\.txt:4: self-coupling"),
     ("2\n0 0.5\n1 -0.5\n0 2 0.25\n", r"q\.txt:4: index 2 outside 0\.\.1"),
@@ -131,8 +146,14 @@ def test_qubo_dump_round_trip_lossless():
     ("-1\n", r"q\.txt:1: negative variable count -1"),
     ("2\n0 nan\n1 -0.5\n", r"q\.txt:2: non-finite coefficient 'nan'"),
     ("2\n0 0.5\n1 -0.5\n0 1 -inf\n", r"q\.txt:4: non-finite coefficient '-inf'"),
+    ("2\n0 0.5\n0 0.7\n", r"q\.txt:3: linear coefficient of variable 0 listed twice"),
+    ("3\n0 0.5\n1 -0.5\n1 0 0.25\n1 -0.5\n2 0.1\n",
+     r"q\.txt:5: linear coefficient of variable 1 listed twice"),
+    ("3\n0 0.5\n2 0.1\n0 1 1.0\n", r"q\.txt: no linear coefficient for variable 1$"),
+    ("2\n", r"q\.txt: no linear coefficient for variable 0$"),
 ], ids=["self-coupling", "index-out-of-range", "pair-listed-twice",
-        "negative-count", "nan-linear", "inf-coupling"])
+        "negative-count", "nan-linear", "inf-coupling", "linear-listed-twice",
+        "linear-repeat-after-pairs", "linear-missing", "no-linear-lines"])
 def test_malformed_qubo_dump_names_file_and_line(tmp_path, text, message):
     path = tmp_path / "q.txt"
     path.write_text(text)

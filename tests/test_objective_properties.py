@@ -10,10 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (brute_force_minimum, brute_force_objective, qubo_from_dict,
-                      random_qubo)
+                      random_qubo, sub_problems)
 from qubotrack.qubo import Qubo, impacts, objective
-from qubotrack.solvers import (_impact_groups, _restrict, exact_subsolver,
-                               solve_iterative)
+from qubotrack.solvers import exact_subsolver, solve_iterative
 
 
 @st.composite
@@ -58,8 +57,7 @@ def test_subqubos_reproduce_full_objective_up_to_a_constant(case, k, seed):
     q, bits = case
     rng = np.random.default_rng(seed)
     covered = []
-    for group in _impact_groups(q, bits, k):
-        sub = _restrict(q, bits, group)
+    for group, sub in sub_problems(q, bits, k):
         covered.extend(group.tolist())
         merged = bits.copy()
         offsets = []

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_objective, qubo_from_dict, random_qubo
+from conftest import brute_force_objective, qubo_from_dict, random_qubo, sub_problems
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import reconstructable_particles
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
@@ -420,7 +420,6 @@ def test_to_ising_equals_dict_loop_on_random_problems():
 def test_to_ising_equals_dict_loop_on_restricted_event_problems(desk_config, desk_events):
     from qubotrack.geometry import build_geometry
     from qubotrack.pipeline import calibrate
-    from qubotrack.solvers import _impact_groups, _restrict
     window, scaling, _ = calibrate(desk_events, desk_config)
     triplets = build_triplets(build_doublets(
         desk_events[0].hits, build_geometry(desk_config.geometry), window), window)
@@ -429,8 +428,7 @@ def test_to_ising_equals_dict_loop_on_restricted_event_problems(desk_config, des
     checked = coupled = 0
     for bits in (np.ones(q.n, dtype=np.int8),
                  rng.integers(0, 2, q.n).astype(np.int8)):
-        for indices in _impact_groups(q, bits, 7):
-            sub = _restrict(q, bits, indices)
+        for _, sub in sub_problems(q, bits, 7):
             assert_ising_equals_dict_loop(sub)
             checked += 1
             coupled += len(sub.indices) > 0

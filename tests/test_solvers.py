@@ -1,12 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimum, qubo_from_dict, random_qubo
-from qubotrack.qubo import impacts, objective
-from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _impact_groups,
-                               _metropolis_accepts, _restrict, _sweep_draws,
+from conftest import brute_force_minimum, qubo_from_dict, random_qubo, sub_problems
+from qubotrack.qubo import Qubo, impacts, objective
+from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _block_objective,
+                               _impact_groups, _metropolis_accepts, _restrict,
+                               _split_groups, _state_table, _sweep_draws,
                                exact_subsolver, make_annealing_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
 
@@ -68,10 +70,8 @@ def test_single_group_when_k_covers_n():
     rng = np.random.default_rng(1)
     q = random_qubo(rng, 7)
     bits = np.ones(7, dtype=np.int8)
-    groups = _impact_groups(q, bits, k=7)
-    assert len(groups) == 1
-    assert groups[0].tolist() == list(range(7))
-    sub = _restrict(q, bits, groups[0])
+    [(group, sub)] = sub_problems(q, bits, k=7)
+    assert group.tolist() == list(range(7))
     assert sub.n == 7
     assert sub.quadratic == q.quadratic
     assert sub.linear.tolist() == q.linear.tolist()
@@ -94,8 +94,7 @@ def test_boundary_terms_reproduce_full_objective():
         q = random_qubo(rng, n, coupling_prob=0.5)
         bits = rng.integers(0, 2, n).astype(np.int8)
         k = int(rng.integers(1, n))
-        for group in _impact_groups(q, bits, k):
-            sub = _restrict(q, bits, group)
+        for group, sub in sub_problems(q, bits, k):
             merged = bits.copy()
             ref_sub = rng.integers(0, 2, sub.n).astype(np.int8)
             merged[group] = ref_sub
@@ -105,6 +104,99 @@ def test_boundary_terms_reproduce_full_objective():
                 merged[group] = trial
                 assert objective(q, merged) == pytest.approx(
                     objective(sub, trial) + offset, abs=1e-9)
+
+
+def reference_restrict(qubo, bits, indices):
+    """The sub-problem as a sparse ``Qubo`` cut from the CSR rows of
+    ``indices``: the per-group restriction the dense split replaced."""
+    k = len(indices)
+    starts = qubo.indptr[indices]
+    lengths = qubo.indptr[indices + 1] - starts
+    local_row = np.repeat(np.arange(k), lengths)
+    offsets = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    entries = np.arange(len(local_row)) + offsets
+    cols, vals = qubo.indices[entries], qubo.data[entries]
+    slot = np.searchsorted(indices, cols).clip(max=k - 1)
+    inside = indices[slot] == cols
+    outside = ~inside
+    boundary = np.bincount(local_row[outside],
+                           weights=vals[outside] * bits[cols[outside]], minlength=k)
+    upper = inside & (local_row < slot)
+    return Qubo(k, qubo.linear[indices] + boundary,
+                local_row[upper], slot[upper], vals[upper])
+
+
+def dense_form(sub):
+    block = np.zeros((sub.n, sub.n))
+    block[sub.entry_rows(), sub.indices] = sub.data
+    return sub.linear, block
+
+
+def test_split_equals_dense_sparse_sub_problems_on_desk_events(desk_config, desk_events):
+    """Two Gauss-Seidel iterations on every desk event: each group's linear
+    vector and block equal the dense form of the sparse sub-problem at the
+    running bits, and the block scores an update as ``objective`` does."""
+    problems = desk_objectives(desk_config, desk_events, len(desk_events))
+    checked = updated = 0
+    for q, _ in problems:
+        bits = np.ones(q.n, dtype=np.int8)
+        for _ in range(2):
+            groups = _impact_groups(q, bits, 7)
+            split = _split_groups(q, groups, 7)
+            for g, indices in enumerate(groups):
+                a, block = _restrict(split, g, bits)
+                sub = reference_restrict(q, bits, indices)
+                ref_a, ref_block = dense_form(sub)
+                assert a.tolist() == ref_a.tolist()
+                assert block.tolist() == ref_block.tolist()
+                assert block.flags.c_contiguous
+                old = bits[indices]
+                new = solve_exact((a, block))
+                assert new.tolist() == solve_exact(sub).tolist()
+                for t in (old, new):
+                    assert _block_objective(a, block, t).hex() == objective(sub, t).hex()
+                checked += 1
+                if objective(sub, new) < objective(sub, old):
+                    bits[indices] = new
+                    updated += 1
+    assert len(problems) >= 15 and checked >= 1000 and updated >= 100
+
+
+@pytest.mark.parametrize("k", [1, 7, 10, 24])
+def test_block_objective_is_sparse_objective_bit_for_bit(k):
+    # rows longer than 8 are where a pairwise row sum would reorder the adds
+    rng = np.random.default_rng(k)
+    for _ in range(40):
+        sub = random_qubo(rng, k, coupling_prob=0.7, paper_like=bool(rng.integers(2)))
+        a, block = dense_form(sub)
+        t = rng.integers(0, 2, k).astype(np.int8)
+        assert _block_objective(a, block, t).hex() == objective(sub, t).hex()
+
+
+def test_block_kernel_picks_the_smallest_state_on_a_degenerate_block():
+    # every state with exactly one of t0, t1 set scores -0.5, whatever t2..t6;
+    # the smallest such state index is 1, i.e. t = (1, 0, 0, 0, 0, 0, 0)
+    a = np.array([-0.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+    block = np.zeros((7, 7))
+    block[0, 1] = block[1, 0] = 1.0
+    assert solve_exact((a, block)).tolist() == [1, 0, 0, 0, 0, 0, 0]
+    assert exact_subsolver(a, block, (0, 0, 0)).tolist() == [1, 0, 0, 0, 0, 0, 0]
+    assert solve_exact((np.zeros(7), np.zeros((7, 7)))).tolist() == [0] * 7
+
+
+def test_state_table_is_cached_and_read_only():
+    table = _state_table(7)
+    assert table is _state_table(7)
+    assert not table.flags.writeable
+    assert table.shape == (128, 7)
+    assert table[5].tolist() == [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+
+
+def test_dense_and_sparse_enumeration_agree_across_chunks():
+    rng = np.random.default_rng(23)
+    for n in (0, 1, 5, 16, 17):
+        q = random_qubo(rng, n, coupling_prob=0.3)
+        assert solve_exact(dense_form(q)).tolist() == solve_exact(q).tolist()
 
 
 # -- iterative decomposition -----------------------------------------------------------
@@ -176,11 +268,11 @@ def test_iterative_subsolver_failure_returns_last_accepted():
 
     calls = {"n": 0}
 
-    def flaky(problem, rng):
+    def flaky(a, block, entropy):
         calls["n"] += 1
         if calls["n"] > 2:
             raise RuntimeError("backend lost")
-        return solve_exact(problem)
+        return solve_exact((a, block))
 
     report = solve_iterative(q, flaky, k=4, seed=1)
     assert report.warning is not None and "backend lost" in report.warning
@@ -363,3 +455,67 @@ def test_annealing_iterative_report_pinned():
     assert report.best_objective == pytest.approx(-17.4841708761196, rel=1e-12)
     assert report.objective_trace == pytest.approx(
         [5.618351109723904, -17.4841708761196, -17.4841708761196], rel=1e-12)
+
+
+# -- golden decomposition outputs ------------------------------------------------------
+
+def desk_objectives(desk_config, desk_events, count):
+    """Assembled objectives of the first ``count`` desk events with triplets,
+    as (objective, per-event solver seed) pairs."""
+    from qubotrack.geometry import build_geometry
+    from qubotrack.pipeline import calibrate
+    from qubotrack.preselect import build_doublets, build_triplets
+    from qubotrack.qubo import assemble_qubo
+    window, scaling, _ = calibrate(desk_events, desk_config)
+    geometry = build_geometry(desk_config.geometry)
+    out = []
+    for event in desk_events:
+        triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
+        if triplets:
+            out.append((assemble_qubo(triplets, scaling), desk_config.seed ^ event.event_id))
+        if len(out) == count:
+            return out
+    return out
+
+
+def report_digest(report):
+    """sha256 over the best objective's and every trace value's float.hex()
+    and the best assignment's bytes."""
+    h = hashlib.sha256()
+    for value in [report.best_objective, *report.objective_trace]:
+        h.update(value.hex().encode())
+    h.update(np.asarray(report.best_assignment, dtype=np.int8).tobytes())
+    return h.hexdigest()
+
+
+# recorded with the per-group sub-Qubo decomposition (restrict, then build a
+# Qubo, then enumerate or anneal it), before the dense block kernel replaced it
+DECOMPOSITION_GOLDEN = {
+    "desk-exact-k7":
+        "9580ca708b1fa9cc2c7c86702d4597f59001a2e6eb316f86c86af85e8cac8276",
+    "desk-exact-k10":
+        "dbff50605354d5c6338819c4824e4ebb0f5cdcbf1546e1b3a440a76c01907a5a",
+    "desk-anneal-k7":
+        "be0e4e5ac497ea79dae013c6e772e3dc7835b74d9f439b85b603ee0fb99255bc",
+    "random-vqe-k7":
+        "8dccf091371bbf5a843b84c70f77984f592d3f5bf378986cb0e277a6c6499b79",
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECOMPOSITION_GOLDEN))
+def test_decomposition_outputs_golden(case, desk_config, desk_events):
+    from qubotrack.vqe import make_vqe_subsolver
+    if case.startswith("desk"):
+        problems = desk_objectives(desk_config, desk_events, 4)
+    else:
+        rng = np.random.default_rng(41)
+        problems = [(random_qubo(rng, 16, coupling_prob=0.3, paper_like=True), s)
+                    for s in (3, 4)]
+    subsolver = {"exact": exact_subsolver,
+                 "anneal": make_annealing_subsolver(AnnealSchedule(sweeps=4)),
+                 "vqe": make_vqe_subsolver(shots=16, max_evaluations=9)}[case.split("-")[1]]
+    k = int(case.rsplit("-k", 1)[1])
+    digests = [report_digest(solve_iterative(q, subsolver, k=k, seed=seed))
+               for q, seed in problems]
+    h = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert h == DECOMPOSITION_GOLDEN[case]
