@@ -8,9 +8,9 @@ from .geometry import (DetectorGeometry, Event, GeometryConfig, Hit,
 from .fastsim import (EnergySpectrum, LaserConfig, SimConfig, compute_xi,
                       dipole_deflection, generate_event, scattering_kick,
                       xi_to_multiplicity)
-from .preselect import (Doublet, PreselectionWindow, Triplet,
-                        build_doublets, build_triplets, calibrate_dx_window,
-                        triplet_delta_theta)
+from .preselect import (Doublet, Doublets, PreselectionWindow, Triplet,
+                        Triplets, build_doublets, build_triplets,
+                        calibrate_dx_window)
 from .qubo import (IsingHamiltonian, Qubo, QuboScaling, assemble_qubo,
                    objective, to_ising)
 from .solvers import (AnnealSchedule, SolveReport, solve_annealing, solve_exact,

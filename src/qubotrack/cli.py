@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, SOLVERS
 from .fastsim import xi_to_multiplicity
 from .geometry import Event, shared_hits
@@ -147,11 +149,13 @@ def _check_shared_hits(tracks: list[TrackRecord]) -> None:
     for t in tracks:
         by_event.setdefault(t.event_id, []).append(t)
     for eid, ts in by_event.items():
-        for (i, j), n in shared_hits(t.hit_ids for t in ts).items():
-            if n >= 2:
-                raise InvariantViolation(
-                    f"event {eid}: final tracks {ts[i].track_id} and {ts[j].track_id} "
-                    f"share >= 2 hits")
+        i, j, n = shared_hits([t.hit_ids for t in ts])
+        bad = np.flatnonzero(n >= 2)
+        if bad.size:
+            a, b = ts[i[bad[0]]], ts[j[bad[0]]]
+            raise InvariantViolation(
+                f"event {eid}: final tracks {a.track_id} and {b.track_id} "
+                f"share >= 2 hits")
 
 
 def cmd_evaluate(args) -> int:

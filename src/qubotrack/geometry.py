@@ -3,15 +3,18 @@
 Units: meters for distances, GeV for energies, radians for angles, Tesla for
 the dipole field. The tracker is a stack of parallel planes perpendicular to
 the beam (z) axis; each plane is a single continuous sensitive area.
+
+Also here: the array joins on hit ids and other integer keys that
+pre-selection, assembly and track building share (:func:`shared_hits`,
+:func:`equal_key_pairs`).
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable
 from dataclasses import dataclass, field, asdict
-from itertools import chain, combinations
+
+import numpy as np
 
 
 class GeometryError(ValueError):
@@ -163,24 +166,53 @@ class Event:
         raise KeyError(pid)
 
 
-def shared_hits(hit_sets: Iterable[Iterable[int]]) -> dict[tuple[int, int], int]:
-    """Number of hit ids shared by every pair of items that share any.
+def _index_ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ranges start[k] .. start[k] + count[k] - 1 laid end to end, as
+    (owner k, position) arrays; owners ascending, positions ascending
+    within an owner."""
+    owner = np.repeat(np.arange(len(count)), count)
+    offset = np.cumsum(count) - count
+    return owner, np.repeat(start - offset, count) + np.arange(len(owner))
 
-    Keys are index pairs (i, j) with i < j, in ascending order; a value
-    equals ``len(set(hit_sets[i]) & set(hit_sets[j]))``, so an id an item
-    lists twice counts once. Pairs are found through a hit-id -> item
-    index, so disjoint pairs cost nothing. This is the one definition of
-    hit overlap that the objective, ambiguity resolution and the evaluate
-    invariant read.
+
+def equal_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every (l, r) with ``left[l] == right[r]``: l ascending, then r
+    ascending (a stable argsort of ``right`` plus two searchsorted)."""
+    order = np.argsort(right, kind="stable")
+    keys = right[order]
+    lo = np.searchsorted(keys, left, side="left")
+    owner, pos = _index_ranges(lo, np.searchsorted(keys, left, side="right") - lo)
+    return owner, order[pos]
+
+
+def shared_hits(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of items that share a hit id, with the number they share.
+
+    ``rows`` is an (items, k) array of hit ids, one row per item. Returns
+    aligned arrays (i, j, n), i < j, in ascending (i, j) order, with
+    ``n[p] == len(set(rows[i[p]]) & set(rows[j[p]]))``, so an id an item
+    lists twice counts once. The item lists are grouped by hit id (one
+    lexsort) and only pairs within a group are formed, encoded as
+    ``i * items + j`` and counted by ``np.unique``; disjoint pairs cost
+    nothing. This is the one definition of hit overlap that the
+    objective, ambiguity resolution and the evaluate invariant read.
     """
-    by_hit: dict[int, list[int]] = {}
-    for idx, ids in enumerate(hit_sets):
-        for hid in set(ids):
-            by_hit.setdefault(hid, []).append(idx)
-    # each list is ascending, so its combinations are (i, j) with i < j
-    counts = Counter(chain.from_iterable(combinations(items, 2)
-                                         for items in by_hit.values()))
-    return {pair: counts[pair] for pair in sorted(counts)}
+    rows = np.asarray(rows, dtype=np.int64)
+    m = len(rows)
+    hit = rows.reshape(-1)
+    item = np.repeat(np.arange(m, dtype=np.int64), hit.size // m if m else 0)
+    order = np.lexsort((item, hit))
+    hit, item = hit[order], item[order]
+    distinct = np.ones(len(hit), dtype=bool)
+    distinct[1:] = (hit[1:] != hit[:-1]) | (item[1:] != item[:-1])
+    hit, item = hit[distinct], item[distinct]
+    # within one hit's group the items ascend: pair each with those after it
+    starts = np.flatnonzero(np.r_[True, hit[1:] != hit[:-1]])
+    ends = np.repeat(np.r_[starts[1:], len(hit)], np.diff(np.r_[starts, len(hit)]))
+    here = np.arange(len(hit))
+    owner, later = _index_ranges(here + 1, ends - here - 1)
+    codes, n = np.unique(item[owner] * m + item[later], return_counts=True)
+    return codes // m, codes % m, n
 
 
 def validate_event(event: Event, geometry: DetectorGeometry) -> list[str]:

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
@@ -255,7 +256,7 @@ def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
                         "" if b.err_hi is None else fmt(b.err_hi)])
 
 
-def write_doublet_debug_csv(path: Path, event_id: int, doublets: list[Doublet]) -> None:
+def write_doublet_debug_csv(path: Path, event_id: int, doublets: Iterable[Doublet]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
@@ -269,7 +270,7 @@ def write_doublet_debug_csv(path: Path, event_id: int, doublets: list[Doublet]) 
                         int(matched)])
 
 
-def write_triplet_debug_csv(path: Path, event_id: int, triplets: list[Triplet]) -> None:
+def write_triplet_debug_csv(path: Path, event_id: int, triplets: Iterable[Triplet]) -> None:
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["event_id", "id", "span_first", "span_last",

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig
 from .fastsim import generate_event
 from .geometry import DetectorGeometry, Event, build_geometry
@@ -125,7 +127,7 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     report = solve_iterative(
         problem, _make_subsolver(config), k=config.subqubo_size,
         max_iterations=config.iterations, seed=config.seed ^ eid)
-    selected = [t for t, bit in zip(triplets, report.best_assignment) if bit]
+    selected = triplets[np.flatnonzero(report.best_assignment)]
 
     candidates = triplets_to_candidates(selected)
     fits = [fit_track(c, geometry) for c in candidates]

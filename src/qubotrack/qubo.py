@@ -15,6 +15,14 @@ is better) and b_ij the pair compatibility:
                    chain,
   * disjoint    -> b = 0 (not stored).
 
+Assembly reads a :class:`~qubotrack.preselect.Triplets` (a plain list
+of triplet views is converted at entry) and works on whole arrays: the
+linear terms are one ``np.clip`` over delta_theta; the hit-sharing pairs
+come from :func:`~qubotrack.geometry.shared_hits` over the (triplets, 3)
+hit-id array; the chained pairs from :func:`chained_pairs` over the first
+and second doublet indices, their spreads from one (pairs, 3) variance
+per angle. Variable k is triplet k.
+
 Storage: assembly emits the nonzero b_ij as aligned upper-triangle arrays
 (i, j, b_ij), i < j, and :class:`Qubo` stores them once, as the symmetric
 CSR that every solver, the dump writer and the spin mapping read.
@@ -32,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import shared_hits
-from .preselect import Triplet
+from .geometry import equal_key_pairs, shared_hits
+from .preselect import Triplet, Triplets, as_triplets
 
 # selection bit vector, dtype int8, values {0, 1}
 Assignment = np.ndarray
@@ -125,60 +133,53 @@ class Qubo:
                            minlength=self.n)
 
 
-def linear_coefficient(triplet: Triplet, theta_scale: float) -> float:
+def linear_coefficients(delta_theta: np.ndarray, theta_scale: float) -> np.ndarray:
     """Map delta_theta affinely onto [-1, 1]: 0 -> -1 (best), theta_scale -> +1."""
     if theta_scale <= 0:
         raise ValueError("theta_scale must be positive")
-    return float(np.clip(2.0 * triplet.delta_theta / theta_scale - 1.0, -1.0, 1.0))
+    return np.clip(2.0 * np.asarray(delta_theta, dtype=float) / theta_scale - 1.0,
+                   -1.0, 1.0)
 
 
-def chained_pairs(triplets: list[Triplet]) -> list[tuple[int, int]]:
-    """Index pairs (first, second) of triplets that chain into a 4-hit candidate.
+def chained_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b) of the triplet pairs that chain into a 4-hit candidate.
 
-    ``triplets[first].doublet_second`` and ``triplets[second].doublet_first``
-    are the same doublet (same inner and outer hit ids), so the union has
-    one hit per layer. Found by a join on the shared doublet; pairs come
-    back in ascending (min, max) index order. This is the one definition
-    of chaining that the objective, the calibration and track building use.
+    ``first[k]`` and ``second[k]`` are triplet k's first and second doublet
+    index; a chains into b where ``second[a] == first[b]``, so the union
+    has one hit per layer. Found by a sorted join on the shared doublet;
+    pairs come back in ascending (min, max) index order. This is the one
+    definition of chaining that the objective, the calibration and track
+    building use.
     """
-    by_first: dict[tuple[int, int], list[int]] = {}
-    for idx, t in enumerate(triplets):
-        d = t.doublet_first
-        by_first.setdefault((d.hit_inner.hit_id, d.hit_outer.hit_id), []).append(idx)
-    pairs = []
-    for first, t in enumerate(triplets):
-        d = t.doublet_second
-        for second in by_first.get((d.hit_inner.hit_id, d.hit_outer.hit_id), ()):
-            pairs.append((first, second))
-    pairs.sort(key=lambda p: (min(p), max(p)))
-    return pairs
+    a, b = equal_key_pairs(np.asarray(second, dtype=np.intp),
+                           np.asarray(first, dtype=np.intp))
+    order = np.lexsort((np.maximum(a, b), np.minimum(a, b)))
+    return a[order], b[order]
 
 
-def chained_angle_spread(first: Triplet, second: Triplet) -> float:
-    """Norm of the angle standard deviations over the three doublets of a chain.
+def chained_angle_spreads(triplets: Triplets, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norm of the angle standard deviations over the three doublets of
+    each chain a -> b (as :func:`chained_pairs` returns them).
 
     s = sqrt(std(theta_xz)^2 + std(theta_yz)^2), population convention,
-    taken over the three distinct doublets of the chained pair, given in
-    chain order (as :func:`chained_pairs` returns them).
+    over the doublets (first of a, second of a, second of b).
     """
-    ds = (first.doublet_first, first.doublet_second, second.doublet_second)
-    txz = np.array([d.theta_xz for d in ds])
-    tyz = np.array([d.theta_yz for d in ds])
-    return float(np.sqrt(txz.var() + tyz.var()))
+    chain = np.stack([triplets.first[a], triplets.second[a], triplets.second[b]], axis=1)
+    d = triplets.doublets
+    return np.sqrt(d.theta_xz[chain].var(axis=1) + d.theta_yz[chain].var(axis=1))
 
 
-def truth_chain_spreads(triplets: list[Triplet]) -> list[float]:
+def truth_chain_spreads(triplets: Triplets | list[Triplet]) -> np.ndarray:
     """Angle spreads of all truth-chained triplet pairs of one event.
 
     Triplet lists from different events must not be pooled here: particle
     and hit ids restart per event.
     """
-    spreads = []
-    for first, second in chained_pairs(triplets):
-        pid = triplets[first].truth_particle_id()
-        if pid is not None and pid == triplets[second].truth_particle_id():
-            spreads.append(chained_angle_spread(triplets[first], triplets[second]))
-    return spreads
+    t = as_triplets(triplets)
+    a, b = chained_pairs(t.first, t.second)
+    pid, known = t.truth_particle_ids()
+    same = known[a] & known[b] & (pid[a] == pid[b])
+    return chained_angle_spreads(t, a[same], b[same])
 
 
 def calibrate_s_max(spreads: list[float], percentile: float = 99.0) -> float | None:
@@ -188,28 +189,28 @@ def calibrate_s_max(spreads: list[float], percentile: float = 99.0) -> float | N
     return float(np.percentile(spreads, percentile))
 
 
-def assemble_qubo(triplets: list[Triplet],
+def assemble_qubo(triplets: Triplets | list[Triplet],
                   scaling: QuboScaling | None = None) -> Qubo:
-    """Build the selection objective from a nonempty triplet list.
+    """Build the selection objective from a nonempty set of triplets.
 
     Only pairs that share a hit (:func:`~qubotrack.geometry.shared_hits`)
     are enumerated, so disjoint pairs never cost time or storage.
     """
-    if not triplets:
+    triplets = as_triplets(triplets)
+    if not len(triplets):
         raise ValueError("cannot assemble a QUBO from an empty triplet list")
     scaling = scaling or QuboScaling()
+    n = len(triplets)
 
-    linear = np.array([linear_coefficient(t, scaling.theta_scale) for t in triplets])
-
-    chained = {(min(p), max(p)): p for p in chained_pairs(triplets)}
-    pairs = shared_hits(t.hit_ids() for t in triplets)
-    b = np.ones(len(pairs))
-    for p, pair in enumerate(pairs):
-        if pair in chained:
-            s = chained_angle_spread(*(triplets[t] for t in chained[pair]))
-            b[p] = -1.0 + 0.1 * float(np.clip(s / scaling.s_max, 0.0, 1.0))
-    i, j = np.array(list(pairs), dtype=np.intp).reshape(-1, 2).T
-    return Qubo(len(triplets), linear, i, j, b)
+    linear = linear_coefficients(triplets.delta_theta, scaling.theta_scale)
+    i, j, _ = shared_hits(triplets.hit_ids())
+    b = np.ones(len(i))
+    # a chained pair shares two hits, so it is one of the hit-sharing pairs
+    a, c = chained_pairs(triplets.first, triplets.second)
+    at = np.searchsorted(i * n + j, np.minimum(a, c) * n + np.maximum(a, c))
+    spread = chained_angle_spreads(triplets, a, c)
+    b[at] = -1.0 + 0.1 * np.clip(spread / scaling.s_max, 0.0, 1.0)
+    return Qubo(n, linear, i, j, b)
 
 
 def objective(qubo: Qubo, bits: Assignment) -> float:

@@ -11,7 +11,7 @@ import numpy as np
 
 from .fastsim import PT_KICK_PER_TESLA_METER
 from .geometry import DetectorGeometry, Hit, shared_hits
-from .preselect import Triplet
+from .preselect import Triplet, Triplets, as_triplets
 from .qubo import chained_pairs
 
 
@@ -49,18 +49,21 @@ class TrackFit:
         return self.chi2 / self.ndf
 
 
-def triplets_to_candidates(selected: list[Triplet]) -> list[TrackCandidate]:
+def triplets_to_candidates(selected: Triplets | list[Triplet]) -> list[TrackCandidate]:
     """Every chained pair of selected triplets, deduplicated by hit set."""
+    t = as_triplets(selected)
+    first, second = chained_pairs(t.first, t.second)
+    index = t.hit_index()
+    rows = np.column_stack([index[first], index[second, 2]])
+    hits = t.doublets.hits
     out: list[TrackCandidate] = []
     seen: set[tuple[int, ...]] = set()
-    for i, j in chained_pairs(selected):
-        first, second = selected[i], selected[j]
-        hits = (*first.hits(), second.hits()[2])
-        key = tuple(h.hit_id for h in hits)
+    for key, row in zip(t.doublets.hit_ids[rows].tolist(), rows.tolist()):
+        key = tuple(key)
         if key in seen:
             continue
         seen.add(key)
-        out.append(TrackCandidate(hits=hits))
+        out.append(TrackCandidate(hits=tuple(hits[k] for k in row)))
     return out
 
 
@@ -134,7 +137,8 @@ def resolve_ambiguities(candidates: list[TrackCandidate],
         raise ValueError("candidates and fits must align")
     alive = set(range(len(candidates)))
     overlap: list[dict[int, int]] = [{} for _ in candidates]
-    for (i, j), n in shared_hits(c.hit_ids() for c in candidates).items():
+    rows = np.array([c.hit_ids() for c in candidates], dtype=np.int64).reshape(-1, 4)
+    for i, j, n in zip(*(a.tolist() for a in shared_hits(rows))):
         overlap[i][j] = overlap[j][i] = n
 
     def reject(i: int) -> None:

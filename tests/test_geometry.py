@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from qubotrack.fastsim import SimConfig, generate_event
@@ -102,6 +103,12 @@ def shared_hits_oracle(hit_sets):
     return out
 
 
+def shared_hits_dict(rows):
+    """:func:`shared_hits` as ``{(i, j): n}`` in its order."""
+    i, j, n = shared_hits(rows)
+    return dict(zip(zip(i.tolist(), j.tolist()), n.tolist()))
+
+
 @pytest.fixture(scope="module")
 def dense_hit_sets(geometry):
     sim = SimConfig(mean_multiplicity=150, rng_seed=2024)
@@ -117,7 +124,7 @@ def dense_hit_sets(geometry):
 def test_shared_hits_match_pairwise_oracle(dense_hit_sets, items):
     hit_sets = dense_hit_sets[items]
     expected = shared_hits_oracle(hit_sets)
-    got = shared_hits(hit_sets)
+    got = shared_hits_dict(hit_sets)
     assert len(expected) > 100
     assert got == expected
     assert list(got) == sorted(got)
@@ -125,7 +132,8 @@ def test_shared_hits_match_pairwise_oracle(dense_hit_sets, items):
 
 
 def test_shared_hits_counts_a_repeated_id_once():
-    got = shared_hits([(1, 2, 2, 3), (2, 3, 3), (4,), (4, 4), (5, 1)])
+    got = shared_hits_dict([(1, 2, 2, 3), (2, 3, 3, 3), (4, 4, 4, 4), (4, 4, 4, 4),
+                            (5, 1, 1, 1)])
     assert got == {(0, 1): 2, (0, 4): 1, (2, 3): 1}
     assert list(got) == [(0, 1), (0, 4), (2, 3)]
-    assert shared_hits([]) == {}
+    assert shared_hits_dict(np.empty((0, 3), dtype=np.int64)) == {}

@@ -8,8 +8,7 @@ from qubotrack.geometry import Hit
 from qubotrack.preselect import (CalibrationError, DoubletDiagnostics,
                                  PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
-                                 make_doublet, triplet_delta_theta,
-                                 truth_doublets, truth_triplets)
+                                 make_doublet, truth_doublets, truth_triplets)
 
 
 def hit(hid, layer, x, y=0.0, pid=None):
@@ -19,6 +18,15 @@ def hit(hid, layer, x, y=0.0, pid=None):
 
 def wide_window(**kw):
     return PreselectionWindow(dx_mean=0.17, dx_sigma=0.05, **kw)
+
+
+NO_ANGLE_CAP = PreselectionWindow(dx_mean=0.2, dx_sigma=0.2, max_delta_theta=math.inf)
+
+
+def delta_theta(d1, d2):
+    """delta_theta of the one triplet the two doublets chain into."""
+    (t,) = build_triplets([d1, d2], NO_ANGLE_CAP)
+    return t.delta_theta
 
 
 # -- calibration ----------------------------------------------------------------
@@ -114,8 +122,24 @@ def test_x0_zero_skipped_and_counted(geometry):
     diag = DoubletDiagnostics()
     ds = build_doublets([hit(0, 0, 0.0), hit(1, 1, 0.036)], geometry,
                         wide_window(), diagnostics=diag)
-    assert ds == []
+    assert len(ds) == 0
     assert diag.n_skipped_x0_zero == 1
+
+
+@pytest.mark.parametrize("x0_zero", [False, True], ids=["simulated", "hit-at-x0-zero"])
+def test_doublet_counters_account_for_every_pair(geometry, x0_zero):
+    sim = SimConfig(mean_multiplicity=60, rng_seed=2024)
+    event = generate_event(sim, geometry, 0)
+    hits = list(event.hits)
+    if x0_zero:
+        h = next(h for h in hits if h.layer == 1)
+        hits[hits.index(h)] = Hit(h.hit_id, h.layer, (0.0, *h.position[1:]),
+                                  h.truth_particle_id)
+    diag = DoubletDiagnostics()
+    ds = build_doublets(hits, geometry, wide_window(), diagnostics=diag)
+    assert len(ds) > 0 and diag.n_rejected_window > 0
+    assert (diag.n_skipped_x0_zero > 0) == x0_zero
+    assert diag.n_pairs == len(ds) + diag.n_rejected_window + diag.n_skipped_x0_zero
 
 
 def test_doublets_never_create_hits(geometry):
@@ -132,7 +156,7 @@ def test_doublets_never_create_hits(geometry):
 def test_delta_theta_identical_angles():
     d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
     d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.042))
-    assert triplet_delta_theta(d1, d2) == pytest.approx(0.0, abs=1e-15)
+    assert delta_theta(d1, d2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_delta_theta_three_four_five():
@@ -141,14 +165,13 @@ def test_delta_theta_three_four_five():
     dx = 0.1 * math.tan(d1.theta_xz + 3e-4)
     dy = 0.1 * math.tan(d1.theta_yz + 4e-4)
     d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.036 + dx, dy))
-    assert triplet_delta_theta(d1, d2) == pytest.approx(5e-4, rel=1e-9)
+    assert delta_theta(d1, d2) == pytest.approx(5e-4, rel=1e-9)
 
 
 def test_delta_theta_requires_chained_doublets():
     d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
     d2 = make_doublet(hit(2, 1, 0.037), hit(3, 2, 0.042))
-    with pytest.raises(ValueError, match="chain"):
-        triplet_delta_theta(d1, d2)
+    assert len(build_triplets([d1, d2], NO_ANGLE_CAP)) == 0
 
 
 def test_noiseless_particle_two_triplets(geometry):
@@ -169,10 +192,34 @@ def test_triplet_cut_boundary():
     theta2 = math.atan2(0.006, 0.1) + 1.0001e-3
     d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta2)))
     ts = build_triplets([d1, d2], w)
-    assert ts == []  # 1.0001 mrad is above the cap
+    assert len(ts) == 0  # 1.0001 mrad is above the cap
     theta3 = math.atan2(0.006, 0.1) + 0.9999e-3
     d3 = make_doublet(hit(1, 1, 0.036), hit(3, 2, 0.036 + 0.1 * math.tan(theta3)))
     assert len(build_triplets([d1, d3], w)) == 1
+
+
+def test_angle_cap_boundary_is_inclusive_to_the_last_bit(geometry):
+    """A cap equal to a triplet's delta_theta keeps it and the next float
+    below drops it, also where np.hypot and math.hypot differ in the last
+    bit (the NumPy prefilter must not decide those)."""
+    sim = SimConfig(mean_multiplicity=100, rng_seed=2024)
+    event = generate_event(sim, geometry, 0)
+    ds = build_doublets(event.hits, geometry, wide_window())
+    ts = build_triplets(ds, wide_window(max_delta_theta=1e-3))
+    dxz = ds.theta_xz[ts.second] - ds.theta_xz[ts.first]
+    dyz = ds.theta_yz[ts.second] - ds.theta_yz[ts.first]
+    differs = np.flatnonzero(np.hypot(dxz, dyz) != ts.delta_theta)
+    assert len(differs) > 0
+    for k in [*differs[:5].tolist(), 0]:
+        dt = float(ts.delta_theta[k])
+        assert dt == math.hypot(float(dxz[k]), float(dyz[k]))
+        pair = (ts.first[k], ts.second[k])
+
+        def kept(cap):
+            at = build_triplets(ds, wide_window(max_delta_theta=cap))
+            return pair in set(zip(at.first.tolist(), at.second.tolist()))
+        assert kept(dt)
+        assert not kept(float(np.nextafter(dt, 0.0)))
 
 
 def test_truth_efficiency_monotone_in_n_sigma(desk_events, geometry):

@@ -6,11 +6,12 @@ from hypothesis import strategies as st
 from conftest import brute_force_objective, qubo_from_dict, random_qubo, sub_problems
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import reconstructable_particles
-from qubotrack.preselect import (PreselectionWindow, build_doublets,
-                                 build_triplets, calibrate_dx_window,
-                                 truth_doublets, truth_triplets)
-from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spread,
-                            chained_pairs, impacts, linear_coefficient,
+from qubotrack.preselect import (PreselectionWindow, as_triplets,
+                                 build_doublets, build_triplets,
+                                 calibrate_dx_window, truth_doublets,
+                                 truth_triplets)
+from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spreads,
+                            chained_pairs, impacts, linear_coefficients,
                             objective, to_ising, truth_chain_spreads)
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.solvers import solve_exact
@@ -33,18 +34,21 @@ def test_linear_coefficient_endpoints(geometry):
     _, triplets = clean_two_particle_triplets(geometry)
     t = triplets[0]
     assert t.delta_theta < 1e-12
-    assert linear_coefficient(t, 1e-3) == pytest.approx(-1.0)
-
-    class FakeTriplet:
-        delta_theta = 1e-3
-    assert linear_coefficient(FakeTriplet(), 1e-3) == pytest.approx(1.0)
-    FakeTriplet.delta_theta = 5e-4
-    assert linear_coefficient(FakeTriplet(), 1e-3) == pytest.approx(0.0)
-    FakeTriplet.delta_theta = 5e-3  # clamped above the scale
-    assert linear_coefficient(FakeTriplet(), 1e-3) == 1.0
+    assert linear_coefficients([t.delta_theta], 1e-3)[0] == pytest.approx(-1.0)
+    # 5e-3 is clamped above the scale
+    got = linear_coefficients(np.array([1e-3, 5e-4, 5e-3]), 1e-3)
+    assert got[:2] == pytest.approx([1.0, 0.0])
+    assert got[2] == 1.0
 
 
 # -- chained pairs and quadratic coefficient ------------------------------------
+
+def pairs(triplets):
+    """:func:`chained_pairs` of triplet views, as a list of (a, b) tuples."""
+    t = as_triplets(triplets)
+    a, b = chained_pairs(t.first, t.second)
+    return list(zip(a.tolist(), b.tolist()))
+
 
 def chained_pairs_oracle(triplets):
     """Pairwise definition of chaining: the layer spans differ and the lower
@@ -72,9 +76,9 @@ def test_chained_noiseless_pair_is_minus_one(geometry):
     for ts in by_pid.values():
         t02 = next(t for t in ts if t.layer_span == (0, 2))
         t13 = next(t for t in ts if t.layer_span == (1, 3))
-        assert chained_pairs([t02, t13]) == [(0, 1)]
-        assert chained_pairs([t13, t02]) == [(1, 0)]
-        assert chained_angle_spread(t02, t13) < 1e-12
+        assert pairs([t02, t13]) == [(0, 1)]
+        assert pairs([t13, t02]) == [(1, 0)]
+        assert chained_angle_spreads(as_triplets([t02, t13]), [0], [1])[0] < 1e-12
         assert assemble_qubo([t02, t13]).quadratic == {(0, 1): pytest.approx(-1.0)}
 
 
@@ -88,14 +92,14 @@ def test_conflict_and_disjoint_cases(geometry):
     b02 = next(t for t in triplets
                if t.truth_particle_id() == pids[1] and t.layer_span == (0, 2))
     # triplets of two separate particles neither chain nor conflict
-    assert chained_pairs([a02, b02]) == []
+    assert pairs([a02, b02]) == []
     assert assemble_qubo([a02, b02]).quadratic == {}
     # conflicting: overlapping hits without chaining
     scen_event, scen_geo = two_nearby_particles_event()
     w = PreselectionWindow(dx_mean=0.17, dx_sigma=0.05)
     ts = build_triplets(build_doublets(scen_event.hits, scen_geo, w), w)
     q = assemble_qubo(ts)
-    chained = {(min(p), max(p)) for p in chained_pairs(ts)}
+    chained = {(min(p), max(p)) for p in pairs(ts)}
     conflicts = [pair for pair in q.quadratic if pair not in chained]
     assert chained and conflicts
     for i, j in ((i, j) for i in range(len(ts)) for j in range(i + 1, len(ts))):
@@ -125,10 +129,10 @@ def dense_triplets(geometry):
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_chained_pairs_match_pairwise_oracle(dense_triplets, copies):
-    triplets = dense_triplets * copies
+    triplets = list(dense_triplets) * copies
     expected = chained_pairs_oracle(triplets)
     assert len(expected) > 50 * copies
-    assert chained_pairs(triplets) == expected
+    assert pairs(triplets) == expected
 
 
 def test_truth_chain_spreads_one_per_four_layer_particle(geometry):

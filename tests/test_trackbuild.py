@@ -70,7 +70,7 @@ def test_seven_triplet_solution_two_candidates():
 
 def test_duplicate_hit_sets_emitted_once(geometry):
     _, triplets = clean_triplets(geometry)
-    doubled = triplets + triplets
+    doubled = list(triplets) * 2
     assert len(triplets_to_candidates(doubled)) == 1
 
 
