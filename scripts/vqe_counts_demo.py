@@ -28,7 +28,7 @@ if __name__ == "__main__":
     args = parser.parse_args()
 
     event, geometry = two_nearby_particles_event()
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     window = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
     problem = assemble_qubo(triplets)

@@ -23,8 +23,8 @@ from .io import (DataFormatError, config_hash, read_events, read_json,
                  read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
                  write_particles_csv, write_tracks_csv)
 from .metrics import TrackRecord, build_report
-from .pipeline import (CalibrationDataError, EventDumps, reconstruct_events,
-                       simulate_events)
+from .pipeline import EventDumps, reconstruct_events, simulate_events
+from .preselect import CalibrationError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -238,6 +238,14 @@ def cmd_plotdata(args) -> int:
     return EXIT_OK
 
 
+def _bin_edges(text: str) -> list[float]:
+    edges = [float(x) for x in text.split(",")]
+    if len(edges) < 2 or not all(b > a for a, b in zip(edges, edges[1:])):
+        raise argparse.ArgumentTypeError(
+            f"need at least 2 strictly increasing bin edges, got {text!r}")
+    return edges
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qubotrack",
                      description="toy 4-layer tracker reconstruction via "
@@ -276,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--in", dest="inputs", nargs="+", required=True,
                         help="run directories (hits, particles and tracks files)")
     p_eval.add_argument("--out", required=True, help="output directory")
-    p_eval.add_argument("--energy-bins", type=lambda s: [float(x) for x in s.split(",")],
+    p_eval.add_argument("--energy-bins", type=_bin_edges,
                         help="comma-separated bin edges in GeV")
 
     p_plot = sub.add_parser("plotdata", help="flatten reports into a tidy table")
@@ -306,7 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CalibrationDataError, FileNotFoundError) as exc:
+    except (DataFormatError, CalibrationError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:

@@ -46,6 +46,9 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         if self.subqubo_size < 1 or self.iterations < 1:
             raise ConfigError("subqubo_size and iterations must be >= 1")
+        if self.shots < 0 or self.vqe_max_evaluations < 1:
+            raise ConfigError("shots must be >= 0 and vqe_max_evaluations >= 1, got "
+                              f"{self.shots} and {self.vqe_max_evaluations}")
 
     def with_seed(self, seed: int) -> "RunConfig":
         d = self.to_dict()

@@ -12,14 +12,13 @@ import csv
 import hashlib
 import json
 import math
-from collections.abc import Iterable
 from pathlib import Path
 
 import numpy as np
 
 from .geometry import Event, Hit, TruthParticle
 from .metrics import BinnedValue, TrackRecord
-from .preselect import Doublet, Triplet
+from .preselect import Doublets, Triplets
 from .qubo import Qubo
 
 HITS_HEADER = ["event_id", "hit_id", "layer", "x", "y", "z",
@@ -99,7 +98,8 @@ def _read_rows(path: Path, header: list[str]) -> list[dict]:
 
 def read_events(hits_path: Path, particles_path: Path,
                 xi_label: float = 0.0) -> list[Event]:
-    """Rebuild events from the hits and particles files."""
+    """Rebuild events from the hits and particles files. A hit id listed
+    twice within one event raises :class:`DataFormatError`."""
     hits_path, particles_path = Path(hits_path), Path(particles_path)
     particles_by_event: dict[int, list[TruthParticle]] = {}
     for r in _read_rows(particles_path, PARTICLES_HEADER):
@@ -118,22 +118,28 @@ def read_events(hits_path: Path, particles_path: Path,
                          for k in ("ox", "oy", "oz")),
             direction=tuple(c / norm for c in direction),
         ))
-    hits_by_event: dict[int, list[Hit]] = {}
+    # per event by hit id, which must be unique: pre-selection keys hits on it
+    hits_by_event: dict[int, dict[int, Hit]] = {}
     for r in _read_rows(hits_path, HITS_HEADER):
         line = r["_line"]
         eid = _parse_int(r["event_id"], hits_path, line, "event_id")
+        hid = _parse_int(r["hit_id"], hits_path, line, "hit_id")
+        hits = hits_by_event.setdefault(eid, {})
+        if hid in hits:
+            raise DataFormatError(
+                f"{hits_path}:{line}: duplicate hit id (event_id, hit_id) = ({eid}, {hid})")
         pid = (None if r["truth_particle_id"] == ""
                else _parse_int(r["truth_particle_id"], hits_path, line, "truth_particle_id"))
-        hits_by_event.setdefault(eid, []).append(Hit(
-            hit_id=_parse_int(r["hit_id"], hits_path, line, "hit_id"),
+        hits[hid] = Hit(
+            hit_id=hid,
             layer=_parse_int(r["layer"], hits_path, line, "layer"),
             position=tuple(_parse_float(r[k], hits_path, line, k) for k in ("x", "y", "z")),
             truth_particle_id=pid,
-        ))
+        )
     event_ids = sorted(set(hits_by_event) | set(particles_by_event))
     return [
         Event(event_id=eid, xi_label=xi_label,
-              hits=tuple(hits_by_event.get(eid, [])),
+              hits=tuple(hits_by_event.get(eid, {}).values()),
               particles=tuple(particles_by_event.get(eid, [])))
         for eid in event_ids
     ]
@@ -256,30 +262,34 @@ def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
                         "" if b.err_hi is None else fmt(b.err_hi)])
 
 
-def write_doublet_debug_csv(path: Path, event_id: int, doublets: Iterable[Doublet]) -> None:
+def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> None:
+    d = doublets
+    layers = np.array([h.layer for h in d.hits], dtype=np.int64)
+    columns = (layers[d.inner], d.hit_ids[d.inner], d.hit_ids[d.outer],
+               d.theta_xz, d.theta_yz, d.dx_over_x0, d.truth_matched())
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
                     "theta_xz", "theta_yz", "dx_over_x0", "truth_matched"])
-        for i, d in enumerate(doublets):
-            matched = (d.hit_inner.truth_particle_id is not None
-                       and d.hit_inner.truth_particle_id == d.hit_outer.truth_particle_id)
-            w.writerow([event_id, i, d.hit_inner.layer,
-                        d.hit_inner.hit_id, d.hit_outer.hit_id,
-                        fmt(d.theta_xz), fmt(d.theta_yz), fmt(d.dx_over_x0),
+        for i, (layer, a, b, txz, tyz, r, matched) in enumerate(
+                zip(*(c.tolist() for c in columns))):
+            w.writerow([event_id, i, layer, a, b, fmt(txz), fmt(tyz), fmt(r),
                         int(matched)])
 
 
-def write_triplet_debug_csv(path: Path, event_id: int, triplets: Iterable[Triplet]) -> None:
+def write_triplet_debug_csv(path: Path, event_id: int, triplets: Triplets) -> None:
+    index = triplets.hit_index()
+    layers = np.array([h.layer for h in triplets.doublets.hits], dtype=np.int64)
+    _, matched = triplets.truth_particle_ids()
+    columns = (layers[index[:, 0]], layers[index[:, 2]],
+               triplets.doublets.hit_ids[index], triplets.delta_theta, matched)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["event_id", "id", "span_first", "span_last",
                     "hit_ids", "delta_theta", "truth_matched"])
-        for i, t in enumerate(triplets):
-            w.writerow([event_id, i, t.layer_span[0], t.layer_span[1],
-                        ";".join(str(h) for h in t.hit_ids()),
-                        fmt(t.delta_theta),
-                        int(t.truth_particle_id() is not None)])
+        for i, (first, last, ids, dt, m) in enumerate(zip(*(c.tolist() for c in columns))):
+            w.writerow([event_id, i, first, last, ";".join(str(h) for h in ids),
+                        fmt(dt), int(m)])
 
 
 def config_hash(config_dict: dict) -> str:

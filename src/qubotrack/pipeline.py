@@ -27,10 +27,6 @@ from .vqe import make_vqe_subsolver
 S_MAX_FALLBACK = 1e-3
 
 
-class CalibrationDataError(ValueError):
-    pass
-
-
 def simulate_events(config: RunConfig, n_events: int) -> list[Event]:
     geometry = build_geometry(config.geometry)
     return [generate_event(config.sim, geometry, event_id)
@@ -42,18 +38,18 @@ def calibrate(events: list[Event], config: RunConfig
     """Dataset-level calibration of the dx/x0 window and the s_max scale.
 
     Uses truth links when present; an explicit ``dx_window`` / ``s_max`` in
-    the config takes precedence and allows truth-free reconstruction. The
-    returned info dict is persisted in the run metadata.
+    the config takes precedence and allows truth-free reconstruction.
+    Without a ``dx_window``, fewer than 2 truth doublets raise
+    :class:`~qubotrack.preselect.CalibrationError`. The returned info dict
+    is persisted in the run metadata.
     """
+    truth = ([truth_doublets(e) for e in events]
+             if config.dx_window is None or config.s_max is None else [])
     if config.dx_window is not None:
         mean, sigma = config.dx_window
         source = "config"
     else:
-        doublets = [d for e in events for d in truth_doublets(e)]
-        if len(doublets) < 2:
-            raise CalibrationDataError(
-                "no dx window in config and not enough truth doublets to calibrate")
-        mean, sigma = calibrate_dx_window(doublets)
+        mean, sigma = calibrate_dx_window(truth)
         source = "truth-calibrated"
     window = PreselectionWindow.from_calibration(
         mean, sigma, n_sigma=config.n_sigma, max_delta_theta=config.max_delta_theta)
@@ -62,7 +58,7 @@ def calibrate(events: list[Event], config: RunConfig
         s_max = config.s_max
         s_source = "config"
     else:
-        spreads = [s for e in events for s in truth_chain_spreads(truth_triplets(e))]
+        spreads = [s for d in truth for s in truth_chain_spreads(truth_triplets(d))]
         s_max = calibrate_s_max(spreads)
         s_source = "truth-calibrated"
         if s_max is None or s_max <= 0.0:

@@ -13,13 +13,15 @@ by layer and then row-major over inner x outer hits in hit order. Its
 triplets are one :class:`Triplets`: first and second doublet index into
 that Doublets, and delta_theta, by first doublet and then by second
 doublet, both ascending. Hits are keyed on their ids (unique within an
-event, as :func:`~qubotrack.geometry.validate_event` checks), doublets on
-their index. Both containers support ``len``, iteration and indexing: an
-integer yields a :class:`Doublet` or :class:`Triplet` view, a frozen
-dataclass with one entry's hits and values, for the debug dumps,
-calibration, tests and truth inspection; a slice or an index array
-of a Triplets yields the Triplets of those entries. A plain list of views
-converts back to arrays through :func:`as_doublets` / :func:`as_triplets`.
+event, as :func:`~qubotrack.io.read_events` enforces), doublets on their
+index. These containers are the only form that pre-selection, assembly,
+calibration, track building and the debug dumps accept; truth matching
+is read as arrays too (:meth:`Doublets.truth_matched`,
+:meth:`Triplets.truth_particle_ids`). Both support ``len``, iteration
+and indexing: an integer yields a :class:`Doublet` or :class:`Triplet`
+view, a frozen dataclass with one entry's hits and values, a read-only
+accessor for the demo, tests and truth inspection; a slice or an index
+array of a Triplets yields the Triplets of those entries.
 
 The angles come from ``math.atan2`` and delta_theta from ``math.hypot``,
 one value at a time: their NumPy forms differ from them in the last bit
@@ -70,6 +72,14 @@ def _hit_columns(hits: Sequence[Hit]) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return ids, layers, positions
 
 
+def _truth_columns(hits: Sequence[Hit]) -> tuple[np.ndarray, np.ndarray]:
+    """Each hit's truth particle id and whether it has one (where it does
+    not, the id is meaningless)."""
+    pid = np.array([h.truth_particle_id or 0 for h in hits], dtype=np.int64)
+    known = np.array([h.truth_particle_id is not None for h in hits], dtype=bool)
+    return pid, known
+
+
 class Doublets:
     """One event's doublets as aligned arrays; see the module docstring."""
 
@@ -112,48 +122,11 @@ class Doublets:
                                      self.dx_over_x0.tolist()):
             yield Doublet(hits[a], hits[b], txz, tyz, r)
 
-
-def make_doublet(inner: Hit, outer: Hit) -> Doublet:
-    """The view of the doublet of two hits (calibration inputs, tests)."""
-    if outer.layer != inner.layer + 1:
-        raise ValueError(f"doublet layers not consecutive: {inner.layer}, {outer.layer}")
-    if inner.position[0] == 0.0:
-        raise ZeroDivisionError("x0 = 0, dx/x0 undefined")
-    return Doublets.from_hit_pairs((inner, outer), [0], [1])[0]
-
-
-def _doublets_of(views: Iterable[Doublet]) -> tuple[Doublets, np.ndarray]:
-    """The distinct doublets among ``views`` as arrays, keyed on their
-    (inner, outer) hit ids with the first view of each kept, and the
-    doublet index of every view."""
-    hits: dict[int, Hit] = {}
-    rows: dict[tuple[int, int], Doublet] = {}
-    keys = []
-    for d in views:
-        key = (d.hit_inner.hit_id, d.hit_outer.hit_id)
-        keys.append(key)
-        if key not in rows:
-            rows[key] = d
-            hits.setdefault(key[0], d.hit_inner)
-            hits.setdefault(key[1], d.hit_outer)
-    position = {hid: k for k, hid in enumerate(hits)}
-    slot = {key: k for k, key in enumerate(rows)}
-    doublets = Doublets(
-        tuple(hits.values()), np.array(list(hits), dtype=np.int64),
-        np.array([position[a] for a, _ in rows], dtype=np.intp),
-        np.array([position[b] for _, b in rows], dtype=np.intp),
-        np.array([d.theta_xz for d in rows.values()], dtype=float),
-        np.array([d.theta_yz for d in rows.values()], dtype=float),
-        np.array([d.dx_over_x0 for d in rows.values()], dtype=float))
-    return doublets, np.array([slot[key] for key in keys], dtype=np.intp)
-
-
-def as_doublets(doublets: Doublets | Iterable[Doublet]) -> Doublets:
-    """``doublets`` itself, or a sequence of views as arrays (a doublet
-    listed twice counts once)."""
-    if isinstance(doublets, Doublets):
-        return doublets
-    return _doublets_of(doublets)[0]
+    def truth_matched(self) -> np.ndarray:
+        """Whether each doublet's two hits share a truth particle."""
+        pid, known = _truth_columns(self.hits)
+        return (known[self.inner] & known[self.outer]
+                & (pid[self.inner] == pid[self.outer]))
 
 
 @dataclass(frozen=True)
@@ -172,9 +145,6 @@ class Triplet:
 
     def hit_ids(self) -> tuple[int, int, int]:
         return tuple(h.hit_id for h in self.hits())
-
-    def doublets(self) -> tuple[Doublet, Doublet]:
-        return self.doublet_first, self.doublet_second
 
     def truth_particle_id(self) -> int | None:
         """Common truth particle of all three hits, or None."""
@@ -225,24 +195,11 @@ class Triplets:
     def truth_particle_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Each triplet's common truth particle id, and whether its three
         hits have one (where they do not, the id is meaningless)."""
-        hits = self.doublets.hits
-        known = np.array([h.truth_particle_id is not None for h in hits], dtype=bool)
-        pid = np.array([h.truth_particle_id or 0 for h in hits], dtype=np.int64)
+        pid, known = _truth_columns(self.doublets.hits)
         index = self.hit_index()
         common = (known[index].all(axis=1)
                   & (pid[index] == pid[index[:, :1]]).all(axis=1))
         return pid[index[:, 0]], common
-
-
-def as_triplets(triplets: Triplets | Iterable[Triplet]) -> Triplets:
-    """``triplets`` itself, or a sequence of views as arrays over their
-    distinct doublets, so that triplets sharing a doublet share its index."""
-    if isinstance(triplets, Triplets):
-        return triplets
-    triplets = list(triplets)
-    doublets, index = _doublets_of(d for t in triplets for d in t.doublets())
-    return Triplets(doublets, index[0::2], index[1::2],
-                    np.array([t.delta_theta for t in triplets], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -288,32 +245,30 @@ def truth_doublets(event: Event) -> Doublets:
     return Doublets.from_hit_pairs(event.hits, inner, outer)
 
 
-def truth_triplets(event: Event) -> Triplets:
-    """Per-particle triplets chained from truth doublets, without any cuts.
+def truth_triplets(doublets: Doublets) -> Triplets:
+    """Per-particle triplets chained from one event's truth doublets
+    (:func:`truth_doublets`), without any cuts.
 
     Used for calibration passes; a particle with hits on all four layers
     contributes its two triplets regardless of the selection windows.
     """
-    return _chain(truth_doublets(event), math.inf)
+    return _chain(doublets, math.inf)
 
 
-def calibrate_dx_window(doublets: Iterable[Doublet]) -> tuple[float, float]:
-    """Sample mean and standard deviation (ddof=1) of dx/x0 over truth doublets.
+def calibrate_dx_window(doublets: Iterable[Doublets]) -> tuple[float, float]:
+    """Sample mean and standard deviation (ddof=1) of dx/x0 over the
+    truth-matched doublets of every event's :class:`Doublets`, in order.
 
     Callers should route the result through
     :meth:`PreselectionWindow.from_calibration`, which floors a degenerate
     zero sigma.
     """
-    matched = [
-        d for d in doublets
-        if d.hit_inner.truth_particle_id is not None
-        and d.hit_inner.truth_particle_id == d.hit_outer.truth_particle_id
-    ]
-    if len(matched) < 2:
+    values = np.concatenate([np.empty(0), *(d.dx_over_x0[d.truth_matched()]
+                                            for d in doublets)])
+    if len(values) < 2:
         raise CalibrationError(
-            f"need at least 2 truth-matched doublets to calibrate, got {len(matched)}"
+            f"need at least 2 truth-matched doublets to calibrate, got {len(values)}"
         )
-    values = np.array([d.dx_over_x0 for d in matched])
     return float(values.mean()), float(values.std(ddof=1))
 
 
@@ -373,7 +328,6 @@ def _chain(doublets: Doublets, max_delta_theta: float) -> Triplets:
     return Triplets(doublets, first[near], second[near], delta_theta[keep])
 
 
-def build_triplets(doublets: Doublets | Iterable[Doublet],
-                   window: PreselectionWindow) -> Triplets:
+def build_triplets(doublets: Doublets, window: PreselectionWindow) -> Triplets:
     """All chained doublet pairs with delta_theta <= max_delta_theta."""
-    return _chain(as_doublets(doublets), window.max_delta_theta)
+    return _chain(doublets, window.max_delta_theta)

@@ -15,8 +15,8 @@ is better) and b_ij the pair compatibility:
                    chain,
   * disjoint    -> b = 0 (not stored).
 
-Assembly reads a :class:`~qubotrack.preselect.Triplets` (a plain list
-of triplet views is converted at entry) and works on whole arrays: the
+Assembly reads a :class:`~qubotrack.preselect.Triplets`, the only input
+form it accepts, and works on whole arrays: the
 linear terms are one ``np.clip`` over delta_theta; the hit-sharing pairs
 come from :func:`~qubotrack.geometry.shared_hits` over the (triplets, 3)
 hit-id array; the chained pairs from :func:`chained_pairs` over the first
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import equal_key_pairs, shared_hits
-from .preselect import Triplet, Triplets, as_triplets
+from .preselect import Triplets
 
 # selection bit vector, dtype int8, values {0, 1}
 Assignment = np.ndarray
@@ -169,17 +169,16 @@ def chained_angle_spreads(triplets: Triplets, a: np.ndarray, b: np.ndarray) -> n
     return np.sqrt(d.theta_xz[chain].var(axis=1) + d.theta_yz[chain].var(axis=1))
 
 
-def truth_chain_spreads(triplets: Triplets | list[Triplet]) -> np.ndarray:
+def truth_chain_spreads(triplets: Triplets) -> np.ndarray:
     """Angle spreads of all truth-chained triplet pairs of one event.
 
-    Triplet lists from different events must not be pooled here: particle
-    and hit ids restart per event.
+    Triplets from different events must not be pooled here: particle and
+    hit ids restart per event.
     """
-    t = as_triplets(triplets)
-    a, b = chained_pairs(t.first, t.second)
-    pid, known = t.truth_particle_ids()
+    a, b = chained_pairs(triplets.first, triplets.second)
+    pid, known = triplets.truth_particle_ids()
     same = known[a] & known[b] & (pid[a] == pid[b])
-    return chained_angle_spreads(t, a[same], b[same])
+    return chained_angle_spreads(triplets, a[same], b[same])
 
 
 def calibrate_s_max(spreads: list[float], percentile: float = 99.0) -> float | None:
@@ -189,16 +188,14 @@ def calibrate_s_max(spreads: list[float], percentile: float = 99.0) -> float | N
     return float(np.percentile(spreads, percentile))
 
 
-def assemble_qubo(triplets: Triplets | list[Triplet],
-                  scaling: QuboScaling | None = None) -> Qubo:
+def assemble_qubo(triplets: Triplets, scaling: QuboScaling | None = None) -> Qubo:
     """Build the selection objective from a nonempty set of triplets.
 
     Only pairs that share a hit (:func:`~qubotrack.geometry.shared_hits`)
     are enumerated, so disjoint pairs never cost time or storage.
     """
-    triplets = as_triplets(triplets)
     if not len(triplets):
-        raise ValueError("cannot assemble a QUBO from an empty triplet list")
+        raise ValueError("cannot assemble a QUBO from an empty triplet set")
     scaling = scaling or QuboScaling()
     n = len(triplets)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .fastsim import PT_KICK_PER_TESLA_METER
 from .geometry import DetectorGeometry, Hit, shared_hits
-from .preselect import Triplet, Triplets, as_triplets
+from .preselect import Triplets
 from .qubo import chained_pairs
 
 
@@ -49,16 +49,15 @@ class TrackFit:
         return self.chi2 / self.ndf
 
 
-def triplets_to_candidates(selected: Triplets | list[Triplet]) -> list[TrackCandidate]:
+def triplets_to_candidates(selected: Triplets) -> list[TrackCandidate]:
     """Every chained pair of selected triplets, deduplicated by hit set."""
-    t = as_triplets(selected)
-    first, second = chained_pairs(t.first, t.second)
-    index = t.hit_index()
+    first, second = chained_pairs(selected.first, selected.second)
+    index = selected.hit_index()
     rows = np.column_stack([index[first], index[second, 2]])
-    hits = t.doublets.hits
+    hits = selected.doublets.hits
     out: list[TrackCandidate] = []
     seen: set[tuple[int, ...]] = set()
-    for key, row in zip(t.doublets.hit_ids[rows].tolist(), rows.tolist()):
+    for key, row in zip(selected.doublets.hit_ids[rows].tolist(), rows.tolist()):
         key = tuple(key)
         if key in seen:
             continue

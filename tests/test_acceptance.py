@@ -116,7 +116,7 @@ def test_criterion_03_vqe_correctness():
 
 def test_criterion_04_seven_triplet_analogue():
     event, geometry = two_nearby_particles_event()
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     window = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
     q = assemble_qubo(triplets)
@@ -209,8 +209,7 @@ def test_criterion_06_end_to_end_desk_scale(desk_events, desk_run):
 
 
 def test_criterion_07_preselection_efficiency(desk_events, geometry):
-    doublets = [d for e in desk_events for d in truth_doublets(e)]
-    mean, sigma = calibrate_dx_window(doublets)
+    mean, sigma = calibrate_dx_window([truth_doublets(e) for e in desk_events])
 
     total = kept_both = 0
     kept_by_nsigma = []

@@ -105,14 +105,25 @@ def test_usage_errors_exit_one(tmp_path):
     bad_cfg.write_text('{"solver": "nope"}')
     assert main(["reconstruct", "--in", str(run),
                  "--config", str(bad_cfg)]) == EXIT_USAGE
+    assert main(["reconstruct", "--in", str(run), "--solver", "vqe",
+                 "--shots", "-1"]) == EXIT_USAGE
+    for bins in ("3,1", "1,1", "2", "1,x"):
+        assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m"),
+                     "--energy-bins", bins]) == EXIT_USAGE, bins
 
 
 def test_missing_and_malformed_inputs_exit_two(tmp_path):
     assert main(["reconstruct", "--in", str(tmp_path / "nowhere")]) == EXIT_DATA
     run = tmp_path / "run"
     main(["simulate", "--out", str(run), "--events", "1"])
-    (run / "hits.csv").write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
-                                  "0,0,0,notafloat,0,1.0,,\n")
+    header = "event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
+    (run / "hits.csv").write_text(header + "0,0,0,notafloat,0,1.0,,\n")
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+    (run / "hits.csv").write_text(header + "0,0,0,0.03,0,1.0,,\n0,0,1,0.036,0,1.1,,\n")
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+    assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    # no truth and no dx window in the config: nothing to calibrate on
+    assert main(["simulate", "--out", str(run), "--events", "0"]) == EXIT_OK
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
 
 

@@ -41,6 +41,13 @@ def test_unknown_solver_rejected():
         RunConfig.from_dict({"solver": "dwave"})
 
 
+@pytest.mark.parametrize("key, value", [("shots", -1), ("vqe_max_evaluations", 0)])
+def test_invalid_vqe_settings_rejected(key, value):
+    with pytest.raises(ConfigError, match="shots must be >= 0 and vqe_max_evaluations >= 1"):
+        RunConfig.from_dict({key: value})
+    assert getattr(RunConfig.from_dict({key: value + 1}), key) == value + 1
+
+
 def test_with_seed_propagates_to_sim():
     cfg = RunConfig().with_seed(99)
     assert cfg.seed == 99

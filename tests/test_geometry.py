@@ -113,10 +113,10 @@ def shared_hits_dict(rows):
 def dense_hit_sets(geometry):
     sim = SimConfig(mean_multiplicity=150, rng_seed=2024)
     event = generate_event(sim, geometry, 0)
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
-    return {"triplets": [t.hit_ids() for t in triplets],
+    return {"triplets": triplets.hit_ids().tolist(),
             "candidates": [c.hit_ids() for c in triplets_to_candidates(triplets)]}
 
 

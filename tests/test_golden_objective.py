@@ -5,7 +5,9 @@ events each, calibrated as ``reconstruct`` calibrates) the SHA-256 of each
 objective's ``linear`` and ``upper_triangle()`` bytes and of the doublet
 and triplet CSVs that ``--debug-dump`` writes must stay as recorded. Any
 change to doublet, triplet or variable order, or to the last bit of an
-angle or a coefficient, changes a hash.
+angle or a coefficient, changes a hash. The calibration itself (dx/x0
+window and s_max) is held as ``float.hex`` strings, since a one-ulp change
+in the window need not move any doublet across its edge.
 """
 
 import hashlib
@@ -120,17 +122,31 @@ GOLDEN = {
 }
 
 
+CALIBRATION_GOLDEN = {
+    10: {"dx_mean": "0x1.5bb314a4b390dp-3", "dx_sigma": "0x1.8216c8ab7108dp-6",
+         "s_max": "0x1.118de376d2045p-11"},
+    100: {"dx_mean": "0x1.5c2c06c8f2408p-3", "dx_sigma": "0x1.80b2df00053c1p-6",
+          "s_max": "0x1.54800f5c07036p-11"},
+    200: {"dx_mean": "0x1.5c0f1819c0d14p-3", "dx_sigma": "0x1.809d46eb611bfp-6",
+          "s_max": "0x1.4532dc593eaffp-11"},
+}
+
+
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def event_hashes(multiplicity: int, tmp_path) -> list[dict[str, str]]:
+def calibrated(multiplicity: int):
     d = RunConfig().with_seed(2024).to_dict()
     d["sim"]["mean_multiplicity"] = float(multiplicity)
     config = RunConfig.from_dict(d)
-    geometry = build_geometry(config.geometry)
     events = simulate_events(config, 3)
-    window, scaling, _ = calibrate(events, config)
+    return config, events, calibrate(events, config)
+
+
+def event_hashes(multiplicity: int, tmp_path) -> list[dict[str, str]]:
+    config, events, (window, scaling, _) = calibrated(multiplicity)
+    geometry = build_geometry(config.geometry)
     out = []
     for event in events:
         doublets = build_doublets(event.hits, geometry, window)
@@ -154,3 +170,11 @@ def event_hashes(multiplicity: int, tmp_path) -> list[dict[str, str]]:
 @pytest.mark.parametrize("multiplicity", sorted(GOLDEN))
 def test_objective_and_debug_dumps_match_golden_hashes(multiplicity, tmp_path):
     assert event_hashes(multiplicity, tmp_path) == GOLDEN[multiplicity]
+
+
+@pytest.mark.parametrize("multiplicity", sorted(CALIBRATION_GOLDEN))
+def test_calibration_matches_golden_values(multiplicity):
+    _, _, (_, _, info) = calibrated(multiplicity)
+    assert info["dx_source"] == info["s_max_source"] == "truth-calibrated"
+    assert ({k: info[k].hex() for k in CALIBRATION_GOLDEN[multiplicity]}
+            == CALIBRATION_GOLDEN[multiplicity])

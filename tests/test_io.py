@@ -54,6 +54,19 @@ def test_malformed_row_names_file_and_line(tmp_path):
         read_events(path, path_particles(tmp_path))
 
 
+def test_duplicate_hit_id_names_file_line_and_key(tmp_path):
+    path = tmp_path / "hits.csv"
+    rows = ["0,5,0,0.03,0,1.0,,", "1,5,0,0.03,0,1.0,,", "0,5,1,0.036,0,1.1,,"]
+    path.write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
+                    + "".join(r + "\n" for r in rows[:2]))
+    # the same hit id in two events is fine
+    assert [len(e.hits) for e in read_events(path, path_particles(tmp_path))] == [1, 1]
+    path.write_text(path.read_text() + rows[2] + "\n")
+    with pytest.raises(DataFormatError,
+                       match=r"hits\.csv:4: duplicate hit id .*\(0, 5\)"):
+        read_events(path, path_particles(tmp_path))
+
+
 def path_particles(tmp_path):
     p = tmp_path / "particles.csv"
     if not p.exists():
@@ -190,6 +203,13 @@ def test_debug_dumps(tmp_path, geometry):
     write_triplet_debug_csv(tmp_path / "t.csv", 0, ts)
     assert (tmp_path / "d.csv").read_text().count("\n") == len(ds) + 1
     assert (tmp_path / "t.csv").read_text().count("\n") == len(ts) + 1
+    # an event without doublets writes the headers alone
+    ds = build_doublets((), geometry, w)
+    write_doublet_debug_csv(tmp_path / "d.csv", 0, ds)
+    write_triplet_debug_csv(tmp_path / "t.csv", 0, build_triplets(ds, w))
+    assert (tmp_path / "d.csv").read_text().startswith("event_id,id,layer_inner,")
+    assert (tmp_path / "d.csv").read_text().count("\n") == 1
+    assert (tmp_path / "t.csv").read_text().count("\n") == 1
 
 
 def test_config_hash_stable_and_sensitive():

@@ -5,10 +5,10 @@ import pytest
 
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Hit
-from qubotrack.preselect import (CalibrationError, DoubletDiagnostics,
+from qubotrack.preselect import (CalibrationError, DoubletDiagnostics, Doublets,
                                  PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
-                                 make_doublet, truth_doublets, truth_triplets)
+                                 truth_doublets, truth_triplets)
 
 
 def hit(hid, layer, x, y=0.0, pid=None):
@@ -23,26 +23,36 @@ def wide_window(**kw):
 NO_ANGLE_CAP = PreselectionWindow(dx_mean=0.2, dx_sigma=0.2, max_delta_theta=math.inf)
 
 
-def delta_theta(d1, d2):
-    """delta_theta of the one triplet the two doublets chain into."""
-    (t,) = build_triplets([d1, d2], NO_ANGLE_CAP)
-    return t.delta_theta
+def doublets_of(*pairs):
+    """The Doublets of (inner, outer) hit pairs, over their hits keyed on
+    their ids."""
+    hits = {h.hit_id: h for pair in pairs for h in pair}
+    position = {hid: k for k, hid in enumerate(hits)}
+    inner, outer = zip(*((position[a.hit_id], position[b.hit_id]) for a, b in pairs))
+    return Doublets.from_hit_pairs(list(hits.values()), inner, outer)
+
+
+def delta_theta(*pairs):
+    """delta_theta of the one triplet the doublets of two hit pairs chain into."""
+    (dt,) = build_triplets(doublets_of(*pairs), NO_ANGLE_CAP).delta_theta
+    return dt
 
 
 # -- calibration ----------------------------------------------------------------
 
 def test_calibrate_two_values():
-    ds = [make_doublet(hit(0, 0, 0.03, pid=1), hit(1, 1, 0.03 * (1 + a), pid=1))
-          for a in (0.1, 0.3)]
-    mean, sigma = calibrate_dx_window(ds)
+    ds = doublets_of(*((hit(2 * i, 0, 0.03, pid=1),
+                        hit(2 * i + 1, 1, 0.03 * (1 + a), pid=1))
+                       for i, a in enumerate((0.1, 0.3))))
+    mean, sigma = calibrate_dx_window([ds])
     assert mean == pytest.approx(0.2)
     assert sigma == pytest.approx(np.std([0.1, 0.3], ddof=1))
 
 
 def test_calibrate_constant_values_gives_zero_sigma():
-    ds = [make_doublet(hit(2 * i, 0, 0.03, pid=i), hit(2 * i + 1, 1, 0.036, pid=i))
-          for i in range(5)]
-    mean, sigma = calibrate_dx_window(ds)
+    ds = doublets_of(*((hit(2 * i, 0, 0.03, pid=i), hit(2 * i + 1, 1, 0.036, pid=i))
+                       for i in range(5)))
+    mean, sigma = calibrate_dx_window([ds])
     assert mean == pytest.approx(0.2) and sigma == 0.0
     # a zero-width window is rejected on construction and floored by the helper
     with pytest.raises(ValueError, match="dx_sigma"):
@@ -52,24 +62,43 @@ def test_calibrate_constant_values_gives_zero_sigma():
 
 
 def test_calibrate_needs_two_doublets():
-    with pytest.raises(CalibrationError):
+    with pytest.raises(CalibrationError, match="got 0"):
         calibrate_dx_window([])
+    one = doublets_of((hit(0, 0, 0.03, pid=1), hit(1, 1, 0.036, pid=1)),
+                      (hit(2, 0, 0.03, pid=1), hit(3, 1, 0.036, pid=2)))
+    with pytest.raises(CalibrationError, match="got 1"):
+        calibrate_dx_window([one])
 
 
 def test_calibrate_ignores_unmatched_doublets():
-    ds = [make_doublet(hit(0, 0, 0.03, pid=1), hit(1, 1, 0.036, pid=1)),
-          make_doublet(hit(2, 0, 0.03, pid=1), hit(3, 1, 0.036, pid=1)),
-          make_doublet(hit(4, 0, 0.03, pid=1), hit(5, 1, 0.09, pid=2))]
-    mean, sigma = calibrate_dx_window(ds)
+    ds = doublets_of((hit(0, 0, 0.03, pid=1), hit(1, 1, 0.036, pid=1)),
+                     (hit(2, 0, 0.03, pid=0), hit(3, 1, 0.036, pid=0)),
+                     (hit(4, 0, 0.03, pid=1), hit(5, 1, 0.09, pid=2)),
+                     (hit(6, 0, 0.03, pid=0), hit(7, 1, 0.09)),
+                     (hit(8, 0, 0.03), hit(9, 1, 0.09, pid=0)),
+                     (hit(10, 0, 0.03), hit(11, 1, 0.09)))
+    assert ds.truth_matched().tolist() == [True, True, False, False, False, False]
+    mean, sigma = calibrate_dx_window([ds])
     assert mean == pytest.approx(0.2) and sigma == 0.0
+
+
+def test_calibrate_pools_events():
+    """Doublets of several events pool into one sample; an event without a
+    truth-matched doublet adds nothing."""
+    events = [doublets_of((hit(0, 0, 0.03, pid=1), hit(1, 1, 0.03 * (1 + a), pid=1)))
+              for a in (0.1, 0.3)]
+    noise = doublets_of((hit(0, 0, 0.03), hit(1, 1, 0.09)))
+    mean, sigma = calibrate_dx_window([events[0], noise, events[1]])
+    assert mean == pytest.approx(0.2)
+    assert sigma == pytest.approx(np.std([0.1, 0.3], ddof=1))
 
 
 def test_calibration_reproduces_generating_width(geometry):
     """Sample width vs an independent noiseless ray-trace + smearing oracle."""
     sim = SimConfig(mean_multiplicity=120, rng_seed=21, scattering=True)
     events = [generate_event(sim, geometry, i) for i in range(6)]
-    doublets = [d for e in events for d in truth_doublets(e)]
-    assert len(doublets) >= 1000
+    doublets = [truth_doublets(e) for e in events]
+    assert sum(map(len, doublets)) >= 1000
     _, sigma = calibrate_dx_window(doublets)
 
     # oracle: noiseless rays through the same spectrum and acceptance give the
@@ -103,8 +132,7 @@ def test_window_center_kept_and_boundaries_inclusive(geometry):
     at_edge = hit(2, 1, 0.03 * (1 + 0.2 + 3 * 0.01))
     beyond = hit(3, 1, 0.03 * (1 + 0.2 + 3.0001 * 0.01))
     ds = build_doublets([inner, at_center, at_edge, beyond], geometry, w)
-    kept = {d.hit_outer.hit_id for d in ds}
-    assert kept == {1, 2}
+    assert ds.hit_ids[ds.outer].tolist() == [1, 2]
 
 
 def test_single_noiseless_particle_three_doublets(geometry):
@@ -154,24 +182,25 @@ def test_doublets_never_create_hits(geometry):
 # -- triplet building ---------------------------------------------------------------
 
 def test_delta_theta_identical_angles():
-    d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
-    d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.042))
+    d1 = (hit(0, 0, 0.03), hit(1, 1, 0.036))
+    d2 = (hit(1, 1, 0.036), hit(2, 2, 0.042))
     assert delta_theta(d1, d2) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_delta_theta_three_four_five():
     # dtheta_xz = 3e-4, dtheta_yz = 4e-4 -> 5e-4
-    d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
-    dx = 0.1 * math.tan(d1.theta_xz + 3e-4)
-    dy = 0.1 * math.tan(d1.theta_yz + 4e-4)
-    d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.036 + dx, dy))
+    d1 = (hit(0, 0, 0.03), hit(1, 1, 0.036))
+    first = doublets_of(d1)
+    dx = 0.1 * math.tan(first.theta_xz[0] + 3e-4)
+    dy = 0.1 * math.tan(first.theta_yz[0] + 4e-4)
+    d2 = (hit(1, 1, 0.036), hit(2, 2, 0.036 + dx, dy))
     assert delta_theta(d1, d2) == pytest.approx(5e-4, rel=1e-9)
 
 
 def test_delta_theta_requires_chained_doublets():
-    d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
-    d2 = make_doublet(hit(2, 1, 0.037), hit(3, 2, 0.042))
-    assert len(build_triplets([d1, d2], NO_ANGLE_CAP)) == 0
+    ds = doublets_of((hit(0, 0, 0.03), hit(1, 1, 0.036)),
+                     (hit(2, 1, 0.037), hit(3, 2, 0.042)))
+    assert len(build_triplets(ds, NO_ANGLE_CAP)) == 0
 
 
 def test_noiseless_particle_two_triplets(geometry):
@@ -188,14 +217,14 @@ def test_noiseless_particle_two_triplets(geometry):
 
 def test_triplet_cut_boundary():
     w = PreselectionWindow(dx_mean=0.2, dx_sigma=0.2, max_delta_theta=1e-3)
-    d1 = make_doublet(hit(0, 0, 0.03), hit(1, 1, 0.036))
+    d1 = (hit(0, 0, 0.03), hit(1, 1, 0.036))
     theta2 = math.atan2(0.006, 0.1) + 1.0001e-3
-    d2 = make_doublet(hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta2)))
-    ts = build_triplets([d1, d2], w)
+    d2 = (hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta2)))
+    ts = build_triplets(doublets_of(d1, d2), w)
     assert len(ts) == 0  # 1.0001 mrad is above the cap
     theta3 = math.atan2(0.006, 0.1) + 0.9999e-3
-    d3 = make_doublet(hit(1, 1, 0.036), hit(3, 2, 0.036 + 0.1 * math.tan(theta3)))
-    assert len(build_triplets([d1, d3], w)) == 1
+    d3 = (hit(1, 1, 0.036), hit(3, 2, 0.036 + 0.1 * math.tan(theta3)))
+    assert len(build_triplets(doublets_of(d1, d3), w)) == 1
 
 
 def test_angle_cap_boundary_is_inclusive_to_the_last_bit(geometry):
@@ -224,17 +253,12 @@ def test_angle_cap_boundary_is_inclusive_to_the_last_bit(geometry):
 
 def test_truth_efficiency_monotone_in_n_sigma(desk_events, geometry):
     event = desk_events[0]
-    doublets = truth_doublets(event)
-    mean, sigma = calibrate_dx_window(doublets)
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     kept = []
     for n_sigma in (1.0, 2.0, 3.0):
         w = PreselectionWindow.from_calibration(mean, sigma, n_sigma=n_sigma)
         ds = build_doublets(event.hits, geometry, w)
-        matched = sum(
-            1 for d in ds
-            if d.hit_inner.truth_particle_id is not None
-            and d.hit_inner.truth_particle_id == d.hit_outer.truth_particle_id)
-        kept.append(matched)
+        kept.append(int(ds.truth_matched().sum()))
     assert kept[0] <= kept[1] <= kept[2]
 
 
@@ -242,15 +266,12 @@ def test_high_energy_truth_triplets_retained(desk_events, geometry):
     """Particles above 3 GeV keep both truth triplets in >= 99% of cases."""
     total = retained = 0
     for event in desk_events:
-        doublets = [d for e in [event] for d in truth_doublets(e)]
-        mean, sigma = calibrate_dx_window(doublets)
+        mean, sigma = calibrate_dx_window([truth_doublets(event)])
         w = PreselectionWindow.from_calibration(mean, sigma)
         ts = build_triplets(build_doublets(event.hits, geometry, w), w)
-        per_pid: dict = {}
-        for t in ts:
-            pid = t.truth_particle_id()
-            if pid is not None:
-                per_pid[pid] = per_pid.get(pid, 0) + 1
+        pid, common = ts.truth_particle_ids()
+        per_pid = dict(zip(*(a.tolist() for a in np.unique(pid[common],
+                                                          return_counts=True))))
         layers: dict = {}
         for h in event.hits:
             if h.truth_particle_id is not None:
@@ -266,7 +287,8 @@ def test_high_energy_truth_triplets_retained(desk_events, geometry):
 
 def test_truth_triplets_helper(desk_events):
     event = desk_events[0]
-    ts = truth_triplets(event)
+    ts = truth_triplets(truth_doublets(event))
+    assert ts.truth_particle_ids()[1].all()
     assert all(t.truth_particle_id() is not None for t in ts)
     per_pid: dict = {}
     for t in ts:

@@ -6,10 +6,9 @@ from hypothesis import strategies as st
 from conftest import brute_force_objective, qubo_from_dict, random_qubo, sub_problems
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import reconstructable_particles
-from qubotrack.preselect import (PreselectionWindow, as_triplets,
-                                 build_doublets, build_triplets,
-                                 calibrate_dx_window, truth_doublets,
-                                 truth_triplets)
+from qubotrack.preselect import (PreselectionWindow, build_doublets,
+                                 build_triplets, calibrate_dx_window,
+                                 truth_doublets, truth_triplets)
 from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spreads,
                             chained_pairs, impacts, linear_coefficients,
                             objective, to_ising, truth_chain_spreads)
@@ -28,13 +27,18 @@ def clean_two_particle_triplets(geometry, energies=(4.0, 9.0)):
     return event, triplets
 
 
+def truth_index(triplets, span):
+    """{truth particle id: index} of the truth triplets with the layer span."""
+    return {t.truth_particle_id(): k for k, t in enumerate(triplets)
+            if t.truth_particle_id() is not None and t.layer_span == span}
+
+
 # -- linear coefficient ---------------------------------------------------------
 
 def test_linear_coefficient_endpoints(geometry):
     _, triplets = clean_two_particle_triplets(geometry)
-    t = triplets[0]
-    assert t.delta_theta < 1e-12
-    assert linear_coefficients([t.delta_theta], 1e-3)[0] == pytest.approx(-1.0)
+    assert triplets.delta_theta[0] < 1e-12
+    assert linear_coefficients(triplets.delta_theta[:1], 1e-3)[0] == pytest.approx(-1.0)
     # 5e-3 is clamped above the scale
     got = linear_coefficients(np.array([1e-3, 5e-4, 5e-3]), 1e-3)
     assert got[:2] == pytest.approx([1.0, 0.0])
@@ -44,15 +48,16 @@ def test_linear_coefficient_endpoints(geometry):
 # -- chained pairs and quadratic coefficient ------------------------------------
 
 def pairs(triplets):
-    """:func:`chained_pairs` of triplet views, as a list of (a, b) tuples."""
-    t = as_triplets(triplets)
-    a, b = chained_pairs(t.first, t.second)
+    """:func:`chained_pairs` of a Triplets, as a list of (a, b) tuples."""
+    a, b = chained_pairs(triplets.first, triplets.second)
     return list(zip(a.tolist(), b.tolist()))
 
 
 def chained_pairs_oracle(triplets):
-    """Pairwise definition of chaining: the layer spans differ and the lower
-    triplet's second doublet has the hit ids of the upper one's first."""
+    """Pairwise definition of chaining, read from the triplet views: the
+    layer spans differ and the lower triplet's second doublet has the hit
+    ids of the upper one's first."""
+    triplets = list(triplets)
     out = []
     for i, t_i in enumerate(triplets):
         for j in range(i + 1, len(triplets)):
@@ -70,30 +75,24 @@ def chained_pairs_oracle(triplets):
 
 def test_chained_noiseless_pair_is_minus_one(geometry):
     _, triplets = clean_two_particle_triplets(geometry)
-    by_pid = {}
-    for t in triplets:
-        by_pid.setdefault(t.truth_particle_id(), []).append(t)
-    for ts in by_pid.values():
-        t02 = next(t for t in ts if t.layer_span == (0, 2))
-        t13 = next(t for t in ts if t.layer_span == (1, 3))
-        assert pairs([t02, t13]) == [(0, 1)]
-        assert pairs([t13, t02]) == [(1, 0)]
-        assert chained_angle_spreads(as_triplets([t02, t13]), [0], [1])[0] < 1e-12
-        assert assemble_qubo([t02, t13]).quadratic == {(0, 1): pytest.approx(-1.0)}
+    k02, k13 = truth_index(triplets, (0, 2)), truth_index(triplets, (1, 3))
+    assert len(k02) == 2 and k02.keys() == k13.keys()
+    for pid in k02:
+        chain = triplets[[k02[pid], k13[pid]]]
+        assert pairs(chain) == [(0, 1)]
+        assert pairs(triplets[[k13[pid], k02[pid]]]) == [(1, 0)]
+        assert chained_angle_spreads(chain, [0], [1])[0] < 1e-12
+        assert assemble_qubo(chain).quadratic == {(0, 1): pytest.approx(-1.0)}
 
 
 def test_conflict_and_disjoint_cases(geometry):
     event, triplets = clean_two_particle_triplets(geometry)
-    pids = sorted({t.truth_particle_id() for t in triplets})
-    a02 = next(t for t in triplets
-               if t.truth_particle_id() == pids[0] and t.layer_span == (0, 2))
-    a13 = next(t for t in triplets
-               if t.truth_particle_id() == pids[0] and t.layer_span == (1, 3))
-    b02 = next(t for t in triplets
-               if t.truth_particle_id() == pids[1] and t.layer_span == (0, 2))
+    k02, k13 = truth_index(triplets, (0, 2)), truth_index(triplets, (1, 3))
+    pids = sorted(k02)
+    a02, a13, b02 = k02[pids[0]], k13[pids[0]], k02[pids[1]]
     # triplets of two separate particles neither chain nor conflict
-    assert pairs([a02, b02]) == []
-    assert assemble_qubo([a02, b02]).quadratic == {}
+    assert pairs(triplets[[a02, b02]]) == []
+    assert assemble_qubo(triplets[[a02, b02]]).quadratic == {}
     # conflicting: overlapping hits without chaining
     scen_event, scen_geo = two_nearby_particles_event()
     w = PreselectionWindow(dx_mean=0.17, dx_sigma=0.05)
@@ -102,8 +101,9 @@ def test_conflict_and_disjoint_cases(geometry):
     chained = {(min(p), max(p)) for p in pairs(ts)}
     conflicts = [pair for pair in q.quadratic if pair not in chained]
     assert chained and conflicts
+    hit_ids = ts.hit_ids().tolist()
     for i, j in ((i, j) for i in range(len(ts)) for j in range(i + 1, len(ts))):
-        shared = set(ts[i].hit_ids()) & set(ts[j].hit_ids())
+        shared = set(hit_ids[i]) & set(hit_ids[j])
         if (i, j) in chained:
             assert -1.0 <= q.quadratic[(i, j)] <= -0.9
         elif shared:
@@ -114,22 +114,22 @@ def test_conflict_and_disjoint_cases(geometry):
     n = len(ts)
     mirrored = {(n - 1 - j, n - 1 - i): b for (i, j), b in q.quadratic.items()}
     assert assemble_qubo(ts[::-1]).quadratic == mirrored
-    assert (assemble_qubo([a02, a13]).quadratic
-            == assemble_qubo([a13, a02]).quadratic)
+    assert (assemble_qubo(triplets[[a02, a13]]).quadratic
+            == assemble_qubo(triplets[[a13, a02]]).quadratic)
 
 
 @pytest.fixture(scope="module")
 def dense_triplets(geometry):
     sim = SimConfig(mean_multiplicity=150, rng_seed=2024)
     event = generate_event(sim, geometry, 0)
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     w = PreselectionWindow.from_calibration(mean, sigma)
     return build_triplets(build_doublets(event.hits, geometry, w), w)
 
 
 @pytest.mark.parametrize("copies", [1, 2])
 def test_chained_pairs_match_pairwise_oracle(dense_triplets, copies):
-    triplets = list(dense_triplets) * copies
+    triplets = dense_triplets[np.tile(np.arange(len(dense_triplets)), copies)]
     expected = chained_pairs_oracle(triplets)
     assert len(expected) > 50 * copies
     assert pairs(triplets) == expected
@@ -141,7 +141,7 @@ def test_truth_chain_spreads_one_per_four_layer_particle(geometry):
                     energy_spectrum=spectrum, ip_smear=(0, 0, 0),
                     emittance_angle_sigma=0.0, scattering=False, smear_hits=False)
     event = generate_event(sim, geometry, 0)
-    spreads = truth_chain_spreads(truth_triplets(event))
+    spreads = truth_chain_spreads(truth_triplets(truth_doublets(event)))
     assert len(spreads) == len(reconstructable_particles(event)) > 10
     assert max(spreads) < 1e-12
 
@@ -156,22 +156,23 @@ def test_assemble_single_triplet(geometry):
 
 def test_assemble_two_chained(geometry):
     _, triplets = clean_two_particle_triplets(geometry)
-    pid = triplets[0].truth_particle_id()
-    pair = [t for t in triplets if t.truth_particle_id() == pid]
-    q = assemble_qubo(pair)
+    pid, common = triplets.truth_particle_ids()
+    assert common[0]
+    q = assemble_qubo(triplets[np.flatnonzero(common & (pid == pid[0]))])
     assert q.n == 2 and len(q.quadratic) == 1
     b = next(iter(q.quadratic.values()))
     assert -1.0 <= b <= -0.9
 
 
-def test_assemble_empty_rejected():
+def test_assemble_empty_rejected(geometry):
+    _, triplets = clean_two_particle_triplets(geometry)
     with pytest.raises(ValueError, match="empty"):
-        assemble_qubo([])
+        assemble_qubo(triplets[:0])
 
 
 def test_assemble_seven_triplet_scenario():
     event, geometry = two_nearby_particles_event()
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
     assert len(triplets) == 7
@@ -295,8 +296,7 @@ def test_enumeration_selects_exactly_the_truth_triplets(geometry):
     event, triplets = clean_two_particle_triplets(geometry)
     q = assemble_qubo(triplets)
     best = solve_exact(q)
-    for t, bit in zip(triplets, best):
-        assert bool(bit) == (t.truth_particle_id() is not None)
+    assert np.array_equal(best.astype(bool), triplets.truth_particle_ids()[1])
     assert best.sum() == 4
 
 

@@ -45,12 +45,11 @@ def test_one_clean_particle_one_candidate(geometry):
 
 def test_disjoint_triplets_no_candidate(geometry):
     _, triplets = clean_triplets(geometry, n_particles=2)
-    by_pid = {}
-    for t in triplets:
-        by_pid.setdefault(t.truth_particle_id(), []).append(t)
-    pids = sorted(by_pid)
-    mixed = [by_pid[pids[0]][0], by_pid[pids[1]][1]]
-    assert triplets_to_candidates(mixed) == []
+    pid, common = triplets.truth_particle_ids()
+    assert common.all()
+    a, b = (np.flatnonzero(pid == p) for p in np.unique(pid))
+    assert len(triplets_to_candidates(triplets[a])) == 1
+    assert triplets_to_candidates(triplets[[a[0], b[1]]]) == []
 
 
 def test_seven_triplet_solution_two_candidates():
@@ -58,11 +57,11 @@ def test_seven_triplet_solution_two_candidates():
     from qubotrack.preselect import calibrate_dx_window, truth_doublets
     from qubotrack.qubo import assemble_qubo
     from qubotrack.solvers import solve_exact
-    mean, sigma = calibrate_dx_window(truth_doublets(event))
+    mean, sigma = calibrate_dx_window([truth_doublets(event)])
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
     best = solve_exact(assemble_qubo(triplets))
-    selected = [t for t, bit in zip(triplets, best) if bit]
+    selected = triplets[np.flatnonzero(best)]
     assert len(selected) == 4
     candidates = triplets_to_candidates(selected)
     assert len(candidates) == 2
@@ -70,7 +69,7 @@ def test_seven_triplet_solution_two_candidates():
 
 def test_duplicate_hit_sets_emitted_once(geometry):
     _, triplets = clean_triplets(geometry)
-    doubled = list(triplets) * 2
+    doubled = triplets[np.tile(np.arange(len(triplets)), 2)]
     assert len(triplets_to_candidates(doubled)) == 1
 
 
@@ -306,7 +305,7 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
         report = solve_iterative(assemble_qubo(triplets, scaling),
                                  _make_subsolver(desk_config),
                                  seed=desk_config.seed ^ event.event_id)
-        selected = [t for t, b in zip(triplets, report.best_assignment) if b]
+        selected = triplets[np.flatnonzero(report.best_assignment)]
         candidates = triplets_to_candidates(selected)
         fits = [fit_track(c, geometry) for c in candidates]
         if not candidates:
