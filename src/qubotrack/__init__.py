@@ -16,7 +16,7 @@ from .qubo import (IsingHamiltonian, Qubo, QuboScaling, assemble_qubo,
 from .solvers import (AnnealSchedule, SolveReport, solve_annealing, solve_exact,
                       solve_iterative)
 from .vqe import VqeConfig, VqeResult, nft_update, prepare_state, run_vqe
-from .trackbuild import (TrackCandidate, TrackFit, estimate_energy, fit_track,
+from .trackbuild import (TrackFits, estimate_energy, fit_track,
                          resolve_ambiguities, triplets_to_candidates)
 from .metrics import (MetricsReport, TrackRecord, binned_curves, build_report,
                       duplication_rate, efficiency, energy_resolution,

@@ -246,6 +246,12 @@ def _bin_edges(text: str) -> list[float]:
     return edges
 
 
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qubotrack",
                      description="toy 4-layer tracker reconstruction via "
@@ -272,8 +278,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--subqubo-size", dest="subqubo_size", type=int)
     p_rec.add_argument("--iterations", type=int)
     p_rec.add_argument("--shots", type=int)
-    p_rec.add_argument("--jobs", type=int, default=1,
-                       help="per-event worker processes (default 1)")
+    p_rec.add_argument("--jobs", type=_positive_int, default=1,
+                       help="per-event worker processes, at most one per event "
+                            "(default 1)")
     p_rec.add_argument("--dump-qubo", action="store_true",
                        help="also write per-event objective dumps")
     p_rec.add_argument("--debug-dump", action="store_true",

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import math
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -76,7 +77,8 @@ def write_particles_csv(path: Path, events: list[Event]) -> None:
                             *(fmt(v) for v in p.direction)])
 
 
-def _read_rows(path: Path, header: list[str]) -> list[dict]:
+def _read_rows(path: Path, header: list[str]) -> Iterator[dict]:
+    """The rows as dicts of ``header`` and ``_line``, read as they are parsed."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -85,15 +87,13 @@ def _read_rows(path: Path, header: list[str]) -> list[dict]:
             raise DataFormatError(f"{path}: empty file, expected header {header}")
         if found != header:
             raise DataFormatError(f"{path}: bad header {found}, expected {header}")
-        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            rows.append(dict(zip(header, row), _line=lineno))
-        return rows
+            yield dict(zip(header, row), _line=lineno)
 
 
 def read_events(hits_path: Path, particles_path: Path,

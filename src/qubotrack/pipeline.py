@@ -4,6 +4,7 @@ with its dumps, and the event loop (serial or in a process pool).
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -21,7 +22,7 @@ from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
                    truth_chain_spreads)
 from .solvers import (AnnealSchedule, SolveReport, exact_subsolver,
                       make_annealing_subsolver, solve_iterative)
-from .trackbuild import fit_track, resolve_ambiguities, triplets_to_candidates
+from .trackbuild import NDF, fit_track, resolve_ambiguities, triplets_to_candidates
 from .vqe import make_vqe_subsolver
 
 S_MAX_FALLBACK = 1e-3
@@ -125,18 +126,17 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
         max_iterations=config.iterations, seed=config.seed ^ eid)
     selected = triplets[np.flatnonzero(report.best_assignment)]
 
-    candidates = triplets_to_candidates(selected)
-    fits = [fit_track(c, geometry) for c in candidates]
-    keep = resolve_ambiguities(candidates, fits)
+    rows = triplets_to_candidates(selected)
+    hit_ids = selected.doublets.hit_ids[rows]
+    fits = fit_track(selected.doublets.positions[rows], geometry)
+    keep = resolve_ambiguities(hit_ids, fits.chi2_ndf)
     truth = truth_by_hit(event)
-    tracks = []
-    for track_id, idx in enumerate(keep):
-        c, f = candidates[idx], fits[idx]
-        tracks.append(TrackRecord(
-            event_id=eid, track_id=track_id,
-            hit_ids=c.hit_ids(), chi2=f.chi2, ndf=f.ndf,
-            energy=f.energy_estimate,
-            matched_particle_id=match_hits(c.hit_ids(), truth)))
+    tracks = [TrackRecord(event_id=eid, track_id=track_id, hit_ids=tuple(ids),
+                          chi2=chi2, ndf=NDF, energy=energy,
+                          matched_particle_id=match_hits(ids, truth))
+              for track_id, (ids, chi2, energy) in enumerate(zip(
+                  hit_ids[keep].tolist(), fits.chi2[keep].tolist(),
+                  fits.energy[keep].tolist()))]
     return EventResult(eid, tracks, report,
                        len(doublets), len(triplets))
 
@@ -144,18 +144,19 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
 def reconstruct_events(events: list[Event], config: RunConfig, jobs: int = 1,
                        dumps: EventDumps | None = None
                        ) -> tuple[list[EventResult], dict]:
-    """Calibrate once, then reconstruct every event (optionally in a
-    process pool), each writing its ``dumps``; results come back ordered
-    by event id regardless of the parallelism level."""
+    """Calibrate once, then reconstruct every event (in a process pool when
+    ``jobs`` > 1, which starts all its workers at once, so at most one per
+    event), each writing its ``dumps``; results come back ordered by event
+    id regardless of the parallelism level."""
     geometry = build_geometry(config.geometry)
     window, scaling, calib_info = calibrate(events, config)
     ordered = sorted(events, key=lambda e: e.event_id)
     shared = [repeat(v) for v in (geometry, window, scaling, config, dumps)]
-    if jobs <= 1:
+    workers = min(jobs, len(ordered))
+    if workers <= 1:
         results = list(map(reconstruct_event, ordered, *shared))
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(reconstruct_event, ordered, *shared))
     results.sort(key=lambda r: r.event_id)
     return results, calib_info

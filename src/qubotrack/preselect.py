@@ -7,12 +7,13 @@ doublets through a shared middle hit and must satisfy a cap on the angle
 difference delta_theta = sqrt(dtheta_xz^2 + dtheta_yz^2).
 
 Data layout: an event's doublets are one :class:`Doublets`, a struct of
-arrays over the event's hit tuple: inner and outer hit index (positions
-in ``hits``), theta_xz, theta_yz and dx/x0, one entry per doublet, layer
-by layer and then row-major over inner x outer hits in hit order. Its
-triplets are one :class:`Triplets`: first and second doublet index into
-that Doublets, and delta_theta, by first doublet and then by second
-doublet, both ascending. Hits are keyed on their ids (unique within an
+arrays over the event's hit tuple (whose ids and (hits, 3) positions it
+keeps as arrays): inner and outer hit index (positions in ``hits``),
+theta_xz, theta_yz and dx/x0, one entry per doublet, layer by layer and
+then row-major over inner x outer hits in hit order. Its triplets are
+one :class:`Triplets`: first and second doublet index into that
+Doublets, and delta_theta, by first doublet and then by second doublet,
+both ascending. Hits are keyed on their ids (unique within an
 event, as :func:`~qubotrack.io.read_events` enforces), doublets on their
 index. These containers are the only form that pre-selection, assembly,
 calibration, track building and the debug dumps accept; truth matching
@@ -84,9 +85,9 @@ class Doublets:
     """One event's doublets as aligned arrays; see the module docstring."""
 
     def __init__(self, hits: tuple[Hit, ...], hit_ids: np.ndarray,
-                 inner: np.ndarray, outer: np.ndarray, theta_xz: np.ndarray,
-                 theta_yz: np.ndarray, dx_over_x0: np.ndarray):
-        self.hits, self.hit_ids = hits, hit_ids
+                 positions: np.ndarray, inner: np.ndarray, outer: np.ndarray,
+                 theta_xz: np.ndarray, theta_yz: np.ndarray, dx_over_x0: np.ndarray):
+        self.hits, self.hit_ids, self.positions = hits, hit_ids, positions
         self.inner, self.outer = inner, outer
         self.theta_xz, self.theta_yz, self.dx_over_x0 = theta_xz, theta_yz, dx_over_x0
 
@@ -102,7 +103,7 @@ class Doublets:
         outer = np.asarray(outer, dtype=np.intp)
         d = pos[outer] - pos[inner]
         dx, dy, dz = d[:, 0].tolist(), d[:, 1].tolist(), d[:, 2].tolist()
-        return cls(hits, ids, inner, outer,
+        return cls(hits, ids, pos, inner, outer,
                    np.array(list(map(math.atan2, dx, dz)), dtype=float),
                    np.array(list(map(math.atan2, dy, dz)), dtype=float),
                    d[:, 0] / pos[inner, 0])

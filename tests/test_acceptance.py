@@ -289,10 +289,10 @@ def test_criterion_09_numerical_checks(geometry):
         nft_worst = max(nft_worst, abs((c0 + c1 * math.cos(theta - c2)) - (c0 - c1)))
     nft_ok = nft_worst < 1e-9
 
-    from qubotrack.trackbuild import TrackCandidate, fit_track
+    from qubotrack.trackbuild import fit_track
     sim = SimConfig(mean_multiplicity=100, rng_seed=99, poisson_multiplicity=False,
                     scattering=False, smear_hits=True)
-    values = []
+    positions = []
     for event_id in range(12):
         event = generate_event(sim, geometry, event_id)
         by_pid: dict = {}
@@ -300,10 +300,9 @@ def test_criterion_09_numerical_checks(geometry):
             by_pid.setdefault(h.truth_particle_id, []).append(h)
         for hits in by_pid.values():
             if len(hits) == 4:
-                ordered = tuple(sorted(hits, key=lambda h: h.layer))
-                values.append(fit_track(
-                    TrackCandidate(hits=ordered),
-                    geometry).chi2_ndf)
+                ordered = sorted(hits, key=lambda h: h.layer)
+                positions.append([h.position for h in ordered])
+    values = fit_track(np.array(positions, dtype=float), geometry).chi2_ndf
     chi2_mean = float(np.mean(values))
     chi2_ok = 0.7 <= chi2_mean <= 1.3 and len(values) >= 1000
     report("criterion 9 (numerical checks)",

@@ -107,9 +107,40 @@ def test_usage_errors_exit_one(tmp_path):
                  "--config", str(bad_cfg)]) == EXIT_USAGE
     assert main(["reconstruct", "--in", str(run), "--solver", "vqe",
                  "--shots", "-1"]) == EXIT_USAGE
+    for jobs in ("0", "-2", "two"):
+        assert main(["reconstruct", "--in", str(run), "--jobs", jobs]) == EXIT_USAGE, jobs
     for bins in ("3,1", "1,1", "2", "1,x"):
         assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m"),
                      "--energy-bins", bins]) == EXIT_USAGE, bins
+
+
+def test_jobs_capped_at_one_worker_per_event(tmp_path, monkeypatch):
+    """The pool is asked for no more workers than there are events; a stub
+    stands in for it, so no process is started."""
+    from qubotrack import pipeline
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(run),
+                 "--events", "3"]) == EXIT_OK
+    for jobs in ("5000", "2"):
+        assert main(["reconstruct", "--config", str(cfg), "--in", str(run),
+                     "--jobs", jobs]) == EXIT_OK
+    assert asked == [3, 2]
 
 
 def test_missing_and_malformed_inputs_exit_two(tmp_path):

@@ -11,7 +11,7 @@ from qubotrack.fastsim import (EnergySpectrum, LaserConfig, SimConfig,
                                consistent_critical_field, dipole_deflection,
                                generate_event, scattering_kick,
                                scattering_sigma, xi_to_multiplicity)
-from qubotrack.trackbuild import _line_fit
+from qubotrack.trackbuild import fit_track
 
 
 # -- laser intensity parameter ------------------------------------------------
@@ -161,11 +161,12 @@ def test_noiseless_particle_hits_are_collinear(geometry):
     for hits in by_pid.values():
         if len(hits) < 4:
             continue
-        z = np.array([h.position[2] for h in hits])
-        for coord in (0, 1):
-            v = np.array([h.position[coord] for h in hits])
-            intercept, slope = _line_fit(z, v)
-            assert np.abs(v - (intercept + slope * z)).max() < 1e-12
+        positions = np.array([[h.position for h in hits]], dtype=float)
+        fit = fit_track(positions, geometry)
+        z = positions[0, :, 2]
+        for coord, intercept, slope in ((0, fit.x0, fit.tx), (1, fit.y0, fit.ty)):
+            v = positions[0, :, coord]
+            assert np.abs(v - (intercept[0] + slope[0] * z)).max() < 1e-12
         checked += 1
     assert checked > 0
 

@@ -117,7 +117,8 @@ def dense_hit_sets(geometry):
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
     return {"triplets": triplets.hit_ids().tolist(),
-            "candidates": [c.hit_ids() for c in triplets_to_candidates(triplets)]}
+            "candidates": triplets.doublets.hit_ids[
+                triplets_to_candidates(triplets)].tolist()}
 
 
 @pytest.mark.parametrize("items", ["triplets", "candidates"])

@@ -8,9 +8,14 @@ change to doublet, triplet or variable order, or to the last bit of an
 angle or a coefficient, changes a hash. The calibration itself (dx/x0
 window and s_max) is held as ``float.hex`` strings, since a one-ulp change
 in the window need not move any doublet across its edge.
+
+The same events, reconstructed with the exact solver, pin the track
+building: the SHA-256 of each event's ``tracks.csv`` rows, with chi2 and
+energy written as ``float.hex`` so that a one-ulp change shows.
 """
 
 import hashlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -18,7 +23,7 @@ import pytest
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
 from qubotrack.io import write_doublet_debug_csv, write_triplet_debug_csv
-from qubotrack.pipeline import calibrate, simulate_events
+from qubotrack.pipeline import calibrate, reconstruct_event, simulate_events
 from qubotrack.preselect import build_doublets, build_triplets
 from qubotrack.qubo import assemble_qubo
 
@@ -131,17 +136,51 @@ CALIBRATION_GOLDEN = {
           "s_max": "0x1.4532dc593eaffp-11"},
 }
 
+TRACKS_GOLDEN = {
+    10: [
+        "20c689e3c79822665dc59bbe33472baefdf5bdd4f99f0ccd0eb63f00b356df5d",
+        "fbd5a73e6054345fcb2f63f6523bc15d71117d030ac2854d25b184b86e7a8eb6",
+        "3b85a13826812141aa7e4e2c3fd78c63c9f798ac33238bf40aed429f82214775",
+    ],
+    100: [
+        "46918b93163f404b33e9b8ea9c764718c5706a46ba5d3e082d28463d93502614",
+        "a35d266f1f61af18df18bf6c026596a097652ae910f22df02173d2b0df523b20",
+        "4d4a0c716ef5aca4beda3efec4773988641afa2859984e2c9a8b942824278a2e",
+    ],
+    200: [
+        "844ec4a160c203eae8bf4b82dce9119c8fb151d819cb316bd0525c280d2d4eeb",
+        "e750ea2116153758216fecdfa7f3f3f80c725e104d1267a0f991593a2e2cdf6a",
+        "148bbb0bdeb18e872eb9220c07caf18c0eba450fbaf9a07ce27fabd6c617f3f0",
+    ],
+}
+
 
 def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+@cache
 def calibrated(multiplicity: int):
     d = RunConfig().with_seed(2024).to_dict()
     d["sim"]["mean_multiplicity"] = float(multiplicity)
     config = RunConfig.from_dict(d)
     events = simulate_events(config, 3)
     return config, events, calibrate(events, config)
+
+
+def track_hashes(multiplicity: int) -> list[str]:
+    config, events, (window, scaling, _) = calibrated(multiplicity)
+    assert config.solver == "exact"
+    geometry = build_geometry(config.geometry)
+    out = []
+    for event in events:
+        result = reconstruct_event(event, geometry, window, scaling, config)
+        rows = [f"{t.event_id},{t.track_id},{';'.join(map(str, t.hit_ids))},"
+                f"{float(t.chi2).hex()},{t.ndf},{float(t.energy).hex()},"
+                f"{'' if t.matched_particle_id is None else t.matched_particle_id}"
+                for t in result.tracks]
+        out.append(sha("\n".join(rows).encode()))
+    return out
 
 
 def event_hashes(multiplicity: int, tmp_path) -> list[dict[str, str]]:
@@ -178,3 +217,8 @@ def test_calibration_matches_golden_values(multiplicity):
     assert info["dx_source"] == info["s_max_source"] == "truth-calibrated"
     assert ({k: info[k].hex() for k in CALIBRATION_GOLDEN[multiplicity]}
             == CALIBRATION_GOLDEN[multiplicity])
+
+
+@pytest.mark.parametrize("multiplicity", sorted(TRACKS_GOLDEN))
+def test_tracks_match_golden_hashes(multiplicity):
+    assert track_hashes(multiplicity) == TRACKS_GOLDEN[multiplicity]

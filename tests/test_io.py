@@ -52,6 +52,14 @@ def test_malformed_row_names_file_and_line(tmp_path):
                     "0,0,0,bogus,0,1.0,,\n")
     with pytest.raises(DataFormatError, match=r"hits\.csv:2"):
         read_events(path, path_particles(tmp_path))
+    # rows are parsed as they are read; a short row still names its line
+    path.write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
+                    "0,0,0,0.03,0,1.0,,\n\n0,1,1,0.036,0,1.1,\n")
+    with pytest.raises(DataFormatError, match=r"hits\.csv:4: expected 8 fields, got 7"):
+        read_events(path, path_particles(tmp_path))
+    path.write_text("")
+    with pytest.raises(DataFormatError, match=r"hits\.csv: empty file"):
+        read_events(path, path_particles(tmp_path))
 
 
 def test_duplicate_hit_id_names_file_line_and_key(tmp_path):

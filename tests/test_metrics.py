@@ -114,8 +114,8 @@ def test_resolution_grows_with_hit_resolution():
         sim = SimConfig(mean_multiplicity=150, rng_seed=31,
                         poisson_multiplicity=False)
         events = [generate_event(sim, geometry, i) for i in range(4)]
-        from qubotrack.trackbuild import TrackCandidate, fit_track
-        rel = []
+        from qubotrack.trackbuild import fit_track
+        positions, truth = [], []
         for e in events:
             by_pid = {}
             for h in e.hits:
@@ -123,11 +123,11 @@ def test_resolution_grows_with_hit_resolution():
             for pid, hits in by_pid.items():
                 if len(hits) != 4:
                     continue
-                ordered = tuple(sorted(hits, key=lambda h: h.layer))
-                fit = fit_track(TrackCandidate(hits=ordered),
-                                geometry)
-                truth = e.particle_by_id(pid).energy
-                rel.append((fit.energy_estimate - truth) / truth)
+                ordered = sorted(hits, key=lambda h: h.layer)
+                positions.append([h.position for h in ordered])
+                truth.append(e.particle_by_id(pid).energy)
+        fit = fit_track(np.array(positions, dtype=float), geometry)
+        rel = (fit.energy - np.array(truth)) / np.array(truth)
         values.append(math.sqrt(np.mean(np.square(rel))))
     assert values[0] < values[1] < values[2]
 

@@ -8,8 +8,7 @@ from qubotrack.geometry import Event, Hit, TruthParticle
 from qubotrack.metrics import match_hits, truth_by_hit
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
 from qubotrack.scenarios import two_nearby_particles_event
-from qubotrack.trackbuild import (FitError, TrackCandidate, TrackFit,
-                                  estimate_energy, fit_track,
+from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
                                   resolve_ambiguities, triplets_to_candidates)
 
 
@@ -20,6 +19,27 @@ def quad_hits(xs, ys=None, hid0=0, pid=None):
             truth_particle_id=pid)
         for k in range(4)
     )
+
+
+def positions_of(*candidates):
+    """(candidates, 4, 3) positions of 4-hit tuples."""
+    return np.array([[h.position for h in hits] for hits in candidates],
+                    dtype=float).reshape(-1, 4, 3)
+
+
+def ids_of(*candidates):
+    """(candidates, 4) hit ids of 4-hit tuples."""
+    return np.array([[h.hit_id for h in hits] for hits in candidates],
+                    dtype=np.int64).reshape(-1, 4)
+
+
+def truth_tracks(event):
+    """Layer-ordered hits of every particle with a hit on each layer."""
+    by_pid = {}
+    for h in event.hits:
+        by_pid.setdefault(h.truth_particle_id, []).append(h)
+    return {pid: tuple(sorted(hits, key=lambda h: h.layer))
+            for pid, hits in by_pid.items() if len(hits) == 4}
 
 
 def clean_triplets(geometry, n_particles=1, seed=4, energies=(4.0, 9.0)):
@@ -39,8 +59,8 @@ def test_one_clean_particle_one_candidate(geometry):
     _, triplets = clean_triplets(geometry)
     assert len(triplets) == 2
     candidates = triplets_to_candidates(triplets)
-    assert len(candidates) == 1
-    assert tuple(h.layer for h in candidates[0].hits) == (0, 1, 2, 3)
+    assert candidates.shape == (1, 4)
+    assert [triplets.doublets.hits[k].layer for k in candidates[0]] == [0, 1, 2, 3]
 
 
 def test_disjoint_triplets_no_candidate(geometry):
@@ -49,7 +69,7 @@ def test_disjoint_triplets_no_candidate(geometry):
     assert common.all()
     a, b = (np.flatnonzero(pid == p) for p in np.unique(pid))
     assert len(triplets_to_candidates(triplets[a])) == 1
-    assert triplets_to_candidates(triplets[[a[0], b[1]]]) == []
+    assert triplets_to_candidates(triplets[[a[0], b[1]]]).shape == (0, 4)
 
 
 def test_seven_triplet_solution_two_candidates():
@@ -73,35 +93,86 @@ def test_duplicate_hit_sets_emitted_once(geometry):
     assert len(triplets_to_candidates(doubled)) == 1
 
 
-def test_candidate_layer_invariant():
-    hits = quad_hits([0.03, 0.036, 0.042, 0.048])
-    bad = (hits[0], hits[0], hits[2], hits[3])
-    with pytest.raises(ValueError, match="one hit per layer"):
-        TrackCandidate(hits=bad)
+@pytest.fixture(scope="module")
+def desk_triplets(geometry, desk_events, desk_config):
+    """Every desk event's triplets, before any selection."""
+    from qubotrack.pipeline import calibrate
+    window, _, _ = calibrate(desk_events, desk_config)
+    return [build_triplets(build_doublets(event.hits, geometry, window), window)
+            for event in desk_events]
+
+
+def test_candidate_layer_invariant(desk_triplets):
+    """Every candidate row holds the hit on layer k in column k, for all
+    triplets of every desk event chained into candidates."""
+    n_rows = 0
+    for triplets in desk_triplets:
+        rows = triplets_to_candidates(triplets)
+        layers = np.array([h.layer for h in triplets.doublets.hits], dtype=np.int64)
+        assert (layers[rows] == np.arange(4)).all()
+        n_rows += len(rows)
+    assert n_rows > 1000
+
+
+def test_candidates_keep_first_chained_pair_of_each_hit_set(desk_triplets):
+    """Same rows, in the same order, as walking the chained pairs and
+    skipping a hit set already seen, with triplets shuffled and repeated."""
+    from qubotrack.qubo import chained_pairs
+    rng = np.random.default_rng(11)
+    for all_triplets in desk_triplets:
+        n = len(all_triplets)
+        triplets = all_triplets[rng.permutation(np.r_[np.arange(n),
+                                                      rng.integers(0, n, n // 2)])]
+        index = triplets.hit_index().tolist()
+        seen, expected = set(), []
+        for a, b in zip(*(c.tolist() for c in chained_pairs(triplets.first,
+                                                              triplets.second))):
+            row = (*index[a], index[b][2])
+            if row not in seen:
+                seen.add(row)
+                expected.append(row)
+        assert triplets_to_candidates(triplets).tolist() == [list(r) for r in expected]
 
 
 # -- fitting ---------------------------------------------------------------------
 
 def fake_candidate(xs, ys=None):
-    hits = quad_hits(xs, ys)
-    return TrackCandidate(hits=hits)
+    return positions_of(quad_hits(xs, ys))
 
 
 def test_collinear_fit_zero_chi2(geometry):
-    c = fake_candidate([0.03, 0.036, 0.042, 0.048])
-    fit = fit_track(c, geometry)
-    assert fit.chi2 < 1e-10
-    assert fit.ndf == 4
-    assert fit.tx == pytest.approx(0.06, rel=1e-12)
-    assert fit.x0 == pytest.approx(-0.03, rel=1e-9)  # crosses zero at z = 0.5
+    fit = fit_track(fake_candidate([0.03, 0.036, 0.042, 0.048]), geometry)
+    assert fit.chi2[0] < 1e-10
+    assert NDF == 4
+    assert fit.tx[0] == pytest.approx(0.06, rel=1e-12)
+    assert fit.x0[0] == pytest.approx(-0.03, rel=1e-9)  # crosses zero at z = 0.5
+
+
+def test_same_z_hits_raise_fit_error(geometry):
+    flat = fake_candidate([0.03, 0.036, 0.042, 0.048])
+    flat[:, :, 2] = 1.0
+    with pytest.raises(FitError, match="same z"):
+        fit_track(np.concatenate([fake_candidate([0.03, 0.036, 0.042, 0.048]), flat]),
+                  geometry)
+
+
+def test_batch_fit_equals_row_by_row_fits(geometry):
+    """A row's fit does not depend on the other rows, to the last bit."""
+    sim = SimConfig(mean_multiplicity=50, rng_seed=5, poisson_multiplicity=False)
+    positions = positions_of(*truth_tracks(generate_event(sim, geometry, 0)).values())
+    assert len(positions) >= 20
+    batch = fit_track(positions, geometry)
+    rows = [fit_track(positions[k:k + 1], geometry) for k in range(len(positions))]
+    for name in ("x0", "y0", "tx", "ty", "chi2", "energy"):
+        assert (np.concatenate([getattr(f, name) for f in rows]).tobytes()
+                == getattr(batch, name).tobytes())
 
 
 def test_displaced_hit_chi2_matches_lstsq_oracle(geometry):
     delta = 25e-6
     xs = [0.03, 0.036, 0.042, 0.048 + delta]
     ys = [0.0, 1e-5, 2e-5, 3e-5]
-    c = fake_candidate(xs, ys)
-    fit = fit_track(c, geometry)
+    fit = fit_track(fake_candidate(xs, ys), geometry)
 
     z = np.array([1.0, 1.1, 1.2, 1.3])
     a = np.vstack([np.ones(4), z]).T
@@ -109,25 +180,15 @@ def test_displaced_hit_chi2_matches_lstsq_oracle(geometry):
     for v in (np.array(xs), np.array(ys)):
         coeffs, residual, *_ = np.linalg.lstsq(a, v, rcond=None)
         chi2 += float(residual[0]) / geometry.hit_resolution ** 2
-    assert fit.chi2 == pytest.approx(chi2, abs=1e-9 * chi2)
+    assert fit.chi2[0] == pytest.approx(chi2, abs=1e-9 * chi2)
 
 
 def test_chi2_distribution_on_smeared_scattering_free_tracks(geometry):
     sim = SimConfig(mean_multiplicity=100, rng_seed=13, poisson_multiplicity=False,
                     scattering=False, smear_hits=True)
-    values = []
-    for event_id in range(12):
-        event = generate_event(sim, geometry, event_id)
-        by_pid = {}
-        for h in event.hits:
-            by_pid.setdefault(h.truth_particle_id, []).append(h)
-        for hits in by_pid.values():
-            if len(hits) != 4:
-                continue
-            ordered = tuple(sorted(hits, key=lambda h: h.layer))
-            fit = fit_track(TrackCandidate(hits=ordered),
-                            geometry)
-            values.append(fit.chi2_ndf)
+    tracks = [hits for event_id in range(12)
+              for hits in truth_tracks(generate_event(sim, geometry, event_id)).values()]
+    values = fit_track(positions_of(*tracks), geometry).chi2_ndf
     assert len(values) >= 1000
     mean = float(np.mean(values))
     assert 0.7 <= mean <= 1.3
@@ -142,20 +203,19 @@ def test_energy_inversion_exact_on_noiseless_track(geometry):
                     emittance_angle_sigma=0.0, scattering=False, smear_hits=False)
     event = generate_event(sim, geometry, 0)
     ordered = tuple(sorted(event.hits, key=lambda h: h.layer))
-    fit = fit_track(TrackCandidate(hits=ordered),
-                    geometry)
-    assert fit.energy_estimate == pytest.approx(10.0, rel=1e-6)
+    fit = fit_track(positions_of(ordered), geometry)
+    assert fit.energy[0] == pytest.approx(10.0, rel=1e-6)
 
 
 def test_energy_error_for_flat_track(geometry):
-    fit = TrackFit(x0=0.0, y0=0.0, tx=0.0, ty=0.0, chi2=0.0, ndf=4,
-                   energy_estimate=math.nan)
     with pytest.raises(FitError):
-        estimate_energy(fit, geometry)
-    backwards = TrackFit(x0=0.0, y0=0.0, tx=-0.05, ty=0.0, chi2=0.0, ndf=4,
-                         energy_estimate=math.nan)
+        estimate_energy(0.0, geometry)
     with pytest.raises(FitError):
-        estimate_energy(backwards, geometry)
+        estimate_energy(-0.05, geometry)
+    # the fit reports both as NaN energies
+    fit = fit_track(fake_candidate([0.03, 0.03, 0.03, 0.03])[[0, 0]], geometry)
+    backwards = fit_track(fake_candidate([0.048, 0.042, 0.036, 0.03]), geometry)
+    assert np.isnan(fit.energy).all() and np.isnan(backwards.energy).all()
 
 
 def test_energy_resolution_on_smeared_tracks(geometry):
@@ -163,17 +223,10 @@ def test_energy_resolution_on_smeared_tracks(geometry):
     rel = []
     for event_id in range(12):
         event = generate_event(sim, geometry, event_id)
-        by_pid = {}
-        for h in event.hits:
-            by_pid.setdefault(h.truth_particle_id, []).append(h)
-        for pid, hits in by_pid.items():
-            if len(hits) != 4:
-                continue
-            ordered = tuple(sorted(hits, key=lambda h: h.layer))
-            fit = fit_track(TrackCandidate(hits=ordered),
-                            geometry)
-            truth = event.particle_by_id(pid).energy
-            rel.append((fit.energy_estimate - truth) / truth)
+        tracks = truth_tracks(event)
+        fit = fit_track(positions_of(*tracks.values()), geometry)
+        truth = np.array([event.particle_by_id(pid).energy for pid in tracks])
+        rel.extend(((fit.energy - truth) / truth).tolist())
     assert len(rel) >= 1000
     rms = math.sqrt(np.mean(np.square(rel)))
     assert rms <= 0.01
@@ -191,16 +244,14 @@ def make_event(hits, n_particles=3):
 def test_match_all_four_hits():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=1)
     event = make_event(hits)
-    c = TrackCandidate(hits=hits)
-    assert match_hits(c.hit_ids(), truth_by_hit(event)) == 1
+    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) == 1
 
 
 def test_match_three_of_four():
     hits = list(quad_hits([0.03, 0.036, 0.042, 0.048], pid=1))
     hits[3] = Hit(hit_id=3, layer=3, position=hits[3].position, truth_particle_id=2)
     event = make_event(hits)
-    c = TrackCandidate(hits=tuple(hits))
-    assert match_hits(c.hit_ids(), truth_by_hit(event)) == 1
+    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) == 1
 
 
 def test_two_two_split_is_fake():
@@ -209,29 +260,26 @@ def test_two_two_split_is_fake():
         hits[k] = Hit(hit_id=k, layer=k, position=hits[k].position,
                       truth_particle_id=2)
     event = make_event(hits)
-    c = TrackCandidate(hits=tuple(hits))
-    assert match_hits(c.hit_ids(), truth_by_hit(event)) is None
+    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) is None
 
 
 def test_noise_hits_do_not_match():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=None)
     event = make_event(hits)
-    c = TrackCandidate(hits=hits)
-    assert match_hits(c.hit_ids(), truth_by_hit(event)) is None
+    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) is None
 
 
 # -- ambiguity resolution --------------------------------------------------------------
 
-def fit_with(chi2):
-    return TrackFit(x0=0, y0=0, tx=0.05, ty=0, chi2=chi2, ndf=4,
-                    energy_estimate=5.0)
+def chi2_ndf(*chi2):
+    """chi2/ndf of fits with these chi2 values."""
+    return np.array(chi2, dtype=float) / NDF
 
 
 def test_disjoint_candidates_both_kept():
-    c1 = fake_candidate([0.03, 0.036, 0.042, 0.048])
-    c2_hits = quad_hits([0.05, 0.06, 0.07, 0.08], hid0=10)
-    c2 = TrackCandidate(hits=c2_hits)
-    keep = resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(2.0)])
+    c1 = quad_hits([0.03, 0.036, 0.042, 0.048])
+    c2 = quad_hits([0.05, 0.06, 0.07, 0.08], hid0=10)
+    keep = resolve_ambiguities(ids_of(c1, c2), chi2_ndf(1.0, 2.0))
     assert keep == [0, 1]
 
 
@@ -240,10 +288,9 @@ def test_two_hit_overlap_keeps_better_chi2():
     other = (base[0], base[1],
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base)
-    c2 = TrackCandidate(hits=other)
-    assert resolve_ambiguities([c1, c2], [fit_with(0.5 * 4), fit_with(3.0 * 4)]) == [0]
-    assert resolve_ambiguities([c1, c2], [fit_with(3.0 * 4), fit_with(0.5 * 4)]) == [1]
+    rows = ids_of(base, other)
+    assert resolve_ambiguities(rows, chi2_ndf(0.5 * 4, 3.0 * 4)) == [0]
+    assert resolve_ambiguities(rows, chi2_ndf(3.0 * 4, 0.5 * 4)) == [1]
 
 
 def test_equal_chi2_keeps_lower_index():
@@ -251,9 +298,7 @@ def test_equal_chi2_keeps_lower_index():
     other = (base[0], base[1],
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base)
-    c2 = TrackCandidate(hits=other)
-    assert resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(1.0)]) == [0]
+    assert resolve_ambiguities(ids_of(base, other), chi2_ndf(1.0, 1.0)) == [0]
 
 
 def test_single_hit_overlap_not_a_conflict():
@@ -262,9 +307,7 @@ def test_single_hit_overlap_not_a_conflict():
              Hit(hit_id=11, layer=1, position=(0.037, 0, 1.1)),
              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c1 = TrackCandidate(hits=base)
-    c2 = TrackCandidate(hits=other)
-    assert resolve_ambiguities([c1, c2], [fit_with(1.0), fit_with(9.0)]) == [0, 1]
+    assert resolve_ambiguities(ids_of(base, other), chi2_ndf(1.0, 9.0)) == [0, 1]
 
 
 def test_pivot_comparison_batch_rejects_all_worse_partners():
@@ -278,10 +321,7 @@ def test_pivot_comparison_batch_rejects_all_worse_partners():
     c_hits = (Hit(hit_id=20, layer=0, position=(0.031, 0, 1.0)),
               Hit(hit_id=21, layer=1, position=(0.037, 0, 1.1)),
               a_hits[2], a_hits[3])
-    cands = [TrackCandidate(hits=h)
-             for h in (a_hits, b_hits, c_hits)]
-    fits = [fit_with(2.0), fit_with(1.0), fit_with(3.0)]
-    keep = resolve_ambiguities(cands, fits)
+    keep = resolve_ambiguities(ids_of(a_hits, b_hits, c_hits), chi2_ndf(2.0, 1.0, 3.0))
     assert keep == [1]
 
 
@@ -306,19 +346,20 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
                                  _make_subsolver(desk_config),
                                  seed=desk_config.seed ^ event.event_id)
         selected = triplets[np.flatnonzero(report.best_assignment)]
-        candidates = triplets_to_candidates(selected)
-        fits = [fit_track(c, geometry) for c in candidates]
-        if not candidates:
+        rows = triplets_to_candidates(selected)
+        if not len(rows):
             continue
+        hit_ids = selected.doublets.hit_ids[rows]
+        quality = fit_track(selected.doublets.positions[rows], geometry).chi2_ndf
         truth = truth_by_hit(event)
-        matched = [match_hits(c.hit_ids(), truth) is not None for c in candidates]
-        matched_chi2 = [f.chi2_ndf for f, m in zip(fits, matched) if m]
+        matched = [match_hits(ids, truth) is not None for ids in hit_ids.tolist()]
+        matched_chi2 = [q for q, m in zip(quality.tolist(), matched) if m]
         if not matched_chi2:
             continue
         median = float(np.median(matched_chi2))
-        keep = set(resolve_ambiguities(candidates, fits))
-        for i, (f, m) in enumerate(zip(fits, matched)):
-            if f.chi2_ndf >= median:
+        keep = set(resolve_ambiguities(hit_ids, quality))
+        for i, (q, m) in enumerate(zip(quality.tolist(), matched)):
+            if q >= median:
                 continue
             before_all += 1
             before_fake += not m
@@ -336,23 +377,24 @@ def test_post_resolution_no_pair_shares_two_hits(geometry):
     layers_z = [1.0, 1.1, 1.2, 1.3]
     pool = [[Hit(hit_id=100 * l + i, layer=l, position=(0.03 + 0.002 * i, 0, layers_z[l]))
              for i in range(4)] for l in range(4)]
-    candidates, fits = [], []
+    candidates, chi2 = [], []
     for _ in range(30):
-        hits = tuple(pool[l][rng.integers(0, 4)] for l in range(4))
-        candidates.append(TrackCandidate(hits=hits))
-        fits.append(fit_with(float(rng.uniform(0.1, 10.0))))
-    keep = resolve_ambiguities(candidates, fits)
+        candidates.append(tuple(pool[l][rng.integers(0, 4)] for l in range(4)))
+        chi2.append(float(rng.uniform(0.1, 10.0)))
+    rows = ids_of(*candidates)
+    keep = resolve_ambiguities(rows, chi2_ndf(*chi2))
     for i, a in enumerate(keep):
         for b in keep[i + 1:]:
-            shared = set(candidates[a].hit_ids()) & set(candidates[b].hit_ids())
+            shared = set(rows[a].tolist()) & set(rows[b].tolist())
             assert len(shared) <= 1
 
 
-def resolve_ambiguities_oracle(candidates, fits):
+def resolve_ambiguities_oracle(hit_ids, quality):
     """The all-pairs resolution: every pairwise hit-set intersection of the
     live candidates is recomputed at each pivot."""
-    hit_sets = [set(c.hit_ids()) for c in candidates]
-    alive = set(range(len(candidates)))
+    hit_sets = [set(row) for row in hit_ids.tolist()]
+    quality = quality.tolist()
+    alive = set(range(len(hit_sets)))
 
     def shared(i, j):
         return len(hit_sets[i] & hit_sets[j])
@@ -370,10 +412,10 @@ def resolve_ambiguities_oracle(candidates, fits):
             for i in in_conflict
         }
         pivot = min(in_conflict, key=lambda i: (-totals[i], i))
-        pivot_key = (fits[pivot].chi2_ndf, pivot)
+        pivot_key = (quality[pivot], pivot)
         reject_pivot = False
         for partner in conflicts[pivot]:
-            if (fits[partner].chi2_ndf, partner) > pivot_key:
+            if (quality[partner], partner) > pivot_key:
                 alive.discard(partner)
             else:
                 reject_pivot = True
@@ -391,11 +433,10 @@ def test_resolution_matches_all_pairs_oracle(seed):
                  position=(0.03 + 0.002 * i, 0, layers_z[l]))
              for i in range(width)] for l in range(4)]
     n = int(rng.integers(30, 201))
-    candidates = [TrackCandidate(hits=tuple(pool[l][rng.integers(0, width)]
-                                            for l in range(4)))
-                  for _ in range(n)]
+    rows = ids_of(*(tuple(pool[l][rng.integers(0, width)] for l in range(4))
+                    for _ in range(n)))
     # few distinct chi2 values, so the index tie-break decides many pairs
-    fits = [fit_with(float(rng.integers(1, 5))) for _ in range(n)]
-    keep = resolve_ambiguities(candidates, fits)
-    assert keep == resolve_ambiguities_oracle(candidates, fits)
+    quality = chi2_ndf(*(float(rng.integers(1, 5)) for _ in range(n)))
+    keep = resolve_ambiguities(rows, quality)
+    assert keep == resolve_ambiguities_oracle(rows, quality)
     assert 0 < len(keep) < n
