@@ -90,16 +90,22 @@ class Qubo:
         bad = np.flatnonzero((i < 0) | (i >= j) | (j >= n))
         if bad.size:
             raise ValueError(f"bad coefficient index pair ({i[bad[0]]}, {j[bad[0]]})")
-        rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
-        order = np.lexsort((cols, rows))
-        rows, self.indices = rows[order], cols[order]
-        # a repeated pair leaves equal neighbours; the smallest later position,
-        # an upper-triangle entry's input index, names its first repeat
-        repeats = np.flatnonzero((rows[1:] == rows[:-1])
-                                 & (self.indices[1:] == self.indices[:-1]))
-        if repeats.size:
-            p = order[repeats + 1].min()
-            raise ValueError(f"coefficient pair ({i[p]}, {j[p]}) listed twice")
+        key = i * n + j  # ascending exactly when the pairs are in (i, j) order
+        if np.any(key[1:] <= key[:-1]):
+            pairs = np.argsort(key, kind="stable")
+            i, j, b, key = i[pairs], j[pairs], b[pairs], key[pairs]
+            # a repeated pair leaves equal neighbours; the smallest later
+            # input position names its first repeat
+            repeats = np.flatnonzero(key[1:] == key[:-1])
+            if repeats.size:
+                r = repeats[np.argmin(pairs[repeats + 1])]
+                raise ValueError(f"coefficient pair ({i[r]}, {j[r]}) listed twice")
+        # with the pairs in ascending (i, j) order, a stable sort on the row
+        # puts each row's lower-triangle entries first, then its upper ones,
+        # columns ascending in both
+        rows = np.concatenate([j, i])
+        order = np.argsort(rows, kind="stable")
+        self.indices = np.concatenate([i, j])[order]
         self.indptr = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.data = np.concatenate([b, b])[order]

@@ -25,6 +25,18 @@ current bits. Every sum runs in the order the sparse objective sums it,
 so the loop's values are bit for bit those of per-group sparse
 sub-problems.
 
+Exact sub-problems are not enumerated one call per group. Once per
+iteration the groups of k <= 12 variables are enumerated together, a
+chunk of 2^12 states (2^(12 - k) groups) at a time when the walk reaches
+it, by stacked products that compute each group's slice as a single
+enumeration computes it. A group keeps its batched answer, and is passed
+over at once when that answer is its current bits, until an accepted
+flip reaches one of its outside couplings; such a stale group re-reads
+its boundary and re-scores its states against its block's quadratic
+energies, which no flip changes. The short last group and k > 12 are
+enumerated one at a time, and the annealing and VQE sub-solvers are
+called once per group.
+
 Simulated annealing (:func:`solve_annealing`) is one single-flip
 Metropolis loop for every problem size, whole objective or 7-variable
 sub-problem alike. It returns the bits a per-flip NumPy loop returns
@@ -50,6 +62,7 @@ from .qubo import Assignment, Qubo, impacts, objective
 
 EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
+_BATCH_BITS = 12  # a batched chunk of exact sub-solves scores 2^12 states
 _REPLAY_PROPOSALS = 2 ** 16
 
 # sub-solver contract: (linear a, symmetric k x k block B with zero diagonal,
@@ -122,7 +135,11 @@ def _impact_groups(qubo: Qubo, bits: Assignment, k: int) -> list[np.ndarray]:
     if k < 1:
         raise ValueError("sub-problem size k must be >= 1")
     order = np.argsort(-np.abs(impacts(qubo, bits)), kind="stable")
-    return [np.sort(order[start:start + k]) for start in range(0, qubo.n, k)]
+    full = qubo.n - qubo.n % k
+    groups = list(np.sort(order[:full].reshape(-1, k), axis=1))
+    if full < qubo.n:
+        groups.append(np.sort(order[full:]))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -131,6 +148,8 @@ class _GroupSplit:
 
     linear: np.ndarray
     groups: list[np.ndarray]
+    order: np.ndarray    # the groups' variables, group after group
+    group_of: np.ndarray  # a variable's group
     blocks: np.ndarray   # (groups, k, k): couplings inside a group, by position
     bounds: list[int]    # group g's outside entries are [bounds[g], bounds[g + 1])
     rows: np.ndarray     # an outside entry's position in its group
@@ -164,7 +183,7 @@ def _split_groups(qubo: Qubo, groups: list[np.ndarray], k: int) -> _GroupSplit:
     outside = ~inside
     bounds = np.zeros(len(groups) + 1, dtype=np.intp)
     np.cumsum(np.bincount(group[outside], minlength=len(groups)), out=bounds[1:])
-    return _GroupSplit(qubo.linear, groups, blocks, bounds.tolist(),
+    return _GroupSplit(qubo.linear, groups, order, group_of, blocks, bounds.tolist(),
                        pos_of[rows[outside]], cols[outside], vals[outside])
 
 
@@ -199,6 +218,74 @@ def _block_objective(a: np.ndarray, block: np.ndarray, bits: Assignment) -> floa
     return float(a @ t + 0.5 * t @ field)
 
 
+class _ExactBatch:
+    """Exact sub-solves of one iteration's full groups, enumerated together.
+
+    Covers the groups of exactly k <= ``_BATCH_BITS`` variables; the short
+    last group is left to :func:`solve_exact`. When the walk reaches a
+    chunk of 2^(``_BATCH_BITS`` - k) groups (2^``_BATCH_BITS`` states in
+    all, so memory does not grow with n), their boundaries are summed by
+    one bincount (each bin in CSR order, as :func:`_restrict` sums it) and
+    all 2^k states of every group are scored by stacked products that
+    compute each group's slice as :func:`solve_exact` computes it. A group
+    whose outside couplings reach a variable flipped since then is stale:
+    it re-reads its boundary with :func:`_restrict` and re-scores against
+    its block's quadratic energies, which no flip changes. So every answer
+    is :func:`solve_exact`'s on the running bits, bit for bit.
+    """
+
+    def __init__(self, split: _GroupSplit, k: int):
+        self.split, self.k = split, k
+        self.covered = len(split.order) // k  # the full groups come first
+        self.per_chunk = 2 ** (_BATCH_BITS - k)
+        self.table = _state_table(k)
+        self.stale: set[int] = set()  # groups to re-score in this chunk
+        self.start = self.stop = 0
+
+    def _enumerate(self, bits: Assignment) -> None:
+        """Score every state of the next chunk's groups at ``bits``."""
+        split, k, table = self.split, self.k, self.table
+        start = self.start = self.stop
+        stop = self.stop = min(start + self.per_chunk, self.covered)
+        members = split.order[start * k:stop * k].reshape(-1, k)
+        lo, hi = split.bounds[start], split.bounds[stop]
+        keys = split.rows[lo:hi] + np.repeat(
+            np.arange(0, (stop - start) * k, k), np.diff(split.bounds[start:stop + 1]))
+        boundary = np.bincount(keys, weights=split.vals[lo:hi] * bits[split.cols[lo:hi]],
+                               minlength=(stop - start) * k)
+        self.linear = split.linear[members] + boundary.reshape(-1, k)
+        self.half_quad = 0.5 * np.einsum("gsi,si->gs",
+                                         np.matmul(table, split.blocks[start:stop]), table)
+        energies = np.matmul(table, self.linear[:, :, None])[:, :, 0] + self.half_quad
+        self.best = energies.argmin(axis=1).tolist()
+        self.old = (bits[members] @ (1 << np.arange(k))).tolist()  # state indices
+        self.stale.clear()
+
+    def move(self, g: int, bits: Assignment):
+        """``(a, B, old, new)`` of covered group g at the running ``bits``,
+        or None when its exact sub-solve keeps its bits."""
+        if g >= self.stop:
+            self._enumerate(bits)
+        i = g - self.start
+        old, new = self.old[i], self.best[i]
+        if g in self.stale:
+            a, block = _restrict(self.split, g, bits)
+            new = int(np.argmin(self.table @ a + self.half_quad[i]))
+        elif new != old:
+            a, block = self.linear[i], self.split.blocks[g]
+        if new == old:
+            return None
+        return a, block, self.table[old], self.table[new]
+
+    def moved(self, g: int, flipped: np.ndarray) -> None:
+        """Mark stale every group coupled to a variable of group g that
+        the accepted update flipped."""
+        split = self.split
+        lo, hi = split.bounds[g], split.bounds[g + 1]
+        reached = split.cols[lo:hi][flipped[split.rows[lo:hi]]]
+        self.stale.update(split.group_of[reached].tolist())
+
+
 @dataclass
 class SolveReport:
     best_assignment: Assignment
@@ -230,15 +317,23 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
 
     Per iteration the variables are regrouped by |impact|, the groups are
     cut out of the objective at once, and each group is solved by
-    ``subsolver`` with the entropy ``(seed, iteration, group)``. Groups are solved sequentially (Gauss-Seidel),
-    each seeing the running assignment, with a per-group guard that rejects
-    objective-increasing updates. Stops early once an iteration changes
-    nothing.
+    ``subsolver`` with the entropy ``(seed, iteration, group)``. Groups are
+    solved sequentially (Gauss-Seidel), each seeing the running assignment,
+    with a per-group guard that rejects objective-increasing updates. Stops
+    early once an iteration changes nothing.
+
+    With :func:`exact_subsolver`, the groups of k <= ``_BATCH_BITS``
+    variables are not solved one call at a time: :class:`_ExactBatch`
+    enumerates them a chunk at a time, a group keeps its batched answer
+    while no flip reaches its boundary and is re-scored when one does, and
+    a group whose answer is its current bits is passed over at once. The
+    report is bit for bit the one per-group :func:`solve_exact` calls give.
 
     ``objective_trace[0]`` is the starting objective; one entry is appended
     per completed iteration, and the trace is non-increasing by
     construction. A sub-solver exception aborts the iteration and returns
-    the last accepted assignment with ``warning`` set.
+    the last accepted assignment with ``warning`` set; any other exception
+    propagates.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -252,32 +347,41 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
 
     for iteration in range(max_iterations):
         changed = False
-        try:
-            groups = _impact_groups(qubo, bits, k)
-            split = _split_groups(qubo, groups, k)
-            subqubo_count += len(groups)
-            for si, indices in enumerate(groups):
+        groups = _impact_groups(qubo, bits, k)
+        split = _split_groups(qubo, groups, k)
+        subqubo_count += len(groups)
+        batch = (_ExactBatch(split, k)
+                 if subsolver is exact_subsolver and k <= _BATCH_BITS else None)
+        covered = batch.covered if batch else 0
+        for si, indices in enumerate(groups):
+            if si < covered:
+                move = batch.move(si, bits)
+                if move is None:
+                    continue
+                a, block, old, new = move
+            else:
                 a, block = _restrict(split, si, bits)
                 old = bits[indices]
-                new = np.asarray(subsolver(a, block, (seed, iteration, si)),
-                                 dtype=np.int8)
+                try:
+                    new = np.asarray(subsolver(a, block, (seed, iteration, si)),
+                                     dtype=np.int8)
+                except Exception as exc:  # keep the last accepted state
+                    warning = f"sub-solver failed in iteration {iteration}: {exc}"
+                    break
                 if np.array_equal(new, old):
                     continue
-                # the sub-problem differs from the full objective by a
-                # constant, so its change is the global change
-                cand_obj = current + (_block_objective(a, block, new)
-                                      - _block_objective(a, block, old))
-                if cand_obj <= current:
-                    bits[indices] = new
-                    current, changed = cand_obj, True
-        except Exception as exc:  # sub-solver failure: keep last accepted state
-            warning = f"sub-solver failed in iteration {iteration}: {exc}"
-            trace.append(current)
-            iterations_run = iteration + 1
-            break
+            # the sub-problem differs from the full objective by a
+            # constant, so its change is the global change
+            cand_obj = current + (_block_objective(a, block, new)
+                                  - _block_objective(a, block, old))
+            if cand_obj <= current:
+                bits[indices] = new
+                current, changed = cand_obj, True
+                if si < covered:
+                    batch.moved(si, old != new)
         iterations_run = iteration + 1
         trace.append(current)
-        if not changed:
+        if warning is not None or not changed:
             break
 
     return SolveReport(best_assignment=bits, best_objective=current,

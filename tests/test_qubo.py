@@ -324,6 +324,34 @@ def test_constructor_rejects_misaligned_arrays():
         Qubo(3, np.zeros(3), [0, 1], [1, 2], [1.0])
 
 
+def lexsort_csr(n, i, j, b):
+    """The CSR as a two-key lexsort over both triangles builds it."""
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    order = np.lexsort((cols, rows))
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols[order], np.concatenate([b, b])[order]
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["ascending", "shuffled"])
+def test_csr_equals_lexsort_built_csr(shuffled):
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        n = int(rng.integers(0, 300))
+        keys = np.flatnonzero(rng.random(n * n) < rng.uniform(0.0, 0.2))
+        i, j = np.divmod(keys, max(n, 1))
+        i, j = i[i < j], j[i < j]
+        if shuffled:
+            order = rng.permutation(len(i))
+            i, j = i[order], j[order]
+        b = rng.uniform(-1, 1, len(i))
+        q = Qubo(n, np.zeros(n), i, j, b)
+        indptr, indices, data = lexsort_csr(n, i, j, b)
+        assert np.array_equal(q.indptr, indptr)
+        assert np.array_equal(q.indices, indices)
+        assert q.data.tobytes() == data.tobytes()
+
+
 @st.composite
 def coupling_dicts(draw):
     n = draw(st.integers(1, 12))

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import brute_force_minimum, qubo_from_dict, random_qubo, sub_problems
+from qubotrack import solvers
 from qubotrack.qubo import Qubo, impacts, objective
-from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, _block_objective,
-                               _impact_groups, _metropolis_accepts, _restrict,
-                               _split_groups, _state_table, _sweep_draws,
+from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
+                               _block_objective, _impact_groups, _metropolis_accepts,
+                               _restrict, _split_groups, _state_table, _sweep_draws,
                                exact_subsolver, make_annealing_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
 
@@ -519,3 +520,190 @@ def test_decomposition_outputs_golden(case, desk_config, desk_events):
                for q, seed in problems]
     h = hashlib.sha256("".join(digests).encode()).hexdigest()
     assert h == DECOMPOSITION_GOLDEN[case]
+
+
+# -- batched exact sub-solves ------------------------------------------------------------
+
+def reference_iterative(qubo, subsolver, k=7, max_iterations=10, seed=0):
+    """The per-group Gauss-Seidel loop the batched exact path replaced: one
+    ``np.sort`` per impact group, then one ``_restrict`` and one sub-solver
+    call per group, every failure inside the iteration reported as a
+    sub-solver failure."""
+    bits = np.ones(qubo.n, dtype=np.int8)
+    current = objective(qubo, bits)
+    trace = [current]
+    subqubo_count = iterations_run = 0
+    warning = None
+    for iteration in range(max_iterations):
+        changed = False
+        try:
+            order = np.argsort(-np.abs(impacts(qubo, bits)), kind="stable")
+            groups = [np.sort(order[s:s + k]) for s in range(0, qubo.n, k)]
+            split = _split_groups(qubo, groups, k)
+            subqubo_count += len(groups)
+            for si, indices in enumerate(groups):
+                a, block = _restrict(split, si, bits)
+                old = bits[indices]
+                new = np.asarray(subsolver(a, block, (seed, iteration, si)),
+                                 dtype=np.int8)
+                if np.array_equal(new, old):
+                    continue
+                cand_obj = current + (_block_objective(a, block, new)
+                                      - _block_objective(a, block, old))
+                if cand_obj <= current:
+                    bits[indices] = new
+                    current, changed = cand_obj, True
+        except Exception as exc:
+            warning = f"sub-solver failed in iteration {iteration}: {exc}"
+            trace.append(current)
+            iterations_run = iteration + 1
+            break
+        iterations_run = iteration + 1
+        trace.append(current)
+        if not changed:
+            break
+    return SolveReport(best_assignment=bits, best_objective=current,
+                       iterations_run=iterations_run, subqubo_count=subqubo_count,
+                       objective_trace=trace, warning=warning)
+
+
+def report_key(report):
+    """Every field of a report, floats as ``float.hex``."""
+    return (report.best_assignment.dtype, report.best_assignment.tolist(),
+            report.best_objective.hex(), [v.hex() for v in report.objective_trace],
+            report.iterations_run, report.subqubo_count, report.warning)
+
+
+def assert_batched_equals_reference(q, k, seed=0):
+    report = solve_iterative(q, exact_subsolver, k=k, seed=seed)
+    assert report_key(report) == report_key(reference_iterative(q, exact_subsolver,
+                                                                k=k, seed=seed))
+    return report
+
+
+def test_impact_groups_equal_per_group_sorts():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(0, 80))
+        k = int(rng.integers(1, 12))
+        q = random_qubo(rng, n, coupling_prob=0.1, paper_like=True)
+        bits = rng.integers(0, 2, n).astype(np.int8)
+        order = np.argsort(-np.abs(impacts(q, bits)), kind="stable")
+        want = [np.sort(order[s:s + k]).tolist() for s in range(0, n, k)]
+        assert [g.tolist() for g in _impact_groups(q, bits, k)] == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 10])
+def test_batched_exact_equals_per_group_loop_on_desk_events(k, desk_config, desk_events):
+    problems = desk_objectives(desk_config, desk_events, len(desk_events))
+    assert len(problems) >= 15
+    for q, seed in problems:
+        assert_batched_equals_reference(q, k, seed)
+
+
+def test_batched_exact_equals_per_group_loop_on_random_objectives():
+    rng = np.random.default_rng(61)
+    for trial in range(80):
+        n = int(rng.integers(1, 90))
+        k = int(rng.integers(1, 13))
+        q = random_qubo(rng, n, coupling_prob=float(rng.uniform(0.02, 0.3)),
+                        paper_like=trial % 4 != 0)
+        assert_batched_equals_reference(q, k, seed=trial)
+
+
+def test_group_turned_stale_is_rescored(monkeypatch):
+    # 28 variables in 4 full groups: every _restrict call re-scores a group
+    # that a flip in an earlier group of the same iteration turned stale
+    q = random_qubo(np.random.default_rng(0), 28, coupling_prob=0.15, paper_like=True)
+    restrict = solvers._restrict
+    rescored = []
+
+    def counting_restrict(split, g, bits):
+        rescored.append(g)
+        return restrict(split, g, bits)
+
+    monkeypatch.setattr(solvers, "_restrict", counting_restrict)
+    report = assert_batched_equals_reference(q, 7)
+    assert rescored and all(g > 0 for g in rescored)
+    # the batched answers of the stale groups are out of date: ignoring the
+    # marks changes the report
+    monkeypatch.setattr(solvers, "_restrict", restrict)
+    monkeypatch.setattr(solvers._ExactBatch, "moved", lambda self, g, flipped: None)
+    assert report_key(solve_iterative(q, exact_subsolver, k=7)) != report_key(report)
+
+
+def test_batched_ties_go_to_the_smallest_state():
+    # two copies of a block where a state scores -0.5 when exactly one of its
+    # first two variables is set. Grouped by impact, group 0 is variables
+    # (0, 1, 2, 3, 4, 7, 8) with minimum -1 on many states; the smallest sets
+    # only positions 0 and 5, i.e. variables 0 and 7. Group 1 is flat: zeros.
+    linear = np.array([-0.5, -0.5, 0, 0, 0, 0, 0] * 2)
+    q = qubo_from_dict(14, linear, {(0, 1): 1.0, (7, 8): 1.0})
+    report = assert_batched_equals_reference(q, 7)
+    assert report.best_assignment.tolist() == [1] + [0] * 6 + [1] + [0] * 6
+    assert report.best_objective == -1.0
+
+
+@pytest.mark.parametrize("chunk_bits", [7, 8, 10, 12])
+def test_batch_chunks_smaller_than_the_group_count(chunk_bits, monkeypatch,
+                                                   desk_config, desk_events):
+    monkeypatch.setattr(solvers, "_BATCH_BITS", chunk_bits)
+    enumerated = []
+    enumerate_chunk = solvers._ExactBatch._enumerate
+
+    def counting_enumerate(self, bits):
+        enumerated.append(self.stop)
+        enumerate_chunk(self, bits)
+
+    monkeypatch.setattr(solvers._ExactBatch, "_enumerate", counting_enumerate)
+    for q, seed in desk_objectives(desk_config, desk_events, 4):
+        enumerated.clear()
+        report = assert_batched_equals_reference(q, 7, seed)
+        # every iteration walks its full groups in chunks of 2^(bits - 7)
+        per_chunk = 2 ** (chunk_bits - 7)
+        chunks = -(-(q.n // 7) // per_chunk)
+        assert chunks > 1
+        assert enumerated == list(range(0, q.n // 7, per_chunk)) * report.iterations_run
+
+
+@pytest.mark.parametrize("k", [13, 17])
+def test_group_size_above_the_batch_limit_uses_solve_exact(k, monkeypatch):
+    q = random_qubo(np.random.default_rng(4), 40, coupling_prob=0.1, paper_like=True)
+    exact = solvers.solve_exact
+    sizes = []
+
+    def counting_exact(problem):
+        sizes.append(len(problem[0]))
+        return exact(problem)
+
+    monkeypatch.setattr(solvers, "solve_exact", counting_exact)
+    report = assert_batched_equals_reference(q, k)
+    assert len(sizes) == 2 * report.subqubo_count  # the reference's calls too
+    assert set(sizes) == {k, 40 % k}
+
+
+def test_group_size_above_enumeration_limit_is_a_sub_solver_failure():
+    q = random_qubo(np.random.default_rng(6), 30, coupling_prob=0.1)
+    report = assert_batched_equals_reference(q, 25)
+    assert report.warning.startswith(
+        "sub-solver failed in iteration 0: exact enumeration limited to n <= 24")
+    assert report.best_assignment.tolist() == [1] * 30
+
+
+def test_zero_variable_objective_reports_like_per_group_loop():
+    q = Qubo(0, np.zeros(0))
+    report = assert_batched_equals_reference(q, 7)
+    assert report.warning is None
+    assert (report.objective_trace, report.iterations_run, report.subqubo_count) == \
+        ([0.0, 0.0], 1, 0)
+
+
+@pytest.mark.parametrize("subsolver", [exact_subsolver, lambda a, b, e: solve_exact((a, b))],
+                         ids=["exact", "other"])
+def test_bookkeeping_error_propagates(subsolver, monkeypatch):
+    def out_of_memory(qubo, groups, k):
+        raise MemoryError("cannot split")
+
+    monkeypatch.setattr(solvers, "_split_groups", out_of_memory)
+    with pytest.raises(MemoryError, match="cannot split"):
+        solve_iterative(random_qubo(np.random.default_rng(2), 20), subsolver)
