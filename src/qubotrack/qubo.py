@@ -277,10 +277,22 @@ class IsingHamiltonian:
 def to_ising(qubo: Qubo) -> IsingHamiltonian:
     """Substitute T_i = (1 + Z_i)/2 and collect constant, field and coupling;
     each pair adds b/4 to the constant and both its fields, in pair order."""
-    i, j, b = qubo.upper_triangle()
+    return _ising(qubo.linear, *qubo.upper_triangle())
+
+
+def dense_to_ising(linear: np.ndarray, block: np.ndarray) -> IsingHamiltonian:
+    """``to_ising(Qubo.from_dense(linear, block))``, the same numbers,
+    without building the CSR: the nonzero couplings above the diagonal of
+    ``block``, row-major, are already the pairs in ascending order."""
+    i, j = np.nonzero(np.triu(block, 1))
+    return _ising(np.asarray(linear, dtype=float), i, j, block[i, j])
+
+
+def _ising(linear: np.ndarray, i: np.ndarray, j: np.ndarray,
+           b: np.ndarray) -> IsingHamiltonian:
     coupling = b / 4.0
-    constant = float(qubo.linear.sum() / 2.0)
-    h = qubo.linear / 2.0
+    constant = float(linear.sum() / 2.0)
+    h = linear / 2.0
     for a, c, quarter in zip(i.tolist(), j.tolist(), coupling.tolist()):
         constant += quarter
         h[a] += quarter

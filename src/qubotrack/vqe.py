@@ -22,8 +22,13 @@ t-convention (bit=1 <=> triplet selected).
 The optimizer is coordinate-wise: the cost along any single R_Y angle is an
 exact sinusoid c0 + c1*cos(theta - c2), reconstructed from three evaluations
 (current and +-pi/2), after which the parameter jumps to the sinusoid's
-global minimum (Nakanishi, Fujii & Todo 2020). The three trial states of
-each coordinate step are prepared as one batch and scored in that order.
+global minimum (Nakanishi, Fujii & Todo 2020). A step moves one angle, and
+the state is linear in the cosine and sine of its half, so the three trial
+states and the updated state are combinations of two vectors: the running
+state and the state with that angle advanced by pi (``_nft_sweep``). The
+trials are scored as one batch, their samples drawn with one call to the
+generator in the order of scoring them one by one, so a seed samples the
+same indices as preparing and scoring every trial state on its own.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubo import Assignment, IsingHamiltonian, Qubo, to_ising
+from .qubo import Assignment, IsingHamiltonian, dense_to_ising
 
 MAX_QUBITS = 20
 
@@ -77,6 +82,38 @@ def _cnot_chain_gather(n: int) -> np.ndarray:
     return gather
 
 
+def _rotations(angles: np.ndarray) -> np.ndarray:
+    """Each angle's R_Y matrix, row-major, along a new last axis; its first
+    column (cos, sin) is R_Y|0>."""
+    cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
+    return np.stack([cos, -sin, sin, cos], axis=-1)
+
+
+def _product_states(ry: np.ndarray) -> np.ndarray:
+    """The first layer on |0...0>: the product of R_Y|0> over the n qubits,
+    for rotations ``ry`` of shape (batch, n, 4)."""
+    batch = len(ry)
+    phi = np.ones((batch, 1))
+    for q in range(ry.shape[1]):
+        phi = (phi[:, :, None] * ry[:, q, None, 0::2]).reshape(batch, -1)
+    return phi
+
+
+def _entangle_and_rotate(phi: np.ndarray, ry: np.ndarray) -> np.ndarray:
+    """The CNOT chain and then the second layer, with rotations ``ry`` of
+    shape (batch, n, 4), on the first layer's states ``phi``."""
+    batch, n = ry.shape[:2]
+    psi = phi.take(_cnot_chain_gather(n), axis=1)
+    spare = np.empty_like(psi)
+    for q in range(n):
+        # qubit q leads the index; the result is written with it in last
+        # place, so qubit q + 1 leads next and n moves restore the order
+        np.matmul(ry[:, q].reshape(batch, 2, 2), psi.reshape(batch, 2, -1),
+                  out=spare.reshape(batch, -1, 2).transpose(0, 2, 1))
+        psi, spare = spare, psi
+    return psi
+
+
 def prepare_states(params: np.ndarray, n: int) -> np.ndarray:
     """Run the ansatz circuit on |0...0> for each row of ``params`` (shape
     (batch, 2n)), returning real float64 amplitudes of shape (batch, 2^n)."""
@@ -85,22 +122,8 @@ def prepare_states(params: np.ndarray, n: int) -> np.ndarray:
     params = np.asarray(params, dtype=float)
     if params.ndim != 2 or params.shape[1] != 2 * n:
         raise ValueError(f"expected {2 * n} parameters per state, got shape {params.shape}")
-    batch = len(params)
-    cos, sin = np.cos(params / 2.0), np.sin(params / 2.0)
-    # each angle's R_Y matrix, row-major; its first column (cos, sin) is R_Y|0>
-    ry = np.stack([cos, -sin, sin, cos], axis=-1)
-    psi = np.ones((batch, 1))
-    for q in range(n):
-        psi = (psi[:, :, None] * ry[:, q, None, 0::2]).reshape(batch, -1)
-    psi = psi.take(_cnot_chain_gather(n), axis=1)
-    spare = np.empty_like(psi)
-    for q in range(n):
-        # qubit q leads the index; the result is written with it in last
-        # place, so qubit q + 1 leads next and n moves restore the order
-        np.matmul(ry[:, n + q].reshape(batch, 2, 2), psi.reshape(batch, 2, -1),
-                  out=spare.reshape(batch, -1, 2).transpose(0, 2, 1))
-        psi, spare = spare, psi
-    return psi
+    ry = _rotations(params)
+    return _entangle_and_rotate(_product_states(ry[:, :n]), ry[:, n:])
 
 
 def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
@@ -108,12 +131,21 @@ def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
     return prepare_states(np.asarray(params, dtype=float)[None, :], n)[0]
 
 
-def _probabilities(state: np.ndarray) -> np.ndarray:
-    p = np.abs(state) ** 2
-    total = p.sum()
-    if abs(total - 1.0) > 1e-10:
-        raise ValueError(f"state not normalized: sum |amp|^2 = {total!r}")
+def _probabilities(states: np.ndarray) -> np.ndarray:
+    """|amplitude|^2 of each state (last axis), each divided by its sum."""
+    p = np.abs(states) ** 2
+    total = p.sum(axis=-1, keepdims=True)
+    off = ~(np.abs(total - 1.0) <= 1e-10)  # a NaN total is off too
+    if off.any():
+        raise ValueError(f"state not normalized: sum |amp|^2 = {float(total[off][0])!r}")
     return p / total
+
+
+def _cdfs(states: np.ndarray) -> np.ndarray:
+    """Each state's cumulative distribution, its last entry exactly 1."""
+    cdf = np.cumsum(_probabilities(states), axis=-1)
+    cdf /= cdf[..., -1:]
+    return cdf
 
 
 def sample_counts(state: np.ndarray, shots: int,
@@ -121,9 +153,7 @@ def sample_counts(state: np.ndarray, shots: int,
     """Measured basis-state indices for ``shots`` samples of |psi|^2: the
     draw ``rng.choice(len(state), size=shots, p=...)`` makes, without its
     per-call argument checks (same indices, same generator state after)."""
-    cdf = np.cumsum(_probabilities(state))
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(shots), side="right")
+    return _cdfs(state).searchsorted(rng.random(shots), side="right")
 
 
 def energy_expectation(state: np.ndarray, ising: IsingHamiltonian, shots: int,
@@ -181,6 +211,66 @@ class VqeResult:
         return bitstring_to_bits(self.best_bitstring)
 
 
+# (cos, sin) of half of each shift: the trial at that shift is
+# cos * psi + sin * psi_perp
+_TRIAL_WEIGHTS = np.array([[math.cos(s / 2.0), math.sin(s / 2.0)] for s in NFT_SHIFTS])
+
+
+def _advance_by_pi(state: np.ndarray, q: int, out: np.ndarray) -> None:
+    """R_Y(pi) on qubit q of ``state``, written to ``out``: the two halves
+    of the qubit swapped and the new first half negated."""
+    src, dst = state.reshape(2 ** q, 2, -1), out.reshape(2 ** q, 2, -1)
+    np.negative(src[:, 1], out=dst[:, 0])
+    dst[:, 1] = src[:, 0]
+
+
+def _nft_sweep(thetas: np.ndarray, n: int, steps: int, score) -> np.ndarray:
+    """Sinusoid updates of the angles 0, 1, ..., steps - 1 of ``thetas``, in
+    place and in turn; returns the running state at the updated angles.
+
+    ``score`` maps a (3, 2^n) batch of trial states, the angle at hand moved
+    by each of NFT_SHIFTS, to their three costs. A state depends on one
+    angle only through the cosine and sine of its half, so every trial and
+    the updated state are cos(s/2) psi + sin(s/2) psi_perp: psi is the
+    running state and psi_perp the state with the angle advanced by pi. For
+    a second-layer angle psi_perp is psi with R_Y(pi) on that qubit; for a
+    first-layer angle it is R_Y(pi) on the first layer's product state phi,
+    which is kept too, run through the entangler and the second layer. Both
+    states are rebuilt from the angles at each call, so rounding drift lasts
+    one sweep at most.
+    """
+    ry = _rotations(thetas)[None]
+    second = ry[:, n:]  # constant while the first-layer angles move
+    phi = _product_states(ry[:, :n])[0]
+    phi_perp = np.empty_like(phi)
+    pair = np.empty((2, 2 ** n))  # psi, psi_perp
+    pair[0] = _entangle_and_rotate(phi[None], second)[0]
+    for d in range(steps):
+        if d < n:
+            _advance_by_pi(phi, d, phi_perp)
+            pair[1] = _entangle_and_rotate(phi_perp[None], second)[0]
+        else:
+            _advance_by_pi(pair[0], d - n, pair[1])
+        theta = nft_update(thetas[d], score(_TRIAL_WEIGHTS @ pair).tolist())
+        half = (theta - thetas[d]) / 2.0
+        cos, sin = math.cos(half), math.sin(half)
+        if d < n:
+            phi = cos * phi + sin * phi_perp
+        pair[0] = cos * pair[0] + sin * pair[1]
+        thetas[d] = theta
+    return pair[0]
+
+
+def _histogram(samples: np.ndarray, n: int) -> Counter:
+    """Selection-bitstring counts of measured indices, each index formatted
+    once, in order of first occurrence (so ``most_common`` breaks ties as
+    counting the samples one by one does)."""
+    values, first, tally = np.unique(samples, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return Counter({measured_index_to_bitstring(v, n): c
+                    for v, c in zip(values[order].tolist(), tally[order].tolist())})
+
+
 def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResult:
     """Minimize <H> by cycling sinusoid updates over all 2n parameters.
 
@@ -196,64 +286,66 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     that are minima under every single-angle move.
 
     A 0-variable problem returns at once: empty bitstring, no counts and
-    0 evaluations.
+    0 evaluations. A NaN or infinite energy raises ``ValueError``.
     """
     config = config or VqeConfig()
     n = ising.n
     if n > MAX_QUBITS:
         raise ResourceError(f"statevector simulation limited to {MAX_QUBITS} qubits")
     table = ising.measured_energy_table()
+    if not np.isfinite(table).all():
+        raise ValueError("energy table not finite: the Hamiltonian has a NaN or "
+                         "infinite coefficient")
     if n == 0:  # no angle to optimise: the one (empty) state is the answer
         energy = float(table[0])
         return VqeResult(best_bitstring="", best_energy=energy, counts=Counter(),
                          final_expectation=energy, evaluations=0, thetas=np.zeros(0))
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
+    shots, flip = config.shots, config.readout_flip_probability
 
     best_sampled_index: int | None = None
     best_sampled_energy = math.inf
-    evaluations = 0
 
-    def flip_readout(samples: np.ndarray) -> np.ndarray:
-        p = config.readout_flip_probability
-        if p == 0.0:
-            return samples
-        flips = (rng.random((len(samples), n)) < p).astype(np.int64)
-        masks = (flips << np.arange(n - 1, -1, -1)).sum(axis=1)
-        return samples ^ masks
-
-    def measure(state: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def measure(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``shots`` samples of each row of ``states``, read out with flips,
+        and their energies. The uniforms come in one draw, in the order
+        sampling the states one by one draws them: each state's sampling
+        uniforms, then its flip uniforms (sample-major)."""
         nonlocal best_sampled_index, best_sampled_energy
-        samples = flip_readout(sample_counts(state, config.shots, rng))
+        rows = len(states)
+        uniforms = rng.random((rows, shots * (n + 1) if flip else shots))
+        samples = np.empty((rows, shots), dtype=np.intp)
+        for row, cdf in enumerate(_cdfs(states)):
+            samples[row] = cdf.searchsorted(uniforms[row, :shots], side="right")
+        if flip:
+            flips = (uniforms[:, shots:].reshape(rows, shots, n) < flip).astype(np.int64)
+            samples ^= (flips << np.arange(n - 1, -1, -1)).sum(axis=2)
         energies = table[samples]
-        lowest = int(np.argmin(energies))
-        if energies[lowest] < best_sampled_energy:
-            best_sampled_energy = float(energies[lowest])
-            best_sampled_index = int(samples[lowest])
+        # the first lowest sample, in state then sample order
+        lowest = int(energies.argmin())
+        if energies.flat[lowest] < best_sampled_energy:
+            best_sampled_energy = float(energies.flat[lowest])
+            best_sampled_index = int(samples.flat[lowest])
         return samples, energies
 
-    def evaluate(state: np.ndarray) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        if config.shots == 0:
-            return float(_probabilities(state) @ table)
-        return float(measure(state)[1].mean())
+    def score(trials: np.ndarray) -> np.ndarray:
+        if shots == 0:
+            return _probabilities(trials) @ table
+        return measure(trials)[1].sum(axis=1) / shots
 
     def exact_expectation(params: np.ndarray) -> float:
         return float(_probabilities(prepare_state(params, n)) @ table)
 
+    evaluations = 0
     best_thetas = thetas.copy()
     best_expectation = math.inf
     previous_sweep = math.inf
     while evaluations + 3 <= config.max_evaluations:
-        for d in range(2 * n):
-            if evaluations + 3 > config.max_evaluations:
-                break
-            trials = np.repeat(thetas[None, :], len(NFT_SHIFTS), axis=0)
-            trials[:, d] += NFT_SHIFTS
-            costs = [evaluate(state) for state in prepare_states(trials, n)]
-            thetas[d] = nft_update(thetas[d], costs)
-        if config.shots == 0:
+        steps = min(2 * n, (config.max_evaluations - evaluations) // 3)
+        _nft_sweep(thetas, n, steps, score)
+        evaluations += 3 * steps
+        if shots == 0:
             # exact mode: bank the best sweep result and restart from fresh
             # angles once a sweep stops improving (single-angle descent can
             # stall on basis states minimal under every one-parameter move)
@@ -267,19 +359,19 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
             else:
                 previous_sweep = sweep_cost
 
-    if config.shots == 0 and exact_expectation(thetas) > best_expectation:
+    if shots == 0 and exact_expectation(thetas) > best_expectation:
         thetas = best_thetas
 
     final_state = prepare_state(thetas, n)
     probs = _probabilities(final_state)
     final_expectation = float(probs @ table)
 
-    counts: Counter = Counter()
-    if config.shots > 0:
-        samples, _ = measure(final_state)
-        counts.update(measured_index_to_bitstring(s, n) for s in samples.tolist())
+    if shots > 0:
+        samples, _ = measure(final_state[None])
+        counts = _histogram(samples[0], n)
         best_index = best_sampled_index
     else:
+        counts = Counter()
         support = np.nonzero(probs > 1e-6)[0]
         best_index = int(support[np.argmin(table[support])])
 
@@ -300,5 +392,5 @@ def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300):
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         config = VqeConfig(shots=shots, max_evaluations=max_evaluations,
                            seed=int(rng.integers(2 ** 31)))
-        return run_vqe(to_ising(Qubo.from_dense(a, block)), config).best_bits
+        return run_vqe(dense_to_ising(a, block), config).best_bits
     return _solve

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qubotrack
+import qubotrack.vqe as vqe
 from conftest import qubo_from_dict, random_qubo
-from qubotrack.qubo import objective, to_ising
+from qubotrack.qubo import (IsingHamiltonian, Qubo, dense_to_ising, objective,
+                            to_ising)
 from qubotrack.solvers import solve_exact
-from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig,
+from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig, VqeResult,
                            bitstring_to_bits, energy_expectation,
                            measured_index_to_bitstring, nft_update,
                            prepare_state, prepare_states, run_vqe,
@@ -387,3 +390,156 @@ def test_run_vqe_outputs_pinned(config, evaluations, counts, thetas):
     assert result.evaluations == evaluations
     assert dict(result.counts) == counts
     assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
+
+
+# -- the two-vector sweep against the loop that prepared every trial state ----------
+
+def reference_run_vqe(ising, config):
+    """run_vqe with shots > 0 as it was before the two-vector sweep: each
+    coordinate step prepares its three trial states from the angles and
+    samples them one at a time. Returns the result and its generator."""
+    n = ising.n
+    table = ising.measured_energy_table()
+    rng = np.random.default_rng(config.seed)
+    thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
+    best_index, best_energy = None, math.inf
+    evaluations = 0
+
+    def measure(state):
+        nonlocal best_index, best_energy
+        samples = sample_counts(state, config.shots, rng)
+        p = config.readout_flip_probability
+        if p > 0.0:
+            flips = (rng.random((len(samples), n)) < p).astype(np.int64)
+            samples = samples ^ (flips << np.arange(n - 1, -1, -1)).sum(axis=1)
+        energies = table[samples]
+        lowest = int(np.argmin(energies))
+        if energies[lowest] < best_energy:
+            best_energy, best_index = float(energies[lowest]), int(samples[lowest])
+        return samples, energies
+
+    while evaluations + 3 <= config.max_evaluations:
+        for d in range(2 * n):
+            if evaluations + 3 > config.max_evaluations:
+                break
+            trials = np.repeat(thetas[None, :], len(NFT_SHIFTS), axis=0)
+            trials[:, d] += NFT_SHIFTS
+            costs = []
+            for state in prepare_states(trials, n):
+                evaluations += 1
+                costs.append(float(measure(state)[1].mean()))
+            thetas[d] = nft_update(thetas[d], costs)
+
+    final_state = prepare_state(thetas, n)
+    probs = np.abs(final_state) ** 2
+    samples, _ = measure(final_state)
+    counts = Counter()
+    counts.update(measured_index_to_bitstring(s, n) for s in samples.tolist())
+    result = VqeResult(
+        best_bitstring=measured_index_to_bitstring(best_index, n),
+        best_energy=float(table[best_index]), counts=counts,
+        final_expectation=float(probs / probs.sum() @ table),
+        evaluations=evaluations, thetas=thetas)
+    return result, rng
+
+
+def _run_vqe_and_generator(ising, config):
+    """run_vqe's result and the generator it drew from."""
+    made = []
+    real = np.random.default_rng
+
+    def recording(*args):
+        made.append(real(*args))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng", recording)
+        result = run_vqe(ising, config)
+    assert len(made) == 1
+    return result, made[0]
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("flip", [0.0, 0.05], ids=["no-flips", "readout-flips"])
+def test_two_vector_sweep_equals_per_trial_loop(flip):
+    # every sampled index is the same, so best bitstring, counts (in
+    # order), angles and the generator's state afterwards are too
+    meta = np.random.default_rng(2024 if flip else 2025)
+    budgets = (1, 2, 3, 4, 44, 300)
+    for trial in range(120):
+        n = int(meta.integers(1, 11))
+        q = random_qubo(meta, n, coupling_prob=float(meta.uniform(0.1, 0.9)))
+        if trial % 3 == 0:
+            # whole coefficients: energies tie, so which of several lowest
+            # samples is kept decides the best bitstring
+            i, j, b = q.upper_triangle()
+            q = Qubo(n, np.round(2 * q.linear), i, j, np.sign(b))
+        ising = to_ising(q)
+        config = VqeConfig(shots=int(meta.choice([1, 5, 64, 512])),
+                           max_evaluations=budgets[trial % len(budgets)],
+                           seed=int(meta.integers(2 ** 31)),
+                           readout_flip_probability=flip)
+        got, got_rng = _run_vqe_and_generator(ising, config)
+        want, want_rng = reference_run_vqe(ising, config)
+        assert got.best_bitstring == want.best_bitstring, (trial, config)
+        assert _hex([got.best_energy]) == _hex([want.best_energy])
+        assert list(got.counts.items()) == list(want.counts.items())
+        assert got.evaluations == want.evaluations
+        assert _hex(got.thetas) == _hex(want.thetas)
+        assert _hex([got.final_expectation]) == _hex([want.final_expectation])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shots", [512, 0], ids=["shots", "exact"])
+def test_running_state_does_not_drift_within_a_sweep(monkeypatch, shots):
+    n = 12
+    sweep = vqe._nft_sweep
+    seen = []
+
+    def checked(thetas, n, steps, score):
+        state = sweep(thetas, n, steps, score)
+        seen.append(np.abs(state - prepare_state(thetas, n)).max())
+        return state
+
+    monkeypatch.setattr(vqe, "_nft_sweep", checked)
+    ising = to_ising(random_qubo(np.random.default_rng(12), n))
+    run_vqe(ising, VqeConfig(shots=shots, max_evaluations=300, seed=3))
+    assert len(seen) == 5  # four full sweeps of 24 steps, then 4 steps
+    assert max(seen) <= 1e-12
+
+
+def test_nan_state_is_not_normalized():
+    with pytest.raises(ValueError, match="not normalized"):
+        sample_counts(np.full(8, np.nan), 16, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="not normalized"):
+        energy_expectation(np.full(8, np.nan), to_ising(random_qubo(
+            np.random.default_rng(0), 3)), shots=0)
+
+
+@pytest.mark.parametrize("shots", [512, 0], ids=["shots", "exact"])
+def test_nan_coefficient_is_named(shots):
+    ising = to_ising(random_qubo(np.random.default_rng(14), 4))
+    ising.field[2] = np.nan
+    with pytest.raises(ValueError, match="energy table not finite"):
+        run_vqe(ising, VqeConfig(shots=shots, max_evaluations=30, seed=0))
+
+
+def test_dense_to_ising_equals_the_qubo_round_trip():
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        n = int(rng.integers(0, 11))
+        block = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+        block[rng.random((n, n)) < rng.uniform(0, 1)] = 0.0  # zero couplings
+        block = block + block.T
+        linear = rng.uniform(-1, 1, n)
+        got = dense_to_ising(linear, block)
+        want = to_ising(Qubo.from_dense(linear, block))
+        assert got.measured_energy_table().tobytes() == want.measured_energy_table().tobytes()
+        assert _hex([got.constant]) == _hex([want.constant])
+        assert got.field.tobytes() == want.field.tobytes()
+        assert got.coupling.tobytes() == want.coupling.tobytes()
+        assert np.array_equal(got.pair_i, want.pair_i)
+        assert np.array_equal(got.pair_j, want.pair_j)
