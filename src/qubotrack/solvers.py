@@ -44,15 +44,22 @@ that draws each sweep's flip indices with ``rng.integers(0, n, size=n)``
 and its uniforms with ``rng.random(n)``, but pays none of that loop's
 per-call overhead: the draws are replayed in bulk from the generator's
 raw PCG64 words by the arithmetic NumPy itself applies to them (and by
-NumPy itself where that arithmetic would redraw), the loop reads Python
-floats, and each acceptance is decided as ``u < np.exp(y)`` even where
-``math.exp`` rounds differently.
+NumPy itself where that arithmetic would redraw), a block of sweeps at a
+time. Each block's ``ln u`` comes from one ``np.log``, and a proposal is
+decided by comparing y = -delta / T with it, outside a band of 1e-12
+that covers the rounding of ``np.log`` and ``np.exp``; inside the band
+``u < np.exp(y)`` decides. The loop runs on Python lists (fields,
+coupling rows, bits). Rejections change nothing, so after a run of them
+one vectorised pass rejects the rest of the block up to the next
+proposal it cannot reject, which skips the frozen end of the schedule
+in bulk.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -64,6 +71,9 @@ EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
 _BATCH_BITS = 12  # a batched chunk of exact sub-solves scores 2^12 states
 _REPLAY_PROPOSALS = 2 ** 16
+_LOG_BAND = 1e-12  # |y - ln u| within which np.exp decides a proposal
+_LOOK_AHEAD_RUN = 4  # a look-ahead follows 4n rejections in a row
+_SEGMENT = 128  # proposals of a block turned into Python lists at a time
 
 # sub-solver contract: (linear a, symmetric k x k block B with zero diagonal,
 # entropy) -> bit vector. The entropy (seed, iteration, group) seeds the
@@ -398,8 +408,13 @@ class AnnealSchedule:
     sweeps: int = 300
 
     def __post_init__(self):
+        if not (math.isfinite(self.t_initial) and math.isfinite(self.t_final)):
+            raise ValueError(f"temperatures must be finite, got {self.t_initial!r} "
+                             f"and {self.t_final!r}")
         if self.t_initial <= 0 or self.t_final <= 0:
             raise ValueError("temperatures must be positive")
+        if not isinstance(self.sweeps, numbers.Integral):
+            raise ValueError(f"sweeps must be an integer, got {self.sweeps!r}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
 
@@ -411,9 +426,10 @@ class AnnealSchedule:
 
 
 def _sweep_draws(rng: np.random.Generator, n: int,
-                 sweeps: int) -> Iterator[tuple[list[int], list[float]]]:
-    """Yield one ``(flips, uniforms)`` pair of lists per sweep: exactly what
-    ``rng.integers(0, n, size=n)`` and then ``rng.random(n)`` return.
+                 sweeps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield the sweeps' draws in blocks ``(flips, uniforms)``, both (b, n)
+    arrays: row s is exactly what ``rng.integers(0, n, size=n)`` and then
+    ``rng.random(n)`` return for the block's sweep s.
 
     The draws are replayed from raw PCG64 words, read in blocks of an even
     number of sweeps (about ``_REPLAY_PROPOSALS`` proposals a block).
@@ -428,7 +444,8 @@ def _sweep_draws(rng: np.random.Generator, n: int,
     block boundary. Where NumPy would reject a half and draw again (its
     low 32 bits of ``half * n`` below ``2**32 mod n``), the block is
     abandoned: the generator is reset to the block start and the remaining
-    sweeps come from ``rng.integers`` and ``rng.random`` themselves.
+    sweeps come from ``rng.integers`` and ``rng.random`` themselves, one
+    sweep a block.
     """
     halves_per_sweep = n if n > 1 else 0
     threshold = 2 ** 32 % max(n, 1)
@@ -451,26 +468,86 @@ def _sweep_draws(rng: np.random.Generator, n: int,
         s = np.arange(b)
         first = -(-(s + 1) * halves_per_sweep // 2) + s * n
         uniforms = (words[first[:, None] + np.arange(n)] >> np.uint64(11)) * 2.0 ** -53
-        yield from zip(flips.reshape(b, n).tolist(), uniforms.tolist())
+        yield flips.reshape(b, n), uniforms
         done += b
     for _ in range(done, sweeps):
-        yield rng.integers(0, n, size=n).tolist(), rng.random(n).tolist()
+        yield rng.integers(0, n, size=(1, n)), rng.random((1, n))
 
 
-def _metropolis_accepts(u: float, y: float) -> bool:
-    """``u < np.exp(y)``, decided by ``math.exp`` away from the boundary.
+def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: float,
+            temperatures: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """The Metropolis loop of :func:`solve_annealing` from all-ones: the
+    fields ``local`` (a_i + sum_j b_ij, updated in place), the coupling
+    rows ``(j, b_ij)`` and the starting objective ``current``. Returns the
+    best state seen.
 
-    ``math.exp`` and ``np.exp`` differ by at most 1 ulp (measured over
-    6 M arguments). A band of 1e-12 relative, thousands of ulps, plus
-    1e-300 for subnormal results, around ``math.exp(y)`` holds every u
-    for which that difference could matter, and only there is ``np.exp``
-    called, so the decision is always NumPy's."""
-    e = math.exp(y)
-    if u < e * (1.0 - 1e-12) - 1e-300:
-        return True
-    if u > e * (1.0 + 1e-12) + 1e-300:
-        return False
-    return bool(u < np.exp(y))
+    Per block of draws, ``ln u`` comes from one ``np.log``. A proposal with
+    y = -delta / T is accepted when delta <= 0 or y > ln u + ``_LOG_BAND``,
+    rejected when y < ln u - ``_LOG_BAND``, and in between decided as
+    ``u < np.exp(y)``. A nonzero replayed u is at least 2**-53, so
+    |ln u| < 37, where the band is over a hundred ulps: wider than the
+    rounding of ``np.log`` and ``np.exp``, so every decision is that
+    test's. ``np.exp`` also decides every u below 2**-53 (u == 0 once
+    ``np.exp(y)`` underflows is rejected), and a NaN delta fails every
+    test and is rejected. Rejections leave the state alone, so after
+    ``_LOOK_AHEAD_RUN * n`` in a row one vectorised pass applies the reject
+    test to the rest of the block at the current fields, and the loop
+    resumes at the first proposal it does not reject."""
+    n = len(local)
+    bits, best = [1] * n, [1] * n
+    best_obj = current
+    since_best: list[int] = []  # flips made since ``best`` was last equal to ``bits``
+    run_limit = _LOOK_AHEAD_RUN * n
+    done = 0
+    for flips, uniforms in _sweep_draws(rng, n, len(temperatures)):
+        b = len(flips)
+        flips, uniforms = flips.ravel(), uniforms.ravel()
+        temps = np.repeat(temperatures[done:done + b], n)
+        done += b
+        with np.errstate(divide="ignore"):
+            logs = np.log(uniforms)
+        # a replayed u is 0 or at least 2**-53; np.exp decides any u below that
+        bulk = uniforms >= 2.0 ** -53
+        lower = np.where(bulk, logs - _LOG_BAND, -np.inf)
+        upper = np.where(bulk, logs + _LOG_BAND, np.inf)
+        pos, run = 0, 0
+        while pos < len(flips):
+            # Python lists of the next segment only: the look-ahead skips
+            # most of a block without reading it
+            end = pos + _SEGMENT
+            segment = zip(range(pos, end), flips[pos:end].tolist(), lower[pos:end].tolist(),
+                          upper[pos:end].tolist(), temps[pos:end].tolist())
+            pos = end
+            for p, i, lo, hi, t in segment:
+                field = local[i]
+                delta = -field if bits[i] else field
+                if (delta <= 0.0 or (y := -delta / t) > hi
+                        or (not y < lo and uniforms[p] < np.exp(y))):
+                    if bits[i]:
+                        for j, c in rows[i]:
+                            local[j] -= c
+                    else:
+                        for j, c in rows[i]:
+                            local[j] += c
+                    bits[i] ^= 1
+                    since_best.append(i)
+                    current += delta
+                    if current < best_obj:
+                        best_obj = current
+                        for j in since_best:
+                            best[j] ^= 1
+                        since_best.clear()
+                    run = 0
+                elif (run := run + 1) == run_limit:
+                    # the reject test on the rest of the block at the
+                    # current state; resume at the first proposal it keeps
+                    run = 0
+                    neg_delta = np.array([f if x else -f for f, x in zip(local, bits)])
+                    rejected = neg_delta[flips[p + 1:]] / temps[p + 1:] < lower[p + 1:]
+                    pos = p + 1 + (len(rejected) if rejected.all()
+                                   else int(rejected.argmin()))
+                    break
+    return best
 
 
 def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
@@ -480,48 +557,38 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     Starts from all-ones. Each sweep proposes n flips at indices from
     ``rng.integers(0, n, size=n)`` and accepts flip i when its change
     delta = (1 - 2 T_i) * field_i is <= 0 or when ``rng.random(n)``'s
-    matching uniform is below exp(-delta / temperature). The draws are
-    replayed in bulk from the generator's raw words (:func:`_sweep_draws`)
-    and the loop runs on Python scalars: delta is +-field_i exactly, the
-    acceptance test is NumPy's (:func:`_metropolis_accepts`), the field
-    update adds or subtracts the CSR row (equal to adding the row times
-    +-1), and the best state is brought up to date from a log of the flips
-    made since the last improvement instead of a copy per improvement. So
-    every size runs the same loop, with the bits a per-flip NumPy loop over
-    the same generator would return.
+    matching uniform u is below ``np.exp(-delta / temperature)``. The draws
+    are replayed in bulk from the generator's raw words
+    (:func:`_sweep_draws`), and the loop (:func:`_anneal`) runs on Python
+    lists: delta is +-field_i exactly, each test is decided against a bulk
+    ``np.log`` of the uniforms and only near ``ln u`` by ``np.exp`` itself,
+    an accepted flip adds or subtracts its coupling row one entry at a time
+    (the operations of adding the row times +-1), runs of rejections are
+    skipped by a vectorised look-ahead, and the best state is brought up to
+    date from a log of the flips made since the last improvement instead of
+    a copy per improvement. So every size runs the same loop, with the bits
+    a per-flip NumPy loop over the same generator would return.
+
+    A coefficient that is not finite raises ``ValueError``.
     """
     schedule = schedule or AnnealSchedule()
-    rng = np.random.default_rng(seed)
+    bad = np.flatnonzero(~np.isfinite(qubo.linear))
+    if bad.size:
+        raise ValueError(f"annealing needs finite coefficients: linear coefficient "
+                         f"{bad[0]} is {qubo.linear[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(qubo.data))
+    if bad.size:
+        pair = sorted((int(qubo.entry_rows()[bad[0]]), int(qubo.indices[bad[0]])))
+        raise ValueError(f"annealing needs finite coefficients: coupling "
+                         f"{tuple(pair)} is {qubo.data[bad[0]]}")
     n = qubo.n
-    bounds = qubo.indptr.tolist()
-    rows = [(qubo.indices[a:b], qubo.data[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     ones = np.ones(n, dtype=np.int8)
     local = qubo.linear + qubo.coupling_field(ones.astype(float))  # a_i + sum_j b_ij T_j
-    current = objective(qubo, ones)
-    best_obj = current
-    bits, best = [1] * n, [1] * n
-    since_best: list[int] = []  # flips made since ``best`` was last equal to ``bits``
-
-    temperatures = schedule.temperatures().tolist()
-    for temperature, (flips, draws) in zip(temperatures,
-                                           _sweep_draws(rng, n, len(temperatures))):
-        for i, u in zip(flips, draws):
-            field = local.item(i)
-            delta = -field if bits[i] else field
-            if delta <= 0.0 or _metropolis_accepts(u, -delta / temperature):
-                cols, couplings = rows[i]
-                if bits[i]:
-                    local[cols] -= couplings
-                else:
-                    local[cols] += couplings
-                bits[i] ^= 1
-                since_best.append(i)
-                current += delta
-                if current < best_obj:
-                    best_obj = current
-                    for j in since_best:
-                        best[j] ^= 1
-                    since_best.clear()
+    cols, couplings = qubo.indices.tolist(), qubo.data.tolist()
+    bounds = qubo.indptr.tolist()
+    rows = [list(zip(cols[lo:hi], couplings[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    best = _anneal(local.tolist(), rows, objective(qubo, ones), schedule.temperatures(),
+                   np.random.default_rng(seed))
     return np.array(best, dtype=np.int8)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from conftest import brute_force_minimum, qubo_from_dict, random_qubo, sub_probl
 from qubotrack import solvers
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
-                               _block_objective, _impact_groups, _metropolis_accepts,
-                               _restrict, _split_groups, _state_table, _sweep_draws,
+                               _anneal, _block_objective, _impact_groups, _restrict,
+                               _split_groups, _state_table, _sweep_draws,
                                exact_subsolver, make_annealing_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
 
@@ -338,15 +339,17 @@ class CountingRng:
 
 
 def assert_draws_match_numpy(n, seed, sweeps):
-    """Every sweep's replayed draws equal NumPy's own; returns the number of
-    sweeps that NumPy drew itself."""
+    """Every sweep's replayed draws, one row of a yielded block, equal
+    NumPy's own; returns the number of sweeps that NumPy drew itself."""
     reference = np.random.default_rng(seed)
     rng = CountingRng(seed)
     count = 0
     for flips, uniforms in _sweep_draws(rng, n, sweeps):
-        assert flips == reference.integers(0, n, size=n).tolist()
-        assert uniforms == reference.random(n).tolist()
-        count += 1
+        assert flips.shape == uniforms.shape == (len(flips), n)
+        for flip_row, uniform_row in zip(flips.tolist(), uniforms.tolist()):
+            assert flip_row == reference.integers(0, n, size=n).tolist()
+            assert uniform_row == reference.random(n).tolist()
+            count += 1
     assert count == sweeps
     assert rng.bit_generator.random_raw() == reference.bit_generator.random_raw()
     return rng.integers_calls
@@ -365,21 +368,81 @@ def test_replay_falls_back_to_numpy_where_it_would_redraw():
     assert 0 < calls < 300
 
 
+def feed_draws(monkeypatch, flips, uniforms):
+    """Make the annealer read one block of the given draws, one row per
+    sweep, instead of the generator's."""
+    block = (np.array(flips), np.array(uniforms, dtype=float))
+    monkeypatch.setattr(solvers, "_sweep_draws", lambda rng, n, sweeps: iter([block]))
+
+
+def uphill_accepted(monkeypatch, y, u):
+    """Whether :func:`solve_annealing` accepts an uphill flip with
+    -delta / T = y at the uniform u.
+
+    Variable 0 (a_0 = y, T = 1) is proposed first, uphill by -y. Variable 1
+    (a_1 = 1e6) is proposed next and flips downhill to a new best state,
+    which keeps variable 0's decision: 0 when its flip was accepted."""
+    feed_draws(monkeypatch, [[0, 1]], [[u, 0.5]])
+    q = Qubo(2, [y, 1e6])
+    bits = solve_annealing(q, AnnealSchedule(t_initial=1.0, t_final=1.0, sweeps=1))
+    assert bits[1] == 0
+    return bool(bits[0] == 0)
+
+
 @pytest.mark.parametrize("y", [-1e-300, -1e-12, -0.3, -0.5303102798931427,
                                -1.3223463917696752, -17.2, -702.4603206664049,
                                -740.0, -744.4])
-def test_metropolis_acceptance_is_numpy_exp(y):
-    """At u = np.exp(y) and at its float neighbours the decision is numpy's
-    (on some platforms math.exp differs by one ulp at the listed y)."""
+def test_metropolis_acceptance_is_numpy_exp(y, monkeypatch):
+    """At u = np.exp(y) and at its float neighbours the bulk log-threshold
+    decision is numpy's (on some platforms math.exp differs by one ulp at
+    the listed y)."""
     for e in (float(np.exp(y)), math.exp(y)):
         for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)):
-            assert _metropolis_accepts(float(u), y) == bool(u < np.exp(y))
+            assert uphill_accepted(monkeypatch, y, float(u)) == bool(u < np.exp(y))
 
 
-def test_metropolis_rejects_zero_uniform_once_exp_underflows():
+def test_metropolis_acceptance_is_numpy_exp_near_the_threshold(monkeypatch):
+    """Within a few ulps of u = np.exp(y), where np.log(u) rounds to either
+    side of y, every decision is numpy's."""
+    rng = np.random.default_rng(41)
+    for y in np.concatenate([-rng.exponential(3.0, 150), [-36.7, -37.5, -1e-16]]).tolist():
+        e = np.exp(y)
+        us = [e]
+        for _ in range(3):
+            us = [np.nextafter(us[0], 0.0)] + us + [np.nextafter(us[-1], 1.0)]
+        for u in us:
+            assert uphill_accepted(monkeypatch, y, float(u)) == bool(u < e)
+
+
+def test_metropolis_rejects_zero_uniform_once_exp_underflows(monkeypatch):
     for y in (-745.2, -800.0, -1e5):
         assert np.exp(y) == 0.0
-        assert _metropolis_accepts(0.0, y) is False
+        assert not uphill_accepted(monkeypatch, y, 0.0)
+    for y in (-700.0, -744.4, -0.5):  # exp(y) > 0 accepts u = 0
+        assert uphill_accepted(monkeypatch, y, 0.0)
+
+
+def test_look_ahead_resumes_at_the_first_proposal_it_does_not_reject(monkeypatch):
+    """Three variables, T = 1, u = 0.5 throughout. Variable 0 (a_0 = -50) is
+    always rejected. Variables 1 then 2 flip downhill to 0 (a_1 = -1,
+    a_2 = 1, b_12 = 3), which leaves variable 1 downhill at bit 0. Twelve
+    rejections of variable 0 (4n) start a look-ahead, which must stop at
+    variable 1's next proposal, whose flip back to 1 is the best state."""
+    flips = [[1, 2, 0]] + [[0, 0, 0]] * 4 + [[0, 1, 0], [0, 0, 0]]
+    feed_draws(monkeypatch, flips, [[0.5] * 3] * len(flips))
+    q = qubo_from_dict(3, [-50.0, -1.0, 1.0], {(1, 2): 3.0})
+    schedule = AnnealSchedule(t_initial=1.0, t_final=1.0, sweeps=len(flips))
+    assert solve_annealing(q, schedule).tolist() == [1, 1, 0]
+
+
+def test_nan_change_is_rejected(monkeypatch):
+    """A NaN delta fails every acceptance test, as ``u < np.exp(nan)``
+    fails. Finite coefficients, which :func:`solve_annealing` requires,
+    give none, so the loop is handed a NaN field: variable 0 must stay, and
+    variable 1's downhill flip (current 0 -> -1) makes the best state."""
+    for u in (0.0, 0.5, 1.0 - 2.0 ** -53):
+        feed_draws(monkeypatch, [[0, 1]], [[u, u]])
+        assert _anneal([math.nan, 1.0], [[], []], 0.0, np.array([1.0]), None) == [1, 0]
 
 
 def reference_annealing(qubo, schedule, seed):
@@ -422,6 +485,62 @@ def test_annealing_equals_per_flip_reference():
         got = solve_annealing(q, schedule, seed=trial)
         assert got.dtype == np.int8
         assert got.tolist() == reference_annealing(q, schedule, trial).tolist()
+
+
+def whole_number_qubo(rng, n):
+    """Objective with coefficients in {-2, ..., 2}: fields are whole
+    numbers, many of them 0, so flips with delta == 0 are common."""
+    linear = rng.integers(-2, 3, n).astype(float)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.4]
+    return qubo_from_dict(n, linear, {p: float(rng.choice([-2, -1, 1, 2])) for p in pairs})
+
+
+def test_annealing_zero_changes_equal_reference():
+    rng = np.random.default_rng(1618)
+    for trial in range(40):
+        q = whole_number_qubo(rng, int(rng.integers(1, 12)))
+        schedule = AnnealSchedule(t_initial=float(rng.uniform(0.05, 3.0)),
+                                  t_final=float(rng.uniform(1e-4, 0.05)),
+                                  sweeps=int(rng.integers(1, 120)))
+        assert solve_annealing(q, schedule, seed=trial).tolist() == \
+            reference_annealing(q, schedule, trial).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 24])
+def test_annealing_frozen_tail_equals_reference(n):
+    """300 sweeps freeze long before the end, so runs of rejections are
+    skipped by the look-ahead, hot ones and the frozen tail alike."""
+    rng = np.random.default_rng(3000 + n)
+    for trial in range(12 if n < 24 else 4):
+        q = (whole_number_qubo(rng, n) if trial % 3 == 2
+             else random_qubo(rng, n, paper_like=bool(trial % 2)))
+        schedule = AnnealSchedule(t_final=float(rng.choice([1e-3, 0.05])))
+        assert solve_annealing(q, schedule, seed=trial).tolist() == \
+            reference_annealing(q, schedule, trial).tolist()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"t_initial": math.nan}, {"t_final": math.nan}, {"t_initial": math.inf},
+    {"t_final": math.inf}, {"sweeps": 2.5}, {"sweeps": 3.0}, {"sweeps": "3"},
+])
+def test_anneal_schedule_rejects_non_finite_temperatures_and_fractional_sweeps(kwargs):
+    with pytest.raises(ValueError):
+        AnnealSchedule(**kwargs)
+
+
+def test_anneal_schedule_accepts_numpy_integer_sweeps():
+    assert len(AnnealSchedule(sweeps=np.int64(3)).temperatures()) == 3
+
+
+@pytest.mark.parametrize("linear, block, message", [
+    ([math.nan, -1.0], [[0.0, 0.0], [0.0, 0.0]], "linear coefficient 0 is nan"),
+    ([0.0, -1.0, 0.5], [[0.0, 0.0, 1.0], [0.0, 0.0, -math.inf], [1.0, -math.inf, 0.0]],
+     "coupling (1, 2) is -inf"),
+])
+def test_annealing_names_a_non_finite_coefficient(linear, block, message):
+    q = Qubo.from_dense(np.array(linear), np.array(block))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_annealing(q)
 
 
 # packed bits (np.packbits) of solve_annealing(random_qubo(default_rng(500 + n), n),
