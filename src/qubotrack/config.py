@@ -14,6 +14,8 @@ from pathlib import Path
 
 from .fastsim import EnergySpectrum, SimConfig
 from .geometry import GeometryConfig
+from .preselect import PreselectionWindow
+from .qubo import QuboScaling
 
 SOLVERS = ("exact", "anneal", "vqe")
 
@@ -49,6 +51,18 @@ class RunConfig:
         if self.shots < 0 or self.vqe_max_evaluations < 1:
             raise ConfigError("shots must be >= 0 and vqe_max_evaluations >= 1, got "
                               f"{self.shots} and {self.vqe_max_evaluations}")
+        if self.dx_window is not None and len(self.dx_window) != 2:
+            raise ConfigError("dx_window must be [mean, sigma], got "
+                              f"{list(self.dx_window)}")
+        # the window and the scaling own their rules; a value left to
+        # calibration is checked where it is calibrated
+        try:
+            PreselectionWindow.from_calibration(*(self.dx_window or (0.0, 1.0)),
+                                                n_sigma=self.n_sigma,
+                                                max_delta_theta=self.max_delta_theta)
+            QuboScaling(self.theta_scale, 1.0 if self.s_max is None else self.s_max)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"invalid pre-selection or scaling setting: {exc}") from None
 
     def with_seed(self, seed: int) -> "RunConfig":
         d = self.to_dict()

@@ -6,7 +6,7 @@ the beam (z) axis; each plane is a single continuous sensitive area.
 
 Also here: the array joins on hit ids and other integer keys that
 pre-selection, assembly and track building share (:func:`shared_hits`,
-:func:`equal_key_pairs`).
+:func:`equal_key_pairs`, :func:`windowed_key_pairs`).
 """
 
 from __future__ import annotations
@@ -183,6 +183,52 @@ def equal_key_pairs(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np
     lo = np.searchsorted(keys, left, side="left")
     owner, pos = _index_ranges(lo, np.searchsorted(keys, left, side="right") - lo)
     return owner, order[pos]
+
+
+def windowed_key_pairs(left_key: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                       right_key: np.ndarray, right_value: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Every (l, r) with ``left_key[l] == right_key[r]`` and
+    ``lo[l] <= right_value[r] <= hi[l]``, in no set order. Keys are
+    integers; a value that is not finite, or a NaN bound, lies in no
+    window.
+
+    Entries and bounds are placed on one line, at key * scale + (value -
+    least value) with scale a power of two above twice the values' span:
+    each key's entries form one run and, rounding being monotone, lie in
+    value order within it (a right key of magnitude 2**52 or more, or a
+    span so wide that the line overflows, raises ``ValueError``). Bounds
+    are clipped to the values' range, so a window never leaves its key,
+    even at infinite bounds. Each window is then two searchsorted (the
+    bounds sorted by ``lo`` first, which the search runs faster on).
+    Rounding can only widen a window, so the pairs are checked against
+    the exact bounds last; the cost follows the pairs returned, not the
+    pairs that share a key.
+    """
+    right = np.flatnonzero(np.isfinite(right_value))
+    value = right_value[right]
+    if not len(value):
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
+    least, most = float(value.min()), float(value.max())
+    # a left key outside the right keys' range is placed outside their runs
+    top = 1.0 + float(np.abs(right_key).max())
+    if not (top <= 2.0 ** 52 and (most - least) * top < 2.0 ** 1020):
+        raise ValueError("keys or the values' span too large for a windowed join")
+    scale = 2.0 ** (math.frexp(most - least)[1] + 1)  # > 2 (most - least)
+    entries = right_key[right] * scale + (value - least)
+    order = np.argsort(entries)
+    entries = entries[order]
+    lo_at = left_key * scale + (np.maximum(lo, least) - least)
+    hi_at = left_key * scale + (np.minimum(hi, most) - least)
+    by_lo = np.argsort(lo_at)
+    lo_at, hi_at = lo_at[by_lo], hi_at[by_lo]
+    start = np.searchsorted(entries, lo_at, side="left")
+    stop = np.searchsorted(entries, hi_at, side="right")
+    count = np.where(np.isnan(lo_at) | np.isnan(hi_at), 0, np.maximum(stop - start, 0))
+    k, pos = _index_ranges(start, count)
+    l, r = by_lo[k], right[order[pos]]
+    inside = np.flatnonzero((lo[l] <= right_value[r]) & (right_value[r] <= hi[l]))
+    return l[inside], r[inside]
 
 
 def shared_hits(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

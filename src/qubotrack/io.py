@@ -38,11 +38,16 @@ def fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _parse_float(text: str, path: Path, line: int, column: str) -> float:
+def _parse_float(text: str, path: Path, line: int, column: str,
+                 finite: bool = False) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataFormatError(f"{path}:{line}: bad float in column {column!r}: {text!r}")
+    if finite and not math.isfinite(value):
+        raise DataFormatError(
+            f"{path}:{line}: non-finite value in column {column!r}: {text!r}")
+    return value
 
 
 def _parse_int(text: str, path: Path, line: int, column: str) -> int:
@@ -99,22 +104,23 @@ def _read_rows(path: Path, header: list[str]) -> Iterator[dict]:
 def read_events(hits_path: Path, particles_path: Path,
                 xi_label: float = 0.0) -> list[Event]:
     """Rebuild events from the hits and particles files. A hit id listed
-    twice within one event raises :class:`DataFormatError`."""
+    twice within one event, or a hit coordinate or particle value that is
+    not finite, raises :class:`DataFormatError`."""
     hits_path, particles_path = Path(hits_path), Path(particles_path)
     particles_by_event: dict[int, list[TruthParticle]] = {}
     for r in _read_rows(particles_path, PARTICLES_HEADER):
         line = r["_line"]
         eid = _parse_int(r["event_id"], particles_path, line, "event_id")
         # the 9-digit print precision is lossy; restore the unit-norm invariant
-        direction = [_parse_float(r[k], particles_path, line, k)
+        direction = [_parse_float(r[k], particles_path, line, k, finite=True)
                      for k in ("dx", "dy", "dz")]
         norm = math.sqrt(sum(c * c for c in direction))
         if norm == 0.0:
             raise DataFormatError(f"{particles_path}:{line}: zero direction vector")
         particles_by_event.setdefault(eid, []).append(TruthParticle(
             particle_id=_parse_int(r["particle_id"], particles_path, line, "particle_id"),
-            energy=_parse_float(r["energy"], particles_path, line, "energy"),
-            origin=tuple(_parse_float(r[k], particles_path, line, k)
+            energy=_parse_float(r["energy"], particles_path, line, "energy", finite=True),
+            origin=tuple(_parse_float(r[k], particles_path, line, k, finite=True)
                          for k in ("ox", "oy", "oz")),
             direction=tuple(c / norm for c in direction),
         ))
@@ -133,7 +139,8 @@ def read_events(hits_path: Path, particles_path: Path,
         hits[hid] = Hit(
             hit_id=hid,
             layer=_parse_int(r["layer"], hits_path, line, "layer"),
-            position=tuple(_parse_float(r[k], hits_path, line, k) for k in ("x", "y", "z")),
+            position=tuple(_parse_float(r[k], hits_path, line, k, finite=True)
+                           for k in ("x", "y", "z")),
             truth_particle_id=pid,
         )
     event_ids = sorted(set(hits_by_event) | set(particles_by_event))

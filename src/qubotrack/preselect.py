@@ -9,8 +9,12 @@ difference delta_theta = sqrt(dtheta_xz^2 + dtheta_yz^2).
 Data layout: an event's doublets are one :class:`Doublets`, a struct of
 arrays over the event's hit tuple (whose ids and (hits, 3) positions it
 keeps as arrays): inner and outer hit index (positions in ``hits``),
-theta_xz, theta_yz and dx/x0, one entry per doublet, layer by layer and
-then row-major over inner x outer hits in hit order. Its triplets are
+step (outer minus inner position), dx/x0, and theta_xz and theta_yz, one
+entry per doublet, layer by layer and then row-major over inner x outer
+hits in hit order. The angles are computed on demand, a doublet's the
+first time they are read (:meth:`Doublets.angles`), so pre-selection
+computes them only for the doublets of candidate triplets;
+``theta_xz``/``theta_yz`` give every doublet's. Its triplets are
 one :class:`Triplets`: first and second doublet index into that
 Doublets, and delta_theta, by first doublet and then by second doublet,
 both ascending. Hits are keyed on their ids (unique within an
@@ -24,12 +28,21 @@ view, a frozen dataclass with one entry's hits and values, a read-only
 accessor for the demo, tests and truth inspection; a slice or an index
 array of a Triplets yields the Triplets of those entries.
 
-The angles come from ``math.atan2`` and delta_theta from ``math.hypot``,
-one value at a time: their NumPy forms differ from them in the last bit
-(on mult-100 event 0 at seed 2024, ``np.arctan2`` on 18 of 1904 theta_xz
-and ``np.hypot`` on 28 of 8761 triplet candidates, by at most 2.2e-16
-relative). NumPy only prefilters the triplet candidates, with a relative
-margin of 1e-9.
+The triplet join is output-sized. It pairs a first doublet only with
+the second doublets that start at its outer hit and whose theta_xz lies
+within the cap (plus the prefilter's margin and ANGLE_PAD) of its own
+(:func:`~qubotrack.geometry.windowed_key_pairs`, on ``np.arctan2``
+angles), and drops those whose ``np.arctan2`` delta_theta exceeds the
+same bound: as hypot(dx, dy) >= |dx| and the pad covers the two angle
+forms' rounding, no pair the cut below keeps is lost, and memory and
+time follow the pairs in the window, not all pairs that share a hit.
+
+The cut reads angles from ``math.atan2`` and delta_theta from
+``math.hypot``, one value at a time: their NumPy forms differ from them
+in the last bit (on mult-100 event 0 at seed 2024, ``np.arctan2`` on 18
+of 1904 theta_xz and ``np.hypot`` on 28 of 8761 triplet candidates, by
+at most 2.2e-16 relative). NumPy only prefilters the triplet
+candidates, with a relative margin of 1e-9.
 """
 
 from __future__ import annotations
@@ -40,10 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DetectorGeometry, Event, Hit, equal_key_pairs
+from .geometry import DetectorGeometry, Event, Hit, windowed_key_pairs
 
 DX_SIGMA_FLOOR = 1e-9  # guards against zero-width windows from degenerate input
 HYPOT_MARGIN = 1e-9    # relative; np.hypot and math.hypot agree far closer
+ANGLE_PAD = 1e-12      # rad; np.arctan2 and math.atan2 agree within ulps of pi
 
 
 class CalibrationError(ValueError):
@@ -86,35 +100,59 @@ class Doublets:
 
     def __init__(self, hits: tuple[Hit, ...], hit_ids: np.ndarray,
                  positions: np.ndarray, inner: np.ndarray, outer: np.ndarray,
-                 theta_xz: np.ndarray, theta_yz: np.ndarray, dx_over_x0: np.ndarray):
+                 step: np.ndarray, dx_over_x0: np.ndarray):
         self.hits, self.hit_ids, self.positions = hits, hit_ids, positions
         self.inner, self.outer = inner, outer
-        self.theta_xz, self.theta_yz, self.dx_over_x0 = theta_xz, theta_yz, dx_over_x0
+        self.step = step  # (doublets, 3): outer minus inner hit position
+        self.dx_over_x0 = dx_over_x0
+        self._angles = np.empty((2, len(inner)))  # theta_xz, theta_yz rows
+        self._known = np.zeros(len(inner), dtype=bool)
 
     @classmethod
     def from_hit_pairs(cls, hits: Sequence[Hit], inner, outer,
                        columns: tuple[np.ndarray, ...] | None = None) -> "Doublets":
         """Doublets of the (inner, outer) hit index pairs, no inner hit at
-        x0 = 0, their features computed here and nowhere else. ``columns``
-        is ``_hit_columns(hits)`` when the caller has it."""
+        x0 = 0, their features computed here and nowhere else (the angles
+        when first read, by :meth:`angles`). ``columns`` is
+        ``_hit_columns(hits)`` when the caller has it."""
         hits = tuple(hits)
         ids, _, pos = columns if columns is not None else _hit_columns(hits)
         inner = np.asarray(inner, dtype=np.intp)
         outer = np.asarray(outer, dtype=np.intp)
-        d = pos[outer] - pos[inner]
-        dx, dy, dz = d[:, 0].tolist(), d[:, 1].tolist(), d[:, 2].tolist()
-        return cls(hits, ids, pos, inner, outer,
-                   np.array(list(map(math.atan2, dx, dz)), dtype=float),
-                   np.array(list(map(math.atan2, dy, dz)), dtype=float),
-                   d[:, 0] / pos[inner, 0])
+        step = pos[outer] - pos[inner]
+        return cls(hits, ids, pos, inner, outer, step, step[:, 0] / pos[inner, 0])
+
+    def angles(self, index) -> tuple[np.ndarray, np.ndarray]:
+        """theta_xz and theta_yz of the doublets ``index`` (anything that
+        indexes an array), rad: ``math.atan2`` of the step's dx (dy) and
+        dz, computed for a doublet the first time it is read."""
+        todo = np.zeros(len(self), dtype=bool)
+        todo[index] = True
+        todo = np.flatnonzero(todo & ~self._known)
+        if len(todo):
+            dx, dy, dz = self.step[todo].T.tolist()
+            self._angles[0, todo] = list(map(math.atan2, dx, dz))
+            self._angles[1, todo] = list(map(math.atan2, dy, dz))
+            self._known[todo] = True
+        return self._angles[0, index], self._angles[1, index]
+
+    @property
+    def theta_xz(self) -> np.ndarray:
+        """Every doublet's atan(dx/dz), rad."""
+        return self.angles(slice(None))[0]
+
+    @property
+    def theta_yz(self) -> np.ndarray:
+        """Every doublet's atan(dy/dz), rad."""
+        return self.angles(slice(None))[1]
 
     def __len__(self) -> int:
         return len(self.inner)
 
     def __getitem__(self, k: int) -> Doublet:
+        theta_xz, theta_yz = self.angles(k)
         return Doublet(self.hits[self.inner[k]], self.hits[self.outer[k]],
-                       float(self.theta_xz[k]), float(self.theta_yz[k]),
-                       float(self.dx_over_x0[k]))
+                       float(theta_xz), float(theta_yz), float(self.dx_over_x0[k]))
 
     def __iter__(self):
         hits = self.hits
@@ -211,15 +249,21 @@ class PreselectionWindow:
     max_delta_theta: float = 1e-3  # rad
 
     def __post_init__(self):
-        if self.dx_sigma <= 0:
-            raise ValueError(f"dx_sigma must be positive, got {self.dx_sigma}")
-        if self.max_delta_theta <= 0:
-            raise ValueError("max_delta_theta must be positive")
+        if not math.isfinite(self.dx_mean):
+            raise ValueError(f"dx_mean must be finite, got {self.dx_mean}")
+        for name in ("dx_sigma", "n_sigma", "max_delta_theta"):
+            if not getattr(self, name) > 0:  # "not > 0" so that NaN fails too
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     @classmethod
     def from_calibration(cls, dx_mean: float, dx_sigma: float,
                          n_sigma: float = 3.0,
                          max_delta_theta: float = 1e-3) -> "PreselectionWindow":
+        """The window of a calibrated (or configured) mean and sigma; a
+        zero sigma is floored at DX_SIGMA_FLOOR, a negative or NaN one
+        raises ``ValueError``."""
+        if not dx_sigma >= 0:
+            raise ValueError(f"dx_sigma must be non-negative, got {dx_sigma}")
         return cls(dx_mean=dx_mean, dx_sigma=max(dx_sigma, DX_SIGMA_FLOOR),
                    n_sigma=n_sigma, max_delta_theta=max_delta_theta)
 
@@ -233,17 +277,21 @@ class DoubletDiagnostics:
 
 def truth_doublets(event: Event) -> Doublets:
     """All consecutive-layer hit pairs sharing a truth particle (for
-    calibration), by particle id and then by layer."""
-    by_particle_layer: dict[tuple[int, int], int] = {}
-    for k, h in enumerate(event.hits):
-        if h.truth_particle_id is not None:
-            by_particle_layer[(h.truth_particle_id, h.layer)] = k
-    pairs = [(k, by_particle_layer[(pid, layer + 1)])
-             for (pid, layer), k in sorted(by_particle_layer.items())
-             if (pid, layer + 1) in by_particle_layer
-             and event.hits[k].position[0] != 0.0]
-    inner, outer = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    return Doublets.from_hit_pairs(event.hits, inner, outer)
+    calibration), by particle id and then by layer; of a particle's hits
+    on one layer, the last in hit order."""
+    columns = _hit_columns(event.hits)
+    _, layers, positions = columns
+    pid, known = _truth_columns(event.hits)
+    k = np.flatnonzero(known)
+    k = k[np.lexsort((k, layers[k], pid[k]))]
+    last = np.ones(len(k), dtype=bool)
+    last[:-1] = (pid[k[1:]] != pid[k[:-1]]) | (layers[k[1:]] != layers[k[:-1]])
+    k = k[last]
+    chained = np.flatnonzero((pid[k[1:]] == pid[k[:-1]])
+                             & (layers[k[1:]] == layers[k[:-1]] + 1))
+    inner, outer = k[chained], k[chained + 1]
+    keep = positions[inner, 0] != 0.0
+    return Doublets.from_hit_pairs(event.hits, inner[keep], outer[keep], columns)
 
 
 def truth_triplets(doublets: Doublets) -> Triplets:
@@ -316,17 +364,37 @@ def build_doublets(hits: Sequence[Hit], geometry: DetectorGeometry,
 
 def _chain(doublets: Doublets, max_delta_theta: float) -> Triplets:
     """Every doublet pair chained through a shared middle hit with
-    delta_theta <= max_delta_theta, by first and then second doublet."""
-    ids = doublets.hit_ids
-    first, second = equal_key_pairs(ids[doublets.outer], ids[doublets.inner])
-    dxz = doublets.theta_xz[second] - doublets.theta_xz[first]
-    dyz = doublets.theta_yz[second] - doublets.theta_yz[first]
-    near = np.flatnonzero(np.hypot(dxz, dyz) <= max_delta_theta * (1.0 + HYPOT_MARGIN))
+    delta_theta <= max_delta_theta, by first and then second doublet.
+
+    Pairs are formed only where the ``np.arctan2`` theta_xz lie within
+    the prefilter's reach plus ANGLE_PAD of each other, and kept only
+    where the ``np.arctan2`` angles' delta_theta does too; since
+    hypot(dx, dy) >= |dx| and the pad covers both forms' rounding, these
+    hold every pair the prefilter keeps on the exact angles."""
+    d = doublets
+    ids = np.sort(d.hit_ids)
+    middle = np.searchsorted(ids, d.hit_ids)  # equal ids, equal keys
+    reach = max_delta_theta * (1.0 + HYPOT_MARGIN)
+    width = reach + ANGLE_PAD
+    rough_xz = np.arctan2(d.step[:, 0], d.step[:, 2])
+    rough_yz = np.arctan2(d.step[:, 1], d.step[:, 2])
+    first, second = windowed_key_pairs(middle[d.outer], rough_xz - width,
+                                       rough_xz + width, middle[d.inner], rough_xz)
+    near = np.flatnonzero(np.hypot(rough_xz[second] - rough_xz[first],
+                                   rough_yz[second] - rough_yz[first]) <= width)
+    first, second = first[near], second[near]
+
+    theta_xz, theta_yz = d.angles(np.concatenate([first, second]))
+    m = len(first)
+    dxz, dyz = theta_xz[m:] - theta_xz[:m], theta_yz[m:] - theta_yz[:m]
+    near = np.flatnonzero(np.hypot(dxz, dyz) <= reach)
     delta_theta = np.array(list(map(math.hypot, dxz[near].tolist(), dyz[near].tolist())),
                            dtype=float)
     keep = delta_theta <= max_delta_theta
     near = near[keep]
-    return Triplets(doublets, first[near], second[near], delta_theta[keep])
+    first, second = first[near], second[near]
+    order = np.lexsort((second, first))
+    return Triplets(d, first[order], second[order], delta_theta[keep][order])
 
 
 def build_triplets(doublets: Doublets, window: PreselectionWindow) -> Triplets:

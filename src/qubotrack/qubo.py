@@ -62,8 +62,9 @@ class QuboScaling:
     s_max: float = 1e-3
 
     def __post_init__(self):
-        if self.theta_scale <= 0 or self.s_max <= 0:
-            raise ValueError("scaling constants must be positive")
+        if not (self.theta_scale > 0 and self.s_max > 0):
+            raise ValueError("scaling constants must be positive, got theta_scale "
+                             f"{self.theta_scale} and s_max {self.s_max}")
 
 
 class Qubo:
@@ -141,7 +142,7 @@ class Qubo:
 
 def linear_coefficients(delta_theta: np.ndarray, theta_scale: float) -> np.ndarray:
     """Map delta_theta affinely onto [-1, 1]: 0 -> -1 (best), theta_scale -> +1."""
-    if theta_scale <= 0:
+    if not theta_scale > 0:
         raise ValueError("theta_scale must be positive")
     return np.clip(2.0 * np.asarray(delta_theta, dtype=float) / theta_scale - 1.0,
                    -1.0, 1.0)
@@ -171,8 +172,8 @@ def chained_angle_spreads(triplets: Triplets, a: np.ndarray, b: np.ndarray) -> n
     over the doublets (first of a, second of a, second of b).
     """
     chain = np.stack([triplets.first[a], triplets.second[a], triplets.second[b]], axis=1)
-    d = triplets.doublets
-    return np.sqrt(d.theta_xz[chain].var(axis=1) + d.theta_yz[chain].var(axis=1))
+    theta_xz, theta_yz = triplets.doublets.angles(chain)
+    return np.sqrt(theta_xz.var(axis=1) + theta_yz.var(axis=1))
 
 
 def truth_chain_spreads(triplets: Triplets) -> np.ndarray:

@@ -107,6 +107,11 @@ def test_usage_errors_exit_one(tmp_path):
                  "--config", str(bad_cfg)]) == EXIT_USAGE
     assert main(["reconstruct", "--in", str(run), "--solver", "vqe",
                  "--shots", "-1"]) == EXIT_USAGE
+    # JSON configs allow NaN; a NaN or negative cut would silently find nothing
+    for key, value in (("n_sigma", -1.0), ("max_delta_theta", float("nan")),
+                       ("dx_window", [0.17, float("nan")])):
+        cfg = write_config(tmp_path / "nan.json", **{key: value})
+        assert main(["reconstruct", "--in", str(run), "--config", str(cfg)]) == EXIT_USAGE
     for jobs in ("0", "-2", "two"):
         assert main(["reconstruct", "--in", str(run), "--jobs", jobs]) == EXIT_USAGE, jobs
     for bins in ("3,1", "1,1", "2", "1,x"):
@@ -149,6 +154,8 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path):
     main(["simulate", "--out", str(run), "--events", "1"])
     header = "event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
     (run / "hits.csv").write_text(header + "0,0,0,notafloat,0,1.0,,\n")
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+    (run / "hits.csv").write_text(header + "0,0,0,0.03,nan,1.0,,\n")
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
     (run / "hits.csv").write_text(header + "0,0,0,0.03,0,1.0,,\n0,0,1,0.036,0,1.1,,\n")
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA

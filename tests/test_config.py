@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -73,3 +74,36 @@ def test_from_file(tmp_path):
     as_list.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="JSON object"):
         RunConfig.from_file(as_list)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n_sigma", -1.0, "n_sigma must be positive"),
+    ("n_sigma", 0.0, "n_sigma must be positive"),
+    ("n_sigma", math.nan, "n_sigma must be positive"),
+    ("max_delta_theta", math.nan, "max_delta_theta must be positive"),
+    ("max_delta_theta", -1e-3, "max_delta_theta must be positive"),
+    ("theta_scale", math.nan, "scaling constants must be positive"),
+    ("s_max", math.nan, "scaling constants must be positive"),
+    ("s_max", 0.0, "scaling constants must be positive"),
+    ("dx_window", [0.17, math.nan], "dx_sigma must be non-negative"),
+    ("dx_window", [0.17, -0.01], "dx_sigma must be non-negative"),
+    ("dx_window", [math.nan, 0.01], "dx_mean must be finite"),
+    ("dx_window", [0.17], r"dx_window must be \[mean, sigma\]"),
+], ids=lambda v: repr(v) if isinstance(v, (float, list)) else None)
+def test_invalid_cuts_and_scales_rejected(key, value, message):
+    """Each of these used to be accepted and then select nothing."""
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict({key: value})
+
+
+def test_nan_from_json_file_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"n_sigma": NaN}')
+    with pytest.raises(ConfigError, match="n_sigma must be positive, got nan"):
+        RunConfig.from_file(path)
+
+
+def test_valid_edge_settings_accepted():
+    assert RunConfig(max_delta_theta=math.inf).max_delta_theta == math.inf
+    assert RunConfig(dx_window=(0.17, 0.0)).dx_window == (0.17, 0.0)  # floored later
+    assert RunConfig(s_max=None).s_max is None

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import (DetectorGeometry, Event, GeometryConfig,
                                 GeometryError, Hit, TruthParticle,
-                                build_geometry, shared_hits, validate_event)
+                                build_geometry, shared_hits, validate_event,
+                                windowed_key_pairs)
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets)
@@ -138,3 +140,75 @@ def test_shared_hits_counts_a_repeated_id_once():
     assert got == {(0, 1): 2, (0, 4): 1, (2, 3): 1}
     assert list(got) == [(0, 1), (0, 4), (2, 3)]
     assert shared_hits_dict(np.empty((0, 3), dtype=np.int64)) == {}
+
+
+# -- windowed key join ------------------------------------------------------------
+
+def windowed_oracle(left_key, lo, hi, right_key, right_value):
+    """Every pair by the definition, value by value, as a sorted list."""
+    return sorted((l, r) for l in range(len(left_key)) for r in range(len(right_key))
+                  if left_key[l] == right_key[r] and math.isfinite(right_value[r])
+                  and lo[l] <= right_value[r] <= hi[l])
+
+
+def windowed_sorted(*args):
+    l, r = windowed_key_pairs(*(np.asarray(a) for a in args))
+    assert l.shape == r.shape and len(set(zip(l.tolist(), r.tolist()))) == len(l)
+    return sorted(zip(l.tolist(), r.tolist()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_windowed_key_pairs_match_oracle(seed):
+    """Random keys and values, with ties, infinite and reversed bounds,
+    NaN values and bounds, and bounds equal to a value."""
+    rng = np.random.default_rng(seed)
+    n_left, n_right = rng.integers(0, 40, size=2)
+    right_key = rng.integers(0, 6, n_right)
+    right_value = rng.choice([-1.0, 0.0, 0.25, 0.5, 3.0, np.nan, np.inf],
+                             n_right) if seed % 2 else rng.normal(0, 1, n_right)
+    left_key = rng.integers(0, 7, n_left)
+    centre = (rng.choice(right_value, n_left) if n_right and seed % 3
+              else rng.normal(0, 1, n_left))
+    width = rng.choice([0.0, 0.1, 0.5, np.inf, -0.2, np.nan], n_left)
+    with np.errstate(invalid="ignore"):  # inf - inf
+        lo, hi = centre - width, centre + width
+    expected = windowed_oracle(left_key, lo, hi, right_key, right_value)
+    assert windowed_sorted(left_key, lo, hi, right_key, right_value) == expected
+
+
+def test_windowed_key_pairs_bounds_inclusive_and_within_key():
+    right_key = np.array([0, 0, 0, 1, 1, 2])
+    right_value = np.array([0.1, 0.2, 0.3, 0.2, 0.2, 0.2])
+    # inclusive at both ends, to the last bit
+    assert windowed_sorted([0], [0.2], [0.3], right_key, right_value) == [(0, 1), (0, 2)]
+    assert windowed_sorted([0], [np.nextafter(0.2, 1)], [np.nextafter(0.3, 0)],
+                           right_key, right_value) == []
+    # infinite bounds take the whole key and nothing of its neighbours
+    assert windowed_sorted([1, 3], [-np.inf] * 2, [np.inf] * 2,
+                           right_key, right_value) == [(0, 3), (0, 4)]
+    # tied values: every one of them
+    assert windowed_sorted([1], [0.2], [0.2], right_key, right_value) == [(0, 3), (0, 4)]
+
+
+def test_windowed_key_pairs_resolve_values_finer_than_the_placement():
+    """Values 1 ulp apart under a key whose placement rounds them
+    together are still told apart by the exact check."""
+    v = 0.5
+    right_value = np.array([v, np.nextafter(v, 1), np.nextafter(v, 0), 0.0])
+    right_key = np.full(4, 2**40)
+    got = windowed_sorted([2**40], [np.nextafter(v, 1)], [np.nextafter(v, 1)],
+                          right_key, right_value)
+    assert got == [(0, 1)]
+
+
+def test_windowed_key_pairs_empty_and_rejects_unplaceable_keys():
+    empty = np.empty(0)
+    assert windowed_sorted(empty.astype(int), empty, empty, [0], [0.0]) == []
+    assert windowed_sorted([0], [0.0], [1.0], empty.astype(int), empty) == []
+    assert windowed_sorted([0], [0.0], [1.0], [0], [np.nan]) == []
+    with pytest.raises(ValueError, match="too large"):
+        windowed_key_pairs(np.array([2**53]), np.zeros(1), np.ones(1),
+                           np.array([2**53]), np.zeros(1))
+    with pytest.raises(ValueError, match="too large"):
+        windowed_key_pairs(np.array([0]), np.zeros(1), np.ones(1),
+                           np.array([0, 1]), np.array([-1e308, 1e308]))

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import random_qubo
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.io import (DataFormatError, config_hash, fmt, read_events,
-                          read_qubo, read_tracks_csv, write_counts_csv,
+from qubotrack.io import (PARTICLES_HEADER, DataFormatError, config_hash, fmt,
+                          read_events, read_qubo, read_tracks_csv, write_counts_csv,
                           write_curves_csv, write_doublet_debug_csv,
                           write_hits_csv, write_particles_csv, write_qubo,
                           write_tracks_csv, write_triplet_debug_csv)
@@ -73,6 +73,31 @@ def test_duplicate_hit_id_names_file_line_and_key(tmp_path):
     with pytest.raises(DataFormatError,
                        match=r"hits\.csv:4: duplicate hit id .*\(0, 5\)"):
         read_events(path, path_particles(tmp_path))
+
+
+@pytest.mark.parametrize("column, text", [("x", "nan"), ("y", "inf"), ("z", "-Infinity")])
+def test_non_finite_hit_coordinate_names_file_line_and_column(tmp_path, column, text):
+    row = {"x": "0.03", "y": "0", "z": "1.0", column: text}
+    path = tmp_path / "hits.csv"
+    path.write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n"
+                    "0,0,0,0.03,0,1.0,,\n"
+                    f"0,1,1,{row['x']},{row['y']},{row['z']},,\n")
+    with pytest.raises(DataFormatError,
+                       match=rf"hits\.csv:3: non-finite value in column '{column}'"):
+        read_events(path, path_particles(tmp_path))
+
+
+@pytest.mark.parametrize("column", ["energy", "ox", "dz"])
+def test_non_finite_particle_value_names_file_line_and_column(tmp_path, column):
+    values = dict(zip(PARTICLES_HEADER, "0 1 5.0 0 0 0 0 0 1".split()), **{column: "nan"})
+    path = tmp_path / "particles.csv"
+    path.write_text(",".join(PARTICLES_HEADER) + "\n"
+                    + ",".join(values[k] for k in PARTICLES_HEADER) + "\n")
+    hits = tmp_path / "hits.csv"
+    hits.write_text("event_id,hit_id,layer,x,y,z,truth_particle_id,truth_energy\n")
+    with pytest.raises(DataFormatError,
+                       match=rf"particles\.csv:2: non-finite value in column '{column}'"):
+        read_events(hits, path)
 
 
 def path_particles(tmp_path):

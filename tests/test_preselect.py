@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.geometry import Hit
-from qubotrack.preselect import (CalibrationError, DoubletDiagnostics, Doublets,
-                                 PreselectionWindow, build_doublets,
-                                 build_triplets, calibrate_dx_window,
-                                 truth_doublets, truth_triplets)
+from qubotrack.geometry import Event, Hit, equal_key_pairs
+from qubotrack.preselect import (HYPOT_MARGIN, CalibrationError, DoubletDiagnostics,
+                                 Doublets, PreselectionWindow, _chain,
+                                 build_doublets, build_triplets,
+                                 calibrate_dx_window, truth_doublets,
+                                 truth_triplets)
 
 
 def hit(hid, layer, x, y=0.0, pid=None):
@@ -285,6 +286,35 @@ def test_high_energy_truth_triplets_retained(desk_events, geometry):
     assert retained / total >= 0.99
 
 
+def truth_doublet_pairs_oracle(event):
+    """(inner, outer) hit positions of the truth doublets, by a dict of
+    each (particle, layer)'s last hit."""
+    by_particle_layer = {}
+    for k, h in enumerate(event.hits):
+        if h.truth_particle_id is not None:
+            by_particle_layer[(h.truth_particle_id, h.layer)] = k
+    return [(k, by_particle_layer[(pid, layer + 1)])
+            for (pid, layer), k in sorted(by_particle_layer.items())
+            if (pid, layer + 1) in by_particle_layer
+            and event.hits[k].position[0] != 0.0]
+
+
+def test_truth_doublets_match_dict_oracle(desk_events):
+    crafted = Event(0, 0.0, (hit(0, 1, 0.036, pid=7), hit(1, 0, 0.03, pid=7),
+                             hit(2, 1, 0.037, pid=7),   # a second hit on layer 1
+                             hit(3, 2, 0.042, pid=7), hit(4, 0, 0.0, pid=3),
+                             hit(5, 1, 0.036, pid=3), hit(6, 2, 0.04),
+                             hit(7, 3, 0.05, pid=3), hit(8, 3, 0.048, pid=7)), ())
+    for event in [crafted, *desk_events[:2]]:
+        ds = truth_doublets(event)
+        assert list(zip(ds.inner.tolist(), ds.outer.tolist())) == \
+            truth_doublet_pairs_oracle(event)
+    assert list(zip(ds.inner.tolist(), ds.outer.tolist()))  # desk events have some
+    ds = truth_doublets(crafted)
+    assert ds.hit_ids[ds.inner].tolist() == [1, 2, 3]       # pid 7; pid 3 has x0 = 0
+    assert len(truth_doublets(Event(0, 0.0, (), ()))) == 0
+
+
 def test_truth_triplets_helper(desk_events):
     event = desk_events[0]
     ts = truth_triplets(truth_doublets(event))
@@ -295,3 +325,161 @@ def test_truth_triplets_helper(desk_events):
         per_pid.setdefault(t.truth_particle_id(), []).append(t.layer_span)
     for spans in per_pid.values():
         assert len(spans) <= 2 and len(set(spans)) == len(spans)
+
+
+# -- the windowed join against the all-pairs join ------------------------------------
+
+def chain_oracle(doublets, max_delta_theta):
+    """The all-pairs join the windowed join replaced: every doublet pair
+    that shares a middle hit id, cut on the exact angles. Returns
+    (first, second, delta_theta)."""
+    ids = doublets.hit_ids
+    first, second = equal_key_pairs(ids[doublets.outer], ids[doublets.inner])
+    dxz = doublets.theta_xz[second] - doublets.theta_xz[first]
+    dyz = doublets.theta_yz[second] - doublets.theta_yz[first]
+    near = np.flatnonzero(np.hypot(dxz, dyz) <= max_delta_theta * (1.0 + HYPOT_MARGIN))
+    delta_theta = np.array(list(map(math.hypot, dxz[near].tolist(), dyz[near].tolist())),
+                           dtype=float)
+    keep = delta_theta <= max_delta_theta
+    near = near[keep]
+    return first[near], second[near], delta_theta[keep]
+
+
+CAPS = [0.0, 1e-12, 1e-3, 0.5, math.inf]
+
+
+def assert_chain_matches_oracle(hits, inner, outer, cap):
+    """The windowed join on fresh doublets (no angle read yet) equals the
+    oracle bit for bit, on doublets of its own."""
+    got = _chain(Doublets.from_hit_pairs(hits, inner, outer), cap)
+    first, second, delta_theta = chain_oracle(Doublets.from_hit_pairs(hits, inner, outer),
+                                              cap)
+    assert got.first.tolist() == first.tolist()
+    assert got.second.tolist() == second.tolist()
+    assert got.delta_theta.tobytes() == delta_theta.tobytes()
+    return got
+
+
+@pytest.fixture(scope="module")
+def desk_doublets(desk_events, geometry):
+    out = []
+    for event in desk_events[:3]:
+        mean, sigma = calibrate_dx_window([truth_doublets(event)])
+        window = PreselectionWindow.from_calibration(mean, sigma)
+        ds = build_doublets(event.hits, geometry, window)
+        out.append((ds.hits, ds.inner, ds.outer))
+    return out
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_matches_all_pairs_on_desk_events(desk_doublets, cap):
+    kept = [len(assert_chain_matches_oracle(*d, cap)) for d in desk_doublets]
+    if cap >= 1e-3:
+        assert min(kept) > 0
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_matches_all_pairs_shuffled_and_duplicated(desk_doublets, cap):
+    hits, inner, outer = desk_doublets[0]
+    rng = np.random.default_rng(5)
+    pick = np.concatenate([rng.permutation(len(inner)),
+                           rng.choice(len(inner), 200)])  # 200 doublets listed twice
+    ts = assert_chain_matches_oracle(hits, inner[pick], outer[pick], cap)
+    if cap >= 1e-3:
+        assert len(ts) > 0
+
+
+def test_windowed_join_matches_all_pairs_truth_doublets(desk_events):
+    for event in desk_events[:3]:
+        ds = truth_doublets(event)
+        got = truth_triplets(ds)
+        first, second, delta_theta = chain_oracle(truth_doublets(event), math.inf)
+        assert got.first.tolist() == first.tolist()
+        assert got.second.tolist() == second.tolist()
+        assert got.delta_theta.tobytes() == delta_theta.tobytes()
+
+
+def fan():
+    """One inner doublet into hit 1, and second doublets out of hit 1 to
+    hits at the same x (tied theta_xz) with different y, plus one doublet
+    into a different middle hit."""
+    hits = [hit(0, 0, 0.03), hit(1, 1, 0.036), hit(5, 1, 0.037)]
+    hits += [hit(10 + k, 2, 0.042, y)
+             for k, y in enumerate((0.0, 1e-5, -1e-5, 3e-4, 0.0))]
+    hits += [hit(20, 2, 0.043)]
+    inner = [0] + [1] * 5 + [2]
+    outer = [1, 3, 4, 5, 6, 7, 8]
+    return hits, inner, outer
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_tied_theta_xz(cap):
+    ts = assert_chain_matches_oracle(*fan(), cap)
+    # four ties on theta_xz; the y = 3e-4 doublet is 3 mrad off
+    assert len(ts) == {1e-3: 4, 0.5: 5, math.inf: 5}.get(cap, len(ts))
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_keys_on_hit_ids(cap):
+    """Hits are keyed on their ids: a second middle hit with the first's
+    id chains like it (ids are unique in read events, not in a bare
+    Doublets)."""
+    hits, inner, outer = fan()
+    hits[2] = Hit(1, 1, hits[2].position)
+    ts = assert_chain_matches_oracle(hits, inner, outer, cap)
+    assert (6 in ts.second.tolist()) == (cap >= 1e-12)  # the same theta_xz
+
+
+def test_windowed_join_pair_at_the_reach_to_the_last_bit():
+    """A pair whose whole delta_theta is its theta_xz difference (dy = 0)
+    is kept at a cap equal to it and dropped one float below."""
+    d1 = (hit(0, 0, 0.03), hit(1, 1, 0.036))
+    theta = math.atan2(0.006, 0.1) + 0.7e-3
+    d2 = (hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta)))
+    hits = [d1[0], d1[1], d2[1]]
+    ds = Doublets.from_hit_pairs(hits, [0, 1], [1, 2])
+    (dt,) = _chain(ds, math.inf).delta_theta
+    assert ds.theta_yz.tolist() == [0.0, 0.0]
+    assert dt == ds.theta_xz[1] - ds.theta_xz[0] == pytest.approx(0.7e-3, rel=1e-9)
+    for cap in (dt, float(np.nextafter(dt, 0.0)), float(np.nextafter(dt, 1.0))):
+        ts = assert_chain_matches_oracle(hits, [0, 1], [1, 2], cap)
+        assert len(ts) == (cap >= dt)
+
+
+@pytest.mark.parametrize("coordinate", [1, 2], ids=["nan-y", "nan-z"])
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_nan_coordinate(coordinate, cap):
+    hits, inner, outer = fan()
+    position = list(hits[4].position)
+    position[coordinate] = math.nan
+    hits[4] = Hit(hits[4].hit_id, hits[4].layer, tuple(position))
+    ts = assert_chain_matches_oracle(hits, inner, outer, cap)
+    assert 2 not in ts.second.tolist()
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_windowed_join_empty_and_single_doublet(cap):
+    hits = [hit(0, 0, 0.03), hit(1, 1, 0.036)]
+    assert len(assert_chain_matches_oracle(hits, [], [], cap)) == 0
+    assert len(assert_chain_matches_oracle(hits, [0], [1], cap)) == 0
+
+
+def test_angles_equal_math_atan2_before_and_after_the_join(desk_doublets):
+    hits, inner, outer = desk_doublets[0]
+    positions = np.array([h.position for h in hits])
+    d = positions[outer] - positions[inner]
+    expected_xz = [math.atan2(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())]
+    expected_yz = [math.atan2(y, z) for y, z in zip(d[:, 1].tolist(), d[:, 2].tolist())]
+    window = wide_window()
+    before = Doublets.from_hit_pairs(hits, inner, outer)
+    assert before.theta_xz.tolist() == expected_xz
+    assert before.theta_yz.tolist() == expected_yz
+    build_triplets(before, window)
+    after = Doublets.from_hit_pairs(hits, inner, outer)
+    ts = build_triplets(after, window)
+    assert 0 < after._known.sum() < len(after)  # the join read some angles only
+    assert after.theta_xz.tolist() == expected_xz
+    assert after.theta_yz.tolist() == expected_yz
+    assert [after[k].theta_xz for k in (0, len(after) - 1)] == [expected_xz[0],
+                                                               expected_xz[-1]]
+    assert len(ts) > 0
