@@ -111,13 +111,6 @@ class Qubo:
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
         self.data = np.concatenate([b, b])[order]
 
-    @classmethod
-    def from_dense(cls, linear, block) -> "Qubo":
-        """Objective of a dense sub-problem: ``linear`` and the nonzero
-        couplings above the diagonal of the symmetric ``block``, row-major."""
-        i, j = np.nonzero(np.triu(block, 1))
-        return cls(len(linear), linear, i, j, block[i, j])
-
     def entry_rows(self) -> np.ndarray:
         """Row index of every stored entry, aligned with ``indices``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -282,9 +275,10 @@ def to_ising(qubo: Qubo) -> IsingHamiltonian:
 
 
 def dense_to_ising(linear: np.ndarray, block: np.ndarray) -> IsingHamiltonian:
-    """``to_ising(Qubo.from_dense(linear, block))``, the same numbers,
-    without building the CSR: the nonzero couplings above the diagonal of
-    ``block``, row-major, are already the pairs in ascending order."""
+    """:func:`to_ising` of the objective with coefficients ``linear`` and,
+    as its pairs, the nonzero couplings above the diagonal of ``block``,
+    without building the CSR: those couplings, row-major, are already the
+    pairs in ascending order."""
     i, j = np.nonzero(np.triu(block, 1))
     return _ising(np.asarray(linear, dtype=float), i, j, block[i, j])
 

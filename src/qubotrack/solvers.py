@@ -45,21 +45,29 @@ and its uniforms with ``rng.random(n)``, but pays none of that loop's
 per-call overhead: the draws are replayed in bulk from the generator's
 raw PCG64 words by the arithmetic NumPy itself applies to them (and by
 NumPy itself where that arithmetic would redraw), a block of sweeps at a
-time. Each block's ``ln u`` comes from one ``np.log``, and a proposal is
-decided by comparing y = -delta / T with it, outside a band of 1e-12
-that covers the rounding of ``np.log`` and ``np.exp``; inside the band
-``u < np.exp(y)`` decides. The loop runs on Python lists (fields,
-coupling rows, bits). Rejections change nothing, so after a run of them
-one vectorised pass rejects the rest of the block up to the next
-proposal it cannot reject, which skips the frozen end of the schedule
-in bulk.
+time, gathered at positions cached per size and block length. Each
+block's ``ln u`` comes from one ``np.log``, and a proposal is decided by
+comparing y = -delta / T with it, outside a band of 1e-12 that covers
+the rounding of ``np.log`` and ``np.exp``; inside the band
+``u < np.exp(y)`` decides. The loop runs in Python on Python scalars,
+and its set-up costs what the problem holds: a sub-problem is read from
+its dense ``(a, B)`` without building a CSR, and only the field and the
+row update depend on the row length. Short rows are Python lists of
+``(j, b_ij)`` pairs; long ones (the whole tracking objective, hundreds of
+entries a row) stay CSR arrays, and an accepted flip applies its row with
+one NumPy scatter on a float64 field, so no Python object is made per
+coupling. Rejections change nothing, so after a run of them one
+vectorised pass rejects the rest of the block up to the next proposal it
+cannot reject, which skips the frozen end of the schedule in bulk.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -74,6 +82,8 @@ _REPLAY_PROPOSALS = 2 ** 16
 _LOG_BAND = 1e-12  # |y - ln u| within which np.exp decides a proposal
 _LOOK_AHEAD_RUN = 4  # a look-ahead follows 4n rejections in a row
 _SEGMENT = 128  # proposals of a block turned into Python lists at a time
+_SCATTER_ROW = 32  # mean row length above which an accepted flip scatters its row
+# (the two forms, set-up included, break even at 16 to 32 entries a row)
 
 # sub-solver contract: (linear a, symmetric k x k block B with zero diagonal,
 # entropy) -> bit vector. The entropy (seed, iteration, group) seeds the
@@ -425,6 +435,29 @@ class AnnealSchedule:
         return self.t_initial * ratio ** np.arange(self.sweeps)
 
 
+@functools.lru_cache(maxsize=32)
+def _draw_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where :func:`_sweep_draws` finds a block of b sweeps' draws at size n
+    (read-only, cached per (n, b)): the position of proposal k's 32-bit half
+    among the block's raw words viewed as ``uint32``, and the (b, n)
+    positions of the uniforms' words.
+
+    Proposal k reads half-word h = k // 2 of the flip halves, the word at
+    h + n * (2h // n), its low half when k is even; which ``uint32`` of a
+    word is its low half follows ``sys.byteorder``. Sweep s's uniforms sit
+    at words ceil((s + 1) n / 2) + s n + [0, n)."""
+    halves_per_sweep = n if n > 1 else 0
+    k = np.arange(b * halves_per_sweep)
+    h = k >> 1
+    word = h + n * (2 * h // max(halves_per_sweep, 1))
+    halves = 2 * word + ((k & 1) ^ (sys.byteorder == "big"))
+    s = np.arange(b)
+    uniforms = (-(-(s + 1) * halves_per_sweep // 2) + s * n)[:, None] + np.arange(n)
+    halves.setflags(write=False)
+    uniforms.setflags(write=False)
+    return halves, uniforms
+
+
 def _sweep_draws(rng: np.random.Generator, n: int,
                  sweeps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield the sweeps' draws in blocks ``(flips, uniforms)``, both (b, n)
@@ -437,15 +470,13 @@ def _sweep_draws(rng: np.random.Generator, n: int,
     with the high half buffered until the next flip, and maps it to
     ``(half * n) >> 32`` (Lemire's multiply-shift); for n == 1 it draws
     nothing. Each uniform takes one whole word as ``(word >> 11) * 2**-53``.
-    Proposal k of a block therefore reads half-word h = k // 2, the word at
-    h + n * (2h // n) (the high half when k is odd), and sweep s's uniforms
-    sit at words ceil((s + 1) n / 2) + s n + [0, n). An even number of
-    sweeps uses an even number of halves, so no half is buffered across a
-    block boundary. Where NumPy would reject a half and draw again (its
-    low 32 bits of ``half * n`` below ``2**32 mod n``), the block is
-    abandoned: the generator is reset to the block start and the remaining
-    sweeps come from ``rng.integers`` and ``rng.random`` themselves, one
-    sweep a block.
+    Both are gathered at positions that depend on (n, b) only
+    (:func:`_draw_layout`). An even number of sweeps uses an even number of
+    halves, so no half is buffered across a block boundary. Where NumPy
+    would reject a half and draw again (its low 32 bits of ``half * n``
+    below ``2**32 mod n``), the block is abandoned: the generator is reset
+    to the block start and the remaining sweeps come from ``rng.integers``
+    and ``rng.random`` themselves, one sweep a block.
     """
     halves_per_sweep = n if n > 1 else 0
     threshold = 2 ** 32 % max(n, 1)
@@ -456,30 +487,34 @@ def _sweep_draws(rng: np.random.Generator, n: int,
         start = rng.bit_generator.state
         flip_words = -(-b * halves_per_sweep // 2)
         words = rng.bit_generator.random_raw(flip_words + b * n)
-        k = np.arange(b * halves_per_sweep)
-        h = k >> 1
-        halves = words[h + n * (2 * h // max(halves_per_sweep, 1))]
-        halves = np.where(k & 1, halves >> np.uint64(32), halves & np.uint64(0xFFFFFFFF))
-        scaled = halves * np.uint64(n)
-        if np.any((scaled & np.uint64(0xFFFFFFFF)) < threshold):
+        half_at, uniform_at = _draw_layout(n, b)
+        halves = words.view(np.uint32)[half_at]
+        # uint32 products wrap: they are the low 32 bits of half * n
+        if threshold and np.any(halves * np.uint32(n) < threshold):
             rng.bit_generator.state = start
             break
-        flips = (scaled >> np.uint64(32)) if halves_per_sweep else np.zeros(b * n, np.int64)
-        s = np.arange(b)
-        first = -(-(s + 1) * halves_per_sweep // 2) + s * n
-        uniforms = (words[first[:, None] + np.arange(n)] >> np.uint64(11)) * 2.0 ** -53
-        yield flips.reshape(b, n), uniforms
+        flips = ((halves.astype(np.uint64) * np.uint64(n)) >> np.uint64(32)).astype(np.intp)
+        uniforms = (words[uniform_at] >> np.uint64(11)) * 2.0 ** -53
+        yield (flips.reshape(b, n) if halves_per_sweep else np.zeros((b, n), np.intp)), uniforms
         done += b
     for _ in range(done, sweeps):
         yield rng.integers(0, n, size=(1, n)), rng.random((1, n))
 
 
-def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: float,
+def _anneal(local: list[float] | array.array, rows, current: float,
             temperatures: np.ndarray, rng: np.random.Generator) -> list[int]:
     """The Metropolis loop of :func:`solve_annealing` from all-ones: the
     fields ``local`` (a_i + sum_j b_ij, updated in place), the coupling
-    rows ``(j, b_ij)`` and the starting objective ``current``. Returns the
-    best state seen.
+    rows and the starting objective ``current``. Returns the best state
+    seen.
+
+    The fields and the rows come in one of two forms, which only the row
+    update tells apart. Short rows: ``local`` is a list and ``rows`` a
+    list of each row's ``(j, b_ij)`` pairs, applied one entry at a time.
+    Long rows: ``local`` is an ``array('d')`` and ``rows`` the CSR arrays
+    ``(indptr, indices, data)``; an accepted flip applies its row with one
+    NumPy scatter on a float64 view of ``local``, the same elementwise
+    ``local[j] -+ b_ij`` (a row's columns are distinct).
 
     Per block of draws, ``ln u`` comes from one ``np.log``. A proposal with
     y = -delta / T is accepted when delta <= 0 or y > ln u + ``_LOG_BAND``,
@@ -491,14 +526,19 @@ def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: fl
     ``np.exp(y)`` underflows is rejected), and a NaN delta fails every
     test and is rejected. Rejections leave the state alone, so after
     ``_LOOK_AHEAD_RUN * n`` in a row one vectorised pass applies the reject
-    test to the rest of the block at the current fields, and the loop
-    resumes at the first proposal it does not reject."""
+    test to the rest of the block at the current fields and bits, and the
+    loop resumes at the first proposal it does not reject."""
     n = len(local)
+    scatter = isinstance(rows, tuple)
+    if scatter:
+        indptr, indices, data = rows
+        bounds = indptr.tolist()
+        field = np.frombuffer(local)  # shares local's memory
     bits, best = [1] * n, [1] * n
     best_obj = current
     since_best: list[int] = []  # flips made since ``best`` was last equal to ``bits``
     run_limit = _LOOK_AHEAD_RUN * n
-    done = 0
+    done = run = 0
     for flips, uniforms in _sweep_draws(rng, n, len(temperatures)):
         b = len(flips)
         flips, uniforms = flips.ravel(), uniforms.ravel()
@@ -510,7 +550,7 @@ def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: fl
         bulk = uniforms >= 2.0 ** -53
         lower = np.where(bulk, logs - _LOG_BAND, -np.inf)
         upper = np.where(bulk, logs + _LOG_BAND, np.inf)
-        pos, run = 0, 0
+        pos = 0
         while pos < len(flips):
             # Python lists of the next segment only: the look-ahead skips
             # most of a block without reading it
@@ -519,17 +559,24 @@ def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: fl
                           upper[pos:end].tolist(), temps[pos:end].tolist())
             pos = end
             for p, i, lo, hi, t in segment:
-                field = local[i]
-                delta = -field if bits[i] else field
+                field_i = local[i]
+                bit = bits[i]
+                delta = -field_i if bit else field_i
                 if (delta <= 0.0 or (y := -delta / t) > hi
                         or (not y < lo and uniforms[p] < np.exp(y))):
-                    if bits[i]:
+                    if scatter:
+                        cols = indices[bounds[i]:bounds[i + 1]]
+                        if bit:
+                            field[cols] -= data[bounds[i]:bounds[i + 1]]
+                        else:
+                            field[cols] += data[bounds[i]:bounds[i + 1]]
+                    elif bit:
                         for j, c in rows[i]:
                             local[j] -= c
                     else:
                         for j, c in rows[i]:
                             local[j] += c
-                    bits[i] ^= 1
+                    bits[i] = bit ^ 1
                     since_best.append(i)
                     current += delta
                     if current < best_obj:
@@ -542,7 +589,8 @@ def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: fl
                     # the reject test on the rest of the block at the
                     # current state; resume at the first proposal it keeps
                     run = 0
-                    neg_delta = np.array([f if x else -f for f, x in zip(local, bits)])
+                    fields = field if scatter else np.array(local)
+                    neg_delta = np.where(np.array(bits, dtype=bool), fields, -fields)
                     rejected = neg_delta[flips[p + 1:]] / temps[p + 1:] < lower[p + 1:]
                     pos = p + 1 + (len(rejected) if rejected.all()
                                    else int(rejected.argmin()))
@@ -550,45 +598,71 @@ def _anneal(local: list[float], rows: list[list[tuple[int, float]]], current: fl
     return best
 
 
-def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
-                    seed: int = 0) -> Assignment:
+def solve_annealing(problem: Qubo | tuple[np.ndarray, np.ndarray],
+                    schedule: AnnealSchedule | None = None, seed: int = 0) -> Assignment:
     """Single-flip Metropolis with geometric cooling; returns the best state seen.
 
-    Starts from all-ones. Each sweep proposes n flips at indices from
-    ``rng.integers(0, n, size=n)`` and accepts flip i when its change
-    delta = (1 - 2 T_i) * field_i is <= 0 or when ``rng.random(n)``'s
-    matching uniform u is below ``np.exp(-delta / temperature)``. The draws
-    are replayed in bulk from the generator's raw words
-    (:func:`_sweep_draws`), and the loop (:func:`_anneal`) runs on Python
-    lists: delta is +-field_i exactly, each test is decided against a bulk
-    ``np.log`` of the uniforms and only near ``ln u`` by ``np.exp`` itself,
-    an accepted flip adds or subtracts its coupling row one entry at a time
-    (the operations of adding the row times +-1), runs of rejections are
-    skipped by a vectorised look-ahead, and the best state is brought up to
-    date from a log of the flips made since the last improvement instead of
-    a copy per improvement. So every size runs the same loop, with the bits
-    a per-flip NumPy loop over the same generator would return.
+    ``problem`` is an objective or its dense form ``(a, B)``, as for
+    :func:`solve_exact`. Starts from all-ones. Each sweep proposes n flips
+    at indices from ``rng.integers(0, n, size=n)`` and accepts flip i when
+    its change delta = (1 - 2 T_i) * field_i is <= 0 or when
+    ``rng.random(n)``'s matching uniform u is below
+    ``np.exp(-delta / temperature)``. The draws are replayed in bulk from
+    the generator's raw words (:func:`_sweep_draws`), and the loop
+    (:func:`_anneal`) runs in Python: delta is +-field_i exactly, each test
+    is decided against a bulk ``np.log`` of the uniforms and only near
+    ``ln u`` by ``np.exp`` itself, an accepted flip adds or subtracts its
+    coupling row (the operations of adding the row times +-1), runs of
+    rejections are skipped by a vectorised look-ahead, and the best state
+    is brought up to date from a log of the flips made since the last
+    improvement instead of a copy per improvement. So every size runs the
+    same loop, with the bits a per-flip NumPy loop over the same generator
+    would return.
+
+    The starting fields sum each row in the order the CSR matvec sums it:
+    ``np.bincount`` over the CSR, ``np.add.accumulate`` along a row of B
+    (whose zeros add nothing). Short rows (at most ``_SCATTER_ROW``
+    entries a row on average, every sub-problem) are applied entry by
+    entry from Python lists; longer ones with one NumPy scatter each, so
+    no Python object is built per entry.
 
     A coefficient that is not finite raises ``ValueError``.
     """
     schedule = schedule or AnnealSchedule()
-    bad = np.flatnonzero(~np.isfinite(qubo.linear))
+    if isinstance(problem, Qubo):
+        linear, indptr, cols, vals = problem.linear, problem.indptr, problem.indices, problem.data
+    else:
+        linear, block = problem
+        entry_rows, cols = np.nonzero(block)
+        vals = block[entry_rows, cols]
+        indptr = np.searchsorted(entry_rows, np.arange(len(linear) + 1))
+    bad = np.flatnonzero(~np.isfinite(linear))
     if bad.size:
         raise ValueError(f"annealing needs finite coefficients: linear coefficient "
-                         f"{bad[0]} is {qubo.linear[bad[0]]}")
-    bad = np.flatnonzero(~np.isfinite(qubo.data))
+                         f"{bad[0]} is {linear[bad[0]]}")
+    bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        pair = sorted((int(qubo.entry_rows()[bad[0]]), int(qubo.indices[bad[0]])))
+        row = int(np.searchsorted(indptr, bad[0], side="right")) - 1
+        pair = sorted((row, int(cols[bad[0]])))
         raise ValueError(f"annealing needs finite coefficients: coupling "
-                         f"{tuple(pair)} is {qubo.data[bad[0]]}")
-    n = qubo.n
-    ones = np.ones(n, dtype=np.int8)
-    local = qubo.linear + qubo.coupling_field(ones.astype(float))  # a_i + sum_j b_ij T_j
-    cols, couplings = qubo.indices.tolist(), qubo.data.tolist()
-    bounds = qubo.indptr.tolist()
-    rows = [list(zip(cols[lo:hi], couplings[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
-    best = _anneal(local.tolist(), rows, objective(qubo, ones), schedule.temperatures(),
-                   np.random.default_rng(seed))
+                         f"{tuple(pair)} is {vals[bad[0]]}")
+    n = len(linear)
+    if n == 0:
+        return np.zeros(0, dtype=np.int8)
+    if isinstance(problem, Qubo):
+        coupling = np.bincount(problem.entry_rows(), weights=vals, minlength=n)
+    else:
+        coupling = np.add.accumulate(block, axis=1)[:, -1].copy()
+    ones = np.ones(n)
+    current = float(linear @ ones + 0.5 * ones @ coupling)  # objective(problem, ones)
+    local = linear + coupling  # a_i + sum_j b_ij T_j at T = ones
+    if len(vals) > _SCATTER_ROW * n:
+        local, rows = array.array("d", local.tobytes()), (indptr, cols, vals)
+    else:
+        bounds, cols, vals = indptr.tolist(), cols.tolist(), vals.tolist()
+        local = local.tolist()
+        rows = [list(zip(cols[lo:hi], vals[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
+    best = _anneal(local, rows, current, schedule.temperatures(), np.random.default_rng(seed))
     return np.array(best, dtype=np.int8)
 
 
@@ -596,6 +670,5 @@ def make_annealing_subsolver(schedule: AnnealSchedule | None = None) -> SubSolve
     def _solve(a: np.ndarray, block: np.ndarray,
                entropy: tuple[int, int, int]) -> Assignment:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        return solve_annealing(Qubo.from_dense(a, block), schedule,
-                               seed=int(rng.integers(2 ** 31)))
+        return solve_annealing((a, block), schedule, seed=int(rng.integers(2 ** 31)))
     return _solve

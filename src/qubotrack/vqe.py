@@ -334,11 +334,19 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
             return _probabilities(trials) @ table
         return measure(trials)[1].sum(axis=1) / shots
 
-    def exact_expectation(params: np.ndarray) -> float:
-        return float(_probabilities(prepare_state(params, n)) @ table)
+    last: tuple[bytes, np.ndarray] | None = None  # the angles last prepared, their state
+
+    def prepare(params: np.ndarray) -> np.ndarray:
+        """``prepare_state(params, n)``, reused while ``params`` are bitwise
+        the angles last prepared."""
+        nonlocal last
+        key = params.tobytes()
+        if last is None or last[0] != key:
+            last = key, prepare_state(params, n)
+        return last[1]
 
     evaluations = 0
-    best_thetas = thetas.copy()
+    best_thetas, best_state = thetas.copy(), None
     best_expectation = math.inf
     previous_sweep = math.inf
     while evaluations + 3 <= config.max_evaluations:
@@ -349,20 +357,23 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
             # exact mode: bank the best sweep result and restart from fresh
             # angles once a sweep stops improving (single-angle descent can
             # stall on basis states minimal under every one-parameter move)
-            sweep_cost = exact_expectation(thetas)
+            state = prepare(thetas)
+            sweep_cost = float(_probabilities(state) @ table)
             if sweep_cost < best_expectation:
                 best_expectation = sweep_cost
-                best_thetas = thetas.copy()
+                best_thetas, best_state = thetas.copy(), state
             if previous_sweep - sweep_cost < 1e-9:
                 thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
                 previous_sweep = math.inf
             else:
                 previous_sweep = sweep_cost
 
-    if shots == 0 and exact_expectation(thetas) > best_expectation:
-        thetas = best_thetas
+    # the last prepared state and the best sweep's are kept, so neither
+    # is prepared again
+    final_state = prepare(thetas)
+    if shots == 0 and float(_probabilities(final_state) @ table) > best_expectation:
+        thetas, final_state = best_thetas, best_state
 
-    final_state = prepare_state(thetas, n)
     probs = _probabilities(final_state)
     final_expectation = float(probs @ table)
 

@@ -34,14 +34,22 @@ def qubo_from_dict(n: int, linear, quadratic: dict):
                 list(quadratic.values()))
 
 
+def dense_qubo(linear, block):
+    """Objective of a dense sub-problem ``(a, B)``: ``linear`` and the
+    nonzero couplings above the diagonal of the symmetric ``block``,
+    row-major."""
+    from qubotrack.qubo import Qubo
+    i, j = np.nonzero(np.triu(block, 1))
+    return Qubo(len(linear), linear, i, j, block[i, j])
+
+
 def sub_problems(qubo, bits, k: int):
     """(group, sub-problem) for every impact group of ``qubo`` at ``bits``:
     the dense ``(a, B)`` the decomposition cuts, as a ``Qubo``."""
-    from qubotrack.qubo import Qubo
     from qubotrack.solvers import _impact_groups, _restrict, _split_groups
     groups = _impact_groups(qubo, bits, k)
     split = _split_groups(qubo, groups, k)
-    return [(group, Qubo.from_dense(*_restrict(split, g, bits)))
+    return [(group, dense_qubo(*_restrict(split, g, bits)))
             for g, group in enumerate(groups)]
 
 

@@ -5,12 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import brute_force_minimum, qubo_from_dict, random_qubo, sub_problems
+from conftest import (brute_force_minimum, dense_qubo, qubo_from_dict, random_qubo,
+                      sub_problems)
 from qubotrack import solvers
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
-                               _anneal, _block_objective, _impact_groups, _restrict,
-                               _split_groups, _state_table, _sweep_draws,
+                               _anneal, _block_objective, _draw_layout, _impact_groups,
+                               _restrict, _split_groups, _state_table, _sweep_draws,
                                exact_subsolver, make_annealing_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
 
@@ -368,6 +369,22 @@ def test_replay_falls_back_to_numpy_where_it_would_redraw():
     assert 0 < calls < 300
 
 
+def test_replayed_draws_from_a_cached_layout_equal_numpy_draws():
+    """Two sizes drawn in turn read their gather positions from one cache,
+    each after its first block from a cached entry, and a block abandoned
+    at a rejected half leaves the cached layout as it was."""
+    _draw_layout.cache_clear()
+    for n in (6, 7, 6, 7):
+        for seed in range(5):
+            assert assert_draws_match_numpy(n, seed, sweeps=40) == 0
+    assert _draw_layout.cache_info().misses == 2
+    halves, uniforms = _draw_layout(7, 40)
+    assert not halves.flags.writeable and not uniforms.flags.writeable
+    fallback = assert_draws_match_numpy(5000, seed=4, sweeps=300)
+    assert assert_draws_match_numpy(5000, seed=4, sweeps=300) == fallback > 0
+    assert _draw_layout.cache_info().misses == 3  # blocks of 12 sweeps at n = 5000
+
+
 def feed_draws(monkeypatch, flips, uniforms):
     """Make the annealer read one block of the given draws, one row per
     sweep, instead of the generator's."""
@@ -537,10 +554,108 @@ def test_anneal_schedule_accepts_numpy_integer_sweeps():
     ([0.0, -1.0, 0.5], [[0.0, 0.0, 1.0], [0.0, 0.0, -math.inf], [1.0, -math.inf, 0.0]],
      "coupling (1, 2) is -inf"),
 ])
-def test_annealing_names_a_non_finite_coefficient(linear, block, message):
-    q = Qubo.from_dense(np.array(linear), np.array(block))
+@pytest.mark.parametrize("form", ["qubo", "dense"])
+def test_annealing_names_a_non_finite_coefficient(form, linear, block, message):
+    problem = (np.array(linear), np.array(block))
     with pytest.raises(ValueError, match=re.escape(message)):
-        solve_annealing(q)
+        solve_annealing(dense_qubo(*problem) if form == "qubo" else problem)
+
+
+def dense_problem(rng, n, zero_rows=0, density=None):
+    """Random sub-problem ``(a, B)``: a symmetric block with zero diagonal,
+    ``zero_rows`` of its variables uncoupled."""
+    block = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+    block[rng.random((n, n)) >= (rng.uniform(0, 1) if density is None else density)] = 0.0
+    block = block + block.T
+    uncoupled = rng.permutation(n)[:zero_rows]
+    block[uncoupled] = 0.0
+    block[:, uncoupled] = 0.0
+    return rng.uniform(-1, 1, n), block
+
+
+@pytest.mark.parametrize("sweeps", [1, 7, 300])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 30])
+def test_dense_annealing_equals_the_csr_of_its_pairs(n, sweeps):
+    """``solve_annealing((a, B))`` reads no CSR, yet gives the bits of the
+    objective whose pairs are B's nonzero couplings: with zero rows, with an
+    all-zero block and with a full one."""
+    rng = np.random.default_rng(100 * n + sweeps)
+    for trial in range(8):
+        a, block = dense_problem(rng, n, zero_rows=min(trial % 3, n),
+                                 density={0: 0.0, 1: 1.0}.get(trial))
+        schedule = AnnealSchedule(sweeps=sweeps)
+        got = solve_annealing((a, block), schedule, seed=trial)
+        assert got.dtype == np.int8 and got.shape == (n,)
+        assert got.tolist() == solve_annealing(dense_qubo(a, block), schedule,
+                                               seed=trial).tolist()
+
+
+@pytest.mark.parametrize("scatter_row", [0, math.inf], ids=["scatter", "lists"])
+def test_both_row_forms_equal_per_flip_reference(scatter_row, monkeypatch):
+    """Whichever form the row length picks, entry by entry from Python
+    lists or one scatter per accepted flip, the bits are the per-flip
+    loop's, for either input form and rows long and short."""
+    monkeypatch.setattr(solvers, "_SCATTER_ROW", scatter_row)
+    rng = np.random.default_rng(4242)
+    for trial in range(24):
+        n = int(rng.choice([1, 2, 7, 20, 60]))
+        a, block = dense_problem(rng, n, zero_rows=trial % 2)
+        schedule = AnnealSchedule(t_initial=float(rng.uniform(0.05, 3.0)),
+                                  t_final=float(rng.uniform(1e-4, 0.05)),
+                                  sweeps=int(rng.integers(1, 40)))
+        want = reference_annealing(dense_qubo(a, block), schedule, trial).tolist()
+        assert solve_annealing((a, block), schedule, seed=trial).tolist() == want
+        assert solve_annealing(dense_qubo(a, block), schedule, seed=trial).tolist() == want
+
+
+def banded_conflict_qubo(n: int, width: int) -> Qubo:
+    """Chained neighbours (i, i + 1) and conflicts (i, i + d), 2 <= d <=
+    ``width``: rows of about 2 ``width`` entries, as in the tracking
+    objective, where a triplet conflicts with the hundreds that share a hit."""
+    rng = np.random.default_rng(0)
+    i, d = np.divmod(np.arange(n * width), width)
+    j = i + d + 1
+    keep = j < n
+    i, j, d = i[keep], j[keep], d[keep]
+    b = np.where(d == 0, rng.uniform(-1.0, -0.9, len(i)), 1.0)
+    return Qubo(n, rng.uniform(-1.0, 1.0, n), i, j, b)
+
+
+def test_annealing_builds_nothing_per_coupling():
+    """At scale an accepted flip scatters its row from the CSR arrays, so
+    memory grows with the variables, not with the couplings: 3 000
+    variables with 380 k stored entries stay under 16 MiB, where a Python
+    ``(j, b_ij)`` tuple per entry alone takes over 40 MiB."""
+    import tracemalloc
+    q = banded_conflict_qubo(3000, 64)
+    assert len(q.data) == 379_840
+    schedule = AnnealSchedule(sweeps=4)
+    tracemalloc.start()
+    try:
+        bits = solve_annealing(q, schedule, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert bits.tolist() == reference_annealing(q, schedule, 9).tolist()
+
+
+def test_annealing_subsolver_passes_its_block_through_the_module_global(monkeypatch):
+    """The adapter hands ``(a, B)`` to ``solvers.solve_annealing`` as looked
+    up at call time, so a wrapper patched onto the module sees every
+    sub-solve."""
+    seen = []
+    solve = solvers.solve_annealing
+
+    def spy(problem, schedule=None, seed=0):
+        seen.append(problem)
+        return solve(problem, schedule, seed)
+
+    monkeypatch.setattr(solvers, "solve_annealing", spy)
+    q = random_qubo(np.random.default_rng(10), 9, coupling_prob=0.3)
+    report = solve_iterative(q, make_annealing_subsolver(), k=5, seed=3)
+    assert len(seen) == report.subqubo_count
+    assert all(isinstance(p, tuple) and p[1].shape == (len(p[0]),) * 2 for p in seen)
 
 
 # packed bits (np.packbits) of solve_annealing(random_qubo(default_rng(500 + n), n),

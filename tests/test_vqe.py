@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import qubotrack
 import qubotrack.vqe as vqe
-from conftest import qubo_from_dict, random_qubo
+from conftest import dense_qubo, qubo_from_dict, random_qubo
 from qubotrack.qubo import (IsingHamiltonian, Qubo, dense_to_ising, objective,
                             to_ising)
 from qubotrack.solvers import solve_exact
@@ -392,6 +392,50 @@ def test_run_vqe_outputs_pinned(config, evaluations, counts, thetas):
     assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
 
 
+# recorded before exact mode kept its prepared states: a restart after the last
+# sweep (seed 17) and two sweeps in a row that end at the same angles (seed 1)
+EXACT_300_PINNED = {
+    17: (-3.1053095145552225, [
+        8.395399096752646, 1.5708042878148527, 1.570796326794897, 4.71238898038469,
+        1.5707963267948966, 4.71238898038469, 1.570796326794897, 4.170971518583658,
+        4.712408086419851, -1.5707963267948961, 1.5707963267948966, 4.712388980384688,
+        1.5707963267948966, 7.853981633974484]),
+    1: (-3.1053092335414885, [
+        3.141592653589793, 6.283185307179586, -0.00930735598743948, 7.789057540922894,
+        1.5707963267948966, 1.5707963267948966, 4.71238898038469, 3.141592653589793,
+        3.141592653589793, -0.00928774811133587, 4.64746769150347, 1.5707963267949006,
+        1.570796326794897, 4.712388980384688]),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EXACT_300_PINNED))
+def test_exact_mode_prepares_each_angle_vector_once(seed, monkeypatch):
+    """Exact mode keeps the last prepared state and the best sweep's, so the
+    sweep checks, the best-angle check and the final state prepare each
+    angle vector once, and the outputs are those it had when it prepared
+    the last angles three times; with shots the final state is the one
+    preparation, as before."""
+    prepared = []
+    prepare_state = vqe.prepare_state
+
+    def counting(params, n):
+        prepared.append(np.asarray(params).tobytes())
+        return prepare_state(params, n)
+
+    monkeypatch.setattr(vqe, "prepare_state", counting)
+    ising = to_ising(random_qubo(np.random.default_rng(2), 7))
+    result = run_vqe(ising, VqeConfig(shots=0, max_evaluations=300, seed=seed))
+    assert len(prepared) == len(set(prepared)) <= 9  # 8 sweeps, one maybe restarted
+    expectation, thetas = EXACT_300_PINNED[seed]
+    assert (result.best_bitstring, result.evaluations, result.counts) == ("1101010", 300, {})
+    assert result.best_energy == pytest.approx(-3.1053095146611827, rel=1e-12)
+    assert result.final_expectation == pytest.approx(expectation, rel=1e-12)
+    assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
+    prepared.clear()
+    run_vqe(ising, VqeConfig(shots=512, max_evaluations=300, seed=seed))
+    assert len(prepared) == 1
+
+
 # -- the two-vector sweep against the loop that prepared every trial state ----------
 
 def reference_run_vqe(ising, config):
@@ -536,7 +580,7 @@ def test_dense_to_ising_equals_the_qubo_round_trip():
         block = block + block.T
         linear = rng.uniform(-1, 1, n)
         got = dense_to_ising(linear, block)
-        want = to_ising(Qubo.from_dense(linear, block))
+        want = to_ising(dense_qubo(linear, block))
         assert got.measured_energy_table().tobytes() == want.measured_energy_table().tobytes()
         assert _hex([got.constant]) == _hex([want.constant])
         assert got.field.tobytes() == want.field.tobytes()
