@@ -9,6 +9,7 @@ seed) is echoed into every output artifact.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -46,6 +47,15 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
+        integers = {"subqubo_size": self.subqubo_size, "iterations": self.iterations,
+                    "shots": self.shots, "vqe_max_evaluations": self.vqe_max_evaluations,
+                    "seed": self.seed, "sim.rng_seed": self.sim.rng_seed}
+        for name, value in integers.items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0 or self.sim.rng_seed < 0:
+            raise ConfigError("seed and sim.rng_seed must be >= 0, got "
+                              f"{self.seed} and {self.sim.rng_seed}")
         if self.subqubo_size < 1 or self.iterations < 1:
             raise ConfigError("subqubo_size and iterations must be >= 1")
         if self.shots < 0 or self.vqe_max_evaluations < 1:

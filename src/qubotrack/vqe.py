@@ -11,7 +11,8 @@ All gates are real, so the state is 2^n real float64 amplitudes. Basis index
 convention: qubit 0 is the most significant bit of the amplitude index,
 matching bitstrings printed with variable 0 leftmost. The first R_Y layer on
 |0...0> is a product state, the CNOT chain a basis permutation cached per n,
-and the second layer one 2x2 matmul per qubit, for a batch of states at once.
+and the second layer a Kronecker product applied as one small matmul per run
+of at most 4 qubits (two at n = 7), for a batch of states at once.
 
 Because the target Hamiltonian is diagonal, the energy of every sampled
 bitstring is evaluated classically; no Pauli-term measurement batching is
@@ -26,15 +27,18 @@ global minimum (Nakanishi, Fujii & Todo 2020). A step moves one angle, and
 the state is linear in the cosine and sine of its half, so the three trial
 states and the updated state are combinations of two vectors: the running
 state and the state with that angle advanced by pi (``_nft_sweep``). The
-trials are scored as one batch, their samples drawn with one call to the
-generator in the order of scoring them one by one, so a seed samples the
-same indices as preparing and scoring every trial state on its own.
+trials are scored as one batch. A sweep's uniforms come from one call to the
+generator, in the order of scoring the trials one by one, and each state's
+samples are found by searching its CDF on int64 bit patterns, so a seed
+samples the same indices as preparing and scoring every trial state on its
+own with ``Generator.choice``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -64,6 +68,10 @@ class VqeConfig:
     readout_flip_probability: float = 0.0  # hook for a symmetric bit-flip readout error
 
     def __post_init__(self):
+        for name in ("shots", "max_evaluations", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
         if self.max_evaluations < 1:
@@ -83,33 +91,42 @@ def _cnot_chain_gather(n: int) -> np.ndarray:
 
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
-    """Each angle's R_Y matrix, row-major, along a new last axis; its first
-    column (cos, sin) is R_Y|0>."""
+    """Each angle's R_Y matrix along two new last axes; its first column
+    (cos, sin) is R_Y|0>."""
     cos, sin = np.cos(angles / 2.0), np.sin(angles / 2.0)
-    return np.stack([cos, -sin, sin, cos], axis=-1)
+    return np.stack([cos, -sin, sin, cos], axis=-1).reshape(angles.shape + (2, 2))
 
 
-def _product_states(ry: np.ndarray) -> np.ndarray:
-    """The first layer on |0...0>: the product of R_Y|0> over the n qubits,
-    for rotations ``ry`` of shape (batch, n, 4)."""
-    batch = len(ry)
-    phi = np.ones((batch, 1))
-    for q in range(ry.shape[1]):
-        phi = (phi[:, :, None] * ry[:, q, None, 0::2]).reshape(batch, -1)
-    return phi
+def _kron(mats: np.ndarray) -> np.ndarray:
+    """The Kronecker product over axis 1 of ``mats`` (batch, q, r, c), the
+    first factor leftmost (most significant): shape (batch, r^q, c^q)."""
+    batch, _, r, _ = mats.shape
+    k = np.ones((batch, 1, 1))
+    for m in mats.transpose(1, 0, 2, 3):
+        k = (k[:, :, None, :, None] * m[:, None, :, None, :]).reshape(batch, k.shape[1] * r, -1)
+    return k
 
 
-def _entangle_and_rotate(phi: np.ndarray, ry: np.ndarray) -> np.ndarray:
-    """The CNOT chain and then the second layer, with rotations ``ry`` of
-    shape (batch, n, 4), on the first layer's states ``phi``."""
-    batch, n = ry.shape[:2]
-    psi = phi.take(_cnot_chain_gather(n), axis=1)
+def _second_layer(ry: np.ndarray) -> list[np.ndarray]:
+    """The second layer, for rotations ``ry`` of shape (batch, n, 2, 2), as
+    Kronecker factors over runs of at most 4 consecutive qubits."""
+    n = ry.shape[1]
+    runs = -(-n // 4)
+    return [_kron(ry[:, n * r // runs:n * (r + 1) // runs]) for r in range(runs)]
+
+
+def _entangle_and_rotate(phi: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
+    """The CNOT chain and then the second layer, as ``_second_layer`` factors
+    it, on the first layer's states ``phi`` (shape (batch, 2^n))."""
+    batch = len(phi)
+    psi = phi.take(_cnot_chain_gather(phi.shape[1].bit_length() - 1), axis=1)
     spare = np.empty_like(psi)
-    for q in range(n):
-        # qubit q leads the index; the result is written with it in last
-        # place, so qubit q + 1 leads next and n moves restore the order
-        np.matmul(ry[:, q].reshape(batch, 2, 2), psi.reshape(batch, 2, -1),
-                  out=spare.reshape(batch, -1, 2).transpose(0, 2, 1))
+    for k in factors:
+        # the run's qubits lead the index and are written in last place, so
+        # the next run leads next and the runs restore the order
+        w = k.shape[-1]
+        np.matmul(k, psi.reshape(batch, w, -1),
+                  out=spare.reshape(batch, -1, w).transpose(0, 2, 1))
         psi, spare = spare, psi
     return psi
 
@@ -123,7 +140,8 @@ def prepare_states(params: np.ndarray, n: int) -> np.ndarray:
     if params.ndim != 2 or params.shape[1] != 2 * n:
         raise ValueError(f"expected {2 * n} parameters per state, got shape {params.shape}")
     ry = _rotations(params)
-    return _entangle_and_rotate(_product_states(ry[:, :n]), ry[:, n:])
+    phi = _kron(ry[:, :n, :, :1])[:, :, 0]  # the first layer on |0...0>: R_Y|0> products
+    return _entangle_and_rotate(phi, _second_layer(ry[:, n:]))
 
 
 def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
@@ -133,19 +151,23 @@ def prepare_state(params: AnsatzParams, n: int) -> np.ndarray:
 
 def _probabilities(states: np.ndarray) -> np.ndarray:
     """|amplitude|^2 of each state (last axis), each divided by its sum."""
-    p = np.abs(states) ** 2
+    p = np.square(np.abs(states) if np.iscomplexobj(states) else states)
     total = p.sum(axis=-1, keepdims=True)
-    off = ~(np.abs(total - 1.0) <= 1e-10)  # a NaN total is off too
-    if off.any():
-        raise ValueError(f"state not normalized: sum |amp|^2 = {float(total[off][0])!r}")
+    for t in total.ravel().tolist():
+        if not abs(t - 1.0) <= 1e-10:  # a NaN total is off too
+            raise ValueError(f"state not normalized: sum |amp|^2 = {t!r}")
     return p / total
 
 
-def _cdfs(states: np.ndarray) -> np.ndarray:
-    """Each state's cumulative distribution, its last entry exactly 1."""
-    cdf = np.cumsum(_probabilities(states), axis=-1)
-    cdf /= cdf[..., -1:]
-    return cdf
+def _sample(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The basis indices that each row of ``uniforms`` draws from the same
+    row of ``states``: ``cdf.searchsorted(u, side="right")``, as
+    ``Generator.choice`` finds them. The search runs on int64 views of both,
+    which is exact: non-negative doubles order like their bit patterns."""
+    cdfs = np.add.accumulate(_probabilities(states), axis=-1)
+    cdfs /= cdfs[:, -1:]  # the last entry exactly 1
+    return np.array([cdf.searchsorted(key, side="right") for cdf, key
+                     in zip(cdfs.view(np.int64), uniforms.view(np.int64))])
 
 
 def sample_counts(state: np.ndarray, shots: int,
@@ -153,7 +175,7 @@ def sample_counts(state: np.ndarray, shots: int,
     """Measured basis-state indices for ``shots`` samples of |psi|^2: the
     draw ``rng.choice(len(state), size=shots, p=...)`` makes, without its
     per-call argument checks (same indices, same generator state after)."""
-    return _cdfs(state).searchsorted(rng.random(shots), side="right")
+    return _sample(np.asarray(state)[None], rng.random((1, shots)))[0]
 
 
 def energy_expectation(state: np.ndarray, ising: IsingHamiltonian, shots: int,
@@ -240,8 +262,8 @@ def _nft_sweep(thetas: np.ndarray, n: int, steps: int, score) -> np.ndarray:
     one sweep at most.
     """
     ry = _rotations(thetas)[None]
-    second = ry[:, n:]  # constant while the first-layer angles move
-    phi = _product_states(ry[:, :n])[0]
+    second = _second_layer(ry[:, n:])  # constant while the first-layer angles move
+    phi = _kron(ry[:, :n, :, :1])[0, :, 0]
     phi_perp = np.empty_like(phi)
     pair = np.empty((2, 2 ** n))  # psi, psi_perp
     pair[0] = _entangle_and_rotate(phi[None], second)[0]
@@ -307,21 +329,18 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     best_sampled_index: int | None = None
     best_sampled_energy = math.inf
 
-    def measure(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def measure(states: np.ndarray, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``shots`` samples of each row of ``states``, read out with flips,
-        and their energies. The uniforms come in one draw, in the order
-        sampling the states one by one draws them: each state's sampling
-        uniforms, then its flip uniforms (sample-major)."""
+        and their energies. Each row of ``uniforms`` holds what sampling its
+        state on its own draws: the sampling uniforms, then the flip
+        uniforms (sample-major)."""
         nonlocal best_sampled_index, best_sampled_energy
         rows = len(states)
-        uniforms = rng.random((rows, shots * (n + 1) if flip else shots))
-        samples = np.empty((rows, shots), dtype=np.intp)
-        for row, cdf in enumerate(_cdfs(states)):
-            samples[row] = cdf.searchsorted(uniforms[row, :shots], side="right")
+        samples = _sample(states, uniforms[:, :shots])
         if flip:
             flips = (uniforms[:, shots:].reshape(rows, shots, n) < flip).astype(np.int64)
             samples ^= (flips << np.arange(n - 1, -1, -1)).sum(axis=2)
-        energies = table[samples]
+        energies = table.take(samples)
         # the first lowest sample, in state then sample order
         lowest = int(energies.argmin())
         if energies.flat[lowest] < best_sampled_energy:
@@ -329,10 +348,13 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
             best_sampled_index = int(samples.flat[lowest])
         return samples, energies
 
+    width = shots * (n + 1) if flip else shots  # uniforms per sampled state
+    draws = iter(())  # the uniforms of each step of the sweep at hand
+
     def score(trials: np.ndarray) -> np.ndarray:
         if shots == 0:
             return _probabilities(trials) @ table
-        return measure(trials)[1].sum(axis=1) / shots
+        return measure(trials, next(draws))[1].sum(axis=1) / shots
 
     last: tuple[bytes, np.ndarray] | None = None  # the angles last prepared, their state
 
@@ -351,6 +373,8 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     previous_sweep = math.inf
     while evaluations + 3 <= config.max_evaluations:
         steps = min(2 * n, (config.max_evaluations - evaluations) // 3)
+        if shots:  # one draw for the sweep, in the order a draw per step makes
+            draws = iter(rng.random((steps, len(NFT_SHIFTS), width)))
         _nft_sweep(thetas, n, steps, score)
         evaluations += 3 * steps
         if shots == 0:
@@ -378,7 +402,7 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     final_expectation = float(probs @ table)
 
     if shots > 0:
-        samples, _ = measure(final_state[None])
+        samples, _ = measure(final_state[None], rng.random((1, width)))
         counts = _histogram(samples[0], n)
         best_index = best_sampled_index
     else:

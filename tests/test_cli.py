@@ -107,9 +107,12 @@ def test_usage_errors_exit_one(tmp_path):
                  "--config", str(bad_cfg)]) == EXIT_USAGE
     assert main(["reconstruct", "--in", str(run), "--solver", "vqe",
                  "--shots", "-1"]) == EXIT_USAGE
-    # JSON configs allow NaN; a NaN or negative cut would silently find nothing
+    assert main(["reconstruct", "--in", str(run), "--seed", "-3"]) == EXIT_USAGE
+    # JSON configs allow NaN; a NaN or negative cut would silently find
+    # nothing, and a fractional count would fail every sub-solve
     for key, value in (("n_sigma", -1.0), ("max_delta_theta", float("nan")),
-                       ("dx_window", [0.17, float("nan")])):
+                       ("dx_window", [0.17, float("nan")]), ("shots", 1.5),
+                       ("subqubo_size", 7.5)):
         cfg = write_config(tmp_path / "nan.json", **{key: value})
         assert main(["reconstruct", "--in", str(run), "--config", str(cfg)]) == EXIT_USAGE
     for jobs in ("0", "-2", "two"):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from qubotrack.config import ConfigError, RunConfig
@@ -49,10 +50,43 @@ def test_invalid_vqe_settings_rejected(key, value):
     assert getattr(RunConfig.from_dict({key: value + 1}), key) == value + 1
 
 
+@pytest.mark.parametrize("key, value", [
+    ("subqubo_size", 7.5), ("subqubo_size", True),
+    ("iterations", 2.5), ("iterations", "3"),
+    ("shots", 1.5), ("shots", True),
+    ("vqe_max_evaluations", 30.5), ("vqe_max_evaluations", False),
+    ("seed", 1.5), ("seed", True),
+    ("sim", {"rng_seed": 2.5}), ("sim", {"rng_seed": True}),
+], ids=repr)
+def test_non_integer_counts_and_seeds_rejected(key, value):
+    """Each of these used to pass validation and then fail every sub-solve or
+    end in a TypeError traceback."""
+    with pytest.raises(ConfigError, match="must be an integer"):
+        RunConfig.from_dict({key: value})
+
+
+@pytest.mark.parametrize("d", [{"seed": -3}, {"sim": {"rng_seed": -1}}], ids=repr)
+def test_negative_seed_rejected(d):
+    with pytest.raises(ConfigError, match="seed and sim.rng_seed must be >= 0"):
+        RunConfig.from_dict(d)
+
+
+def test_vqe_config_counts_must_be_integers():
+    from qubotrack.vqe import VqeConfig
+    for name, value in (("shots", 1.5), ("shots", True), ("max_evaluations", 30.5),
+                        ("seed", 2.0), ("seed", None)):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            VqeConfig(**{name: value})
+    assert VqeConfig(shots=np.int64(8), seed=np.int64(3)).shots == 8
+
+
 def test_with_seed_propagates_to_sim():
     cfg = RunConfig().with_seed(99)
     assert cfg.seed == 99
     assert cfg.sim.rng_seed == 99
+    assert RunConfig().with_seed(0).sim.rng_seed == 0
+    with pytest.raises(ConfigError, match="seed and sim.rng_seed must be >= 0"):
+        RunConfig().with_seed(-3)
 
 
 def test_with_xi_sets_label_and_multiplicity():

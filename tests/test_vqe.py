@@ -104,9 +104,38 @@ def test_state_matches_dense_circuit_oracle(n):
         assert np.allclose(state, expected, rtol=0.0, atol=1e-12)
 
 
+def _gate_by_gate(params, n):
+    """The ansatz on |0...0>, one gate at a time on the state vector."""
+    state = np.zeros(2 ** n)
+    state[0] = 1.0
+
+    def rotate(state, q, theta):
+        return np.einsum("ab,ibj->iaj", _ry(theta), state.reshape(2 ** q, 2, -1)).ravel()
+
+    for q in range(n):
+        state = rotate(state, q, params[q])
+    for q in range(n - 1):  # control q, target q + 1
+        pairs = state.reshape(2 ** q, 2, 2, -1).copy()
+        pairs[:, 1] = pairs[:, 1, ::-1].copy()
+        state = pairs.ravel()
+    for q in range(n):
+        state = rotate(state, q, params[n + q])
+    return state
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_state_matches_gate_by_gate_reference(n):
+    # reaches the sizes where the second layer splits into three or more
+    # Kronecker factors, which the dense oracle above does not
+    rng = np.random.default_rng(200 + n)
+    params = rng.uniform(-2 * math.pi, 2 * math.pi, (3, 2 * n))
+    for row, state in zip(params, prepare_states(params, n)):
+        assert np.allclose(state, _gate_by_gate(row, n), rtol=0.0, atol=1e-12)
+
+
 def test_batched_rows_equal_single_states():
     rng = np.random.default_rng(12)
-    for n in (1, 3, 7):
+    for n in (1, 3, 7, 10):
         params = rng.uniform(0, 2 * math.pi, (5, 2 * n))
         states = prepare_states(params, n)
         assert states.dtype == np.float64 and states.shape == (5, 2 ** n)
@@ -201,6 +230,35 @@ def test_sampler_is_the_draw_rng_choice_makes():
         got = sample_counts(state, shots, ours)
         want = theirs.choice(len(p), size=shots, p=p)
         assert np.array_equal(got, want)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def test_batched_sampler_is_the_draw_rng_choice_makes():
+    # the states run_vqe scores at once share one draw, in which each state's
+    # sampling uniforms may be followed by its readout-flip uniforms: every
+    # row's indices are those Generator.choice makes for that state on its
+    # own, drawing the states in turn, and the generator ends in the same state
+    meta = np.random.default_rng(16)
+    for trial in range(60):
+        rows, size = int(meta.integers(1, 5)), int(meta.integers(2, 300))
+        shots, extra = int(meta.integers(0, 1000)), int(meta.choice([0, 3, 7]))
+        states = np.empty((rows, size))
+        for state in states:
+            w = meta.random(size) ** 4
+            w[meta.random(size) < 0.3] = 0.0
+            stop = int(meta.integers(1, size))  # a leading run of zero-probability bins
+            w[:stop] = 0.0
+            w[int(meta.integers(stop, size))] += 1e-3
+            state[:] = np.sqrt(w / w.sum())
+            state[int(meta.integers(stop))] = 1e-155  # one subnormal probability in the run
+        ours = np.random.default_rng(trial)
+        theirs = np.random.default_rng(trial)
+        got = vqe._sample(states, ours.random((rows, shots * (1 + extra)))[:, :shots])
+        assert got.shape == (rows, shots)
+        for row, state in zip(got, states):
+            p = np.abs(state) ** 2 / (np.abs(state) ** 2).sum()
+            assert np.array_equal(row, theirs.choice(len(p), size=shots, p=p)), trial
+            theirs.random(shots * extra)
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
