@@ -274,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--in", dest="input", required=True,
                        help="run directory with hits.csv and particles.csv")
     p_rec.add_argument("--out", help="output directory (default: the input directory)")
-    p_rec.add_argument("--solver", choices=SOLVERS, help="sub-problem solver")
+    p_rec.add_argument("--solver", choices=SOLVERS,
+                       help="exact or vqe sub-problems, or anneal the whole objective")
     p_rec.add_argument("--subqubo-size", dest="subqubo_size", type=int)
     p_rec.add_argument("--iterations", type=int)
     p_rec.add_argument("--shots", type=int)

@@ -13,8 +13,8 @@ import numbers
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from .fastsim import EnergySpectrum, SimConfig
-from .geometry import GeometryConfig
+from .fastsim import EnergySpectrum, SimConfig, SimulationError
+from .geometry import GeometryConfig, build_geometry
 from .preselect import PreselectionWindow
 from .qubo import QuboScaling
 
@@ -49,13 +49,12 @@ class RunConfig:
             raise ConfigError(f"unknown solver {self.solver!r}, expected one of {SOLVERS}")
         integers = {"subqubo_size": self.subqubo_size, "iterations": self.iterations,
                     "shots": self.shots, "vqe_max_evaluations": self.vqe_max_evaluations,
-                    "seed": self.seed, "sim.rng_seed": self.sim.rng_seed}
+                    "seed": self.seed}
         for name, value in integers.items():
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0 or self.sim.rng_seed < 0:
-            raise ConfigError("seed and sim.rng_seed must be >= 0, got "
-                              f"{self.seed} and {self.sim.rng_seed}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.subqubo_size < 1 or self.iterations < 1:
             raise ConfigError("subqubo_size and iterations must be >= 1")
         if self.shots < 0 or self.vqe_max_evaluations < 1:
@@ -64,15 +63,16 @@ class RunConfig:
         if self.dx_window is not None and len(self.dx_window) != 2:
             raise ConfigError("dx_window must be [mean, sigma], got "
                               f"{list(self.dx_window)}")
-        # the window and the scaling own their rules; a value left to
-        # calibration is checked where it is calibrated
+        # the geometry, the window and the scaling own their rules; a value
+        # left to calibration is checked where it is calibrated
         try:
+            build_geometry(self.geometry)
             PreselectionWindow.from_calibration(*(self.dx_window or (0.0, 1.0)),
                                                 n_sigma=self.n_sigma,
                                                 max_delta_theta=self.max_delta_theta)
             QuboScaling(self.theta_scale, 1.0 if self.s_max is None else self.s_max)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid pre-selection or scaling setting: {exc}") from None
+        except (TypeError, ValueError) as exc:  # GeometryError is a ValueError
+            raise ConfigError(f"invalid geometry, cut or scaling setting: {exc}") from None
 
     def with_seed(self, seed: int) -> "RunConfig":
         d = self.to_dict()
@@ -100,18 +100,21 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        if "geometry" in d:
-            g = dict(d["geometry"])
-            if "ip_position" in g:
-                g["ip_position"] = tuple(g["ip_position"])
-            d["geometry"] = GeometryConfig(**g)
-        if "sim" in d:
-            s = dict(d["sim"])
-            if "ip_smear" in s:
-                s["ip_smear"] = tuple(s["ip_smear"])
-            if "energy_spectrum" in s:
-                s["energy_spectrum"] = EnergySpectrum(**s["energy_spectrum"])
-            d["sim"] = SimConfig(**s)
+        try:
+            if "geometry" in d:
+                g = dict(d["geometry"])
+                if "ip_position" in g:
+                    g["ip_position"] = tuple(g["ip_position"])
+                d["geometry"] = GeometryConfig(**g)
+            if "sim" in d:
+                s = dict(d["sim"])
+                if "ip_smear" in s:
+                    s["ip_smear"] = tuple(s["ip_smear"])
+                if "energy_spectrum" in s:
+                    s["energy_spectrum"] = EnergySpectrum(**s["energy_spectrum"])
+                d["sim"] = SimConfig(**s)
+        except (TypeError, SimulationError) as exc:
+            raise ConfigError(f"invalid geometry or sim setting: {exc}") from None
         if d.get("dx_window") is not None:
             d["dx_window"] = tuple(d["dx_window"])
         try:

@@ -9,6 +9,7 @@ parallel with identical results.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -176,12 +177,17 @@ class SimConfig:
     xi_label: float = 0.0
 
     def __post_init__(self):
-        if self.mean_multiplicity < 0:
-            raise SimulationError("mean_multiplicity must be non-negative")
-        if any(s < 0 for s in self.ip_smear):
-            raise SimulationError("ip_smear sigmas must be non-negative")
-        if self.emittance_angle_sigma < 0:
-            raise SimulationError("emittance_angle_sigma must be non-negative")
+        # written as "not 0 <= x < inf" so that NaN fails too
+        if not 0 <= self.mean_multiplicity < math.inf:
+            raise SimulationError("mean_multiplicity must be finite and non-negative")
+        if not all(0 <= s < math.inf for s in self.ip_smear):
+            raise SimulationError("ip_smear sigmas must be finite and non-negative")
+        if not 0 <= self.emittance_angle_sigma < math.inf:
+            raise SimulationError("emittance_angle_sigma must be finite and non-negative")
+        if isinstance(self.rng_seed, bool) or not isinstance(self.rng_seed, numbers.Integral):
+            raise SimulationError(f"rng_seed must be an integer, got {self.rng_seed!r}")
+        if self.rng_seed < 0:
+            raise SimulationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def event_rng(sim: SimConfig, event_id: int) -> np.random.Generator:

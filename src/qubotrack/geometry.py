@@ -86,31 +86,32 @@ class DetectorGeometry:
 def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
     """Construct and validate the detector geometry.
 
-    Raises :class:`GeometryError` on non-positive sizes, a layer count other
-    than four, or non-monotonic layer positions.
+    Raises :class:`GeometryError` on non-positive or infinite sizes, a layer
+    count other than four, or non-monotonic layer positions.
     """
     config = config or GeometryConfig()
     if config.n_layers != N_LAYERS:
         raise GeometryError(
             f"pipeline requires exactly {N_LAYERS} layers, got {config.n_layers}"
         )
-    if config.layer_spacing <= 0:
-        raise GeometryError("layer_spacing must be positive")
-    if config.hit_resolution <= 0:
-        raise GeometryError("hit_resolution must be positive")
-    if config.layer_thickness_x0 < 0:
-        raise GeometryError("layer_thickness_x0 must be non-negative")
-    if config.dipole_field < 0:
-        raise GeometryError("dipole_field must be non-negative")
-    if config.dipole_length <= 0:
-        raise GeometryError("dipole_length must be positive")
-    if config.layer_half_extent_x <= 0 or config.layer_half_extent_y <= 0:
+    # written as "not 0 < x < inf" so that NaN fails too
+    if not 0 < config.layer_spacing < math.inf:
+        raise GeometryError("layer_spacing must be finite and positive")
+    if not 0 < config.hit_resolution < math.inf:
+        raise GeometryError("hit_resolution must be finite and positive")
+    if not 0 <= config.layer_thickness_x0 < math.inf:
+        raise GeometryError("layer_thickness_x0 must be finite and non-negative")
+    if not 0 <= config.dipole_field < math.inf:
+        raise GeometryError("dipole_field must be finite and non-negative")
+    if not 0 < config.dipole_length < math.inf:
+        raise GeometryError("dipole_length must be finite and positive")
+    if not (config.layer_half_extent_x > 0 and config.layer_half_extent_y > 0):
         raise GeometryError("layer half extents must be positive")
 
     layer_z = tuple(
         config.first_layer_z + k * config.layer_spacing for k in range(config.n_layers)
     )
-    if any(b <= a for a, b in zip(layer_z, layer_z[1:])):
+    if not all(b > a for a, b in zip(layer_z, layer_z[1:])):
         raise GeometryError(f"layer positions not strictly increasing: {layer_z}")
 
     return DetectorGeometry(

@@ -20,8 +20,8 @@ from .preselect import (PreselectionWindow, build_doublets, build_triplets,
                         calibrate_dx_window, truth_doublets, truth_triplets)
 from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
                    truth_chain_spreads)
-from .solvers import (AnnealSchedule, SolveReport, exact_subsolver,
-                      make_annealing_subsolver, solve_iterative)
+from .solvers import (SolveReport, exact_subsolver, solve_annealing_report,
+                      solve_iterative)
 from .trackbuild import NDF, fit_track, resolve_ambiguities, triplets_to_candidates
 from .vqe import make_vqe_subsolver
 
@@ -77,8 +77,6 @@ def calibrate(events: list[Event], config: RunConfig
 def _make_subsolver(config: RunConfig):
     if config.solver == "exact":
         return exact_subsolver
-    if config.solver == "anneal":
-        return make_annealing_subsolver(AnnealSchedule())
     if config.solver == "vqe":
         return make_vqe_subsolver(shots=config.shots,
                                   max_evaluations=config.vqe_max_evaluations)
@@ -108,7 +106,8 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
                       ) -> EventResult:
     """Pre-selection, objective assembly (both written to ``dumps``),
     solving and track building for one event. Deterministic given the
-    config seed (per-event solver seed is ``seed ^ event_id``)."""
+    config seed (per-event solver seed is ``seed ^ event_id``); ``anneal``
+    solves the whole objective, the others its sub-problems."""
     doublets = build_doublets(event.hits, geometry, window)
     triplets = build_triplets(doublets, window)
     problem = assemble_qubo(triplets, scaling) if triplets else None
@@ -121,9 +120,12 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     if problem is None:
         return EventResult(eid, [], None, len(doublets), 0)
 
-    report = solve_iterative(
-        problem, _make_subsolver(config), k=config.subqubo_size,
-        max_iterations=config.iterations, seed=config.seed ^ eid)
+    if config.solver == "anneal":
+        report = solve_annealing_report(problem, seed=config.seed ^ eid)
+    else:
+        report = solve_iterative(
+            problem, _make_subsolver(config), k=config.subqubo_size,
+            max_iterations=config.iterations, seed=config.seed ^ eid)
     selected = triplets[np.flatnonzero(report.best_assignment)]
 
     rows = triplets_to_candidates(selected)

@@ -34,27 +34,25 @@ over at once when that answer is its current bits, until an accepted
 flip reaches one of its outside couplings; such a stale group re-reads
 its boundary and re-scores its states against its block's quadratic
 energies, which no flip changes. The short last group and k > 12 are
-enumerated one at a time, and the annealing and VQE sub-solvers are
-called once per group.
+enumerated one at a time, and the VQE sub-solver is called once per
+group.
 
-Simulated annealing (:func:`solve_annealing`) is one single-flip
-Metropolis loop for every problem size, whole objective or 7-variable
-sub-problem alike. It returns the bits a per-flip NumPy loop returns
-that draws each sweep's flip indices with ``rng.integers(0, n, size=n)``
-and its uniforms with ``rng.random(n)``, but pays none of that loop's
-per-call overhead: the draws are replayed in bulk from the generator's
-raw PCG64 words by the arithmetic NumPy itself applies to them (and by
-NumPy itself where that arithmetic would redraw), a block of sweeps at a
-time, gathered at positions cached per size and block length. Each
-block's ``ln u`` comes from one ``np.log``, and a proposal is decided by
-comparing y = -delta / T with it, outside a band of 1e-12 that covers
-the rounding of ``np.log`` and ``np.exp``; inside the band
-``u < np.exp(y)`` decides. The loop runs in Python on Python scalars,
-and its set-up costs what the problem holds: a sub-problem is read from
-its dense ``(a, B)`` without building a CSR, and only the field and the
-row update depend on the row length. Short rows are Python lists of
-``(j, b_ij)`` pairs; long ones (the whole tracking objective, hundreds of
-entries a row) stay CSR arrays, and an accepted flip applies its row with
+Simulated annealing (:func:`solve_annealing`) is the classical baseline:
+one single-flip Metropolis loop over the whole objective, with no
+decomposition (:func:`solve_annealing_report` gives it a report). It
+returns the bits a per-flip NumPy loop returns that draws each sweep's
+flip indices with ``rng.integers(0, n, size=n)`` and its uniforms with
+``rng.random(n)``, but pays none of that loop's per-call overhead: the
+draws are replayed in bulk from the generator's raw PCG64 words by the
+arithmetic NumPy itself applies to them (and by NumPy itself where that
+arithmetic would redraw), a block of sweeps at a time. Each block's
+``ln u`` comes from one ``np.log``, and a proposal is decided by comparing
+y = -delta / T with it, outside a band of 1e-12 that covers the rounding
+of ``np.log`` and ``np.exp``; inside the band ``u < np.exp(y)`` decides.
+The loop runs in Python on Python scalars; only the field and the row
+update depend on the row length. Short rows are Python lists of
+``(j, b_ij)`` pairs; long ones (hundreds of entries a row, as at high
+multiplicity) stay CSR arrays, and an accepted flip applies its row with
 one NumPy scatter on a float64 field, so no Python object is made per
 coupling. Rejections change nothing, so after a run of them one
 vectorised pass rejects the rest of the block up to the next proposal it
@@ -423,7 +421,7 @@ class AnnealSchedule:
                              f"and {self.t_final!r}")
         if self.t_initial <= 0 or self.t_final <= 0:
             raise ValueError("temperatures must be positive")
-        if not isinstance(self.sweeps, numbers.Integral):
+        if isinstance(self.sweeps, bool) or not isinstance(self.sweeps, numbers.Integral):
             raise ValueError(f"sweeps must be an integer, got {self.sweeps!r}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
@@ -435,12 +433,10 @@ class AnnealSchedule:
         return self.t_initial * ratio ** np.arange(self.sweeps)
 
 
-@functools.lru_cache(maxsize=32)
 def _draw_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where :func:`_sweep_draws` finds a block of b sweeps' draws at size n
-    (read-only, cached per (n, b)): the position of proposal k's 32-bit half
-    among the block's raw words viewed as ``uint32``, and the (b, n)
-    positions of the uniforms' words.
+    """Where :func:`_sweep_draws` finds a block of b sweeps' draws at size n:
+    the position of proposal k's 32-bit half among the block's raw words
+    viewed as ``uint32``, and the (b, n) positions of the uniforms' words.
 
     Proposal k reads half-word h = k // 2 of the flip halves, the word at
     h + n * (2h // n), its low half when k is even; which ``uint32`` of a
@@ -453,8 +449,6 @@ def _draw_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
     halves = 2 * word + ((k & 1) ^ (sys.byteorder == "big"))
     s = np.arange(b)
     uniforms = (-(-(s + 1) * halves_per_sweep // 2) + s * n)[:, None] + np.arange(n)
-    halves.setflags(write=False)
-    uniforms.setflags(write=False)
     return halves, uniforms
 
 
@@ -598,44 +592,35 @@ def _anneal(local: list[float] | array.array, rows, current: float,
     return best
 
 
-def solve_annealing(problem: Qubo | tuple[np.ndarray, np.ndarray],
-                    schedule: AnnealSchedule | None = None, seed: int = 0) -> Assignment:
+def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
+                    seed: int = 0) -> Assignment:
     """Single-flip Metropolis with geometric cooling; returns the best state seen.
 
-    ``problem`` is an objective or its dense form ``(a, B)``, as for
-    :func:`solve_exact`. Starts from all-ones. Each sweep proposes n flips
-    at indices from ``rng.integers(0, n, size=n)`` and accepts flip i when
-    its change delta = (1 - 2 T_i) * field_i is <= 0 or when
-    ``rng.random(n)``'s matching uniform u is below
-    ``np.exp(-delta / temperature)``. The draws are replayed in bulk from
-    the generator's raw words (:func:`_sweep_draws`), and the loop
-    (:func:`_anneal`) runs in Python: delta is +-field_i exactly, each test
-    is decided against a bulk ``np.log`` of the uniforms and only near
-    ``ln u`` by ``np.exp`` itself, an accepted flip adds or subtracts its
-    coupling row (the operations of adding the row times +-1), runs of
-    rejections are skipped by a vectorised look-ahead, and the best state
-    is brought up to date from a log of the flips made since the last
-    improvement instead of a copy per improvement. So every size runs the
-    same loop, with the bits a per-flip NumPy loop over the same generator
-    would return.
+    Starts from all-ones. Each sweep proposes n flips at indices from
+    ``rng.integers(0, n, size=n)`` and accepts flip i when its change
+    delta = (1 - 2 T_i) * field_i is <= 0 or when ``rng.random(n)``'s
+    matching uniform u is below ``np.exp(-delta / temperature)``. The
+    draws are replayed in bulk from the generator's raw words
+    (:func:`_sweep_draws`), and the loop (:func:`_anneal`) runs in Python:
+    delta is +-field_i exactly, each test is decided against a bulk
+    ``np.log`` of the uniforms and only near ``ln u`` by ``np.exp`` itself,
+    an accepted flip adds or subtracts its coupling row (the operations of
+    adding the row times +-1), runs of rejections are skipped by a
+    vectorised look-ahead, and the best state is brought up to date from a
+    log of the flips made since the last improvement instead of a copy per
+    improvement. So the bits are those a per-flip NumPy loop over the same
+    generator would return.
 
-    The starting fields sum each row in the order the CSR matvec sums it:
-    ``np.bincount`` over the CSR, ``np.add.accumulate`` along a row of B
-    (whose zeros add nothing). Short rows (at most ``_SCATTER_ROW``
-    entries a row on average, every sub-problem) are applied entry by
+    The starting fields sum each row in the order the CSR matvec sums it,
+    by ``np.bincount`` over the CSR. Short rows (at most ``_SCATTER_ROW``
+    entries a row on average, as at low multiplicity) are applied entry by
     entry from Python lists; longer ones with one NumPy scatter each, so
     no Python object is built per entry.
 
     A coefficient that is not finite raises ``ValueError``.
     """
     schedule = schedule or AnnealSchedule()
-    if isinstance(problem, Qubo):
-        linear, indptr, cols, vals = problem.linear, problem.indptr, problem.indices, problem.data
-    else:
-        linear, block = problem
-        entry_rows, cols = np.nonzero(block)
-        vals = block[entry_rows, cols]
-        indptr = np.searchsorted(entry_rows, np.arange(len(linear) + 1))
+    linear, indptr, cols, vals = qubo.linear, qubo.indptr, qubo.indices, qubo.data
     bad = np.flatnonzero(~np.isfinite(linear))
     if bad.size:
         raise ValueError(f"annealing needs finite coefficients: linear coefficient "
@@ -646,15 +631,12 @@ def solve_annealing(problem: Qubo | tuple[np.ndarray, np.ndarray],
         pair = sorted((row, int(cols[bad[0]])))
         raise ValueError(f"annealing needs finite coefficients: coupling "
                          f"{tuple(pair)} is {vals[bad[0]]}")
-    n = len(linear)
+    n = qubo.n
     if n == 0:
         return np.zeros(0, dtype=np.int8)
-    if isinstance(problem, Qubo):
-        coupling = np.bincount(problem.entry_rows(), weights=vals, minlength=n)
-    else:
-        coupling = np.add.accumulate(block, axis=1)[:, -1].copy()
+    coupling = np.bincount(qubo.entry_rows(), weights=vals, minlength=n)
     ones = np.ones(n)
-    current = float(linear @ ones + 0.5 * ones @ coupling)  # objective(problem, ones)
+    current = float(linear @ ones + 0.5 * ones @ coupling)  # objective(qubo, ones)
     local = linear + coupling  # a_i + sum_j b_ij T_j at T = ones
     if len(vals) > _SCATTER_ROW * n:
         local, rows = array.array("d", local.tobytes()), (indptr, cols, vals)
@@ -666,9 +648,12 @@ def solve_annealing(problem: Qubo | tuple[np.ndarray, np.ndarray],
     return np.array(best, dtype=np.int8)
 
 
-def make_annealing_subsolver(schedule: AnnealSchedule | None = None) -> SubSolver:
-    def _solve(a: np.ndarray, block: np.ndarray,
-               entropy: tuple[int, int, int]) -> Assignment:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        return solve_annealing((a, block), schedule, seed=int(rng.integers(2 ** 31)))
-    return _solve
+def solve_annealing_report(qubo: Qubo, seed: int = 0) -> SolveReport:
+    """:func:`solve_annealing` of the whole objective at the default schedule,
+    as one iteration over one problem; ``best_objective`` is recomputed from
+    the returned bits, and the trace runs from the all-ones start to it."""
+    bits = solve_annealing(qubo, AnnealSchedule(), seed=seed)
+    best = objective(qubo, bits)
+    start = objective(qubo, np.ones(qubo.n, dtype=np.int8))
+    return SolveReport(best_assignment=bits, best_objective=best, iterations_run=1,
+                       subqubo_count=1, objective_trace=[start, best])

@@ -109,10 +109,16 @@ def test_usage_errors_exit_one(tmp_path):
                  "--shots", "-1"]) == EXIT_USAGE
     assert main(["reconstruct", "--in", str(run), "--seed", "-3"]) == EXIT_USAGE
     # JSON configs allow NaN; a NaN or negative cut would silently find
-    # nothing, and a fractional count would fail every sub-solve
+    # nothing, a fractional count would fail every sub-solve, a NaN
+    # simulation or geometry setting would simulate no hits, and a negative
+    # one would end in a traceback
     for key, value in (("n_sigma", -1.0), ("max_delta_theta", float("nan")),
                        ("dx_window", [0.17, float("nan")]), ("shots", 1.5),
-                       ("subqubo_size", 7.5)):
+                       ("subqubo_size", 7.5),
+                       ("sim", {"emittance_angle_sigma": float("nan")}),
+                       ("sim", {"mean_multiplicity": -1.0}),
+                       ("geometry", {"hit_resolution": float("nan")}),
+                       ("geometry", {"layer_spacing": -1.0})):
         cfg = write_config(tmp_path / "nan.json", **{key: value})
         assert main(["reconstruct", "--in", str(run), "--config", str(cfg)]) == EXIT_USAGE
     for jobs in ("0", "-2", "two"):

@@ -67,7 +67,7 @@ def test_non_integer_counts_and_seeds_rejected(key, value):
 
 @pytest.mark.parametrize("d", [{"seed": -3}, {"sim": {"rng_seed": -1}}], ids=repr)
 def test_negative_seed_rejected(d):
-    with pytest.raises(ConfigError, match="seed and sim.rng_seed must be >= 0"):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
         RunConfig.from_dict(d)
 
 
@@ -85,7 +85,7 @@ def test_with_seed_propagates_to_sim():
     assert cfg.seed == 99
     assert cfg.sim.rng_seed == 99
     assert RunConfig().with_seed(0).sim.rng_seed == 0
-    with pytest.raises(ConfigError, match="seed and sim.rng_seed must be >= 0"):
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
         RunConfig().with_seed(-3)
 
 
@@ -141,3 +141,45 @@ def test_valid_edge_settings_accepted():
     assert RunConfig(max_delta_theta=math.inf).max_delta_theta == math.inf
     assert RunConfig(dx_window=(0.17, 0.0)).dx_window == (0.17, 0.0)  # floored later
     assert RunConfig(s_max=None).s_max is None
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"sim": {"mean_multiplicity": math.nan}}, "mean_multiplicity must be finite"),
+    ({"sim": {"mean_multiplicity": math.inf}}, "mean_multiplicity must be finite"),
+    ({"sim": {"mean_multiplicity": -1.0}}, "mean_multiplicity must be finite"),
+    ({"sim": {"ip_smear": [math.nan, 0.0, 0.0]}}, "ip_smear sigmas must be finite"),
+    ({"sim": {"emittance_angle_sigma": math.nan}}, "emittance_angle_sigma must be finite"),
+    ({"geometry": {"first_layer_z": math.nan}}, "layer positions not strictly increasing"),
+    ({"geometry": {"layer_spacing": math.nan}}, "layer_spacing must be finite"),
+    ({"geometry": {"layer_spacing": -1.0}}, "layer_spacing must be finite"),
+    ({"geometry": {"hit_resolution": math.inf}}, "hit_resolution must be finite"),
+    ({"geometry": {"hit_resolution": math.nan}}, "hit_resolution must be finite"),
+    ({"geometry": {"layer_thickness_x0": math.nan}}, "layer_thickness_x0 must be finite"),
+    ({"geometry": {"dipole_field": math.nan}}, "dipole_field must be finite"),
+    ({"geometry": {"dipole_length": math.nan}}, "dipole_length must be finite"),
+    ({"geometry": {"layer_half_extent_x": math.nan}}, "layer half extents must be positive"),
+    ({"geometry": {"layer_half_extent_y": math.nan}}, "layer half extents must be positive"),
+    ({"geometry": {"n_layers": 3}}, "exactly 4 layers"),
+    ({"sim": {"ip_smear": [0.0, -1e-6, 0.0]}}, "ip_smear sigmas must be finite"),
+    ({"sim": {"emittance_angle_sigma": -1e-4}}, "emittance_angle_sigma must be finite"),
+    ({"sim": {"beam": 1.0}}, "unexpected keyword argument 'beam'"),
+    ({"sim": {"energy_spectrum": {"mode": 1.0}}}, "unexpected keyword argument 'mode'"),
+    ({"geometry": {"pitch": 0.1}}, "unexpected keyword argument 'pitch'"),
+], ids=repr)
+def test_invalid_sim_and_geometry_settings_rejected(d, message):
+    """Each NaN here used to pass validation and then simulate events with
+    no hits (or end in a NumPy traceback); each negative or infinite value
+    and unknown key ended in a traceback or in events with no hits, instead
+    of a configuration error."""
+    with pytest.raises(ConfigError, match=message):
+        RunConfig.from_dict(d)
+
+
+@pytest.mark.parametrize("seed", [1.5, True, -1, None], ids=repr)
+def test_sim_config_checks_its_own_seed(seed):
+    """A seed that ``event_rng`` cannot use is refused when the simulation
+    settings are built, not at the first event."""
+    from qubotrack.fastsim import SimConfig, SimulationError
+    with pytest.raises(SimulationError, match="rng_seed must be"):
+        SimConfig(rng_seed=seed)
+    assert SimConfig(rng_seed=np.int64(3)).rng_seed == 3

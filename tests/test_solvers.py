@@ -10,9 +10,8 @@ from conftest import (brute_force_minimum, dense_qubo, qubo_from_dict, random_qu
 from qubotrack import solvers
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
-                               _anneal, _block_objective, _draw_layout, _impact_groups,
-                               _restrict, _split_groups, _state_table, _sweep_draws,
-                               exact_subsolver, make_annealing_subsolver,
+                               _anneal, _block_objective, _impact_groups, _restrict,
+                               _split_groups, _state_table, _sweep_draws, exact_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
 
 
@@ -312,14 +311,6 @@ def test_annealing_deterministic_per_seed():
     assert np.array_equal(a, b)
 
 
-def test_annealing_subsolver_adapter():
-    q = random_qubo(np.random.default_rng(10), 9, coupling_prob=0.3)
-    report = solve_iterative(q, make_annealing_subsolver(), k=5, seed=3)
-    assert report.best_objective >= objective(q, solve_exact(q)) - 1e-12
-    repeat = solve_iterative(q, make_annealing_subsolver(), k=5, seed=3)
-    assert np.array_equal(report.best_assignment, repeat.best_assignment)
-
-
 class CountingRng:
     """A Generator that counts the sweeps drawn through ``rng.integers``."""
 
@@ -369,20 +360,14 @@ def test_replay_falls_back_to_numpy_where_it_would_redraw():
     assert 0 < calls < 300
 
 
-def test_replayed_draws_from_a_cached_layout_equal_numpy_draws():
-    """Two sizes drawn in turn read their gather positions from one cache,
-    each after its first block from a cached entry, and a block abandoned
-    at a rejected half leaves the cached layout as it was."""
-    _draw_layout.cache_clear()
+def test_replayed_draws_for_two_sizes_in_turn_equal_numpy_draws():
+    """Two sizes drawn in turn each replay NumPy's draws, and a block
+    abandoned at a rejected half leaves the next run's replay as it was."""
     for n in (6, 7, 6, 7):
         for seed in range(5):
             assert assert_draws_match_numpy(n, seed, sweeps=40) == 0
-    assert _draw_layout.cache_info().misses == 2
-    halves, uniforms = _draw_layout(7, 40)
-    assert not halves.flags.writeable and not uniforms.flags.writeable
     fallback = assert_draws_match_numpy(5000, seed=4, sweeps=300)
     assert assert_draws_match_numpy(5000, seed=4, sweeps=300) == fallback > 0
-    assert _draw_layout.cache_info().misses == 3  # blocks of 12 sweeps at n = 5000
 
 
 def feed_draws(monkeypatch, flips, uniforms):
@@ -539,6 +524,7 @@ def test_annealing_frozen_tail_equals_reference(n):
 @pytest.mark.parametrize("kwargs", [
     {"t_initial": math.nan}, {"t_final": math.nan}, {"t_initial": math.inf},
     {"t_final": math.inf}, {"sweeps": 2.5}, {"sweeps": 3.0}, {"sweeps": "3"},
+    {"sweeps": True},
 ])
 def test_anneal_schedule_rejects_non_finite_temperatures_and_fractional_sweeps(kwargs):
     with pytest.raises(ValueError):
@@ -554,18 +540,16 @@ def test_anneal_schedule_accepts_numpy_integer_sweeps():
     ([0.0, -1.0, 0.5], [[0.0, 0.0, 1.0], [0.0, 0.0, -math.inf], [1.0, -math.inf, 0.0]],
      "coupling (1, 2) is -inf"),
 ])
-@pytest.mark.parametrize("form", ["qubo", "dense"])
-def test_annealing_names_a_non_finite_coefficient(form, linear, block, message):
-    problem = (np.array(linear), np.array(block))
+def test_annealing_names_a_non_finite_coefficient(linear, block, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        solve_annealing(dense_qubo(*problem) if form == "qubo" else problem)
+        solve_annealing(dense_qubo(np.array(linear), np.array(block)))
 
 
-def dense_problem(rng, n, zero_rows=0, density=None):
-    """Random sub-problem ``(a, B)``: a symmetric block with zero diagonal,
+def dense_problem(rng, n, zero_rows=0):
+    """Random problem ``(a, B)``: a symmetric block with zero diagonal,
     ``zero_rows`` of its variables uncoupled."""
     block = np.triu(rng.uniform(-1, 1, (n, n)), 1)
-    block[rng.random((n, n)) >= (rng.uniform(0, 1) if density is None else density)] = 0.0
+    block[rng.random((n, n)) >= rng.uniform(0, 1)] = 0.0
     block = block + block.T
     uncoupled = rng.permutation(n)[:zero_rows]
     block[uncoupled] = 0.0
@@ -573,28 +557,11 @@ def dense_problem(rng, n, zero_rows=0, density=None):
     return rng.uniform(-1, 1, n), block
 
 
-@pytest.mark.parametrize("sweeps", [1, 7, 300])
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 30])
-def test_dense_annealing_equals_the_csr_of_its_pairs(n, sweeps):
-    """``solve_annealing((a, B))`` reads no CSR, yet gives the bits of the
-    objective whose pairs are B's nonzero couplings: with zero rows, with an
-    all-zero block and with a full one."""
-    rng = np.random.default_rng(100 * n + sweeps)
-    for trial in range(8):
-        a, block = dense_problem(rng, n, zero_rows=min(trial % 3, n),
-                                 density={0: 0.0, 1: 1.0}.get(trial))
-        schedule = AnnealSchedule(sweeps=sweeps)
-        got = solve_annealing((a, block), schedule, seed=trial)
-        assert got.dtype == np.int8 and got.shape == (n,)
-        assert got.tolist() == solve_annealing(dense_qubo(a, block), schedule,
-                                               seed=trial).tolist()
-
-
 @pytest.mark.parametrize("scatter_row", [0, math.inf], ids=["scatter", "lists"])
 def test_both_row_forms_equal_per_flip_reference(scatter_row, monkeypatch):
     """Whichever form the row length picks, entry by entry from Python
     lists or one scatter per accepted flip, the bits are the per-flip
-    loop's, for either input form and rows long and short."""
+    loop's, for rows long and short."""
     monkeypatch.setattr(solvers, "_SCATTER_ROW", scatter_row)
     rng = np.random.default_rng(4242)
     for trial in range(24):
@@ -604,7 +571,6 @@ def test_both_row_forms_equal_per_flip_reference(scatter_row, monkeypatch):
                                   t_final=float(rng.uniform(1e-4, 0.05)),
                                   sweeps=int(rng.integers(1, 40)))
         want = reference_annealing(dense_qubo(a, block), schedule, trial).tolist()
-        assert solve_annealing((a, block), schedule, seed=trial).tolist() == want
         assert solve_annealing(dense_qubo(a, block), schedule, seed=trial).tolist() == want
 
 
@@ -640,24 +606,6 @@ def test_annealing_builds_nothing_per_coupling():
     assert bits.tolist() == reference_annealing(q, schedule, 9).tolist()
 
 
-def test_annealing_subsolver_passes_its_block_through_the_module_global(monkeypatch):
-    """The adapter hands ``(a, B)`` to ``solvers.solve_annealing`` as looked
-    up at call time, so a wrapper patched onto the module sees every
-    sub-solve."""
-    seen = []
-    solve = solvers.solve_annealing
-
-    def spy(problem, schedule=None, seed=0):
-        seen.append(problem)
-        return solve(problem, schedule, seed)
-
-    monkeypatch.setattr(solvers, "solve_annealing", spy)
-    q = random_qubo(np.random.default_rng(10), 9, coupling_prob=0.3)
-    report = solve_iterative(q, make_annealing_subsolver(), k=5, seed=3)
-    assert len(seen) == report.subqubo_count
-    assert all(isinstance(p, tuple) and p[1].shape == (len(p[0]),) * 2 for p in seen)
-
-
 # packed bits (np.packbits) of solve_annealing(random_qubo(default_rng(500 + n), n),
 # AnnealSchedule(sweeps=sweeps), seed=n + sweeps), recorded with the per-flip loop
 ANNEALING_PINNED = {
@@ -680,16 +628,64 @@ def test_annealing_bits_pinned(n, sweeps):
     assert np.packbits(bits).tobytes().hex() == ANNEALING_PINNED[(n, sweeps)]
 
 
-def test_annealing_iterative_report_pinned():
-    q = random_qubo(np.random.default_rng(77), 40, coupling_prob=0.15)
-    report = solve_iterative(q, make_annealing_subsolver(AnnealSchedule(sweeps=60)),
-                             k=7, seed=5)
-    assert "".join(map(str, report.best_assignment.tolist())) == \
-        "1011111111011000010011111011101101010000"
-    assert (report.iterations_run, report.subqubo_count) == (2, 12)
-    assert report.best_objective == pytest.approx(-17.4841708761196, rel=1e-12)
-    assert report.objective_trace == pytest.approx(
-        [5.618351109723904, -17.4841708761196, -17.4841708761196], rel=1e-12)
+# -- whole-objective annealing in the pipeline ---------------------------------------
+
+def reconstruct_with(config, event, geometry=None, events=None):
+    """``reconstruct_event`` of ``event`` under ``config``, calibrated on
+    ``events`` (default: the event itself), and the objective it solved."""
+    from qubotrack.geometry import build_geometry
+    from qubotrack.pipeline import calibrate, reconstruct_event
+    from qubotrack.preselect import build_doublets, build_triplets
+    from qubotrack.qubo import assemble_qubo
+    geometry = geometry or build_geometry(config.geometry)
+    window, scaling, _ = calibrate(events or [event], config)
+    triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
+    result = reconstruct_event(event, geometry, window, scaling, config)
+    return result, assemble_qubo(triplets, scaling), triplets
+
+
+def test_anneal_solver_selects_the_truth_triplets_of_two_nearby_particles():
+    from qubotrack.config import RunConfig
+    from qubotrack.scenarios import two_nearby_particles_event
+    event, geometry = two_nearby_particles_event()
+    result, q, triplets = reconstruct_with(RunConfig(solver="anneal"), event, geometry)
+    report = result.report
+    truth = [int(t.truth_particle_id() is not None) for t in triplets]
+    assert len(triplets) == 7 and sum(truth) == 4
+    assert report.best_assignment.tolist() == truth == solve_exact(q).tolist()
+    assert report.best_objective == objective(q, report.best_assignment)
+    assert report.objective_trace == [objective(q, np.ones(q.n, dtype=np.int8)),
+                                      report.best_objective]
+    assert report.objective_trace[1] <= report.objective_trace[0]
+    assert (report.iterations_run, report.subqubo_count, report.warning) == (1, 1, None)
+    assert len(result.tracks) == 2
+
+
+def test_anneal_solver_anneals_the_whole_objective_once_per_event(desk_config, desk_events,
+                                                                 monkeypatch):
+    """One ``solve_annealing`` call per event, looked up on the solvers
+    module at call time, on the event's whole objective with the default
+    schedule and the seed ``seed ^ event_id``."""
+    import dataclasses
+    config = dataclasses.replace(desk_config, solver="anneal", subqubo_size=3, iterations=1)
+    calls = []
+    solve = solvers.solve_annealing
+
+    def spy(qubo, schedule=None, seed=0):
+        calls.append((qubo, schedule, seed))
+        return solve(qubo, schedule, seed)
+
+    monkeypatch.setattr(solvers, "solve_annealing", spy)
+    for event in desk_events[:3]:
+        calls.clear()
+        result, q, _ = reconstruct_with(config, event, events=desk_events)
+        assert len(calls) == 1
+        qubo, schedule, seed = calls[0]
+        assert schedule == AnnealSchedule() and seed == config.seed ^ event.event_id
+        assert qubo.n == q.n > 7
+        assert result.report.best_assignment.tolist() == \
+            solve(q, seed=config.seed ^ event.event_id).tolist()
+        assert result.report.best_objective == objective(q, result.report.best_assignment)
 
 
 # -- golden decomposition outputs ------------------------------------------------------
@@ -730,8 +726,6 @@ DECOMPOSITION_GOLDEN = {
         "9580ca708b1fa9cc2c7c86702d4597f59001a2e6eb316f86c86af85e8cac8276",
     "desk-exact-k10":
         "dbff50605354d5c6338819c4824e4ebb0f5cdcbf1546e1b3a440a76c01907a5a",
-    "desk-anneal-k7":
-        "be0e4e5ac497ea79dae013c6e772e3dc7835b74d9f439b85b603ee0fb99255bc",
     "random-vqe-k7":
         "8dccf091371bbf5a843b84c70f77984f592d3f5bf378986cb0e277a6c6499b79",
 }
@@ -747,7 +741,6 @@ def test_decomposition_outputs_golden(case, desk_config, desk_events):
         problems = [(random_qubo(rng, 16, coupling_prob=0.3, paper_like=True), s)
                     for s in (3, 4)]
     subsolver = {"exact": exact_subsolver,
-                 "anneal": make_annealing_subsolver(AnnealSchedule(sweeps=4)),
                  "vqe": make_vqe_subsolver(shots=16, max_evaluations=9)}[case.split("-")[1]]
     k = int(case.rsplit("-k", 1)[1])
     digests = [report_digest(solve_iterative(q, subsolver, k=k, seed=seed))
