@@ -150,18 +150,27 @@ class EnergySpectrum:
     maximum: float = 14.0
     fixed_value: float = 5.0
 
+    def __post_init__(self):
+        if self.kind not in ("gamma", "uniform", "fixed"):
+            raise SimulationError(f"unknown energy spectrum kind {self.kind!r}")
+        # written as "not 0 < x < inf" so that NaN fails too
+        for name in ("shape", "scale", "fixed_value"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise SimulationError(f"energy spectrum {name} must be finite and positive")
+        if not 0 < self.minimum <= self.maximum < math.inf:
+            raise SimulationError("energy spectrum needs 0 < minimum <= maximum < inf, got "
+                                  f"{self.minimum!r} and {self.maximum!r}")
+
     def sample(self, rng: np.random.Generator) -> float:
         if self.kind == "fixed":
             return self.fixed_value
         if self.kind == "uniform":
             return float(rng.uniform(self.minimum, self.maximum))
-        if self.kind == "gamma":
-            for _ in range(10000):
-                e = float(rng.gamma(self.shape, self.scale))
-                if self.minimum <= e <= self.maximum:
-                    return e
-            raise SimulationError("energy spectrum rejection sampling did not converge")
-        raise SimulationError(f"unknown energy spectrum kind {self.kind!r}")
+        for _ in range(10000):  # gamma
+            e = float(rng.gamma(self.shape, self.scale))
+            if self.minimum <= e <= self.maximum:
+                return e
+        raise SimulationError("energy spectrum rejection sampling did not converge")
 
 
 @dataclass(frozen=True)

@@ -87,7 +87,8 @@ def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
     """Construct and validate the detector geometry.
 
     Raises :class:`GeometryError` on non-positive or infinite sizes, a layer
-    count other than four, or non-monotonic layer positions.
+    count other than four, non-monotonic layer positions or a non-finite
+    interaction point.
     """
     config = config or GeometryConfig()
     if config.n_layers != N_LAYERS:
@@ -107,6 +108,8 @@ def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
         raise GeometryError("dipole_length must be finite and positive")
     if not (config.layer_half_extent_x > 0 and config.layer_half_extent_y > 0):
         raise GeometryError("layer half extents must be positive")
+    if not all(math.isfinite(c) for c in config.ip_position):
+        raise GeometryError(f"ip_position must be finite, got {tuple(config.ip_position)}")
 
     layer_z = tuple(
         config.first_layer_z + k * config.layer_spacing for k in range(config.n_layers)

@@ -45,18 +45,19 @@ flip indices with ``rng.integers(0, n, size=n)`` and its uniforms with
 ``rng.random(n)``, but pays none of that loop's per-call overhead: the
 draws are replayed in bulk from the generator's raw PCG64 words by the
 arithmetic NumPy itself applies to them (and by NumPy itself where that
-arithmetic would redraw), a block of sweeps at a time. Each block's
-``ln u`` comes from one ``np.log``, and a proposal is decided by comparing
-y = -delta / T with it, outside a band of 1e-12 that covers the rounding
-of ``np.log`` and ``np.exp``; inside the band ``u < np.exp(y)`` decides.
-The loop runs in Python on Python scalars; only the field and the row
-update depend on the row length. Short rows are Python lists of
-``(j, b_ij)`` pairs; long ones (hundreds of entries a row, as at high
-multiplicity) stay CSR arrays, and an accepted flip applies its row with
-one NumPy scatter on a float64 field, so no Python object is made per
-coupling. Rejections change nothing, so after a run of them one
-vectorised pass rejects the rest of the block up to the next proposal it
-cannot reject, which skips the frozen end of the schedule in bulk.
+arithmetic would redraw), a block of sweeps at a time. The loop reads
+the signed field g_i = -delta_i once a proposal and compares it with
+bounds in field units, each block's ``ln u`` (one ``np.log``) -+ 1e-12
+times T, a band that covers the rounding of ``np.log`` and ``np.exp``;
+within it ``u < np.exp(g_i / T)`` decides. The loop runs in Python on
+Python scalars; only the field and the row update depend on the row
+length. Short rows are Python lists of ``(j, b_ij)`` pairs; long ones
+(hundreds of entries a row, as at high multiplicity) stay CSR arrays, and
+an accepted flip applies its row with one NumPy scatter on a float64
+field, so no Python object is made per coupling. Rejections change
+nothing, so after a run of them one vectorised pass rejects the rest of
+the block up to the next proposal it cannot reject, which skips the
+frozen end of the schedule in bulk.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ import array
 import functools
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -425,31 +425,17 @@ class AnnealSchedule:
             raise ValueError(f"sweeps must be an integer, got {self.sweeps!r}")
         if self.sweeps < 1:
             raise ValueError("sweeps must be >= 1")
+        with np.errstate(over="ignore"):
+            temperatures = self.temperatures()
+        if not np.all((temperatures > 0) & (temperatures < np.inf)):
+            raise ValueError(f"cooling from {self.t_initial!r} to {self.t_final!r} in "
+                             f"{self.sweeps} sweeps leaves the finite positive doubles")
 
     def temperatures(self) -> np.ndarray:
         if self.sweeps == 1:
             return np.array([self.t_initial])
         ratio = (self.t_final / self.t_initial) ** (1.0 / (self.sweeps - 1))
         return self.t_initial * ratio ** np.arange(self.sweeps)
-
-
-def _draw_layout(n: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where :func:`_sweep_draws` finds a block of b sweeps' draws at size n:
-    the position of proposal k's 32-bit half among the block's raw words
-    viewed as ``uint32``, and the (b, n) positions of the uniforms' words.
-
-    Proposal k reads half-word h = k // 2 of the flip halves, the word at
-    h + n * (2h // n), its low half when k is even; which ``uint32`` of a
-    word is its low half follows ``sys.byteorder``. Sweep s's uniforms sit
-    at words ceil((s + 1) n / 2) + s n + [0, n)."""
-    halves_per_sweep = n if n > 1 else 0
-    k = np.arange(b * halves_per_sweep)
-    h = k >> 1
-    word = h + n * (2 * h // max(halves_per_sweep, 1))
-    halves = 2 * word + ((k & 1) ^ (sys.byteorder == "big"))
-    s = np.arange(b)
-    uniforms = (-(-(s + 1) * halves_per_sweep // 2) + s * n)[:, None] + np.arange(n)
-    return halves, uniforms
 
 
 def _sweep_draws(rng: np.random.Generator, n: int,
@@ -464,32 +450,44 @@ def _sweep_draws(rng: np.random.Generator, n: int,
     with the high half buffered until the next flip, and maps it to
     ``(half * n) >> 32`` (Lemire's multiply-shift); for n == 1 it draws
     nothing. Each uniform takes one whole word as ``(word >> 11) * 2**-53``.
-    Both are gathered at positions that depend on (n, b) only
-    (:func:`_draw_layout`). An even number of sweeps uses an even number of
-    halves, so no half is buffered across a block boundary. Where NumPy
-    would reject a half and draw again (its low 32 bits of ``half * n``
-    below ``2**32 mod n``), the block is abandoned: the generator is reset
-    to the block start and the remaining sweeps come from ``rng.integers``
-    and ``rng.random`` themselves, one sweep a block.
+    So a pair of sweeps reads ceil(n/2) flip words, n uniforms, floor(n/2)
+    flip words and n uniforms; the block is reshaped to one row per pair,
+    and the flip words' halves, split by a mask and a shift, are the pair's
+    2n flips in order, so no half is buffered across a block boundary.
+    Where NumPy would reject a half and draw again (its low 32 bits of
+    ``half * n`` below ``2**32 mod n``), the block is abandoned: the
+    generator is reset to the block start and the remaining sweeps come
+    from ``rng.integers`` and ``rng.random`` themselves, one sweep a block.
     """
     halves_per_sweep = n if n > 1 else 0
+    head, tail = -(-halves_per_sweep // 2), halves_per_sweep // 2
+    width = halves_per_sweep + 2 * n  # raw words a pair of sweeps reads
     threshold = 2 ** 32 % max(n, 1)
+    low, shift = np.uint64(2 ** 32 - 1), np.uint64(32)
     block = max(2, _REPLAY_PROPOSALS // max(n, 1) // 2 * 2)
     done = 0
     while done < sweeps:
         b = min(block, sweeps - done)
+        pairs = -(-b // 2)
         start = rng.bit_generator.state
-        flip_words = -(-b * halves_per_sweep // 2)
-        words = rng.bit_generator.random_raw(flip_words + b * n)
-        half_at, uniform_at = _draw_layout(n, b)
-        halves = words.view(np.uint32)[half_at]
-        # uint32 products wrap: they are the low 32 bits of half * n
-        if threshold and np.any(halves * np.uint32(n) < threshold):
-            rng.bit_generator.state = start
-            break
-        flips = ((halves.astype(np.uint64) * np.uint64(n)) >> np.uint64(32)).astype(np.intp)
-        uniforms = (words[uniform_at] >> np.uint64(11)) * 2.0 ** -53
-        yield (flips.reshape(b, n) if halves_per_sweep else np.zeros((b, n), np.intp)), uniforms
+        words = rng.bit_generator.random_raw(pairs * width - b % 2 * (tail + n))
+        if b % 2:  # an odd last sweep: pad its pair's second sweep, never read
+            words = np.concatenate((words, np.zeros(tail + n, np.uint64)))
+        words = words.reshape(pairs, width)
+        uniforms = np.stack((words[:, head:head + n], words[:, width - n:]), axis=1)
+        uniforms = (uniforms.reshape(2 * pairs, n)[:b] >> np.uint64(11)) * 2.0 ** -53
+        if halves_per_sweep:
+            flip_words = np.concatenate((words[:, :head], words[:, head + n:head + n + tail]),
+                                        axis=1)
+            halves = np.stack((flip_words & low, flip_words >> shift), axis=2)
+            products = halves.reshape(2 * pairs, n)[:b] * np.uint64(n)
+            if threshold and np.any((products & low) < threshold):
+                rng.bit_generator.state = start
+                break
+            flips = (products >> shift).astype(np.intp)
+        else:
+            flips = np.zeros((b, n), np.intp)
+        yield flips, uniforms
         done += b
     for _ in range(done, sweeps):
         yield rng.integers(0, n, size=(1, n)), rng.random((1, n))
@@ -498,81 +496,84 @@ def _sweep_draws(rng: np.random.Generator, n: int,
 def _anneal(local: list[float] | array.array, rows, current: float,
             temperatures: np.ndarray, rng: np.random.Generator) -> list[int]:
     """The Metropolis loop of :func:`solve_annealing` from all-ones: the
-    fields ``local`` (a_i + sum_j b_ij, updated in place), the coupling
-    rows and the starting objective ``current``. Returns the best state
-    seen.
+    fields ``local`` (a_i + sum_j b_ij), the coupling rows and the starting
+    objective ``current``. Returns the best state seen.
 
-    The fields and the rows come in one of two forms, which only the row
-    update tells apart. Short rows: ``local`` is a list and ``rows`` a
-    list of each row's ``(j, b_ij)`` pairs, applied one entry at a time.
-    Long rows: ``local`` is an ``array('d')`` and ``rows`` the CSR arrays
-    ``(indptr, indices, data)``; an accepted flip applies its row with one
-    NumPy scatter on a float64 view of ``local``, the same elementwise
-    ``local[j] -+ b_ij`` (a row's columns are distinct).
+    ``local`` holds the signed field g_i = -delta_i, updated in place:
+    field_i while bit i is 1, -field_i while it is 0. An accepted flip
+    negates g_i, subtracts it from ``current`` and applies its row as
+    g_j -= s_j b_ij if bit i was 1 (+= if 0), s_j = +-1 the sign of bit j,
+    so g_j stays exactly +-field_j. Short rows: ``local`` is a list and
+    ``rows`` a list of each row's ``(j, b_ij)`` pairs, applied one entry at
+    a time. Long rows: ``local`` is an ``array('d')`` and ``rows`` the CSR
+    arrays ``(indptr, indices, data)``, applied by one NumPy scatter on a
+    float64 view of ``local`` (a row's columns are distinct).
 
-    Per block of draws, ``ln u`` comes from one ``np.log``. A proposal with
-    y = -delta / T is accepted when delta <= 0 or y > ln u + ``_LOG_BAND``,
-    rejected when y < ln u - ``_LOG_BAND``, and in between decided as
-    ``u < np.exp(y)``. A nonzero replayed u is at least 2**-53, so
-    |ln u| < 37, where the band is over a hundred ulps: wider than the
-    rounding of ``np.log`` and ``np.exp``, so every decision is that
-    test's. ``np.exp`` also decides every u below 2**-53 (u == 0 once
-    ``np.exp(y)`` underflows is rejected), and a NaN delta fails every
-    test and is rejected. Rejections leave the state alone, so after
-    ``_LOOK_AHEAD_RUN * n`` in a row one vectorised pass applies the reject
-    test to the rest of the block at the current fields and bits, and the
-    loop resumes at the first proposal it does not reject."""
+    Per block of draws, one ``np.log`` of the uniforms and one product with
+    each sweep's T give the bounds in field units: a proposal is accepted
+    when g_i >= 0 or g_i > (ln u + ``_LOG_BAND``) T, rejected when
+    g_i < (ln u - ``_LOG_BAND``) T, and otherwise decided as
+    ``u < np.exp(g_i / T)``. A nonzero replayed u is at least 2**-53, so
+    |ln u| < 37.5, where the band is over a hundred ulps, wider than the
+    rounding of ``np.log`` and ``np.exp``. The product needs no margin:
+    rounding is monotonic, so g_i < fl(x T) implies g_i / T <= x after
+    rounding (likewise >) at any T > 0, subnormal or overflowing. So every
+    decision is that test's. ``np.exp`` also decides every u below 2**-53
+    (u == 0 is rejected once ``np.exp`` underflows), and a NaN field fails
+    every test. After ``_LOOK_AHEAD_RUN * n`` rejections in a row one
+    vectorised pass applies the reject test to the rest of the block at
+    the unchanged state, resuming at the first proposal it keeps."""
     n = len(local)
     scatter = isinstance(rows, tuple)
     if scatter:
         indptr, indices, data = rows
         bounds = indptr.tolist()
-        field = np.frombuffer(local)  # shares local's memory
-    bits, best = [1] * n, [1] * n
+        gain = np.frombuffer(local)  # shares local's memory
+    sign = np.ones(n) if scatter else [1.0] * n  # +1 while bit j is 1, -1 while 0
+    best = [1] * n
     best_obj = current
-    since_best: list[int] = []  # flips made since ``best`` was last equal to ``bits``
+    since_best: list[int] = []  # flips made since ``best`` was last the state
     run_limit = _LOOK_AHEAD_RUN * n
     done = run = 0
     for flips, uniforms in _sweep_draws(rng, n, len(temperatures)):
         b = len(flips)
-        flips, uniforms = flips.ravel(), uniforms.ravel()
-        temps = np.repeat(temperatures[done:done + b], n)
+        temps = temperatures[done:done + b]
         done += b
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             logs = np.log(uniforms)
-        # a replayed u is 0 or at least 2**-53; np.exp decides any u below that
-        bulk = uniforms >= 2.0 ** -53
-        lower = np.where(bulk, logs - _LOG_BAND, -np.inf)
-        upper = np.where(bulk, logs + _LOG_BAND, np.inf)
+            # a replayed u is 0 or at least 2**-53; np.exp decides any u below that
+            bulk = uniforms >= 2.0 ** -53
+            lower = (np.where(bulk, logs - _LOG_BAND, -np.inf) * temps[:, None]).ravel()
+            upper = (np.where(bulk, logs + _LOG_BAND, np.inf) * temps[:, None]).ravel()
+        flips, uniforms, temps = flips.ravel(), uniforms.ravel(), temps.tolist()
         pos = 0
         while pos < len(flips):
             # Python lists of the next segment only: the look-ahead skips
             # most of a block without reading it
             end = pos + _SEGMENT
             segment = zip(range(pos, end), flips[pos:end].tolist(), lower[pos:end].tolist(),
-                          upper[pos:end].tolist(), temps[pos:end].tolist())
+                          upper[pos:end].tolist())
             pos = end
-            for p, i, lo, hi, t in segment:
-                field_i = local[i]
-                bit = bits[i]
-                delta = -field_i if bit else field_i
-                if (delta <= 0.0 or (y := -delta / t) > hi
-                        or (not y < lo and uniforms[p] < np.exp(y))):
+            for p, i, lo, hi in segment:
+                g = local[i]
+                if not g < lo and (g >= 0.0 or g > hi
+                                   or uniforms[p] < np.exp(g / temps[p // n])):
                     if scatter:
                         cols = indices[bounds[i]:bounds[i + 1]]
-                        if bit:
-                            field[cols] -= data[bounds[i]:bounds[i + 1]]
+                        if sign[i] > 0.0:
+                            gain[cols] -= sign[cols] * data[bounds[i]:bounds[i + 1]]
                         else:
-                            field[cols] += data[bounds[i]:bounds[i + 1]]
-                    elif bit:
+                            gain[cols] += sign[cols] * data[bounds[i]:bounds[i + 1]]
+                    elif sign[i] > 0.0:
                         for j, c in rows[i]:
-                            local[j] -= c
+                            local[j] -= sign[j] * c
                     else:
                         for j, c in rows[i]:
-                            local[j] += c
-                    bits[i] = bit ^ 1
+                            local[j] += sign[j] * c
+                    local[i] = -g
+                    sign[i] = -sign[i]
                     since_best.append(i)
-                    current += delta
+                    current -= g
                     if current < best_obj:
                         best_obj = current
                         for j in since_best:
@@ -583,9 +584,8 @@ def _anneal(local: list[float] | array.array, rows, current: float,
                     # the reject test on the rest of the block at the
                     # current state; resume at the first proposal it keeps
                     run = 0
-                    fields = field if scatter else np.array(local)
-                    neg_delta = np.where(np.array(bits, dtype=bool), fields, -fields)
-                    rejected = neg_delta[flips[p + 1:]] / temps[p + 1:] < lower[p + 1:]
+                    gains = gain if scatter else np.array(local)
+                    rejected = gains[flips[p + 1:]] < lower[p + 1:]
                     pos = p + 1 + (len(rejected) if rejected.all()
                                    else int(rejected.argmin()))
                     break
@@ -602,14 +602,14 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     matching uniform u is below ``np.exp(-delta / temperature)``. The
     draws are replayed in bulk from the generator's raw words
     (:func:`_sweep_draws`), and the loop (:func:`_anneal`) runs in Python:
-    delta is +-field_i exactly, each test is decided against a bulk
-    ``np.log`` of the uniforms and only near ``ln u`` by ``np.exp`` itself,
-    an accepted flip adds or subtracts its coupling row (the operations of
-    adding the row times +-1), runs of rejections are skipped by a
-    vectorised look-ahead, and the best state is brought up to date from a
-    log of the flips made since the last improvement instead of a copy per
-    improvement. So the bits are those a per-flip NumPy loop over the same
-    generator would return.
+    it keeps -delta, which is +-field_i exactly, decides each test against
+    bounds from a bulk ``np.log`` of the uniforms times T and only near
+    ``ln u`` by ``np.exp`` itself, an accepted flip adds or subtracts its
+    coupling row times the signs of the bits (the operations of adding the
+    row times +-1), runs of rejections are skipped by a vectorised
+    look-ahead, and the best state is brought up to date from a log of the
+    flips made since the last improvement instead of a copy per improvement.
+    So the bits are those a per-flip NumPy loop over the generator returns.
 
     The starting fields sum each row in the order the CSR matvec sums it,
     by ``np.bincount`` over the CSR. Short rows (at most ``_SCATTER_ROW``

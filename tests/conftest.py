@@ -72,10 +72,11 @@ def random_qubo(rng: np.random.Generator, n: int, coupling_prob: float = 0.4,
 def brute_force_minimum(qubo):
     """Independent enumeration oracle: bit i of the state index is T_i."""
     best_state, best_value = 0, None
+    quadratic = qubo.quadratic.items()  # a fresh dict per access: build it once
     for state in range(2 ** qubo.n):
         bits = [(state >> i) & 1 for i in range(qubo.n)]
         value = sum(qubo.linear[i] * bits[i] for i in range(qubo.n))
-        for (i, j), b in qubo.quadratic.items():
+        for (i, j), b in quadratic:
             value += b * bits[i] * bits[j]
         if best_value is None or value < best_value:
             best_state, best_value = state, value

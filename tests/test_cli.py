@@ -128,6 +128,23 @@ def test_usage_errors_exit_one(tmp_path):
                      "--energy-bins", bins]) == EXIT_USAGE, bins
 
 
+@pytest.mark.parametrize("overrides", [
+    {"sim": {"energy_spectrum": {"kind": "fixed", "fixed_value": float("nan")}}},
+    {"sim": {"energy_spectrum": {"minimum": 20.0, "maximum": 10.0}}},
+    {"geometry": {"ip_position": [float("nan"), 0.0, 0.0]}},
+], ids=repr)
+def test_simulate_refuses_an_invalid_spectrum_or_interaction_point(overrides, tmp_path,
+                                                                     capsys):
+    """The NaN settings used to write a header-only hits.csv and exit 0,
+    the empty energy range to end in a traceback."""
+    cfg = write_config(tmp_path / "bad.json", **overrides)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                 "--events", "1"]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("configuration error:")
+    assert not (out / "hits.csv").exists()
+
+
 def test_jobs_capped_at_one_worker_per_event(tmp_path, monkeypatch):
     """The pool is asked for no more workers than there are events; a stub
     stands in for it, so no process is started."""

@@ -165,6 +165,18 @@ def test_valid_edge_settings_accepted():
     ({"sim": {"beam": 1.0}}, "unexpected keyword argument 'beam'"),
     ({"sim": {"energy_spectrum": {"mode": 1.0}}}, "unexpected keyword argument 'mode'"),
     ({"geometry": {"pitch": 0.1}}, "unexpected keyword argument 'pitch'"),
+    ({"geometry": {"ip_position": [math.nan, 0.0, 0.0]}}, "ip_position must be finite"),
+    ({"geometry": {"ip_position": [0.0, 0.0, -math.inf]}}, "ip_position must be finite"),
+    ({"sim": {"energy_spectrum": {"kind": "bogus"}}}, "unknown energy spectrum kind 'bogus'"),
+    ({"sim": {"energy_spectrum": {"shape": math.nan}}}, "shape must be finite and positive"),
+    ({"sim": {"energy_spectrum": {"scale": 0.0}}}, "scale must be finite and positive"),
+    ({"sim": {"energy_spectrum": {"kind": "fixed", "fixed_value": math.nan}}},
+     "fixed_value must be finite and positive"),
+    ({"sim": {"energy_spectrum": {"minimum": 20.0, "maximum": 10.0}}},
+     "0 < minimum <= maximum < inf"),
+    ({"sim": {"energy_spectrum": {"minimum": 0.0}}}, "0 < minimum <= maximum < inf"),
+    ({"sim": {"energy_spectrum": {"kind": "uniform", "maximum": math.inf}}},
+     "0 < minimum <= maximum < inf"),
 ], ids=repr)
 def test_invalid_sim_and_geometry_settings_rejected(d, message):
     """Each NaN here used to pass validation and then simulate events with

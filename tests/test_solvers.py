@@ -353,6 +353,15 @@ def test_replayed_draws_equal_numpy_draws(n):
         assert assert_draws_match_numpy(n, seed, sweeps=40) == 0  # all replayed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 110, 111])
+def test_replayed_draws_at_odd_sweep_counts_equal_numpy_draws(n):
+    """An odd block ends on the first sweep of a pair, which reads the
+    pair's first flip words and uniforms only."""
+    for seed in range(6):
+        for sweeps in (1, 3, 41):
+            assert assert_draws_match_numpy(n, seed, sweeps) == 0
+
+
 def test_replay_falls_back_to_numpy_where_it_would_redraw():
     # at n = 5000 NumPy rejects a 32-bit half with probability 2**32 % n / 2**32;
     # at this seed the first rejection falls in sweep block 13 of 25
@@ -377,16 +386,18 @@ def feed_draws(monkeypatch, flips, uniforms):
     monkeypatch.setattr(solvers, "_sweep_draws", lambda rng, n, sweeps: iter([block]))
 
 
-def uphill_accepted(monkeypatch, y, u):
+def uphill_accepted(monkeypatch, y, u, t=1.0):
     """Whether :func:`solve_annealing` accepts an uphill flip with
-    -delta / T = y at the uniform u.
+    -delta = y at the uniform u and the temperature t (-delta / T = y at
+    the default t = 1).
 
-    Variable 0 (a_0 = y, T = 1) is proposed first, uphill by -y. Variable 1
-    (a_1 = 1e6) is proposed next and flips downhill to a new best state,
-    which keeps variable 0's decision: 0 when its flip was accepted."""
+    Variable 0 (a_0 = y) is proposed first, uphill by -y. Variable 1
+    (a_1 = 1e6 max(t, 1), more than -y) is proposed next and flips
+    downhill to a new best state, which keeps variable 0's decision: 0
+    when its flip was accepted."""
     feed_draws(monkeypatch, [[0, 1]], [[u, 0.5]])
-    q = Qubo(2, [y, 1e6])
-    bits = solve_annealing(q, AnnealSchedule(t_initial=1.0, t_final=1.0, sweeps=1))
+    q = Qubo(2, [y, 1e6 * max(t, 1.0)])
+    bits = solve_annealing(q, AnnealSchedule(t_initial=t, t_final=t, sweeps=1))
     assert bits[1] == 0
     return bool(bits[0] == 0)
 
@@ -414,6 +425,24 @@ def test_metropolis_acceptance_is_numpy_exp_near_the_threshold(monkeypatch):
             us = [np.nextafter(us[0], 0.0)] + us + [np.nextafter(us[-1], 1.0)]
         for u in us:
             assert uphill_accepted(monkeypatch, y, float(u)) == bool(u < e)
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.37, 2.0, 1e5, 1e-320])
+def test_metropolis_acceptance_at_a_temperature_is_numpy_exp_near_the_threshold(
+        t, monkeypatch):
+    """Away from T = 1 the bounds ln u -+ band are scaled to field units
+    by a rounded product with T (at a subnormal T, rounded to a few
+    digits); within a few ulps of u = np.exp(g / T) every decision is
+    still numpy's."""
+    rng = np.random.default_rng(43)
+    ys = np.concatenate([-rng.exponential(3.0, 60), [-36.7, -37.5, -1e-16]]).tolist()
+    for g in (y * t for y in ys if y * t < 0.0):  # a field that underflows to 0 is not uphill
+        e = np.exp(g / t)
+        us = [e]
+        for _ in range(3):
+            us = [np.nextafter(us[0], 0.0)] + us + [np.nextafter(us[-1], 1.0)]
+        for u in us:
+            assert uphill_accepted(monkeypatch, g, float(u), t) == bool(u < e)
 
 
 def test_metropolis_rejects_zero_uniform_once_exp_underflows(monkeypatch):
@@ -525,10 +554,31 @@ def test_annealing_frozen_tail_equals_reference(n):
     {"t_initial": math.nan}, {"t_final": math.nan}, {"t_initial": math.inf},
     {"t_final": math.inf}, {"sweeps": 2.5}, {"sweeps": 3.0}, {"sweeps": "3"},
     {"sweeps": True},
+    {"t_initial": 1e300, "t_final": 1e-300},  # the ratio underflows: T = 0
+    {"t_initial": 1e-300, "t_final": 1e300, "sweeps": 3},  # the ratio overflows
 ])
 def test_anneal_schedule_rejects_non_finite_temperatures_and_fractional_sweeps(kwargs):
     with pytest.raises(ValueError):
         AnnealSchedule(**kwargs)
+
+
+@pytest.mark.parametrize("t_initial, t_final", [
+    (1e-310, 1e-320), (2.0, 1e-308), (1e308, 1e307), (5e-324, 5e-324), (1.0, 1e-30),
+])
+def test_annealing_at_extreme_temperatures_equals_per_flip_reference(t_initial, t_final):
+    """Subnormal, huge and tiny temperatures: the bounds in field units
+    overflow, lose precision or decide nothing, and every decision is
+    still the per-flip loop's."""
+    rng = np.random.default_rng(5150)
+    for trial in range(36):
+        n = int(rng.integers(1, 16))
+        q = (whole_number_qubo(rng, n) if trial % 3 == 2
+             else random_qubo(rng, n, paper_like=bool(trial % 2)))
+        schedule = AnnealSchedule(t_initial=t_initial, t_final=t_final,
+                                  sweeps=int(rng.integers(1, 60)))
+        with np.errstate(over="ignore"):  # the reference's -delta / T
+            want = reference_annealing(q, schedule, trial).tolist()
+        assert solve_annealing(q, schedule, seed=trial).tolist() == want
 
 
 def test_anneal_schedule_accepts_numpy_integer_sweeps():
