@@ -212,6 +212,14 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
     tilts the direction at every crossed layer; the recorded hit is the true
     crossing point smeared in-plane by ``hit_resolution``. Crossings outside
     the layer extents produce no hit.
+
+    Draw order, per particle: three standard normals for the IP smear
+    (x, y, z), the energy, two for the emittance angles (x, y), then one
+    ``standard_normal(k)`` call per crossed layer: smear x and y if
+    ``smear_hits``, then kick x and y if ``scattering`` and the particle's
+    Highland width is not zero. Each normal is scaled as ``0.0 + sigma * z``,
+    the arithmetic of ``Generator.normal``, so the events and the
+    generator's state afterwards equal one ``normal`` call per value.
     """
     rng = event_rng(sim, event_id)
     if sim.poisson_multiplicity:
@@ -223,13 +231,17 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
     hits: list[Hit] = []
     hit_id = 0
     kick_z = geometry.dipole_kick_z
+    resolution = geometry.hit_resolution
+    half_x, half_y = geometry.layer_half_extent_x, geometry.layer_half_extent_y
     for pid in range(n_particles):
-        ox = geometry.ip_position[0] + rng.normal(0.0, sim.ip_smear[0])
-        oy = geometry.ip_position[1] + rng.normal(0.0, sim.ip_smear[1])
-        oz = geometry.ip_position[2] + rng.normal(0.0, sim.ip_smear[2])
+        sx, sy, sz = rng.standard_normal(3).tolist()
+        ox = geometry.ip_position[0] + (0.0 + sim.ip_smear[0] * sx)
+        oy = geometry.ip_position[1] + (0.0 + sim.ip_smear[1] * sy)
+        oz = geometry.ip_position[2] + (0.0 + sim.ip_smear[2] * sz)
         energy = sim.energy_spectrum.sample(rng)
-        theta_x0 = rng.normal(0.0, sim.emittance_angle_sigma)
-        theta_y0 = rng.normal(0.0, sim.emittance_angle_sigma)
+        ex, ey = rng.standard_normal(2).tolist()
+        theta_x0 = 0.0 + sim.emittance_angle_sigma * ex
+        theta_y0 = 0.0 + sim.emittance_angle_sigma * ey
 
         tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
         norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
@@ -239,6 +251,16 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
             origin=(ox, oy, oz),
             direction=(tx0 / norm, ty0 / norm, 1.0 / norm),
         ))
+
+        # the same Highland width at every crossing; a zero width draws no kick
+        sigma = (scattering_sigma(energy, geometry.layer_thickness_x0)
+                 if sim.scattering else 0.0)
+        if sigma < 0.0:
+            raise SimulationError(
+                f"negative scattering width {sigma} at thickness "
+                f"{geometry.layer_thickness_x0} X0 (Highland's log term)")
+        kicks = sigma != 0.0
+        n_draws = (2 if sim.smear_hits else 0) + (2 if kicks else 0)
 
         # straight to the magnet centre, then a single thin-lens kick in +x
         x = ox + tx0 * (kick_z - oz)
@@ -252,23 +274,22 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
             x += math.tan(theta_x) * dz
             y += math.tan(theta_y) * dz
             z = layer_z
-            crossed = (abs(x) <= geometry.layer_half_extent_x
-                       and abs(y) <= geometry.layer_half_extent_y)
-            if crossed:
+            if abs(x) <= half_x and abs(y) <= half_y:
+                # smear x, y first, kick x, y last
+                draws = rng.standard_normal(n_draws).tolist()
                 if sim.smear_hits:
-                    mx = x + rng.normal(0.0, geometry.hit_resolution)
-                    my = y + rng.normal(0.0, geometry.hit_resolution)
+                    mx = x + (0.0 + resolution * draws[0])
+                    my = y + (0.0 + resolution * draws[1])
                 else:
                     mx, my = x, y
-                if abs(mx) <= geometry.layer_half_extent_x and abs(my) <= geometry.layer_half_extent_y:
+                if abs(mx) <= half_x and abs(my) <= half_y:
                     hits.append(Hit(hit_id=hit_id, layer=layer,
                                     position=(mx, my, layer_z),
                                     truth_particle_id=pid))
                     hit_id += 1
-                if sim.scattering:
-                    kx, ky = scattering_kick(energy, geometry.layer_thickness_x0, rng)
-                    theta_x += kx
-                    theta_y += ky
+                if kicks:
+                    theta_x += 0.0 + sigma * draws[-2]
+                    theta_y += 0.0 + sigma * draws[-1]
 
     return Event(event_id=event_id, xi_label=sim.xi_label,
                  hits=tuple(hits), particles=tuple(particles))

@@ -12,7 +12,8 @@ import csv
 import hashlib
 import json
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,11 @@ PARTICLES_HEADER = ["event_id", "particle_id", "energy",
                     "ox", "oy", "oz", "dx", "dy", "dz"]
 TRACKS_HEADER = ["event_id", "track_id", "hit_ids", "chi2", "ndf",
                  "energy", "matched_particle_id"]
+
+
+# rows per block when a table is written or read: enough that the per-call
+# costs fade, few enough that a block's strings and columns stay small
+BLOCK_ROWS = 256
 
 
 class DataFormatError(ValueError):
@@ -57,33 +63,41 @@ def _parse_int(text: str, path: Path, line: int, column: str) -> int:
         raise DataFormatError(f"{path}:{line}: bad integer in column {column!r}: {text!r}")
 
 
-def write_hits_csv(path: Path, events: list[Event]) -> None:
+def _write_table(path: Path, header: list[str], rows: Iterator[str]) -> None:
+    """Write ``header`` and ``rows``, each one line ending in ``\\r\\n``, in
+    blocks of :data:`BLOCK_ROWS` lines: for fields that need no quoting,
+    the bytes ``csv.writer`` writes."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(HITS_HEADER)
+        f.write(",".join(header) + "\r\n")
+        while block := list(islice(rows, BLOCK_ROWS)):
+            f.write("".join(block))
+
+
+def write_hits_csv(path: Path, events: list[Event]) -> None:
+    def rows():
         for e in sorted(events, key=lambda e: e.event_id):
-            particles = {p.particle_id: p for p in e.particles}
+            energies = {p.particle_id: f"{p.energy:.9g}" for p in e.particles}
             for h in sorted(e.hits, key=lambda h: h.hit_id):
+                x, y, z = h.position
                 pid = h.truth_particle_id
-                energy = fmt(particles[pid].energy) if pid in particles else ""
-                w.writerow([e.event_id, h.hit_id, h.layer,
-                            fmt(h.position[0]), fmt(h.position[1]), fmt(h.position[2]),
-                            "" if pid is None else pid, energy])
+                yield (f"{e.event_id},{h.hit_id},{h.layer},{x:.9g},{y:.9g},{z:.9g},"
+                       f"{'' if pid is None else pid},{energies.get(pid, '')}\r\n")
+    _write_table(path, HITS_HEADER, rows())
 
 
 def write_particles_csv(path: Path, events: list[Event]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(PARTICLES_HEADER)
+    def rows():
         for e in sorted(events, key=lambda e: e.event_id):
             for p in sorted(e.particles, key=lambda p: p.particle_id):
-                w.writerow([e.event_id, p.particle_id, fmt(p.energy),
-                            *(fmt(v) for v in p.origin),
-                            *(fmt(v) for v in p.direction)])
+                (ox, oy, oz), (dx, dy, dz) = p.origin, p.direction
+                yield (f"{e.event_id},{p.particle_id},{p.energy:.9g},{ox:.9g},{oy:.9g},"
+                       f"{oz:.9g},{dx:.9g},{dy:.9g},{dz:.9g}\r\n")
+    _write_table(path, PARTICLES_HEADER, rows())
 
 
-def _read_rows(path: Path, header: list[str]) -> Iterator[dict]:
-    """The rows as dicts of ``header`` and ``_line``, read as they are parsed."""
+def _row_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
+    """Each block of up to :data:`BLOCK_ROWS` rows after the header, with
+    the line number of its first row. Blank rows are kept: they count."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         try:
@@ -92,13 +106,51 @@ def _read_rows(path: Path, header: list[str]) -> Iterator[dict]:
             raise DataFormatError(f"{path}: empty file, expected header {header}")
         if found != header:
             raise DataFormatError(f"{path}: bad header {found}, expected {header}")
-        for lineno, row in enumerate(reader, start=2):
+        line = 2
+        while True:
+            block: list[list[str]] = []
+            try:
+                block.extend(islice(reader, BLOCK_ROWS))
+            except csv.Error:
+                # the rows above an unreadable one are parsed before it fails
+                yield line, block
+                raise
+            if not block:
+                return
+            yield line, block
+            line += len(block)
+
+
+def _read_table(path: Path, header: list[str],
+                parse_block: Callable[[list[list[str]]], bool],
+                parse_row: Callable[[list[str], int], None]) -> None:
+    """Parse ``path`` a block at a time. ``parse_block(rows)`` gets the
+    non-blank rows of a block (at least one), all of the header's width;
+    it stores them and returns True only if every row converts and passes
+    its checks. A block it turns down, or whose conversion raises
+    ``ValueError``, is parsed again row by row with ``parse_row(row,
+    line)``, which raises :class:`DataFormatError` naming the first bad
+    row."""
+    width = len(header)
+    for first, block in _row_blocks(path, header):
+        rows = list(filter(None, block))
+        if not rows:
+            continue
+        try:
+            if set(map(len, rows)) <= {width} and parse_block(rows):
+                continue
+        except ValueError:
+            pass
+        for line, row in enumerate(block, start=first):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise DataFormatError(
-                    f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield dict(zip(header, row), _line=lineno)
+            if len(row) != width:
+                raise DataFormatError(f"{path}:{line}: expected {width} fields, got {len(row)}")
+            parse_row(row, line)
+
+
+def _finite(*columns: list[float]) -> bool:
+    return all(all(map(math.isfinite, c)) for c in columns)
 
 
 def read_events(hits_path: Path, particles_path: Path,
@@ -108,81 +160,128 @@ def read_events(hits_path: Path, particles_path: Path,
     not finite, raises :class:`DataFormatError`."""
     hits_path, particles_path = Path(hits_path), Path(particles_path)
     particles_by_event: dict[int, list[TruthParticle]] = {}
-    for r in _read_rows(particles_path, PARTICLES_HEADER):
-        line = r["_line"]
-        eid = _parse_int(r["event_id"], particles_path, line, "event_id")
+
+    def particle_block(rows):
+        eid, pid, *columns = zip(*rows)
+        eid = list(map(int, eid))
+        energy, ox, oy, oz, dx, dy, dz = (list(map(float, c)) for c in columns)
+        if not _finite(energy, ox, oy, oz, dx, dy, dz):
+            return False
         # the 9-digit print precision is lossy; restore the unit-norm invariant
-        direction = [_parse_float(r[k], particles_path, line, k, finite=True)
-                     for k in ("dx", "dy", "dz")]
+        norms = [math.sqrt(a * a + b * b + c * c) for a, b, c in zip(dx, dy, dz)]
+        if 0.0 in norms:
+            return False
+        particles = list(map(TruthParticle, map(int, pid), energy, zip(ox, oy, oz),
+                             [(a / n, b / n, c / n)
+                              for a, b, c, n in zip(dx, dy, dz, norms)]))
+        for e, p in zip(eid, particles):
+            particles_by_event.setdefault(e, []).append(p)
+        return True
+
+    def particle_row(r, line):
+        eid = _parse_int(r[0], particles_path, line, "event_id")
+        direction = [_parse_float(r[k], particles_path, line, PARTICLES_HEADER[k],
+                                  finite=True) for k in (6, 7, 8)]
         norm = math.sqrt(sum(c * c for c in direction))
         if norm == 0.0:
             raise DataFormatError(f"{particles_path}:{line}: zero direction vector")
         particles_by_event.setdefault(eid, []).append(TruthParticle(
-            particle_id=_parse_int(r["particle_id"], particles_path, line, "particle_id"),
-            energy=_parse_float(r["energy"], particles_path, line, "energy", finite=True),
-            origin=tuple(_parse_float(r[k], particles_path, line, k, finite=True)
-                         for k in ("ox", "oy", "oz")),
+            particle_id=_parse_int(r[1], particles_path, line, "particle_id"),
+            energy=_parse_float(r[2], particles_path, line, "energy", finite=True),
+            origin=tuple(_parse_float(r[k], particles_path, line, PARTICLES_HEADER[k],
+                                      finite=True) for k in (3, 4, 5)),
             direction=tuple(c / norm for c in direction),
         ))
+
     # per event by hit id, which must be unique: pre-selection keys hits on it
     hits_by_event: dict[int, dict[int, Hit]] = {}
-    for r in _read_rows(hits_path, HITS_HEADER):
-        line = r["_line"]
-        eid = _parse_int(r["event_id"], hits_path, line, "event_id")
-        hid = _parse_int(r["hit_id"], hits_path, line, "hit_id")
+
+    def hit_block(rows):
+        eid, hid, layer, x, y, z, pid, _ = zip(*rows)
+        eid, hid = list(map(int, eid)), list(map(int, hid))
+        x, y, z = (list(map(float, c)) for c in (x, y, z))
+        if not _finite(x, y, z):
+            return False
+        hits = list(map(Hit, hid, map(int, layer), zip(x, y, z),
+                        [None if t == "" else int(t) for t in pid]))
+        parts: dict[int, dict[int, Hit]] = {}
+        for e, h, hit in zip(eid, hid, hits):
+            parts.setdefault(e, {})[h] = hit
+        if (sum(map(len, parts.values())) != len(hits)
+                or not all(hits_by_event.get(e, {}).keys().isdisjoint(part)
+                           for e, part in parts.items())):
+            return False
+        for e, part in parts.items():
+            hits_by_event.setdefault(e, {}).update(part)
+        return True
+
+    def hit_row(r, line):
+        eid = _parse_int(r[0], hits_path, line, "event_id")
+        hid = _parse_int(r[1], hits_path, line, "hit_id")
         hits = hits_by_event.setdefault(eid, {})
         if hid in hits:
             raise DataFormatError(
                 f"{hits_path}:{line}: duplicate hit id (event_id, hit_id) = ({eid}, {hid})")
-        pid = (None if r["truth_particle_id"] == ""
-               else _parse_int(r["truth_particle_id"], hits_path, line, "truth_particle_id"))
+        pid = (None if r[6] == ""
+               else _parse_int(r[6], hits_path, line, "truth_particle_id"))
         hits[hid] = Hit(
             hit_id=hid,
-            layer=_parse_int(r["layer"], hits_path, line, "layer"),
-            position=tuple(_parse_float(r[k], hits_path, line, k, finite=True)
-                           for k in ("x", "y", "z")),
+            layer=_parse_int(r[2], hits_path, line, "layer"),
+            position=tuple(_parse_float(r[k], hits_path, line, HITS_HEADER[k], finite=True)
+                           for k in (3, 4, 5)),
             truth_particle_id=pid,
         )
+
+    _read_table(particles_path, PARTICLES_HEADER, particle_block, particle_row)
+    _read_table(hits_path, HITS_HEADER, hit_block, hit_row)
     event_ids = sorted(set(hits_by_event) | set(particles_by_event))
     return [
         Event(event_id=eid, xi_label=xi_label,
               hits=tuple(hits_by_event.get(eid, {}).values()),
-              particles=tuple(particles_by_event.get(eid, [])))
+              particles=tuple(particles_by_event.get(eid, ())))
         for eid in event_ids
     ]
 
 
 def write_tracks_csv(path: Path, tracks: list[TrackRecord]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(TRACKS_HEADER)
-        for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id)):
-            w.writerow([t.event_id, t.track_id,
-                        ";".join(str(h) for h in t.hit_ids),
-                        fmt(t.chi2), t.ndf, fmt(t.energy),
-                        "" if t.matched_particle_id is None else t.matched_particle_id])
+    rows = (f"{t.event_id},{t.track_id},{';'.join(map(str, t.hit_ids))},{t.chi2:.9g},"
+            f"{t.ndf},{t.energy:.9g},"
+            f"{'' if t.matched_particle_id is None else t.matched_particle_id}\r\n"
+            for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id)))
+    _write_table(path, TRACKS_HEADER, rows)
 
 
 def read_tracks_csv(path: Path) -> list[TrackRecord]:
     path = Path(path)
-    out = []
-    for r in _read_rows(path, TRACKS_HEADER):
-        line = r["_line"]
-        hit_ids = tuple(_parse_int(h, path, line, "hit_ids")
-                        for h in r["hit_ids"].split(";"))
+    out: list[TrackRecord] = []
+
+    def track_block(rows):
+        eid, tid, hit_ids, chi2, ndf, energy, matched = zip(*rows)
+        hit_ids = [tuple(map(int, h.split(";"))) for h in hit_ids]
+        if set(map(len, hit_ids)) != {4}:
+            return False
+        # built in full before any is stored: a failed block is parsed again
+        out.extend(list(map(TrackRecord, map(int, eid), map(int, tid), hit_ids,
+                            map(float, chi2), map(int, ndf), map(float, energy),
+                            [None if t == "" else int(t) for t in matched])))
+        return True
+
+    def track_row(r, line):
+        hit_ids = tuple(_parse_int(h, path, line, "hit_ids") for h in r[2].split(";"))
         if len(hit_ids) != 4:
             raise DataFormatError(f"{path}:{line}: expected 4 hit ids, got {len(hit_ids)}")
         out.append(TrackRecord(
-            event_id=_parse_int(r["event_id"], path, line, "event_id"),
-            track_id=_parse_int(r["track_id"], path, line, "track_id"),
+            event_id=_parse_int(r[0], path, line, "event_id"),
+            track_id=_parse_int(r[1], path, line, "track_id"),
             hit_ids=hit_ids,
-            chi2=_parse_float(r["chi2"], path, line, "chi2"),
-            ndf=_parse_int(r["ndf"], path, line, "ndf"),
-            energy=_parse_float(r["energy"], path, line, "energy"),
-            matched_particle_id=(None if r["matched_particle_id"] == ""
-                                 else _parse_int(r["matched_particle_id"], path, line,
-                                                 "matched_particle_id")),
+            chi2=_parse_float(r[3], path, line, "chi2"),
+            ndf=_parse_int(r[4], path, line, "ndf"),
+            energy=_parse_float(r[5], path, line, "energy"),
+            matched_particle_id=(None if r[6] == ""
+                                 else _parse_int(r[6], path, line, "matched_particle_id")),
         ))
+
+    _read_table(path, TRACKS_HEADER, track_block, track_row)
     return out
 
 

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
 from qubotrack.pipeline import simulate_events
+
+# The same examples on every run, so a run's time and coverage do not drift;
+# ``--hypothesis-profile default`` draws fresh ones.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from qubotrack.fastsim import (EnergySpectrum, LaserConfig, SimConfig,
                                consistent_critical_field, dipole_deflection,
                                generate_event, scattering_kick,
                                scattering_sigma, xi_to_multiplicity)
+from qubotrack import fastsim
+from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 from qubotrack.trackbuild import fit_track
 
 
@@ -225,3 +228,101 @@ def test_mean_hits_per_layer_matches_ray_trace_acceptance(geometry):
 def test_event_generation_is_pure(seed, geometry):
     sim = SimConfig(mean_multiplicity=5, rng_seed=seed)
     assert generate_event(sim, geometry, 1) == generate_event(sim, geometry, 1)
+
+
+def per_draw_event(sim, geometry, event_id, rng):
+    """The generator as it was with one ``Generator.normal`` call per value:
+    the oracle the batched draws must replay."""
+    if sim.poisson_multiplicity:
+        n_particles = int(rng.poisson(sim.mean_multiplicity))
+    else:
+        n_particles = int(round(sim.mean_multiplicity))
+    particles, hits, hit_id = [], [], 0
+    kick_z = geometry.dipole_kick_z
+    for pid in range(n_particles):
+        ox = geometry.ip_position[0] + rng.normal(0.0, sim.ip_smear[0])
+        oy = geometry.ip_position[1] + rng.normal(0.0, sim.ip_smear[1])
+        oz = geometry.ip_position[2] + rng.normal(0.0, sim.ip_smear[2])
+        energy = sim.energy_spectrum.sample(rng)
+        theta_x0 = rng.normal(0.0, sim.emittance_angle_sigma)
+        theta_y0 = rng.normal(0.0, sim.emittance_angle_sigma)
+        tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
+        norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
+        particles.append(TruthParticle(particle_id=pid, energy=energy, origin=(ox, oy, oz),
+                                       direction=(tx0 / norm, ty0 / norm, 1.0 / norm)))
+        x = ox + tx0 * (kick_z - oz)
+        y = oy + ty0 * (kick_z - oz)
+        theta_x = theta_x0 + dipole_deflection(energy, geometry.dipole_field,
+                                               geometry.dipole_length)
+        theta_y = theta_y0
+        z = kick_z
+        for layer, layer_z in enumerate(geometry.layer_z):
+            dz = layer_z - z
+            x += math.tan(theta_x) * dz
+            y += math.tan(theta_y) * dz
+            z = layer_z
+            if abs(x) <= geometry.layer_half_extent_x and abs(y) <= geometry.layer_half_extent_y:
+                if sim.smear_hits:
+                    mx = x + rng.normal(0.0, geometry.hit_resolution)
+                    my = y + rng.normal(0.0, geometry.hit_resolution)
+                else:
+                    mx, my = x, y
+                if (abs(mx) <= geometry.layer_half_extent_x
+                        and abs(my) <= geometry.layer_half_extent_y):
+                    hits.append(Hit(hit_id=hit_id, layer=layer, position=(mx, my, layer_z),
+                                    truth_particle_id=pid))
+                    hit_id += 1
+                if sim.scattering:
+                    kx, ky = scattering_kick(energy, geometry.layer_thickness_x0, rng)
+                    theta_x += kx
+                    theta_y += ky
+    return Event(event_id=event_id, xi_label=sim.xi_label,
+                 hits=tuple(hits), particles=tuple(particles))
+
+
+_DEFAULT = SimConfig(mean_multiplicity=100)
+
+
+@pytest.mark.parametrize("sim, geometry_config", [
+    (_DEFAULT, GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, smear_hits=False), GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, scattering=False), GeometryConfig()),
+    (_DEFAULT, GeometryConfig(layer_thickness_x0=0.0)),
+    (dataclasses.replace(_DEFAULT, ip_smear=(0.0, 0.0, 0.0), emittance_angle_sigma=0.0),
+     GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, smear_hits=False, scattering=False), GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, mean_multiplicity=40.4, poisson_multiplicity=False),
+     GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, energy_spectrum=EnergySpectrum(kind="uniform")),
+     GeometryConfig()),
+], ids=["default", "no-smear", "no-scattering", "zero-thickness", "zero-ip-and-emittance",
+        "no-smear-no-scattering", "fixed-multiplicity", "uniform-energy"])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_batched_draws_replay_per_draw_loop(monkeypatch, sim, geometry_config, seed):
+    """The same events, bit for bit (repr shows -0.0 and every digit), and
+    the same generator state afterwards as one ``normal`` call per value."""
+    sim = dataclasses.replace(sim, rng_seed=seed)
+    geometry = build_geometry(geometry_config)
+    for event_id in range(3):
+        rng = fastsim.event_rng(sim, event_id)
+        monkeypatch.setattr(fastsim, "event_rng", lambda *_: rng)
+        event = generate_event(sim, geometry, event_id)
+        monkeypatch.undo()
+        reference_rng = fastsim.event_rng(sim, event_id)
+        reference = per_draw_event(sim, geometry, event_id, reference_rng)
+        assert event.event_id == reference.event_id and event.xi_label == reference.xi_label
+        assert list(map(repr, event.particles)) == list(map(repr, reference.particles))
+        assert list(map(repr, event.hits)) == list(map(repr, reference.hits))
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert event.hits
+
+
+def test_negative_highland_width_raises():
+    """Below about 4e-12 X0 the Highland log term turns the width negative,
+    which ``Generator.normal`` used to reject as a negative scale."""
+    thin = build_geometry(GeometryConfig(layer_thickness_x0=1e-13))
+    assert scattering_sigma(1.0, 1e-13) < 0
+    with pytest.raises(SimulationError, match="negative scattering width"):
+        generate_event(SimConfig(mean_multiplicity=5, rng_seed=1), thin, 0)
+    # without scattering the width is never used
+    generate_event(SimConfig(mean_multiplicity=5, rng_seed=1, scattering=False), thin, 0)

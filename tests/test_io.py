@@ -1,11 +1,17 @@
+import csv
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_qubo
+from qubotrack import io
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.io import (PARTICLES_HEADER, DataFormatError, config_hash, fmt,
+from qubotrack.geometry import Event, Hit, TruthParticle
+from qubotrack.io import (HITS_HEADER, PARTICLES_HEADER, TRACKS_HEADER, DataFormatError,
+                          config_hash, fmt,
                           read_events, read_qubo, read_tracks_csv, write_counts_csv,
                           write_curves_csv, write_doublet_debug_csv,
                           write_hits_csv, write_particles_csv, write_qubo,
@@ -249,3 +255,262 @@ def test_config_hash_stable_and_sensitive():
     a = {"x": 1, "y": [1, 2]}
     assert config_hash(a) == config_hash({"y": [1, 2], "x": 1})
     assert config_hash(a) != config_hash({"x": 2, "y": [1, 2]})
+
+
+# -- block writers and readers ------------------------------------------------------
+
+def csv_writer_hits(path, events):
+    """The hits writer as it was, row by row through ``csv.writer``."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(HITS_HEADER)
+        for e in sorted(events, key=lambda e: e.event_id):
+            particles = {p.particle_id: p for p in e.particles}
+            for h in sorted(e.hits, key=lambda h: h.hit_id):
+                pid = h.truth_particle_id
+                energy = fmt(particles[pid].energy) if pid in particles else ""
+                w.writerow([e.event_id, h.hit_id, h.layer,
+                            fmt(h.position[0]), fmt(h.position[1]), fmt(h.position[2]),
+                            "" if pid is None else pid, energy])
+
+
+def csv_writer_particles(path, events):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(PARTICLES_HEADER)
+        for e in sorted(events, key=lambda e: e.event_id):
+            for p in sorted(e.particles, key=lambda p: p.particle_id):
+                w.writerow([e.event_id, p.particle_id, fmt(p.energy),
+                            *(fmt(v) for v in p.origin), *(fmt(v) for v in p.direction)])
+
+
+def csv_writer_tracks(path, tracks):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(TRACKS_HEADER)
+        for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id)):
+            w.writerow([t.event_id, t.track_id, ";".join(str(h) for h in t.hit_ids),
+                        fmt(t.chi2), t.ndf, fmt(t.energy),
+                        "" if t.matched_particle_id is None else t.matched_particle_id])
+
+
+def awkward_events(geometry):
+    """Hand-made corner cases (noise, a truth id with no particle, -0.0 and
+    extreme magnitudes, events and hits out of order) plus simulated events
+    with more hits and particles than one block holds."""
+    d = 1.0 / math.sqrt(2.0)
+    hand = Event(event_id=9, xi_label=0.0, hits=(
+        Hit(3, 0, (-0.0, 1e-300, 1.0), 0),
+        Hit(1, 1, (1e300, -1e300, 1.1), None),
+        Hit(2, 2, (0.1234567891, -0.0, 1.2), 7),
+        Hit(0, 3, (-1e-300, 5e-324, -0.0), 1),
+    ), particles=(
+        TruthParticle(1, 1e300, (1e-300, -1e-300, 2.5), (d, -d, 0.0)),
+        TruthParticle(0, 1e-300, (-0.0, 1e300, 0.0), (-0.0, 0.0, 1.0)),
+    ))
+    sim = SimConfig(mean_multiplicity=300, rng_seed=3)
+    simulated = [generate_event(sim, geometry, i) for i in (4, 1, 0, 2)]
+    assert sum(len(e.hits) for e in simulated) > io.BLOCK_ROWS
+    assert sum(len(e.particles) for e in simulated) > io.BLOCK_ROWS
+    return [hand, *simulated, Event(event_id=5, xi_label=0.0, hits=(), particles=())]
+
+
+def test_event_writers_give_csv_writer_bytes(tmp_path, geometry):
+    for events in ([], awkward_events(geometry)):
+        for write, oracle in ((write_hits_csv, csv_writer_hits),
+                              (write_particles_csv, csv_writer_particles)):
+            write(tmp_path / "new.csv", events)
+            oracle(tmp_path / "old.csv", events)
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def test_tracks_writer_gives_csv_writer_bytes(tmp_path):
+    values = [-0.0, 1e-300, 1e300, float("nan"), 0.5]
+    tracks = [TrackRecord(event_id=i % 7, track_id=i, hit_ids=(i, i + 1, i + 2, 4 * i),
+                          chi2=values[i % 5], ndf=4, energy=values[(i + 2) % 5],
+                          matched_particle_id=None if i % 3 else i)
+              for i in reversed(range(io.BLOCK_ROWS + 50))]
+    for records in ([], tracks):
+        write_tracks_csv(tmp_path / "new.csv", records)
+        csv_writer_tracks(tmp_path / "old.csv", records)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    back = read_tracks_csv(tmp_path / "new.csv")
+    assert [(t.event_id, t.track_id, t.hit_ids, t.ndf, t.matched_particle_id) for t in back] \
+        == [(t.event_id, t.track_id, t.hit_ids, t.ndf, t.matched_particle_id)
+            for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id))]
+
+
+def test_block_read_keeps_every_value(tmp_path, geometry):
+    """Every hit and particle comes back in file order with the values of
+    its printed digits; the direction is renormalised."""
+    events = awkward_events(geometry)
+    write_hits_csv(tmp_path / "hits.csv", events)
+    write_particles_csv(tmp_path / "particles.csv", events)
+    back = read_events(tmp_path / "hits.csv", tmp_path / "particles.csv", xi_label=3.0)
+    # an event with neither hits nor particles leaves no row
+    printed = sorted((e for e in events if e.hits or e.particles), key=lambda e: e.event_id)
+    assert [e.event_id for e in back] == [e.event_id for e in printed]
+    for orig, event in zip(printed, back):
+        assert event.xi_label == 3.0
+        assert [(h.hit_id, h.layer, h.truth_particle_id, h.position) for h in event.hits] == [
+            (h.hit_id, h.layer, h.truth_particle_id, tuple(float(fmt(c)) for c in h.position))
+            for h in sorted(orig.hits, key=lambda h: h.hit_id)]
+        expected = []
+        for p in sorted(orig.particles, key=lambda p: p.particle_id):
+            direction = [float(fmt(c)) for c in p.direction]
+            norm = math.sqrt(sum(c * c for c in direction))
+            expected.append((p.particle_id, float(fmt(p.energy)),
+                             tuple(float(fmt(c)) for c in p.origin),
+                             tuple(c / norm for c in direction)))
+        assert [(p.particle_id, p.energy, p.origin, p.direction)
+                for p in event.particles] == expected
+
+
+# blank lines after these rows, and two at the end of the file
+BLANK_AFTER = (5, io.BLOCK_ROWS + 10)
+BAD_ROW = io.BLOCK_ROWS + 100  # past the first block, after both blank lines
+# a second bad row in the same block sends the block to the row-by-row
+# parse; one in the next block leaves the bad row to the block's checks
+LATER = pytest.mark.parametrize("later", [50, io.BLOCK_ROWS], ids=["same-block", "next-block"])
+
+
+def write_table(path, header, rows):
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        lines.append(row)
+        if i in BLANK_AFTER:
+            lines.append("")
+    path.write_text("\n".join(lines) + "\n\n\n")
+
+
+def hit_rows():
+    return [f"{i // 400},{i % 400},{i % 4},0.03,0.001,{1.0 + 0.1 * (i % 4):.1f},{i},5"
+            for i in range(2 * io.BLOCK_ROWS + 200)]
+
+
+def particle_rows():
+    return [f"{i // 100},{i % 100},5.0,0,0,0,0,0,1" for i in range(2 * io.BLOCK_ROWS + 200)]
+
+
+def set_field(row, k, text):
+    fields = row.split(",")
+    fields[k] = text
+    return ",".join(fields)
+
+
+def assert_first_error(path, message, read):
+    # header, rows from line 2, the blank lines before the bad row
+    line = 2 + BAD_ROW + len(BLANK_AFTER)
+    with pytest.raises(DataFormatError) as info:
+        read()
+    assert re.fullmatch(re.escape(f"{path}:{line}: ") + message, str(info.value)), \
+        str(info.value)
+
+
+@LATER
+@pytest.mark.parametrize("mutate, message", [
+    (lambda r: r.rsplit(",", 1)[0], r"expected 8 fields, got 7"),
+    (lambda r: set_field(r, 1, "4x"), r"bad integer in column 'hit_id': '4x'"),
+    (lambda r: set_field(r, 2, "two"), r"bad integer in column 'layer': 'two'"),
+    (lambda r: set_field(r, 6, "1.5"), r"bad integer in column 'truth_particle_id': '1\.5'"),
+    (lambda r: set_field(r, 4, "0.0.1"), r"bad float in column 'y': '0\.0\.1'"),
+    (lambda r: set_field(r, 5, "inf"), r"non-finite value in column 'z': 'inf'"),
+    (lambda r: set_field(set_field(r, 0, "0"), 1, "3"),
+     r"duplicate hit id \(event_id, hit_id\) = \(0, 3\)"),
+    (lambda r: set_field(r, 1, str((BAD_ROW - 1) % 400)),
+     rf"duplicate hit id \(event_id, hit_id\) = \({BAD_ROW // 400}, {(BAD_ROW - 1) % 400}\)"),
+], ids=["field-count", "bad-hit-id", "bad-layer", "bad-truth-id", "bad-float", "non-finite",
+        "duplicate-of-earlier-block", "duplicate-within-block"])
+def test_hits_error_past_first_block_names_first_bad_row(tmp_path, mutate, message, later):
+    rows = hit_rows()
+    rows[BAD_ROW] = mutate(rows[BAD_ROW])
+    rows[BAD_ROW + later] = "garbage"  # a later bad row must not be the one named
+    path = tmp_path / "hits.csv"
+    write_table(path, HITS_HEADER, rows)
+    assert_first_error(path, message, lambda: read_events(path, path_particles(tmp_path)))
+
+
+@LATER
+@pytest.mark.parametrize("mutate, message", [
+    (lambda r: r + ",1", r"expected 9 fields, got 10"),
+    (lambda r: set_field(r, 1, ""), r"bad integer in column 'particle_id': ''"),
+    (lambda r: set_field(r, 2, "nan"), r"non-finite value in column 'energy': 'nan'"),
+    (lambda r: set_field(r, 4, "1e"), r"bad float in column 'oy': '1e'"),
+    (lambda r: set_field(r, 8, "0"), r"zero direction vector"),
+], ids=["field-count", "bad-int", "non-finite", "bad-float", "zero-direction"])
+def test_particles_error_past_first_block_names_first_bad_row(tmp_path, mutate, message,
+                                                             later):
+    rows = particle_rows()
+    rows[BAD_ROW] = mutate(rows[BAD_ROW])
+    rows[BAD_ROW + later] = "garbage"
+    path = tmp_path / "particles.csv"
+    write_table(path, PARTICLES_HEADER, rows)
+    hits = tmp_path / "hits.csv"
+    write_hits_csv(hits, [])
+    assert_first_error(path, message, lambda: read_events(hits, path))
+
+
+@LATER
+@pytest.mark.parametrize("mutate, message", [
+    (lambda r: set_field(r, 2, "1;2;3"), r"expected 4 hit ids, got 3"),
+    (lambda r: set_field(r, 2, "1;2;x;4"), r"bad integer in column 'hit_ids': 'x'"),
+    (lambda r: set_field(r, 3, "chi"), r"bad float in column 'chi2': 'chi'"),
+    (lambda r: set_field(r, 6, "-"), r"bad integer in column 'matched_particle_id': '-'"),
+], ids=["three-hit-ids", "bad-hit-id", "bad-chi2", "bad-match"])
+def test_tracks_error_past_first_block_names_first_bad_row(tmp_path, mutate, message, later):
+    rows = [f"{i // 50},{i % 50},{i};{i + 1};{i + 2};{i + 3},1.5,4,nan,"
+            for i in range(2 * io.BLOCK_ROWS + 200)]
+    rows[BAD_ROW] = mutate(rows[BAD_ROW])
+    rows[BAD_ROW + later] = "garbage"
+    path = tmp_path / "tracks.csv"
+    write_table(path, TRACKS_HEADER, rows)
+    assert_first_error(path, message, lambda: read_tracks_csv(path))
+
+
+def test_bad_row_above_unreadable_one_is_named_first(tmp_path):
+    """A row the csv module cannot read fails the read, but a bad row above
+    it in the same block is still the one named, as in a row-by-row read."""
+    rows = hit_rows()
+    rows[BAD_ROW + 5] = "x" * (csv.field_size_limit() + 1)
+    path = tmp_path / "hits.csv"
+    write_table(path, HITS_HEADER, rows)
+    with pytest.raises(csv.Error):
+        read_events(path, path_particles(tmp_path))
+    rows[BAD_ROW] = set_field(rows[BAD_ROW], 2, "two")
+    write_table(path, HITS_HEADER, rows)
+    assert_first_error(path, r"bad integer in column 'layer': 'two'",
+                       lambda: read_events(path, path_particles(tmp_path)))
+
+
+def test_block_io_memory_is_bounded(tmp_path, monkeypatch):
+    """A block at a time: reading 60 events at multiplicity 100 holds less
+    than 2 MiB beyond the events it returns, and writing their hits less
+    than 1 MiB. Whole-file reads and writes fail both bounds."""
+    from qubotrack.config import RunConfig
+    from qubotrack.pipeline import simulate_events
+    d = RunConfig().to_dict()
+    d["sim"]["mean_multiplicity"] = 100.0
+    events = simulate_events(RunConfig.from_dict(d).with_seed(2024), 60)
+    hits, particles = tmp_path / "hits.csv", tmp_path / "particles.csv"
+    write_particles_csv(particles, events)
+
+    def peaks():
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_hits_csv(hits, events)
+            write_peak = tracemalloc.get_traced_memory()[1] - start
+            tracemalloc.reset_peak()
+            back = read_events(hits, particles)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 60
+        return write_peak, peak - held
+
+    mib = 2 ** 20
+    write_peak, read_excess = peaks()
+    assert write_peak < 1 * mib and read_excess < 2 * mib
+    monkeypatch.setattr(io, "BLOCK_ROWS", 10 ** 9)
+    write_peak, read_excess = peaks()
+    assert write_peak > 1 * mib and read_excess > 2 * mib
