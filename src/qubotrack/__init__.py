@@ -6,8 +6,7 @@ __version__ = "0.1.0"
 from .geometry import (DetectorGeometry, Event, GeometryConfig, Hit,
                        TruthParticle, build_geometry, validate_event)
 from .fastsim import (EnergySpectrum, LaserConfig, SimConfig, compute_xi,
-                      dipole_deflection, generate_event, scattering_kick,
-                      xi_to_multiplicity)
+                      dipole_deflection, generate_event, xi_to_multiplicity)
 from .preselect import (Doublet, Doublets, PreselectionWindow, Triplet,
                         Triplets, build_doublets, build_triplets,
                         calibrate_dx_window)

@@ -175,6 +175,13 @@ def cmd_evaluate(args) -> int:
         if missing:
             raise DataFormatError(
                 f"{tracks_path}: tracks reference events missing from truth: {missing}")
+        for e in events:
+            pids = {p.particle_id for p in e.particles}
+            for h in e.hits:
+                if h.truth_particle_id is not None and h.truth_particle_id not in pids:
+                    raise DataFormatError(
+                        f"{run_dir / 'hits.csv'}: hit {h.hit_id} of event {e.event_id} "
+                        f"names particle {h.truth_particle_id}, missing from truth")
         events, tracks = _offset_events(events, tracks, offset)
         offset = max((e.event_id for e in events), default=offset - 1) + 1
         all_events.extend(events)
@@ -246,6 +253,12 @@ def _bin_edges(text: str) -> list[float]:
     return edges
 
 
+def _non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {text!r}")
@@ -265,7 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="generate toy events")
     common(p_sim)
     p_sim.add_argument("--out", required=True, help="output directory")
-    p_sim.add_argument("--events", type=int, required=True, help="number of events")
+    p_sim.add_argument("--events", type=_non_negative_int, required=True,
+                       help="number of events")
     p_sim.add_argument("--xi", type=float,
                        help="intensity-label preset; sets the mean multiplicity")
 

@@ -124,16 +124,6 @@ def scattering_sigma(energy: float, thickness_x0: float) -> float:
     return 13.6e-3 / energy * math.sqrt(t) * (1.0 + 0.038 * math.log(t))
 
 
-def scattering_kick(energy: float, thickness_x0: float,
-                    rng: np.random.Generator) -> tuple[float, float]:
-    """Independent Gaussian angle kicks (dtheta_x, dtheta_y) for one crossing."""
-    sigma = scattering_sigma(energy, thickness_x0)
-    if sigma == 0.0:
-        return 0.0, 0.0
-    kx, ky = rng.normal(0.0, sigma, size=2)
-    return float(kx), float(ky)
-
-
 @dataclass(frozen=True)
 class EnergySpectrum:
     """Named parametric positron energy distribution, GeV.

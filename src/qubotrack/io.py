@@ -3,7 +3,17 @@ curve tables, and run metadata JSON.
 
 All floats in CSV files are printed with 9 significant digits; missing
 optional fields are empty. The objective dump uses full-precision repr so
-it round-trips losslessly.
+it round-trips losslessly. Every CSV table is written by one function, so
+line ends (``\\r\\n``) and quoting (none: no field holds a comma, quote or
+line end) are decided in one place.
+
+Each input table is declared once: the kind of each header column, and one
+rule across fields or rows (a hit id unique within its event, a nonzero
+direction, four hit ids). One reader reads them all, a block of rows at a
+time, converting each column of a block in bulk. A block that does not
+convert is read again row by row; a bad row raises
+``DataFormatError("path:line: message")`` naming the first bad row by
+line, then its first bad field in header order, then the table's rule.
 """
 
 from __future__ import annotations
@@ -23,12 +33,20 @@ from .metrics import BinnedValue, TrackRecord
 from .preselect import Doublets, Triplets
 from .qubo import Qubo
 
-HITS_HEADER = ["event_id", "hit_id", "layer", "x", "y", "z",
-               "truth_particle_id", "truth_energy"]
-PARTICLES_HEADER = ["event_id", "particle_id", "energy",
-                    "ox", "oy", "oz", "dx", "dy", "dz"]
-TRACKS_HEADER = ["event_id", "track_id", "hit_ids", "chi2", "ndf",
-                 "energy", "matched_particle_id"]
+# the kinds of an input column: how each of its fields converts
+INT, OPTIONAL_INT, FLOAT, FINITE, HIT_IDS, IGNORED = (
+    "int", "optional int", "float", "finite float", "';'-joined hit ids", "ignored")
+
+HITS_COLUMNS = {"event_id": INT, "hit_id": INT, "layer": INT, "x": FINITE, "y": FINITE,
+                "z": FINITE, "truth_particle_id": OPTIONAL_INT, "truth_energy": IGNORED}
+PARTICLES_COLUMNS = {"event_id": INT, "particle_id": INT, "energy": FINITE,
+                     "ox": FINITE, "oy": FINITE, "oz": FINITE,
+                     "dx": FINITE, "dy": FINITE, "dz": FINITE}
+TRACKS_COLUMNS = {"event_id": INT, "track_id": INT, "hit_ids": HIT_IDS, "chi2": FLOAT,
+                  "ndf": INT, "energy": FLOAT, "matched_particle_id": OPTIONAL_INT}
+HITS_HEADER = list(HITS_COLUMNS)
+PARTICLES_HEADER = list(PARTICLES_COLUMNS)
+TRACKS_HEADER = list(TRACKS_COLUMNS)
 
 
 # rows per block when a table is written or read: enough that the per-call
@@ -44,33 +62,48 @@ def fmt(x: float) -> str:
     return f"{x:.9g}"
 
 
-def _parse_float(text: str, path: Path, line: int, column: str,
-                 finite: bool = False) -> float:
+def _field(text: str, kind: str, column: str, where: str):
+    """``text`` converted as a field of ``kind``. One that does not convert
+    raises :class:`DataFormatError` at ``where`` (``path:line``) naming the
+    column and the text; of hit ids, the first id that does not."""
+    if kind == HIT_IDS:
+        return tuple(_field(t, INT, column, where) for t in text.split(";"))
+    if kind == OPTIONAL_INT and text == "":
+        return None
+    integer = kind in (INT, OPTIONAL_INT)
     try:
-        value = float(text)
+        value = int(text) if integer else float(text)
     except ValueError:
-        raise DataFormatError(f"{path}:{line}: bad float in column {column!r}: {text!r}")
-    if finite and not math.isfinite(value):
-        raise DataFormatError(
-            f"{path}:{line}: non-finite value in column {column!r}: {text!r}")
+        raise DataFormatError(f"{where}: bad {'integer' if integer else 'float'} "
+                              f"in column {column!r}: {text!r}") from None
+    if kind == FINITE and not math.isfinite(value):
+        raise DataFormatError(f"{where}: non-finite value in column {column!r}: {text!r}")
     return value
 
 
-def _parse_int(text: str, path: Path, line: int, column: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataFormatError(f"{path}:{line}: bad integer in column {column!r}: {text!r}")
+def _column(texts: tuple[str, ...], kind: str) -> list:
+    """A block's column converted in bulk, field by field as :func:`_field`
+    converts it; raises ``ValueError`` if any field does not convert."""
+    if kind == INT:
+        return list(map(int, texts))
+    if kind == OPTIONAL_INT:
+        return [None if t == "" else int(t) for t in texts]
+    if kind == HIT_IDS:
+        return [tuple(map(int, t.split(";"))) for t in texts]
+    values = list(map(float, texts))
+    if kind == FINITE and not all(map(math.isfinite, values)):
+        raise ValueError("non-finite value")
+    return values
 
 
 def _write_table(path: Path, header: list[str], rows: Iterator[str]) -> None:
-    """Write ``header`` and ``rows``, each one line ending in ``\\r\\n``, in
-    blocks of :data:`BLOCK_ROWS` lines: for fields that need no quoting,
-    the bytes ``csv.writer`` writes."""
+    """Write ``header`` and ``rows``, each a line of comma-joined fields
+    that need no quoting, in blocks of :data:`BLOCK_ROWS` lines ending in
+    ``\\r\\n``: the bytes ``csv.writer`` writes."""
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
         while block := list(islice(rows, BLOCK_ROWS)):
-            f.write("".join(block))
+            f.write("\r\n".join(block) + "\r\n")
 
 
 def write_hits_csv(path: Path, events: list[Event]) -> None:
@@ -81,7 +114,7 @@ def write_hits_csv(path: Path, events: list[Event]) -> None:
                 x, y, z = h.position
                 pid = h.truth_particle_id
                 yield (f"{e.event_id},{h.hit_id},{h.layer},{x:.9g},{y:.9g},{z:.9g},"
-                       f"{'' if pid is None else pid},{energies.get(pid, '')}\r\n")
+                       f"{'' if pid is None else pid},{energies.get(pid, '')}")
     _write_table(path, HITS_HEADER, rows())
 
 
@@ -91,7 +124,7 @@ def write_particles_csv(path: Path, events: list[Event]) -> None:
             for p in sorted(e.particles, key=lambda p: p.particle_id):
                 (ox, oy, oz), (dx, dy, dz) = p.origin, p.direction
                 yield (f"{e.event_id},{p.particle_id},{p.energy:.9g},{ox:.9g},{oy:.9g},"
-                       f"{oz:.9g},{dx:.9g},{dy:.9g},{dz:.9g}\r\n")
+                       f"{oz:.9g},{dx:.9g},{dy:.9g},{dz:.9g}")
     _write_table(path, PARTICLES_HEADER, rows())
 
 
@@ -121,119 +154,76 @@ def _row_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[list[
             line += len(block)
 
 
-def _read_table(path: Path, header: list[str],
-                parse_block: Callable[[list[list[str]]], bool],
-                parse_row: Callable[[list[str], int], None]) -> None:
-    """Parse ``path`` a block at a time. ``parse_block(rows)`` gets the
-    non-blank rows of a block (at least one), all of the header's width;
-    it stores them and returns True only if every row converts and passes
-    its checks. A block it turns down, or whose conversion raises
-    ``ValueError``, is parsed again row by row with ``parse_row(row,
-    line)``, which raises :class:`DataFormatError` naming the first bad
-    row."""
-    width = len(header)
+def _read_table(path: Path, columns: dict[str, str],
+                store: Callable[..., tuple[int, str] | None]) -> None:
+    """Read the table whose header ``columns`` maps to each column's kind.
+    ``store`` gets a block's non-blank rows as converted columns, in header
+    order and without the ignored ones. It stores the rows and returns
+    None, or returns ``(i, message)`` for the first row ``i`` that breaks
+    the table's rule, which fails the read. A block with a field that does
+    not convert goes to ``store`` one row at a time, after that row's
+    fields convert, so the error names the first bad row."""
+    header, width = list(columns), len(columns)
+    kept = [(k, column, kind) for k, (column, kind) in enumerate(columns.items())
+            if kind != IGNORED]
     for first, block in _row_blocks(path, header):
         rows = list(filter(None, block))
-        if not rows:
-            continue
         try:
-            if set(map(len, rows)) <= {width} and parse_block(rows):
-                continue
+            if set(map(len, rows)) != {width}:
+                raise ValueError("wrong field count")
+            texts = list(zip(*rows))
+            values = [_column(texts[k], kind) for k, _, kind in kept]
         except ValueError:
             pass
-        for line, row in enumerate(block, start=first):
+        else:
+            bad = store(*values)
+            if bad is None:
+                continue
+            line = [line for line, row in enumerate(block, first) if row][bad[0]]
+            raise DataFormatError(f"{path}:{line}: {bad[1]}")
+        for line, row in enumerate(block, first):
             if not row:
                 continue
+            where = f"{path}:{line}"
             if len(row) != width:
-                raise DataFormatError(f"{path}:{line}: expected {width} fields, got {len(row)}")
-            parse_row(row, line)
-
-
-def _finite(*columns: list[float]) -> bool:
-    return all(all(map(math.isfinite, c)) for c in columns)
+                raise DataFormatError(f"{where}: expected {width} fields, got {len(row)}")
+            bad = store(*([_field(row[k], kind, column, where)] for k, column, kind in kept))
+            if bad is not None:
+                raise DataFormatError(f"{where}: {bad[1]}")
 
 
 def read_events(hits_path: Path, particles_path: Path,
                 xi_label: float = 0.0) -> list[Event]:
     """Rebuild events from the hits and particles files. A hit id listed
-    twice within one event, or a hit coordinate or particle value that is
-    not finite, raises :class:`DataFormatError`."""
-    hits_path, particles_path = Path(hits_path), Path(particles_path)
+    twice within one event, a zero particle direction, or a hit coordinate
+    or particle value that is not finite, raises :class:`DataFormatError`."""
     particles_by_event: dict[int, list[TruthParticle]] = {}
 
-    def particle_block(rows):
-        eid, pid, *columns = zip(*rows)
-        eid = list(map(int, eid))
-        energy, ox, oy, oz, dx, dy, dz = (list(map(float, c)) for c in columns)
-        if not _finite(energy, ox, oy, oz, dx, dy, dz):
-            return False
+    def store_particles(eid, pid, energy, ox, oy, oz, dx, dy, dz):
         # the 9-digit print precision is lossy; restore the unit-norm invariant
         norms = [math.sqrt(a * a + b * b + c * c) for a, b, c in zip(dx, dy, dz)]
         if 0.0 in norms:
-            return False
-        particles = list(map(TruthParticle, map(int, pid), energy, zip(ox, oy, oz),
-                             [(a / n, b / n, c / n)
-                              for a, b, c, n in zip(dx, dy, dz, norms)]))
+            return norms.index(0.0), "zero direction vector"
+        particles = map(TruthParticle, pid, energy, zip(ox, oy, oz),
+                        [(a / n, b / n, c / n) for a, b, c, n in zip(dx, dy, dz, norms)])
         for e, p in zip(eid, particles):
             particles_by_event.setdefault(e, []).append(p)
-        return True
-
-    def particle_row(r, line):
-        eid = _parse_int(r[0], particles_path, line, "event_id")
-        direction = [_parse_float(r[k], particles_path, line, PARTICLES_HEADER[k],
-                                  finite=True) for k in (6, 7, 8)]
-        norm = math.sqrt(sum(c * c for c in direction))
-        if norm == 0.0:
-            raise DataFormatError(f"{particles_path}:{line}: zero direction vector")
-        particles_by_event.setdefault(eid, []).append(TruthParticle(
-            particle_id=_parse_int(r[1], particles_path, line, "particle_id"),
-            energy=_parse_float(r[2], particles_path, line, "energy", finite=True),
-            origin=tuple(_parse_float(r[k], particles_path, line, PARTICLES_HEADER[k],
-                                      finite=True) for k in (3, 4, 5)),
-            direction=tuple(c / norm for c in direction),
-        ))
 
     # per event by hit id, which must be unique: pre-selection keys hits on it
     hits_by_event: dict[int, dict[int, Hit]] = {}
 
-    def hit_block(rows):
-        eid, hid, layer, x, y, z, pid, _ = zip(*rows)
-        eid, hid = list(map(int, eid)), list(map(int, hid))
-        x, y, z = (list(map(float, c)) for c in (x, y, z))
-        if not _finite(x, y, z):
-            return False
-        hits = list(map(Hit, hid, map(int, layer), zip(x, y, z),
-                        [None if t == "" else int(t) for t in pid]))
-        parts: dict[int, dict[int, Hit]] = {}
-        for e, h, hit in zip(eid, hid, hits):
-            parts.setdefault(e, {})[h] = hit
-        if (sum(map(len, parts.values())) != len(hits)
-                or not all(hits_by_event.get(e, {}).keys().isdisjoint(part)
-                           for e, part in parts.items())):
-            return False
-        for e, part in parts.items():
-            hits_by_event.setdefault(e, {}).update(part)
-        return True
+    def store_hits(eid, hid, layer, x, y, z, pid):
+        hits = map(Hit, hid, layer, zip(x, y, z), pid)
+        last = None
+        for i, (e, h, hit) in enumerate(zip(eid, hid, hits)):
+            if e != last:
+                stored, last = hits_by_event.setdefault(e, {}), e
+            if h in stored:
+                return i, f"duplicate hit id (event_id, hit_id) = ({e}, {h})"
+            stored[h] = hit
 
-    def hit_row(r, line):
-        eid = _parse_int(r[0], hits_path, line, "event_id")
-        hid = _parse_int(r[1], hits_path, line, "hit_id")
-        hits = hits_by_event.setdefault(eid, {})
-        if hid in hits:
-            raise DataFormatError(
-                f"{hits_path}:{line}: duplicate hit id (event_id, hit_id) = ({eid}, {hid})")
-        pid = (None if r[6] == ""
-               else _parse_int(r[6], hits_path, line, "truth_particle_id"))
-        hits[hid] = Hit(
-            hit_id=hid,
-            layer=_parse_int(r[2], hits_path, line, "layer"),
-            position=tuple(_parse_float(r[k], hits_path, line, HITS_HEADER[k], finite=True)
-                           for k in (3, 4, 5)),
-            truth_particle_id=pid,
-        )
-
-    _read_table(particles_path, PARTICLES_HEADER, particle_block, particle_row)
-    _read_table(hits_path, HITS_HEADER, hit_block, hit_row)
+    _read_table(Path(particles_path), PARTICLES_COLUMNS, store_particles)
+    _read_table(Path(hits_path), HITS_COLUMNS, store_hits)
     event_ids = sorted(set(hits_by_event) | set(particles_by_event))
     return [
         Event(event_id=eid, xi_label=xi_label,
@@ -246,42 +236,21 @@ def read_events(hits_path: Path, particles_path: Path,
 def write_tracks_csv(path: Path, tracks: list[TrackRecord]) -> None:
     rows = (f"{t.event_id},{t.track_id},{';'.join(map(str, t.hit_ids))},{t.chi2:.9g},"
             f"{t.ndf},{t.energy:.9g},"
-            f"{'' if t.matched_particle_id is None else t.matched_particle_id}\r\n"
+            f"{'' if t.matched_particle_id is None else t.matched_particle_id}"
             for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id)))
     _write_table(path, TRACKS_HEADER, rows)
 
 
 def read_tracks_csv(path: Path) -> list[TrackRecord]:
-    path = Path(path)
     out: list[TrackRecord] = []
 
-    def track_block(rows):
-        eid, tid, hit_ids, chi2, ndf, energy, matched = zip(*rows)
-        hit_ids = [tuple(map(int, h.split(";"))) for h in hit_ids]
-        if set(map(len, hit_ids)) != {4}:
-            return False
-        # built in full before any is stored: a failed block is parsed again
-        out.extend(list(map(TrackRecord, map(int, eid), map(int, tid), hit_ids,
-                            map(float, chi2), map(int, ndf), map(float, energy),
-                            [None if t == "" else int(t) for t in matched])))
-        return True
+    def store_tracks(eid, tid, hit_ids, chi2, ndf, energy, matched):
+        for i, ids in enumerate(hit_ids):
+            if len(ids) != 4:
+                return i, f"expected 4 hit ids, got {len(ids)}"
+        out.extend(map(TrackRecord, eid, tid, hit_ids, chi2, ndf, energy, matched))
 
-    def track_row(r, line):
-        hit_ids = tuple(_parse_int(h, path, line, "hit_ids") for h in r[2].split(";"))
-        if len(hit_ids) != 4:
-            raise DataFormatError(f"{path}:{line}: expected 4 hit ids, got {len(hit_ids)}")
-        out.append(TrackRecord(
-            event_id=_parse_int(r[0], path, line, "event_id"),
-            track_id=_parse_int(r[1], path, line, "track_id"),
-            hit_ids=hit_ids,
-            chi2=_parse_float(r[3], path, line, "chi2"),
-            ndf=_parse_int(r[4], path, line, "ndf"),
-            energy=_parse_float(r[5], path, line, "energy"),
-            matched_particle_id=(None if r[6] == ""
-                                 else _parse_int(r[6], path, line, "matched_particle_id")),
-        ))
-
-    _read_table(path, TRACKS_HEADER, track_block, track_row)
+    _read_table(Path(path), TRACKS_COLUMNS, store_tracks)
     return out
 
 
@@ -311,7 +280,7 @@ def read_qubo(path: Path) -> Qubo:
     first, header = lines[0]
     if len(header) != 1:
         raise DataFormatError(f"{path}:{first}: expected the variable count alone")
-    n = _parse_int(header[0], path, first, "n")
+    n = _field(header[0], INT, "n", f"{path}:{first}")
     if n < 0:
         raise DataFormatError(f"{path}:{first}: negative variable count {n}")
     linear = np.zeros(n)
@@ -319,27 +288,28 @@ def read_qubo(path: Path) -> Qubo:
     pairs: list[tuple[int, int, float]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, parts in lines[1:]:
+        where = f"{path}:{lineno}"
         if len(parts) not in (2, 3):
-            raise DataFormatError(f"{path}:{lineno}: expected 2 or 3 tokens")
-        ids = [_parse_int(p, path, lineno, "index") for p in parts[:-1]]
-        value = _parse_float(parts[-1], path, lineno, "coefficient")
+            raise DataFormatError(f"{where}: expected 2 or 3 tokens")
+        ids = [_field(p, INT, "index", where) for p in parts[:-1]]
+        value = _field(parts[-1], FLOAT, "coefficient", where)
         if not math.isfinite(value):
-            raise DataFormatError(f"{path}:{lineno}: non-finite coefficient {parts[-1]!r}")
+            raise DataFormatError(f"{where}: non-finite coefficient {parts[-1]!r}")
         for i in ids:
             if not 0 <= i < n:
-                raise DataFormatError(f"{path}:{lineno}: index {i} outside 0..{n - 1}")
+                raise DataFormatError(f"{where}: index {i} outside 0..{n - 1}")
         if len(ids) == 1:
             if listed[ids[0]]:
                 raise DataFormatError(
-                    f"{path}:{lineno}: linear coefficient of variable {ids[0]} listed twice")
+                    f"{where}: linear coefficient of variable {ids[0]} listed twice")
             listed[ids[0]] = True
             linear[ids[0]] = value
             continue
         i, j = sorted(ids)
         if i == j:
-            raise DataFormatError(f"{path}:{lineno}: self-coupling {i} {j}")
+            raise DataFormatError(f"{where}: self-coupling {i} {j}")
         if (i, j) in seen:
-            raise DataFormatError(f"{path}:{lineno}: pair ({i}, {j}) listed twice")
+            raise DataFormatError(f"{where}: pair ({i}, {j}) listed twice")
         seen.add((i, j))
         pairs.append((i, j, value))
     missing = np.flatnonzero(~listed)
@@ -350,22 +320,16 @@ def read_qubo(path: Path) -> Qubo:
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> None:
     """Measurement histogram `bitstring,count`, variable 0 leftmost."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bitstring", "count"])
-        for bitstring in sorted(counts, key=lambda b: (-counts[b], b)):
-            w.writerow([bitstring, counts[bitstring]])
+    _write_table(path, ["bitstring", "count"],
+                 (f"{b},{counts[b]}" for b in sorted(counts, key=lambda b: (-counts[b], b))))
 
 
 def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["bin_lo", "bin_hi", "value", "err_lo", "err_hi"])
-        for b in bins:
-            w.writerow([fmt(b.bin_lo), fmt(b.bin_hi),
-                        "" if b.value is None else fmt(b.value),
-                        "" if b.err_lo is None else fmt(b.err_lo),
-                        "" if b.err_hi is None else fmt(b.err_hi)])
+    def text(x: float | None) -> str:
+        return "" if x is None else fmt(x)
+    _write_table(path, ["bin_lo", "bin_hi", "value", "err_lo", "err_hi"],
+                 (",".join(map(text, (b.bin_lo, b.bin_hi, b.value, b.err_lo, b.err_hi)))
+                  for b in bins))
 
 
 def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> None:
@@ -373,14 +337,11 @@ def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> No
     layers = np.array([h.layer for h in d.hits], dtype=np.int64)
     columns = (layers[d.inner], d.hit_ids[d.inner], d.hit_ids[d.outer],
                d.theta_xz, d.theta_yz, d.dx_over_x0, d.truth_matched())
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
-                    "theta_xz", "theta_yz", "dx_over_x0", "truth_matched"])
-        for i, (layer, a, b, txz, tyz, r, matched) in enumerate(
-                zip(*(c.tolist() for c in columns))):
-            w.writerow([event_id, i, layer, a, b, fmt(txz), fmt(tyz), fmt(r),
-                        int(matched)])
+    _write_table(path, ["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
+                        "theta_xz", "theta_yz", "dx_over_x0", "truth_matched"],
+                 (f"{event_id},{i},{layer},{a},{b},{txz:.9g},{tyz:.9g},{r:.9g},{matched:d}"
+                  for i, (layer, a, b, txz, tyz, r, matched)
+                  in enumerate(zip(*(c.tolist() for c in columns)))))
 
 
 def write_triplet_debug_csv(path: Path, event_id: int, triplets: Triplets) -> None:
@@ -389,13 +350,11 @@ def write_triplet_debug_csv(path: Path, event_id: int, triplets: Triplets) -> No
     _, matched = triplets.truth_particle_ids()
     columns = (layers[index[:, 0]], layers[index[:, 2]],
                triplets.doublets.hit_ids[index], triplets.delta_theta, matched)
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["event_id", "id", "span_first", "span_last",
-                    "hit_ids", "delta_theta", "truth_matched"])
-        for i, (first, last, ids, dt, m) in enumerate(zip(*(c.tolist() for c in columns))):
-            w.writerow([event_id, i, first, last, ";".join(str(h) for h in ids),
-                        fmt(dt), int(m)])
+    _write_table(path, ["event_id", "id", "span_first", "span_last",
+                        "hit_ids", "delta_theta", "truth_matched"],
+                 (f"{event_id},{i},{first},{last},{';'.join(map(str, ids))},{dt:.9g},{m:d}"
+                  for i, (first, last, ids, dt, m)
+                  in enumerate(zip(*(c.tolist() for c in columns)))))
 
 
 def config_hash(config_dict: dict) -> str:

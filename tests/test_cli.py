@@ -216,6 +216,30 @@ def test_evaluate_join_error_lists_missing_events(tmp_path, capsys):
     assert "999" in capsys.readouterr().err
 
 
+def test_evaluate_rejects_a_hit_whose_particle_is_missing(tmp_path, capsys):
+    run, _ = run_pipeline(tmp_path)
+    hit = next(r.split(",") for r in (run / "hits.csv").read_text().splitlines()[1:]
+               if r.split(",")[6])
+    eid, hid, pid = hit[0], hit[1], hit[6]
+    particles = (run / "particles.csv").read_text().splitlines(keepends=True)
+    kept = [r for r in particles if not r.startswith(f"{eid},{pid},")]
+    assert len(kept) == len(particles) - 1
+    (run / "particles.csv").write_text("".join(kept))
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"hit {hid} of event {eid} names particle {pid}, missing from truth" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_negative_event_count_is_a_usage_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--events", "-2"]) == EXIT_USAGE
+    assert "--events: must be at least 0, got '-2'" in capsys.readouterr().err
+    assert not run.exists()
+
+
 def test_evaluate_invariant_violation_exit_three(tmp_path, capsys):
     run, _ = run_pipeline(tmp_path)
     lines = (run / "tracks.csv").read_text().splitlines()

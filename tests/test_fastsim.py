@@ -10,8 +10,8 @@ from qubotrack.fastsim import (EnergySpectrum, LaserConfig, SimConfig,
                                SimulationError, compute_xi,
                                compute_xi_via_critical_field,
                                consistent_critical_field, dipole_deflection,
-                               generate_event, scattering_kick,
-                               scattering_sigma, xi_to_multiplicity)
+                               generate_event, scattering_sigma,
+                               xi_to_multiplicity)
 from qubotrack import fastsim
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 from qubotrack.trackbuild import fit_track
@@ -94,6 +94,17 @@ def test_dipole_below_cutoff():
 
 
 # -- multiple scattering ---------------------------------------------------------
+
+def scattering_kick(energy, thickness_x0, rng):
+    """Independent Gaussian angle kicks (dtheta_x, dtheta_y) for one
+    crossing, one ``Generator.normal`` call for both: the per-draw oracle's
+    kick, which ``generate_event`` draws batched."""
+    sigma = scattering_sigma(energy, thickness_x0)
+    if sigma == 0.0:
+        return 0.0, 0.0
+    kx, ky = rng.normal(0.0, sigma, size=2)
+    return float(kx), float(ky)
+
 
 def test_scattering_zero_thickness():
     rng = np.random.default_rng(0)

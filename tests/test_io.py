@@ -1,10 +1,15 @@
 import csv
 import math
+import random
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_qubo
 from qubotrack import io
@@ -514,3 +519,199 @@ def test_block_io_memory_is_bounded(tmp_path, monkeypatch):
     monkeypatch.setattr(io, "BLOCK_ROWS", 10 ** 9)
     write_peak, read_excess = peaks()
     assert write_peak > 1 * mib and read_excess > 2 * mib
+
+
+# -- the reader against a row-by-row reference ----------------------------------------
+
+def reference_field(text, kind, column, where):
+    """One field as the reader must convert it, written out case by case."""
+    if kind == "ids":
+        return tuple(reference_field(t, "int", column, where) for t in text.split(";"))
+    if kind == "int?" and text == "":
+        return None
+    if kind in ("int", "int?"):
+        try:
+            return int(text)
+        except ValueError:
+            raise DataFormatError(f"{where}: bad integer in column {column!r}: {text!r}")
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataFormatError(f"{where}: bad float in column {column!r}: {text!r}")
+    if kind == "finite" and not math.isfinite(value):
+        raise DataFormatError(f"{where}: non-finite value in column {column!r}: {text!r}")
+    return value
+
+
+REFERENCE_KINDS = {
+    "hits": ["int", "int", "int", "finite", "finite", "finite", "int?", None],
+    "particles": ["int", "int", "finite", "finite", "finite", "finite",
+                  "finite", "finite", "finite"],
+    "tracks": ["int", "int", "ids", "float", "int", "float", "int?"],
+}
+REFERENCE_HEADERS = {"hits": HITS_HEADER, "particles": PARTICLES_HEADER,
+                     "tracks": TRACKS_HEADER}
+
+
+def reference_read(path, table):
+    """Each row of ``table`` in file order, its fields converted in header
+    order and then checked by the table's rule across fields or rows: the
+    first bad row raises, naming its first fault."""
+    header, kinds = REFERENCE_HEADERS[table], REFERENCE_KINDS[table]
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == header
+    seen, out = set(), []
+    for line, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        where = f"{path}:{line}"
+        if len(row) != len(header):
+            raise DataFormatError(f"{where}: expected {len(header)} fields, got {len(row)}")
+        values = [reference_field(text, kind, column, where)
+                  for text, kind, column in zip(row, kinds, header) if kind]
+        if table == "hits":
+            if tuple(values[:2]) in seen:
+                raise DataFormatError(f"{where}: duplicate hit id (event_id, hit_id) = "
+                                      f"({values[0]}, {values[1]})")
+            seen.add(tuple(values[:2]))
+        elif table == "particles":
+            dx, dy, dz = values[6:]
+            if math.sqrt(dx * dx + dy * dy + dz * dz) == 0.0:
+                raise DataFormatError(f"{where}: zero direction vector")
+        elif len(values[2]) != 4:
+            raise DataFormatError(f"{where}: expected 4 hit ids, got {len(values[2])}")
+        out.append(values)
+    return out
+
+
+def reference_events(rows, table):
+    by_event = {}
+    for e, *values in rows:
+        if table == "hits":
+            hid, layer, x, y, z, pid = values
+            by_event.setdefault(e, ([], []))[0].append(Hit(hid, layer, (x, y, z), pid))
+        else:
+            pid, energy, ox, oy, oz, dx, dy, dz = values
+            n = math.sqrt(dx * dx + dy * dy + dz * dz)
+            by_event.setdefault(e, ([], []))[1].append(
+                TruthParticle(pid, energy, (ox, oy, oz), (dx / n, dy / n, dz / n)))
+    return [Event(e, 0.0, tuple(hits), tuple(particles))
+            for e, (hits, particles) in sorted(by_event.items())]
+
+
+FLOATS = ["0", "-0.0", "0.5", "-1.25", "3e-05", "1e10", "7"]
+# the faults each table can have, and the columns a field fault may hit
+FAULTS = {
+    "hits": {"bad int": [0, 1, 2, 6], "bad float": [3, 4, 5], "non-finite": [3, 4, 5],
+             "field count": [], "duplicate in block": [], "duplicate across blocks": []},
+    "particles": {"bad int": [0, 1], "bad float": [2, 3, 4, 5, 6, 7, 8],
+                  "non-finite": [2, 3, 4, 5, 6, 7, 8], "field count": [],
+                  "zero direction": []},
+    "tracks": {"bad int": [0, 1, 2, 4, 6], "bad float": [3, 5], "field count": [],
+               "three hit ids": []},
+}
+BAD_TEXT = {"bad int": ["x", "1.5", "", " "], "bad float": ["0.0.1", "1e", ""],
+            "non-finite": ["nan", "inf", "-Infinity"]}
+
+
+def valid_row(table, i, rng):
+    if table == "hits":
+        return [str(i // 7), str(i % 7), str(i % 4), *rng.choices(FLOATS, k=3),
+                rng.choice(["", "0", "3"]), rng.choice(["", "5"])]
+    if table == "particles":
+        return [str(i // 5), str(i % 5), rng.choice(["0.5", "5", "16"]),
+                *rng.choices(FLOATS, k=5), rng.choice(["1", "0.999", "-2"])]
+    return [str(i // 6), str(i % 6), f"{i};{i + 1};{i + 2};{i + 3}", rng.choice(FLOATS), "4",
+            rng.choice(FLOATS + ["nan"]), rng.choice(["", "2"])]
+
+
+def add_fault(table, fault, rows, block, allowed, draw):
+    """Put ``fault`` into one of the ``allowed`` rows and return its index,
+    or None if none of them can take it; ``block[i]`` is the block row
+    ``i`` is read in."""
+    if fault.startswith("duplicate"):
+        within = fault == "duplicate in block"
+        pairs = [(i, j) for i in allowed for j in range(i)
+                 if (block[i] == block[j]) == within]
+        if not pairs:
+            return None
+        i, j = draw(st.sampled_from(pairs))
+        rows[i][:2] = rows[j][:2]
+        return i
+    i = draw(st.sampled_from(allowed))
+    row = rows[i]
+    if fault == "field count":
+        rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    elif fault == "zero direction":
+        row[6:9] = ["0", "-0.0", "0e0"]
+    elif fault == "three hit ids":
+        row[2] = "1;2;3"
+    else:
+        k = draw(st.sampled_from(FAULTS[table][fault]))
+        text = draw(st.sampled_from(BAD_TEXT[fault]))
+        if table == "tracks" and k == 2:  # one id of the hit ids
+            ids = row[2].split(";")
+            ids[draw(st.integers(0, 3))] = text
+            text = ";".join(ids)
+        row[k] = text
+    return i
+
+
+def outcome(read):
+    try:
+        return "ok", repr(read())
+    except DataFormatError as exc:
+        return "error", str(exc)
+
+
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("tables")
+    write_hits_csv(d / "no_hits.csv", [])
+    write_particles_csv(d / "no_particles.csv", [])
+    return d
+
+
+@pytest.mark.parametrize("table, fault", [
+    (table, fault) for table in FAULTS for fault in [None, *FAULTS[table]]])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), block_rows=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_reader_agrees_with_row_by_row_reference(table_dir, table, fault, data, block_rows,
+                                                 seed):
+    """Tables of at least three blocks, with blank lines, ``fault`` and up
+    to one more random fault: the reader raises the reference's error, or
+    returns what the reference reads."""
+    draw, rng = data.draw, random.Random(seed)
+    n = draw(st.integers(3 * block_rows + 1, 3 * block_rows + 12))
+    rows = [valid_row(table, i, rng) for i in range(n)]
+    blank_after = draw(st.sets(st.integers(0, n), max_size=4))
+    # the block each row is read in: blank lines count towards a block
+    block = [(i + sum(k < i for k in blank_after)) // block_rows for i in range(n)]
+    allowed = range(n)
+    if fault is not None:
+        i = add_fault(table, fault, rows, block, allowed, draw)
+        assume(i is not None)
+        if draw(st.booleans()):  # the second fault in the same block
+            allowed = [k for k in allowed if block[k] == block[i]]
+    if draw(st.booleans()):
+        add_fault(table, draw(st.sampled_from(sorted(FAULTS[table]))), rows, block, allowed,
+                  draw)
+    lines = [",".join(REFERENCE_HEADERS[table])]
+    for i, row in enumerate(rows):
+        lines.append(",".join(row))
+        lines.extend([""] * (i in blank_after))
+    lines.extend([""] * (n in blank_after))
+    path = table_dir / f"{table}.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with mock.patch.object(io, "BLOCK_ROWS", block_rows):
+        if table == "tracks":
+            got = outcome(lambda: read_tracks_csv(path))
+            expected = outcome(lambda: [TrackRecord(*values)
+                                        for values in reference_read(path, table)])
+        else:
+            paths = ((path, table_dir / "no_particles.csv") if table == "hits"
+                     else (table_dir / "no_hits.csv", path))
+            got = outcome(lambda: read_events(*paths))
+            expected = outcome(lambda: reference_events(reference_read(path, table), table))
+    assert got == expected
