@@ -3,8 +3,8 @@ selection, with exact, simulated-annealing and simulated-VQE solvers."""
 
 __version__ = "0.1.0"
 
-from .geometry import (DetectorGeometry, Event, GeometryConfig, Hit,
-                       TruthParticle, build_geometry, validate_event)
+from .geometry import (DetectorGeometry, Event, GeometryConfig, Hit, Hits,
+                       Particles, TruthParticle, build_geometry, validate_event)
 from .fastsim import (EnergySpectrum, LaserConfig, SimConfig, compute_xi,
                       dipole_deflection, generate_event, xi_to_multiplicity)
 from .preselect import (Doublet, Doublets, PreselectionWindow, Triplet,

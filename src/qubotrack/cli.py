@@ -9,7 +9,6 @@ well-formed data.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +18,8 @@ import numpy as np
 from .config import ConfigError, RunConfig, SOLVERS
 from .fastsim import xi_to_multiplicity
 from .geometry import Event, shared_hits
-from .io import (DataFormatError, config_hash, read_events, read_json,
-                 read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
+from .io import (DataFormatError, _write_table, config_hash, read_counts_csv, read_events,
+                 read_json, read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
                  write_particles_csv, write_tracks_csv)
 from .metrics import TrackRecord, build_report
 from .pipeline import EventDumps, reconstruct_events, simulate_events
@@ -176,12 +175,13 @@ def cmd_evaluate(args) -> int:
             raise DataFormatError(
                 f"{tracks_path}: tracks reference events missing from truth: {missing}")
         for e in events:
-            pids = {p.particle_id for p in e.particles}
-            for h in e.hits:
-                if h.truth_particle_id is not None and h.truth_particle_id not in pids:
-                    raise DataFormatError(
-                        f"{run_dir / 'hits.csv'}: hit {h.hit_id} of event {e.event_id} "
-                        f"names particle {h.truth_particle_id}, missing from truth")
+            h = e.hits
+            dangling = np.flatnonzero(h.known & ~np.isin(h.truth, e.particles.ids))
+            if dangling.size:
+                k = dangling[0]
+                raise DataFormatError(
+                    f"{run_dir / 'hits.csv'}: hit {h.ids[k]} of event {e.event_id} "
+                    f"names particle {h.truth[k]}, missing from truth")
         events, tracks = _offset_events(events, tracks, offset)
         offset = max((e.event_id for e in events), default=offset - 1) + 1
         all_events.extend(events)
@@ -209,6 +209,19 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+PLOT_HEADER = ["metric", "xi_label", "bin", "value", "err_lo", "err_hi"]
+BIN_KEYS = ("bin_lo", "bin_hi", "value", "err_lo", "err_hi")
+
+
+def _plot_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it: None empty, a field holding
+    a comma, quote or line end quoted."""
+    text = "" if value is None else str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def cmd_plotdata(args) -> int:
     rows: list[tuple] = []
     for path in args.reports:
@@ -224,23 +237,22 @@ def cmd_plotdata(args) -> int:
                     continue
                 rows.append((metric, label, "", value, "", ""))
         for curve, bins in payload.get("curves", {}).items():
-            for b in bins:
+            for k, b in enumerate(bins):
+                missing = [key for key in BIN_KEYS if key not in b]
+                if missing:
+                    raise DataFormatError(f"{path}: bin {k} of curve {curve!r} lacks "
+                                          f"{', '.join(missing)}")
                 if b["value"] is None:
                     continue
                 rows.append((curve, "", f"{b['bin_lo']}:{b['bin_hi']}",
                              b["value"], b["err_lo"], b["err_hi"]))
     for path in args.counts or []:
-        with open(path, newline="") as f:
-            reader = csv.DictReader(f)
-            for r in reader:
-                rows.append(("vqe_counts", "", r["bitstring"], int(r["count"]), "", ""))
+        rows.extend(("vqe_counts", "", bits, count, "", "")
+                    for bits, count in read_counts_csv(Path(path)))
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["metric", "xi_label", "bin", "value", "err_lo", "err_hi"])
-        w.writerows(rows)
+    _write_table(out, PLOT_HEADER, (",".join(map(_plot_field, row)) for row in rows))
     print(f"wrote {len(rows)} rows -> {out}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DetectorGeometry, Event, Hit, TruthParticle
+from .geometry import DetectorGeometry, Event, Hits, Particles, particle_fault
 
 # momentum kick per field-length, GeV / (T m)
 PT_KICK_PER_TESLA_METER = 0.2998
@@ -217,9 +217,13 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
     else:
         n_particles = int(round(sim.mean_multiplicity))
 
-    particles: list[TruthParticle] = []
-    hits: list[Hit] = []
-    hit_id = 0
+    # the columns, ids being row numbers; vectors laid flat, x, y, z
+    energies: list[float] = []
+    origins: list[float] = []
+    directions: list[float] = []
+    layers: list[int] = []
+    positions: list[float] = []
+    truth: list[int] = []
     kick_z = geometry.dipole_kick_z
     resolution = geometry.hit_resolution
     half_x, half_y = geometry.layer_half_extent_x, geometry.layer_half_extent_y
@@ -235,12 +239,9 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
 
         tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
         norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
-        particles.append(TruthParticle(
-            particle_id=pid,
-            energy=energy,
-            origin=(ox, oy, oz),
-            direction=(tx0 / norm, ty0 / norm, 1.0 / norm),
-        ))
+        energies.append(energy)
+        origins += ox, oy, oz
+        directions += tx0 / norm, ty0 / norm, 1.0 / norm
 
         # the same Highland width at every crossing; a zero width draws no kick
         sigma = (scattering_sigma(energy, geometry.layer_thickness_x0)
@@ -273,13 +274,20 @@ def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) ->
                 else:
                     mx, my = x, y
                 if abs(mx) <= half_x and abs(my) <= half_y:
-                    hits.append(Hit(hit_id=hit_id, layer=layer,
-                                    position=(mx, my, layer_z),
-                                    truth_particle_id=pid))
-                    hit_id += 1
+                    layers.append(layer)
+                    positions += mx, my, layer_z
+                    truth.append(pid)
                 if kicks:
                     theta_x += 0.0 + sigma * draws[-2]
                     theta_y += 0.0 + sigma * draws[-1]
 
-    return Event(event_id=event_id, xi_label=sim.xi_label,
-                 hits=tuple(hits), particles=tuple(particles))
+    origins, directions, positions = (np.array(v, dtype=float).reshape(-1, 3)
+                                      for v in (origins, directions, positions))
+    fault = particle_fault(energies, directions)
+    if fault is not None:
+        raise SimulationError(f"event {event_id} particle {fault[0]}: {fault[1]}")
+    hits = Hits(np.arange(len(truth)), np.array(layers, dtype=np.int64), positions,
+                np.array(truth, dtype=np.int64), np.ones(len(truth), dtype=bool))
+    particles = Particles(np.arange(n_particles), np.array(energies, dtype=float),
+                          origins, directions)
+    return Event(event_id=event_id, xi_label=sim.xi_label, hits=hits, particles=particles)

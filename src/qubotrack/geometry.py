@@ -4,6 +4,14 @@ Units: meters for distances, GeV for energies, radians for angles, Tesla for
 the dipole field. The tracker is a stack of parallel planes perpendicular to
 the beam (z) axis; each plane is a single continuous sensitive area.
 
+Data model: an :class:`Event` stores its hits and its particles as
+columns, one array per field (:class:`Hits`, :class:`Particles`), and
+every stage from simulation and file to metrics reads those arrays.
+:class:`Hit` and :class:`TruthParticle` are views of one row, built only
+when the columns are read as a sequence (for tests, hand-made events and
+inspection). The particle rule, a positive energy and a unit direction,
+is checked on whole columns (:func:`particle_fault`).
+
 Also here: the array joins on hit ids and other integer keys that
 pre-selection, assembly and track building share (:func:`shared_hits`,
 :func:`equal_key_pairs`, :func:`windowed_key_pairs`).
@@ -12,7 +20,8 @@ pre-selection, assembly and track building share (:func:`shared_hits`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from collections.abc import Iterable
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -129,9 +138,26 @@ def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
     )
 
 
+def particle_fault(energy, direction) -> tuple[int, str] | None:
+    """The first particle, by row, with an energy that is not positive or
+    a direction whose norm is not 1 within 1e-12 (NaN fails both), and
+    what it fails; None if there is none."""
+    energy = np.asarray(energy, dtype=float)
+    d = np.asarray(direction, dtype=float).reshape(-1, 3)
+    norm = np.hypot(np.hypot(d[:, 0], d[:, 1]), d[:, 2])  # hypot cannot overflow
+    bad = ~(energy > 0) | ~(np.abs(norm - 1.0) <= 1e-12)
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    if not energy[i] > 0:
+        return i, f"particle energy must be positive, got {float(energy[i])!r}"
+    return i, f"direction not normalized: |d| = {float(norm[i])!r}"
+
+
 @dataclass(frozen=True)
 class TruthParticle:
-    """Generated particle: energy in GeV, origin in m, unit direction at origin."""
+    """View of a generated particle: energy in GeV, origin in m, unit
+    direction at origin."""
 
     particle_id: int
     energy: float
@@ -139,16 +165,14 @@ class TruthParticle:
     direction: tuple[float, float, float]
 
     def __post_init__(self):
-        if self.energy <= 0:
-            raise ValueError(f"particle energy must be positive, got {self.energy}")
-        norm = math.sqrt(sum(c * c for c in self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction not normalized: |d| = {norm!r}")
+        fault = particle_fault([self.energy], [self.direction])
+        if fault is not None:
+            raise ValueError(fault[1])
 
 
 @dataclass(frozen=True)
 class Hit:
-    """One measured space point. ``truth_particle_id`` is None for noise."""
+    """View of a measured space point. ``truth_particle_id`` is None for noise."""
 
     hit_id: int
     layer: int
@@ -156,18 +180,104 @@ class Hit:
     truth_particle_id: int | None = None
 
 
+class _Columns:
+    """Aligned arrays, one row per item, ``ids`` first, read as the tuple
+    of row views they stand for (``len``, iteration, an index, ``==``,
+    ``repr``); a view is built when it is read."""
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self):
+        return self._views(slice(None))
+
+    def __getitem__(self, k: int):
+        k = range(len(self))[k]
+        return next(self._views(slice(k, k + 1)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, type(self)):
+            return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Hits(_Columns):
+    """One event's hits: ids, layers, (hits, 3) positions, truth particle
+    ids and ``known``, whether a hit has one (if not, its id is 0)."""
+
+    ids: np.ndarray
+    layers: np.ndarray
+    positions: np.ndarray
+    truth: np.ndarray
+    known: np.ndarray
+
+    @classmethod
+    def of(cls, hits: Hits | Iterable[Hit]) -> Hits:
+        """The columns of :class:`Hit` objects (columns pass as they are)."""
+        if isinstance(hits, Hits):
+            return hits
+        ids, layers, positions, truth = list(zip(*map(astuple, hits))) or [()] * 4
+        return cls(np.array(ids, dtype=np.int64), np.array(layers, dtype=np.int64),
+                   np.array(positions, dtype=float).reshape(-1, 3),
+                   np.array([p or 0 for p in truth], dtype=np.int64),
+                   np.array([p is not None for p in truth], dtype=bool))
+
+    def _views(self, rows):
+        truth = [p if k else None for p, k in zip(self.truth[rows].tolist(),
+                                                  self.known[rows].tolist())]
+        return map(Hit, self.ids[rows].tolist(), self.layers[rows].tolist(),
+                   map(tuple, self.positions[rows].tolist()), truth)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Particles(_Columns):
+    """One event's generated particles: ids, energies, and (particles, 3)
+    origins and unit directions."""
+
+    ids: np.ndarray
+    energies: np.ndarray
+    origins: np.ndarray
+    directions: np.ndarray
+
+    @classmethod
+    def of(cls, particles: Particles | Iterable[TruthParticle]) -> Particles:
+        """The columns of :class:`TruthParticle` objects (columns pass as
+        they are)."""
+        if isinstance(particles, Particles):
+            return particles
+        ids, energies, *vectors = list(zip(*map(astuple, particles))) or [()] * 4
+        return cls(np.array(ids, dtype=np.int64), np.array(energies, dtype=float),
+                   *(np.array(v, dtype=float).reshape(-1, 3) for v in vectors))
+
+    def _views(self, rows):
+        return map(TruthParticle, self.ids[rows].tolist(), self.energies[rows].tolist(),
+                   map(tuple, self.origins[rows].tolist()),
+                   map(tuple, self.directions[rows].tolist()))
+
+
 @dataclass(frozen=True)
 class Event:
+    """One event, its hits and particles stored as columns; given as
+    sequences of views, they are read into columns."""
+
     event_id: int
     xi_label: float
-    hits: tuple[Hit, ...]
-    particles: tuple[TruthParticle, ...]
+    hits: Hits
+    particles: Particles
+
+    def __post_init__(self):
+        object.__setattr__(self, "hits", Hits.of(self.hits))
+        object.__setattr__(self, "particles", Particles.of(self.particles))
 
     def particle_by_id(self, pid: int) -> TruthParticle:
-        for p in self.particles:
-            if p.particle_id == pid:
-                return p
-        raise KeyError(pid)
+        found = np.flatnonzero(self.particles.ids == pid).tolist()
+        if not found:
+            raise KeyError(pid)
+        return self.particles[found[0]]
 
 
 def _index_ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +383,7 @@ def validate_event(event: Event, geometry: DetectorGeometry) -> list[str]:
     the layer extents, and truth links resolving to an existing particle.
     """
     diagnostics: list[str] = []
-    pids = {p.particle_id for p in event.particles}
+    pids = set(event.particles.ids.tolist())
     seen_ids: set[int] = set()
     for hit in event.hits:
         tag = f"event {event.event_id} hit {hit.hit_id}"

@@ -7,13 +7,19 @@ it round-trips losslessly. Every CSV table is written by one function, so
 line ends (``\\r\\n``) and quoting (none: no field holds a comma, quote or
 line end) are decided in one place.
 
-Each input table is declared once: the kind of each header column, and one
-rule across fields or rows (a hit id unique within its event, a nonzero
-direction, four hit ids). One reader reads them all, a block of rows at a
-time, converting each column of a block in bulk. A block that does not
+Each input table is declared once: the kind of each header column
+(integers are signed 64-bit), and one rule across fields or rows (a hit id
+unique within its event; a positive particle energy and a direction that
+normalises; four hit ids). One reader reads them all, a block of rows at
+a time, converting each column of a block in bulk. A block that does not
 convert is read again row by row; a bad row raises
 ``DataFormatError("path:line: message")`` naming the first bad row by
 line, then its first bad field in header order, then the table's rule.
+
+Events are read and written as columns (:class:`~qubotrack.geometry.Hits`,
+:class:`~qubotrack.geometry.Particles`), never one object per row: the
+hits and particles tables go into per-block arrays, and one stable argsort
+by event id splits them into events, keeping file order within each.
 """
 
 from __future__ import annotations
@@ -28,20 +34,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Event, Hit, TruthParticle
+from .geometry import Event, Hits, Particles, particle_fault
 from .metrics import BinnedValue, TrackRecord
 from .preselect import Doublets, Triplets
 from .qubo import Qubo
 
 # the kinds of an input column: how each of its fields converts
-INT, OPTIONAL_INT, FLOAT, FINITE, HIT_IDS, IGNORED = (
-    "int", "optional int", "float", "finite float", "';'-joined hit ids", "ignored")
+INT, OPTIONAL_INT, FLOAT, FINITE, HIT_IDS, TEXT, IGNORED = (
+    "int", "optional int", "float", "finite float", "';'-joined hit ids", "text", "ignored")
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1  # the integer kinds' range
 
 HITS_COLUMNS = {"event_id": INT, "hit_id": INT, "layer": INT, "x": FINITE, "y": FINITE,
                 "z": FINITE, "truth_particle_id": OPTIONAL_INT, "truth_energy": IGNORED}
 PARTICLES_COLUMNS = {"event_id": INT, "particle_id": INT, "energy": FINITE,
                      "ox": FINITE, "oy": FINITE, "oz": FINITE,
                      "dx": FINITE, "dy": FINITE, "dz": FINITE}
+COUNTS_COLUMNS = {"bitstring": TEXT, "count": INT}
 TRACKS_COLUMNS = {"event_id": INT, "track_id": INT, "hit_ids": HIT_IDS, "chi2": FLOAT,
                   "ndf": INT, "energy": FLOAT, "matched_particle_id": OPTIONAL_INT}
 HITS_HEADER = list(HITS_COLUMNS)
@@ -68,6 +77,8 @@ def _field(text: str, kind: str, column: str, where: str):
     column and the text; of hit ids, the first id that does not."""
     if kind == HIT_IDS:
         return tuple(_field(t, INT, column, where) for t in text.split(";"))
+    if kind == TEXT:
+        return text
     if kind == OPTIONAL_INT and text == "":
         return None
     integer = kind in (INT, OPTIONAL_INT)
@@ -78,6 +89,9 @@ def _field(text: str, kind: str, column: str, where: str):
                               f"in column {column!r}: {text!r}") from None
     if kind == FINITE and not math.isfinite(value):
         raise DataFormatError(f"{where}: non-finite value in column {column!r}: {text!r}")
+    if integer and not INT64_MIN <= value <= INT64_MAX:
+        raise DataFormatError(f"{where}: integer out of range in column {column!r}: "
+                              f"{text!r}")
     return value
 
 
@@ -85,14 +99,20 @@ def _column(texts: tuple[str, ...], kind: str) -> list:
     """A block's column converted in bulk, field by field as :func:`_field`
     converts it; raises ``ValueError`` if any field does not convert."""
     if kind == INT:
-        return list(map(int, texts))
-    if kind == OPTIONAL_INT:
-        return [None if t == "" else int(t) for t in texts]
-    if kind == HIT_IDS:
-        return [tuple(map(int, t.split(";"))) for t in texts]
-    values = list(map(float, texts))
-    if kind == FINITE and not all(map(math.isfinite, values)):
-        raise ValueError("non-finite value")
+        values = ints = list(map(int, texts))
+    elif kind == OPTIONAL_INT:
+        values = [None if t == "" else int(t) for t in texts]
+        ints = [v for v in values if v is not None]
+    elif kind == HIT_IDS:
+        values = [tuple(map(int, t.split(";"))) for t in texts]
+        ints = [i for ids in values for i in ids]
+    else:
+        values = list(texts) if kind == TEXT else list(map(float, texts))
+        if kind == FINITE and not all(map(math.isfinite, values)):
+            raise ValueError("non-finite value")
+        return values
+    if ints and not (INT64_MIN <= min(ints) and max(ints) <= INT64_MAX):
+        raise ValueError("integer out of range")
     return values
 
 
@@ -107,23 +127,35 @@ def _write_table(path: Path, header: list[str], rows: Iterator[str]) -> None:
 
 
 def write_hits_csv(path: Path, events: list[Event]) -> None:
+    """The hits of ``events`` by event id, each event's by hit id (both
+    sorts stable), with the truth particle's energy (the last particle
+    listed with its id) or empty."""
     def rows():
         for e in sorted(events, key=lambda e: e.event_id):
-            energies = {p.particle_id: f"{p.energy:.9g}" for p in e.particles}
-            for h in sorted(e.hits, key=lambda h: h.hit_id):
-                x, y, z = h.position
-                pid = h.truth_particle_id
-                yield (f"{e.event_id},{h.hit_id},{h.layer},{x:.9g},{y:.9g},{z:.9g},"
+            p, h = e.particles, e.hits
+            energies = dict(zip(p.ids.tolist(), (f"{v:.9g}" for v in p.energies.tolist())))
+            order = np.argsort(h.ids, kind="stable")
+            truth = [t if k else None for t, k in zip(h.truth[order].tolist(),
+                                                      h.known[order].tolist())]
+            for hid, layer, (x, y, z), pid in zip(h.ids[order].tolist(),
+                                                  h.layers[order].tolist(),
+                                                  h.positions[order].tolist(), truth):
+                yield (f"{e.event_id},{hid},{layer},{x:.9g},{y:.9g},{z:.9g},"
                        f"{'' if pid is None else pid},{energies.get(pid, '')}")
     _write_table(path, HITS_HEADER, rows())
 
 
 def write_particles_csv(path: Path, events: list[Event]) -> None:
+    """The particles of ``events`` by event id, each event's by particle id
+    (both sorts stable)."""
     def rows():
         for e in sorted(events, key=lambda e: e.event_id):
-            for p in sorted(e.particles, key=lambda p: p.particle_id):
-                (ox, oy, oz), (dx, dy, dz) = p.origin, p.direction
-                yield (f"{e.event_id},{p.particle_id},{p.energy:.9g},{ox:.9g},{oy:.9g},"
+            p = e.particles
+            order = np.argsort(p.ids, kind="stable")
+            for pid, energy, (ox, oy, oz), (dx, dy, dz) in zip(
+                    p.ids[order].tolist(), p.energies[order].tolist(),
+                    p.origins[order].tolist(), p.directions[order].tolist()):
+                yield (f"{e.event_id},{pid},{energy:.9g},{ox:.9g},{oy:.9g},"
                        f"{oz:.9g},{dx:.9g},{dy:.9g},{dz:.9g}")
     _write_table(path, PARTICLES_HEADER, rows())
 
@@ -192,45 +224,90 @@ def _read_table(path: Path, columns: dict[str, str],
                 raise DataFormatError(f"{where}: {bad[1]}")
 
 
+def _by_event(columns: list[list[np.ndarray]], table: type) -> dict:
+    """A ``table`` (:class:`Hits` or :class:`Particles`) per event id of
+    the stored columns (event ids first, one array per block each), its
+    rows in file order: one stable argsort by event id, then a slice per
+    event. A column's blocks are let go as soon as they are joined."""
+    if not columns[0]:
+        return {}
+    for k, blocks in enumerate(columns):
+        columns[k] = np.concatenate(blocks)
+    if np.any(columns[0][1:] < columns[0][:-1]):
+        order = np.argsort(columns[0], kind="stable")
+        for k, column in enumerate(columns):
+            columns[k] = column[order]
+    eid, *columns = columns
+    bounds = [0, *(np.flatnonzero(eid[1:] != eid[:-1]) + 1).tolist(), len(eid)]
+    return {int(eid[a]): table(*(c[a:b] for c in columns))
+            for a, b in zip(bounds, bounds[1:])}
+
+
 def read_events(hits_path: Path, particles_path: Path,
                 xi_label: float = 0.0) -> list[Event]:
-    """Rebuild events from the hits and particles files. A hit id listed
-    twice within one event, a zero particle direction, or a hit coordinate
-    or particle value that is not finite, raises :class:`DataFormatError`."""
-    particles_by_event: dict[int, list[TruthParticle]] = {}
+    """Rebuild events from the hits and particles files, each event's rows
+    in file order, as columns. A hit id listed twice within one event, a
+    particle energy that is not positive, a particle direction that is zero
+    or does not normalise (to 1 within 1e-12), or a hit coordinate or
+    particle value that is not finite, raises :class:`DataFormatError`."""
+    particles: list[list[np.ndarray]] = [[] for _ in range(5)]  # one array per block
 
     def store_particles(eid, pid, energy, ox, oy, oz, dx, dy, dz):
+        energy, d = np.array(energy), np.array([dx, dy, dz]).T
         # the 9-digit print precision is lossy; restore the unit-norm invariant
-        norms = [math.sqrt(a * a + b * b + c * c) for a, b, c in zip(dx, dy, dz)]
-        if 0.0 in norms:
-            return norms.index(0.0), "zero direction vector"
-        particles = map(TruthParticle, pid, energy, zip(ox, oy, oz),
-                        [(a / n, b / n, c / n) for a, b, c, n in zip(dx, dy, dz, norms)])
-        for e, p in zip(eid, particles):
-            particles_by_event.setdefault(e, []).append(p)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            norm = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+            unit = d / norm[:, None]
+        fault = particle_fault(energy, unit)
+        if fault is not None:
+            i, message = fault
+            if energy[i] > 0:
+                message = ("zero direction vector" if norm[i] == 0.0 else
+                           f"direction does not normalize: |d| = {float(norm[i])!r}")
+            return i, message
+        for column, values in zip(particles, (eid, pid, energy, np.array([ox, oy, oz]).T,
+                                              unit)):
+            column.append(np.asarray(values))
 
-    # per event by hit id, which must be unique: pre-selection keys hits on it
-    hits_by_event: dict[int, dict[int, Hit]] = {}
+    hits: list[list[np.ndarray]] = [[] for _ in range(6)]  # one array per block
+    # each event's hit ids so far, as sorted runs, each more than twice as long
+    # as the next: a block is checked against every run, then merged with
+    # the last runs while they are at most twice its length (so reading
+    # stays O(n log n) however large an event)
+    seen: dict[int, list[np.ndarray]] = {}
 
     def store_hits(eid, hid, layer, x, y, z, pid):
-        hits = map(Hit, hid, layer, zip(x, y, z), pid)
-        last = None
-        for i, (e, h, hit) in enumerate(zip(eid, hid, hits)):
-            if e != last:
-                stored, last = hits_by_event.setdefault(e, {}), e
-            if h in stored:
-                return i, f"duplicate hit id (event_id, hit_id) = ({e}, {h})"
-            stored[h] = hit
+        eid, hid = np.array(eid, dtype=np.int64), np.array(hid, dtype=np.int64)
+        taken = np.zeros(len(hid), dtype=bool)  # the rows whose hit id an earlier row has
+        for e in np.unique(eid).tolist():
+            rows = np.flatnonzero(eid == e)
+            ids, runs = hid[rows], seen.setdefault(e, [])
+            order = np.argsort(ids, kind="stable")
+            run = ids[order]
+            again = np.zeros(len(ids), dtype=bool)
+            again[order[1:]] = run[1:] == run[:-1]
+            for before in runs:
+                again |= before[np.minimum(np.searchsorted(before, ids), len(before) - 1)] == ids
+            taken[rows] = again
+            while runs and len(runs[-1]) <= 2 * len(run):
+                run = np.sort(np.concatenate([runs.pop(), run]), kind="stable")
+            runs.append(run)
+        if taken.any():
+            i = int(np.argmax(taken))
+            return i, f"duplicate hit id (event_id, hit_id) = ({eid[i]}, {hid[i]})"
+        for column, values in zip(hits, (eid, hid, layer, np.array([x, y, z]).T,
+                                         [p or 0 for p in pid],
+                                         [p is not None for p in pid])):
+            column.append(np.asarray(values))
 
     _read_table(Path(particles_path), PARTICLES_COLUMNS, store_particles)
     _read_table(Path(hits_path), HITS_COLUMNS, store_hits)
-    event_ids = sorted(set(hits_by_event) | set(particles_by_event))
-    return [
-        Event(event_id=eid, xi_label=xi_label,
-              hits=tuple(hits_by_event.get(eid, {}).values()),
-              particles=tuple(particles_by_event.get(eid, ())))
-        for eid in event_ids
-    ]
+    hits_by_event = _by_event(hits, Hits)
+    particles_by_event = _by_event(particles, Particles)
+    no_hits, no_particles = Hits.of(()), Particles.of(())
+    return [Event(eid, xi_label, hits_by_event.get(eid, no_hits),
+                  particles_by_event.get(eid, no_particles))
+            for eid in sorted(hits_by_event.keys() | particles_by_event.keys())]
 
 
 def write_tracks_csv(path: Path, tracks: list[TrackRecord]) -> None:
@@ -320,8 +397,15 @@ def read_qubo(path: Path) -> Qubo:
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> None:
     """Measurement histogram `bitstring,count`, variable 0 leftmost."""
-    _write_table(path, ["bitstring", "count"],
+    _write_table(path, list(COUNTS_COLUMNS),
                  (f"{b},{counts[b]}" for b in sorted(counts, key=lambda b: (-counts[b], b))))
+
+
+def read_counts_csv(path: Path) -> list[tuple[str, int]]:
+    """The (bitstring, count) rows of a histogram, in file order."""
+    out: list[tuple[str, int]] = []
+    _read_table(Path(path), COUNTS_COLUMNS, lambda bits, count: out.extend(zip(bits, count)))
+    return out
 
 
 def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
@@ -334,7 +418,7 @@ def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
 
 def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> None:
     d = doublets
-    layers = np.array([h.layer for h in d.hits], dtype=np.int64)
+    layers = d.hits.layers
     columns = (layers[d.inner], d.hit_ids[d.inner], d.hit_ids[d.outer],
                d.theta_xz, d.theta_yz, d.dx_over_x0, d.truth_matched())
     _write_table(path, ["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
@@ -346,7 +430,7 @@ def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> No
 
 def write_triplet_debug_csv(path: Path, event_id: int, triplets: Triplets) -> None:
     index = triplets.hit_index()
-    layers = np.array([h.layer for h in triplets.doublets.hits], dtype=np.int64)
+    layers = triplets.doublets.hits.layers
     _, matched = triplets.truth_particle_ids()
     columns = (layers[index[:, 0]], layers[index[:, 2]],
                triplets.doublets.hit_ids[index], triplets.delta_theta, matched)

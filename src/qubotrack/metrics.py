@@ -37,7 +37,9 @@ class TrackRecord:
 
 def truth_by_hit(event: Event) -> dict[int, int | None]:
     """Truth particle id of every hit id of the event (None for noise)."""
-    return {h.hit_id: h.truth_particle_id for h in event.hits}
+    h = event.hits
+    return dict(zip(h.ids.tolist(), [p if k else None for p, k in zip(h.truth.tolist(),
+                                                                      h.known.tolist())]))
 
 
 def match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | None:
@@ -59,45 +61,54 @@ def match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | 
 
 def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
     """Particles with at least one hit on every layer."""
+    h = event.hits
     layers_by_pid: dict[int, set[int]] = {}
-    for h in event.hits:
-        if h.truth_particle_id is not None:
-            layers_by_pid.setdefault(h.truth_particle_id, set()).add(h.layer)
-    return sorted(pid for pid, layers in layers_by_pid.items()
-                  if len(layers) == n_layers)
+    for pid, layer, known in zip(h.truth.tolist(), h.layers.tolist(), h.known.tolist()):
+        if known:
+            layers_by_pid.setdefault(pid, set()).add(layer)
+    return sorted(pid for pid, layers in layers_by_pid.items() if len(layers) == n_layers)
 
 
 def _true_energies(event: Event) -> dict[int, float]:
     """Truth energy by particle id (the first particle with an id wins, as in
     :meth:`Event.particle_by_id`)."""
-    return {p.particle_id: p.energy for p in reversed(event.particles)}
+    p = event.particles
+    return dict(zip(reversed(p.ids.tolist()), reversed(p.energies.tolist())))
 
 
 _Matches = list[tuple[TrackRecord, "int | None"]]
 
 
-def _match_all(truth_by_event: dict[int, dict[int, int | None]],
-               tracks: list[TrackRecord]) -> _Matches:
+@dataclass(frozen=True)
+class _Truth:
+    """One event's truth tables, read from its columns once per report."""
+
+    by_hit: dict[int, int | None]   # truth_by_hit
+    reconstructable: list[int]      # reconstructable_particles
+    energies: dict[int, float]      # _true_energies
+
+
+def _truth(events: list[Event]) -> dict[int, _Truth]:
+    return {e.event_id: _Truth(truth_by_hit(e), reconstructable_particles(e),
+                               _true_energies(e)) for e in events}
+
+
+def _match_all(truth: dict[int, _Truth], tracks: list[TrackRecord]) -> _Matches:
     out = []
     for t in tracks:
-        by_id = truth_by_event.get(t.event_id)
-        if by_id is None:
+        if t.event_id not in truth:
             raise KeyError(f"track references unknown event {t.event_id}")
-        out.append((t, match_hits(t.hit_ids, by_id)))
+        out.append((t, match_hits(t.hit_ids, truth[t.event_id].by_hit)))
     return out
 
 
-def _matches(events: list[Event], tracks: list[TrackRecord]) -> _Matches:
-    return _match_all({e.event_id: truth_by_hit(e) for e in events}, tracks)
-
-
-def _scalar_metrics(events: list[Event], matches: _Matches) -> dict:
+def _scalar_metrics(events: list[Event], matches: _Matches,
+                    truth: dict[int, _Truth]) -> dict:
     """The four scalar metrics of already matched tracks, keyed by name."""
     matched = [(t, pid) for t, pid in matches if pid is not None]
     per_particle = Counter((t.event_id, pid) for t, pid in matched)
-    denom = sum(len(reconstructable_particles(e)) for e in events)
-    energies = {e.event_id: _true_energies(e) for e in events}
-    r = np.asarray([(t.energy - energies[t.event_id][pid]) / energies[t.event_id][pid]
+    denom = sum(len(truth[e.event_id].reconstructable) for e in events)
+    r = np.asarray([(t.energy - (e := truth[t.event_id].energies[pid])) / e
                     for t, pid in matched if math.isfinite(t.energy)])
     return {
         "efficiency": len(per_particle) / denom if denom else None,
@@ -108,24 +119,29 @@ def _scalar_metrics(events: list[Event], matches: _Matches) -> dict:
     }
 
 
+def _scalars(events: list[Event], tracks: list[TrackRecord]) -> dict:
+    truth = _truth(events)
+    return _scalar_metrics(events, _match_all(truth, tracks), truth)
+
+
 def efficiency(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Matched particles / reconstructable particles; None if no denominator."""
-    return _scalar_metrics(events, _matches(events, tracks))["efficiency"]
+    return _scalars(events, tracks)["efficiency"]
 
 
 def fake_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Unmatched final tracks / all final tracks; None if no tracks."""
-    return _scalar_metrics(events, _matches(events, tracks))["fake_rate"]
+    return _scalars(events, tracks)["fake_rate"]
 
 
 def duplication_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """Particles matched by more than one track / matched particles."""
-    return _scalar_metrics(events, _matches(events, tracks))["duplication_rate"]
+    return _scalars(events, tracks)["duplication_rate"]
 
 
 def energy_resolution(events: list[Event], tracks: list[TrackRecord]) -> float | None:
     """RMS of (E_track - E_true)/E_true over matched tracks; None below 2 entries."""
-    return _scalar_metrics(events, _matches(events, tracks))["energy_resolution"]
+    return _scalars(events, tracks)["energy_resolution"]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
@@ -175,20 +191,21 @@ def binned_curves(events: list[Event], tracks: list[TrackRecord],
                   edges: list[float]) -> dict[str, list[BinnedValue]]:
     """Efficiency binned in true particle energy, fake rate in measured
     track energy, as a dict of curves keyed by name."""
-    return _binned_curves(events, _matches(events, tracks), edges)
+    truth = _truth(events)
+    return _binned_curves(events, _match_all(truth, tracks), edges, truth)
 
 
-def _binned_curves(events: list[Event], matches: _Matches,
-                   edges: list[float]) -> dict[str, list[BinnedValue]]:
+def _binned_curves(events: list[Event], matches: _Matches, edges: list[float],
+                   truth: dict[int, _Truth]) -> dict[str, list[BinnedValue]]:
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin edges must be strictly increasing")
     matched_pids = {(t.event_id, pid) for t, pid in matches if pid is not None}
 
     true_energies, found = [], []
     for e in events:
-        energies = _true_energies(e)
-        for pid in reconstructable_particles(e):
-            true_energies.append(energies[pid])
+        event = truth[e.event_id]
+        for pid in event.reconstructable:
+            true_energies.append(event.energies[pid])
             found.append((e.event_id, pid) in matched_pids)
 
     track_energies, is_fake = [], []
@@ -242,24 +259,24 @@ def build_report(events: list[Event], tracks: list[TrackRecord],
                  edges: list[float] | None = None) -> MetricsReport:
     """Full report over a set of events; adds per-xi-label scalar metrics
     when more than one label is present."""
-    truth = {e.event_id: truth_by_hit(e) for e in events}
+    truth = _truth(events)
     matches = _match_all(truth, tracks)
     matched_tracks = sum(1 for _, pid in matches if pid is not None)
     combinatorial = sum(
         1 for t, pid in matches
-        if pid is None and len({truth[t.event_id].get(h) for h in t.hit_ids}) == 4
+        if pid is None and len({truth[t.event_id].by_hit.get(h) for h in t.hit_ids}) == 4
     )
     counts = {
-        "generated": sum(len(reconstructable_particles(e)) for e in events),
+        "generated": sum(len(truth[e.event_id].reconstructable) for e in events),
         "reconstructed": len(tracks),
         "matched": matched_tracks,
         "fake": len(tracks) - matched_tracks,
         "fake_combinatorial": combinatorial,
         "events": len(events),
     }
-    report = MetricsReport(**_scalar_metrics(events, matches), counts=counts)
+    report = MetricsReport(**_scalar_metrics(events, matches, truth), counts=counts)
     if edges is not None:
-        report.curves = _binned_curves(events, matches, edges)
+        report.curves = _binned_curves(events, matches, edges, truth)
 
     labels = sorted({e.xi_label for e in events})
     if len(labels) > 1:
@@ -268,5 +285,5 @@ def build_report(events: list[Event], tracks: list[TrackRecord],
             ids = {e.event_id for e in evs}
             ms = [(t, pid) for t, pid in matches if t.event_id in ids]
             report.per_xi_label[repr(label)] = {
-                **_scalar_metrics(evs, ms), "events": len(evs), "tracks": len(ms)}
+                **_scalar_metrics(evs, ms, truth), "events": len(evs), "tracks": len(ms)}
     return report

@@ -6,9 +6,11 @@ of the hit on the layer closer to the interaction point. Triplets chain two
 doublets through a shared middle hit and must satisfy a cap on the angle
 difference delta_theta = sqrt(dtheta_xz^2 + dtheta_yz^2).
 
-Data layout: an event's doublets are one :class:`Doublets`, a struct of
-arrays over the event's hit tuple (whose ids and (hits, 3) positions it
-keeps as arrays): inner and outer hit index (positions in ``hits``),
+Data layout: pre-selection reads an event's hit columns
+(:class:`~qubotrack.geometry.Hits`: ids, layers, (hits, 3) positions,
+truth ids and whether a hit has one), never one object per hit. An
+event's doublets are one :class:`Doublets`, a struct of arrays over those
+columns, which it keeps: inner and outer hit index (rows of ``hits``),
 step (outer minus inner position), dx/x0, and theta_xz and theta_yz, one
 entry per doublet, layer by layer and then row-major over inner x outer
 hits in hit order. The angles are computed on demand, a doublet's the
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DetectorGeometry, Event, Hit, windowed_key_pairs
+from .geometry import DetectorGeometry, Event, Hit, Hits, windowed_key_pairs
 
 DX_SIGMA_FLOOR = 1e-9  # guards against zero-width windows from degenerate input
 HYPOT_MARGIN = 1e-9    # relative; np.hypot and math.hypot agree far closer
@@ -79,48 +81,22 @@ class Doublet:
         return self.hit_inner.layer, self.hit_outer.layer
 
 
-def _hit_columns(hits: Sequence[Hit]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Hit ids, layers and (hits, 3) positions."""
-    ids = np.array([h.hit_id for h in hits], dtype=np.int64)
-    layers = np.array([h.layer for h in hits], dtype=np.int64)
-    positions = np.array([h.position for h in hits], dtype=float).reshape(-1, 3)
-    return ids, layers, positions
-
-
-def _truth_columns(hits: Sequence[Hit]) -> tuple[np.ndarray, np.ndarray]:
-    """Each hit's truth particle id and whether it has one (where it does
-    not, the id is meaningless)."""
-    pid = np.array([h.truth_particle_id or 0 for h in hits], dtype=np.int64)
-    known = np.array([h.truth_particle_id is not None for h in hits], dtype=bool)
-    return pid, known
-
-
 class Doublets:
     """One event's doublets as aligned arrays; see the module docstring."""
 
-    def __init__(self, hits: tuple[Hit, ...], hit_ids: np.ndarray,
-                 positions: np.ndarray, inner: np.ndarray, outer: np.ndarray,
-                 step: np.ndarray, dx_over_x0: np.ndarray):
-        self.hits, self.hit_ids, self.positions = hits, hit_ids, positions
-        self.inner, self.outer = inner, outer
-        self.step = step  # (doublets, 3): outer minus inner hit position
-        self.dx_over_x0 = dx_over_x0
-        self._angles = np.empty((2, len(inner)))  # theta_xz, theta_yz rows
-        self._known = np.zeros(len(inner), dtype=bool)
-
-    @classmethod
-    def from_hit_pairs(cls, hits: Sequence[Hit], inner, outer,
-                       columns: tuple[np.ndarray, ...] | None = None) -> "Doublets":
+    def __init__(self, hits: Hits | Sequence[Hit], inner, outer):
         """Doublets of the (inner, outer) hit index pairs, no inner hit at
         x0 = 0, their features computed here and nowhere else (the angles
-        when first read, by :meth:`angles`). ``columns`` is
-        ``_hit_columns(hits)`` when the caller has it."""
-        hits = tuple(hits)
-        ids, _, pos = columns if columns is not None else _hit_columns(hits)
-        inner = np.asarray(inner, dtype=np.intp)
-        outer = np.asarray(outer, dtype=np.intp)
-        step = pos[outer] - pos[inner]
-        return cls(hits, ids, pos, inner, outer, step, step[:, 0] / pos[inner, 0])
+        when first read, by :meth:`angles`)."""
+        self.hits = Hits.of(hits)
+        self.hit_ids, self.positions = self.hits.ids, self.hits.positions
+        self.inner = np.asarray(inner, dtype=np.intp)
+        self.outer = np.asarray(outer, dtype=np.intp)
+        # (doublets, 3): outer minus inner hit position
+        self.step = self.positions[self.outer] - self.positions[self.inner]
+        self.dx_over_x0 = self.step[:, 0] / self.positions[self.inner, 0]
+        self._angles = np.empty((2, len(self.inner)))  # theta_xz, theta_yz rows
+        self._known = np.zeros(len(self.inner), dtype=bool)
 
     def angles(self, index) -> tuple[np.ndarray, np.ndarray]:
         """theta_xz and theta_yz of the doublets ``index`` (anything that
@@ -155,7 +131,7 @@ class Doublets:
                        float(theta_xz), float(theta_yz), float(self.dx_over_x0[k]))
 
     def __iter__(self):
-        hits = self.hits
+        hits = tuple(self.hits)
         for a, b, txz, tyz, r in zip(self.inner.tolist(), self.outer.tolist(),
                                      self.theta_xz.tolist(), self.theta_yz.tolist(),
                                      self.dx_over_x0.tolist()):
@@ -163,7 +139,7 @@ class Doublets:
 
     def truth_matched(self) -> np.ndarray:
         """Whether each doublet's two hits share a truth particle."""
-        pid, known = _truth_columns(self.hits)
+        pid, known = self.hits.truth, self.hits.known
         return (known[self.inner] & known[self.outer]
                 & (pid[self.inner] == pid[self.outer]))
 
@@ -234,7 +210,7 @@ class Triplets:
     def truth_particle_ids(self) -> tuple[np.ndarray, np.ndarray]:
         """Each triplet's common truth particle id, and whether its three
         hits have one (where they do not, the id is meaningless)."""
-        pid, known = _truth_columns(self.doublets.hits)
+        pid, known = self.doublets.hits.truth, self.doublets.hits.known
         index = self.hit_index()
         common = (known[index].all(axis=1)
                   & (pid[index] == pid[index[:, :1]]).all(axis=1))
@@ -279,9 +255,8 @@ def truth_doublets(event: Event) -> Doublets:
     """All consecutive-layer hit pairs sharing a truth particle (for
     calibration), by particle id and then by layer; of a particle's hits
     on one layer, the last in hit order."""
-    columns = _hit_columns(event.hits)
-    _, layers, positions = columns
-    pid, known = _truth_columns(event.hits)
+    hits = event.hits
+    layers, positions, pid, known = hits.layers, hits.positions, hits.truth, hits.known
     k = np.flatnonzero(known)
     k = k[np.lexsort((k, layers[k], pid[k]))]
     last = np.ones(len(k), dtype=bool)
@@ -291,7 +266,7 @@ def truth_doublets(event: Event) -> Doublets:
                              & (layers[k[1:]] == layers[k[:-1]] + 1))
     inner, outer = k[chained], k[chained + 1]
     keep = positions[inner, 0] != 0.0
-    return Doublets.from_hit_pairs(event.hits, inner[keep], outer[keep], columns)
+    return Doublets(hits, inner[keep], outer[keep])
 
 
 def truth_triplets(doublets: Doublets) -> Triplets:
@@ -321,7 +296,7 @@ def calibrate_dx_window(doublets: Iterable[Doublets]) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def build_doublets(hits: Sequence[Hit], geometry: DetectorGeometry,
+def build_doublets(hits: Hits | Sequence[Hit], geometry: DetectorGeometry,
                    window: PreselectionWindow,
                    diagnostics: DoubletDiagnostics | None = None) -> Doublets:
     """All consecutive-layer hit pairs passing the dx/x0 window.
@@ -331,10 +306,8 @@ def build_doublets(hits: Sequence[Hit], geometry: DetectorGeometry,
     of: the result, ``n_rejected_window``, ``n_skipped_x0_zero``.
     """
     diag = diagnostics if diagnostics is not None else DoubletDiagnostics()
-    hits = tuple(hits)
-    columns = _hit_columns(hits)
-    _, layers, positions = columns
-    x = positions[:, 0]
+    hits = Hits.of(hits)
+    layers, x = hits.layers, hits.positions[:, 0]
 
     # the window: dx_mean +- n_sigma * dx_sigma, boundaries inclusive
     half = window.n_sigma * window.dx_sigma
@@ -358,8 +331,7 @@ def build_doublets(hits: Sequence[Hit], geometry: DetectorGeometry,
         diag.n_rejected_window += int((~ok & ~zero_mask[:, None]).sum())
         inner.append(inner_hits[idx_i])
         outer.append(outer_hits[idx_j])
-    return Doublets.from_hit_pairs(hits, np.concatenate(inner), np.concatenate(outer),
-                                   columns)
+    return Doublets(hits, np.concatenate(inner), np.concatenate(outer))
 
 
 def _chain(doublets: Doublets, max_delta_theta: float) -> Triplets:

@@ -377,3 +377,120 @@ def test_dump_flags_write_extra_artifacts(tmp_path, monkeypatch):
         assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
     digest = hashlib.sha256((outs["1"] / "qubo_event0.txt").read_bytes()).hexdigest()
     assert digest == QUBO_EVENT0_SHA256
+
+
+# sha256 of the files "simulate --seed 2024 --events 3" writes at mean
+# multiplicity 10, 100 and 200, recorded while events were still made of
+# one object per hit and per particle
+SIMULATE_SHA256 = {
+    10: ("cb13128cd76dc7b70e7dc0390a1598b5c24e37e157d02d897dcbf8557e45b963",
+         "02136348feae56668ad393079b0d13ef84ff81d810d28132dc92a7efc187a2d0"),
+    100: ("7a7a087965f17fe0768b6d1211642af7a7772f804437f72afb4dab545a4b982a",
+          "d5af9828546f94b177d52605318bd478e79d3b4eb9f5aed05882a92c617db1f3"),
+    200: ("15de9c052c60091a362e87f82c7a06aa602ec8891198e9972b1f2b997a4e0f13",
+          "c781333aff2b433c26983d5c9a86f33ba038de9a181e4930f52cbfee33946537"),
+}
+
+
+@pytest.mark.parametrize("multiplicity", sorted(SIMULATE_SHA256))
+def test_simulate_file_bytes_are_pinned(tmp_path, multiplicity):
+    import hashlib
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sim": {"mean_multiplicity": float(multiplicity)}}))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--seed", "2024", "--out", str(run),
+                 "--events", "3"]) == EXIT_OK
+    got = tuple(hashlib.sha256((run / name).read_bytes()).hexdigest()
+                for name in ("hits.csv", "particles.csv"))
+    assert got == SIMULATE_SHA256[multiplicity]
+
+
+@pytest.mark.parametrize("column, text, message", [
+    (2, "-1", "particle energy must be positive, got -1.0"),
+    (6, "1e200", "direction does not normalize: |d| = inf"),
+], ids=["negative-energy", "overflowing-direction"])
+def test_reconstruct_bad_particle_is_a_data_error(tmp_path, capsys, column, text, message):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--events", "2", "--seed", "3"]) == EXIT_OK
+    lines = (run / "particles.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = text
+    lines[3] = ",".join(fields)
+    (run / "particles.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    for command in (["reconstruct", "--in", str(run)],
+                    ["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]):
+        assert main(command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"data error: {run / 'particles.csv'}:4: {message}\n"
+
+
+def plot_report(path, bins=None):
+    """A metrics report of the shape ``evaluate`` writes, with a label and
+    a curve name that csv quoting must handle."""
+    bins = bins if bins is not None else [
+        {"bin_lo": 0.0, "bin_hi": 1.0, "value": None, "err_lo": None, "err_hi": None},
+        {"bin_lo": 1.0, "bin_hi": 2.5, "value": 0.75, "err_lo": 0.125, "err_hi": 0.0625}]
+    path.write_text(json.dumps({
+        "efficiency": 0.9, "fake_rate": 0.0, "duplication_rate": None,
+        "energy_resolution": 0.0031,
+        "per_xi_label": {"3.0": {"efficiency": 0.5, "events": 2, "tracks": 7,
+                                 "fake_rate": None},
+                         'odd, "label"': {"efficiency": 1}},
+        "curves": {"efficiency_vs_true_energy": bins, "a,b": bins[1:]}}))
+    return path
+
+
+def csv_writer_plotdata(path, reports, counts):
+    """The plot table as it was written, row by row through ``csv.writer``."""
+    import csv
+    rows = []
+    for report in reports:
+        payload = read_json(report)
+        for metric in ("efficiency", "fake_rate", "duplication_rate", "energy_resolution"):
+            if payload.get(metric) is not None:
+                rows.append((metric, "", "", payload[metric], "", ""))
+        for label, metrics in payload.get("per_xi_label", {}).items():
+            rows.extend((metric, label, "", value, "", "") for metric, value in metrics.items()
+                        if metric not in ("events", "tracks") and value is not None)
+        for curve, bins in payload.get("curves", {}).items():
+            rows.extend((curve, "", f"{b['bin_lo']}:{b['bin_hi']}", b["value"], b["err_lo"],
+                         b["err_hi"]) for b in bins if b["value"] is not None)
+    for name in counts:
+        with open(name, newline="") as f:
+            rows.extend(("vqe_counts", "", r["bitstring"], int(r["count"]), "", "")
+                        for r in csv.DictReader(f))
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["metric", "xi_label", "bin", "value", "err_lo", "err_hi"])
+        w.writerows(rows)
+
+
+def test_plotdata_gives_csv_writer_bytes(tmp_path):
+    from qubotrack.io import write_counts_csv
+    reports = [plot_report(tmp_path / "a.json"), plot_report(tmp_path / "b.json", bins=[])]
+    counts = [tmp_path / "c.csv", tmp_path / "d.csv"]
+    write_counts_csv(counts[0], {"1001101": 400, "0110010": 60})
+    write_counts_csv(counts[1], {})
+    assert main(["plotdata", "--report", *map(str, reports), "--counts", *map(str, counts),
+                 "--out", str(tmp_path / "new.csv")]) == EXIT_OK
+    csv_writer_plotdata(tmp_path / "old.csv", reports, counts)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+@pytest.mark.parametrize("counts, bins, message", [
+    ("bitstring,n\n1001,4\n", None, r"c\.csv: bad header \['bitstring', 'n'\]"),
+    ("bitstring,count\n1001,4\n0110,many\n", None,
+     r"c\.csv:3: bad integer in column 'count': 'many'"),
+    ("bitstring,count\n", [{"bin_hi": 1.0, "value": 0.5, "err_lo": 0.1, "err_hi": 0.1}],
+     r"r\.json: bin 0 of curve 'efficiency_vs_true_energy' lacks bin_lo"),
+], ids=["no-count-column", "non-integer-count", "bin-without-bin_lo"])
+def test_plotdata_bad_input_is_a_data_error(tmp_path, capsys, counts, bins, message):
+    import re
+    (tmp_path / "c.csv").write_text(counts)
+    plot_report(tmp_path / "r.json", bins)
+    capsys.readouterr()
+    assert main(["plotdata", "--report", str(tmp_path / "r.json"), "--counts",
+                 str(tmp_path / "c.csv"), "--out", str(tmp_path / "p.csv")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert re.search(message, err) and "Traceback" not in err, err

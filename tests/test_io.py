@@ -111,6 +111,43 @@ def test_non_finite_particle_value_names_file_line_and_column(tmp_path, column):
         read_events(hits, path)
 
 
+@pytest.mark.parametrize("values, message", [
+    ("0 1 -1 0 0 0 0 0 1", "particle energy must be positive, got -1.0"),
+    ("0 1 0 0 0 0 0 0 1", "particle energy must be positive, got 0.0"),
+    ("0 1 5.0 0 0 0 1e200 0 1", "direction does not normalize: |d| = inf"),
+    ("0 1 -1 0 0 0 0 0 0", "particle energy must be positive, got -1.0"),
+    ("0 1 5.0 0 0 0 0 -0.0 0", "zero direction vector"),
+], ids=["negative-energy", "zero-energy", "overflowing-direction",
+        "energy-before-direction", "zero-direction"])
+def test_bad_particle_names_file_line_and_rule(tmp_path, values, message):
+    """The particle rule of the particles table: a positive energy, then a
+    direction that normalises; a bad row after a good one is named."""
+    path = tmp_path / "particles.csv"
+    path.write_text(",".join(PARTICLES_HEADER) + "\n0,0,5.0,0,0,0,0,0,1\n"
+                    + ",".join(values.split()) + "\n")
+    hits = tmp_path / "hits.csv"
+    write_hits_csv(hits, [])
+    with pytest.raises(DataFormatError) as info:
+        read_events(hits, path)
+    assert str(info.value) == f"{path}:3: {message}"
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0,9223372036854775808,0,0.03,0,1.0,,", "integer out of range in column 'hit_id'"),
+    ("0,1,0,0.03,0,1.0,-9223372036854775809,", "integer out of range in column "
+                                                "'truth_particle_id'"),
+], ids=["hit-id", "truth-id"])
+def test_integer_beyond_64_bits_names_file_line_and_column(tmp_path, row, message):
+    path = tmp_path / "hits.csv"
+    path.write_text(",".join(HITS_HEADER) + "\n0,0,0,0.03,0,1.0,-9223372036854775808,\n"
+                    + row + "\n")
+    with pytest.raises(DataFormatError, match=rf"hits\.csv:3: {message}"):
+        read_events(path, path_particles(tmp_path))
+    path.write_text(",".join(HITS_HEADER) + "\n0,0,0,0.03,0,1.0,-9223372036854775808,\n")
+    hit, = read_events(path, path_particles(tmp_path))[0].hits
+    assert hit.truth_particle_id == -2 ** 63
+
+
 def path_particles(tmp_path):
     p = tmp_path / "particles.csv"
     if not p.exists():
@@ -470,6 +507,23 @@ def test_tracks_error_past_first_block_names_first_bad_row(tmp_path, mutate, mes
     path = tmp_path / "tracks.csv"
     write_table(path, TRACKS_HEADER, rows)
     assert_first_error(path, message, lambda: read_tracks_csv(path))
+
+
+@pytest.mark.parametrize("first", [0, 37, 250])
+def test_duplicate_in_one_long_event_names_its_row(tmp_path, monkeypatch, first):
+    """One event over many blocks: a repeat of any earlier hit id is found,
+    however many blocks back, and every row before it is read."""
+    monkeypatch.setattr(io, "BLOCK_ROWS", 4)
+    ids = [(i * 37) % 1009 for i in range(300)]  # distinct, out of order
+    rows = [f"0,{h},{h % 4},0.03,0.001,1.0,," for h in ids]
+    path = tmp_path / "hits.csv"
+    path.write_text(",".join(HITS_HEADER) + "\n" + "\n".join(rows) + "\n")
+    assert sorted(read_events(path, path_particles(tmp_path))[0].hits.ids) == sorted(ids)
+    rows.insert(299, rows[first])
+    path.write_text(",".join(HITS_HEADER) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError, match=rf"hits\.csv:301: duplicate hit id "
+                                              rf"\(event_id, hit_id\) = \(0, {ids[first]}\)$"):
+        read_events(path, path_particles(tmp_path))
 
 
 def test_bad_row_above_unreadable_one_is_named_first(tmp_path):

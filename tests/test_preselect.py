@@ -30,7 +30,7 @@ def doublets_of(*pairs):
     hits = {h.hit_id: h for pair in pairs for h in pair}
     position = {hid: k for k, hid in enumerate(hits)}
     inner, outer = zip(*((position[a.hit_id], position[b.hit_id]) for a, b in pairs))
-    return Doublets.from_hit_pairs(list(hits.values()), inner, outer)
+    return Doublets(list(hits.values()), inner, outer)
 
 
 def delta_theta(*pairs):
@@ -351,9 +351,8 @@ CAPS = [0.0, 1e-12, 1e-3, 0.5, math.inf]
 def assert_chain_matches_oracle(hits, inner, outer, cap):
     """The windowed join on fresh doublets (no angle read yet) equals the
     oracle bit for bit, on doublets of its own."""
-    got = _chain(Doublets.from_hit_pairs(hits, inner, outer), cap)
-    first, second, delta_theta = chain_oracle(Doublets.from_hit_pairs(hits, inner, outer),
-                                              cap)
+    got = _chain(Doublets(hits, inner, outer), cap)
+    first, second, delta_theta = chain_oracle(Doublets(hits, inner, outer), cap)
     assert got.first.tolist() == first.tolist()
     assert got.second.tolist() == second.tolist()
     assert got.delta_theta.tobytes() == delta_theta.tobytes()
@@ -437,7 +436,7 @@ def test_windowed_join_pair_at_the_reach_to_the_last_bit():
     theta = math.atan2(0.006, 0.1) + 0.7e-3
     d2 = (hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta)))
     hits = [d1[0], d1[1], d2[1]]
-    ds = Doublets.from_hit_pairs(hits, [0, 1], [1, 2])
+    ds = Doublets(hits, [0, 1], [1, 2])
     (dt,) = _chain(ds, math.inf).delta_theta
     assert ds.theta_yz.tolist() == [0.0, 0.0]
     assert dt == ds.theta_xz[1] - ds.theta_xz[0] == pytest.approx(0.7e-3, rel=1e-9)
@@ -471,11 +470,11 @@ def test_angles_equal_math_atan2_before_and_after_the_join(desk_doublets):
     expected_xz = [math.atan2(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())]
     expected_yz = [math.atan2(y, z) for y, z in zip(d[:, 1].tolist(), d[:, 2].tolist())]
     window = wide_window()
-    before = Doublets.from_hit_pairs(hits, inner, outer)
+    before = Doublets(hits, inner, outer)
     assert before.theta_xz.tolist() == expected_xz
     assert before.theta_yz.tolist() == expected_yz
     build_triplets(before, window)
-    after = Doublets.from_hit_pairs(hits, inner, outer)
+    after = Doublets(hits, inner, outer)
     ts = build_triplets(after, window)
     assert 0 < after._known.sum() < len(after)  # the join read some angles only
     assert after.theta_xz.tolist() == expected_xz
