@@ -1,9 +1,18 @@
 """Event-level orchestration: calibration, reconstruction of one event
 with its dumps, and the event loop (serial or in a process pool).
+
+A process that reconstructs VQE events itself (not a ``--jobs`` worker)
+also solves their sub-problems ahead of the walk on the other CPUs it may
+run on, in one pool of forked workers created at its first VQE event and
+kept for the life of the process (:func:`_speculation_pool`). The outputs
+are those of the sequential walk.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
@@ -83,6 +92,35 @@ def _make_subsolver(config: RunConfig):
     raise ValueError(f"unknown solver {config.solver!r}")
 
 
+_pool: ProcessPoolExecutor | None = None
+
+
+def _end_with_parent() -> None:
+    """Pool worker initializer: exit once the process that forked this
+    worker has ended, however it ended, so a killed run leaves no worker."""
+    parent = multiprocessing.parent_process()
+    threading.Thread(target=lambda: (parent.join(), os._exit(0)), daemon=True).start()
+
+
+def _speculation_pool() -> ProcessPoolExecutor | None:
+    """This process's pool for speculative VQE sub-solves, created on first
+    use: one forked worker per CPU the process may run on besides its own.
+    None on one CPU, in a worker process (a ``--jobs`` worker already has a
+    CPU of its own) and where ``fork`` or the CPU affinity is unavailable.
+    ``fork`` starts a worker with the parent's imports at once; the first
+    fork happens before the pool starts a thread. A pool whose worker died
+    stays broken, and the walk then solves every group itself."""
+    global _pool
+    if multiprocessing.parent_process() is not None:
+        return None  # a pool inherited from the parent is the parent's
+    if (_pool is None and "fork" in multiprocessing.get_all_start_methods()
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
+        _pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)) - 1,
+                                    mp_context=multiprocessing.get_context("fork"),
+                                    initializer=_end_with_parent)
+    return _pool
+
+
 @dataclass
 class EventResult:
     event_id: int
@@ -125,7 +163,8 @@ def reconstruct_event(event: Event, geometry: DetectorGeometry,
     else:
         report = solve_iterative(
             problem, _make_subsolver(config), k=config.subqubo_size,
-            max_iterations=config.iterations, seed=config.seed ^ eid)
+            max_iterations=config.iterations, seed=config.seed ^ eid,
+            executor=_speculation_pool() if config.solver == "vqe" else None)
     selected = triplets[np.flatnonzero(report.best_assignment)]
 
     rows = triplets_to_candidates(selected)

@@ -37,6 +37,17 @@ energies, which no flip changes. The short last group and k > 12 are
 enumerated one at a time, and the VQE sub-solver is called once per
 group.
 
+Given an executor, the walk also solves VQE sub-problems ahead of itself
+on other cores. An iteration's sub-problems are cut at its starting bits
+and handed to the executor's workers from the last group back, one task
+per idle worker, while the walk moves forward. When the walk reaches a
+group, it takes the worker's answer if no accepted flip has reached the
+group's outside couplings since then (the stale groups, the same
+bookkeeping the batched exact sub-solves use), because the sub-problem it
+would cut is then the same; any other group it solves itself at the
+running bits. So the accepted updates are the sequential walk's, bit for
+bit, however many workers there are and however fast they run.
+
 Simulated annealing (:func:`solve_annealing`) is the classical baseline:
 one single-flip Metropolis loop over the whole objective, with no
 decomposition (:func:`solve_annealing_report` gives it a report). It
@@ -66,6 +77,7 @@ import array
 import functools
 import math
 import numbers
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -246,18 +258,19 @@ class _ExactBatch:
     one bincount (each bin in CSR order, as :func:`_restrict` sums it) and
     all 2^k states of every group are scored by stacked products that
     compute each group's slice as :func:`solve_exact` computes it. A group
-    whose outside couplings reach a variable flipped since then is stale:
-    it re-reads its boundary with :func:`_restrict` and re-scores against
-    its block's quadratic energies, which no flip changes. So every answer
-    is :func:`solve_exact`'s on the running bits, bit for bit.
+    in the walk's ``stale`` set, which an accepted flip has reached since
+    (:func:`_reached`), re-reads its boundary with :func:`_restrict` and
+    re-scores against its block's quadratic energies, which no flip
+    changes. So every answer is :func:`solve_exact`'s on the running bits,
+    bit for bit.
     """
 
-    def __init__(self, split: _GroupSplit, k: int):
+    def __init__(self, split: _GroupSplit, k: int, stale: set[int]):
         self.split, self.k = split, k
         self.covered = len(split.order) // k  # the full groups come first
         self.per_chunk = 2 ** (_BATCH_BITS - k)
         self.table = _state_table(k)
-        self.stale: set[int] = set()  # groups to re-score in this chunk
+        self.stale = stale  # cleared when a chunk is scored
         self.start = self.stop = 0
 
     def _enumerate(self, bits: Assignment) -> None:
@@ -295,13 +308,68 @@ class _ExactBatch:
             return None
         return a, block, self.table[old], self.table[new]
 
-    def moved(self, g: int, flipped: np.ndarray) -> None:
-        """Mark stale every group coupled to a variable of group g that
-        the accepted update flipped."""
-        split = self.split
-        lo, hi = split.bounds[g], split.bounds[g + 1]
-        reached = split.cols[lo:hi][flipped[split.rows[lo:hi]]]
-        self.stale.update(split.group_of[reached].tolist())
+
+def _reached(split: _GroupSplit, g: int, flipped: np.ndarray) -> list[int]:
+    """The groups with an outside coupling to a variable of group g that an
+    accepted update flipped (``flipped`` by position in the group): their
+    boundary terms are no longer the ones cut before the update."""
+    lo, hi = split.bounds[g], split.bounds[g + 1]
+    return split.group_of[split.cols[lo:hi][flipped[split.rows[lo:hi]]]].tolist()
+
+
+class _Speculation:
+    """One iteration's sub-problems, cut at its starting bits, solved ahead
+    of the walk on an executor's workers.
+
+    Before the walk handles group g, each idle worker is handed the last
+    group after g that no accepted flip has reached. One task per worker:
+    a task waiting in the executor's queue could not be taken back by the
+    walk. A submit that fails (a dead pool) ends the handing out, and
+    :meth:`close` waits for every task, so none outlives the iteration.
+    """
+
+    def __init__(self, executor: Executor, subsolver: SubSolver,
+                 problems: list[tuple[np.ndarray, np.ndarray]], entropy: tuple[int, int]):
+        self.executor, self.subsolver = executor, subsolver
+        self.problems, self.entropy = problems, entropy
+        self.workers = getattr(executor, "_max_workers", 1)  # the standard executors' size
+        self.futures: dict[int, Future] = {}
+        self.busy: list[Future] = []
+        self.next = len(problems) - 1  # the last group not handed out
+
+    def answer(self, g: int, stale: set[int]) -> Assignment | None:
+        """Hand each idle worker a group after g, then return a worker's
+        answer for group g, or None when the walk must solve g itself: no
+        worker took it, an accepted flip has reached it since it was cut, or
+        its task raised. A task raises for a sub-solver error or a dead
+        worker alike; the walk's own call then decides which it was, as the
+        sequential walk would."""
+        self.busy = [f for f in self.busy if not f.done()]
+        while len(self.busy) < self.workers and self.next > g:
+            h = self.next
+            self.next -= 1
+            if h in stale:
+                continue
+            try:
+                future = self.executor.submit(self.subsolver, *self.problems[h],
+                                              (*self.entropy, h))
+            except RuntimeError:  # a broken or shut-down pool: the walk solves the rest
+                self.next = g
+                break
+            self.futures[h] = future
+            self.busy.append(future)
+        future = self.futures.get(g)
+        if future is None or g in stale:
+            return None
+        try:
+            return np.asarray(future.result(), dtype=np.int8)
+        except Exception:  # solved again by the walk, which reports what fails there
+            return None
+
+    def close(self) -> None:
+        for future in self.futures.values():
+            future.cancel()
+        wait(self.futures.values())
 
 
 @dataclass
@@ -330,7 +398,8 @@ def exact_subsolver(a: np.ndarray, block: np.ndarray,
 
 
 def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
-                    max_iterations: int = 10, seed: int = 0) -> SolveReport:
+                    max_iterations: int = 10, seed: int = 0,
+                    executor: Executor | None = None) -> SolveReport:
     """Iterative impact-ordered decomposition, starting from all-ones.
 
     Per iteration the variables are regrouped by |impact|, the groups are
@@ -347,11 +416,18 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
     a group whose answer is its current bits is passed over at once. The
     report is bit for bit the one per-group :func:`solve_exact` calls give.
 
+    With an ``executor`` (and any sub-solver but the batched exact one),
+    :class:`_Speculation` solves sub-problems ahead of the walk on the
+    executor's workers; the report is bit for bit the one without it.
+    ``subsolver`` must then be picklable for a process pool. No task
+    outlives the call.
+
     ``objective_trace[0]`` is the starting objective; one entry is appended
     per completed iteration, and the trace is non-increasing by
     construction. A sub-solver exception aborts the iteration and returns
     the last accepted assignment with ``warning`` set; any other exception
-    propagates.
+    propagates. A task that raised on a worker counts only through the
+    walk's own call of the sub-solver on that group.
     """
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
@@ -368,35 +444,49 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
         groups = _impact_groups(qubo, bits, k)
         split = _split_groups(qubo, groups, k)
         subqubo_count += len(groups)
-        batch = (_ExactBatch(split, k)
+        stale: set[int] = set()  # groups an accepted flip reached since they were cut
+        batch = (_ExactBatch(split, k, stale)
                  if subsolver is exact_subsolver and k <= _BATCH_BITS else None)
         covered = batch.covered if batch else 0
-        for si, indices in enumerate(groups):
-            if si < covered:
-                move = batch.move(si, bits)
-                if move is None:
-                    continue
-                a, block, old, new = move
-            else:
-                a, block = _restrict(split, si, bits)
-                old = bits[indices]
-                try:
-                    new = np.asarray(subsolver(a, block, (seed, iteration, si)),
-                                     dtype=np.int8)
-                except Exception as exc:  # keep the last accepted state
-                    warning = f"sub-solver failed in iteration {iteration}: {exc}"
-                    break
-                if np.array_equal(new, old):
-                    continue
-            # the sub-problem differs from the full objective by a
-            # constant, so its change is the global change
-            cand_obj = current + (_block_objective(a, block, new)
-                                  - _block_objective(a, block, old))
-            if cand_obj <= current:
-                bits[indices] = new
-                current, changed = cand_obj, True
+        spec = None
+        if executor is not None and batch is None:
+            spec = _Speculation(executor, subsolver,
+                                [_restrict(split, g, bits) for g in range(len(groups))],
+                                (seed, iteration))
+        try:
+            for si, indices in enumerate(groups):
                 if si < covered:
-                    batch.moved(si, old != new)
+                    move = batch.move(si, bits)
+                    if move is None:
+                        continue
+                    a, block, old, new = move
+                else:
+                    old = bits[indices]
+                    new = spec.answer(si, stale) if spec else None
+                    if spec and si not in stale:
+                        a, block = spec.problems[si]
+                    else:
+                        a, block = _restrict(split, si, bits)
+                    if new is None:
+                        try:
+                            new = np.asarray(subsolver(a, block, (seed, iteration, si)),
+                                             dtype=np.int8)
+                        except Exception as exc:  # keep the last accepted state
+                            warning = f"sub-solver failed in iteration {iteration}: {exc}"
+                            break
+                    if np.array_equal(new, old):
+                        continue
+                # the sub-problem differs from the full objective by a
+                # constant, so its change is the global change
+                cand_obj = current + (_block_objective(a, block, new)
+                                      - _block_objective(a, block, old))
+                if cand_obj <= current:
+                    bits[indices] = new
+                    current, changed = cand_obj, True
+                    stale.update(_reached(split, si, old != new))
+        finally:
+            if spec:
+                spec.close()
         iterations_run = iteration + 1
         trace.append(current)
         if warning is not None or not changed:

@@ -32,10 +32,17 @@ generator, in the order of scoring the trials one by one, and each state's
 samples are found by searching its CDF on int64 bit patterns, so a seed
 samples the same indices as preparing and scoring every trial state on its
 own with ``Generator.choice``.
+
+As a sub-problem solver (:class:`VqeSubsolver`) it is a small picklable
+object, so the decomposition can hand sub-problems to worker processes;
+it reaches :func:`run_vqe` through this module's global, in a worker as in
+the main process, and a sub-problem's answer depends only on its
+coefficients and its entropy, wherever it is solved.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import numbers
@@ -74,6 +81,8 @@ class VqeConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.shots < 0:
             raise ValueError("shots must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be >= 1")
         if not 0.0 <= self.readout_flip_probability < 1.0:
@@ -420,12 +429,23 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     )
 
 
-def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300):
-    """Adapter: use the simulated VQE as a sub-problem solver."""
-    def _solve(a: np.ndarray, block: np.ndarray,
-               entropy: tuple[int, int, int]) -> Assignment:
+@dataclass(frozen=True)
+class VqeSubsolver:
+    """The simulated VQE as a sub-problem solver: picklable, so a worker
+    process can run it. Each sub-problem's run is seeded from its entropy
+    ``(seed, iteration, group)``."""
+
+    config: VqeConfig
+
+    def __call__(self, a: np.ndarray, block: np.ndarray,
+                 entropy: tuple[int, int, int]) -> Assignment:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
-        config = VqeConfig(shots=shots, max_evaluations=max_evaluations,
-                           seed=int(rng.integers(2 ** 31)))
+        config = dataclasses.replace(self.config, seed=int(rng.integers(2 ** 31)))
         return run_vqe(dense_to_ising(a, block), config).best_bits
-    return _solve
+
+
+def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300) -> VqeSubsolver:
+    """Adapter: use the simulated VQE as a sub-problem solver. A setting
+    :class:`VqeConfig` rejects raises ``ValueError`` here, not at the first
+    sub-solve."""
+    return VqeSubsolver(VqeConfig(shots=shots, max_evaluations=max_evaluations))

@@ -80,6 +80,20 @@ def test_vqe_config_counts_must_be_integers():
     assert VqeConfig(shots=np.int64(8), seed=np.int64(3)).shots == 8
 
 
+def test_vqe_config_rejects_a_negative_seed():
+    """It used to pass and then fail in run_vqe with NumPy's message."""
+    from qubotrack.vqe import VqeConfig
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+        VqeConfig(seed=-3)
+
+
+def test_vqe_subsolver_rejects_negative_shots_when_made():
+    """It used to be made, and then every sub-solve failed inside the walk."""
+    from qubotrack.vqe import make_vqe_subsolver
+    with pytest.raises(ValueError, match="shots must be >= 0"):
+        make_vqe_subsolver(shots=-5)
+
+
 def test_with_seed_propagates_to_sim():
     cfg = RunConfig().with_seed(99)
     assert cfg.seed == 99

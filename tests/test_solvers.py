@@ -1,6 +1,10 @@
+import dataclasses
 import hashlib
 import math
+import multiprocessing
+import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
                                _anneal, _block_objective, _impact_groups, _restrict,
                                _split_groups, _state_table, _sweep_draws, exact_subsolver,
                                solve_annealing, solve_exact, solve_iterative)
+from qubotrack.vqe import make_vqe_subsolver
 
 
 # -- exact enumeration -------------------------------------------------------------
@@ -783,7 +788,6 @@ DECOMPOSITION_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(DECOMPOSITION_GOLDEN))
 def test_decomposition_outputs_golden(case, desk_config, desk_events):
-    from qubotrack.vqe import make_vqe_subsolver
     if case.startswith("desk"):
         problems = desk_objectives(desk_config, desk_events, 4)
     else:
@@ -905,7 +909,7 @@ def test_group_turned_stale_is_rescored(monkeypatch):
     # the batched answers of the stale groups are out of date: ignoring the
     # marks changes the report
     monkeypatch.setattr(solvers, "_restrict", restrict)
-    monkeypatch.setattr(solvers._ExactBatch, "moved", lambda self, g, flipped: None)
+    monkeypatch.setattr(solvers, "_reached", lambda split, g, flipped: [])
     assert report_key(solve_iterative(q, exact_subsolver, k=7)) != report_key(report)
 
 
@@ -984,3 +988,135 @@ def test_bookkeeping_error_propagates(subsolver, monkeypatch):
     monkeypatch.setattr(solvers, "_split_groups", out_of_memory)
     with pytest.raises(MemoryError, match="cannot split"):
         solve_iterative(random_qubo(np.random.default_rng(2), 20), subsolver)
+
+
+# -- speculative sub-solves on a worker process ------------------------------------------
+# A worker's answer is pickled back to the walk, and every report below must
+# equal the sequential walk's: the answers must be the in-process bits.
+
+CALLS: list[tuple[int, int, int]] = []  # entropies of this process's sub-solves
+
+
+@dataclasses.dataclass(frozen=True)
+class Logged:
+    """A picklable sub-solver that logs each call in the process it runs in
+    (a worker logs into its own copy of ``CALLS``) and raises ValueError on
+    the entropy ``fail_at`` in the processes ``fail_in`` names."""
+
+    inner: object
+    fail_at: tuple | None = None
+    fail_in: str = "any"  # "any", "worker" or "exit in worker"
+
+    def __call__(self, a, block, entropy):
+        CALLS.append(entropy)
+        in_worker = multiprocessing.parent_process() is not None
+        if entropy == self.fail_at and (self.fail_in == "any" or in_worker):
+            if self.fail_in == "exit in worker":
+                os._exit(1)
+            raise ValueError(f"no answer for {entropy}")
+        return self.inner(a, block, entropy)
+
+
+class Watched:
+    """An executor that keeps every task it is handed."""
+
+    def __init__(self, executor):
+        self.executor = executor
+        self.tasks = []  # (entropy, future)
+
+    def submit(self, fn, *args):
+        future = self.executor.submit(fn, *args)
+        self.tasks.append((args[-1], future))
+        return future
+
+
+def fork_pool():
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs the fork start method")
+    return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
+
+
+@pytest.fixture(scope="module")
+def one_worker():
+    with fork_pool() as pool:
+        yield pool
+
+
+def assert_speculative_equals_sequential(pool, q, subsolver, k=7, seed=0):
+    """The report with a 1-worker executor equals the one without; every
+    task handed out is done on return. Returns the report and the tasks."""
+    want = solve_iterative(q, subsolver, k=k, seed=seed)
+    watched = Watched(pool)
+    got = solve_iterative(q, subsolver, k=k, seed=seed, executor=watched)
+    assert got.to_dict() == want.to_dict()
+    assert all(future.done() for _, future in watched.tasks)
+    return got, watched.tasks
+
+
+def test_speculative_walk_keeps_the_vqe_golden(one_worker):
+    rng = np.random.default_rng(41)
+    problems = [(random_qubo(rng, 16, coupling_prob=0.3, paper_like=True), s) for s in (3, 4)]
+    subsolver = make_vqe_subsolver(shots=16, max_evaluations=9)
+    digests, handed = [], 0
+    for q, seed in problems:
+        report, tasks = assert_speculative_equals_sequential(one_worker, q, subsolver, seed=seed)
+        digests.append(report_digest(report))
+        handed += len(tasks)
+    assert handed > 0
+    h = hashlib.sha256("".join(digests).encode()).hexdigest()
+    assert h == DECOMPOSITION_GOLDEN["random-vqe-k7"]
+
+
+def test_speculative_walk_equals_sequential_on_desk_objectives(one_worker, desk_config,
+                                                              desk_events):
+    subsolver = make_vqe_subsolver(shots=16, max_evaluations=12)
+    for q, seed in desk_objectives(desk_config, desk_events, 2):
+        _, tasks = assert_speculative_equals_sequential(one_worker, q, subsolver, seed=seed)
+        assert tasks
+
+
+def test_stale_group_is_solved_again_in_process(one_worker):
+    # groups (1, 2) and (0, 3): group 0 turns variable 1 off, which moves
+    # group 1's boundary through the coupling (1, 3) after the worker took it
+    q = qubo_from_dict(4, np.array([1.0, 1.0, -0.5, -0.5]), {(0, 2): -0.95, (1, 3): 1.0})
+    subsolver = Logged(make_vqe_subsolver(shots=0, max_evaluations=60))
+    want = solve_iterative(q, subsolver, k=2, seed=5)
+    CALLS.clear()
+    watched = Watched(one_worker)
+    got = solve_iterative(q, subsolver, k=2, seed=5, executor=watched)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_dict()["best_assignment"] == "0011"
+    assert [entropy for entropy, _ in watched.tasks] == [(5, 0, 1), (5, 1, 1)]
+    # solved in this process: group 1 of iteration 0 again, but not group 1
+    # of iteration 1, which no flip reached
+    assert CALLS == [(5, 0, 0), (5, 0, 1), (5, 1, 0)]
+
+
+@pytest.mark.parametrize("group", [0, 1, 2])
+def test_speculative_sub_solver_failure_reports_like_sequential(one_worker, group):
+    # at the default budget, the worker's task is still running when the
+    # walk stops at group 0, so the return waits for it
+    q = random_qubo(np.random.default_rng(41), 16, coupling_prob=0.3, paper_like=True)
+    subsolver = Logged(make_vqe_subsolver(), fail_at=(3, 1, group))
+    report, _ = assert_speculative_equals_sequential(one_worker, q, subsolver, seed=3)
+    assert report.warning == f"sub-solver failed in iteration 1: no answer for (3, 1, {group})"
+
+
+def test_failure_on_the_worker_alone_is_no_failure(one_worker):
+    q = random_qubo(np.random.default_rng(41), 16, coupling_prob=0.3, paper_like=True)
+    subsolver = Logged(make_vqe_subsolver(shots=16, max_evaluations=9), fail_at=(3, 0, 2),
+                       fail_in="worker")
+    report, tasks = assert_speculative_equals_sequential(one_worker, q, subsolver, seed=3)
+    assert (3, 0, 2) in [entropy for entropy, _ in tasks]
+    assert report.warning is None
+
+
+def test_dead_worker_is_no_sub_solver_failure():
+    q = random_qubo(np.random.default_rng(41), 16, coupling_prob=0.3, paper_like=True)
+    subsolver = Logged(make_vqe_subsolver(shots=16, max_evaluations=9), fail_at=(3, 0, 2),
+                       fail_in="exit in worker")
+    with fork_pool() as pool:
+        report, tasks = assert_speculative_equals_sequential(pool, q, subsolver, seed=3)
+        # the pool is broken from then on: no later iteration handed out a task
+        assert [entropy for entropy, _ in tasks] == [(3, 0, 2)]
+    assert report.warning is None and report.iterations_run > 1

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -645,3 +646,27 @@ def test_dense_to_ising_equals_the_qubo_round_trip():
         assert got.coupling.tobytes() == want.coupling.tobytes()
         assert np.array_equal(got.pair_i, want.pair_i)
         assert np.array_equal(got.pair_j, want.pair_j)
+
+
+def test_vqe_subsolver_pickles_to_the_same_answers():
+    q = random_qubo(np.random.default_rng(8), 7, coupling_prob=0.5, paper_like=True)
+    a, block = q.linear, np.zeros((7, 7))
+    block[q.entry_rows(), q.indices] = q.data
+    subsolver = vqe.make_vqe_subsolver(shots=64, max_evaluations=30)
+    copy = pickle.loads(pickle.dumps(subsolver))
+    assert copy == subsolver
+    for entropy in [(1, 0, 0), (1, 0, 1), (2, 3, 4)]:
+        assert copy(a, block, entropy).tolist() == subsolver(a, block, entropy).tolist()
+
+
+def test_vqe_subsolver_calls_run_vqe_through_the_module(monkeypatch):
+    seen = []
+    run = vqe.run_vqe
+
+    def counting(ising, config):
+        seen.append(config.seed)
+        return run(ising, config)
+
+    monkeypatch.setattr(vqe, "run_vqe", counting)
+    vqe.make_vqe_subsolver(shots=8, max_evaluations=9)(np.zeros(2), np.zeros((2, 2)), (0, 0, 0))
+    assert len(seen) == 1
