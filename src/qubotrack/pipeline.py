@@ -2,10 +2,10 @@
 with its dumps, and the event loop (serial or in a process pool).
 
 A process that reconstructs VQE events itself (not a ``--jobs`` worker)
-also solves their sub-problems ahead of the walk on the other CPUs it may
-run on, in one pool of forked workers created at its first VQE event and
-kept for the life of the process (:func:`_speculation_pool`). The outputs
-are those of the sequential walk.
+also solves their sub-problems ahead of the walk on a second CPU, when it
+may run on one, in a pool of one forked worker created at its first VQE
+event and kept for the life of the process (:func:`_speculation_pool`).
+The outputs are those of the sequential walk.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -92,9 +93,6 @@ def _make_subsolver(config: RunConfig):
     raise ValueError(f"unknown solver {config.solver!r}")
 
 
-_pool: ProcessPoolExecutor | None = None
-
-
 def _end_with_parent() -> None:
     """Pool worker initializer: exit once the process that forked this
     worker has ended, however it ended, so a killed run leaves no worker."""
@@ -102,23 +100,53 @@ def _end_with_parent() -> None:
     threading.Thread(target=lambda: (parent.join(), os._exit(0)), daemon=True).start()
 
 
-def _speculation_pool() -> ProcessPoolExecutor | None:
+class _SpeculationPool(ProcessPoolExecutor):
+    """One forked worker that exits with its parent. A submit to a pool
+    whose worker died shuts the pool down and forgets it, so the next event
+    forks a fresh one."""
+
+    def __init__(self):
+        super().__init__(1, mp_context=multiprocessing.get_context("fork"),
+                         initializer=_end_with_parent)
+
+    def submit(self, fn, /, *args, **kwargs):
+        try:
+            return super().submit(fn, *args, **kwargs)
+        except BrokenProcessPool:
+            global _pool
+            if _pool is self:
+                _pool = None
+            self.shutdown()
+            raise
+
+
+_pool: _SpeculationPool | None = None
+
+
+def _speculation_pool() -> _SpeculationPool | None:
     """This process's pool for speculative VQE sub-solves, created on first
-    use: one forked worker per CPU the process may run on besides its own.
-    None on one CPU, in a worker process (a ``--jobs`` worker already has a
-    CPU of its own) and where ``fork`` or the CPU affinity is unavailable.
-    ``fork`` starts a worker with the parent's imports at once; the first
-    fork happens before the pool starts a thread. A pool whose worker died
-    stays broken, and the walk then solves every group itself."""
+    use. None on one CPU, in a worker process (a ``--jobs`` worker already
+    has a CPU of its own) and where ``fork`` or the CPU affinity is
+    unavailable. ``fork`` starts the worker with the parent's imports at
+    once; the fork happens before the pool starts a thread. One worker is
+    what was measured to pay; a CPU quota below two CPUs is not seen, and
+    the worker then shares the walk's CPU time."""
     global _pool
     if multiprocessing.parent_process() is not None:
         return None  # a pool inherited from the parent is the parent's
     if (_pool is None and "fork" in multiprocessing.get_all_start_methods()
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1):
-        _pool = ProcessPoolExecutor(len(os.sched_getaffinity(0)) - 1,
-                                    mp_context=multiprocessing.get_context("fork"),
-                                    initializer=_end_with_parent)
+        _pool = _SpeculationPool()
     return _pool
+
+
+def _close_speculation_pool() -> None:
+    """Shut this process's speculation pool down, if there is one, and
+    forget it: its thread is gone before the process forks again."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown()
 
 
 @dataclass
@@ -197,6 +225,7 @@ def reconstruct_events(events: list[Event], config: RunConfig, jobs: int = 1,
     if workers <= 1:
         results = list(map(reconstruct_event, ordered, *shared))
     else:
+        _close_speculation_pool()  # no pool thread may run while the workers fork
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(reconstruct_event, ordered, *shared))
     results.sort(key=lambda r: r.event_id)

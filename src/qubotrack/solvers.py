@@ -38,15 +38,15 @@ enumerated one at a time, and the VQE sub-solver is called once per
 group.
 
 Given an executor, the walk also solves VQE sub-problems ahead of itself
-on other cores. An iteration's sub-problems are cut at its starting bits
-and handed to the executor's workers from the last group back, one task
-per idle worker, while the walk moves forward. When the walk reaches a
+on another core. An iteration's sub-problems are cut at its starting bits
+and handed to the executor from the last group back, one task at a time,
+while the walk moves forward. When the walk reaches a
 group, it takes the worker's answer if no accepted flip has reached the
 group's outside couplings since then (the stale groups, the same
 bookkeeping the batched exact sub-solves use), because the sub-problem it
 would cut is then the same; any other group it solves itself at the
 running bits. So the accepted updates are the sequential walk's, bit for
-bit, however many workers there are and however fast they run.
+bit, however fast the worker runs.
 
 Simulated annealing (:func:`solve_annealing`) is the classical baseline:
 one single-flip Metropolis loop over the whole objective, with no
@@ -319,10 +319,10 @@ def _reached(split: _GroupSplit, g: int, flipped: np.ndarray) -> list[int]:
 
 class _Speculation:
     """One iteration's sub-problems, cut at its starting bits, solved ahead
-    of the walk on an executor's workers.
+    of the walk on an executor's worker.
 
-    Before the walk handles group g, each idle worker is handed the last
-    group after g that no accepted flip has reached. One task per worker:
+    Before the walk handles group g, an idle executor is handed the last
+    group after g that no accepted flip has reached. One task at a time:
     a task waiting in the executor's queue could not be taken back by the
     walk. A submit that fails (a dead pool) ends the handing out, and
     :meth:`close` waits for every task, so none outlives the iteration.
@@ -332,32 +332,29 @@ class _Speculation:
                  problems: list[tuple[np.ndarray, np.ndarray]], entropy: tuple[int, int]):
         self.executor, self.subsolver = executor, subsolver
         self.problems, self.entropy = problems, entropy
-        self.workers = getattr(executor, "_max_workers", 1)  # the standard executors' size
         self.futures: dict[int, Future] = {}
-        self.busy: list[Future] = []
+        self.busy: Future | None = None
         self.next = len(problems) - 1  # the last group not handed out
 
     def answer(self, g: int, stale: set[int]) -> Assignment | None:
-        """Hand each idle worker a group after g, then return a worker's
-        answer for group g, or None when the walk must solve g itself: no
-        worker took it, an accepted flip has reached it since it was cut, or
-        its task raised. A task raises for a sub-solver error or a dead
-        worker alike; the walk's own call then decides which it was, as the
-        sequential walk would."""
-        self.busy = [f for f in self.busy if not f.done()]
-        while len(self.busy) < self.workers and self.next > g:
+        """Hand an idle executor a group after g, then return the worker's
+        answer for group g, or None when the walk must solve g itself: it
+        was not handed out, an accepted flip has reached it since it was
+        cut, or its task raised. A task raises for a sub-solver error or a
+        dead worker alike; the walk's own call then decides which it was,
+        as the sequential walk would."""
+        while (self.busy is None or self.busy.done()) and self.next > g:
             h = self.next
             self.next -= 1
             if h in stale:
                 continue
             try:
-                future = self.executor.submit(self.subsolver, *self.problems[h],
-                                              (*self.entropy, h))
+                self.busy = self.executor.submit(self.subsolver, *self.problems[h],
+                                                 (*self.entropy, h))
             except RuntimeError:  # a broken or shut-down pool: the walk solves the rest
                 self.next = g
                 break
-            self.futures[h] = future
-            self.busy.append(future)
+            self.futures[h] = self.busy
         future = self.futures.get(g)
         if future is None or g in stale:
             return None
@@ -417,8 +414,8 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
     report is bit for bit the one per-group :func:`solve_exact` calls give.
 
     With an ``executor`` (and any sub-solver but the batched exact one),
-    :class:`_Speculation` solves sub-problems ahead of the walk on the
-    executor's workers; the report is bit for bit the one without it.
+    :class:`_Speculation` solves sub-problems ahead of the walk, one at a
+    time on the executor; the report is bit for bit the one without it.
     ``subsolver`` must then be picklable for a process pool. No task
     outlives the call.
 

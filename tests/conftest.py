@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from qubotrack import pipeline
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
 from qubotrack.pipeline import simulate_events
@@ -10,6 +11,14 @@ from qubotrack.pipeline import simulate_events
 # ``--hypothesis-profile default`` draws fresh ones.
 settings.register_profile("derandomized", derandomize=True)
 settings.load_profile("derandomized")
+
+
+@pytest.fixture(autouse=True)
+def no_speculation_pool_left():
+    """Shut down the speculation pool a test made in this process, so that
+    no pool thread runs when a later test forks."""
+    yield
+    pipeline._close_speculation_pool()
 
 
 @pytest.fixture(scope="session")

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -61,7 +62,6 @@ import json
 from qubotrack import pipeline
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
-from qubotrack.geometry import build_geometry
 config = RunConfig.from_dict(json.loads({json.dumps(json.dumps(light_vqe_config()))}))
 config = config.with_seed(2024)
 events = pipeline.simulate_events(config, 1)
@@ -94,13 +94,38 @@ time.sleep(60)
     with subprocess.Popen([sys.executable, "-c", script], env=child_env(),
                           stdout=subprocess.PIPE, text=True, start_new_session=True) as child:
         assert child.stdout.readline() == "ready\n"
-        assert len(session_processes(child.pid)) == 2
+        assert len(session_processes(child.pid)) == 2  # the run and its one worker
         child.kill()
         child.wait(timeout=10)
     deadline = time.monotonic() + 10
     while session_processes(child.pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert session_processes(child.pid) == []
+
+
+def test_a_dead_worker_is_replaced_at_the_next_event(monkeypatch):
+    if pipeline._speculation_pool() is None:
+        pytest.skip("one CPU or no fork: no worker is started")
+    config = RunConfig.from_dict(light_vqe_config(shots=16)).with_seed(2024)
+    events = pipeline.simulate_events(config, 1)
+    window, scaling, _ = pipeline.calibrate(events, config)
+
+    def reconstruct():
+        return pipeline.reconstruct_event(events[0], build_geometry(config.geometry),
+                                          window, scaling, config).report.to_dict()
+
+    dead = pipeline._speculation_pool()
+    with pytest.raises(BrokenProcessPool):
+        dead.submit(os._exit, 1).result(timeout=60)
+    # the event's first submit finds the pool broken and forgets it; the
+    # walk solves every group itself
+    report = reconstruct()
+    assert pipeline._pool is None
+    fresh = pipeline._speculation_pool()
+    assert fresh is not dead and fresh.submit(int).result(timeout=60) == 0
+    assert reconstruct() == report
+    monkeypatch.setattr(pipeline, "_speculation_pool", lambda: None)
+    assert reconstruct() == report
 
 
 def test_only_vqe_events_ask_for_a_pool(monkeypatch):

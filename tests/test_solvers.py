@@ -1036,7 +1036,7 @@ def fork_pool():
     return ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork"))
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def one_worker():
     with fork_pool() as pool:
         yield pool
