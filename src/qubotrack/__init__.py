@@ -3,10 +3,10 @@ selection, with exact, simulated-annealing and simulated-VQE solvers."""
 
 __version__ = "0.1.0"
 
-from .geometry import (DetectorGeometry, Event, GeometryConfig, Hit, Hits,
-                       Particles, TruthParticle, build_geometry, validate_event)
-from .fastsim import (EnergySpectrum, LaserConfig, SimConfig, compute_xi,
-                      dipole_deflection, generate_event, xi_to_multiplicity)
+from .geometry import (Event, GeometryConfig, Hit, Hits, Particles,
+                       TruthParticle, build_geometry)
+from .fastsim import (EnergySpectrum, SimConfig, dipole_deflection,
+                      generate_event, xi_to_multiplicity)
 from .preselect import (Doublet, Doublets, PreselectionWindow, Triplet,
                         Triplets, build_doublets, build_triplets,
                         calibrate_dx_window)
@@ -17,7 +17,5 @@ from .solvers import (AnnealSchedule, SolveReport, solve_annealing, solve_exact,
 from .vqe import VqeConfig, VqeResult, nft_update, prepare_state, run_vqe
 from .trackbuild import (TrackFits, estimate_energy, fit_track,
                          resolve_ambiguities, triplets_to_candidates)
-from .metrics import (MetricsReport, TrackRecord, binned_curves, build_report,
-                      duplication_rate, efficiency, energy_resolution,
-                      fake_rate)
+from .metrics import MetricsReport, TrackRecord, build_report
 from .config import RunConfig

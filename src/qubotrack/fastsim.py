@@ -4,6 +4,9 @@ propagation with multiple scattering, and Gaussian hit smearing.
 The generator is pure given (config, geometry, event_id): the per-event RNG
 seed is ``rng_seed ^ event_id``, so events can be produced in any order or in
 parallel with identical results.
+
+Also here: :func:`xi_to_multiplicity`, the ``--xi`` presets' lookup from
+an intensity label to the mean positron count of an event.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import DetectorGeometry, Event, Hits, Particles, particle_fault
+from .geometry import Event, GeometryConfig, Hits, Particles, particle_fault
 
 # momentum kick per field-length, GeV / (T m)
 PT_KICK_PER_TESLA_METER = 0.2998
@@ -25,57 +28,6 @@ _XI_MULTIPLICITY_ANCHORS = ((3.0, 1e2), (5.0, 1.05e4), (7.0, 7e4))
 
 class SimulationError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class LaserConfig:
-    """Laser and constants entering the intensity parameter.
-
-    ``field_strength`` and ``critical_field`` must share one field unit;
-    ``frequency`` and ``electron_mass`` are in eV. The default critical
-    field is the Schwinger value in V/m. Note that the two-form identity
-    checked by :func:`compute_xi` holds only for the natural-unit critical
-    field ``electron_mass**2 / sqrt(4 pi alpha)`` (see
-    :func:`consistent_critical_field`); the V/m default is kept as the
-    conventional reference number.
-    """
-
-    field_strength: float            # laser field strength
-    frequency: float = 1.55          # eV (800 nm optical laser)
-    electron_mass: float = 510998.95  # eV
-    fine_structure: float = 7.2973525693e-3
-    critical_field: float = 1.32e18  # V/m, Schwinger limit
-
-    def __post_init__(self):
-        for name in ("field_strength", "frequency", "electron_mass",
-                     "fine_structure", "critical_field"):
-            if getattr(self, name) <= 0:
-                raise SimulationError(f"{name} must be positive")
-
-
-def compute_xi(laser: LaserConfig) -> float:
-    """Dimensionless laser intensity parameter.
-
-    xi = sqrt(4 pi alpha) * eps_L / (omega_L * m_e).
-    """
-    e = math.sqrt(4.0 * math.pi * laser.fine_structure)
-    return e * laser.field_strength / (laser.frequency * laser.electron_mass)
-
-
-def compute_xi_via_critical_field(laser: LaserConfig) -> float:
-    """Equivalent form xi = m_e * eps_L / (omega_L * eps_cr).
-
-    Agrees with :func:`compute_xi` when ``critical_field`` equals
-    :func:`consistent_critical_field` in the unit used for ``field_strength``.
-    """
-    return (laser.electron_mass * laser.field_strength
-            / (laser.frequency * laser.critical_field))
-
-
-def consistent_critical_field(electron_mass: float = 510998.95,
-                              fine_structure: float = 7.2973525693e-3) -> float:
-    """Critical field value making the two xi forms identical: m_e^2 / sqrt(4 pi alpha)."""
-    return electron_mass ** 2 / math.sqrt(4.0 * math.pi * fine_structure)
 
 
 def xi_to_multiplicity(xi: float) -> float:
@@ -193,7 +145,7 @@ def event_rng(sim: SimConfig, event_id: int) -> np.random.Generator:
     return np.random.default_rng(sim.rng_seed ^ event_id)
 
 
-def generate_event(sim: SimConfig, geometry: DetectorGeometry, event_id: int) -> Event:
+def generate_event(sim: SimConfig, geometry: GeometryConfig, event_id: int) -> Event:
     """Generate one event.
 
     Each positron starts at a smeared IP origin with a small Gaussian angular

@@ -2,7 +2,9 @@
 
 Units: meters for distances, GeV for energies, radians for angles, Tesla for
 the dipole field. The tracker is a stack of parallel planes perpendicular to
-the beam (z) axis; each plane is a single continuous sensitive area.
+the beam (z) axis; each plane is a single continuous sensitive area. The
+geometry is one type, :class:`GeometryConfig`, the run configuration's
+section as it is; :func:`build_geometry` checks it and returns it.
 
 Data model: an :class:`Event` stores its hits and its particles as
 columns, one array per field (:class:`Hits`, :class:`Particles`), and
@@ -19,9 +21,10 @@ pre-selection, assembly and track building share (:func:`shared_hits`,
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -35,7 +38,13 @@ N_LAYERS = 4  # quadruplet tracks need one hit per layer
 
 @dataclass(frozen=True)
 class GeometryConfig:
-    """User-facing geometry knobs with the defaults used throughout."""
+    """The detector geometry's knobs, with the defaults used throughout.
+
+    The planes sit at ``layer_z``, with constant pitch. The dipole is a
+    thin-lens kick at ``dipole_kick_z``, the centre of a field region
+    starting at the interaction point. Neither is a field, so neither
+    enters the config a run echoes or its hash.
+    """
 
     n_layers: int = N_LAYERS
     first_layer_z: float = 1.0        # m, distance of first plane from z=0
@@ -48,52 +57,18 @@ class GeometryConfig:
     dipole_length: float = 1.0        # m, effective field length
     ip_position: tuple[float, float, float] = (0.0, 0.0, 0.0)  # m
 
-
-@dataclass(frozen=True)
-class DetectorGeometry:
-    """Immutable geometry derived from a :class:`GeometryConfig`.
-
-    ``layer_z`` is strictly increasing with constant pitch. The dipole is
-    modelled downstream as a thin-lens kick located at ``dipole_kick_z``,
-    i.e. the centre of a field region starting at the interaction point.
-    """
-
-    layer_z: tuple[float, ...]
-    layer_half_extent_x: float
-    layer_half_extent_y: float
-    hit_resolution: float
-    layer_thickness_x0: float
-    dipole_field: float
-    dipole_length: float
-    ip_position: tuple[float, float, float]
-
-    @property
-    def n_layers(self) -> int:
-        return len(self.layer_z)
+    @functools.cached_property  # simulation reads it once per particle
+    def layer_z(self) -> tuple[float, ...]:
+        return tuple(self.first_layer_z + k * self.layer_spacing
+                     for k in range(self.n_layers))
 
     @property
     def dipole_kick_z(self) -> float:
         return self.ip_position[2] + 0.5 * self.dipole_length
 
-    def to_dict(self) -> dict:
-        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorGeometry":
-        return cls(
-            layer_z=tuple(d["layer_z"]),
-            layer_half_extent_x=d["layer_half_extent_x"],
-            layer_half_extent_y=d["layer_half_extent_y"],
-            hit_resolution=d["hit_resolution"],
-            layer_thickness_x0=d["layer_thickness_x0"],
-            dipole_field=d["dipole_field"],
-            dipole_length=d["dipole_length"],
-            ip_position=tuple(d["ip_position"]),
-        )
-
-
-def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
-    """Construct and validate the detector geometry.
+def build_geometry(config: GeometryConfig | None = None) -> GeometryConfig:
+    """The checked detector geometry: ``config`` (the default one if None).
 
     Raises :class:`GeometryError` on non-positive or infinite sizes, a layer
     count other than four, non-monotonic layer positions or a non-finite
@@ -119,23 +94,9 @@ def build_geometry(config: GeometryConfig | None = None) -> DetectorGeometry:
         raise GeometryError("layer half extents must be positive")
     if not all(math.isfinite(c) for c in config.ip_position):
         raise GeometryError(f"ip_position must be finite, got {tuple(config.ip_position)}")
-
-    layer_z = tuple(
-        config.first_layer_z + k * config.layer_spacing for k in range(config.n_layers)
-    )
-    if not all(b > a for a, b in zip(layer_z, layer_z[1:])):
-        raise GeometryError(f"layer positions not strictly increasing: {layer_z}")
-
-    return DetectorGeometry(
-        layer_z=layer_z,
-        layer_half_extent_x=config.layer_half_extent_x,
-        layer_half_extent_y=config.layer_half_extent_y,
-        hit_resolution=config.hit_resolution,
-        layer_thickness_x0=config.layer_thickness_x0,
-        dipole_field=config.dipole_field,
-        dipole_length=config.dipole_length,
-        ip_position=tuple(config.ip_position),
-    )
+    if not all(b > a for a, b in zip(config.layer_z, config.layer_z[1:])):
+        raise GeometryError(f"layer positions not strictly increasing: {config.layer_z}")
+    return config
 
 
 def particle_fault(energy, direction) -> tuple[int, str] | None:
@@ -373,31 +334,3 @@ def shared_hits(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     owner, later = _index_ranges(here + 1, ends - here - 1)
     codes, n = np.unique(item[owner] * m + item[later], return_counts=True)
     return codes // m, codes % m, n
-
-
-def validate_event(event: Event, geometry: DetectorGeometry) -> list[str]:
-    """Check event-level invariants, returning one diagnostic string each.
-
-    Never raises; an empty list means the event is consistent with the
-    geometry: unique hit ids, hits exactly on their layer plane and inside
-    the layer extents, and truth links resolving to an existing particle.
-    """
-    diagnostics: list[str] = []
-    pids = set(event.particles.ids.tolist())
-    seen_ids: set[int] = set()
-    for hit in event.hits:
-        tag = f"event {event.event_id} hit {hit.hit_id}"
-        if hit.hit_id in seen_ids:
-            diagnostics.append(f"{tag}: duplicate hit id")
-        seen_ids.add(hit.hit_id)
-        if not 0 <= hit.layer < geometry.n_layers:
-            diagnostics.append(f"{tag}: invalid layer {hit.layer}")
-            continue
-        x, y, z = hit.position
-        if z != geometry.layer_z[hit.layer]:
-            diagnostics.append(f"{tag}: off-layer hit (z={z!r})")
-        if abs(x) > geometry.layer_half_extent_x or abs(y) > geometry.layer_half_extent_y:
-            diagnostics.append(f"{tag}: outside layer extents")
-        if hit.truth_particle_id is not None and hit.truth_particle_id not in pids:
-            diagnostics.append(f"{tag}: dangling truth link ({hit.truth_particle_id})")
-    return diagnostics

@@ -8,13 +8,14 @@ line ends (``\\r\\n``) and quoting (none: no field holds a comma, quote or
 line end) are decided in one place.
 
 Each input table is declared once: the kind of each header column
-(integers are signed 64-bit), and one rule across fields or rows (a hit id
-unique within its event; a positive particle energy and a direction that
-normalises; four hit ids). One reader reads them all, a block of rows at
-a time, converting each column of a block in bulk. A block that does not
-convert is read again row by row; a bad row raises
-``DataFormatError("path:line: message")`` naming the first bad row by
-line, then its first bad field in header order, then the table's rule.
+(integers are signed 64-bit), and one rule across fields or rows (a layer
+the detector has and a hit id unique within its event; a positive
+particle energy and a direction that normalises; four hit ids). One
+reader reads them all, a block of rows at a time, converting each column
+of a block in bulk. A block that does not convert is read again row by
+row; a bad row raises ``DataFormatError("path:line: message")`` naming
+the first bad row by line, then its first bad field in header order,
+then the table's rule.
 
 Events are read and written as columns (:class:`~qubotrack.geometry.Hits`,
 :class:`~qubotrack.geometry.Particles`), never one object per row: the
@@ -34,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Event, Hits, Particles, particle_fault
+from .geometry import N_LAYERS, Event, Hits, Particles, particle_fault
 from .metrics import BinnedValue, TrackRecord
 from .preselect import Doublets, Triplets
 from .qubo import Qubo
@@ -246,10 +247,11 @@ def _by_event(columns: list[list[np.ndarray]], table: type) -> dict:
 def read_events(hits_path: Path, particles_path: Path,
                 xi_label: float = 0.0) -> list[Event]:
     """Rebuild events from the hits and particles files, each event's rows
-    in file order, as columns. A hit id listed twice within one event, a
-    particle energy that is not positive, a particle direction that is zero
-    or does not normalise (to 1 within 1e-12), or a hit coordinate or
-    particle value that is not finite, raises :class:`DataFormatError`."""
+    in file order, as columns. A hit on a layer outside 0..N_LAYERS-1, a
+    hit id listed twice within one event, a particle energy that is not
+    positive, a particle direction that is zero or does not normalise (to
+    1 within 1e-12), or a hit coordinate or particle value that is not
+    finite, raises :class:`DataFormatError`."""
     particles: list[list[np.ndarray]] = [[] for _ in range(5)]  # one array per block
 
     def store_particles(eid, pid, energy, ox, oy, oz, dx, dy, dz):
@@ -277,7 +279,7 @@ def read_events(hits_path: Path, particles_path: Path,
     seen: dict[int, list[np.ndarray]] = {}
 
     def store_hits(eid, hid, layer, x, y, z, pid):
-        eid, hid = np.array(eid, dtype=np.int64), np.array(hid, dtype=np.int64)
+        eid, hid, layer = (np.array(c, dtype=np.int64) for c in (eid, hid, layer))
         taken = np.zeros(len(hid), dtype=bool)  # the rows whose hit id an earlier row has
         for e in np.unique(eid).tolist():
             rows = np.flatnonzero(eid == e)
@@ -292,8 +294,11 @@ def read_events(hits_path: Path, particles_path: Path,
             while runs and len(runs[-1]) <= 2 * len(run):
                 run = np.sort(np.concatenate([runs.pop(), run]), kind="stable")
             runs.append(run)
-        if taken.any():
-            i = int(np.argmax(taken))
+        off = (layer < 0) | (layer >= N_LAYERS)  # a layer the detector does not have
+        if off.any() or taken.any():
+            i = int(np.argmax(off | taken))
+            if off[i]:
+                return i, f"layer {layer[i]} outside 0..{N_LAYERS - 1}"
             return i, f"duplicate hit id (event_id, hit_id) = ({eid[i]}, {hid[i]})"
         for column, values in zip(hits, (eid, hid, layer, np.array([x, y, z]).T,
                                          [p or 0 for p in pid],

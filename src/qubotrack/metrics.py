@@ -1,5 +1,7 @@
 """Performance metrics over one or many events: efficiency, fake rate,
-duplication rate, energy resolution, and binned curves.
+duplication rate, energy resolution, and binned curves, all from one
+entry point, :func:`build_report`, which builds each event's truth tables
+and matches each track once.
 
 Conventions:
   * a particle is counted in the efficiency denominator only if it left a
@@ -104,7 +106,9 @@ def _match_all(truth: dict[int, _Truth], tracks: list[TrackRecord]) -> _Matches:
 
 def _scalar_metrics(events: list[Event], matches: _Matches,
                     truth: dict[int, _Truth]) -> dict:
-    """The four scalar metrics of already matched tracks, keyed by name."""
+    """The four scalar metrics of already matched tracks, keyed by name;
+    each is None without a denominator, the energy resolution (an RMS over
+    matched tracks of finite energy) below 2 entries."""
     matched = [(t, pid) for t, pid in matches if pid is not None]
     per_particle = Counter((t.event_id, pid) for t, pid in matched)
     denom = sum(len(truth[e.event_id].reconstructable) for e in events)
@@ -117,31 +121,6 @@ def _scalar_metrics(events: list[Event], matches: _Matches,
                              / len(per_particle) if per_particle else None),
         "energy_resolution": float(np.sqrt(np.mean(r * r))) if len(r) >= 2 else None,
     }
-
-
-def _scalars(events: list[Event], tracks: list[TrackRecord]) -> dict:
-    truth = _truth(events)
-    return _scalar_metrics(events, _match_all(truth, tracks), truth)
-
-
-def efficiency(events: list[Event], tracks: list[TrackRecord]) -> float | None:
-    """Matched particles / reconstructable particles; None if no denominator."""
-    return _scalars(events, tracks)["efficiency"]
-
-
-def fake_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
-    """Unmatched final tracks / all final tracks; None if no tracks."""
-    return _scalars(events, tracks)["fake_rate"]
-
-
-def duplication_rate(events: list[Event], tracks: list[TrackRecord]) -> float | None:
-    """Particles matched by more than one track / matched particles."""
-    return _scalars(events, tracks)["duplication_rate"]
-
-
-def energy_resolution(events: list[Event], tracks: list[TrackRecord]) -> float | None:
-    """RMS of (E_track - E_true)/E_true over matched tracks; None below 2 entries."""
-    return _scalars(events, tracks)["energy_resolution"]
 
 
 def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
@@ -187,16 +166,10 @@ def _binned_ratio(values: list[float], flags: list[bool],
     return out
 
 
-def binned_curves(events: list[Event], tracks: list[TrackRecord],
-                  edges: list[float]) -> dict[str, list[BinnedValue]]:
-    """Efficiency binned in true particle energy, fake rate in measured
-    track energy, as a dict of curves keyed by name."""
-    truth = _truth(events)
-    return _binned_curves(events, _match_all(truth, tracks), edges, truth)
-
-
 def _binned_curves(events: list[Event], matches: _Matches, edges: list[float],
                    truth: dict[int, _Truth]) -> dict[str, list[BinnedValue]]:
+    """Efficiency binned in true particle energy, fake rate in measured
+    track energy, as a dict of curves keyed by name."""
     if any(b <= a for a, b in zip(edges, edges[1:])):
         raise ValueError("bin edges must be strictly increasing")
     matched_pids = {(t.event_id, pid) for t, pid in matches if pid is not None}
@@ -257,8 +230,9 @@ class MetricsReport:
 
 def build_report(events: list[Event], tracks: list[TrackRecord],
                  edges: list[float] | None = None) -> MetricsReport:
-    """Full report over a set of events; adds per-xi-label scalar metrics
-    when more than one label is present."""
+    """Full report over a set of events; adds binned curves at ``edges``
+    (strictly increasing, else ``ValueError``) when they are given, and
+    per-xi-label scalar metrics when more than one label is present."""
     truth = _truth(events)
     matches = _match_all(truth, tracks)
     matched_tracks = sum(1 for _, pid in matches if pid is not None)

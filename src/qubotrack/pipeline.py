@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import RunConfig
 from .fastsim import generate_event
-from .geometry import DetectorGeometry, Event, build_geometry
+from .geometry import Event, GeometryConfig, build_geometry
 from .io import write_doublet_debug_csv, write_qubo, write_triplet_debug_csv
 from .metrics import TrackRecord, match_hits, truth_by_hit
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
@@ -166,7 +166,7 @@ class EventDumps:
     debug: bool  # the doublet and triplet feature tables
 
 
-def reconstruct_event(event: Event, geometry: DetectorGeometry,
+def reconstruct_event(event: Event, geometry: GeometryConfig,
                       window: PreselectionWindow, scaling: QuboScaling,
                       config: RunConfig, dumps: EventDumps | None = None
                       ) -> EventResult:
@@ -215,8 +215,9 @@ def reconstruct_events(events: list[Event], config: RunConfig, jobs: int = 1,
                        ) -> tuple[list[EventResult], dict]:
     """Calibrate once, then reconstruct every event (in a process pool when
     ``jobs`` > 1, which starts all its workers at once, so at most one per
-    event), each writing its ``dumps``; results come back ordered by event
-    id regardless of the parallelism level."""
+    event, each exiting with this process), each writing its ``dumps``;
+    results come back ordered by event id regardless of the parallelism
+    level."""
     geometry = build_geometry(config.geometry)
     window, scaling, calib_info = calibrate(events, config)
     ordered = sorted(events, key=lambda e: e.event_id)
@@ -226,7 +227,7 @@ def reconstruct_events(events: list[Event], config: RunConfig, jobs: int = 1,
         results = list(map(reconstruct_event, ordered, *shared))
     else:
         _close_speculation_pool()  # no pool thread may run while the workers fork
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_end_with_parent) as pool:
             results = list(pool.map(reconstruct_event, ordered, *shared))
     results.sort(key=lambda r: r.event_id)
     return results, calib_info

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DetectorGeometry, Event, Hit, Hits, windowed_key_pairs
+from .geometry import Event, GeometryConfig, Hit, Hits, windowed_key_pairs
 
 DX_SIGMA_FLOOR = 1e-9  # guards against zero-width windows from degenerate input
 HYPOT_MARGIN = 1e-9    # relative; np.hypot and math.hypot agree far closer
@@ -296,7 +296,7 @@ def calibrate_dx_window(doublets: Iterable[Doublets]) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def build_doublets(hits: Hits | Sequence[Hit], geometry: DetectorGeometry,
+def build_doublets(hits: Hits | Sequence[Hit], geometry: GeometryConfig,
                    window: PreselectionWindow,
                    diagnostics: DoubletDiagnostics | None = None) -> Doublets:
     """All consecutive-layer hit pairs passing the dx/x0 window.

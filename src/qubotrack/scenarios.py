@@ -12,10 +12,10 @@ from __future__ import annotations
 import math
 
 from .fastsim import PT_KICK_PER_TESLA_METER
-from .geometry import DetectorGeometry, Event, Hit, TruthParticle, build_geometry
+from .geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 
 
-def two_nearby_particles_event(event_id: int = 0) -> tuple[Event, DetectorGeometry]:
+def two_nearby_particles_event(event_id: int = 0) -> tuple[Event, GeometryConfig]:
     """Two straight tracks whose combinatorics yield exactly 7 triplets.
 
     Track A has slope 0.06 after the dipole kick; track B is steeper by

@@ -38,15 +38,14 @@ enumerated one at a time, and the VQE sub-solver is called once per
 group.
 
 Given an executor, the walk also solves VQE sub-problems ahead of itself
-on another core. An iteration's sub-problems are cut at its starting bits
-and handed to the executor from the last group back, one task at a time,
-while the walk moves forward. When the walk reaches a
-group, it takes the worker's answer if no accepted flip has reached the
-group's outside couplings since then (the stale groups, the same
-bookkeeping the batched exact sub-solves use), because the sub-problem it
-would cut is then the same; any other group it solves itself at the
-running bits. So the accepted updates are the sequential walk's, bit for
-bit, however fast the worker runs.
+on another core: an iteration's groups are cut at the running bits and
+handed out from the last group back, one task at a time, while the walk
+moves forward. The walk takes the worker's answer for a group no
+accepted flip has reached since the iteration began (the stale groups,
+the same bookkeeping the batched exact sub-solves use), because both
+cuts are then the cut at the iteration's starting bits; a stale group is
+not handed out, and the walk solves it itself. So the accepted updates
+are the sequential walk's, bit for bit, however fast the worker runs.
 
 Simulated annealing (:func:`solve_annealing`) is the classical baseline:
 one single-flip Metropolis loop over the whole objective, with no
@@ -318,25 +317,26 @@ def _reached(split: _GroupSplit, g: int, flipped: np.ndarray) -> list[int]:
 
 
 class _Speculation:
-    """One iteration's sub-problems, cut at its starting bits, solved ahead
-    of the walk on an executor's worker.
+    """One iteration's sub-problems solved ahead of the walk on an
+    executor's worker.
 
     Before the walk handles group g, an idle executor is handed the last
-    group after g that no accepted flip has reached. One task at a time:
-    a task waiting in the executor's queue could not be taken back by the
-    walk. A submit that fails (a dead pool) ends the handing out, and
+    group after g that no accepted flip has reached, cut at the running
+    bits (so at the iteration's starting bits). One task at a time: a task
+    waiting in the executor's queue could not be taken back by the walk.
+    A submit that fails (a dead pool) ends the handing out, and
     :meth:`close` waits for every task, so none outlives the iteration.
     """
 
-    def __init__(self, executor: Executor, subsolver: SubSolver,
-                 problems: list[tuple[np.ndarray, np.ndarray]], entropy: tuple[int, int]):
+    def __init__(self, executor: Executor, subsolver: SubSolver, split: _GroupSplit,
+                 entropy: tuple[int, int]):
         self.executor, self.subsolver = executor, subsolver
-        self.problems, self.entropy = problems, entropy
+        self.split, self.entropy = split, entropy
         self.futures: dict[int, Future] = {}
         self.busy: Future | None = None
-        self.next = len(problems) - 1  # the last group not handed out
+        self.next = len(split.groups) - 1  # the last group not handed out
 
-    def answer(self, g: int, stale: set[int]) -> Assignment | None:
+    def answer(self, g: int, stale: set[int], bits: Assignment) -> Assignment | None:
         """Hand an idle executor a group after g, then return the worker's
         answer for group g, or None when the walk must solve g itself: it
         was not handed out, an accepted flip has reached it since it was
@@ -349,7 +349,8 @@ class _Speculation:
             if h in stale:
                 continue
             try:
-                self.busy = self.executor.submit(self.subsolver, *self.problems[h],
+                self.busy = self.executor.submit(self.subsolver,
+                                                 *_restrict(self.split, h, bits),
                                                  (*self.entropy, h))
             except RuntimeError:  # a broken or shut-down pool: the walk solves the rest
                 self.next = g
@@ -447,9 +448,7 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
         covered = batch.covered if batch else 0
         spec = None
         if executor is not None and batch is None:
-            spec = _Speculation(executor, subsolver,
-                                [_restrict(split, g, bits) for g in range(len(groups))],
-                                (seed, iteration))
+            spec = _Speculation(executor, subsolver, split, (seed, iteration))
         try:
             for si, indices in enumerate(groups):
                 if si < covered:
@@ -459,11 +458,8 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                     a, block, old, new = move
                 else:
                     old = bits[indices]
-                    new = spec.answer(si, stale) if spec else None
-                    if spec and si not in stale:
-                        a, block = spec.problems[si]
-                    else:
-                        a, block = _restrict(split, si, bits)
+                    new = spec.answer(si, stale, bits) if spec else None
+                    a, block = _restrict(split, si, bits)
                     if new is None:
                         try:
                             new = np.asarray(subsolver(a, block, (seed, iteration, si)),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastsim import PT_KICK_PER_TESLA_METER
-from .geometry import DetectorGeometry, shared_hits
+from .geometry import GeometryConfig, shared_hits
 from .preselect import Triplets
 from .qubo import chained_pairs
 
@@ -57,7 +57,7 @@ def triplets_to_candidates(selected: Triplets) -> np.ndarray:
     return rows[np.sort(keep)]
 
 
-def estimate_energy(tx: float, geometry: DetectorGeometry) -> float:
+def estimate_energy(tx: float, geometry: GeometryConfig) -> float:
     """Invert the dipole model: E = 0.2998 * B * L / sin(atan(tx)).
 
     Requires a forward-going, +x-deflected slope; raises FitError for
@@ -72,7 +72,7 @@ def estimate_energy(tx: float, geometry: DetectorGeometry) -> float:
     return kick / math.sin(theta_x)
 
 
-def fit_track(positions: np.ndarray, geometry: DetectorGeometry) -> TrackFits:
+def fit_track(positions: np.ndarray, geometry: GeometryConfig) -> TrackFits:
     """Independent weighted least squares in x-z and y-z of each row of
     the ``(candidates, 4, 3)`` hit positions, in closed form.
 

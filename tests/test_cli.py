@@ -152,7 +152,7 @@ def test_jobs_capped_at_one_worker_per_event(tmp_path, monkeypatch):
     asked = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             asked.append(max_workers)
 
         def __enter__(self):
@@ -231,6 +231,29 @@ def test_evaluate_rejects_a_hit_whose_particle_is_missing(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"hit {hid} of event {eid} names particle {pid}, missing from truth" in err
     assert "Traceback" not in err
+
+
+def test_a_hit_on_a_missing_layer_is_a_data_error(tmp_path, capsys):
+    # counted, the hit would stand for its particle's layer 3 and the
+    # particle would still count as reconstructable
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", sim={"mean_multiplicity": 5.0})
+    reconstruct = ["reconstruct", "--config", str(cfg), "--seed", "3", "--in", str(run)]
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(run),
+                 "--events", "2"]) == EXIT_OK
+    assert main(reconstruct) == EXIT_OK  # evaluate then has tracks to read
+    rows = (run / "hits.csv").read_text().splitlines(keepends=True)
+    line = next(k for k, r in enumerate(rows[1:], 2) if r.split(",")[2] == "3"
+                and r.split(",")[6])
+    fields = rows[line - 1].split(",")
+    fields[2] = "7"
+    rows[line - 1] = ",".join(fields)
+    (run / "hits.csv").write_text("".join(rows))
+    capsys.readouterr()
+    for command in (reconstruct, ["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]):
+        assert main(command) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"hits.csv:{line}: layer 7 outside 0..3" in err and "Traceback" not in err
 
 
 def test_simulate_negative_event_count_is_a_usage_error(tmp_path, capsys):

@@ -6,42 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qubotrack.fastsim import (EnergySpectrum, LaserConfig, SimConfig,
-                               SimulationError, compute_xi,
-                               compute_xi_via_critical_field,
-                               consistent_critical_field, dipole_deflection,
-                               generate_event, scattering_sigma,
+from qubotrack.fastsim import (EnergySpectrum, SimConfig, SimulationError,
+                               dipole_deflection, generate_event, scattering_sigma,
                                xi_to_multiplicity)
 from qubotrack import fastsim
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 from qubotrack.trackbuild import fit_track
-
-
-# -- laser intensity parameter ------------------------------------------------
-
-@given(field=st.floats(1e6, 1e20), omega=st.floats(0.1, 10.0))
-def test_xi_two_forms_agree_with_consistent_critical_field(field, omega):
-    laser = LaserConfig(field_strength=field, frequency=omega,
-                        critical_field=consistent_critical_field())
-    a, b = compute_xi(laser), compute_xi_via_critical_field(laser)
-    assert a == pytest.approx(b, rel=1e-6)
-
-
-def test_xi_linear_in_field_strength():
-    base = LaserConfig(field_strength=3e12)
-    doubled = LaserConfig(field_strength=6e12)
-    assert compute_xi(doubled) == pytest.approx(2 * compute_xi(base), rel=1e-12)
-
-
-def test_xi_frozen_regression():
-    # sqrt(4 pi alpha) * 2e13 / (1.55 * 510998.95), evaluated by hand
-    laser = LaserConfig(field_strength=2e13)
-    assert compute_xi(laser) == pytest.approx(7646556.230303693, rel=1e-12)
-
-
-def test_xi_rejects_nonpositive_inputs():
-    with pytest.raises(SimulationError):
-        LaserConfig(field_strength=-1.0)
 
 
 # -- xi -> multiplicity --------------------------------------------------------

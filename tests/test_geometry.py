@@ -1,13 +1,13 @@
-import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.geometry import (DetectorGeometry, Event, GeometryConfig,
-                                GeometryError, Hit, TruthParticle,
-                                build_geometry, shared_hits, validate_event,
+from qubotrack.config import RunConfig
+from qubotrack.geometry import (Event, GeometryConfig, GeometryError, Hit,
+                                TruthParticle, build_geometry, shared_hits,
                                 windowed_key_pairs)
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
@@ -36,12 +36,31 @@ def test_nonpositive_spacing_rejected():
         build_geometry(GeometryConfig(hit_resolution=0.0))
 
 
-def test_geometry_serialization_round_trip_is_bit_exact():
-    g = build_geometry(GeometryConfig(first_layer_z=0.123456789123,
-                                      hit_resolution=7.77e-6))
-    payload = json.dumps(g.to_dict())
-    g2 = DetectorGeometry.from_dict(json.loads(payload))
-    assert g2 == g
+def test_build_geometry_returns_the_checked_config():
+    c = GeometryConfig(first_layer_z=0.123456789123, hit_resolution=7.77e-6)
+    assert build_geometry(c) is c
+
+
+@pytest.mark.parametrize("first, spacing", [(1.0, 0.10), (0.123456789123, 0.0731),
+                                            (-2.5, 1e-3)])
+def test_layer_z_is_first_plus_k_spacing_bit_for_bit(first, spacing):
+    g = build_geometry(GeometryConfig(first_layer_z=first, layer_spacing=spacing))
+    assert g.layer_z == tuple(first + k * spacing for k in range(4))
+    assert g.dipole_kick_z == g.ip_position[2] + 0.5 * g.dipole_length
+
+
+def test_pickled_geometry_compares_equal():
+    # a --jobs pool sends the geometry to its workers pickled, after the
+    # parent has read layer_z
+    g = build_geometry(GeometryConfig(first_layer_z=0.123456789123, hit_resolution=7.77e-6))
+    g.layer_z
+    g2 = pickle.loads(pickle.dumps(g))
+    assert g2 == g and g2.layer_z == g.layer_z
+
+
+def test_config_dict_holds_no_derived_geometry():
+    geometry = RunConfig().to_dict()["geometry"]
+    assert "layer_z" not in geometry and "dipole_kick_z" not in geometry
 
 
 def test_direction_normalization_enforced():
@@ -53,43 +72,19 @@ def test_direction_normalization_enforced():
                       direction=(0.0, 0.0, 1.0))
 
 
-def test_validate_empty_event(geometry):
-    event = Event(event_id=0, xi_label=0.0, hits=(), particles=())
-    assert validate_event(event, geometry) == []
-
-
-def test_validate_flags_off_layer_hit(geometry):
-    event = Event(event_id=0, xi_label=0.0, particles=(), hits=(
-        Hit(hit_id=0, layer=0, position=(0.0, 0.0, 1.05)),
-    ))
-    diags = validate_event(event, geometry)
-    assert len(diags) == 1 and "off-layer hit" in diags[0]
-
-
-def test_validate_flags_dangling_truth_link(geometry):
-    event = Event(event_id=0, xi_label=0.0, particles=(), hits=(
-        Hit(hit_id=0, layer=0, position=(0.0, 0.0, 1.0), truth_particle_id=5),
-    ))
-    diags = validate_event(event, geometry)
-    assert len(diags) == 1 and "dangling truth link" in diags[0]
-
-
-def test_validate_flags_duplicate_ids_and_extents(geometry):
-    event = Event(event_id=0, xi_label=0.0, particles=(), hits=(
-        Hit(hit_id=0, layer=0, position=(0.0, 0.0, 1.0)),
-        Hit(hit_id=0, layer=1, position=(0.5, 0.0, 1.1)),
-    ))
-    diags = validate_event(event, geometry)
-    assert any("duplicate hit id" in d for d in diags)
-    assert any("outside layer extents" in d for d in diags)
-
-
 def test_generated_events_always_validate(geometry):
     # fuzz: every generated event satisfies the event invariants
     for seed in range(100):
         sim = SimConfig(mean_multiplicity=20, rng_seed=seed)
         event = generate_event(sim, geometry, event_id=seed)
-        assert validate_event(event, geometry) == []
+        h = event.hits
+        x, y, z = h.positions.T
+        assert np.all((0 <= h.layers) & (h.layers < geometry.n_layers))
+        assert np.array_equal(z, np.array(geometry.layer_z)[h.layers])  # on its plane
+        assert np.all(np.abs(x) <= geometry.layer_half_extent_x)
+        assert np.all(np.abs(y) <= geometry.layer_half_extent_y)
+        assert len(np.unique(h.ids)) == len(h)
+        assert h.known.all() and np.isin(h.truth, event.particles.ids).all()
 
 
 # -- hit overlap -------------------------------------------------------------------

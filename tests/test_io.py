@@ -461,8 +461,9 @@ def assert_first_error(path, message, read):
      r"duplicate hit id \(event_id, hit_id\) = \(0, 3\)"),
     (lambda r: set_field(r, 1, str((BAD_ROW - 1) % 400)),
      rf"duplicate hit id \(event_id, hit_id\) = \({BAD_ROW // 400}, {(BAD_ROW - 1) % 400}\)"),
+    (lambda r: set_field(r, 2, "4"), r"layer 4 outside 0\.\.3"),
 ], ids=["field-count", "bad-hit-id", "bad-layer", "bad-truth-id", "bad-float", "non-finite",
-        "duplicate-of-earlier-block", "duplicate-within-block"])
+        "duplicate-of-earlier-block", "duplicate-within-block", "missing-layer"])
 def test_hits_error_past_first_block_names_first_bad_row(tmp_path, mutate, message, later):
     rows = hit_rows()
     rows[BAD_ROW] = mutate(rows[BAD_ROW])
@@ -625,6 +626,8 @@ def reference_read(path, table):
         values = [reference_field(text, kind, column, where)
                   for text, kind, column in zip(row, kinds, header) if kind]
         if table == "hits":
+            if not 0 <= values[2] <= 3:
+                raise DataFormatError(f"{where}: layer {values[2]} outside 0..3")
             if tuple(values[:2]) in seen:
                 raise DataFormatError(f"{where}: duplicate hit id (event_id, hit_id) = "
                                       f"({values[0]}, {values[1]})")
@@ -658,7 +661,8 @@ FLOATS = ["0", "-0.0", "0.5", "-1.25", "3e-05", "1e10", "7"]
 # the faults each table can have, and the columns a field fault may hit
 FAULTS = {
     "hits": {"bad int": [0, 1, 2, 6], "bad float": [3, 4, 5], "non-finite": [3, 4, 5],
-             "field count": [], "duplicate in block": [], "duplicate across blocks": []},
+             "field count": [], "duplicate in block": [], "duplicate across blocks": [],
+             "missing layer": []},
     "particles": {"bad int": [0, 1], "bad float": [2, 3, 4, 5, 6, 7, 8],
                   "non-finite": [2, 3, 4, 5, 6, 7, 8], "field count": [],
                   "zero direction": []},
@@ -697,6 +701,8 @@ def add_fault(table, fault, rows, block, allowed, draw):
     row = rows[i]
     if fault == "field count":
         rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    elif fault == "missing layer":
+        row[2] = draw(st.sampled_from(["-1", "4", "9223372036854775807"]))
     elif fault == "zero direction":
         row[6:9] = ["0", "-0.0", "0e0"]
     elif fault == "three hit ids":

@@ -6,10 +6,9 @@ import pytest
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
-from qubotrack.metrics import (TrackRecord, binned_curves, build_report,
-                               duplication_rate, efficiency, energy_resolution,
-                               fake_rate, match_hits, reconstructable_particles,
-                               truth_by_hit, wilson_interval)
+from qubotrack.metrics import (TrackRecord, build_report, match_hits,
+                               reconstructable_particles, truth_by_hit,
+                               wilson_interval)
 from qubotrack.pipeline import reconstruct_events, simulate_events
 
 
@@ -50,17 +49,17 @@ def fake_track(event, track_id=99):
 def test_efficiency_all_found():
     e = toy_event()
     tracks = [track_for(e, p, track_id=p) for p in range(3)]
-    assert efficiency([e], tracks) == 1.0
+    assert build_report([e], tracks).efficiency == 1.0
 
 
 def test_efficiency_no_tracks():
     e = toy_event()
-    assert efficiency([e], []) == 0.0
+    assert build_report([e], []).efficiency == 0.0
 
 
 def test_efficiency_absent_without_denominator():
     empty = Event(event_id=0, xi_label=0.0, hits=(), particles=())
-    assert efficiency([empty], []) is None
+    assert build_report([empty], []).efficiency is None
 
 
 def test_reconstructable_requires_all_layers():
@@ -73,19 +72,19 @@ def test_reconstructable_requires_all_layers():
 def test_fake_rate_counting():
     e = toy_event()
     tracks = [track_for(e, p, track_id=p) for p in range(3)]
-    assert fake_rate([e], tracks) == 0.0
+    assert build_report([e], tracks).fake_rate == 0.0
     tracks9 = [track_for(e, p % 3, track_id=p) for p in range(9)]
-    assert fake_rate([e], tracks9 + [fake_track(e)]) == pytest.approx(0.1)
-    assert fake_rate([e], []) is None
+    assert build_report([e], tracks9 + [fake_track(e)]).fake_rate == pytest.approx(0.1)
+    assert build_report([e], []).fake_rate is None
 
 
 def test_duplication_rate():
     e = toy_event(n_particles=4)
     tracks = [track_for(e, p, track_id=p) for p in range(4)]
-    assert duplication_rate([e], tracks) == 0.0
+    assert build_report([e], tracks).duplication_rate == 0.0
     doubled = tracks + [track_for(e, 0, track_id=9)]
-    assert duplication_rate([e], doubled) == pytest.approx(0.25)
-    assert duplication_rate([e], []) is None
+    assert build_report([e], doubled).duplication_rate == pytest.approx(0.25)
+    assert build_report([e], []).duplication_rate is None
 
 
 def test_match_track_majority_rule():
@@ -100,11 +99,11 @@ def test_match_track_majority_rule():
 def test_energy_resolution_exact_and_absent():
     e = toy_event()
     tracks = [track_for(e, p, track_id=p) for p in range(3)]
-    assert energy_resolution([e], tracks) == pytest.approx(0.0, abs=1e-12)
-    assert energy_resolution([e], tracks[:1]) is None  # below 2 entries
+    assert build_report([e], tracks).energy_resolution == pytest.approx(0.0, abs=1e-12)
+    assert build_report([e], tracks[:1]).energy_resolution is None  # below 2 entries
     off = [track_for(e, p, track_id=p, energy=event_energy * 1.01)
            for p, event_energy in ((0, 2.0), (1, 3.0), (2, 4.0))]
-    assert energy_resolution([e], off) == pytest.approx(0.01, rel=1e-9)
+    assert build_report([e], off).energy_resolution == pytest.approx(0.01, rel=1e-9)
 
 
 def test_resolution_grows_with_hit_resolution():
@@ -148,17 +147,17 @@ def test_wilson_interval_basics():
 def test_single_bin_reproduces_scalar_metrics():
     e = toy_event()
     tracks = [track_for(e, p, track_id=p) for p in range(2)]  # particle 2 missed
-    curves = binned_curves([e], tracks, edges=[0.0, 100.0])
-    eff = curves["efficiency_vs_true_energy"][0]
-    assert eff.value == pytest.approx(efficiency([e], tracks))
-    fk = curves["fake_rate_vs_track_energy"][0]
-    assert fk.value == pytest.approx(fake_rate([e], tracks))
+    report = build_report([e], tracks, [0.0, 100.0])
+    eff = report.curves["efficiency_vs_true_energy"][0]
+    assert eff.value == pytest.approx(report.efficiency)
+    fk = report.curves["fake_rate_vs_track_energy"][0]
+    assert fk.value == pytest.approx(report.fake_rate)
 
 
 def test_empty_bin_is_absent():
     e = toy_event()
     tracks = [track_for(e, p, track_id=p) for p in range(3)]
-    curves = binned_curves([e], tracks, edges=[0.0, 1.0, 100.0])
+    curves = build_report([e], tracks, [0.0, 1.0, 100.0]).curves
     first = curves["efficiency_vs_true_energy"][0]  # no particle below 1 GeV
     assert first.value is None and first.err_lo is None
 
@@ -166,13 +165,13 @@ def test_empty_bin_is_absent():
 def test_bin_edges_must_increase():
     e = toy_event()
     with pytest.raises(ValueError, match="increasing"):
-        binned_curves([e], [], edges=[1.0, 1.0])
+        build_report([e], [], [1.0, 1.0])
 
 
 def test_efficiency_binned_in_true_energy_fake_in_measured():
     e = toy_event()  # truth energies 2, 3, 4
     tracks = [track_for(e, 0, track_id=0, energy=50.0)]  # measured far away
-    curves = binned_curves([e], tracks, edges=[0.0, 10.0, 100.0])
+    curves = build_report([e], tracks, [0.0, 10.0, 100.0]).curves
     eff = curves["efficiency_vs_true_energy"]
     assert eff[0].denominator == 3 and eff[1].denominator == 0
     fk = curves["fake_rate_vs_track_energy"]
@@ -216,7 +215,7 @@ def test_lowest_energy_bin_efficiency_not_above_high_energy(desk_events, desk_co
     # scattering makes the pre-selection the bottleneck at low energy
     results, _ = reconstruct_events(desk_events, desk_config)
     tracks = [t for r in results for t in r.tracks]
-    curves = binned_curves(desk_events, tracks, edges=[0.0, 2.0, 3.0, 16.0])
+    curves = build_report(desk_events, tracks, [0.0, 2.0, 3.0, 16.0]).curves
     eff = curves["efficiency_vs_true_energy"]
     lowest = eff[0]
     high = eff[2]
@@ -344,9 +343,3 @@ def test_report_unchanged_on_multi_event_multi_label_run():
     events, tracks = _report_scenario()
     report = build_report(events, tracks, edges=[0.0, 3.0, 6.0, 10.0, 16.0])
     assert _rounded(report.to_dict()) == _rounded(expected)
-    # the standalone metric functions agree with the report
-    assert efficiency(events, tracks) == report.efficiency
-    assert fake_rate(events, tracks) == report.fake_rate
-    assert duplication_rate(events, tracks) == report.duplication_rate
-    assert energy_resolution(events, tracks) == report.energy_resolution
-    assert binned_curves(events, tracks, [0.0, 3.0, 6.0, 10.0, 16.0]) == report.curves

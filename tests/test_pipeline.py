@@ -1,9 +1,11 @@
 """The pool of speculative VQE sub-solves: who gets one, and that no
 process of it outlives the run."""
 
+import contextlib
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -101,6 +103,32 @@ time.sleep(60)
     while session_processes(child.pid) and time.monotonic() < deadline:
         time.sleep(0.05)
     assert session_processes(child.pid) == []
+
+
+@needs_proc
+def test_a_killed_jobs_run_leaves_no_worker(tmp_path):
+    run, cfg = tmp_path / "run", tmp_path / "config.json"
+    cfg.write_text(json.dumps(light_vqe_config()))
+    assert main(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(run),
+                 "--events", "40"]) == EXIT_OK
+    script = ("from qubotrack.cli import main; main(['reconstruct', '--config', "
+              f"{str(cfg)!r}, '--seed', '5', '--in', {str(run)!r}, '--jobs', '2'])")
+    with subprocess.Popen([sys.executable, "-c", script], env=child_env(),
+                          stdout=subprocess.DEVNULL, start_new_session=True) as child:
+        deadline = time.monotonic() + 60
+        while len(session_processes(child.pid)) < 3 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(session_processes(child.pid)) == 3  # the run and its two workers
+        child.kill()
+        child.wait(timeout=10)
+    deadline = time.monotonic() + 10
+    while session_processes(child.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert session_processes(child.pid) == []
+    finally:  # a worker left behind would otherwise run on after the test
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(child.pid, signal.SIGKILL)
 
 
 def test_a_dead_worker_is_replaced_at_the_next_event(monkeypatch):
