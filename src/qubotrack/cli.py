@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, SOLVERS
 from .fastsim import xi_to_multiplicity
-from .geometry import Event, shared_hits
+from .geometry import Event, GeometryConfig, build_geometry, shared_hits
 from .io import (DataFormatError, _write_table, config_hash, read_counts_csv, read_events,
                  read_json, read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
                  write_particles_csv, write_tracks_csv)
@@ -31,6 +31,9 @@ EXIT_DATA = 2
 EXIT_INVARIANT = 3
 
 DEFAULT_ENERGY_BINS = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0]
+# a hit's z may differ from its plane's by this fraction of the plane's z:
+# twice the rounding of the 9 significant digits the hits table is written with
+PLANE_TOLERANCE = 1e-8
 
 
 class InvariantViolation(Exception):
@@ -98,11 +101,27 @@ def _read_run_dir(run_dir: Path) -> tuple[list[Event], float]:
     return read_events(hits, particles, xi_label=xi_label), xi_label
 
 
+def _check_planes(events: list[Event], geometry: GeometryConfig, hits_path: Path) -> None:
+    """Every hit lies on its layer's plane, up to ``PLANE_TOLERANCE``."""
+    planes = np.array(geometry.layer_z)
+    for e in events:
+        h = e.hits
+        plane = planes[h.layers]
+        off = np.flatnonzero(np.abs(h.positions[:, 2] - plane) > PLANE_TOLERANCE * np.abs(plane))
+        if off.size:
+            k = off[0]
+            raise DataFormatError(
+                f"{hits_path}: hit {h.ids[k]} of event {e.event_id} has z "
+                f"{float(h.positions[k, 2])!r}, off the plane of layer {h.layers[k]} "
+                f"at z {float(plane[k])!r}")
+
+
 def cmd_reconstruct(args) -> int:
     config = _load_config(args)
     run_dir = Path(args.input)
     out = Path(args.out) if args.out else run_dir
     events, _ = _read_run_dir(run_dir)
+    _check_planes(events, build_geometry(config.geometry), run_dir / "hits.csv")
     out.mkdir(parents=True, exist_ok=True)
     results, calib_info = reconstruct_events(
         events, config, args.jobs, EventDumps(out, args.dump_qubo, args.debug_dump))
@@ -169,11 +188,17 @@ def cmd_evaluate(args) -> int:
         if not tracks_path.exists():
             raise DataFormatError(f"missing input file {tracks_path}")
         tracks = read_tracks_csv(tracks_path)
-        known = {e.event_id for e in events}
-        missing = sorted({t.event_id for t in tracks} - known)
+        hit_ids = {e.event_id: set(e.hits.ids.tolist()) for e in events}
+        missing = sorted({t.event_id for t in tracks} - hit_ids.keys())
         if missing:
             raise DataFormatError(
                 f"{tracks_path}: tracks reference events missing from truth: {missing}")
+        for t in tracks:
+            unknown = [h for h in t.hit_ids if h not in hit_ids[t.event_id]]
+            if unknown:
+                raise DataFormatError(
+                    f"{tracks_path}: track {t.track_id} of event {t.event_id} names "
+                    f"hit {unknown[0]}, missing from the event's hits")
         for e in events:
             h = e.hits
             dangling = np.flatnonzero(h.known & ~np.isin(h.truth, e.particles.ids))

@@ -50,24 +50,21 @@ are the sequential walk's, bit for bit, however fast the worker runs.
 Simulated annealing (:func:`solve_annealing`) is the classical baseline:
 one single-flip Metropolis loop over the whole objective, with no
 decomposition (:func:`solve_annealing_report` gives it a report). It
-returns the bits a per-flip NumPy loop returns that draws each sweep's
-flip indices with ``rng.integers(0, n, size=n)`` and its uniforms with
-``rng.random(n)``, but pays none of that loop's per-call overhead: the
-draws are replayed in bulk from the generator's raw PCG64 words by the
-arithmetic NumPy itself applies to them (and by NumPy itself where that
-arithmetic would redraw), a block of sweeps at a time. The loop reads
-the signed field g_i = -delta_i once a proposal and compares it with
-bounds in field units, each block's ``ln u`` (one ``np.log``) -+ 1e-12
-times T, a band that covers the rounding of ``np.log`` and ``np.exp``;
-within it ``u < np.exp(g_i / T)`` decides. The loop runs in Python on
-Python scalars; only the field and the row update depend on the row
-length. Short rows are Python lists of ``(j, b_ij)`` pairs; long ones
-(hundreds of entries a row, as at high multiplicity) stay CSR arrays, and
-an accepted flip applies its row with one NumPy scatter on a float64
-field, so no Python object is made per coupling. Rejections change
-nothing, so after a run of them one vectorised pass rejects the rest of
-the block up to the next proposal it cannot reject, which skips the
-frozen end of the schedule in bulk.
+draws from NumPy a block of about 2^16 proposals at a time, the flip
+indices by ``rng.integers(0, n, size=(b, n))`` and then the uniforms by
+``rng.random((b, n))`` for b sweeps; above 32 768 variables a block is
+one sweep, so the draws are those of one ``rng.integers(0, n, size=n)``
+and one ``rng.random(n)`` call per sweep. The loop reads the signed field
+g_i = -delta_i once a proposal and accepts when g_i >= 0 or g_i > T ln u,
+with T ln u one ``np.log`` of the block's uniforms times each sweep's T.
+The loop runs in Python on Python scalars; only the field and the row
+update depend on the row length. Short rows are Python lists of
+``(j, b_ij)`` pairs; long ones (hundreds of entries a row, as at high
+multiplicity) stay CSR arrays, and an accepted flip applies its row with
+one NumPy scatter on a float64 field, so no Python object is made per
+coupling. Rejections change nothing, so after a run of them one
+vectorised pass rejects the rest of the block up to the next proposal it
+cannot reject, which skips the frozen end of the schedule in bulk.
 """
 
 from __future__ import annotations
@@ -87,8 +84,7 @@ from .qubo import Assignment, Qubo, impacts, objective
 EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
 _BATCH_BITS = 12  # a batched chunk of exact sub-solves scores 2^12 states
-_REPLAY_PROPOSALS = 2 ** 16
-_LOG_BAND = 1e-12  # |y - ln u| within which np.exp decides a proposal
+_BLOCK_PROPOSALS = 2 ** 16  # the annealer draws about this many proposals at a time
 _LOOK_AHEAD_RUN = 4  # a look-ahead follows 4n rejections in a row
 _SEGMENT = 128  # proposals of a block turned into Python lists at a time
 _SCATTER_ROW = 32  # mean row length above which an accepted flip scatters its row
@@ -523,57 +519,16 @@ class AnnealSchedule:
 
 def _sweep_draws(rng: np.random.Generator, n: int,
                  sweeps: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield the sweeps' draws in blocks ``(flips, uniforms)``, both (b, n)
-    arrays: row s is exactly what ``rng.integers(0, n, size=n)`` and then
-    ``rng.random(n)`` return for the block's sweep s.
-
-    The draws are replayed from raw PCG64 words, read in blocks of an even
-    number of sweeps (about ``_REPLAY_PROPOSALS`` proposals a block).
-    NumPy draws each flip from a 32-bit half of a word, low half first,
-    with the high half buffered until the next flip, and maps it to
-    ``(half * n) >> 32`` (Lemire's multiply-shift); for n == 1 it draws
-    nothing. Each uniform takes one whole word as ``(word >> 11) * 2**-53``.
-    So a pair of sweeps reads ceil(n/2) flip words, n uniforms, floor(n/2)
-    flip words and n uniforms; the block is reshaped to one row per pair,
-    and the flip words' halves, split by a mask and a shift, are the pair's
-    2n flips in order, so no half is buffered across a block boundary.
-    Where NumPy would reject a half and draw again (its low 32 bits of
-    ``half * n`` below ``2**32 mod n``), the block is abandoned: the
-    generator is reset to the block start and the remaining sweeps come
-    from ``rng.integers`` and ``rng.random`` themselves, one sweep a block.
-    """
-    halves_per_sweep = n if n > 1 else 0
-    head, tail = -(-halves_per_sweep // 2), halves_per_sweep // 2
-    width = halves_per_sweep + 2 * n  # raw words a pair of sweeps reads
-    threshold = 2 ** 32 % max(n, 1)
-    low, shift = np.uint64(2 ** 32 - 1), np.uint64(32)
-    block = max(2, _REPLAY_PROPOSALS // max(n, 1) // 2 * 2)
-    done = 0
-    while done < sweeps:
+    """Yield the sweeps' draws in blocks ``(flips, uniforms)``: for a block
+    of b sweeps, ``rng.integers(0, n, size=(b, n))`` and then
+    ``rng.random((b, n))``, row s for the block's sweep s. A block is
+    ``_BLOCK_PROPOSALS // n`` sweeps (at least one; the last block takes
+    what is left), so above ``_BLOCK_PROPOSALS // 2`` variables it is one
+    sweep, drawn as ``rng.integers(0, n, size=n)`` and ``rng.random(n)``."""
+    block = max(1, _BLOCK_PROPOSALS // n)
+    for done in range(0, sweeps, block):
         b = min(block, sweeps - done)
-        pairs = -(-b // 2)
-        start = rng.bit_generator.state
-        words = rng.bit_generator.random_raw(pairs * width - b % 2 * (tail + n))
-        if b % 2:  # an odd last sweep: pad its pair's second sweep, never read
-            words = np.concatenate((words, np.zeros(tail + n, np.uint64)))
-        words = words.reshape(pairs, width)
-        uniforms = np.stack((words[:, head:head + n], words[:, width - n:]), axis=1)
-        uniforms = (uniforms.reshape(2 * pairs, n)[:b] >> np.uint64(11)) * 2.0 ** -53
-        if halves_per_sweep:
-            flip_words = np.concatenate((words[:, :head], words[:, head + n:head + n + tail]),
-                                        axis=1)
-            halves = np.stack((flip_words & low, flip_words >> shift), axis=2)
-            products = halves.reshape(2 * pairs, n)[:b] * np.uint64(n)
-            if threshold and np.any((products & low) < threshold):
-                rng.bit_generator.state = start
-                break
-            flips = (products >> shift).astype(np.intp)
-        else:
-            flips = np.zeros((b, n), np.intp)
-        yield flips, uniforms
-        done += b
-    for _ in range(done, sweeps):
-        yield rng.integers(0, n, size=(1, n)), rng.random((1, n))
+        yield rng.integers(0, n, size=(b, n)), rng.random((b, n))
 
 
 def _anneal(local: list[float] | array.array, rows, current: float,
@@ -592,20 +547,14 @@ def _anneal(local: list[float] | array.array, rows, current: float,
     arrays ``(indptr, indices, data)``, applied by one NumPy scatter on a
     float64 view of ``local`` (a row's columns are distinct).
 
-    Per block of draws, one ``np.log`` of the uniforms and one product with
-    each sweep's T give the bounds in field units: a proposal is accepted
-    when g_i >= 0 or g_i > (ln u + ``_LOG_BAND``) T, rejected when
-    g_i < (ln u - ``_LOG_BAND``) T, and otherwise decided as
-    ``u < np.exp(g_i / T)``. A nonzero replayed u is at least 2**-53, so
-    |ln u| < 37.5, where the band is over a hundred ulps, wider than the
-    rounding of ``np.log`` and ``np.exp``. The product needs no margin:
-    rounding is monotonic, so g_i < fl(x T) implies g_i / T <= x after
-    rounding (likewise >) at any T > 0, subnormal or overflowing. So every
-    decision is that test's. ``np.exp`` also decides every u below 2**-53
-    (u == 0 is rejected once ``np.exp`` underflows), and a NaN field fails
-    every test. After ``_LOOK_AHEAD_RUN * n`` rejections in a row one
-    vectorised pass applies the reject test to the rest of the block at
-    the unchanged state, resuming at the first proposal it keeps."""
+    Per block of draws, one ``np.log`` of the uniforms times each sweep's T
+    gives the floor T ln u in field units, and a proposal is accepted when
+    g_i >= 0 or g_i > T ln u: the Metropolis test u < exp(g_i / T) up to
+    the rounding of the log and the product. A u of 0 gives -inf, which any
+    finite field passes, and a NaN field fails both tests. After
+    ``_LOOK_AHEAD_RUN * n`` rejections in a row one vectorised pass rejects,
+    at the unchanged state, every proposal of the rest of the block that
+    fails both tests, resuming at the first proposal it keeps."""
     n = len(local)
     scatter = isinstance(rows, tuple)
     if scatter:
@@ -623,24 +572,18 @@ def _anneal(local: list[float] | array.array, rows, current: float,
         temps = temperatures[done:done + b]
         done += b
         with np.errstate(divide="ignore", over="ignore"):
-            logs = np.log(uniforms)
-            # a replayed u is 0 or at least 2**-53; np.exp decides any u below that
-            bulk = uniforms >= 2.0 ** -53
-            lower = (np.where(bulk, logs - _LOG_BAND, -np.inf) * temps[:, None]).ravel()
-            upper = (np.where(bulk, logs + _LOG_BAND, np.inf) * temps[:, None]).ravel()
-        flips, uniforms, temps = flips.ravel(), uniforms.ravel(), temps.tolist()
+            floors = (np.log(uniforms) * temps[:, None]).ravel()
+        flips = flips.ravel()
         pos = 0
         while pos < len(flips):
             # Python lists of the next segment only: the look-ahead skips
             # most of a block without reading it
             end = pos + _SEGMENT
-            segment = zip(range(pos, end), flips[pos:end].tolist(), lower[pos:end].tolist(),
-                          upper[pos:end].tolist())
+            segment = zip(range(pos, end), flips[pos:end].tolist(), floors[pos:end].tolist())
             pos = end
-            for p, i, lo, hi in segment:
+            for p, i, floor in segment:
                 g = local[i]
-                if not g < lo and (g >= 0.0 or g > hi
-                                   or uniforms[p] < np.exp(g / temps[p // n])):
+                if g >= 0.0 or g > floor:
                     if scatter:
                         cols = indices[bounds[i]:bounds[i + 1]]
                         if sign[i] > 0.0:
@@ -668,7 +611,8 @@ def _anneal(local: list[float] | array.array, rows, current: float,
                     # current state; resume at the first proposal it keeps
                     run = 0
                     gains = gain if scatter else np.array(local)
-                    rejected = gains[flips[p + 1:]] < lower[p + 1:]
+                    ahead = gains[flips[p + 1:]]
+                    rejected = ~((ahead >= 0.0) | (ahead > floors[p + 1:]))
                     pos = p + 1 + (len(rejected) if rejected.all()
                                    else int(rejected.argmin()))
                     break
@@ -680,19 +624,20 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     """Single-flip Metropolis with geometric cooling; returns the best state seen.
 
     Starts from all-ones. Each sweep proposes n flips at indices from
-    ``rng.integers(0, n, size=n)`` and accepts flip i when its change
-    delta = (1 - 2 T_i) * field_i is <= 0 or when ``rng.random(n)``'s
-    matching uniform u is below ``np.exp(-delta / temperature)``. The
-    draws are replayed in bulk from the generator's raw words
-    (:func:`_sweep_draws`), and the loop (:func:`_anneal`) runs in Python:
-    it keeps -delta, which is +-field_i exactly, decides each test against
-    bounds from a bulk ``np.log`` of the uniforms times T and only near
-    ``ln u`` by ``np.exp`` itself, an accepted flip adds or subtracts its
-    coupling row times the signs of the bits (the operations of adding the
-    row times +-1), runs of rejections are skipped by a vectorised
-    look-ahead, and the best state is brought up to date from a log of the
-    flips made since the last improvement instead of a copy per improvement.
-    So the bits are those a per-flip NumPy loop over the generator returns.
+    ``rng.integers`` and accepts flip i when its change
+    delta = (1 - 2 T_i) * field_i is <= 0 or when -delta > T ln u, u the
+    flip's uniform from ``rng.random``. The draws come a block of sweeps
+    at a time (:func:`_sweep_draws`): about 2^16 proposals a block, one
+    sweep a block above 32 768 variables, where the stream is that of one
+    ``rng.integers(0, n, size=n)`` and one ``rng.random(n)`` call a sweep.
+    The loop (:func:`_anneal`) runs in Python: it keeps -delta, which is
+    +-field_i exactly, compares it with the block's ``np.log(u)`` times T,
+    an accepted flip adds or subtracts its coupling row times the signs of
+    the bits (the operations of adding the row times +-1), runs of
+    rejections are skipped by a vectorised look-ahead, and the best state
+    is brought up to date from a log of the flips made since the last
+    improvement instead of a copy per improvement. So the bits are those a
+    per-flip NumPy loop over the same block draws returns.
 
     The starting fields sum each row in the order the CSR matvec sums it,
     by ``np.bincount`` over the CSR. Short rows (at most ``_SCATTER_ROW``

@@ -256,6 +256,50 @@ def test_a_hit_on_a_missing_layer_is_a_data_error(tmp_path, capsys):
         assert f"hits.csv:{line}: layer 7 outside 0..3" in err and "Traceback" not in err
 
 
+def test_evaluate_rejects_a_track_hit_missing_from_its_event(tmp_path, capsys):
+    run, _ = run_pipeline(tmp_path, events=2)
+    rows = (run / "tracks.csv").read_text().splitlines(keepends=True)
+    fields = rows[1].split(",")
+    eid, tid, hit_ids = fields[0], fields[1], fields[2].split(";")
+    hit_ids[1] = "999999"
+    fields[2] = ";".join(hit_ids)
+    rows[1] = ",".join(fields)
+    (run / "tracks.csv").write_text("".join(rows))
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"tracks.csv: track {tid} of event {eid} names hit 999999, missing from "
+            f"the event's hits") in err
+    assert "Traceback" not in err
+
+
+def test_reconstruct_rejects_a_hit_off_its_plane(tmp_path, capsys):
+    # the planes at this pitch do not survive the hits table's 9-digit
+    # print, so reading the file back needs the tolerance
+    spacing = 0.1234567891
+    run = tmp_path / "run"
+    cfg = write_config(tmp_path / "config.json", sim={"mean_multiplicity": 5.0},
+                       geometry={"layer_spacing": spacing})
+    reconstruct = ["reconstruct", "--config", str(cfg), "--seed", "3", "--in", str(run)]
+    assert main(["simulate", "--config", str(cfg), "--seed", "3", "--out", str(run),
+                 "--events", "2"]) == EXIT_OK
+    rows = (run / "hits.csv").read_text().splitlines(keepends=True)
+    k = next(k for k, r in enumerate(rows[1:], 1) if r.split(",")[2] == "2"
+             and r.split(",")[6])
+    fields = rows[k].split(",")
+    assert float(fields[5]) != 1.0 + 2 * spacing
+    assert main(reconstruct) == EXIT_OK
+    fields[5] = "1.25"
+    rows[k] = ",".join(fields)
+    (run / "hits.csv").write_text("".join(rows))
+    capsys.readouterr()
+    assert main(reconstruct) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"hits.csv: hit {fields[1]} of event {fields[0]} has z 1.25, off the plane "
+            f"of layer 2 at z {1.0 + 2 * spacing!r}") in err
+    assert "Traceback" not in err
+
+
 def test_simulate_negative_event_count_is_a_usage_error(tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run), "--events", "-2"]) == EXIT_USAGE
@@ -267,10 +311,13 @@ def test_evaluate_invariant_violation_exit_three(tmp_path, capsys):
     run, _ = run_pipeline(tmp_path)
     lines = (run / "tracks.csv").read_text().splitlines()
     first = lines[1].split(",")
-    # a track sharing only one hit with the first is allowed
-    single = [first[0], "76",
-              ";".join([first[2].split(";")[0], "1000001", "1000002", "1000003"]),
-              *first[3:]]
+    used = {h for line in lines[1:] if line.split(",")[0] == first[0]
+            for h in line.split(",")[2].split(";")}
+    free = [r.split(",")[1] for r in (run / "hits.csv").read_text().splitlines()[1:]
+            if r.split(",")[0] == first[0] and r.split(",")[1] not in used]
+    assert len(free) >= 3
+    # a track sharing only one hit with the first, and none with any other, is allowed
+    single = [first[0], "76", ";".join([first[2].split(";")[0], *free[:3]]), *first[3:]]
     lines.append(",".join(single))
     (run / "tracks.csv").write_text("\n".join(lines) + "\n")
     assert main(["evaluate", "--in", str(run),

@@ -95,14 +95,18 @@ time.sleep(60)
 """
     with subprocess.Popen([sys.executable, "-c", script], env=child_env(),
                           stdout=subprocess.PIPE, text=True, start_new_session=True) as child:
-        assert child.stdout.readline() == "ready\n"
-        assert len(session_processes(child.pid)) == 2  # the run and its one worker
-        child.kill()
-        child.wait(timeout=10)
-    deadline = time.monotonic() + 10
-    while session_processes(child.pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    assert session_processes(child.pid) == []
+        try:
+            assert child.stdout.readline() == "ready\n"
+            assert len(session_processes(child.pid)) == 2  # the run and its one worker
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while session_processes(child.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert session_processes(child.pid) == []
+        finally:  # a worker left behind would otherwise run on after the test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
 
 
 @needs_proc
@@ -118,17 +122,17 @@ def test_a_killed_jobs_run_leaves_no_worker(tmp_path):
         deadline = time.monotonic() + 60
         while len(session_processes(child.pid)) < 3 and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert len(session_processes(child.pid)) == 3  # the run and its two workers
-        child.kill()
-        child.wait(timeout=10)
-    deadline = time.monotonic() + 10
-    while session_processes(child.pid) and time.monotonic() < deadline:
-        time.sleep(0.05)
-    try:
-        assert session_processes(child.pid) == []
-    finally:  # a worker left behind would otherwise run on after the test
-        with contextlib.suppress(ProcessLookupError):
-            os.killpg(child.pid, signal.SIGKILL)
+        try:
+            assert len(session_processes(child.pid)) == 3  # the run and its two workers
+            child.kill()
+            child.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while session_processes(child.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert session_processes(child.pid) == []
+        finally:  # a worker left behind would otherwise run on after the test
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(child.pid, signal.SIGKILL)
 
 
 def test_a_dead_worker_is_replaced_at_the_next_event(monkeypatch):
