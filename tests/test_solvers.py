@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -330,6 +331,25 @@ def test_sweep_draws_are_numpy_blocks(n, block):
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 101, 5000])
+def test_sweep_draws_cover_every_sweep_once(n):
+    """At any sweep count, below a block, at one and past whole blocks, the
+    draws are whole blocks of 2**16 // n sweeps and then what is left, each
+    block's integers in [0, n) before its uniforms in [0, 1)."""
+    block = 2 ** 16 // n
+    for sweeps in sorted({1, 3, 41, block - 1, block, block + 1, 2 * block + 3} - {0}):
+        rng, reference = np.random.default_rng(sweeps), np.random.default_rng(sweeps)
+        sizes = []
+        for flips, uniforms in _sweep_draws(rng, n, sweeps):
+            assert flips.shape == uniforms.shape == (len(flips), n)
+            assert np.array_equal(flips, reference.integers(0, n, size=flips.shape))
+            assert np.array_equal(uniforms, reference.random(uniforms.shape))
+            assert 0 <= flips.min() and flips.max() < n
+            sizes.append(len(flips))
+        assert sizes == [block] * (sweeps // block) + [sweeps % block] * (sweeps % block > 0)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
 def feed_draws(monkeypatch, flips, uniforms):
     """Make the annealer read one block of the given draws, one row per
     sweep, instead of the generator's."""
@@ -375,6 +395,33 @@ def test_metropolis_acceptance_is_the_log_floor(t, monkeypatch):
             assert uphill_accepted(monkeypatch, g, float(u), t) == want
 
 
+@pytest.mark.parametrize("y", [-1e-300, -1e-12, -0.3, -0.5303102798931427,
+                               -1.3223463917696752, -17.2, -702.4603206664049,
+                               -740.0, -744.4])
+def test_metropolis_acceptance_is_exp_beyond_the_rounding(y, monkeypatch):
+    """At T = 1 an uphill flip with -delta = y is accepted exactly when
+    u < exp(y), exp(y) taken to 40 digits, at every u farther from exp(y)
+    than a relative 1e-9, which the rounding of np.log does not reach:
+    subnormal u included, where exp(y) and its neighbours are ulps apart."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        threshold = Decimal(y).exp()
+    e = float(np.exp(y))
+    us = {0.0, 0.5, 1.0 - 2.0 ** -53, e / 4, e / 2, 2 * e, 4 * e}
+    us |= {e * (1.0 + s * 10.0 ** -p) for s in (-1, 1) for p in (3, 6, 8)}
+    near = [e]
+    for _ in range(3):
+        near = [np.nextafter(near[0], 0.0)] + near + [np.nextafter(near[-1], 1.0)]
+    us |= {float(u) for u in near}
+    checked = 0
+    for u in sorted(us):
+        if not 0.0 <= u < 1.0 or abs(Decimal(u) - threshold) <= threshold * Decimal("1e-9"):
+            continue
+        assert uphill_accepted(monkeypatch, y, u) == (Decimal(u) < threshold), u
+        checked += 1
+    assert checked >= 5
+
+
 def test_metropolis_accepts_any_finite_uphill_flip_at_zero_uniform(monkeypatch):
     for y in (-1e-300, -0.5, -744.4, -800.0, -1e5):
         assert uphill_accepted(monkeypatch, y, 0.0)
@@ -418,7 +465,7 @@ def test_nan_change_is_rejected(monkeypatch):
 
 def reference_annealing(qubo, schedule, seed):
     """Per-flip Metropolis on NumPy scalars: the loop the solver must equal.
-    Each block of 2**16 // n sweeps draws its flips with
+    Each block of ``_BLOCK_PROPOSALS // n`` sweeps (2**16 // n) draws its flips with
     ``rng.integers(0, n, size=(b, n))`` and then its uniforms with
     ``rng.random((b, n))``; a flip is accepted when -delta >= 0 or
     -delta > T ln u, with T ln u taken on the block's arrays."""
@@ -431,7 +478,7 @@ def reference_annealing(qubo, schedule, seed):
     current = objective(qubo, bits)
     best_bits, best_obj = bits.copy(), current
     temperatures = schedule.temperatures()
-    block = max(1, 2 ** 16 // max(n, 1))
+    block = max(1, solvers._BLOCK_PROPOSALS // max(n, 1))
     for start in range(0, len(temperatures), block):
         temps = temperatures[start:start + block]
         flips = rng.integers(0, n, size=(len(temps), n))
@@ -480,6 +527,24 @@ def test_annealing_zero_changes_equal_reference():
         q = whole_number_qubo(rng, int(rng.integers(1, 12)))
         schedule = AnnealSchedule(t_initial=float(rng.uniform(0.05, 3.0)),
                                   t_final=float(rng.uniform(1e-4, 0.05)),
+                                  sweeps=int(rng.integers(1, 120)))
+        assert solve_annealing(q, schedule, seed=trial).tolist() == \
+            reference_annealing(q, schedule, trial).tolist()
+
+
+@pytest.mark.parametrize("block_proposals", [1, 2, 5, 16, 63])
+def test_annealing_over_many_blocks_equals_per_flip_reference(block_proposals, monkeypatch):
+    """Blocks of a few proposals split a run into many blocks: each block
+    takes its own sweeps' temperatures, and a look-ahead stops at the end of
+    its block."""
+    monkeypatch.setattr(solvers, "_BLOCK_PROPOSALS", block_proposals)
+    rng = np.random.default_rng(7000 + block_proposals)
+    for trial in range(12):
+        n = int(rng.integers(1, 12))
+        q = (whole_number_qubo(rng, n) if trial % 3 == 2
+             else random_qubo(rng, n, paper_like=bool(trial % 2)))
+        schedule = AnnealSchedule(t_initial=float(rng.uniform(0.05, 3.0)),
+                                  t_final=float(rng.choice([1e-3, 0.05])),
                                   sweeps=int(rng.integers(1, 120)))
         assert solve_annealing(q, schedule, seed=trial).tolist() == \
             reference_annealing(q, schedule, trial).tolist()
