@@ -128,9 +128,10 @@ class Qubo:
         return dict(zip(zip(i.tolist(), j.tolist()), b.tolist()))
 
     def coupling_field(self, t: np.ndarray) -> np.ndarray:
-        """Coupling field sum_j b_ij t_j of every variable (a CSR matvec)."""
+        """Coupling field sum_j b_ij t_j of every variable (a CSR matvec), as
+        float64 also when there are no couplings."""
         return np.bincount(self.entry_rows(), weights=self.data * t[self.indices],
-                           minlength=self.n)
+                           minlength=self.n).astype(float, copy=False)
 
 
 def linear_coefficients(delta_theta: np.ndarray, theta_scale: float) -> np.ndarray:

@@ -10,40 +10,37 @@ sub-solver, and the merged solution is accepted only if the global
 objective does not increase.
 
 The full objective stays a symmetric CSR (see :class:`~qubotrack.qubo.Qubo`);
-no n x n matrix is formed. Once per iteration, one vectorised pass over the
-CSR labels every entry with its variable's group and position, scatters
-the entries inside a group into a dense k x k block per group, and keeps
-each group's outside entries in CSR order. A group's sub-problem is then
-its block and the linear vector ``linear[group] + boundary``, the boundary
-summed from those outside entries against the running assignment, so no
-per-group ``Qubo`` is built. Exact enumeration scores all 2^k states of a
-block with a state table cached per k. Since a sub-problem differs from
-the full objective by a constant, the sequential (Gauss-Seidel) loop
-scores a group's update as the change of the sub-problem objective, read
-from the block in O(k^2), and skips a group whose sub-solve returns its
-current bits. Every sum runs in the order the sparse objective sums it,
-so the loop's values are bit for bit those of per-group sparse
-sub-problems.
+no n x n matrix is formed. Each iteration computes the coupling field
+sum_j b_ij t_j once (one CSR matvec), which gives the impacts and every
+boundary term. One vectorised pass over the CSR scatters the couplings
+inside each group into a dense k x k block; the others are read only
+through the field. A group's sub-problem is its block and the linear
+vector ``linear + (field - B t)``, so no per-group ``Qubo`` is built. An
+accepted update adds each flipped variable's CSR row to the field
+(subtracts it for a 1 -> 0 flip) and marks the groups the row reaches
+stale: no other group's cut changes, bit for bit. Since a sub-problem
+differs from the full objective by a constant, the sequential
+(Gauss-Seidel) loop scores an update as the change of the sub-problem
+objective, read from the block in O(k^2). The batched, per-group and
+speculative cuts of a group are one computation and agree bit for bit;
+they sum in another order than the sparse rows, so a linear vector can
+differ from a row-order sum in its last bits.
 
-Exact sub-problems are not enumerated one call per group. Once per
-iteration the groups of k <= 12 variables are enumerated together, a
-chunk of 2^12 states (2^(12 - k) groups) at a time when the walk reaches
-it, by stacked products that compute each group's slice as a single
-enumeration computes it. A group keeps its batched answer, and is passed
-over at once when that answer is its current bits, until an accepted
-flip reaches one of its outside couplings; such a stale group re-reads
-its boundary and re-scores its states against its block's quadratic
-energies, which no flip changes. The short last group and k > 12 are
-enumerated one at a time, and the VQE sub-solver is called once per
-group.
+Exact sub-problems of k <= 12 variables are enumerated together, a chunk
+of 2^12 states (2^(12 - k) groups) at a time when the walk reaches it,
+by stacked products that give each group's slice as a single enumeration
+computes it, from a state table cached per k. A group keeps its batched
+answer, passed over at once when it is the current bits, until it is
+marked stale; it then re-reads its linear vector and re-scores its states
+against its block's quadratic energies, which no flip changes. The short
+last group and k > 12 are enumerated one at a time, and the VQE
+sub-solver is called once per group.
 
 Given an executor, the walk also solves VQE sub-problems ahead of itself
-on another core: an iteration's groups are cut at the running bits and
-handed out from the last group back, one task at a time, while the walk
-moves forward. The walk takes the worker's answer for a group no
-accepted flip has reached since the iteration began (the stale groups,
-the same bookkeeping the batched exact sub-solves use), because both
-cuts are then the cut at the iteration's starting bits; a stale group is
+on another core: groups are cut at the running bits and handed out from
+the last group back, one task at a time, while the walk moves forward.
+The walk takes the worker's answer for a group that is not stale, whose
+field entries and bits are then those it was cut at; a stale group is
 not handed out, and the walk solves it itself. So the accepted updates
 are the sequential walk's, bit for bit, however fast the worker runs.
 
@@ -79,7 +76,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .qubo import Assignment, Qubo, impacts, objective
+from .qubo import Assignment, Qubo, objective
 
 EXACT_ENUMERATION_LIMIT = 24
 _CHUNK_BITS = 16
@@ -150,16 +147,18 @@ def solve_exact(problem: Qubo | tuple[np.ndarray, np.ndarray]) -> Assignment:
     return ((best_state >> var_bits) & 1).astype(np.int8)
 
 
-def _impact_groups(qubo: Qubo, bits: Assignment, k: int) -> list[np.ndarray]:
-    """Group variables by descending |impact| into runs of at most k.
-
-    Indices inside a group are sorted ascending: the grouping is what the
-    decomposition depends on, and a canonical in-group order keeps exact
-    sub-solves (and their tie-breaks) aligned with the full problem.
-    """
+def _impact_groups(qubo: Qubo, bits: Assignment, k: int,
+                   field: np.ndarray) -> list[np.ndarray]:
+    """Group variables by descending |impact| into runs of at most k; the
+    impacts (1 - 2 t_i)(a_i + field_i) at the coupling ``field`` of ``bits``
+    are :func:`~qubotrack.qubo.impacts`' bit for bit. Indices inside a group
+    are sorted ascending: the grouping is what the decomposition depends
+    on, and a canonical in-group order keeps exact sub-solves (and their
+    tie-breaks) aligned with the full problem."""
     if k < 1:
         raise ValueError("sub-problem size k must be >= 1")
-    order = np.argsort(-np.abs(impacts(qubo, bits)), kind="stable")
+    order = np.argsort(-np.abs(np.where(bits, -1.0, 1.0) * (qubo.linear + field)),
+                       kind="stable")
     full = qubo.n - qubo.n % k
     groups = list(np.sort(order[:full].reshape(-1, k), axis=1))
     if full < qubo.n:
@@ -172,62 +171,75 @@ class _GroupSplit:
     """One iteration's groups cut out of the objective (:func:`_split_groups`)."""
 
     linear: np.ndarray
+    field: np.ndarray    # the coupling field at the running bits (:func:`_update_field`)
     groups: list[np.ndarray]
     order: np.ndarray    # the groups' variables, group after group
     group_of: np.ndarray  # a variable's group
     blocks: np.ndarray   # (groups, k, k): couplings inside a group, by position
-    bounds: list[int]    # group g's outside entries are [bounds[g], bounds[g + 1])
-    rows: np.ndarray     # an outside entry's position in its group
-    cols: np.ndarray     # an outside entry's variable
-    vals: np.ndarray     # an outside entry's coupling
+    stale: np.ndarray    # a group an accepted flip reached since it was last cut
 
 
-def _split_groups(qubo: Qubo, groups: list[np.ndarray], k: int) -> _GroupSplit:
-    """Cut every group's couplings out of the CSR in one vectorised pass.
+def _split_groups(qubo: Qubo, groups: list[np.ndarray], k: int, field: np.ndarray,
+                  rows: np.ndarray) -> _GroupSplit:
+    """Cut every group's dense block out of the CSR in one vectorised pass.
 
     ``groups`` are :func:`_impact_groups`' runs: ascending indices, k in
-    every group but the last. The rows are read group after group, each
-    row's entries in column order. An entry whose column is in its row's
-    group goes into that group's dense block; the others are kept in that
-    order as the group's outside entries."""
+    every group but the last; ``rows`` is :meth:`~qubotrack.qubo.Qubo.entry_rows`.
+    The couplings to the rest are read only through ``field``."""
     n = qubo.n
     order = np.concatenate(groups) if groups else np.zeros(0, dtype=np.intp)
-    group_of = np.empty(n, dtype=np.intp)
+    group_of = np.empty(n, dtype=np.int32)  # half the bytes to gather per entry
     pos_of = np.empty(n, dtype=np.intp)
     group_of[order], pos_of[order] = np.divmod(np.arange(n), k)
-    lengths = np.diff(qubo.indptr)[order]
-    rows = np.repeat(order, lengths)
-    # positions of the rows' entries in the CSR arrays, row after row
-    entries = np.arange(len(rows)) + np.repeat(
-        qubo.indptr[order] - np.cumsum(lengths) + lengths, lengths)
-    cols, vals = qubo.indices[entries], qubo.data[entries]
-    group = group_of[rows]
-    inside = group_of[cols] == group
+    inside = np.flatnonzero(group_of[rows] == group_of[qubo.indices])
+    row, col = rows[inside], qubo.indices[inside]
     blocks = np.zeros((len(groups), k, k))
-    blocks[group[inside], pos_of[rows[inside]], pos_of[cols[inside]]] = vals[inside]
-    outside = ~inside
-    bounds = np.zeros(len(groups) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(group[outside], minlength=len(groups)), out=bounds[1:])
-    return _GroupSplit(qubo.linear, groups, order, group_of, blocks, bounds.tolist(),
-                       pos_of[rows[outside]], cols[outside], vals[outside])
+    blocks[group_of[row], pos_of[row], pos_of[col]] = qubo.data[inside]
+    return _GroupSplit(qubo.linear, field, groups, order, group_of, blocks,
+                       np.zeros(len(groups), dtype=bool))
+
+
+def _linear_terms(split: _GroupSplit, members: np.ndarray, blocks: np.ndarray,
+                  bits: Assignment) -> np.ndarray:
+    """Linear vectors a_i + (field_i - (B t)_i) of ``members`` (one group's
+    variables, or a (groups, k) stack) with their ``blocks``: the field less
+    the block's own part is the boundary term. Each row of B t is summed left
+    to right, so a group's vector has the same bits alone or stacked."""
+    own = np.add.accumulate(blocks * bits[members][..., None, :], axis=-1)[..., -1]
+    return split.linear[members] + (split.field[members] - own)
 
 
 def _restrict(split: _GroupSplit, g: int,
               bits: Assignment) -> tuple[np.ndarray, np.ndarray]:
     """Group g's sub-problem ``(a, B)`` with the outside assignment frozen.
 
-    B is the group's dense block. ``a`` is the group's linear coefficients
-    plus the boundary term: its outside entries summed against ``bits``, in
-    CSR order. Minimising the sub-problem is equivalent to minimising the
-    full objective with the outside variables fixed. Costs O(k * degree),
-    independent of n."""
-    indices = split.groups[g]
-    m = len(indices)
-    lo, hi = split.bounds[g], split.bounds[g + 1]
-    boundary = np.bincount(split.rows[lo:hi],
-                           weights=split.vals[lo:hi] * bits[split.cols[lo:hi]],
-                           minlength=m)
-    return split.linear[indices] + boundary, split.blocks[g, :m, :m].copy()
+    B is the group's dense block, ``a`` its linear coefficients plus the
+    boundary term read off the field (:func:`_linear_terms`). Minimising
+    the sub-problem is minimising the full objective with the outside
+    variables fixed. Costs O(k^2), independent of n."""
+    m = len(split.groups[g])
+    block = split.blocks[g, :m, :m]
+    return _linear_terms(split, split.groups[g], block, bits), block.copy()
+
+
+def _update_field(qubo: Qubo, bounds: list[int], split: _GroupSplit, indices: np.ndarray,
+                  old: Assignment, new: Assignment) -> None:
+    """Keep the split's field current after the bits of ``indices`` went
+    from ``old`` to ``new`` (one at least): add each flipped variable's
+    CSR row ``[bounds[i], bounds[i + 1])`` (subtract it for a 1 -> 0 flip;
+    its columns are distinct, so the fancy-index add is exact) and mark the
+    groups the rows reach stale. No other group's cut has changed."""
+    reached = []
+    for i, was, bit in zip(indices.tolist(), old.tolist(), new.tolist()):
+        if was != bit:
+            lo, hi = bounds[i], bounds[i + 1]
+            cols = qubo.indices[lo:hi]
+            if bit:
+                split.field[cols] += qubo.data[lo:hi]
+            else:
+                split.field[cols] -= qubo.data[lo:hi]
+            reached.append(cols)
+    split.stale[split.group_of[np.concatenate(reached)]] = True
 
 
 def _block_objective(a: np.ndarray, block: np.ndarray, bits: Assignment) -> float:
@@ -248,24 +260,21 @@ class _ExactBatch:
 
     Covers the groups of exactly k <= ``_BATCH_BITS`` variables; the short
     last group is left to :func:`solve_exact`. When the walk reaches a
-    chunk of 2^(``_BATCH_BITS`` - k) groups (2^``_BATCH_BITS`` states in
-    all, so memory does not grow with n), their boundaries are summed by
-    one bincount (each bin in CSR order, as :func:`_restrict` sums it) and
-    all 2^k states of every group are scored by stacked products that
-    compute each group's slice as :func:`solve_exact` computes it. A group
-    in the walk's ``stale`` set, which an accepted flip has reached since
-    (:func:`_reached`), re-reads its boundary with :func:`_restrict` and
-    re-scores against its block's quadratic energies, which no flip
-    changes. So every answer is :func:`solve_exact`'s on the running bits,
-    bit for bit.
+    chunk of 2^(``_BATCH_BITS`` - k) groups (2^``_BATCH_BITS`` states, so
+    memory does not grow with n), their linear vectors are cut at once, as
+    :func:`_restrict` cuts them, and all 2^k states of every group are
+    scored by stacked products that give each group's slice as
+    :func:`solve_exact` computes it. A group marked stale since its chunk
+    was scored is cut again by :func:`_restrict` and re-scored against its
+    block's quadratic energies, which no flip changes. So every answer is
+    :func:`solve_exact`'s on the running bits, bit for bit.
     """
 
-    def __init__(self, split: _GroupSplit, k: int, stale: set[int]):
+    def __init__(self, split: _GroupSplit, k: int):
         self.split, self.k = split, k
         self.covered = len(split.order) // k  # the full groups come first
         self.per_chunk = 2 ** (_BATCH_BITS - k)
         self.table = _state_table(k)
-        self.stale = stale  # cleared when a chunk is scored
         self.start = self.stop = 0
 
     def _enumerate(self, bits: Assignment) -> None:
@@ -274,18 +283,13 @@ class _ExactBatch:
         start = self.start = self.stop
         stop = self.stop = min(start + self.per_chunk, self.covered)
         members = split.order[start * k:stop * k].reshape(-1, k)
-        lo, hi = split.bounds[start], split.bounds[stop]
-        keys = split.rows[lo:hi] + np.repeat(
-            np.arange(0, (stop - start) * k, k), np.diff(split.bounds[start:stop + 1]))
-        boundary = np.bincount(keys, weights=split.vals[lo:hi] * bits[split.cols[lo:hi]],
-                               minlength=(stop - start) * k)
-        self.linear = split.linear[members] + boundary.reshape(-1, k)
+        self.linear = _linear_terms(split, members, split.blocks[start:stop], bits)
         self.half_quad = 0.5 * np.einsum("gsi,si->gs",
                                          np.matmul(table, split.blocks[start:stop]), table)
         energies = np.matmul(table, self.linear[:, :, None])[:, :, 0] + self.half_quad
         self.best = energies.argmin(axis=1).tolist()
         self.old = (bits[members] @ (1 << np.arange(k))).tolist()  # state indices
-        self.stale.clear()
+        split.stale[:] = False
 
     def move(self, g: int, bits: Assignment):
         """``(a, B, old, new)`` of covered group g at the running ``bits``,
@@ -294,7 +298,7 @@ class _ExactBatch:
             self._enumerate(bits)
         i = g - self.start
         old, new = self.old[i], self.best[i]
-        if g in self.stale:
+        if self.split.stale[g]:
             a, block = _restrict(self.split, g, bits)
             new = int(np.argmin(self.table @ a + self.half_quad[i]))
         elif new != old:
@@ -302,14 +306,6 @@ class _ExactBatch:
         if new == old:
             return None
         return a, block, self.table[old], self.table[new]
-
-
-def _reached(split: _GroupSplit, g: int, flipped: np.ndarray) -> list[int]:
-    """The groups with an outside coupling to a variable of group g that an
-    accepted update flipped (``flipped`` by position in the group): their
-    boundary terms are no longer the ones cut before the update."""
-    lo, hi = split.bounds[g], split.bounds[g + 1]
-    return split.group_of[split.cols[lo:hi][flipped[split.rows[lo:hi]]]].tolist()
 
 
 class _Speculation:
@@ -332,7 +328,7 @@ class _Speculation:
         self.busy: Future | None = None
         self.next = len(split.groups) - 1  # the last group not handed out
 
-    def answer(self, g: int, stale: set[int], bits: Assignment) -> Assignment | None:
+    def answer(self, g: int, bits: Assignment) -> Assignment | None:
         """Hand an idle executor a group after g, then return the worker's
         answer for group g, or None when the walk must solve g itself: it
         was not handed out, an accepted flip has reached it since it was
@@ -342,7 +338,7 @@ class _Speculation:
         while (self.busy is None or self.busy.done()) and self.next > g:
             h = self.next
             self.next -= 1
-            if h in stale:
+            if self.split.stale[h]:
                 continue
             try:
                 self.busy = self.executor.submit(self.subsolver,
@@ -353,7 +349,7 @@ class _Speculation:
                 break
             self.futures[h] = self.busy
         future = self.futures.get(g)
-        if future is None or g in stale:
+        if future is None or self.split.stale[g]:
             return None
         try:
             return np.asarray(future.result(), dtype=np.int8)
@@ -396,17 +392,18 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                     executor: Executor | None = None) -> SolveReport:
     """Iterative impact-ordered decomposition, starting from all-ones.
 
-    Per iteration the variables are regrouped by |impact|, the groups are
-    cut out of the objective at once, and each group is solved by
-    ``subsolver`` with the entropy ``(seed, iteration, group)``. Groups are
-    solved sequentially (Gauss-Seidel), each seeing the running assignment,
-    with a per-group guard that rejects objective-increasing updates. Stops
-    early once an iteration changes nothing.
+    Per iteration the coupling field is computed once and kept current
+    through the accepted updates, the variables are regrouped by |impact|,
+    the groups' blocks are cut out of the objective at once, and each group
+    is solved by ``subsolver`` with the entropy ``(seed, iteration, group)``.
+    Groups are solved sequentially (Gauss-Seidel), each seeing the running
+    assignment, with a per-group guard that rejects objective-increasing
+    updates. Stops early once an iteration changes nothing.
 
     With :func:`exact_subsolver`, the groups of k <= ``_BATCH_BITS``
     variables are not solved one call at a time: :class:`_ExactBatch`
     enumerates them a chunk at a time, a group keeps its batched answer
-    while no flip reaches its boundary and is re-scored when one does, and
+    until a flipped variable's row reaches it and is re-scored then, and
     a group whose answer is its current bits is passed over at once. The
     report is bit for bit the one per-group :func:`solve_exact` calls give.
 
@@ -432,14 +429,15 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
     subqubo_count = 0
     warning = None
     iterations_run = 0
+    rows, bounds = qubo.entry_rows(), qubo.indptr.tolist()  # for the splits and updates
 
     for iteration in range(max_iterations):
         changed = False
-        groups = _impact_groups(qubo, bits, k)
-        split = _split_groups(qubo, groups, k)
+        field = qubo.coupling_field(bits)
+        groups = _impact_groups(qubo, bits, k, field)
+        split = _split_groups(qubo, groups, k, field, rows)
         subqubo_count += len(groups)
-        stale: set[int] = set()  # groups an accepted flip reached since they were cut
-        batch = (_ExactBatch(split, k, stale)
+        batch = (_ExactBatch(split, k)
                  if subsolver is exact_subsolver and k <= _BATCH_BITS else None)
         covered = batch.covered if batch else 0
         spec = None
@@ -454,7 +452,7 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                     a, block, old, new = move
                 else:
                     old = bits[indices]
-                    new = spec.answer(si, stale, bits) if spec else None
+                    new = spec.answer(si, bits) if spec else None
                     a, block = _restrict(split, si, bits)
                     if new is None:
                         try:
@@ -470,9 +468,9 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
                 cand_obj = current + (_block_objective(a, block, new)
                                       - _block_objective(a, block, old))
                 if cand_obj <= current:
+                    _update_field(qubo, bounds, split, indices, old, new)
                     bits[indices] = new
                     current, changed = cand_obj, True
-                    stale.update(_reached(split, si, old != new))
         finally:
             if spec:
                 spec.close()
@@ -639,8 +637,8 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     improvement instead of a copy per improvement. So the bits are those a
     per-flip NumPy loop over the same block draws returns.
 
-    The starting fields sum each row in the order the CSR matvec sums it,
-    by ``np.bincount`` over the CSR. Short rows (at most ``_SCATTER_ROW``
+    The starting fields are the coupling field at all-ones
+    (:meth:`~qubotrack.qubo.Qubo.coupling_field`). Short rows (at most ``_SCATTER_ROW``
     entries a row on average, as at low multiplicity) are applied entry by
     entry from Python lists; longer ones with one NumPy scatter each, so
     no Python object is built per entry.
@@ -662,8 +660,8 @@ def solve_annealing(qubo: Qubo, schedule: AnnealSchedule | None = None,
     n = qubo.n
     if n == 0:
         return np.zeros(0, dtype=np.int8)
-    coupling = np.bincount(qubo.entry_rows(), weights=vals, minlength=n)
     ones = np.ones(n)
+    coupling = qubo.coupling_field(ones)
     current = float(linear @ ones + 0.5 * ones @ coupling)  # objective(qubo, ones)
     local = linear + coupling  # a_i + sum_j b_ij T_j at T = ones
     if len(vals) > _SCATTER_ROW * n:

@@ -60,10 +60,12 @@ def dense_qubo(linear, block):
 
 def sub_problems(qubo, bits, k: int):
     """(group, sub-problem) for every impact group of ``qubo`` at ``bits``:
-    the dense ``(a, B)`` the decomposition cuts, as a ``Qubo``."""
+    the dense ``(a, B)`` the decomposition cuts at the coupling field of
+    ``bits``, as a ``Qubo``."""
     from qubotrack.solvers import _impact_groups, _restrict, _split_groups
-    groups = _impact_groups(qubo, bits, k)
-    split = _split_groups(qubo, groups, k)
+    field = qubo.coupling_field(bits)
+    groups = _impact_groups(qubo, bits, k, field)
+    split = _split_groups(qubo, groups, k, field, qubo.entry_rows())
     return [(group, dense_qubo(*_restrict(split, g, bits)))
             for g, group in enumerate(groups)]
 

@@ -224,6 +224,15 @@ def test_impact_zero_qubo():
     assert np.allclose(impacts(q, np.array([1, 0, 1])), 0.0)
 
 
+@pytest.mark.parametrize("bits", [np.ones(3), np.ones(3, dtype=np.int8), np.zeros(3)])
+def test_coupling_field_is_float_without_couplings(bits):
+    # a bincount over no weights counts in int64; the field must take
+    # in-place float updates whatever the objective holds
+    field = Qubo(3, np.zeros(3)).coupling_field(bits)
+    assert field.dtype == np.float64
+    assert field.tolist() == [0.0, 0.0, 0.0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 10_000), n=st.integers(1, 10))
 def test_impact_is_an_involution(seed, n):

@@ -16,8 +16,9 @@ from qubotrack import solvers
 from qubotrack.qubo import Qubo, impacts, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
                                _anneal, _block_objective, _impact_groups, _restrict,
-                               _split_groups, _state_table, _sweep_draws, exact_subsolver,
-                               solve_annealing, solve_exact, solve_iterative)
+                               _split_groups, _state_table, _sweep_draws, _update_field,
+                               exact_subsolver, solve_annealing, solve_exact,
+                               solve_iterative)
 from qubotrack.vqe import make_vqe_subsolver
 
 
@@ -90,7 +91,7 @@ def test_grouping_follows_impact_order():
     q = qubo_from_dict(3, np.array([0.1, 5.0, 2.0]), {})
     bits = np.ones(3, dtype=np.int8)
     assert np.abs(impacts(q, bits)).tolist() == [0.1, 5.0, 2.0]
-    groups = _impact_groups(q, bits, k=2)
+    groups = _impact_groups(q, bits, k=2, field=q.coupling_field(bits))
     assert [g.tolist() for g in groups] == [[1, 2], [0]]
 
 
@@ -140,24 +141,41 @@ def dense_form(sub):
     return sub.linear, block
 
 
+def cut_bound(qubo):
+    """Per variable, how far a cut's linear coefficient may lie from
+    :func:`reference_restrict`'s: 1e-12 (1 + sum_j |b_ij|). The cut reads
+    its boundary term off the coupling field less the block's own part; the
+    reference sums the outside entries in CSR order. Each of the few hundred
+    additions on either side (a row of the matvec, the row updates since the
+    iteration began, the block's row) rounds by at most 2^-53 of a partial
+    sum no larger than sum_j |b_ij|, so 1e-12 allows some 4 500 of them."""
+    return 1e-12 * (1.0 + np.bincount(qubo.entry_rows(), weights=np.abs(qubo.data),
+                                      minlength=qubo.n))
+
+
 def test_split_equals_dense_sparse_sub_problems_on_desk_events(desk_config, desk_events):
-    """Two Gauss-Seidel iterations on every desk event: each group's linear
-    vector and block equal the dense form of the sparse sub-problem at the
-    running bits, and the block scores an update as ``objective`` does."""
+    """Two Gauss-Seidel iterations on every desk event, the coupling field
+    kept as the walk keeps it: each group's block equals the dense form of
+    the sparse sub-problem at the running bits, its linear vector lies
+    within :func:`cut_bound` of that sub-problem's, and the block scores an
+    update as ``objective`` scores the sparse sub-problem with that vector."""
     problems = desk_objectives(desk_config, desk_events, len(desk_events))
     checked = updated = 0
     for q, _ in problems:
         bits = np.ones(q.n, dtype=np.int8)
+        rows, bounds, bound = q.entry_rows(), q.indptr.tolist(), cut_bound(q)
         for _ in range(2):
-            groups = _impact_groups(q, bits, 7)
-            split = _split_groups(q, groups, 7)
+            field = q.coupling_field(bits)
+            groups = _impact_groups(q, bits, 7, field)
+            split = _split_groups(q, groups, 7, field, rows)
             for g, indices in enumerate(groups):
                 a, block = _restrict(split, g, bits)
                 sub = reference_restrict(q, bits, indices)
                 ref_a, ref_block = dense_form(sub)
-                assert a.tolist() == ref_a.tolist()
+                assert np.all(np.abs(a - ref_a) <= bound[indices])
                 assert block.tolist() == ref_block.tolist()
                 assert block.flags.c_contiguous
+                sub = Qubo(sub.n, a, *sub.upper_triangle())  # the cut's linear vector
                 old = bits[indices]
                 new = solve_exact((a, block))
                 assert new.tolist() == solve_exact(sub).tolist()
@@ -165,6 +183,7 @@ def test_split_equals_dense_sparse_sub_problems_on_desk_events(desk_config, desk
                     assert _block_objective(a, block, t).hex() == objective(sub, t).hex()
                 checked += 1
                 if objective(sub, new) < objective(sub, old):
+                    _update_field(q, bounds, split, indices, old, new)
                     bits[indices] = new
                     updated += 1
     assert len(problems) >= 15 and checked >= 1000 and updated >= 100
@@ -816,7 +835,9 @@ def reference_iterative(qubo, subsolver, k=7, max_iterations=10, seed=0):
     """The per-group Gauss-Seidel loop the batched exact path replaced: one
     ``np.sort`` per impact group, then one ``_restrict`` and one sub-solver
     call per group, every failure inside the iteration reported as a
-    sub-solver failure."""
+    sub-solver failure. The coupling field is kept as the walk keeps it: a
+    ``coupling_field`` call at each iteration's start, then each accepted
+    flip's CSR row times +-1 added, flips in ascending variable order."""
     bits = np.ones(qubo.n, dtype=np.int8)
     current = objective(qubo, bits)
     trace = [current]
@@ -825,9 +846,10 @@ def reference_iterative(qubo, subsolver, k=7, max_iterations=10, seed=0):
     for iteration in range(max_iterations):
         changed = False
         try:
+            field = qubo.coupling_field(bits)
             order = np.argsort(-np.abs(impacts(qubo, bits)), kind="stable")
             groups = [np.sort(order[s:s + k]) for s in range(0, qubo.n, k)]
-            split = _split_groups(qubo, groups, k)
+            split = _split_groups(qubo, groups, k, field, qubo.entry_rows())
             subqubo_count += len(groups)
             for si, indices in enumerate(groups):
                 a, block = _restrict(split, si, bits)
@@ -839,6 +861,9 @@ def reference_iterative(qubo, subsolver, k=7, max_iterations=10, seed=0):
                 cand_obj = current + (_block_objective(a, block, new)
                                       - _block_objective(a, block, old))
                 if cand_obj <= current:
+                    for i, bit in zip(indices[old != new], new[old != new]):
+                        row = slice(qubo.indptr[i], qubo.indptr[i + 1])
+                        field[qubo.indices[row]] += (1.0 if bit else -1.0) * qubo.data[row]
                     bits[indices] = new
                     current, changed = cand_obj, True
         except Exception as exc:
@@ -878,7 +903,7 @@ def test_impact_groups_equal_per_group_sorts():
         bits = rng.integers(0, 2, n).astype(np.int8)
         order = np.argsort(-np.abs(impacts(q, bits)), kind="stable")
         want = [np.sort(order[s:s + k]).tolist() for s in range(0, n, k)]
-        assert [g.tolist() for g in _impact_groups(q, bits, k)] == want
+        assert [g.tolist() for g in _impact_groups(q, bits, k, q.coupling_field(bits))] == want
 
 
 @pytest.mark.parametrize("k", [1, 2, 7, 10])
@@ -916,7 +941,14 @@ def test_group_turned_stale_is_rescored(monkeypatch):
     # the batched answers of the stale groups are out of date: ignoring the
     # marks changes the report
     monkeypatch.setattr(solvers, "_restrict", restrict)
-    monkeypatch.setattr(solvers, "_reached", lambda split, g, flipped: [])
+    update = solvers._update_field
+
+    def unmarked(qubo, bounds, split, *args):  # the field is kept current; the marks are lost
+        marks = split.stale.copy()
+        update(qubo, bounds, split, *args)
+        split.stale[:] = marks
+
+    monkeypatch.setattr(solvers, "_update_field", unmarked)
     assert report_key(solve_iterative(q, exact_subsolver, k=7)) != report_key(report)
 
 
@@ -986,10 +1018,21 @@ def test_zero_variable_objective_reports_like_per_group_loop():
         ([0.0, 0.0], 1, 0)
 
 
+@pytest.mark.parametrize("k", [3, 5])
+def test_coupling_free_objective_is_solved_whole(k):
+    # one group (k >= n): the accepted update moves the field of an
+    # objective with no couplings, which must be a float array
+    q = Qubo(3, np.array([1.0, -1.0, 0.5]))
+    report = assert_batched_equals_reference(q, k)
+    assert report.best_assignment.tolist() == [0, 1, 0]
+    assert report.objective_trace == [0.5, -1.0, -1.0]
+    assert report.warning is None
+
+
 @pytest.mark.parametrize("subsolver", [exact_subsolver, lambda a, b, e: solve_exact((a, b))],
                          ids=["exact", "other"])
 def test_bookkeeping_error_propagates(subsolver, monkeypatch):
-    def out_of_memory(qubo, groups, k):
+    def out_of_memory(qubo, groups, k, field, rows):
         raise MemoryError("cannot split")
 
     monkeypatch.setattr(solvers, "_split_groups", out_of_memory)
@@ -1025,15 +1068,18 @@ class Logged:
 
 
 class Watched:
-    """An executor that keeps every task it is handed."""
+    """An executor that keeps every task it is handed, and the linear
+    vector of each sub-problem handed out."""
 
     def __init__(self, executor):
         self.executor = executor
         self.tasks = []  # (entropy, future)
+        self.cuts = {}  # entropy -> linear vector
 
     def submit(self, fn, *args):
         future = self.executor.submit(fn, *args)
         self.tasks.append((args[-1], future))
+        self.cuts[args[-1]] = args[0]
         return future
 
 
@@ -1127,3 +1173,86 @@ def test_dead_worker_is_no_sub_solver_failure():
         # the pool is broken from then on: no later iteration handed out a task
         assert [entropy for entropy, _ in tasks] == [(3, 0, 2)]
     assert report.warning is None and report.iterations_run > 1
+
+
+# -- the walk's cuts against fresh cuts --------------------------------------------------
+# The field is kept current by row updates and a group is re-cut only when
+# marked stale, so a missing mark shows as a linear vector that differs from
+# a cut made now.
+
+UNCHECKED = solvers._restrict, solvers._ExactBatch.move, solvers._Speculation.answer
+
+def checked_cuts(monkeypatch, qubo):
+    """Check every linear vector the walk uses on ``qubo``: a batched one
+    equals a cut made at the running bits when the walk reaches its group,
+    a worker's answer is taken only for a cut equal to the walk's own, and
+    every cut lies within :func:`cut_bound` of :func:`reference_restrict`.
+    Returns the counts of checked cuts by kind."""
+    restrict, move, answer = UNCHECKED
+    bound = cut_bound(qubo)
+    counts = {"cut": 0, "batched": 0, "taken": 0}
+
+    def near_reference(split, g, a, bits):
+        indices = split.groups[g]
+        reference = reference_restrict(qubo, bits, indices).linear
+        assert np.all(np.abs(a - reference) <= bound[indices])
+
+    def checked_restrict(split, g, bits):
+        a, block = restrict(split, g, bits)
+        near_reference(split, g, a, bits)
+        counts["cut"] += 1
+        return a, block
+
+    def checked_move(self, g, bits):
+        got = move(self, g, bits)
+        if not self.split.stale[g]:  # the walk read the vector cut with its chunk
+            fresh, _ = restrict(self.split, g, bits)
+            assert self.linear[g - self.start].tobytes() == fresh.tobytes()
+            near_reference(self.split, g, fresh, bits)
+            counts["batched"] += 1
+        return got
+
+    def checked_answer(self, g, bits):
+        got = answer(self, g, bits)
+        if got is not None:  # the worker's answer is taken
+            fresh, _ = restrict(self.split, g, bits)
+            assert self.executor.cuts[(*self.entropy, g)].tobytes() == fresh.tobytes()
+            counts["taken"] += 1
+        return got
+
+    monkeypatch.setattr(solvers, "_restrict", checked_restrict)
+    monkeypatch.setattr(solvers._ExactBatch, "move", checked_move)
+    monkeypatch.setattr(solvers._Speculation, "answer", checked_answer)
+    return counts
+
+
+def paper_like_objectives(count):
+    rng = np.random.default_rng(67)
+    return [(random_qubo(rng, int(rng.integers(14, 60)),
+                         coupling_prob=float(rng.uniform(0.05, 0.3)), paper_like=True), s)
+            for s in range(count)]
+
+
+@pytest.mark.parametrize("k", [4, 7, 10])
+def test_exact_walk_cuts_equal_fresh_cuts(k, monkeypatch, desk_config, desk_events):
+    problems = (desk_objectives(desk_config, desk_events, len(desk_events))
+                + paper_like_objectives(30))
+    rescored = 0
+    for q, seed in problems:
+        counts = checked_cuts(monkeypatch, q)
+        solve_iterative(q, exact_subsolver, k=k, seed=seed)
+        assert counts["batched"] > 0
+        rescored += counts["cut"]
+    assert rescored > 0
+
+
+def test_speculative_walk_cuts_equal_fresh_cuts(monkeypatch, one_worker, desk_config,
+                                                desk_events):
+    subsolver = make_vqe_subsolver(shots=16, max_evaluations=9)
+    taken = 0
+    for q, seed in desk_objectives(desk_config, desk_events, 2) + paper_like_objectives(4):
+        counts = checked_cuts(monkeypatch, q)
+        solve_iterative(q, subsolver, k=7, seed=seed, executor=Watched(one_worker))
+        assert counts["cut"] > 0
+        taken += counts["taken"]
+    assert taken > 0
