@@ -21,7 +21,7 @@ from .geometry import Event, GeometryConfig, build_geometry, shared_hits
 from .io import (DataFormatError, _write_table, config_hash, read_counts_csv, read_events,
                  read_json, read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
                  write_particles_csv, write_tracks_csv)
-from .metrics import TrackRecord, build_report
+from .metrics import RunTruth, TrackRecord, build_report, track_columns
 from .pipeline import EventDumps, reconstruct_events, simulate_events
 from .preselect import CalibrationError
 
@@ -188,17 +188,18 @@ def cmd_evaluate(args) -> int:
         if not tracks_path.exists():
             raise DataFormatError(f"missing input file {tracks_path}")
         tracks = read_tracks_csv(tracks_path)
-        hit_ids = {e.event_id: set(e.hits.ids.tolist()) for e in events}
-        missing = sorted({t.event_id for t in tracks} - hit_ids.keys())
+        event_ids, hit_ids, _ = track_columns(tracks)
+        truth = RunTruth(events)
+        missing = np.setdiff1d(event_ids, truth.event_ids).tolist()
         if missing:
             raise DataFormatError(
                 f"{tracks_path}: tracks reference events missing from truth: {missing}")
-        for t in tracks:
-            unknown = [h for h in t.hit_ids if h not in hit_ids[t.event_id]]
-            if unknown:
-                raise DataFormatError(
-                    f"{tracks_path}: track {t.track_id} of event {t.event_id} names "
-                    f"hit {unknown[0]}, missing from the event's hits")
+        _, found = truth.owners(truth.event_index(event_ids), hit_ids)
+        if not found.all():
+            k, c = divmod(int(np.argmin(found)), found.shape[1])
+            raise DataFormatError(
+                f"{tracks_path}: track {tracks[k].track_id} of event {tracks[k].event_id} "
+                f"names hit {hit_ids[k, c]}, missing from the event's hits")
         for e in events:
             h = e.hits
             dangling = np.flatnonzero(h.known & ~np.isin(h.truth, e.particles.ids))

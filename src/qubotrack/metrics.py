@@ -1,25 +1,38 @@
 """Performance metrics over one or many events: efficiency, fake rate,
 duplication rate, energy resolution, and binned curves, all from one
-entry point, :func:`build_report`, which builds each event's truth tables
-and matches each track once.
+entry point, :func:`build_report`, in one columnar pass over the run.
+
+Every event's hit and particle columns are concatenated once
+(:class:`RunTruth`) and the tracks' fields are read into arrays once
+(:func:`track_columns`). Each track hit is joined to its hit on (event,
+hit id) with sorted int64 keys, which gives a ``(tracks, 4)`` array of
+owner keys: one int64 per (event, particle) pair, -1 for a noise hit or a
+hit its event lacks. :func:`match_owners` matches the rows of that array;
+reconstruction fills ``matched_particle_id`` with the same join and
+matcher (:func:`match_event`). No step loops over hits or tracks in Python, apart from the one
+read of the :class:`TrackRecord` fields.
 
 Conventions:
   * a particle is counted in the efficiency denominator only if it left a
     hit on every layer (acceptance losses are excluded from tracking
     efficiency),
   * a track is matched when one particle owns at least 3 of its 4 hits,
+  * the truth energy of a particle id is that of the event's first
+    particle with the id; the truth of a hit id, that of its last hit,
   * binned ratios carry Wilson intervals at one standard deviation.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
-from .geometry import Event
+from .geometry import N_LAYERS, Event
 
 MATCH_MIN_HITS = 3
 
@@ -37,90 +50,147 @@ class TrackRecord:
     matched_particle_id: int | None = None
 
 
-def truth_by_hit(event: Event) -> dict[int, int | None]:
-    """Truth particle id of every hit id of the event (None for noise)."""
-    h = event.hits
-    return dict(zip(h.ids.tolist(), [p if k else None for p, k in zip(h.truth.tolist(),
-                                                                      h.known.tolist())]))
+def track_columns(tracks: list[TrackRecord]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tracks' event ids, ``(tracks, 4)`` hit ids and energies as
+    arrays, each field read by one ``np.fromiter``."""
+    n = len(tracks)
+    hit_ids = itertools.chain.from_iterable(map(attrgetter("hit_ids"), tracks))
+    return (np.fromiter(map(attrgetter("event_id"), tracks), np.int64, n),
+            np.fromiter(hit_ids, np.int64, N_LAYERS * n).reshape(n, N_LAYERS),
+            np.fromiter(map(attrgetter("energy"), tracks), float, n))
 
 
-def match_hits(hit_ids: tuple[int, ...], by_id: dict[int, int | None]) -> int | None:
-    """Particle owning at least MATCH_MIN_HITS of the hits, else None.
+def _cat(arrays: list[np.ndarray], dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype=dtype)
 
-    ``by_id`` maps hit ids to particle ids, as :func:`truth_by_hit` builds
-    it. Between equally large shares the lower particle id wins.
+
+def _lookup(sorted_keys: np.ndarray, keys, side: str = "left") -> tuple[np.ndarray, np.ndarray]:
+    """Position in ``sorted_keys`` of each key's first (``side="left"``) or
+    last (``"right"``) equal entry, and whether there is one; where there
+    is none, the position is only clipped into range."""
+    at = np.searchsorted(sorted_keys, keys, side=side) - (side == "right")
+    if not len(sorted_keys):
+        return at, np.zeros(at.shape, dtype=bool)
+    at = np.clip(at, 0, len(sorted_keys) - 1)
+    return at, sorted_keys[at] == keys
+
+
+def _run_starts(*columns: np.ndarray) -> np.ndarray:
+    """Where each run of equal rows of the sorted, aligned ``columns`` starts."""
+    change = np.zeros(len(columns[0]), dtype=bool)
+    change[:1] = True
+    for c in columns:
+        change[1:] |= c[1:] != c[:-1]
+    return np.flatnonzero(change)
+
+
+class RunTruth:
+    """Every event's truth columns, concatenated once, and the joins on them.
+
+    An event is known by its position in ``events`` sorted by id; the ids
+    must differ. A hit is keyed ``event * distinct hit ids + rank of its
+    id``; a known hit's owner, and a particle whose id owns a hit, are
+    keyed the same way on the rank among the truth ids that own hits, so
+    ``owner // len(truth_ids)`` is its event. Keys are int64 and sorted
+    stably once, so the joins are searchsorted calls.
     """
-    counts: dict[int, int] = {}
-    for hid in hit_ids:
-        pid = by_id.get(hid)
-        if pid is not None:
-            counts[pid] = counts.get(pid, 0) + 1
-    if not counts:
-        return None
-    pid, best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return pid if best >= MATCH_MIN_HITS else None
+
+    def __init__(self, events: list[Event]):
+        self.events = events = sorted(events, key=attrgetter("event_id"))
+        self.event_ids = np.array([e.event_id for e in events], dtype=np.int64)
+        repeated = np.flatnonzero(np.diff(self.event_ids) == 0)
+        if repeated.size:
+            raise ValueError(f"event {self.event_ids[repeated[0]]} listed twice")
+        hits = [e.hits for e in events]
+        event = np.repeat(np.arange(len(events)), [len(h) for h in hits])
+        ids = _cat([h.ids for h in hits], np.int64)
+        self.known = _cat([h.known for h in hits], bool)
+        self.layers = _cat([h.layers for h in hits], np.int64)
+        self._hit_ids, rank = np.unique(ids, return_inverse=True)
+        keys = event * len(self._hit_ids) + rank.reshape(-1)
+        self._hit_at = np.argsort(keys, kind="stable")
+        self._hit_keys = keys[self._hit_at]
+        truth = _cat([h.truth for h in hits], np.int64)[self.known]
+        self.truth_ids, rank = np.unique(truth, return_inverse=True)
+        self.owner = np.full(len(ids), -1, dtype=np.int64)
+        self.owner[self.known] = event[self.known] * len(self.truth_ids) + rank.reshape(-1)
+
+    def event_index(self, event_ids: np.ndarray) -> np.ndarray:
+        """Position in ``events`` of each event id; ``KeyError`` naming the
+        first unknown one."""
+        at, known = _lookup(self.event_ids, event_ids)
+        if not known.all():
+            raise KeyError(f"track references unknown event {event_ids[np.argmin(known)]}")
+        return at
+
+    def owners(self, event: np.ndarray, hit_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Owner keys (-1 for none) of a ``(tracks, 4)`` array of hit ids
+        whose tracks belong to the events at positions ``event``, and
+        whether each hit is in its event."""
+        rank, known = _lookup(self._hit_ids, hit_ids)
+        at, found = _lookup(self._hit_keys, event[:, None] * len(self._hit_ids) + rank,
+                            "right")
+        found &= known
+        owners = np.full(hit_ids.shape, -1, dtype=np.int64)
+        owners[found] = self.owner[self._hit_at[at[found]]]
+        return owners, found
+
+    def particle_ids(self, owners: np.ndarray) -> np.ndarray:
+        """Particle id of each owner key (0 where the key is -1)."""
+        n = len(self.truth_ids)
+        return np.append(self.truth_ids, 0)[np.where(owners >= 0, owners % max(n, 1), n)]
+
+    def reconstructable(self) -> np.ndarray:
+        """Ascending owner keys of the particles with a hit on every layer."""
+        owner, layer = self.owner[self.known], self.layers[self.known]
+        order = np.lexsort((layer, owner))
+        owner, layer = owner[order], layer[order]
+        owner = owner[_run_starts(owner, layer)]  # one entry per (particle, layer)
+        starts = _run_starts(owner)
+        n_layers = np.diff(np.append(starts, len(owner)))
+        return owner[starts[n_layers == N_LAYERS]]
+
+    @functools.cached_property
+    def _particles(self) -> tuple[np.ndarray, np.ndarray]:
+        """Owner keys of the particles whose ids own hits, sorted stably
+        (so the first particle with an id comes first), and their energies."""
+        parts = [e.particles for e in self.events]
+        event = np.repeat(np.arange(len(parts)), [len(p) for p in parts])
+        rank, owns = _lookup(self.truth_ids, _cat([p.ids for p in parts], np.int64))
+        keys = (event * len(self.truth_ids) + rank)[owns]
+        energies = _cat([p.energies for p in parts], float)[owns]
+        order = np.argsort(keys, kind="stable")
+        return keys[order], energies[order]
+
+    def true_energies(self, owners: np.ndarray) -> np.ndarray:
+        """Truth energy of each owner key; ``KeyError`` naming the first
+        particle id that no particle of its event has."""
+        keys, energies = self._particles
+        at, found = _lookup(keys, owners)
+        if not found.all():
+            raise KeyError(int(self.particle_ids(owners[~found][:1])[0]))
+        return energies[at]
 
 
-def reconstructable_particles(event: Event, n_layers: int = 4) -> list[int]:
-    """Particles with at least one hit on every layer."""
-    h = event.hits
-    layers_by_pid: dict[int, set[int]] = {}
-    for pid, layer, known in zip(h.truth.tolist(), h.layers.tolist(), h.known.tolist()):
-        if known:
-            layers_by_pid.setdefault(pid, set()).add(layer)
-    return sorted(pid for pid, layers in layers_by_pid.items() if len(layers) == n_layers)
+def match_owners(owners: np.ndarray) -> np.ndarray:
+    """Owner key of the particle that owns at least MATCH_MIN_HITS (3) hits
+    of each ``(tracks, 4)`` row of owner keys, -1 where none does. A hit
+    listed twice counts twice. Two particles cannot both own 3 of 4 hits,
+    so no tie between equal shares is left to break: in a sorted row, a key
+    that fills 3 places fills places 0 to 2 or 1 to 3."""
+    s = np.sort(owners, axis=1)
+    held = (s[:, 0] == s[:, 2]) | (s[:, 1] == s[:, 3])
+    return np.where(held & (s[:, 1] >= 0), s[:, 1], -1)
 
 
-def _true_energies(event: Event) -> dict[int, float]:
-    """Truth energy by particle id (the first particle with an id wins, as in
-    :meth:`Event.particle_by_id`)."""
-    p = event.particles
-    return dict(zip(reversed(p.ids.tolist()), reversed(p.energies.tolist())))
-
-
-_Matches = list[tuple[TrackRecord, "int | None"]]
-
-
-@dataclass(frozen=True)
-class _Truth:
-    """One event's truth tables, read from its columns once per report."""
-
-    by_hit: dict[int, int | None]   # truth_by_hit
-    reconstructable: list[int]      # reconstructable_particles
-    energies: dict[int, float]      # _true_energies
-
-
-def _truth(events: list[Event]) -> dict[int, _Truth]:
-    return {e.event_id: _Truth(truth_by_hit(e), reconstructable_particles(e),
-                               _true_energies(e)) for e in events}
-
-
-def _match_all(truth: dict[int, _Truth], tracks: list[TrackRecord]) -> _Matches:
-    out = []
-    for t in tracks:
-        if t.event_id not in truth:
-            raise KeyError(f"track references unknown event {t.event_id}")
-        out.append((t, match_hits(t.hit_ids, truth[t.event_id].by_hit)))
-    return out
-
-
-def _scalar_metrics(events: list[Event], matches: _Matches,
-                    truth: dict[int, _Truth]) -> dict:
-    """The four scalar metrics of already matched tracks, keyed by name;
-    each is None without a denominator, the energy resolution (an RMS over
-    matched tracks of finite energy) below 2 entries."""
-    matched = [(t, pid) for t, pid in matches if pid is not None]
-    per_particle = Counter((t.event_id, pid) for t, pid in matched)
-    denom = sum(len(truth[e.event_id].reconstructable) for e in events)
-    r = np.asarray([(t.energy - (e := truth[t.event_id].energies[pid])) / e
-                    for t, pid in matched if math.isfinite(t.energy)])
-    return {
-        "efficiency": len(per_particle) / denom if denom else None,
-        "fake_rate": (len(matches) - len(matched)) / len(matches) if matches else None,
-        "duplication_rate": (sum(1 for c in per_particle.values() if c > 1)
-                             / len(per_particle) if per_particle else None),
-        "energy_resolution": float(np.sqrt(np.mean(r * r))) if len(r) >= 2 else None,
-    }
+def match_event(event: Event, hit_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched particle id of each ``(tracks, 4)`` row of the event's hit
+    ids (0 where none), and whether the row is matched."""
+    truth = RunTruth([event])
+    owners, _ = truth.owners(np.zeros(len(hit_ids), dtype=np.intp), hit_ids)
+    matched = match_owners(owners)
+    return truth.particle_ids(matched), matched >= 0
 
 
 def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
@@ -151,46 +221,23 @@ class BinnedValue:
         }
 
 
-def _binned_ratio(values: list[float], flags: list[bool],
+def _binned_ratio(values: np.ndarray, flags: np.ndarray,
                   edges: list[float]) -> list[BinnedValue]:
+    """The share of ``flags`` among the values in each bin [lo, hi)."""
+    n_bins = max(len(edges) - 1, 0)
+    b = np.searchsorted(np.asarray(edges, dtype=float), values, side="right") - 1
+    inside = (b >= 0) & (b < n_bins)
+    totals = np.bincount(b[inside], minlength=n_bins).tolist()
+    hits = np.bincount(b[inside & flags], minlength=n_bins).tolist()
     out = []
-    for lo, hi in zip(edges, edges[1:]):
-        in_bin = [f for v, f in zip(values, flags) if lo <= v < hi]
-        if not in_bin:
+    for lo, hi, k, n in zip(edges, edges[1:], hits, totals):
+        if not n:
             out.append(BinnedValue(lo, hi, None, None, None, 0, 0))
             continue
-        k, n = sum(in_bin), len(in_bin)
         w_lo, w_hi = wilson_interval(k, n)
         p = k / n
         out.append(BinnedValue(lo, hi, p, p - w_lo, w_hi - p, k, n))
     return out
-
-
-def _binned_curves(events: list[Event], matches: _Matches, edges: list[float],
-                   truth: dict[int, _Truth]) -> dict[str, list[BinnedValue]]:
-    """Efficiency binned in true particle energy, fake rate in measured
-    track energy, as a dict of curves keyed by name."""
-    if any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValueError("bin edges must be strictly increasing")
-    matched_pids = {(t.event_id, pid) for t, pid in matches if pid is not None}
-
-    true_energies, found = [], []
-    for e in events:
-        event = truth[e.event_id]
-        for pid in event.reconstructable:
-            true_energies.append(event.energies[pid])
-            found.append((e.event_id, pid) in matched_pids)
-
-    track_energies, is_fake = [], []
-    for t, pid in matches:
-        if math.isfinite(t.energy):
-            track_energies.append(t.energy)
-            is_fake.append(pid is None)
-
-    return {
-        "efficiency_vs_true_energy": _binned_ratio(true_energies, found, edges),
-        "fake_rate_vs_track_energy": _binned_ratio(track_energies, is_fake, edges),
-    }
 
 
 @dataclass
@@ -230,34 +277,74 @@ class MetricsReport:
 
 def build_report(events: list[Event], tracks: list[TrackRecord],
                  edges: list[float] | None = None) -> MetricsReport:
-    """Full report over a set of events; adds binned curves at ``edges``
-    (strictly increasing, else ``ValueError``) when they are given, and
-    per-xi-label scalar metrics when more than one label is present."""
-    truth = _truth(events)
-    matches = _match_all(truth, tracks)
-    matched_tracks = sum(1 for _, pid in matches if pid is not None)
-    combinatorial = sum(
-        1 for t, pid in matches
-        if pid is None and len({truth[t.event_id].by_hit.get(h) for h in t.hit_ids}) == 4
-    )
+    """Full report over a set of events with distinct ids (``ValueError``
+    otherwise); adds binned curves at ``edges`` (strictly increasing, else
+    ``ValueError``) when they are given, and per-xi-label scalar metrics
+    when more than one label is present. A track of an event not in
+    ``events``, or a matched particle that its event does not list, raises
+    ``KeyError``."""
+    truth = RunTruth(events)
+    event_ids, hit_ids, energy = track_columns(tracks)
+    track_event = truth.event_index(event_ids)
+    owners, _ = truth.owners(track_event, hit_ids)
+    matched = match_owners(owners)
+    is_matched = matched >= 0
+    distinct = (np.diff(np.sort(owners, axis=1), axis=1) != 0).all(axis=1)
+    reconstructable = truth.reconstructable()
+    particles, per_particle = np.unique(matched[is_matched], return_counts=True)
+
+    # resolution entries in track order, the order their mean sums them in
+    resolved = np.flatnonzero(is_matched & np.isfinite(energy))
+    true_e = truth.true_energies(matched[resolved])
+    r = (energy[resolved] - true_e) / true_e
+
+    n_truth = max(len(truth.truth_ids), 1)
+
+    def scalars(in_events: np.ndarray) -> dict:
+        """The four scalar metrics over the events flagged ``in_events``;
+        each is None without a denominator, the energy resolution (an RMS
+        over matched tracks of finite energy) below 2 entries."""
+        n_tracks = int(in_events[track_event].sum())
+        n_matched = int(in_events[track_event[is_matched]].sum())
+        found = per_particle[in_events[particles // n_truth]]
+        denom = int(in_events[reconstructable // n_truth].sum())
+        rs = r[in_events[track_event[resolved]]]
+        return {
+            "efficiency": len(found) / denom if denom else None,
+            "fake_rate": (n_tracks - n_matched) / n_tracks if n_tracks else None,
+            "duplication_rate": (int((found > 1).sum()) / len(found) if len(found)
+                                 else None),
+            "energy_resolution": float(np.sqrt(np.mean(rs * rs))) if len(rs) >= 2 else None,
+        }
+
+    n_matched = int(is_matched.sum())
     counts = {
-        "generated": sum(len(truth[e.event_id].reconstructable) for e in events),
+        "generated": len(reconstructable),
         "reconstructed": len(tracks),
-        "matched": matched_tracks,
-        "fake": len(tracks) - matched_tracks,
-        "fake_combinatorial": combinatorial,
+        "matched": n_matched,
+        "fake": len(tracks) - n_matched,
+        "fake_combinatorial": int((~is_matched & distinct).sum()),
         "events": len(events),
     }
-    report = MetricsReport(**_scalar_metrics(events, matches, truth), counts=counts)
+    report = MetricsReport(**scalars(np.ones(len(events), dtype=bool)), counts=counts)
     if edges is not None:
-        report.curves = _binned_curves(events, matches, edges, truth)
+        if any(not b > a for a, b in zip(edges, edges[1:])):
+            raise ValueError("bin edges must be strictly increasing")
+        _, was_found = _lookup(particles, reconstructable)
+        finite = np.isfinite(energy)
+        report.curves = {  # efficiency in true particle energy, fake rate in track energy
+            "efficiency_vs_true_energy": _binned_ratio(
+                truth.true_energies(reconstructable), was_found, edges),
+            "fake_rate_vs_track_energy": _binned_ratio(
+                energy[finite], ~is_matched[finite], edges),
+        }
 
     labels = sorted({e.xi_label for e in events})
     if len(labels) > 1:
+        xi = np.array([e.xi_label for e in truth.events], dtype=float)
         for label in labels:
-            evs = [e for e in events if e.xi_label == label]
-            ids = {e.event_id for e in evs}
-            ms = [(t, pid) for t, pid in matches if t.event_id in ids]
+            in_label = xi == label
             report.per_xi_label[repr(label)] = {
-                **_scalar_metrics(evs, ms, truth), "events": len(evs), "tracks": len(ms)}
+                **scalars(in_label), "events": int(in_label.sum()),
+                "tracks": int(in_label[track_event].sum())}
     return report

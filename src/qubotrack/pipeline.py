@@ -25,7 +25,7 @@ from .config import RunConfig
 from .fastsim import generate_event
 from .geometry import Event, GeometryConfig, build_geometry
 from .io import write_doublet_debug_csv, write_qubo, write_triplet_debug_csv
-from .metrics import TrackRecord, match_hits, truth_by_hit
+from .metrics import TrackRecord, match_event
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
                         calibrate_dx_window, truth_doublets, truth_triplets)
 from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
@@ -199,13 +199,13 @@ def reconstruct_event(event: Event, geometry: GeometryConfig,
     hit_ids = selected.doublets.hit_ids[rows]
     fits = fit_track(selected.doublets.positions[rows], geometry)
     keep = resolve_ambiguities(hit_ids, fits.chi2_ndf)
-    truth = truth_by_hit(event)
+    particle, matched = match_event(event, hit_ids[keep])
     tracks = [TrackRecord(event_id=eid, track_id=track_id, hit_ids=tuple(ids),
                           chi2=chi2, ndf=NDF, energy=energy,
-                          matched_particle_id=match_hits(ids, truth))
-              for track_id, (ids, chi2, energy) in enumerate(zip(
+                          matched_particle_id=pid if found else None)
+              for track_id, (ids, chi2, energy, pid, found) in enumerate(zip(
                   hit_ids[keep].tolist(), fits.chi2[keep].tolist(),
-                  fits.energy[keep].tolist()))]
+                  fits.energy[keep].tolist(), particle.tolist(), matched.tolist()))]
     return EventResult(eid, tracks, report,
                        len(doublets), len(triplets))
 

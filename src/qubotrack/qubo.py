@@ -127,10 +127,12 @@ class Qubo:
         i, j, b = self.upper_triangle()
         return dict(zip(zip(i.tolist(), j.tolist()), b.tolist()))
 
-    def coupling_field(self, t: np.ndarray) -> np.ndarray:
+    def coupling_field(self, t: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
         """Coupling field sum_j b_ij t_j of every variable (a CSR matvec), as
-        float64 also when there are no couplings."""
-        return np.bincount(self.entry_rows(), weights=self.data * t[self.indices],
+        float64 also when there are no couplings. ``rows`` is
+        :meth:`entry_rows`, given by a caller that holds it."""
+        rows = self.entry_rows() if rows is None else rows
+        return np.bincount(rows, weights=self.data * t[self.indices],
                            minlength=self.n).astype(float, copy=False)
 
 

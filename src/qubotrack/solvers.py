@@ -424,16 +424,19 @@ def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,
         raise ValueError("max_iterations must be >= 1")
 
     bits = np.ones(qubo.n, dtype=np.int8)
-    current = objective(qubo, bits)
+    rows, bounds = qubo.entry_rows(), qubo.indptr.tolist()  # for the splits and updates
+    field = qubo.coupling_field(bits, rows)
+    ones = np.ones(qubo.n)
+    current = float(qubo.linear @ ones + 0.5 * ones @ field)  # objective(qubo, bits)
     trace = [current]
     subqubo_count = 0
     warning = None
     iterations_run = 0
-    rows, bounds = qubo.entry_rows(), qubo.indptr.tolist()  # for the splits and updates
 
     for iteration in range(max_iterations):
         changed = False
-        field = qubo.coupling_field(bits)
+        if iteration:
+            field = qubo.coupling_field(bits, rows)
         groups = _impact_groups(qubo, bits, k, field)
         split = _split_groups(qubo, groups, k, field, rows)
         subqubo_count += len(groups)

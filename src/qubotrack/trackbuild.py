@@ -12,6 +12,7 @@ resolution reads ``doublets.hit_ids[rows]`` and the fits' chi2/ndf.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -107,38 +108,63 @@ def fit_track(positions: np.ndarray, geometry: GeometryConfig) -> TrackFits:
     return TrackFits(x0=x0, y0=y0, tx=tx, ty=ty, chi2=chi2, energy=energy)
 
 
+def _overlap_counts(hit_ids: np.ndarray, m: int) -> tuple[tuple[list, ...], list, list]:
+    """The (i, j, n) lists of :func:`~qubotrack.geometry.shared_hits`, and
+    each of the ``m`` candidates' total overlap and number of >=2-hit
+    partners."""
+    first, second, shared = shared_hits(hit_ids)
+    two = shared >= 2
+    total = np.bincount(first, shared, m) + np.bincount(second, shared, m)
+    conflicts = np.bincount(first[two], minlength=m) + np.bincount(second[two], minlength=m)
+    return ((first.tolist(), second.tolist(), shared.tolist()),
+            total.astype(int).tolist(), conflicts.tolist())
+
+
 def resolve_ambiguities(hit_ids: np.ndarray, chi2_ndf: np.ndarray) -> list[int]:
     """Indices of the ``(candidates, 4)`` hit-id rows surviving
     shared-hit resolution, given each candidate's chi2/ndf.
 
     Repeatedly takes the candidate with the largest total hit overlap among
-    those still in a >=2-shared-hit conflict, compares it against each of
-    its conflicting partners, and rejects the worse chi2/ndf of every pair
-    (ties keep the lower creation index). Terminates when all surviving
-    pairs share at most one hit.
+    those still in a >=2-shared-hit conflict (ties: the lower index),
+    compares it against each of its conflicting partners, and rejects the
+    worse chi2/ndf of every pair (ties keep the lower creation index).
+    Terminates when all surviving pairs share at most one hit.
 
     Overlaps come from :func:`~qubotrack.geometry.shared_hits` once; each
-    candidate keeps a map of its live neighbours to their shared-hit
-    count, and a rejected candidate is removed from its neighbours' maps.
+    candidate keeps a map of its live neighbours to their shared-hit count,
+    its total overlap and its number of >=2-hit partners, and a rejected
+    candidate is removed from its neighbours' maps and counts. The pivot
+    comes from a heap of (-total, index) entries, one per candidate in
+    conflict, pushed when it was last found current. Totals only fall, so
+    an entry's key is never above its candidate's current key: an entry
+    popped with an outdated total is pushed again under the current one,
+    and the first current entry popped is the least key of all.
     """
     if len(hit_ids) != len(chi2_ndf):
         raise ValueError("candidates and fits must align")
     quality = np.asarray(chi2_ndf, dtype=float).tolist()
     alive = set(range(len(quality)))
     overlap: list[dict[int, int]] = [{} for _ in quality]
-    for i, j, n in zip(*(a.tolist() for a in shared_hits(hit_ids))):
+    pairs, total, conflicts = _overlap_counts(hit_ids, len(quality))
+    for i, j, n in zip(*pairs):
         overlap[i][j] = overlap[j][i] = n
+    heap = [(-t, i) for i, (t, c) in enumerate(zip(total, conflicts)) if c]
+    heapq.heapify(heap)
 
     def reject(i: int) -> None:
         alive.discard(i)
-        for j in overlap[i]:
+        for j, n in overlap[i].items():
             del overlap[j][i]
+            total[j] -= n
+            conflicts[j] -= n >= 2
 
-    while True:
-        in_conflict = [i for i in alive if any(n >= 2 for n in overlap[i].values())]
-        if not in_conflict:
-            break
-        pivot = min(in_conflict, key=lambda i: (-sum(overlap[i].values()), i))
+    while heap:
+        minus_total, pivot = heapq.heappop(heap)
+        if pivot not in alive or not conflicts[pivot]:
+            continue
+        if -minus_total != total[pivot]:
+            heapq.heappush(heap, (-total[pivot], pivot))
+            continue
         pivot_key = (quality[pivot], pivot)
         reject_pivot = False
         for partner in [j for j, n in overlap[pivot].items() if n >= 2]:

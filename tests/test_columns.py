@@ -2,6 +2,7 @@
 chain builds a ``Hit`` or ``TruthParticle``, and the views that are built
 on demand show exactly what the columns hold."""
 
+import metrics_reference
 import numpy as np
 import pytest
 
@@ -103,8 +104,9 @@ def test_event_of_views_equals_event_of_columns():
 
 
 def test_metrics_columns_match_per_hit_loops(tmp_path):
-    """The column forms of the metrics' truth tables against the per-hit
-    loops they replaced, on an event with noise and particles listed twice."""
+    """The reference's truth tables against per-hit loops over the views,
+    and the columnar report against the reference, on an event with noise
+    and particles listed twice."""
     event = noisy_event(tmp_path)
     p = event.particles
     doubled = Event(event.event_id, 0.0, event.hits, Particles(
@@ -115,9 +117,19 @@ def test_metrics_columns_match_per_hit_loops(tmp_path):
         if h.truth_particle_id is not None:
             layers_by_pid.setdefault(h.truth_particle_id, set()).add(h.layer)
     for n_layers in (3, 4):
-        assert metrics.reconstructable_particles(doubled, n_layers) == sorted(
+        assert metrics_reference.reconstructable_particles(doubled, n_layers) == sorted(
             pid for pid, layers in layers_by_pid.items() if len(layers) == n_layers)
-    assert metrics.truth_by_hit(doubled) == {h.hit_id: h.truth_particle_id
-                                             for h in doubled.hits}
-    assert metrics._true_energies(doubled) == {v.particle_id: v.energy
-                                               for v in reversed(doubled.particles)}
+    assert metrics_reference.truth_by_hit(doubled) == {h.hit_id: h.truth_particle_id
+                                                       for h in doubled.hits}
+    assert metrics_reference.true_energies(doubled) == {v.particle_id: v.energy
+                                                        for v in reversed(doubled.particles)}
+    h = doubled.hits
+    rows = np.stack([h.ids[np.argsort(h.layers == k, kind="stable")[::-1][:12]]
+                     for k in range(4)], axis=1)  # hits of every layer, noise among them
+    rows = np.r_[rows, np.stack([rows[:, 0], rows[:, 1], np.roll(rows[:, 2], 1),
+                                 np.roll(rows[:, 3], 2)], axis=1)]  # and fakes
+    tracks = [metrics.TrackRecord(doubled.event_id, k, tuple(ids), 1.0, 4, 2.0 + k)
+              for k, ids in enumerate(rows.tolist())]
+    edges = [0.0, 3.0, 8.0, 16.0]
+    assert metrics_reference.hexed(metrics.build_report([doubled], tracks, edges).to_dict()) \
+        == metrics_reference.hexed(metrics_reference.reference_report([doubled], tracks, edges))

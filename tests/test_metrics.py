@@ -1,14 +1,16 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from metrics_reference import (hexed, match_hits, reconstructable_particles, reference_report,
+                               truth_by_hit)
+
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
-from qubotrack.metrics import (TrackRecord, build_report, match_hits,
-                               reconstructable_particles, truth_by_hit,
-                               wilson_interval)
+from qubotrack.metrics import TrackRecord, build_report, match_event, wilson_interval
 from qubotrack.pipeline import reconstruct_events, simulate_events
 
 
@@ -67,6 +69,7 @@ def test_reconstructable_requires_all_layers():
     partial = Event(event_id=1, xi_label=0.0, particles=e.particles,
                     hits=tuple(h for h in e.hits if h.hit_id != 0))
     assert reconstructable_particles(partial) == [1, 2]
+    assert build_report([partial], []).counts["generated"] == 2
 
 
 def test_fake_rate_counting():
@@ -94,6 +97,8 @@ def test_match_track_majority_rule():
     mixed = TrackRecord(event_id=0, track_id=0,
                         hit_ids=(10, 11, 2, 3), chi2=1.0, ndf=4, energy=3.0)
     assert match_hits(mixed.hit_ids, truth_by_hit(e)) is None  # 2-2 split
+    particle, matched = match_event(e, np.array([t.hit_ids, mixed.hit_ids]))
+    assert particle[0] == 1 and matched.tolist() == [True, False]
 
 
 def test_energy_resolution_exact_and_absent():
@@ -343,3 +348,128 @@ def test_report_unchanged_on_multi_event_multi_label_run():
     events, tracks = _report_scenario()
     report = build_report(events, tracks, edges=[0.0, 3.0, 6.0, 10.0, 16.0])
     assert _rounded(report.to_dict()) == _rounded(expected)
+
+
+# -- the columnar report against the per-hit, per-track reference -------------------------
+
+EDGES = [0.0, 1.0, 2.0, 3.5, 5.0, 8.0]
+
+
+def random_run(rng):
+    """Events and tracks with every case the report tells apart: noise hits,
+    track hits missing from their event or named twice, particles sharing
+    an id, hits sharing an id, non-finite track energies, events without
+    hits or tracks, two xi labels, and energies on the bin edges. Every
+    hit's particle is listed, so neither side raises."""
+    events, tracks = [], []
+
+    def edge_or_uniform():  # a particle's energy is positive, so not edge 0
+        return (float(rng.choice(EDGES[1:])) if rng.random() < 0.3
+                else float(rng.uniform(0.5, 9.0)))
+
+    for event_id in rng.choice(60, size=int(rng.integers(0, 6)), replace=False).tolist():
+        n_particles = int(rng.integers(0, 7))
+        pids = rng.integers(-2, n_particles + 1, size=n_particles)  # repeats allowed
+        energies = [edge_or_uniform() for _ in pids]
+        particles = tuple(TruthParticle(int(p), e, (0, 0, 0), (0, 0, 1.0))
+                          for p, e in zip(pids.tolist(), energies))
+        owners = sorted(set(pids.tolist()))
+        hit_ids = rng.choice(500, size=60, replace=False).tolist()
+        hits = []
+        for pid in owners:
+            layers = range(4) if rng.random() < 0.6 else rng.integers(0, 4, size=4).tolist()
+            hits += [Hit(hit_ids.pop(), int(layer), (0.0, 0.0, 1.0 + 0.1 * layer), pid)
+                     for layer in layers]
+        hits += [Hit(hit_ids.pop(), int(rng.integers(0, 4)), (0.01, 0.0, 1.0))
+                 for _ in range(int(rng.integers(0, 4)))]
+        if hits and rng.random() < 0.2:  # a hand-made event may reuse a hit id
+            twin = hits[int(rng.integers(len(hits)))]
+            hits.insert(int(rng.integers(len(hits) + 1)),
+                        Hit(twin.hit_id, twin.layer, twin.position, rng.choice(owners or [None])))
+        if rng.random() < 0.15:
+            hits = []
+        events.append(Event(event_id, float(rng.choice([0.0, 2.5])), tuple(hits), particles))
+        by_owner = {}
+        for h in hits:
+            by_owner.setdefault(h.truth_particle_id, []).append(h.hit_id)
+        pool = [h.hit_id for h in hits] + [hit_ids.pop()]  # the last is in no event
+        for _ in range(int(rng.integers(0, 8))):
+            # mostly one particle's hits, some of them swapped; else any hits
+            owner = (list(by_owner.values())[int(rng.integers(len(by_owner)))]
+                     if hits and rng.random() < 0.7 else [])
+            ids = [int(rng.choice(owner)) if owner and rng.random() < 0.75
+                   else int(rng.choice(pool)) for _ in range(4)]
+            if rng.random() < 0.2:
+                ids[3] = ids[0]  # one hit named twice
+            energy = (float(rng.choice([math.nan, math.inf, -math.inf]))
+                      if rng.random() < 0.15 else edge_or_uniform())
+            tracks.append(TrackRecord(event_id, len(tracks), tuple(ids), 1.0, 4, energy))
+    order = rng.permutation(len(tracks)).tolist()
+    return events, [tracks[k] for k in order]
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_report_equals_reference_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    events, tracks = random_run(rng)
+    edges = EDGES if seed % 3 else None
+    assert hexed(build_report(events, tracks, edges).to_dict()) == hexed(
+        reference_report(events, tracks, edges))
+
+
+def test_random_runs_cover_every_case():
+    """The runs above hold each case the reference is compared on."""
+    seen = Counter()
+    for seed in range(300):
+        events, tracks = random_run(np.random.default_rng(seed))
+        hit_ids = {e.event_id: set(e.hits.ids.tolist()) for e in events}
+        seen["noise"] += any((~e.hits.known).any() for e in events)
+        seen["missing hit"] += any(set(t.hit_ids) - hit_ids[t.event_id] for t in tracks)
+        seen["hit twice"] += any(len(set(t.hit_ids)) < 4 for t in tracks)
+        seen["shared id"] += any(len(set(e.particles.ids.tolist())) < len(e.particles)
+                                 for e in events)
+        seen["shared hit id"] += any(len(set(e.hits.ids.tolist())) < len(e.hits)
+                                     for e in events)
+        seen["non-finite"] += any(not math.isfinite(t.energy) for t in tracks)
+        seen["no hits"] += any(not len(e.hits) for e in events)
+        seen["no tracks"] += any(e.event_id not in {t.event_id for t in tracks}
+                                 for e in events)
+        seen["two labels"] += len({e.xi_label for e in events}) > 1
+        seen["on an edge"] += any(t.energy in EDGES for t in tracks) and any(
+            set(e.particles.energies.tolist()) & set(EDGES) for e in events)
+        report = reference_report(events, tracks)
+        seen["matched"] += report["counts"]["matched"] > 0
+        seen["combinatorial"] += report["counts"]["fake_combinatorial"] > 0
+        seen["duplicate"] += bool(report["duplication_rate"])
+    assert min(seen.values()) >= 10 and len(seen) == 13, seen
+
+
+def test_errors_equal_reference():
+    e = toy_event()
+    lost = Event(1, 0.0, e.hits, tuple(e.particles)[1:])  # particle 0 owns hits, unlisted
+    cases = [
+        ([e], [TrackRecord(5, 0, (0, 1, 2, 3), 1.0, 4, 2.0)], None),  # unknown event
+        ([lost], [TrackRecord(1, 0, (0, 1, 2, 3), 1.0, 4, 2.0)], None),
+        ([lost], [], EDGES),
+    ]
+    for events, tracks, edges in cases:
+        with pytest.raises(KeyError) as expected:
+            reference_report(events, tracks, edges)
+        with pytest.raises(KeyError) as got:
+            build_report(events, tracks, edges)
+        assert got.value.args == expected.value.args
+    with pytest.raises(ValueError, match="listed twice"):
+        build_report([e, e], [])
+
+
+def test_desk_matches_equal_reference(desk_events, desk_config):
+    """``reconstruct_event`` fills ``matched_particle_id`` by the reference's
+    rule, and the desk report is the reference's bit for bit."""
+    results, _ = reconstruct_events(desk_events, desk_config)
+    tracks = [t for r in results for t in r.tracks]
+    by_id = {e.event_id: truth_by_hit(e) for e in desk_events}
+    assert [t.matched_particle_id for t in tracks] == [
+        match_hits(t.hit_ids, by_id[t.event_id]) for t in tracks]
+    assert any(t.matched_particle_id is None for t in tracks)
+    assert hexed(build_report(desk_events, tracks, EDGES).to_dict()) == hexed(
+        reference_report(desk_events, tracks, EDGES))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_objective, qubo_from_dict, random_qubo, sub_problems
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
-from qubotrack.metrics import reconstructable_particles
+from qubotrack.metrics import build_report
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets, truth_triplets)
@@ -142,7 +142,7 @@ def test_truth_chain_spreads_one_per_four_layer_particle(geometry):
                     emittance_angle_sigma=0.0, scattering=False, smear_hits=False)
     event = generate_event(sim, geometry, 0)
     spreads = truth_chain_spreads(truth_triplets(truth_doublets(event)))
-    assert len(spreads) == len(reconstructable_particles(event)) > 10
+    assert len(spreads) == build_report([event], []).counts["generated"] > 10
     assert max(spreads) < 1e-12
 
 

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from metrics_reference import match_hits, truth_by_hit
 
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
-from qubotrack.geometry import Event, Hit, TruthParticle
-from qubotrack.metrics import match_hits, truth_by_hit
+from qubotrack.geometry import Event, Hit, TruthParticle, shared_hits
+from qubotrack.metrics import match_event
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
@@ -241,17 +242,27 @@ def make_event(hits, n_particles=3):
     return Event(event_id=0, xi_label=0.0, hits=tuple(hits), particles=particles)
 
 
+def matched_id(event, hits):
+    """The one match of the hits' ids, by the reference and by the library's
+    matcher, which must agree."""
+    ids = ids_of(hits)
+    particle, matched = match_event(event, ids)
+    expected = match_hits(ids[0].tolist(), truth_by_hit(event))
+    assert (int(particle[0]) if matched[0] else None) == expected
+    return expected
+
+
 def test_match_all_four_hits():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=1)
     event = make_event(hits)
-    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) == 1
+    assert matched_id(event, hits) == 1
 
 
 def test_match_three_of_four():
     hits = list(quad_hits([0.03, 0.036, 0.042, 0.048], pid=1))
     hits[3] = Hit(hit_id=3, layer=3, position=hits[3].position, truth_particle_id=2)
     event = make_event(hits)
-    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) == 1
+    assert matched_id(event, hits) == 1
 
 
 def test_two_two_split_is_fake():
@@ -260,13 +271,13 @@ def test_two_two_split_is_fake():
         hits[k] = Hit(hit_id=k, layer=k, position=hits[k].position,
                       truth_particle_id=2)
     event = make_event(hits)
-    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) is None
+    assert matched_id(event, hits) is None
 
 
 def test_noise_hits_do_not_match():
     hits = quad_hits([0.03, 0.036, 0.042, 0.048], pid=None)
     event = make_event(hits)
-    assert match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event)) is None
+    assert matched_id(event, hits) is None
 
 
 # -- ambiguity resolution --------------------------------------------------------------
@@ -351,8 +362,7 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
             continue
         hit_ids = selected.doublets.hit_ids[rows]
         quality = fit_track(selected.doublets.positions[rows], geometry).chi2_ndf
-        truth = truth_by_hit(event)
-        matched = [match_hits(ids, truth) is not None for ids in hit_ids.tolist()]
+        matched = match_event(event, hit_ids)[1].tolist()
         matched_chi2 = [q for q, m in zip(quality.tolist(), matched) if m]
         if not matched_chi2:
             continue
@@ -424,6 +434,52 @@ def resolve_ambiguities_oracle(hit_ids, quality):
     return sorted(alive)
 
 
+def resolve_ambiguities_rescan(hit_ids, quality):
+    """The resolution with neighbour maps but no kept totals: at each pivot
+    every live candidate is read again for its conflicts and total."""
+    quality = quality.tolist()
+    alive = set(range(len(quality)))
+    overlap = [{} for _ in quality]
+    for i, j, n in zip(*(a.tolist() for a in shared_hits(hit_ids))):
+        overlap[i][j] = overlap[j][i] = n
+
+    def reject(i):
+        alive.discard(i)
+        for j in overlap[i]:
+            del overlap[j][i]
+
+    while True:
+        in_conflict = [i for i in alive if any(n >= 2 for n in overlap[i].values())]
+        if not in_conflict:
+            break
+        pivot = min(in_conflict, key=lambda i: (-sum(overlap[i].values()), i))
+        pivot_key = (quality[pivot], pivot)
+        reject_pivot = False
+        for partner in [j for j, n in overlap[pivot].items() if n >= 2]:
+            if (quality[partner], partner) > pivot_key:
+                reject(partner)
+            else:
+                reject_pivot = True
+        if reject_pivot:
+            reject(pivot)
+    return sorted(alive)
+
+
+def test_resolution_of_every_triplet_equals_rescan(geometry, desk_triplets):
+    """Every triplet of a desk event chained into candidates, the input
+    with the most conflicts: the kept totals and the heap pick the rescan's
+    pivots, so the survivors are the rescan's."""
+    rejected = 0
+    for triplets in desk_triplets:
+        rows = triplets_to_candidates(triplets)
+        hit_ids = triplets.doublets.hit_ids[rows]
+        quality = fit_track(triplets.doublets.positions[rows], geometry).chi2_ndf
+        keep = resolve_ambiguities(hit_ids, quality)
+        assert keep == resolve_ambiguities_rescan(hit_ids, quality)
+        rejected += len(rows) - len(keep)
+    assert rejected > 100
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_resolution_matches_all_pairs_oracle(seed):
     rng = np.random.default_rng(seed)
@@ -439,4 +495,5 @@ def test_resolution_matches_all_pairs_oracle(seed):
     quality = chi2_ndf(*(float(rng.integers(1, 5)) for _ in range(n)))
     keep = resolve_ambiguities(rows, quality)
     assert keep == resolve_ambiguities_oracle(rows, quality)
+    assert keep == resolve_ambiguities_rescan(rows, quality)
     assert 0 < len(keep) < n
