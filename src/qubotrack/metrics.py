@@ -8,9 +8,10 @@ Every event's hit and particle columns are concatenated once
 hit id) with sorted int64 keys, which gives a ``(tracks, 4)`` array of
 owner keys: one int64 per (event, particle) pair, -1 for a noise hit or a
 hit its event lacks. :func:`match_owners` matches the rows of that array;
-reconstruction fills ``matched_particle_id`` with the same join and
-matcher (:func:`match_event`). No step loops over hits or tracks in Python, apart from the one
-read of the :class:`TrackRecord` fields.
+reconstruction, which holds its tracks' hit positions, fills
+``matched_particle_id`` with the same matcher (:func:`match_truth`). No
+step loops over hits or tracks in Python, apart from the one read of the
+:class:`TrackRecord` fields.
 
 Conventions:
   * a particle is counted in the efficiency denominator only if it left a
@@ -136,11 +137,6 @@ class RunTruth:
         owners[found] = self.owner[self._hit_at[at[found]]]
         return owners, found
 
-    def particle_ids(self, owners: np.ndarray) -> np.ndarray:
-        """Particle id of each owner key (0 where the key is -1)."""
-        n = len(self.truth_ids)
-        return np.append(self.truth_ids, 0)[np.where(owners >= 0, owners % max(n, 1), n)]
-
     def reconstructable(self) -> np.ndarray:
         """Ascending owner keys of the particles with a hit on every layer."""
         owner, layer = self.owner[self.known], self.layers[self.known]
@@ -169,7 +165,7 @@ class RunTruth:
         keys, energies = self._particles
         at, found = _lookup(keys, owners)
         if not found.all():
-            raise KeyError(int(self.particle_ids(owners[~found][:1])[0]))
+            raise KeyError(int(self.truth_ids[owners[~found][0] % len(self.truth_ids)]))
         return energies[at]
 
 
@@ -184,13 +180,16 @@ def match_owners(owners: np.ndarray) -> np.ndarray:
     return np.where(held & (s[:, 1] >= 0), s[:, 1], -1)
 
 
-def match_event(event: Event, hit_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matched particle id of each ``(tracks, 4)`` row of the event's hit
-    ids (0 where none), and whether the row is matched."""
-    truth = RunTruth([event])
-    owners, _ = truth.owners(np.zeros(len(hit_ids), dtype=np.intp), hit_ids)
+def match_truth(truth: np.ndarray, known: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matched particle id of each ``(tracks, 4)`` row of one event's hit
+    truth ids (0 where none), and whether the row is matched; ``known``
+    flags the hits that have a particle. Reconstruction holds its tracks'
+    hit positions, so it reads the truth columns directly, with no join."""
+    ids, rank = np.unique(truth[known], return_inverse=True)
+    owners = np.full(truth.shape, -1, dtype=np.int64)
+    owners[known] = rank.reshape(-1)
     matched = match_owners(owners)
-    return truth.particle_ids(matched), matched >= 0
+    return np.append(ids, 0)[matched], matched >= 0  # -1 picks the 0
 
 
 def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:

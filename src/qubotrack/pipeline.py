@@ -25,7 +25,7 @@ from .config import RunConfig
 from .fastsim import generate_event
 from .geometry import Event, GeometryConfig, build_geometry
 from .io import write_doublet_debug_csv, write_qubo, write_triplet_debug_csv
-from .metrics import TrackRecord, match_event
+from .metrics import TrackRecord, match_truth
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
                         calibrate_dx_window, truth_doublets, truth_triplets)
 from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
@@ -199,7 +199,8 @@ def reconstruct_event(event: Event, geometry: GeometryConfig,
     hit_ids = selected.doublets.hit_ids[rows]
     fits = fit_track(selected.doublets.positions[rows], geometry)
     keep = resolve_ambiguities(hit_ids, fits.chi2_ndf)
-    particle, matched = match_event(event, hit_ids[keep])
+    hits, kept = selected.doublets.hits, rows[keep]  # the event's hits
+    particle, matched = match_truth(hits.truth[kept], hits.known[kept])
     tracks = [TrackRecord(event_id=eid, track_id=track_id, hit_ids=tuple(ids),
                           chi2=chi2, ndf=NDF, energy=energy,
                           matched_particle_id=pid if found else None)

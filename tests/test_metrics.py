@@ -10,7 +10,7 @@ from metrics_reference import (hexed, match_hits, reconstructable_particles, ref
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
-from qubotrack.metrics import TrackRecord, build_report, match_event, wilson_interval
+from qubotrack.metrics import TrackRecord, build_report, match_truth, wilson_interval
 from qubotrack.pipeline import reconstruct_events, simulate_events
 
 
@@ -97,7 +97,8 @@ def test_match_track_majority_rule():
     mixed = TrackRecord(event_id=0, track_id=0,
                         hit_ids=(10, 11, 2, 3), chi2=1.0, ndf=4, energy=3.0)
     assert match_hits(mixed.hit_ids, truth_by_hit(e)) is None  # 2-2 split
-    particle, matched = match_event(e, np.array([t.hit_ids, mixed.hit_ids]))
+    rows = np.searchsorted(e.hits.ids, [t.hit_ids, mixed.hit_ids])  # toy ids ascend
+    particle, matched = match_truth(e.hits.truth[rows], e.hits.known[rows])
     assert particle[0] == 1 and matched.tolist() == [True, False]
 
 

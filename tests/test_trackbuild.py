@@ -6,7 +6,7 @@ from metrics_reference import match_hits, truth_by_hit
 
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.geometry import Event, Hit, TruthParticle, shared_hits
-from qubotrack.metrics import match_event
+from qubotrack.metrics import match_truth
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
 from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
@@ -243,11 +243,12 @@ def make_event(hits, n_particles=3):
 
 
 def matched_id(event, hits):
-    """The one match of the hits' ids, by the reference and by the library's
-    matcher, which must agree."""
-    ids = ids_of(hits)
-    particle, matched = match_event(event, ids)
-    expected = match_hits(ids[0].tolist(), truth_by_hit(event))
+    """The one match of the hits, by the reference on their ids and by the
+    library's matcher on their truth, which must agree."""
+    truth = [[h.truth_particle_id or 0 for h in hits]]
+    known = [[h.truth_particle_id is not None for h in hits]]
+    particle, matched = match_truth(np.array(truth), np.array(known))
+    expected = match_hits(ids_of(hits)[0].tolist(), truth_by_hit(event))
     assert (int(particle[0]) if matched[0] else None) == expected
     return expected
 
@@ -362,7 +363,8 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
             continue
         hit_ids = selected.doublets.hit_ids[rows]
         quality = fit_track(selected.doublets.positions[rows], geometry).chi2_ndf
-        matched = match_event(event, hit_ids)[1].tolist()
+        hits = selected.doublets.hits
+        matched = match_truth(hits.truth[rows], hits.known[rows])[1].tolist()
         matched_chi2 = [q for q, m in zip(quality.tolist(), matched) if m]
         if not matched_chi2:
             continue
