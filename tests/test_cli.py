@@ -273,6 +273,34 @@ def test_evaluate_rejects_a_track_hit_missing_from_its_event(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_evaluate_names_the_first_missing_hit_in_file_order(tmp_path, capsys):
+    """Of several tracks with missing hits, the first in the file is named,
+    with its first missing hit in column order; another event's hit counts
+    as missing."""
+    run, _ = run_pipeline(tmp_path, events=2)
+    hit_ids = {}
+    for line in (run / "hits.csv").read_text().splitlines()[1:]:
+        hit_ids.setdefault(line.split(",")[0], set()).add(line.split(",")[1])
+    small, large = sorted(hit_ids, key=lambda e: len(hit_ids[e]))
+    foreign = min(hit_ids[large] - hit_ids[small], key=int)
+    rows = (run / "tracks.csv").read_text().splitlines(keepends=True)
+    first, second = [r for r, row in enumerate(rows) if row.split(",")[0] == small][:2]
+    for r, replace in ((first, {1: foreign, 3: "999999"}), (second, {0: "999998"})):
+        fields = rows[r].split(",")
+        ids = fields[2].split(";")
+        for c, hit in replace.items():
+            ids[c] = hit
+        fields[2] = ";".join(ids)
+        rows[r] = ",".join(fields)
+    (run / "tracks.csv").write_text("".join(rows))
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    tid = rows[first].split(",")[1]
+    assert (f"tracks.csv: track {tid} of event {small} names hit {foreign}, missing from "
+            f"the event's hits") in err
+
+
 def test_reconstruct_rejects_a_hit_off_its_plane(tmp_path, capsys):
     # the planes at this pitch do not survive the hits table's 9-digit
     # print, so reading the file back needs the tolerance
