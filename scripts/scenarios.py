@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 
-from .fastsim import PT_KICK_PER_TESLA_METER
-from .geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
+from qubotrack.fastsim import PT_KICK_PER_TESLA_METER
+from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
 
 
 def two_nearby_particles_event(event_id: int = 0) -> tuple[Event, GeometryConfig]:

@@ -163,17 +163,22 @@ def _offset_events(events: list[Event], tracks: list[TrackRecord], offset: int
 
 
 def _check_shared_hits(tracks: list[TrackRecord]) -> None:
-    by_event: dict[int, list[TrackRecord]] = {}
-    for t in tracks:
-        by_event.setdefault(t.event_id, []).append(t)
-    for eid, ts in by_event.items():
-        i, j, n = shared_hits([t.hit_ids for t in ts])
-        bad = np.flatnonzero(n >= 2)
-        if bad.size:
-            a, b = ts[i[bad[0]]], ts[j[bad[0]]]
-            raise InvariantViolation(
-                f"event {eid}: final tracks {a.track_id} and {b.track_id} "
-                f"share >= 2 hits")
+    """Raise on two tracks of one event that share two hits or more: of the
+    events with such a pair, the one whose first track comes first, and
+    its lowest pair."""
+    event_ids, hit_ids, _ = track_columns(tracks)
+    _, first, event = np.unique(event_ids, return_index=True, return_inverse=True)
+    hits, hit = np.unique(hit_ids.reshape(-1), return_inverse=True)
+    # one code per distinct (event, hit id), so tracks of two events share none
+    i, j, n = shared_hits(event[:, None] * len(hits) + hit.reshape(hit_ids.shape))
+    bad = np.flatnonzero(n >= 2)
+    if bad.size:
+        # pairs ascend in (i, j), so the first of the first event is its lowest
+        k = bad[np.argmin(first[event[i[bad]]])]
+        a, b = tracks[i[k]], tracks[j[k]]
+        raise InvariantViolation(
+            f"event {a.event_id}: final tracks {a.track_id} and {b.track_id} "
+            f"share >= 2 hits")
 
 
 def cmd_evaluate(args) -> int:

@@ -234,12 +234,6 @@ class Event:
         object.__setattr__(self, "hits", Hits.of(self.hits))
         object.__setattr__(self, "particles", Particles.of(self.particles))
 
-    def particle_by_id(self, pid: int) -> TruthParticle:
-        found = np.flatnonzero(self.particles.ids == pid).tolist()
-        if not found:
-            raise KeyError(pid)
-        return self.particles[found[0]]
-
 
 def _index_ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ranges start[k] .. start[k] + count[k] - 1 laid end to end, as

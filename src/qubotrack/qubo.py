@@ -221,12 +221,6 @@ def objective(qubo: Qubo, bits: Assignment) -> float:
     return float(qubo.linear @ t + 0.5 * t @ qubo.coupling_field(t))
 
 
-def impacts(qubo: Qubo, bits: Assignment) -> np.ndarray:
-    """Vector of flip impacts for all variables at once."""
-    t = np.asarray(bits, dtype=float)
-    return (1.0 - 2.0 * t) * (qubo.linear + qubo.coupling_field(t))
-
-
 @dataclass
 class IsingHamiltonian:
     """Diagonal spin Hamiltonian equivalent to a Qubo under T = (1 + Z)/2.
@@ -245,12 +239,6 @@ class IsingHamiltonian:
     @property
     def n(self) -> int:
         return len(self.field)
-
-    def energy_of_bits(self, bits: Assignment) -> float:
-        """Energy of a selection bit vector (bit=1 <=> T=1 <=> z=+1)."""
-        z = 2 * np.asarray(bits, dtype=float) - 1.0
-        return (self.constant + float(self.field @ z)
-                + float(self.coupling @ (z[self.pair_i] * z[self.pair_j])))
 
     def measured_energy_table(self) -> np.ndarray:
         """Energies of all 2^n computational basis states.

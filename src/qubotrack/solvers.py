@@ -11,7 +11,8 @@ objective does not increase.
 
 The full objective stays a symmetric CSR (see :class:`~qubotrack.qubo.Qubo`);
 no n x n matrix is formed. Each iteration computes the coupling field
-sum_j b_ij t_j once (one CSR matvec), which gives the impacts and every
+sum_j b_ij t_j once (one CSR matvec), which gives the impacts
+(1 - 2 t_i)(a_i + field_i), field_i the field's entry, and every
 boundary term. One vectorised pass over the CSR scatters the couplings
 inside each group into a dense k x k block; the others are read only
 through the field. A group's sub-problem is its block and the linear
@@ -150,11 +151,11 @@ def solve_exact(problem: Qubo | tuple[np.ndarray, np.ndarray]) -> Assignment:
 def _impact_groups(qubo: Qubo, bits: Assignment, k: int,
                    field: np.ndarray) -> list[np.ndarray]:
     """Group variables by descending |impact| into runs of at most k; the
-    impacts (1 - 2 t_i)(a_i + field_i) at the coupling ``field`` of ``bits``
-    are :func:`~qubotrack.qubo.impacts`' bit for bit. Indices inside a group
-    are sorted ascending: the grouping is what the decomposition depends
-    on, and a canonical in-group order keeps exact sub-solves (and their
-    tie-breaks) aligned with the full problem."""
+    impacts are (1 - 2 t_i)(a_i + field_i) at the coupling ``field`` of
+    ``bits``: the change of the objective when t_i flips. Indices inside a
+    group are sorted ascending: the grouping is what the decomposition
+    depends on, and a canonical in-group order keeps exact sub-solves (and
+    their tie-breaks) aligned with the full problem."""
     if k < 1:
         raise ValueError("sub-problem size k must be >= 1")
     order = np.argsort(-np.abs(np.where(bits, -1.0, 1.0) * (qubo.linear + field)),

@@ -17,8 +17,9 @@ of at most 4 qubits (two at n = 7), for a batch of states at once.
 Because the target Hamiltonian is diagonal, the energy of every sampled
 bitstring is evaluated classically; no Pauli-term measurement batching is
 needed. With the spin convention Z|0> = +|0> and T = (1 + Z)/2, a measured
-bit m corresponds to the selection bit t = 1 - m; results are reported in
-t-convention (bit=1 <=> triplet selected).
+bit m corresponds to the selection bit t = 1 - m; results are measured basis
+indices, which :func:`selection_bits` turns into selection bits (bit=1 <=>
+triplet selected).
 
 The optimizer is coordinate-wise: the cost along any single R_Y angle is an
 exact sinusoid c0 + c1*cos(theta - c2), reconstructed from three evaluations
@@ -46,7 +47,6 @@ import dataclasses
 import functools
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -179,25 +179,6 @@ def _sample(states: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
                      in zip(cdfs.view(np.int64), uniforms.view(np.int64))])
 
 
-def sample_counts(state: np.ndarray, shots: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Measured basis-state indices for ``shots`` samples of |psi|^2: the
-    draw ``rng.choice(len(state), size=shots, p=...)`` makes, without its
-    per-call argument checks (same indices, same generator state after)."""
-    return _sample(np.asarray(state)[None], rng.random((1, shots)))[0]
-
-
-def energy_expectation(state: np.ndarray, ising: IsingHamiltonian, shots: int,
-                       rng: np.random.Generator | None = None) -> float:
-    """<H> exactly (shots=0) or as a Monte Carlo estimate from sampled bitstrings."""
-    table = ising.measured_energy_table()
-    if shots == 0:
-        return float(_probabilities(state) @ table)
-    if rng is None:
-        raise ValueError("shots > 0 requires an rng")
-    return float(table[sample_counts(state, shots, rng)].mean())
-
-
 def nft_update(current_theta: float, costs: Sequence[float]) -> float:
     """One sinusoid-reconstruction step for a single rotation angle.
 
@@ -219,27 +200,20 @@ def nft_update(current_theta: float, costs: Sequence[float]) -> float:
     return current_theta + step
 
 
-def measured_index_to_bitstring(index: int, n: int) -> str:
-    """Selection bitstring (t = 1 - measured bit) with variable 0 leftmost."""
-    return format(index ^ (2 ** n - 1), f"0{n}b")
-
-
-def bitstring_to_bits(bitstring: str) -> Assignment:
-    return np.array([1 if c == "1" else 0 for c in bitstring], dtype=np.int8)
+def selection_bits(index: int, n: int) -> Assignment:
+    """Selection bits (t = 1 - measured bit) of measured basis index
+    ``index`` of n qubits, variable 0 first."""
+    return (1 - ((index >> np.arange(n - 1, -1, -1)) & 1)).astype(np.int8)
 
 
 @dataclass
 class VqeResult:
-    best_bitstring: str          # selection convention, variable 0 leftmost
+    best_index: int              # measured basis index, qubit 0 most significant
     best_energy: float           # diagonal energy of that basis state
-    counts: Counter              # final-state measurement histogram (selection bitstrings)
+    samples: np.ndarray          # final measurement's basis indices (empty at shots 0)
     final_expectation: float     # <H> of the optimized state (exact)
     evaluations: int
     thetas: np.ndarray = field(repr=False)
-
-    @property
-    def best_bits(self) -> Assignment:
-        return bitstring_to_bits(self.best_bitstring)
 
 
 # (cos, sin) of half of each shift: the trial at that shift is
@@ -292,23 +266,13 @@ def _nft_sweep(thetas: np.ndarray, n: int, steps: int, score) -> np.ndarray:
     return pair[0]
 
 
-def _histogram(samples: np.ndarray, n: int) -> Counter:
-    """Selection-bitstring counts of measured indices, each index formatted
-    once, in order of first occurrence (so ``most_common`` breaks ties as
-    counting the samples one by one does)."""
-    values, first, tally = np.unique(samples, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return Counter({measured_index_to_bitstring(v, n): c
-                    for v, c in zip(values[order].tolist(), tally[order].tolist())})
-
-
 def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResult:
     """Minimize <H> by cycling sinusoid updates over all 2n parameters.
 
-    Returns the lowest-energy bitstring sampled anywhere during the run plus
-    a final measurement histogram of ``shots`` samples. With shots=0 the
+    Returns the lowest-energy basis index sampled anywhere during the run
+    plus the ``shots`` indices of a final measurement. With shots=0 the
     run is fully deterministic apart from the random initial angles; the
-    returned bitstring is then the lowest-energy basis state among those
+    returned index is then the lowest-energy basis state among those
     carrying non-negligible probability (> 1e-6) in the final state.
 
     Exact mode (shots=0) detects coordinate-descent fixed points; if budget
@@ -316,7 +280,7 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     converged point, since the sinusoid updates can stall on basis states
     that are minima under every single-angle move.
 
-    A 0-variable problem returns at once: empty bitstring, no counts and
+    A 0-variable problem returns at once: index 0, no samples and
     0 evaluations. A NaN or infinite energy raises ``ValueError``.
     """
     config = config or VqeConfig()
@@ -329,8 +293,9 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
                          "infinite coefficient")
     if n == 0:  # no angle to optimise: the one (empty) state is the answer
         energy = float(table[0])
-        return VqeResult(best_bitstring="", best_energy=energy, counts=Counter(),
-                         final_expectation=energy, evaluations=0, thetas=np.zeros(0))
+        return VqeResult(best_index=0, best_energy=energy,
+                         samples=np.zeros(0, dtype=np.int64), final_expectation=energy,
+                         evaluations=0, thetas=np.zeros(0))
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
     shots, flip = config.shots, config.readout_flip_probability
@@ -411,18 +376,17 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     final_expectation = float(probs @ table)
 
     if shots > 0:
-        samples, _ = measure(final_state[None], rng.random((1, width)))
-        counts = _histogram(samples[0], n)
+        samples = measure(final_state[None], rng.random((1, width)))[0][0]
         best_index = best_sampled_index
     else:
-        counts = Counter()
+        samples = np.zeros(0, dtype=np.int64)
         support = np.nonzero(probs > 1e-6)[0]
         best_index = int(support[np.argmin(table[support])])
 
     return VqeResult(
-        best_bitstring=measured_index_to_bitstring(int(best_index), n),
+        best_index=best_index,
         best_energy=float(table[best_index]),
-        counts=counts,
+        samples=samples,
         final_expectation=final_expectation,
         evaluations=evaluations,
         thetas=thetas,
@@ -441,7 +405,7 @@ class VqeSubsolver:
                  entropy: tuple[int, int, int]) -> Assignment:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         config = dataclasses.replace(self.config, seed=int(rng.integers(2 ** 31)))
-        return run_vqe(dense_to_ising(a, block), config).best_bits
+        return selection_bits(run_vqe(dense_to_ising(a, block), config).best_index, len(a))
 
 
 def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300) -> VqeSubsolver:

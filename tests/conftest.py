@@ -1,3 +1,7 @@
+import sys
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -6,6 +10,9 @@ from qubotrack import pipeline
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
 from qubotrack.pipeline import simulate_events
+
+# the hand-built events live next to the demo that prints them
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 
 # The same examples on every run, so a run's time and coverage do not drift;
 # ``--hypothesis-profile default`` draws fresh ones.
@@ -108,3 +115,43 @@ def brute_force_objective(qubo, bits):
     for (i, j), b in qubo.quadratic.items():
         value += b * bits[i] * bits[j]
     return value
+
+
+def impacts(qubo, bits):
+    """Each variable's flip impact, the change of the objective when its
+    bit flips: (1 - 2 t_i)(a_i + sum_j b_ij t_j)."""
+    t = np.asarray(bits, dtype=float)
+    return (1.0 - 2.0 * t) * (qubo.linear + qubo.coupling_field(t))
+
+
+def ising_energy_of_bits(ising, bits) -> float:
+    """Energy of an ``IsingHamiltonian`` at selection bits ``bits``
+    (bit=1 <=> T=1 <=> z=+1)."""
+    z = 2 * np.asarray(bits, dtype=float) - 1.0
+    return (ising.constant + float(ising.field @ z)
+            + float(ising.coupling @ (z[ising.pair_i] * z[ising.pair_j])))
+
+
+def particle_by_id(event, pid: int):
+    """The first of ``event``'s particles with id ``pid``."""
+    found = np.flatnonzero(event.particles.ids == pid).tolist()
+    if not found:
+        raise KeyError(pid)
+    return event.particles[found[0]]
+
+
+def measured_index_to_bitstring(index: int, n: int) -> str:
+    """Selection bitstring (t = 1 - measured bit) with variable 0 leftmost."""
+    return format(index ^ (2 ** n - 1), f"0{n}b")
+
+
+def best_bitstring(result) -> str:
+    """A ``VqeResult``'s best index as a selection bitstring."""
+    return measured_index_to_bitstring(result.best_index, result.thetas.size // 2)
+
+
+def vqe_counts(result) -> Counter:
+    """A ``VqeResult``'s final samples as selection-bitstring counts, in
+    order of first occurrence (so ``most_common`` breaks ties by it)."""
+    n = result.thetas.size // 2
+    return Counter(measured_index_to_bitstring(s, n) for s in result.samples.tolist())

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import qubo_from_dict, random_qubo
+from conftest import ising_energy_of_bits, qubo_from_dict, random_qubo, vqe_counts
 from qubotrack.cli import EXIT_OK, main
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
@@ -21,10 +21,10 @@ from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets)
 from qubotrack.qubo import Qubo, assemble_qubo, objective, to_ising
-from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.solvers import exact_subsolver, solve_exact, solve_iterative
 from qubotrack.vqe import (NFT_SHIFTS, VqeConfig, nft_update, prepare_state,
-                           run_vqe)
+                           run_vqe, selection_bits)
+from scenarios import two_nearby_particles_event
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -76,7 +76,7 @@ def test_criterion_02_ising_consistency():
         ising = to_ising(q)
         for state in range(2 ** n):
             bits = np.array([(state >> i) & 1 for i in range(n)], dtype=np.int8)
-            worst = max(worst, abs(ising.energy_of_bits(bits) - objective(q, bits)))
+            worst = max(worst, abs(ising_energy_of_bits(ising, bits) - objective(q, bits)))
     report("criterion 2 (spin mapping energy equality, 50 instances n<=10)",
            worst < 1e-12, f"max |delta| = {worst:.2e}")
 
@@ -90,7 +90,7 @@ def test_criterion_03_vqe_correctness():
         exact_bits, exact_energy = enumeration_oracle(q)
         result = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=300,
                                                 seed=trial))
-        got = result.best_bits
+        got = selection_bits(result.best_index, 7)
         # a degenerate co-ground-state counts as found
         if np.array_equal(got, exact_bits) or \
                 objective(q, got) <= exact_energy + 1e-12:
@@ -105,7 +105,8 @@ def test_criterion_03_vqe_correctness():
         q = random_qubo(rng, n, coupling_prob=0.6)
         result = run_vqe(to_ising(q), VqeConfig(shots=0, max_evaluations=1000,
                                                 seed=trial))
-        if abs(objective(q, result.best_bits) - enumeration_oracle(q)[1]) < 1e-9:
+        if abs(objective(q, selection_bits(result.best_index, n))
+               - enumeration_oracle(q)[1]) < 1e-9:
             exact_ok += 1
     elapsed = time.time() - t0
     report("criterion 3 (VQE ground states: 512-shot n=7 and exact n<=3)",
@@ -134,7 +135,7 @@ def test_criterion_04_seven_triplet_analogue():
     for seed in range(100):
         result = run_vqe(ising, VqeConfig(shots=512, max_evaluations=300,
                                           seed=seed))
-        if result.counts.most_common(1)[0][0] == target:
+        if vqe_counts(result).most_common(1)[0][0] == target:
             wins += 1
     report("criterion 4 (two nearby particles, 7 triplets, VQE mode)",
            structure_ok and wins >= 95,

@@ -360,6 +360,30 @@ def test_evaluate_invariant_violation_exit_three(tmp_path, capsys):
             in capsys.readouterr().err)
 
 
+def test_evaluate_names_the_first_event_by_its_first_track(tmp_path, capsys):
+    """Two events interleaved in tracks.csv, each with copied tracks: the
+    event named is the one whose first track comes first, though the other
+    one's pair comes first, and within it the pair lowest in (i, j)."""
+    run, _ = run_pipeline(tmp_path)
+    header, *rows = (run / "tracks.csv").read_text().splitlines()
+    by_event: dict[str, list[list[str]]] = {}
+    for row in rows:
+        by_event.setdefault(row.split(",")[0], []).append(row.split(","))
+    (a, c, d), (b, *_) = [ts[:3] for ts in by_event.values() if len(ts) >= 3][:2]
+
+    def copy(track, track_id):
+        return [track[0], track_id, *track[2:]]
+
+    # pairs (3, 6) and (4, 5) in the first event, (1, 2) in the second
+    tracks = [a, b, copy(b, "901"), c, d, copy(d, "902"), copy(c, "903")]
+    (run / "tracks.csv").write_text("\n".join([header, *map(",".join, tracks)]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run),
+                 "--out", str(tmp_path / "m")]) == EXIT_INVARIANT
+    assert (f"event {a[0]}: final tracks {c[1]} and 903 share >= 2 hits"
+            in capsys.readouterr().err)
+
+
 def test_determinism_across_jobs(tmp_path):
     run_a = tmp_path / "a"
     run_b = tmp_path / "b"

@@ -98,9 +98,6 @@ def test_event_of_views_equals_event_of_columns():
     assert event == Event(7, 0.0, event.hits, event.particles)
     assert repr(event) == ("Event(event_id=7, xi_label=0.0, hits=" + repr(hits)
                            + ", particles=" + repr(particles) + ")")
-    assert event.particle_by_id(2) == particles[0]
-    with pytest.raises(KeyError):
-        event.particle_by_id(3)
 
 
 def test_metrics_columns_match_per_hit_loops(tmp_path):

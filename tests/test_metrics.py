@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from conftest import particle_by_id
 from metrics_reference import (hexed, match_hits, reconstructable_particles, reference_report,
                                truth_by_hit)
 
@@ -29,7 +30,7 @@ def track_for(event, pid, track_id=0, energy=None, chi2=1.0):
     hit_ids = tuple(h.hit_id for h in sorted(
         (h for h in event.hits if h.truth_particle_id == pid),
         key=lambda h: h.layer))
-    e = energy if energy is not None else event.particle_by_id(pid).energy
+    e = energy if energy is not None else particle_by_id(event, pid).energy
     return TrackRecord(event_id=event.event_id, track_id=track_id,
                        hit_ids=hit_ids, chi2=chi2, ndf=4, energy=e)
 
@@ -130,7 +131,7 @@ def test_resolution_grows_with_hit_resolution():
                     continue
                 ordered = sorted(hits, key=lambda h: h.layer)
                 positions.append([h.position for h in ordered])
-                truth.append(e.particle_by_id(pid).energy)
+                truth.append(particle_by_id(e, pid).energy)
         fit = fit_track(np.array(positions, dtype=float), geometry)
         rel = (fit.energy - np.array(truth)) / np.array(truth)
         values.append(math.sqrt(np.mean(np.square(rel))))

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (brute_force_minimum, brute_force_objective, qubo_from_dict,
+from conftest import (brute_force_minimum, brute_force_objective, impacts, qubo_from_dict,
                       random_qubo, sub_problems)
-from qubotrack.qubo import Qubo, impacts, objective
+from qubotrack.qubo import Qubo, objective
 from qubotrack.solvers import exact_subsolver, solve_iterative
 
 

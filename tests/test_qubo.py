@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_objective, qubo_from_dict, random_qubo, sub_problems
+from conftest import (brute_force_objective, impacts, ising_energy_of_bits, qubo_from_dict,
+                      random_qubo, sub_problems)
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import build_report
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets, truth_triplets)
 from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spreads,
-                            chained_pairs, impacts, linear_coefficients,
+                            chained_pairs, linear_coefficients,
                             objective, to_ising, truth_chain_spreads)
-from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.solvers import solve_exact
+from scenarios import two_nearby_particles_event
 
 
 def clean_two_particle_triplets(geometry, energies=(4.0, 9.0)):
@@ -274,7 +275,7 @@ def test_ising_energy_equals_objective_exhaustively():
         ising = to_ising(q)
         for state in range(2 ** n):
             bits = np.array([(state >> i) & 1 for i in range(n)], dtype=np.int8)
-            assert abs(ising.energy_of_bits(bits) - objective(q, bits)) < 1e-12
+            assert abs(ising_energy_of_bits(ising, bits) - objective(q, bits)) < 1e-12
 
 
 def test_measured_energy_table_convention():

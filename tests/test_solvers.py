@@ -10,10 +10,10 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from conftest import (brute_force_minimum, dense_qubo, qubo_from_dict, random_qubo,
+from conftest import (brute_force_minimum, dense_qubo, impacts, qubo_from_dict, random_qubo,
                       sub_problems)
 from qubotrack import solvers
-from qubotrack.qubo import Qubo, impacts, objective
+from qubotrack.qubo import Qubo, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
                                _anneal, _block_objective, _impact_groups, _restrict,
                                _split_groups, _state_table, _sweep_draws, _update_field,
@@ -727,7 +727,7 @@ def reconstruct_with(config, event, geometry=None, events=None):
 
 def test_anneal_solver_selects_the_truth_triplets_of_two_nearby_particles():
     from qubotrack.config import RunConfig
-    from qubotrack.scenarios import two_nearby_particles_event
+    from scenarios import two_nearby_particles_event
     event, geometry = two_nearby_particles_event()
     result, q, triplets = reconstruct_with(RunConfig(solver="anneal"), event, geometry)
     report = result.report

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from conftest import particle_by_id
 from metrics_reference import match_hits, truth_by_hit
+from scenarios import two_nearby_particles_event
 
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.geometry import Event, Hit, TruthParticle, shared_hits
 from qubotrack.metrics import match_truth
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
-from qubotrack.scenarios import two_nearby_particles_event
 from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
                                   resolve_ambiguities, triplets_to_candidates)
 
@@ -226,7 +227,7 @@ def test_energy_resolution_on_smeared_tracks(geometry):
         event = generate_event(sim, geometry, event_id)
         tracks = truth_tracks(event)
         fit = fit_track(positions_of(*tracks.values()), geometry)
-        truth = np.array([event.particle_by_id(pid).energy for pid in tracks])
+        truth = np.array([particle_by_id(event, pid).energy for pid in tracks])
         rel.extend(((fit.energy - truth) / truth).tolist())
     assert len(rel) >= 1000
     rms = math.sqrt(np.mean(np.square(rel)))

@@ -3,7 +3,6 @@ import os
 import pickle
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,15 +12,14 @@ from hypothesis import strategies as st
 
 import qubotrack
 import qubotrack.vqe as vqe
-from conftest import dense_qubo, qubo_from_dict, random_qubo
+from conftest import (best_bitstring, dense_qubo, measured_index_to_bitstring,
+                      qubo_from_dict, random_qubo, vqe_counts)
 from qubotrack.qubo import (IsingHamiltonian, Qubo, dense_to_ising, objective,
                             to_ising)
 from qubotrack.solvers import solve_exact
 from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig, VqeResult,
-                           bitstring_to_bits, energy_expectation,
-                           measured_index_to_bitstring, nft_update,
-                           prepare_state, prepare_states, run_vqe,
-                           sample_counts)
+                           nft_update, prepare_state, prepare_states, run_vqe,
+                           selection_bits)
 
 
 # -- state preparation -----------------------------------------------------------
@@ -152,6 +150,19 @@ def test_param_count_and_qubit_limit():
 
 
 # -- energy expectation ------------------------------------------------------------
+
+def sample_counts(state, shots, rng):
+    """Measured basis-state indices for ``shots`` samples of |psi|^2."""
+    return vqe._sample(np.asarray(state)[None], rng.random((1, shots)))[0]
+
+
+def energy_expectation(state, ising, shots, rng=None):
+    """<H> exactly (shots=0) or as a Monte Carlo estimate from sampled indices."""
+    table = ising.measured_energy_table()
+    if shots == 0:
+        return float(vqe._probabilities(state) @ table)
+    return float(table[sample_counts(state, shots, rng)].mean())
+
 
 def test_basis_state_energy_exact_for_any_shots():
     q = random_qubo(np.random.default_rng(1), 3)
@@ -306,7 +317,7 @@ def test_nft_exact_reconstruction_random_sinusoids():
 def test_run_vqe_single_variable():
     q = qubo_from_dict(1, np.array([-1.0]), {})
     result = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=0))
-    assert result.best_bitstring == "1"
+    assert best_bitstring(result) == "1"
     assert result.best_energy == pytest.approx(-1.0)
 
 
@@ -334,12 +345,12 @@ def test_run_vqe_exact_mode_finds_tiny_ground_states():
         q = random_qubo(rng, n, coupling_prob=0.6)
         result = run_vqe(to_ising(q), VqeConfig(shots=0, max_evaluations=1000,
                                                 seed=trial))
-        assert objective(q, result.best_bits) == pytest.approx(
+        assert objective(q, selection_bits(result.best_index, n)) == pytest.approx(
             objective(q, solve_exact(q)), abs=1e-9)
         quick = run_vqe(to_ising(q), VqeConfig(shots=0,
                                                max_evaluations=5 * (2 * n) * 3,
                                                seed=trial))
-        if objective(q, quick.best_bits) == pytest.approx(
+        if objective(q, selection_bits(quick.best_index, n)) == pytest.approx(
                 objective(q, solve_exact(q)), abs=1e-9):
             fast += 1
     assert fast >= 20  # five sweeps suffice in the typical case
@@ -348,24 +359,36 @@ def test_run_vqe_exact_mode_finds_tiny_ground_states():
 def test_counts_sum_to_shots_and_use_selection_convention():
     q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
     result = run_vqe(to_ising(q), VqeConfig(shots=128, max_evaluations=100, seed=1))
-    assert sum(result.counts.values()) == 128
-    assert result.best_bitstring == "11"  # both selected, measured bits 00
-    assert result.counts.most_common(1)[0][0] == "11"
+    counts = vqe_counts(result)
+    assert sum(counts.values()) == 128
+    assert best_bitstring(result) == "11"  # both selected, measured bits 00
+    assert counts.most_common(1)[0][0] == "11"
 
 
 def test_measured_index_bitstring_inversion():
     # measured index 0 (all qubits |0>) means every triplet selected
-    assert measured_index_to_bitstring(0, 3) == "111"
-    assert measured_index_to_bitstring(0b100, 3) == "011"  # qubit 0 measured 1
-    assert bitstring_to_bits("101").tolist() == [1, 0, 1]
+    assert selection_bits(0, 3).tolist() == [1, 1, 1]
+    assert selection_bits(0b100, 3).tolist() == [0, 1, 1]  # qubit 0 measured 1
+    assert selection_bits(0, 0).tolist() == []
+
+
+def test_selection_bits_equal_the_bitstring_path():
+    # the string round trip the sub-solver used before: format the index's
+    # selection bitstring, then parse each character back into a bit
+    for n in range(1, 8):
+        for index in range(2 ** n):
+            bitstring = measured_index_to_bitstring(index, n)
+            want = np.array([1 if c == "1" else 0 for c in bitstring], dtype=np.int8)
+            got = selection_bits(index, n)
+            assert got.dtype == np.int8 and np.array_equal(got, want), (n, index)
 
 
 def test_run_vqe_deterministic_per_seed():
     q = random_qubo(np.random.default_rng(9), 5)
     a = run_vqe(to_ising(q), VqeConfig(shots=256, max_evaluations=120, seed=11))
     b = run_vqe(to_ising(q), VqeConfig(shots=256, max_evaluations=120, seed=11))
-    assert a.best_bitstring == b.best_bitstring
-    assert a.counts == b.counts
+    assert a.best_index == b.best_index
+    assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.thetas, b.thetas)
 
 
@@ -385,22 +408,23 @@ from qubotrack.vqe import VqeConfig, run_vqe
 ising = to_ising(Qubo(n=0, linear=np.zeros(0)))
 for shots in (0, 512):
     r = run_vqe(ising, VqeConfig(shots=shots, seed=1))
-    print(repr(r.best_bitstring), r.evaluations, r.best_energy, len(r.counts), r.thetas.size)
+    print(r.best_index, r.evaluations, r.best_energy, r.samples.size, r.thetas.size)
 """
     src = str(Path(qubotrack.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
-    assert done.stdout.splitlines() == ["'' 0 0.0 0 0"] * 2
+    assert done.stdout.splitlines() == ["0 0 0.0 0 0"] * 2
 
 
 def test_readout_error_hook_off_by_default_and_usable():
     q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
     noisy = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=2,
                                            readout_flip_probability=0.25))
-    assert sum(noisy.counts.values()) == 512
-    assert len(noisy.counts) > 1  # flips spread the histogram
+    counts = vqe_counts(noisy)
+    assert sum(counts.values()) == 512
+    assert len(counts) > 1  # flips spread the histogram
 
 
 # -- outputs pinned to the gate-by-gate complex simulator this one replaced ------------
@@ -445,9 +469,9 @@ GOLDEN_FLIP_COUNTS = {
 def test_run_vqe_outputs_pinned(config, evaluations, counts, thetas):
     q = random_qubo(np.random.default_rng(2), 7)
     result = run_vqe(to_ising(q), config)
-    assert result.best_bitstring == "1101010"
+    assert best_bitstring(result) == "1101010"
     assert result.evaluations == evaluations
-    assert dict(result.counts) == counts
+    assert dict(vqe_counts(result)) == counts
     assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
 
 
@@ -486,7 +510,8 @@ def test_exact_mode_prepares_each_angle_vector_once(seed, monkeypatch):
     result = run_vqe(ising, VqeConfig(shots=0, max_evaluations=300, seed=seed))
     assert len(prepared) == len(set(prepared)) <= 9  # 8 sweeps, one maybe restarted
     expectation, thetas = EXACT_300_PINNED[seed]
-    assert (result.best_bitstring, result.evaluations, result.counts) == ("1101010", 300, {})
+    assert (best_bitstring(result), result.evaluations,
+            result.samples.size) == ("1101010", 300, 0)
     assert result.best_energy == pytest.approx(-3.1053095146611827, rel=1e-12)
     assert result.final_expectation == pytest.approx(expectation, rel=1e-12)
     assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
@@ -536,11 +561,8 @@ def reference_run_vqe(ising, config):
     final_state = prepare_state(thetas, n)
     probs = np.abs(final_state) ** 2
     samples, _ = measure(final_state)
-    counts = Counter()
-    counts.update(measured_index_to_bitstring(s, n) for s in samples.tolist())
     result = VqeResult(
-        best_bitstring=measured_index_to_bitstring(best_index, n),
-        best_energy=float(table[best_index]), counts=counts,
+        best_index=best_index, best_energy=float(table[best_index]), samples=samples,
         final_expectation=float(probs / probs.sum() @ table),
         evaluations=evaluations, thetas=thetas)
     return result, rng
@@ -568,8 +590,8 @@ def _hex(values):
 
 @pytest.mark.parametrize("flip", [0.0, 0.05], ids=["no-flips", "readout-flips"])
 def test_two_vector_sweep_equals_per_trial_loop(flip):
-    # every sampled index is the same, so best bitstring, counts (in
-    # order), angles and the generator's state afterwards are too
+    # every sampled index is the same, so the best index, the final
+    # samples, the angles and the generator's state afterwards are too
     meta = np.random.default_rng(2024 if flip else 2025)
     budgets = (1, 2, 3, 4, 44, 300)
     for trial in range(120):
@@ -587,9 +609,9 @@ def test_two_vector_sweep_equals_per_trial_loop(flip):
                            readout_flip_probability=flip)
         got, got_rng = _run_vqe_and_generator(ising, config)
         want, want_rng = reference_run_vqe(ising, config)
-        assert got.best_bitstring == want.best_bitstring, (trial, config)
+        assert got.best_index == want.best_index, (trial, config)
         assert _hex([got.best_energy]) == _hex([want.best_energy])
-        assert list(got.counts.items()) == list(want.counts.items())
+        assert np.array_equal(got.samples, want.samples)
         assert got.evaluations == want.evaluations
         assert _hex(got.thetas) == _hex(want.thetas)
         assert _hex([got.final_expectation]) == _hex([want.final_expectation])
