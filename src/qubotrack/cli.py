@@ -162,11 +162,12 @@ def _offset_events(events: list[Event], tracks: list[TrackRecord], offset: int
             [replace(t, event_id=t.event_id + offset) for t in tracks])
 
 
-def _check_shared_hits(tracks: list[TrackRecord]) -> None:
+def _check_shared_hits(tracks: list[TrackRecord], event_ids: np.ndarray,
+                       hit_ids: np.ndarray) -> None:
     """Raise on two tracks of one event that share two hits or more: of the
     events with such a pair, the one whose first track comes first, and
-    its lowest pair."""
-    event_ids, hit_ids, _ = track_columns(tracks)
+    its lowest pair. ``event_ids`` and ``hit_ids`` are the tracks' columns
+    (:func:`~qubotrack.metrics.track_columns`)."""
     _, first, event = np.unique(event_ids, return_index=True, return_inverse=True)
     hits, hit = np.unique(hit_ids.reshape(-1), return_inverse=True)
     # one code per distinct (event, hit id), so tracks of two events share none
@@ -185,6 +186,7 @@ def cmd_evaluate(args) -> int:
     config = _load_config(args)
     all_events: list[Event] = []
     all_tracks: list[TrackRecord] = []
+    columns: list[tuple[np.ndarray, np.ndarray]] = []  # event ids, hit ids
     offset = 0
     for run in args.inputs:
         run_dir = Path(run)
@@ -214,13 +216,14 @@ def cmd_evaluate(args) -> int:
                     f"{run_dir / 'hits.csv'}: hit {h.ids[k]} of event {e.event_id} "
                     f"names particle {h.truth[k]}, missing from truth")
         events, tracks = _offset_events(events, tracks, offset)
+        columns.append((event_ids + offset, hit_ids))
         offset = max((e.event_id for e in events), default=offset - 1) + 1
         all_events.extend(events)
         all_tracks.extend(tracks)
 
     edges = args.energy_bins or DEFAULT_ENERGY_BINS
     report = build_report(all_events, all_tracks, edges=edges)
-    _check_shared_hits(all_tracks)
+    _check_shared_hits(all_tracks, *map(np.concatenate, zip(*columns)))
     problems = report.check_invariants()
     if problems:
         raise InvariantViolation("; ".join(problems))

@@ -1,5 +1,6 @@
-"""Event-level orchestration: calibration, reconstruction of one event
-with its dumps, and the event loop (serial or in a process pool).
+"""Event-level orchestration: calibration (one columnar pass over the
+run's truth, :func:`calibrate`), reconstruction of one event with its
+dumps, and the event loop (serial or in a process pool).
 
 A process that reconstructs VQE events itself (not a ``--jobs`` worker)
 also solves their sub-problems ahead of the walk on a second CPU, when it
@@ -27,9 +28,9 @@ from .geometry import Event, GeometryConfig, build_geometry
 from .io import write_doublet_debug_csv, write_qubo, write_triplet_debug_csv
 from .metrics import TrackRecord, match_truth
 from .preselect import (PreselectionWindow, build_doublets, build_triplets,
-                        calibrate_dx_window, truth_doublets, truth_triplets)
-from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max,
-                   truth_chain_spreads)
+                        calibrate_dx_window, run_truth_doublets)
+from .qubo import (QuboScaling, assemble_qubo, calibrate_s_max, chained_angle_spreads,
+                   chained_pairs)
 from .solvers import (SolveReport, exact_subsolver, solve_annealing_report,
                       solve_iterative)
 from .trackbuild import NDF, fit_track, resolve_ambiguities, triplets_to_candidates
@@ -53,14 +54,20 @@ def calibrate(events: list[Event], config: RunConfig
     Without a ``dx_window``, fewer than 2 truth doublets raise
     :class:`~qubotrack.preselect.CalibrationError`. The returned info dict
     is persisted in the run metadata.
+
+    One columnar pass over the run: the truth doublets of all events at
+    once (:func:`~qubotrack.preselect.run_truth_doublets`, events in list
+    order), whose dx/x0 give the window. Truth doublets k and k + 1 that
+    share their middle hit are a truth triplet; the spreads of the
+    triplets' chains (:func:`~qubotrack.qubo.chained_pairs`) give s_max.
     """
-    truth = ([truth_doublets(e) for e in events]
-             if config.dx_window is None or config.s_max is None else [])
+    truth = (run_truth_doublets(events)
+             if config.dx_window is None or config.s_max is None else None)
     if config.dx_window is not None:
         mean, sigma = config.dx_window
         source = "config"
     else:
-        mean, sigma = calibrate_dx_window(truth)
+        mean, sigma = calibrate_dx_window([truth])
         source = "truth-calibrated"
     window = PreselectionWindow.from_calibration(
         mean, sigma, n_sigma=config.n_sigma, max_delta_theta=config.max_delta_theta)
@@ -69,8 +76,10 @@ def calibrate(events: list[Event], config: RunConfig
         s_max = config.s_max
         s_source = "config"
     else:
-        spreads = [s for d in truth for s in truth_chain_spreads(truth_triplets(d))]
-        s_max = calibrate_s_max(spreads)
+        first = np.flatnonzero(truth.outer[:-1] == truth.inner[1:])
+        second = first + 1
+        s_max = calibrate_s_max(chained_angle_spreads(
+            truth, first, second, *chained_pairs(first, second)))
         s_source = "truth-calibrated"
         if s_max is None or s_max <= 0.0:
             s_max, s_source = S_MAX_FALLBACK, "fallback"

@@ -21,7 +21,10 @@ one :class:`Triplets`: first and second doublet index into that
 Doublets, and delta_theta, by first doublet and then by second doublet,
 both ascending. Hits are keyed on their ids (unique within an
 event, as :func:`~qubotrack.io.read_events` enforces), doublets on their
-index. These containers are the only form that pre-selection, assembly,
+index. Calibration's truth doublets are one Doublets for the whole run,
+over its events' hits laid end to end (:func:`run_truth_doublets`; an
+event's own, :func:`truth_doublets`, are the case of one event). These
+containers are the only form that pre-selection, assembly,
 calibration, track building and the debug dumps accept; truth matching
 is read as arrays too (:meth:`Doublets.truth_matched`,
 :meth:`Triplets.truth_particle_ids`). Both support ``len``, iteration
@@ -82,7 +85,8 @@ class Doublet:
 
 
 class Doublets:
-    """One event's doublets as aligned arrays; see the module docstring."""
+    """One event's doublets (calibration's: one run's) as aligned arrays;
+    see the module docstring."""
 
     def __init__(self, hits: Hits | Sequence[Hit], inner, outer):
         """Doublets of the (inner, outer) hit index pairs, no inner hit at
@@ -106,7 +110,8 @@ class Doublets:
         todo[index] = True
         todo = np.flatnonzero(todo & ~self._known)
         if len(todo):
-            dx, dy, dz = self.step[todo].T.tolist()
+            # a memoryview yields its floats one at a time: no list of inputs
+            dx, dy, dz = map(memoryview, self.step[todo].T)
             self._angles[0, todo] = list(map(math.atan2, dx, dz))
             self._angles[1, todo] = list(map(math.atan2, dy, dz))
             self._known[todo] = True
@@ -251,37 +256,41 @@ class DoubletDiagnostics:
     n_rejected_window: int = 0
 
 
-def truth_doublets(event: Event) -> Doublets:
-    """All consecutive-layer hit pairs sharing a truth particle (for
-    calibration), by particle id and then by layer; of a particle's hits
-    on one layer, the last in hit order."""
-    hits = event.hits
-    layers, positions, pid, known = hits.layers, hits.positions, hits.truth, hits.known
-    k = np.flatnonzero(known)
-    k = k[np.lexsort((k, layers[k], pid[k]))]
+def run_truth_doublets(events: Sequence[Event]) -> Doublets:
+    """Every event's consecutive-layer hit pairs that share a truth
+    particle (for calibration), over the events' hits laid end to end in
+    list order: by event position in the list (an event listed twice
+    counts twice), then particle id, then layer; of a particle's hits on
+    one layer, the last in hit order; no pair with its inner hit at x0 = 0.
+    One stable lexsort over (event position, particle, layer) finds them
+    all."""
+    parts = [Hits.of(()), *(e.hits for e in events)]
+    hits = Hits(*map(np.concatenate, zip(*(vars(h).values() for h in parts))))
+    event = np.repeat(np.arange(len(parts)), [len(h) for h in parts])
+    layers, positions, pid = hits.layers, hits.positions, hits.truth
+    k = np.flatnonzero(hits.known)
+    k = k[np.lexsort((layers[k], pid[k], event[k]))]  # stable: rows stay in hit order
     last = np.ones(len(k), dtype=bool)
-    last[:-1] = (pid[k[1:]] != pid[k[:-1]]) | (layers[k[1:]] != layers[k[:-1]])
+    last[:-1] = ((event[k[1:]] != event[k[:-1]]) | (pid[k[1:]] != pid[k[:-1]])
+                 | (layers[k[1:]] != layers[k[:-1]]))
     k = k[last]
-    chained = np.flatnonzero((pid[k[1:]] == pid[k[:-1]])
+    chained = np.flatnonzero((event[k[1:]] == event[k[:-1]]) & (pid[k[1:]] == pid[k[:-1]])
                              & (layers[k[1:]] == layers[k[:-1]] + 1))
     inner, outer = k[chained], k[chained + 1]
     keep = positions[inner, 0] != 0.0
     return Doublets(hits, inner[keep], outer[keep])
 
 
-def truth_triplets(doublets: Doublets) -> Triplets:
-    """Per-particle triplets chained from one event's truth doublets
-    (:func:`truth_doublets`), without any cuts.
-
-    Used for calibration passes; a particle with hits on all four layers
-    contributes its two triplets regardless of the selection windows.
-    """
-    return _chain(doublets, math.inf)
+def truth_doublets(event: Event) -> Doublets:
+    """One event's truth doublets: :func:`run_truth_doublets` of the event
+    alone."""
+    return run_truth_doublets([event])
 
 
 def calibrate_dx_window(doublets: Iterable[Doublets]) -> tuple[float, float]:
     """Sample mean and standard deviation (ddof=1) of dx/x0 over the
-    truth-matched doublets of every event's :class:`Doublets`, in order.
+    truth-matched doublets of each :class:`Doublets` (an event's or a
+    run's), in order.
 
     Callers should route the result through
     :meth:`PreselectionWindow.from_calibration`, which floors a degenerate

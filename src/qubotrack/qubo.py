@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import equal_key_pairs, shared_hits
-from .preselect import Triplets
+from .preselect import Doublets, Triplets
 
 # selection bit vector, dtype int8, values {0, 1}
 Assignment = np.ndarray
@@ -160,33 +160,25 @@ def chained_pairs(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, np
     return a[order], b[order]
 
 
-def chained_angle_spreads(triplets: Triplets, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def chained_angle_spreads(doublets: Doublets, first: np.ndarray, second: np.ndarray,
+                          a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Norm of the angle standard deviations over the three doublets of
-    each chain a -> b (as :func:`chained_pairs` returns them).
+    each chain a -> b of the triplets whose first and second doublet
+    indices into ``doublets`` are ``first`` and ``second`` (as
+    :func:`chained_pairs` returns the chains).
 
     s = sqrt(std(theta_xz)^2 + std(theta_yz)^2), population convention,
     over the doublets (first of a, second of a, second of b).
     """
-    chain = np.stack([triplets.first[a], triplets.second[a], triplets.second[b]], axis=1)
-    theta_xz, theta_yz = triplets.doublets.angles(chain)
+    chain = np.stack([first[a], second[a], second[b]], axis=1)
+    theta_xz, theta_yz = doublets.angles(chain)
     return np.sqrt(theta_xz.var(axis=1) + theta_yz.var(axis=1))
 
 
-def truth_chain_spreads(triplets: Triplets) -> np.ndarray:
-    """Angle spreads of all truth-chained triplet pairs of one event.
-
-    Triplets from different events must not be pooled here: particle and
-    hit ids restart per event.
-    """
-    a, b = chained_pairs(triplets.first, triplets.second)
-    pid, known = triplets.truth_particle_ids()
-    same = known[a] & known[b] & (pid[a] == pid[b])
-    return chained_angle_spreads(triplets, a[same], b[same])
-
-
-def calibrate_s_max(spreads: list[float], percentile: float = 99.0) -> float | None:
-    """99th percentile of truth-quadruplet angle spreads, or None if empty."""
-    if not spreads:
+def calibrate_s_max(spreads, percentile: float = 99.0) -> float | None:
+    """99th percentile of truth-quadruplet angle spreads (a sequence or an
+    array), or None if there are none."""
+    if not len(spreads):
         return None
     return float(np.percentile(spreads, percentile))
 
@@ -208,7 +200,7 @@ def assemble_qubo(triplets: Triplets, scaling: QuboScaling | None = None) -> Qub
     # a chained pair shares two hits, so it is one of the hit-sharing pairs
     a, c = chained_pairs(triplets.first, triplets.second)
     at = np.searchsorted(i * n + j, np.minimum(a, c) * n + np.maximum(a, c))
-    spread = chained_angle_spreads(triplets, a, c)
+    spread = chained_angle_spreads(triplets.doublets, triplets.first, triplets.second, a, c)
     b[at] = -1.0 + 0.1 * np.clip(spread / scaling.s_max, 0.0, 1.0)
     return Qubo(n, linear, i, j, b)
 

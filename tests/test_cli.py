@@ -398,6 +398,34 @@ def test_determinism_across_jobs(tmp_path):
     assert (run_a / "solve_report.json").read_bytes() == (run_b / "solve_report.json").read_bytes()
 
 
+def test_evaluate_overlap_check_keys_each_run_apart(tmp_path, capsys):
+    """A run given twice shares no hit between its copies, whose events
+    are offset past the first copy's; a copied track in the second copy
+    is named by its offset event id."""
+    run, _ = run_pipeline(tmp_path, events=2)
+    assert main(["evaluate", "--in", str(run), str(run),
+                 "--out", str(tmp_path / "m2")]) == EXIT_OK
+    single = read_json(tmp_path / "metrics" / "metrics.json")["counts"]
+    double = read_json(tmp_path / "m2" / "metrics.json")["counts"]
+    assert double == {k: 2 * v for k, v in single.items()}
+
+    other = tmp_path / "other"
+    other.mkdir()
+    for name in ("hits.csv", "particles.csv", "simulate_meta.json"):
+        (other / name).write_bytes((run / name).read_bytes())
+    lines = (run / "tracks.csv").read_text().splitlines()
+    first = lines[1].split(",")
+    (other / "tracks.csv").write_text(
+        "\n".join([*lines, ",".join([first[0], "77", *first[2:]])]) + "\n")
+    capsys.readouterr()
+    assert main(["evaluate", "--in", str(run), str(other),
+                 "--out", str(tmp_path / "m3")]) == EXIT_INVARIANT
+    offset = 1 + max(int(line.split(",")[0])
+                     for line in (run / "hits.csv").read_text().splitlines()[1:])
+    assert (f"event {int(first[0]) + offset}: final tracks {first[1]} and 77 share >= 2 hits"
+            in capsys.readouterr().err)
+
+
 def test_evaluate_multiple_runs_per_xi_aggregation(tmp_path):
     cfg = write_config(tmp_path / "c.json")
     runs = []

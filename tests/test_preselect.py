@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from calibration_reference import truth_triplets
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, Hit, equal_key_pairs
 from qubotrack.preselect import (HYPOT_MARGIN, CalibrationError, DoubletDiagnostics,
                                  Doublets, PreselectionWindow, _chain,
                                  build_doublets, build_triplets,
-                                 calibrate_dx_window, truth_doublets,
-                                 truth_triplets)
+                                 calibrate_dx_window, truth_doublets)
 
 
 def hit(hid, layer, x, y=0.0, pid=None):

@@ -3,16 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from calibration_reference import truth_chain_spreads, truth_triplets
 from conftest import (brute_force_objective, impacts, ising_energy_of_bits, qubo_from_dict,
                       random_qubo, sub_problems)
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import build_report
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
-                                 truth_doublets, truth_triplets)
+                                 truth_doublets)
 from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spreads,
                             chained_pairs, linear_coefficients,
-                            objective, to_ising, truth_chain_spreads)
+                            objective, to_ising)
 from qubotrack.solvers import solve_exact
 from scenarios import two_nearby_particles_event
 
@@ -82,7 +83,8 @@ def test_chained_noiseless_pair_is_minus_one(geometry):
         chain = triplets[[k02[pid], k13[pid]]]
         assert pairs(chain) == [(0, 1)]
         assert pairs(triplets[[k13[pid], k02[pid]]]) == [(1, 0)]
-        assert chained_angle_spreads(chain, [0], [1])[0] < 1e-12
+        assert chained_angle_spreads(chain.doublets, chain.first, chain.second,
+                                     [0], [1])[0] < 1e-12
         assert assemble_qubo(chain).quadratic == {(0, 1): pytest.approx(-1.0)}
 
 
