@@ -36,6 +36,7 @@ bit=1 <=> triplet selected.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,9 +176,10 @@ def chained_angle_spreads(doublets: Doublets, first: np.ndarray, second: np.ndar
     return np.sqrt(theta_xz.var(axis=1) + theta_yz.var(axis=1))
 
 
-def calibrate_s_max(spreads, percentile: float = 99.0) -> float | None:
-    """99th percentile of truth-quadruplet angle spreads (a sequence or an
-    array), or None if there are none."""
+def calibrate_s_max(spreads: Sequence[float] | np.ndarray,
+                    percentile: float = 99.0) -> float | None:
+    """99th percentile of truth-quadruplet angle spreads, or None if there
+    are none."""
     if not len(spreads):
         return None
     return float(np.percentile(spreads, percentile))
