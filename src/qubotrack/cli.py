@@ -286,7 +286,8 @@ def cmd_plotdata(args) -> int:
 
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(out, PLOT_HEADER, (",".join(map(_plot_field, row)) for row in rows))
+    _write_table(out, PLOT_HEADER, ",".join(["%s"] * len(PLOT_HEADER)),
+                 (tuple(map(_plot_field, row)) for row in rows))
     print(f"wrote {len(rows)} rows -> {out}")
     return EXIT_OK
 

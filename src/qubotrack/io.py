@@ -11,11 +11,14 @@ Each input table is declared once: the kind of each header column
 (integers are signed 64-bit), and one rule across fields or rows (a layer
 the detector has and a hit id unique within its event; a positive
 particle energy and a direction that normalises; four hit ids). One
-reader reads them all, a block of rows at a time, converting each column
-of a block in bulk. A block that does not convert is read again row by
-row; a bad row raises ``DataFormatError("path:line: message")`` naming
-the first bad row by line, then its first bad field in header order,
-then the table's rule.
+reader reads them all, a block of lines at a time: NumPy's text parser
+(``np.loadtxt``) converts a block's integer and float columns in C and
+gives the other columns to Python's ``int()`` as text. A block it cannot
+take (a quote, a field that does not convert, a line longer than the csv
+module's field limit) is split by ``csv.reader`` and read row by row; a
+bad row raises ``DataFormatError("path:line: message")`` naming the first
+bad row by line, then its first bad field in header order, then the
+table's rule. Each block of a table is written with one ``%`` format.
 
 Events are read and written as columns (:class:`~qubotrack.geometry.Hits`,
 :class:`~qubotrack.geometry.Particles`), never one object per row: the
@@ -29,8 +32,9 @@ import csv
 import hashlib
 import json
 import math
+import warnings
 from collections.abc import Callable, Iterator
-from itertools import islice
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +66,16 @@ TRACKS_HEADER = list(TRACKS_COLUMNS)
 # rows per block when a table is written or read: enough that the per-call
 # costs fade, few enough that a block's strings and columns stay small
 BLOCK_ROWS = 256
+
+# how NumPy's text parser reads each kind: integers and floats in C, the
+# other kinds as text that Python converts (an ignored column's text is cut
+# to one character)
+_NUMERIC = {INT: np.int64, FLOAT: np.float64, FINITE: np.float64}
+_PARSED = {**_NUMERIC, OPTIONAL_INT: object, HIT_IDS: object, TEXT: object, IGNORED: "U1"}
+# what sends a block to csv.reader: a quote, a NUL, and the separators
+# that NumPy's parser strips from a number as blanks but int() and
+# float() reject
+_ROW_BY_ROW = '"\0\x1c\x1d\x1e\x1f'
 
 
 class DataFormatError(ValueError):
@@ -96,35 +110,17 @@ def _field(text: str, kind: str, column: str, where: str):
     return value
 
 
-def _column(texts: tuple[str, ...], kind: str) -> list:
-    """A block's column converted in bulk, field by field as :func:`_field`
-    converts it; raises ``ValueError`` if any field does not convert."""
-    if kind == INT:
-        values = ints = list(map(int, texts))
-    elif kind == OPTIONAL_INT:
-        values = [None if t == "" else int(t) for t in texts]
-        ints = [v for v in values if v is not None]
-    elif kind == HIT_IDS:
-        values = [tuple(map(int, t.split(";"))) for t in texts]
-        ints = [i for ids in values for i in ids]
-    else:
-        values = list(texts) if kind == TEXT else list(map(float, texts))
-        if kind == FINITE and not all(map(math.isfinite, values)):
-            raise ValueError("non-finite value")
-        return values
-    if ints and not (INT64_MIN <= min(ints) and max(ints) <= INT64_MAX):
-        raise ValueError("integer out of range")
-    return values
-
-
-def _write_table(path: Path, header: list[str], rows: Iterator[str]) -> None:
-    """Write ``header`` and ``rows``, each a line of comma-joined fields
-    that need no quoting, in blocks of :data:`BLOCK_ROWS` lines ending in
-    ``\\r\\n``: the bytes ``csv.writer`` writes."""
+def _write_table(path: Path, header: list[str], row_format: str,
+                 rows: Iterator[tuple]) -> None:
+    """Write ``header`` and ``rows``, each a tuple of the values that
+    ``row_format`` prints as comma-joined fields needing no quoting, with
+    lines ending in ``\\r\\n``: the bytes ``csv.writer`` writes. Each block
+    of :data:`BLOCK_ROWS` rows is printed by one ``%``."""
+    line = row_format + "\r\n"
     with open(path, "w", newline="") as f:
         f.write(",".join(header) + "\r\n")
         while block := list(islice(rows, BLOCK_ROWS)):
-            f.write("\r\n".join(block) + "\r\n")
+            f.write((line * len(block)) % tuple(chain.from_iterable(block)))
 
 
 def write_hits_csv(path: Path, events: list[Event]) -> None:
@@ -134,16 +130,14 @@ def write_hits_csv(path: Path, events: list[Event]) -> None:
     def rows():
         for e in sorted(events, key=lambda e: e.event_id):
             p, h = e.particles, e.hits
-            energies = dict(zip(p.ids.tolist(), (f"{v:.9g}" for v in p.energies.tolist())))
+            energies = dict(zip(p.ids.tolist(), ("%.9g" % v for v in p.energies.tolist())))
             order = np.argsort(h.ids, kind="stable")
-            truth = [t if k else None for t, k in zip(h.truth[order].tolist(),
-                                                      h.known[order].tolist())]
-            for hid, layer, (x, y, z), pid in zip(h.ids[order].tolist(),
-                                                  h.layers[order].tolist(),
-                                                  h.positions[order].tolist(), truth):
-                yield (f"{e.event_id},{hid},{layer},{x:.9g},{y:.9g},{z:.9g},"
-                       f"{'' if pid is None else pid},{energies.get(pid, '')}")
-    _write_table(path, HITS_HEADER, rows())
+            truth = [t if k else "" for t, k in zip(h.truth[order].tolist(),
+                                                    h.known[order].tolist())]
+            yield from zip(repeat(e.event_id), h.ids[order].tolist(), h.layers[order].tolist(),
+                           *h.positions[order].T.tolist(), truth,
+                           [energies.get(t, "") for t in truth])
+    _write_table(path, HITS_HEADER, "%d,%d,%d,%.9g,%.9g,%.9g,%s,%s", rows())
 
 
 def write_particles_csv(path: Path, events: list[Event]) -> None:
@@ -153,76 +147,109 @@ def write_particles_csv(path: Path, events: list[Event]) -> None:
         for e in sorted(events, key=lambda e: e.event_id):
             p = e.particles
             order = np.argsort(p.ids, kind="stable")
-            for pid, energy, (ox, oy, oz), (dx, dy, dz) in zip(
-                    p.ids[order].tolist(), p.energies[order].tolist(),
-                    p.origins[order].tolist(), p.directions[order].tolist()):
-                yield (f"{e.event_id},{pid},{energy:.9g},{ox:.9g},{oy:.9g},"
-                       f"{oz:.9g},{dx:.9g},{dy:.9g},{dz:.9g}")
-    _write_table(path, PARTICLES_HEADER, rows())
+            yield from zip(repeat(e.event_id), p.ids[order].tolist(),
+                           p.energies[order].tolist(), *p.origins[order].T.tolist(),
+                           *p.directions[order].T.tolist())
+    _write_table(path, PARTICLES_HEADER, "%d,%d" + ",%.9g" * 7, rows())
 
 
-def _row_blocks(path: Path, header: list[str]) -> Iterator[tuple[int, list[list[str]]]]:
-    """Each block of up to :data:`BLOCK_ROWS` rows after the header, with
-    the line number of its first row. Blank rows are kept: they count."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            found = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: empty file, expected header {header}")
-        if found != header:
-            raise DataFormatError(f"{path}: bad header {found}, expected {header}")
-        line = 2
-        while True:
-            block: list[list[str]] = []
-            try:
-                block.extend(islice(reader, BLOCK_ROWS))
-            except csv.Error:
-                # the rows above an unreadable one are parsed before it fails
-                yield line, block
-                raise
-            if not block:
-                return
-            yield line, block
-            line += len(block)
+def _column(parsed: np.ndarray, kind: str) -> np.ndarray | list:
+    """A column of a block as NumPy's parser returned it, converted as
+    :func:`_field` converts each field: a numeric kind as an array of its
+    own, the others as a list. Raises ``ValueError`` if a field does not
+    convert."""
+    if kind == FINITE and not np.isfinite(parsed).all():
+        raise ValueError("non-finite value")
+    if kind in _NUMERIC:
+        return np.ascontiguousarray(parsed)
+    texts = parsed.tolist()
+    if kind == TEXT:
+        return texts
+    if kind == OPTIONAL_INT:
+        values = [None if t == "" else int(t) for t in texts]
+        ints = [v for v in values if v is not None]
+    else:
+        values = [tuple(map(int, t.split(";"))) for t in texts]
+        ints = [i for ids in values for i in ids]
+    if ints and not (INT64_MIN <= min(ints) and max(ints) <= INT64_MAX):
+        raise ValueError("integer out of range")
+    return values
+
+
+def _parse_block(lines: list[str], dtype: np.dtype, kept: list[tuple[int, str, str]]):
+    """The non-blank lines of a block as converted columns in ``kept``
+    order, parsed by NumPy's text parser; or None if the block must be
+    read row by row: it holds a character of :data:`_ROW_BY_ROW` or a line
+    longer than csv's field size limit, or the parser or a column's
+    conversion rejects it (a parser warning counts)."""
+    text = "".join(lines)
+    if any(c in text for c in _ROW_BY_ROW) or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the parser skips the blank lines, as csv.reader does, and no others
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+        return [_column(table[str(k)], kind) for k, _, kind in kept]
+    except (ValueError, Warning):
+        return None
 
 
 def _read_table(path: Path, columns: dict[str, str],
                 store: Callable[..., tuple[int, str] | None]) -> None:
     """Read the table whose header ``columns`` maps to each column's kind.
     ``store`` gets a block's non-blank rows as converted columns, in header
-    order and without the ignored ones. It stores the rows and returns
+    order and without the ignored ones: int64 or float64 arrays for the
+    numeric kinds, lists for the others. It stores the rows and returns
     None, or returns ``(i, message)`` for the first row ``i`` that breaks
-    the table's rule, which fails the read. A block with a field that does
-    not convert goes to ``store`` one row at a time, after that row's
-    fields convert, so the error names the first bad row."""
+    the table's rule, which fails the read. A block that NumPy's parser
+    cannot take (:func:`_parse_block`) is split by ``csv.reader`` and goes
+    to ``store`` one row at a time, after that row's fields convert, so the
+    error names the first bad row; a row ``csv.reader`` cannot split fails
+    the read there."""
     header, width = list(columns), len(columns)
     kept = [(k, column, kind) for k, (column, kind) in enumerate(columns.items())
             if kind != IGNORED]
-    for first, block in _row_blocks(path, header):
-        rows = list(filter(None, block))
+    dtype = np.dtype([(str(k), _PARSED[kind]) for k, kind in enumerate(columns.values())])
+    with open(path, newline="") as f:
         try:
-            if set(map(len, rows)) != {width}:
-                raise ValueError("wrong field count")
-            texts = list(zip(*rows))
-            values = [_column(texts[k], kind) for k, _, kind in kept]
-        except ValueError:
-            pass
-        else:
-            bad = store(*values)
-            if bad is None:
-                continue
-            line = [line for line, row in enumerate(block, first) if row][bad[0]]
-            raise DataFormatError(f"{path}:{line}: {bad[1]}")
-        for line, row in enumerate(block, first):
-            if not row:
-                continue
-            where = f"{path}:{line}"
-            if len(row) != width:
-                raise DataFormatError(f"{where}: expected {width} fields, got {len(row)}")
-            bad = store(*([_field(row[k], kind, column, where)] for k, column, kind in kept))
-            if bad is not None:
-                raise DataFormatError(f"{where}: {bad[1]}")
+            found = next(csv.reader(f))
+        except StopIteration:
+            raise DataFormatError(f"{path}: empty file, expected header {header}") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}:1: {exc}") from None
+        if found != header:
+            raise DataFormatError(f"{path}: bad header {found}, expected {header}")
+        first = 2
+        while lines := list(islice(f, BLOCK_ROWS)):
+            values = _parse_block(lines, dtype, kept)
+            if values is not None:
+                bad = store(*values)
+                if bad is not None:
+                    line = [line for line, text in enumerate(lines, first)
+                            if text not in ("\n", "\r\n", "\r")][bad[0]]
+                    raise DataFormatError(f"{path}:{line}: {bad[1]}")
+            else:
+                # as many rows as the block has lines; a quoted field may
+                # run on to lines after the block
+                rows = csv.reader(chain(lines, f))
+                for line in range(first, first + len(lines)):
+                    where = f"{path}:{line}"
+                    try:
+                        row = next(rows, [])
+                    except csv.Error as exc:
+                        raise DataFormatError(f"{where}: {exc}") from None
+                    if not row:
+                        continue
+                    if len(row) != width:
+                        raise DataFormatError(f"{where}: expected {width} fields, "
+                                              f"got {len(row)}")
+                    fields = [_field(row[k], kind, column, where) for k, column, kind in kept]
+                    bad = store(*(np.array([v], _NUMERIC[kind]) if kind in _NUMERIC else [v]
+                                  for v, (_, _, kind) in zip(fields, kept)))
+                    if bad is not None:
+                        raise DataFormatError(f"{where}: {bad[1]}")
+            first += len(lines)
 
 
 def _by_event(columns: list[list[np.ndarray]], table: type) -> dict:
@@ -316,11 +343,10 @@ def read_events(hits_path: Path, particles_path: Path,
 
 
 def write_tracks_csv(path: Path, tracks: list[TrackRecord]) -> None:
-    rows = (f"{t.event_id},{t.track_id},{';'.join(map(str, t.hit_ids))},{t.chi2:.9g},"
-            f"{t.ndf},{t.energy:.9g},"
-            f"{'' if t.matched_particle_id is None else t.matched_particle_id}"
+    rows = ((t.event_id, t.track_id, ";".join(map(str, t.hit_ids)), t.chi2, t.ndf, t.energy,
+             "" if t.matched_particle_id is None else t.matched_particle_id)
             for t in sorted(tracks, key=lambda t: (t.event_id, t.track_id)))
-    _write_table(path, TRACKS_HEADER, rows)
+    _write_table(path, TRACKS_HEADER, "%s,%s,%s,%.9g,%s,%.9g,%s", rows)
 
 
 def read_tracks_csv(path: Path) -> list[TrackRecord]:
@@ -330,7 +356,8 @@ def read_tracks_csv(path: Path) -> list[TrackRecord]:
         for i, ids in enumerate(hit_ids):
             if len(ids) != 4:
                 return i, f"expected 4 hit ids, got {len(ids)}"
-        out.extend(map(TrackRecord, eid, tid, hit_ids, chi2, ndf, energy, matched))
+        out.extend(map(TrackRecord, eid.tolist(), tid.tolist(), hit_ids, chi2.tolist(),
+                       ndf.tolist(), energy.tolist(), matched))
 
     _read_table(Path(path), TRACKS_COLUMNS, store_tracks)
     return out
@@ -402,22 +429,23 @@ def read_qubo(path: Path) -> Qubo:
 
 def write_counts_csv(path: Path, counts: dict[str, int]) -> None:
     """Measurement histogram `bitstring,count`, variable 0 leftmost."""
-    _write_table(path, list(COUNTS_COLUMNS),
-                 (f"{b},{counts[b]}" for b in sorted(counts, key=lambda b: (-counts[b], b))))
+    _write_table(path, list(COUNTS_COLUMNS), "%s,%s",
+                 ((b, counts[b]) for b in sorted(counts, key=lambda b: (-counts[b], b))))
 
 
 def read_counts_csv(path: Path) -> list[tuple[str, int]]:
     """The (bitstring, count) rows of a histogram, in file order."""
     out: list[tuple[str, int]] = []
-    _read_table(Path(path), COUNTS_COLUMNS, lambda bits, count: out.extend(zip(bits, count)))
+    _read_table(Path(path), COUNTS_COLUMNS,
+                lambda bits, counts: out.extend(zip(bits, counts.tolist())))
     return out
 
 
 def write_curves_csv(path: Path, bins: list[BinnedValue]) -> None:
     def text(x: float | None) -> str:
         return "" if x is None else fmt(x)
-    _write_table(path, ["bin_lo", "bin_hi", "value", "err_lo", "err_hi"],
-                 (",".join(map(text, (b.bin_lo, b.bin_hi, b.value, b.err_lo, b.err_hi)))
+    _write_table(path, ["bin_lo", "bin_hi", "value", "err_lo", "err_hi"], "%s,%s,%s,%s,%s",
+                 (tuple(map(text, (b.bin_lo, b.bin_hi, b.value, b.err_lo, b.err_hi)))
                   for b in bins))
 
 
@@ -428,22 +456,22 @@ def write_doublet_debug_csv(path: Path, event_id: int, doublets: Doublets) -> No
                d.theta_xz, d.theta_yz, d.dx_over_x0, d.truth_matched())
     _write_table(path, ["event_id", "id", "layer_inner", "hit_inner", "hit_outer",
                         "theta_xz", "theta_yz", "dx_over_x0", "truth_matched"],
-                 (f"{event_id},{i},{layer},{a},{b},{txz:.9g},{tyz:.9g},{r:.9g},{matched:d}"
-                  for i, (layer, a, b, txz, tyz, r, matched)
-                  in enumerate(zip(*(c.tolist() for c in columns)))))
+                 "%s,%d,%d,%d,%d,%.9g,%.9g,%.9g,%d",
+                 zip(repeat(event_id), count(), *(c.tolist() for c in columns)))
 
 
 def write_triplet_debug_csv(path: Path, event_id: int, triplets: Triplets) -> None:
     index = triplets.hit_index()
     layers = triplets.doublets.hits.layers
     _, matched = triplets.truth_particle_ids()
-    columns = (layers[index[:, 0]], layers[index[:, 2]],
-               triplets.doublets.hit_ids[index], triplets.delta_theta, matched)
+    first, last, hit_ids, delta_theta, matched = (
+        c.tolist() for c in (layers[index[:, 0]], layers[index[:, 2]],
+                             triplets.doublets.hit_ids[index], triplets.delta_theta, matched))
     _write_table(path, ["event_id", "id", "span_first", "span_last",
                         "hit_ids", "delta_theta", "truth_matched"],
-                 (f"{event_id},{i},{first},{last},{';'.join(map(str, ids))},{dt:.9g},{m:d}"
-                  for i, (first, last, ids, dt, m)
-                  in enumerate(zip(*(c.tolist() for c in columns)))))
+                 "%s,%d,%d,%d,%s,%.9g,%d",
+                 zip(repeat(event_id), count(), first, last,
+                     (";".join(map(str, ids)) for ids in hit_ids), delta_theta, matched))
 
 
 def config_hash(config_dict: dict) -> str:

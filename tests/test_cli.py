@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -189,6 +190,21 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path):
     # no truth and no dx window in the config: nothing to calibrate on
     assert main(["simulate", "--out", str(run), "--events", "0"]) == EXIT_OK
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+
+
+def test_unreadable_hits_row_is_a_data_error(tmp_path, capsys):
+    """A truth_energy field longer than the csv module reads is named by
+    file and line, with exit 2 and no traceback."""
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--events", "2"]) == EXIT_OK
+    lines = (run / "hits.csv").read_text().splitlines(keepends=True)
+    lines[3] = lines[3].rstrip("\r\n").rsplit(",", 1)[0] + "," + "9" * 131073 + "\r\n"
+    (run / "hits.csv").write_text("".join(lines), newline="")
+    capsys.readouterr()
+    assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"hits.csv:4: field larger than field limit ({csv.field_size_limit()})" in err
+    assert "Traceback" not in err
 
 
 def test_out_of_memory_is_a_data_error(tmp_path, capsys, monkeypatch):

@@ -16,7 +16,7 @@ from qubotrack import io
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.geometry import Event, Hit, TruthParticle
 from qubotrack.io import (HITS_HEADER, PARTICLES_HEADER, TRACKS_HEADER, DataFormatError,
-                          config_hash, fmt,
+                          config_hash, fmt, read_counts_csv,
                           read_events, read_qubo, read_tracks_csv, write_counts_csv,
                           write_curves_csv, write_doublet_debug_csv,
                           write_hits_csv, write_particles_csv, write_qubo,
@@ -336,11 +336,27 @@ def csv_writer_tracks(path, tracks):
                         "" if t.matched_particle_id is None else t.matched_particle_id])
 
 
+# values whose 9-digit print is an edge: signed zero, the least subnormal,
+# a power of ten past 2**53, a tie in the tenth digit, the largest doubles
+EDGE_FLOATS = [-0.0, 5e-324, 1e16, 9.9999999995, 1.797e308, -1.797e308]
+INT64_EXTREMES = [-2 ** 63, 2 ** 63 - 1]
+
+
 def awkward_events(geometry):
     """Hand-made corner cases (noise, a truth id with no particle, -0.0 and
-    extreme magnitudes, events and hits out of order) plus simulated events
-    with more hits and particles than one block holds."""
+    extreme magnitudes, int64 extremes as ids, events and hits out of
+    order) plus simulated events with more hits and particles than one
+    block holds."""
     d = 1.0 / math.sqrt(2.0)
+    low, high = INT64_EXTREMES
+    edges = Event(event_id=low, xi_label=0.0, hits=tuple(
+        Hit(hid, k % 4, tuple(EDGE_FLOATS[(k + j) % 6] for j in range(3)), pid)
+        for k, (hid, pid) in enumerate([(high, high), (low, low), (0, high), (1, None),
+                                        (2, low), (3, 5)])
+    ), particles=(
+        TruthParticle(high, 9.9999999995, (1e16, -1.797e308, 5e-324), (0.0, -0.0, 1.0)),
+        TruthParticle(low, 1.797e308, (-0.0, 1.797e308, 9.9999999995), (0.6, 0.0, -0.8)),
+    ))
     hand = Event(event_id=9, xi_label=0.0, hits=(
         Hit(3, 0, (-0.0, 1e-300, 1.0), 0),
         Hit(1, 1, (1e300, -1e300, 1.1), None),
@@ -354,7 +370,8 @@ def awkward_events(geometry):
     simulated = [generate_event(sim, geometry, i) for i in (4, 1, 0, 2)]
     assert sum(len(e.hits) for e in simulated) > io.BLOCK_ROWS
     assert sum(len(e.particles) for e in simulated) > io.BLOCK_ROWS
-    return [hand, *simulated, Event(event_id=5, xi_label=0.0, hits=(), particles=())]
+    return [hand, *simulated, edges, Event(event_id=high, xi_label=0.0, hits=(), particles=()),
+            Event(event_id=5, xi_label=0.0, hits=(), particles=())]
 
 
 def test_event_writers_give_csv_writer_bytes(tmp_path, geometry):
@@ -367,11 +384,15 @@ def test_event_writers_give_csv_writer_bytes(tmp_path, geometry):
 
 
 def test_tracks_writer_gives_csv_writer_bytes(tmp_path):
-    values = [-0.0, 1e-300, 1e300, float("nan"), 0.5]
+    values = [-0.0, 1e-300, 1e300, float("nan"), 0.5, *EDGE_FLOATS]
     tracks = [TrackRecord(event_id=i % 7, track_id=i, hit_ids=(i, i + 1, i + 2, 4 * i),
-                          chi2=values[i % 5], ndf=4, energy=values[(i + 2) % 5],
+                          chi2=values[i % 11], ndf=4, energy=values[(i + 2) % 11],
                           matched_particle_id=None if i % 3 else i)
               for i in reversed(range(io.BLOCK_ROWS + 50))]
+    low, high = INT64_EXTREMES
+    tracks += [TrackRecord(event_id=e, track_id=t, hit_ids=(low, high, 0, -1), chi2=1e16,
+                           ndf=high, energy=-1.797e308, matched_particle_id=m)
+               for e, t, m in [(low, high, low), (high, low, high), (high, high, None)]]
     for records in ([], tracks):
         write_tracks_csv(tmp_path / "new.csv", records)
         csv_writer_tracks(tmp_path / "old.csv", records)
@@ -528,18 +549,50 @@ def test_duplicate_in_one_long_event_names_its_row(tmp_path, monkeypatch, first)
 
 
 def test_bad_row_above_unreadable_one_is_named_first(tmp_path):
-    """A row the csv module cannot read fails the read, but a bad row above
-    it in the same block is still the one named, as in a row-by-row read."""
+    """A row the csv module cannot read, the header too, fails the read
+    with a data error naming its line, but a bad row above it in the same
+    block is still the one named, as in a row-by-row read."""
     rows = hit_rows()
     rows[BAD_ROW + 5] = "x" * (csv.field_size_limit() + 1)
     path = tmp_path / "hits.csv"
     write_table(path, HITS_HEADER, rows)
-    with pytest.raises(csv.Error):
+    with pytest.raises(DataFormatError) as info:
         read_events(path, path_particles(tmp_path))
+    line = 2 + BAD_ROW + 5 + len(BLANK_AFTER)
+    assert str(info.value) == \
+        f"{path}:{line}: field larger than field limit ({csv.field_size_limit()})"
+    path.write_text("x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        read_events(path, path_particles(tmp_path))
+    assert str(info.value) == \
+        f"{path}:1: field larger than field limit ({csv.field_size_limit()})"
     rows[BAD_ROW] = set_field(rows[BAD_ROW], 2, "two")
     write_table(path, HITS_HEADER, rows)
     assert_first_error(path, r"bad integer in column 'layer': 'two'",
                        lambda: read_events(path, path_particles(tmp_path)))
+
+
+def test_quoted_fields_read_as_csv_reader_reads_them(tmp_path, monkeypatch):
+    """Quotes are csv.reader's to take off: a quoted text field reads
+    without them, and a quoted field holding a line break takes in the
+    next line, also past the end of a block, with rows counted as
+    csv.reader counts them."""
+    counts = tmp_path / "counts.csv"
+    counts.write_text('bitstring,count\n"0101",3\n0011,2\n" 1",1\n')
+    assert read_counts_csv(counts) == [("0101", 3), ("0011", 2), (" 1", 1)]
+    monkeypatch.setattr(io, "BLOCK_ROWS", 4)
+    rows = [f"0,{i},{i % 4},0.03,0.001,1.0,," for i in range(12)]
+    rows[3] += '"5\n6"'  # the last line of the first block runs on
+    path = tmp_path / "hits.csv"
+    path.write_text(",".join(HITS_HEADER) + "\n" + "\n".join(rows) + "\n")
+    assert [h.hit_id for h in read_events(path, path_particles(tmp_path))[0].hits] == \
+        list(range(12))
+    rows[9] = set_field(rows[9], 2, "two")
+    path.write_text(",".join(HITS_HEADER) + "\n" + "\n".join(rows) + "\n")
+    with pytest.raises(DataFormatError) as info:
+        read_events(path, path_particles(tmp_path))
+    assert str(info.value) == f"{path}:11: bad integer in column 'layer': 'two'"
+    assert outcome(lambda: reference_read(path, "hits")) == ("error", str(info.value))
 
 
 def test_block_io_memory_is_bounded(tmp_path, monkeypatch):
@@ -658,30 +711,58 @@ def reference_events(rows, table):
 
 
 FLOATS = ["0", "-0.0", "0.5", "-1.25", "3e-05", "1e10", "7"]
+# an optional id longer than any fixed text width
+LONG_ID = "0" * 70 + "3"
 # the faults each table can have, and the columns a field fault may hit
 FAULTS = {
     "hits": {"bad int": [0, 1, 2, 6], "bad float": [3, 4, 5], "non-finite": [3, 4, 5],
-             "field count": [], "duplicate in block": [], "duplicate across blocks": [],
-             "missing layer": []},
+             "field count": [], "blank-looking line": [], "duplicate in block": [],
+             "duplicate across blocks": [], "missing layer": []},
     "particles": {"bad int": [0, 1], "bad float": [2, 3, 4, 5, 6, 7, 8],
                   "non-finite": [2, 3, 4, 5, 6, 7, 8], "field count": [],
-                  "zero direction": []},
+                  "blank-looking line": [], "zero direction": []},
     "tracks": {"bad int": [0, 1, 2, 4, 6], "bad float": [3, 5], "field count": [],
-               "three hit ids": []},
+               "blank-looking line": [], "three hit ids": []},
 }
-BAD_TEXT = {"bad int": ["x", "1.5", "", " "], "bad float": ["0.0.1", "1e", ""],
-            "non-finite": ["nan", "inf", "-Infinity"]}
+# texts a NumPy parser takes where int() or float() does not: "7.0" as an
+# integer (with a warning on NumPy 1.x) and "\x1c7" (its blanks include the
+# separator characters)
+BAD_TEXT = {"bad int": ["x", "1.5", "", " ", "7.0", "\x1c7"],
+            "bad float": ["0.0.1", "1e", "", "7\x1c"],
+            "non-finite": ["nan", "inf", "-Infinity", "Infinity", " nan "]}
+ARABIC_INDIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
+def spelled(text, rng):
+    """``text``, or one in ten times another spelling that int() and
+    float() read as the same number after csv.reader: blanks around it, a
+    plus sign, digit groups (1_000), non-ASCII digits (٧) or quotes."""
+    if not text or rng.random() >= 0.1:
+        return text
+    how = rng.randrange(5)
+    if how == 0:
+        return f" {text}\t"
+    if how == 1:
+        return text if text.startswith("-") else "+" + text
+    if how == 2:
+        return re.sub(r"(\d)(?=\d)", r"\1_", text if len(text) > 1 else "0" + text)
+    if how == 3:
+        return text.translate(ARABIC_INDIC)
+    return f'"{text}"'
 
 
 def valid_row(table, i, rng):
     if table == "hits":
-        return [str(i // 7), str(i % 7), str(i % 4), *rng.choices(FLOATS, k=3),
-                rng.choice(["", "0", "3"]), rng.choice(["", "5"])]
-    if table == "particles":
-        return [str(i // 5), str(i % 5), rng.choice(["0.5", "5", "16"]),
-                *rng.choices(FLOATS, k=5), rng.choice(["1", "0.999", "-2"])]
-    return [str(i // 6), str(i % 6), f"{i};{i + 1};{i + 2};{i + 3}", rng.choice(FLOATS), "4",
-            rng.choice(FLOATS + ["nan"]), rng.choice(["", "2"])]
+        row = [str(i // 7), str(i % 7), str(i % 4), *rng.choices(FLOATS, k=3),
+               rng.choice(["", "0", "3", LONG_ID]), rng.choice(["", "5"])]
+    elif table == "particles":
+        row = [str(i // 5), str(i % 5), rng.choice(["0.5", "5", "16"]),
+               *rng.choices(FLOATS, k=5), rng.choice(["1", "0.999", "-2"])]
+    else:
+        row = [str(i // 6), str(i % 6), f"{i};{i + 1};{i + 2};{i + 3}", rng.choice(FLOATS),
+               "4", rng.choice(FLOATS + ["nan"]), rng.choice(["", "2", LONG_ID])]
+    return [text if k == 2 and table == "tracks" else spelled(text, rng)
+            for k, text in enumerate(row)]
 
 
 def add_fault(table, fault, rows, block, allowed, draw):
@@ -699,8 +780,12 @@ def add_fault(table, fault, rows, block, allowed, draw):
         return i
     i = draw(st.sampled_from(allowed))
     row = rows[i]
+    if len(row) != len(REFERENCE_HEADERS[table]):  # a row with a field count fault
+        return None                                # takes no second fault
     if fault == "field count":
         rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
+    elif fault == "blank-looking line":  # one field of blanks, not a blank line
+        rows[i] = [draw(st.sampled_from([" ", "\t", "\x0c "]))]
     elif fault == "missing layer":
         row[2] = draw(st.sampled_from(["-1", "4", "9223372036854775807"]))
     elif fault == "zero direction":
