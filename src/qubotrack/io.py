@@ -203,10 +203,9 @@ def _read_table(path: Path, columns: dict[str, str],
     numeric kinds, lists for the others. It stores the rows and returns
     None, or returns ``(i, message)`` for the first row ``i`` that breaks
     the table's rule, which fails the read. A block that NumPy's parser
-    cannot take (:func:`_parse_block`) is split by ``csv.reader`` and goes
-    to ``store`` one row at a time, after that row's fields convert, so the
-    error names the first bad row; a row ``csv.reader`` cannot split fails
-    the read there."""
+    cannot take (:func:`_parse_block`) is split by ``csv.reader`` and read
+    by :func:`_read_rows`, so the error names the first bad row; a row
+    ``csv.reader`` cannot split fails the read there."""
     header, width = list(columns), len(columns)
     kept = [(k, column, kind) for k, (column, kind) in enumerate(columns.items())
             if kind != IGNORED]
@@ -230,26 +229,43 @@ def _read_table(path: Path, columns: dict[str, str],
                             if text not in ("\n", "\r\n", "\r")][bad[0]]
                     raise DataFormatError(f"{path}:{line}: {bad[1]}")
             else:
-                # as many rows as the block has lines; a quoted field may
-                # run on to lines after the block
-                rows = csv.reader(chain(lines, f))
-                for line in range(first, first + len(lines)):
-                    where = f"{path}:{line}"
-                    try:
-                        row = next(rows, [])
-                    except csv.Error as exc:
-                        raise DataFormatError(f"{where}: {exc}") from None
-                    if not row:
-                        continue
-                    if len(row) != width:
-                        raise DataFormatError(f"{where}: expected {width} fields, "
-                                              f"got {len(row)}")
-                    fields = [_field(row[k], kind, column, where) for k, column, kind in kept]
-                    bad = store(*(np.array([v], _NUMERIC[kind]) if kind in _NUMERIC else [v]
-                                  for v, (_, _, kind) in zip(fields, kept)))
-                    if bad is not None:
-                        raise DataFormatError(f"{where}: {bad[1]}")
+                _read_rows(path, csv.reader(chain(lines, f)), range(first, first + len(lines)),
+                           width, kept, store)
             first += len(lines)
+
+
+def _read_rows(path: Path, rows: Iterator[list[str]], lines: range, width: int,
+               kept: list[tuple[int, str, str]],
+               store: Callable[..., tuple[int, str] | None]) -> None:
+    """Read a block row by row: a row from ``rows`` for each of ``lines``
+    (a quoted field may run on to lines after the block), each row's
+    fields converted by :func:`_field` up to the first row that fails. The
+    rows above it go to ``store`` in one call, so a row of them that breaks
+    the table's rule is named before the failing row."""
+    fields, wheres, error = [], [], None
+    for line in lines:
+        where = f"{path}:{line}"
+        try:
+            row = next(rows, [])
+            if not row:
+                continue
+            if len(row) != width:
+                raise DataFormatError(f"{where}: expected {width} fields, got {len(row)}")
+            fields.append([_field(row[k], kind, column, where) for k, column, kind in kept])
+        except csv.Error as exc:
+            error = DataFormatError(f"{where}: {exc}")
+            break
+        except DataFormatError as exc:
+            error = exc
+            break
+        wheres.append(where)
+    if fields:
+        bad = store(*(np.array(values, _NUMERIC[kind]) if kind in _NUMERIC else list(values)
+                      for values, (_, _, kind) in zip(zip(*fields), kept)))
+        if bad is not None:
+            raise DataFormatError(f"{wheres[bad[0]]}: {bad[1]}")
+    if error is not None:
+        raise error from None
 
 
 def _by_event(columns: list[list[np.ndarray]], table: type) -> dict:
@@ -282,7 +298,7 @@ def read_events(hits_path: Path, particles_path: Path,
     particles: list[list[np.ndarray]] = [[] for _ in range(5)]  # one array per block
 
     def store_particles(eid, pid, energy, ox, oy, oz, dx, dy, dz):
-        energy, d = np.array(energy), np.array([dx, dy, dz]).T
+        d = np.array([dx, dy, dz]).T
         # the 9-digit print precision is lossy; restore the unit-norm invariant
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             norm = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
@@ -296,7 +312,7 @@ def read_events(hits_path: Path, particles_path: Path,
             return i, message
         for column, values in zip(particles, (eid, pid, energy, np.array([ox, oy, oz]).T,
                                               unit)):
-            column.append(np.asarray(values))
+            column.append(values)
 
     hits: list[list[np.ndarray]] = [[] for _ in range(6)]  # one array per block
     # each event's hit ids so far, as sorted runs, each more than twice as long
@@ -306,7 +322,6 @@ def read_events(hits_path: Path, particles_path: Path,
     seen: dict[int, list[np.ndarray]] = {}
 
     def store_hits(eid, hid, layer, x, y, z, pid):
-        eid, hid, layer = (np.array(c, dtype=np.int64) for c in (eid, hid, layer))
         taken = np.zeros(len(hid), dtype=bool)  # the rows whose hit id an earlier row has
         for e in np.unique(eid).tolist():
             rows = np.flatnonzero(eid == e)
@@ -328,9 +343,9 @@ def read_events(hits_path: Path, particles_path: Path,
                 return i, f"layer {layer[i]} outside 0..{N_LAYERS - 1}"
             return i, f"duplicate hit id (event_id, hit_id) = ({eid[i]}, {hid[i]})"
         for column, values in zip(hits, (eid, hid, layer, np.array([x, y, z]).T,
-                                         [p or 0 for p in pid],
-                                         [p is not None for p in pid])):
-            column.append(np.asarray(values))
+                                         np.array([p or 0 for p in pid], dtype=np.int64),
+                                         np.array([p is not None for p in pid]))):
+            column.append(values)
 
     _read_table(Path(particles_path), PARTICLES_COLUMNS, store_particles)
     _read_table(Path(hits_path), HITS_COLUMNS, store_hits)
