@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from qubotrack.fastsim import PT_KICK_PER_TESLA_METER
-from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
+from qubotrack.geometry import Event, GeometryConfig, Hits, Particles, build_geometry
 
 
 def two_nearby_particles_event(event_id: int = 0) -> tuple[Event, GeometryConfig]:
@@ -37,22 +39,22 @@ def two_nearby_particles_event(event_id: int = 0) -> tuple[Event, GeometryConfig
         # track B: same crossing point as A at crossing_z, different slope
         return slope_a * (crossing_z - kick_z) + slope_b * (z - crossing_z)
 
-    hits = []
+    positions = []
     for pid, cross in ((0, False), (1, True)):
         for layer, z in enumerate(geometry.layer_z):
             slope = slope_b if cross else slope_a
             x = x_on_track(slope, z, cross)
             if pid == 1 and layer == 3:
                 x += 30e-6  # breaks the fake-triplet pairing symmetry
-            hits.append(Hit(hit_id=4 * pid + layer, layer=layer,
-                            position=(x, 0.0, z), truth_particle_id=pid))
+            positions.append((x, 0.0, z))
+    truth = np.repeat(np.arange(2), geometry.n_layers)
+    layers = np.tile(np.arange(geometry.n_layers), 2)
+    hits = Hits(4 * truth + layers, layers, np.array(positions), truth,
+                np.ones(len(truth), dtype=bool))
 
     kick = PT_KICK_PER_TESLA_METER * geometry.dipole_field * geometry.dipole_length
-    particles = tuple(
-        TruthParticle(particle_id=pid, energy=kick / math.sin(math.atan(slope)),
-                      origin=(0.0, 0.0, 0.0), direction=(0.0, 0.0, 1.0))
-        for pid, slope in ((0, slope_a), (1, slope_b))
-    )
-    event = Event(event_id=event_id, xi_label=0.0, hits=tuple(hits),
-                  particles=particles)
+    energies = [kick / math.sin(math.atan(slope)) for slope in (slope_a, slope_b)]
+    particles = Particles(np.arange(2), np.array(energies), np.zeros((2, 3)),
+                          np.tile([0.0, 0.0, 1.0], (2, 1)))
+    event = Event(event_id=event_id, xi_label=0.0, hits=hits, particles=particles)
     return event, geometry

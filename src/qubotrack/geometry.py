@@ -7,12 +7,12 @@ geometry is one type, :class:`GeometryConfig`, the run configuration's
 section as it is; :func:`build_geometry` checks it and returns it.
 
 Data model: an :class:`Event` stores its hits and its particles as
-columns, one array per field (:class:`Hits`, :class:`Particles`), and
-every stage from simulation and file to metrics reads those arrays.
-:class:`Hit` and :class:`TruthParticle` are views of one row, built only
-when the columns are read as a sequence (for tests, hand-made events and
-inspection). The particle rule, a positive energy and a unit direction,
-is checked on whole columns (:func:`particle_fault`).
+columns, one array per field (:class:`Hits`, :class:`Particles`), the
+only form an event is built from, and every stage from simulation and
+file to metrics reads those arrays. The particle rule, a positive energy
+and a unit direction, is checked on whole columns (:func:`particle_fault`).
+Iterating a :class:`Hits` yields :class:`Hit` views of its rows, kept for
+perfbench's track check; the chain never builds one.
 
 Also here: the array joins on hit ids and other integer keys that
 pre-selection, assembly and track building share (:func:`shared_hits`,
@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,23 +115,7 @@ def particle_fault(energy, direction) -> tuple[int, str] | None:
 
 
 @dataclass(frozen=True)
-class TruthParticle:
-    """View of a generated particle: energy in GeV, origin in m, unit
-    direction at origin."""
-
-    particle_id: int
-    energy: float
-    origin: tuple[float, float, float]
-    direction: tuple[float, float, float]
-
-    def __post_init__(self):
-        fault = particle_fault([self.energy], [self.direction])
-        if fault is not None:
-            raise ValueError(fault[1])
-
-
-@dataclass(frozen=True)
-class Hit:
+class Hit:  # read by perfbench's checks.check_tracks
     """View of a measured space point. ``truth_particle_id`` is None for noise."""
 
     hit_id: int
@@ -141,98 +124,61 @@ class Hit:
     truth_particle_id: int | None = None
 
 
+def _rows(dtype, *shape):
+    """A column that holds no rows by default."""
+    return field(default_factory=lambda: np.empty((0, *shape), dtype=dtype))
+
+
 class _Columns:
-    """Aligned arrays, one row per item, ``ids`` first, read as the tuple
-    of row views they stand for (``len``, iteration, an index, ``==``,
-    ``repr``); a view is built when it is read."""
+    """Aligned arrays, one row per item, ``ids`` first; two tables are
+    equal when every column is."""
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __iter__(self):
-        return self._views(slice(None))
-
-    def __getitem__(self, k: int):
-        k = range(len(self))[k]
-        return next(self._views(slice(k, k + 1)))
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, type(self)):
-            return all(map(np.array_equal, vars(self).values(), vars(other).values()))
-        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Hits(_Columns):
     """One event's hits: ids, layers, (hits, 3) positions, truth particle
-    ids and ``known``, whether a hit has one (if not, its id is 0)."""
+    ids and ``known``, whether a hit has one (if not, its id is 0).
+    ``Hits()`` holds none."""
 
-    ids: np.ndarray
-    layers: np.ndarray
-    positions: np.ndarray
-    truth: np.ndarray
-    known: np.ndarray
+    ids: np.ndarray = _rows(np.int64)
+    layers: np.ndarray = _rows(np.int64)
+    positions: np.ndarray = _rows(float, 3)
+    truth: np.ndarray = _rows(np.int64)
+    known: np.ndarray = _rows(bool)
 
-    @classmethod
-    def of(cls, hits: Hits | Iterable[Hit]) -> Hits:
-        """The columns of :class:`Hit` objects (columns pass as they are)."""
-        if isinstance(hits, Hits):
-            return hits
-        ids, layers, positions, truth = list(zip(*map(astuple, hits))) or [()] * 4
-        return cls(np.array(ids, dtype=np.int64), np.array(layers, dtype=np.int64),
-                   np.array(positions, dtype=float).reshape(-1, 3),
-                   np.array([p or 0 for p in truth], dtype=np.int64),
-                   np.array([p is not None for p in truth], dtype=bool))
-
-    def _views(self, rows):
-        truth = [p if k else None for p, k in zip(self.truth[rows].tolist(),
-                                                  self.known[rows].tolist())]
-        return map(Hit, self.ids[rows].tolist(), self.layers[rows].tolist(),
-                   map(tuple, self.positions[rows].tolist()), truth)
+    def __iter__(self):  # read by perfbench's checks.check_tracks
+        truth = [p if k else None for p, k in zip(self.truth.tolist(), self.known.tolist())]
+        return map(Hit, self.ids.tolist(), self.layers.tolist(),
+                   map(tuple, self.positions.tolist()), truth)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class Particles(_Columns):
     """One event's generated particles: ids, energies, and (particles, 3)
-    origins and unit directions."""
+    origins and unit directions. ``Particles()`` holds none."""
 
-    ids: np.ndarray
-    energies: np.ndarray
-    origins: np.ndarray
-    directions: np.ndarray
-
-    @classmethod
-    def of(cls, particles: Particles | Iterable[TruthParticle]) -> Particles:
-        """The columns of :class:`TruthParticle` objects (columns pass as
-        they are)."""
-        if isinstance(particles, Particles):
-            return particles
-        ids, energies, *vectors = list(zip(*map(astuple, particles))) or [()] * 4
-        return cls(np.array(ids, dtype=np.int64), np.array(energies, dtype=float),
-                   *(np.array(v, dtype=float).reshape(-1, 3) for v in vectors))
-
-    def _views(self, rows):
-        return map(TruthParticle, self.ids[rows].tolist(), self.energies[rows].tolist(),
-                   map(tuple, self.origins[rows].tolist()),
-                   map(tuple, self.directions[rows].tolist()))
+    ids: np.ndarray = _rows(np.int64)
+    energies: np.ndarray = _rows(float)
+    origins: np.ndarray = _rows(float, 3)
+    directions: np.ndarray = _rows(float, 3)
 
 
 @dataclass(frozen=True)
 class Event:
-    """One event, its hits and particles stored as columns; given as
-    sequences of views, they are read into columns."""
+    """One event, its hits and particles stored as columns."""
 
     event_id: int
     xi_label: float
     hits: Hits
     particles: Particles
-
-    def __post_init__(self):
-        object.__setattr__(self, "hits", Hits.of(self.hits))
-        object.__setattr__(self, "particles", Particles.of(self.particles))
 
 
 def _index_ranges(start: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -13,12 +13,13 @@ the detector has and a hit id unique within its event; a positive
 particle energy and a direction that normalises; four hit ids). One
 reader reads them all, a block of lines at a time: NumPy's text parser
 (``np.loadtxt``) converts a block's integer and float columns in C and
-gives the other columns to Python's ``int()`` as text. A block it cannot
-take (a quote, a field that does not convert, a line longer than the csv
-module's field limit) is split by ``csv.reader`` and read row by row; a
-bad row raises ``DataFormatError("path:line: message")`` naming the first
-bad row by line, then its first bad field in header order, then the
-table's rule. Each block of a table is written with one ``%`` format.
+gives the other columns to Python's ``int()`` as text (an optional
+integer column in one NumPy cast). A block it cannot take (a quote, a
+field that does not convert, a line longer than the csv module's field
+limit) is split by ``csv.reader`` and read row by row; a bad row raises
+``DataFormatError("path:line: message")`` naming the first bad row by
+line, then its first bad field in header order, then the table's rule.
+Each block of a table is written with one ``%`` format.
 
 Events are read and written as columns (:class:`~qubotrack.geometry.Hits`,
 :class:`~qubotrack.geometry.Particles`), never one object per row: the
@@ -153,24 +154,34 @@ def write_particles_csv(path: Path, events: list[Event]) -> None:
     _write_table(path, PARTICLES_HEADER, "%d,%d" + ",%.9g" * 7, rows())
 
 
-def _column(parsed: np.ndarray, kind: str) -> np.ndarray | list:
+def _optional(values: list[int | None]) -> tuple[np.ndarray, np.ndarray]:
+    """Optional integers as stored: int64 values, 0 where absent, and
+    whether each is given."""
+    return (np.array([v or 0 for v in values], dtype=np.int64),
+            np.array([v is not None for v in values], dtype=bool))
+
+
+def _column(parsed: np.ndarray, kind: str
+            ) -> np.ndarray | tuple[np.ndarray, np.ndarray] | list:
     """A column of a block as NumPy's parser returned it, converted as
-    :func:`_field` converts each field: a numeric kind as an array of its
-    own, the others as a list. Raises ``ValueError`` if a field does not
-    convert."""
+    :func:`_field` converts each field and stored as :func:`_read_table`
+    says. Raises ``ValueError`` if a field does not convert and
+    ``OverflowError`` if an optional integer is out of range."""
     if kind == FINITE and not np.isfinite(parsed).all():
         raise ValueError("non-finite value")
     if kind in _NUMERIC:
         return np.ascontiguousarray(parsed)
+    if kind == OPTIONAL_INT:
+        # on an object array of str, the cast calls int() on each field
+        known = parsed != ""
+        values = np.zeros(len(parsed), dtype=np.int64)
+        values[known] = parsed[known].astype(np.int64)
+        return values, known
     texts = parsed.tolist()
     if kind == TEXT:
         return texts
-    if kind == OPTIONAL_INT:
-        values = [None if t == "" else int(t) for t in texts]
-        ints = [v for v in values if v is not None]
-    else:
-        values = [tuple(map(int, t.split(";"))) for t in texts]
-        ints = [i for ids in values for i in ids]
+    values = [tuple(map(int, t.split(";"))) for t in texts]
+    ints = [i for ids in values for i in ids]
     if ints and not (INT64_MIN <= min(ints) and max(ints) <= INT64_MAX):
         raise ValueError("integer out of range")
     return values
@@ -181,7 +192,8 @@ def _parse_block(lines: list[str], dtype: np.dtype, kept: list[tuple[int, str, s
     order, parsed by NumPy's text parser; or None if the block must be
     read row by row: it holds a character of :data:`_ROW_BY_ROW` or a line
     longer than csv's field size limit, or the parser or a column's
-    conversion rejects it (a parser warning counts)."""
+    conversion rejects it (a parser warning counts, and so does an
+    optional integer out of range)."""
     text = "".join(lines)
     if any(c in text for c in _ROW_BY_ROW) or max(map(len, lines)) > csv.field_size_limit():
         return None
@@ -191,7 +203,7 @@ def _parse_block(lines: list[str], dtype: np.dtype, kept: list[tuple[int, str, s
             # the parser skips the blank lines, as csv.reader does, and no others
             table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
         return [_column(table[str(k)], kind) for k, _, kind in kept]
-    except (ValueError, Warning):
+    except (ValueError, OverflowError, Warning):
         return None
 
 
@@ -200,12 +212,14 @@ def _read_table(path: Path, columns: dict[str, str],
     """Read the table whose header ``columns`` maps to each column's kind.
     ``store`` gets a block's non-blank rows as converted columns, in header
     order and without the ignored ones: int64 or float64 arrays for the
-    numeric kinds, lists for the others. It stores the rows and returns
-    None, or returns ``(i, message)`` for the first row ``i`` that breaks
-    the table's rule, which fails the read. A block that NumPy's parser
-    cannot take (:func:`_parse_block`) is split by ``csv.reader`` and read
-    by :func:`_read_rows`, so the error names the first bad row; a row
-    ``csv.reader`` cannot split fails the read there."""
+    numeric kinds, an optional integer as an (int64 values, bool given)
+    pair of arrays (a value not given is 0), lists for the others. It
+    stores the rows and returns None, or returns ``(i, message)`` for the
+    first row ``i`` that breaks the table's rule, which fails the read. A
+    block that NumPy's parser cannot take (:func:`_parse_block`) is split
+    by ``csv.reader`` and read by :func:`_read_rows`, so the error names
+    the first bad row; a row ``csv.reader`` cannot split fails the read
+    there."""
     header, width = list(columns), len(columns)
     kept = [(k, column, kind) for k, (column, kind) in enumerate(columns.items())
             if kind != IGNORED]
@@ -260,7 +274,8 @@ def _read_rows(path: Path, rows: Iterator[list[str]], lines: range, width: int,
             break
         wheres.append(where)
     if fields:
-        bad = store(*(np.array(values, _NUMERIC[kind]) if kind in _NUMERIC else list(values)
+        bad = store(*(np.array(values, _NUMERIC[kind]) if kind in _NUMERIC
+                      else _optional(values) if kind == OPTIONAL_INT else list(values)
                       for values, (_, _, kind) in zip(zip(*fields), kept)))
         if bad is not None:
             raise DataFormatError(f"{wheres[bad[0]]}: {bad[1]}")
@@ -321,7 +336,7 @@ def read_events(hits_path: Path, particles_path: Path,
     # stays O(n log n) however large an event)
     seen: dict[int, list[np.ndarray]] = {}
 
-    def store_hits(eid, hid, layer, x, y, z, pid):
+    def store_hits(eid, hid, layer, x, y, z, truth):
         taken = np.zeros(len(hid), dtype=bool)  # the rows whose hit id an earlier row has
         for e in np.unique(eid).tolist():
             rows = np.flatnonzero(eid == e)
@@ -342,16 +357,14 @@ def read_events(hits_path: Path, particles_path: Path,
             if off[i]:
                 return i, f"layer {layer[i]} outside 0..{N_LAYERS - 1}"
             return i, f"duplicate hit id (event_id, hit_id) = ({eid[i]}, {hid[i]})"
-        for column, values in zip(hits, (eid, hid, layer, np.array([x, y, z]).T,
-                                         np.array([p or 0 for p in pid], dtype=np.int64),
-                                         np.array([p is not None for p in pid]))):
+        for column, values in zip(hits, (eid, hid, layer, np.array([x, y, z]).T, *truth)):
             column.append(values)
 
     _read_table(Path(particles_path), PARTICLES_COLUMNS, store_particles)
     _read_table(Path(hits_path), HITS_COLUMNS, store_hits)
     hits_by_event = _by_event(hits, Hits)
     particles_by_event = _by_event(particles, Particles)
-    no_hits, no_particles = Hits.of(()), Particles.of(())
+    no_hits, no_particles = Hits(), Particles()
     return [Event(eid, xi_label, hits_by_event.get(eid, no_hits),
                   particles_by_event.get(eid, no_particles))
             for eid in sorted(hits_by_event.keys() | particles_by_event.keys())]
@@ -371,6 +384,7 @@ def read_tracks_csv(path: Path) -> list[TrackRecord]:
         for i, ids in enumerate(hit_ids):
             if len(ids) != 4:
                 return i, f"expected 4 hit ids, got {len(ids)}"
+        matched = [p if k else None for p, k in zip(*(c.tolist() for c in matched))]
         out.extend(map(TrackRecord, eid.tolist(), tid.tolist(), hit_ids, chi2.tolist(),
                        ndf.tolist(), energy.tolist(), matched))
 

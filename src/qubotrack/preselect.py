@@ -27,11 +27,10 @@ event's own, :func:`truth_doublets`, are the case of one event). These
 containers are the only form that pre-selection, assembly,
 calibration, track building and the debug dumps accept; truth matching
 is read as arrays too (:meth:`Doublets.truth_matched`,
-:meth:`Triplets.truth_particle_ids`). Both support ``len``, iteration
-and indexing: an integer yields a :class:`Doublet` or :class:`Triplet`
-view, a frozen dataclass with one entry's hits and values, a read-only
-accessor for the demo, tests and truth inspection; a slice or an index
-array of a Triplets yields the Triplets of those entries.
+:meth:`Triplets.truth_particle_ids`). Both support ``len``; a slice or
+an index array of a Triplets yields the Triplets of those entries.
+Iterating them yields :class:`Doublet` and :class:`Triplet` views, kept
+for perfbench's traced counters; the chain never builds one.
 
 The triplet join is output-sized. It pairs a first doublet only with
 the second doublets that start at its outer hit and whose theta_xz lies
@@ -70,7 +69,7 @@ class CalibrationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Doublet:
+class Doublet:  # read by perfbench's traced counters
     """View of one doublet."""
 
     hit_inner: Hit
@@ -79,20 +78,16 @@ class Doublet:
     theta_yz: float   # atan(dy/dz), rad
     dx_over_x0: float
 
-    @property
-    def layers(self) -> tuple[int, int]:
-        return self.hit_inner.layer, self.hit_outer.layer
-
 
 class Doublets:
     """One event's doublets (calibration's: one run's) as aligned arrays;
     see the module docstring."""
 
-    def __init__(self, hits: Hits | Sequence[Hit], inner, outer):
+    def __init__(self, hits: Hits, inner, outer):
         """Doublets of the (inner, outer) hit index pairs, no inner hit at
         x0 = 0, their features computed here and nowhere else (the angles
         when first read, by :meth:`angles`)."""
-        self.hits = Hits.of(hits)
+        self.hits = hits
         self.hit_ids, self.positions = self.hits.ids, self.hits.positions
         self.inner = np.asarray(inner, dtype=np.intp)
         self.outer = np.asarray(outer, dtype=np.intp)
@@ -130,12 +125,7 @@ class Doublets:
     def __len__(self) -> int:
         return len(self.inner)
 
-    def __getitem__(self, k: int) -> Doublet:
-        theta_xz, theta_yz = self.angles(k)
-        return Doublet(self.hits[self.inner[k]], self.hits[self.outer[k]],
-                       float(theta_xz), float(theta_yz), float(self.dx_over_x0[k]))
-
-    def __iter__(self):
+    def __iter__(self):  # read by perfbench's traced counters
         hits = tuple(self.hits)
         for a, b, txz, tyz, r in zip(self.inner.tolist(), self.outer.tolist(),
                                      self.theta_xz.tolist(), self.theta_yz.tolist(),
@@ -150,25 +140,18 @@ class Doublets:
 
 
 @dataclass(frozen=True)
-class Triplet:
+class Triplet:  # read by perfbench's traced counters
     """View of one triplet."""
 
     doublet_first: Doublet
     doublet_second: Doublet
     delta_theta: float  # rad
-    layer_span: tuple[int, int]
-
-    def hits(self) -> tuple[Hit, Hit, Hit]:
-        return (self.doublet_first.hit_inner,
-                self.doublet_first.hit_outer,
-                self.doublet_second.hit_outer)
-
-    def hit_ids(self) -> tuple[int, int, int]:
-        return tuple(h.hit_id for h in self.hits())
 
     def truth_particle_id(self) -> int | None:
         """Common truth particle of all three hits, or None."""
-        pids = {h.truth_particle_id for h in self.hits()}
+        pids = {h.truth_particle_id for h in (self.doublet_first.hit_inner,
+                                              self.doublet_first.hit_outer,
+                                              self.doublet_second.hit_outer)}
         if len(pids) == 1 and None not in pids:
             return pids.pop()
         return None
@@ -186,20 +169,16 @@ class Triplets:
     def __len__(self) -> int:
         return len(self.first)
 
-    def __getitem__(self, k):
-        if isinstance(k, (int, np.integer)):
-            return self._view(int(self.first[k]), int(self.second[k]),
-                              float(self.delta_theta[k]))
-        return Triplets(self.doublets, self.first[k], self.second[k], self.delta_theta[k])
+    def __getitem__(self, index) -> Triplets:
+        """The Triplets of the entries ``index`` (a slice or an index array)."""
+        return Triplets(self.doublets, self.first[index], self.second[index],
+                        self.delta_theta[index])
 
-    def __iter__(self):
+    def __iter__(self):  # read by perfbench's traced counters
+        doublets = list(self.doublets)
         for f, s, dt in zip(self.first.tolist(), self.second.tolist(),
                             self.delta_theta.tolist()):
-            yield self._view(f, s, dt)
-
-    def _view(self, first: int, second: int, delta_theta: float) -> Triplet:
-        d1, d2 = self.doublets[first], self.doublets[second]
-        return Triplet(d1, d2, delta_theta, (d1.hit_inner.layer, d2.hit_outer.layer))
+            yield Triplet(doublets[f], doublets[s], dt)
 
     def hit_index(self) -> np.ndarray:
         """(triplets, 3) positions in ``doublets.hits`` of each triplet's
@@ -264,7 +243,7 @@ def run_truth_doublets(events: Sequence[Event]) -> Doublets:
     one layer, the last in hit order; no pair with its inner hit at x0 = 0.
     One stable lexsort over (event position, particle, layer) finds them
     all."""
-    parts = [Hits.of(()), *(e.hits for e in events)]
+    parts = [Hits(), *(e.hits for e in events)]
     hits = Hits(*map(np.concatenate, zip(*(vars(h).values() for h in parts))))
     event = np.repeat(np.arange(len(parts)), [len(h) for h in parts])
     layers, positions, pid = hits.layers, hits.positions, hits.truth
@@ -305,7 +284,7 @@ def calibrate_dx_window(doublets: Iterable[Doublets]) -> tuple[float, float]:
     return float(values.mean()), float(values.std(ddof=1))
 
 
-def build_doublets(hits: Hits | Sequence[Hit], geometry: GeometryConfig,
+def build_doublets(hits: Hits, geometry: GeometryConfig,
                    window: PreselectionWindow,
                    diagnostics: DoubletDiagnostics | None = None) -> Doublets:
     """All consecutive-layer hit pairs passing the dx/x0 window.
@@ -315,7 +294,6 @@ def build_doublets(hits: Hits | Sequence[Hit], geometry: GeometryConfig,
     of: the result, ``n_rejected_window``, ``n_skipped_x0_zero``.
     """
     diag = diagnostics if diagnostics is not None else DoubletDiagnostics()
-    hits = Hits.of(hits)
     layers, x = hits.layers, hits.positions[:, 0]
 
     # the window: dx_mean +- n_sigma * dx_sigma, boundaries inclusive

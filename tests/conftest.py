@@ -1,6 +1,7 @@
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import settings
 
 from qubotrack import pipeline
 from qubotrack.config import RunConfig
-from qubotrack.geometry import build_geometry
+from qubotrack.geometry import Event, Hits, Particles, build_geometry
 from qubotrack.pipeline import simulate_events
 
 # the hand-built events live next to the demo that prints them
@@ -26,6 +27,40 @@ def no_speculation_pool_left():
     no pool thread runs when a later test forks."""
     yield
     pipeline._close_speculation_pool()
+
+
+class HitRow(NamedTuple):
+    """A hand-written hit: one row of :func:`hits_of`."""
+
+    hit_id: int
+    layer: int
+    position: tuple[float, float, float]
+    truth_particle_id: int | None = None
+
+
+def hits_of(rows) -> Hits:
+    """The columns of hit rows, each a :class:`HitRow` or a plain tuple of
+    its fields."""
+    ids, layers, positions, truth = zip(*rows) if len(rows) else [()] * 4
+    return Hits(np.array(ids, dtype=np.int64), np.array(layers, dtype=np.int64),
+                np.array(positions, dtype=float).reshape(-1, 3),
+                np.array([0 if p is None else p for p in truth], dtype=np.int64),
+                np.array([p is not None for p in truth], dtype=bool))
+
+
+def event_of(event_id: int, hits=(), particles=(), xi_label: float = 0.0) -> Event:
+    """An event of hand-written rows: hits as :func:`hits_of` reads them,
+    particles each (particle id, energy, origin, direction)."""
+    ids, energies, origins, directions = zip(*particles) if len(particles) else [()] * 4
+    return Event(event_id, xi_label, hits_of(hits), Particles(
+        np.array(ids, dtype=np.int64), np.array(energies, dtype=float),
+        np.array(origins, dtype=float).reshape(-1, 3),
+        np.array(directions, dtype=float).reshape(-1, 3)))
+
+
+def column_values(table) -> list:
+    """A table's columns as lists, whose repr shows every digit and -0.0."""
+    return [column.tolist() for column in vars(table).values()]
 
 
 @pytest.fixture(scope="session")
@@ -132,12 +167,12 @@ def ising_energy_of_bits(ising, bits) -> float:
             + float(ising.coupling @ (z[ising.pair_i] * z[ising.pair_j])))
 
 
-def particle_by_id(event, pid: int):
-    """The first of ``event``'s particles with id ``pid``."""
+def particle_energy(event, pid: int) -> float:
+    """The energy of the first of ``event``'s particles with id ``pid``."""
     found = np.flatnonzero(event.particles.ids == pid).tolist()
     if not found:
         raise KeyError(pid)
-    return event.particles[found[0]]
+    return float(event.particles.energies[found[0]])
 
 
 def measured_index_to_bitstring(index: int, n: int) -> str:

@@ -230,10 +230,11 @@ def test_criterion_07_preselection_efficiency(desk_events, geometry):
             for h in event.hits:
                 if h.truth_particle_id is not None:
                     layers.setdefault(h.truth_particle_id, set()).add(h.layer)
-            for p in event.particles:
-                if p.energy > 3.0 and len(layers.get(p.particle_id, ())) == 4:
+            for p, energy in zip(event.particles.ids.tolist(),
+                                 event.particles.energies.tolist()):
+                if energy > 3.0 and len(layers.get(p, ())) == 4:
                     total_ns += 1
-                    if per_pid.get(p.particle_id, 0) >= 2:
+                    if per_pid.get(p, 0) >= 2:
                         kept += 1
         kept_by_nsigma.append(kept)
         if n_sigma == 3.0:

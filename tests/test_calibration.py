@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from calibration_reference import reference_calibrate
+from conftest import HitRow, event_of
 from metrics_reference import hexed
 from qubotrack.config import RunConfig
-from qubotrack.geometry import Event, Hit
+from qubotrack.geometry import Event
 from qubotrack.pipeline import S_MAX_FALLBACK, calibrate
 from qubotrack.preselect import CalibrationError, run_truth_doublets, truth_doublets
 from qubotrack.qubo import calibrate_s_max
@@ -17,7 +18,7 @@ from qubotrack.qubo import calibrate_s_max
 
 def hit(hid, layer, x, y=0.0, pid=None, z=None):
     z = 1.0 + 0.1 * layer if z is None else z
-    return Hit(hit_id=hid, layer=layer, position=(x, y, z), truth_particle_id=pid)
+    return HitRow(hit_id=hid, layer=layer, position=(x, y, z), truth_particle_id=pid)
 
 
 def track(first_id, pid, x0, slope, y0=0.0, layers=range(4)):
@@ -42,11 +43,11 @@ def crafted_event(event_id: int, shift: float = 0.0) -> Event:
         hit(50, 2, 0.05), hit(51, 0, 0.08), hit(52, 3, 0.07),    # noise
     ]
     order = np.random.default_rng(event_id).permutation(len(hits))
-    return Event(event_id, 0.0, tuple(hits[k] for k in order), ())
+    return event_of(event_id, [hits[k] for k in order])
 
 
 def noise_event(event_id: int) -> Event:
-    return Event(event_id, 0.0, (hit(0, 0, 0.03), hit(1, 1, 0.036), hit(2, 2, 0.04)), ())
+    return event_of(event_id, [hit(0, 0, 0.03), hit(1, 1, 0.036), hit(2, 2, 0.04)])
 
 
 def calibration_bits(result):
@@ -144,7 +145,7 @@ def collinear_event(event_id: int, layers=range(4)) -> Event:
     binary), so every chain's angle spread is 0.0."""
     hits = [hit(10 * pid + layer, layer, x * (1 + layer), 0.0, pid, z=1.0 + 0.5 * layer)
             for pid, x in ((1, 0.25), (2, 0.125)) for layer in layers]
-    return Event(event_id, 0.0, tuple(hits), ())
+    return event_of(event_id, hits)
 
 
 @pytest.mark.parametrize("layers", [range(4), range(3)], ids=["zero-spreads", "no-chains"])
@@ -157,7 +158,7 @@ def test_s_max_fallback(layers):
 @pytest.mark.parametrize("events, n", [
     ([], 0),
     ([noise_event(0)], 0),
-    ([Event(0, 0.0, (hit(0, 0, 0.03, pid=1), hit(1, 1, 0.036, pid=1), hit(2, 2, 0.04)), ())], 1),
+    ([event_of(0, [hit(0, 0, 0.03, pid=1), hit(1, 1, 0.036, pid=1), hit(2, 2, 0.04)])], 1),
 ])
 def test_fewer_than_two_truth_doublets_raise(events, n):
     message = f"need at least 2 truth-matched doublets to calibrate, got {n}"

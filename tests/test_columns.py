@@ -1,14 +1,14 @@
 """Events are columns from simulation and file to metrics: no stage of the
-chain builds a ``Hit`` or ``TruthParticle``, and the views that are built
-on demand show exactly what the columns hold."""
+chain builds a ``Hit``, ``Doublet`` or ``Triplet``, and the views that
+perfbench reads show exactly what the columns hold."""
 
 import metrics_reference
 import numpy as np
 import pytest
 
-from qubotrack import geometry, metrics, pipeline
+from qubotrack import geometry, metrics, pipeline, preselect
 from qubotrack.config import RunConfig
-from qubotrack.geometry import Event, Hit, Hits, Particles, TruthParticle, build_geometry
+from qubotrack.geometry import Event, Hits, Particles, build_geometry
 from qubotrack.io import read_events, write_hits_csv, write_particles_csv
 from qubotrack.preselect import build_doublets, build_triplets
 
@@ -20,13 +20,14 @@ def config(multiplicity=40.0, seed=2024):
 
 
 def test_chain_builds_no_view(tmp_path, monkeypatch):
-    """simulate -> write -> read -> calibrate -> reconstruct -> report with
-    the views unconstructible: every stage reads the columns."""
+    """simulate -> write -> read -> calibrate -> reconstruct (with every
+    dump) -> report with the views unconstructible: every stage reads the
+    columns."""
     def unbuildable(self, *args, **kwargs):
         raise AssertionError(f"a {type(self).__name__} was built")
 
-    monkeypatch.setattr(geometry.Hit, "__init__", unbuildable)
-    monkeypatch.setattr(geometry.TruthParticle, "__init__", unbuildable)
+    for view in (geometry.Hit, preselect.Doublet, preselect.Triplet):
+        monkeypatch.setattr(view, "__init__", unbuildable)
     cfg = config()
     events = pipeline.simulate_events(cfg, 3)
     write_hits_csv(tmp_path / "hits.csv", events)
@@ -34,8 +35,9 @@ def test_chain_builds_no_view(tmp_path, monkeypatch):
     events = read_events(tmp_path / "hits.csv", tmp_path / "particles.csv")
     geo = build_geometry(cfg.geometry)
     window, scaling, _ = pipeline.calibrate(events, cfg)
+    dumps = pipeline.EventDumps(tmp_path, qubo=True, debug=True)
     tracks = [t for e in events
-              for t in pipeline.reconstruct_event(e, geo, window, scaling, cfg).tracks]
+              for t in pipeline.reconstruct_event(e, geo, window, scaling, cfg, dumps).tracks]
     report = metrics.build_report(events, tracks, edges=[0.0, 5.0, 16.0])
     assert tracks and report.efficiency > 0.5
     with pytest.raises(AssertionError, match="a Hit was built"):
@@ -63,41 +65,29 @@ def truth_or_none(hits: Hits, rows) -> list:
 
 
 def test_views_equal_columns(tmp_path, geometry):
-    """What perfbench and the tests read through the views: hits with id,
-    layer, position and truth id, doublets' inner hit truth ids, triplets'
-    common truth id."""
+    """What perfbench reads through the views: hits with id, layer,
+    position and truth id (its track check), doublets' hit truth ids and
+    triplets' common truth id (its traced counters), which count what the
+    columns count."""
     event = noisy_event(tmp_path)
     h = event.hits
     assert [(v.hit_id, v.layer, v.position, v.truth_particle_id) for v in h] == list(zip(
         h.ids.tolist(), h.layers.tolist(), map(tuple, h.positions.tolist()),
         truth_or_none(h, slice(None))))
-    assert h[-1] == list(h)[-1] and h == tuple(h) and Hits.of(tuple(h)) == h
-    p = event.particles
-    assert [(v.particle_id, v.energy, v.origin, v.direction) for v in p] == list(zip(
-        p.ids.tolist(), p.energies.tolist(), map(tuple, p.origins.tolist()),
-        map(tuple, p.directions.tolist())))
-    assert Particles.of(tuple(p)) == p
 
     window = pipeline.calibrate([event], config())[0]
     doublets = build_doublets(h, geometry, window)
     assert [d.hit_inner.truth_particle_id for d in doublets] == truth_or_none(h, doublets.inner)
+    assert [d.hit_outer.truth_particle_id for d in doublets] == truth_or_none(h, doublets.outer)
     assert [d.hit_outer.hit_id for d in doublets] == h.ids[doublets.outer].tolist()
+    assert sum(1 for d in doublets if d.hit_inner.truth_particle_id is not None
+               and d.hit_inner.truth_particle_id == d.hit_outer.truth_particle_id) \
+        == doublets.truth_matched().sum()
     triplets = build_triplets(doublets, window)
     pid, common = triplets.truth_particle_ids()
     assert len(triplets) and not common.all() and common.any()
     assert [t.truth_particle_id() for t in triplets] == [
         int(q) if c else None for q, c in zip(pid, common)]
-
-
-def test_event_of_views_equals_event_of_columns():
-    hits = (Hit(4, 1, (0.5, -0.0, 1.1), 2), Hit(1, 0, (0.25, 1e-300, 1.0)))
-    particles = (TruthParticle(2, 3.5, (0.0, 0.0, 0.0), (0.0, 0.6, 0.8)),)
-    event = Event(7, 0.0, hits, particles)
-    assert event.hits == hits and event.particles == particles
-    assert event.hits.known.tolist() == [True, False] and event.hits.truth.tolist() == [2, 0]
-    assert event == Event(7, 0.0, event.hits, event.particles)
-    assert repr(event) == ("Event(event_id=7, xi_label=0.0, hits=" + repr(hits)
-                           + ", particles=" + repr(particles) + ")")
 
 
 def test_metrics_columns_match_per_hit_loops(tmp_path):
@@ -118,8 +108,9 @@ def test_metrics_columns_match_per_hit_loops(tmp_path):
             pid for pid, layers in layers_by_pid.items() if len(layers) == n_layers)
     assert metrics_reference.truth_by_hit(doubled) == {h.hit_id: h.truth_particle_id
                                                        for h in doubled.hits}
-    assert metrics_reference.true_energies(doubled) == {v.particle_id: v.energy
-                                                        for v in reversed(doubled.particles)}
+    p = doubled.particles  # the first particle listed with an id counts
+    assert metrics_reference.true_energies(doubled) == dict(
+        reversed(list(zip(p.ids.tolist(), p.energies.tolist()))))
     h = doubled.hits
     rows = np.stack([h.ids[np.argsort(h.layers == k, kind="stable")[::-1][:12]]
                      for k in range(4)], axis=1)  # hits of every layer, noise among them

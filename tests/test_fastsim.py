@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import HitRow, column_values, event_of
 from qubotrack.fastsim import (EnergySpectrum, SimConfig, SimulationError,
                                dipole_deflection, generate_event, scattering_sigma,
                                xi_to_multiplicity)
 from qubotrack import fastsim
-from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
+from qubotrack.geometry import GeometryConfig, build_geometry
 from qubotrack.trackbuild import fit_track
 
 
@@ -106,7 +107,7 @@ def test_scattering_scales_inversely_with_energy():
 def test_zero_multiplicity(geometry):
     sim = SimConfig(mean_multiplicity=0.0, rng_seed=1)
     event = generate_event(sim, geometry, 0)
-    assert event.particles == () and event.hits == ()
+    assert len(event.particles) == len(event.hits) == 0
 
 
 def test_same_seed_same_event(geometry):
@@ -229,8 +230,7 @@ def per_draw_event(sim, geometry, event_id, rng):
         theta_y0 = rng.normal(0.0, sim.emittance_angle_sigma)
         tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
         norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
-        particles.append(TruthParticle(particle_id=pid, energy=energy, origin=(ox, oy, oz),
-                                       direction=(tx0 / norm, ty0 / norm, 1.0 / norm)))
+        particles.append((pid, energy, (ox, oy, oz), (tx0 / norm, ty0 / norm, 1.0 / norm)))
         x = ox + tx0 * (kick_z - oz)
         y = oy + ty0 * (kick_z - oz)
         theta_x = theta_x0 + dipole_deflection(energy, geometry.dipole_field,
@@ -250,15 +250,14 @@ def per_draw_event(sim, geometry, event_id, rng):
                     mx, my = x, y
                 if (abs(mx) <= geometry.layer_half_extent_x
                         and abs(my) <= geometry.layer_half_extent_y):
-                    hits.append(Hit(hit_id=hit_id, layer=layer, position=(mx, my, layer_z),
-                                    truth_particle_id=pid))
+                    hits.append(HitRow(hit_id=hit_id, layer=layer, position=(mx, my, layer_z),
+                                       truth_particle_id=pid))
                     hit_id += 1
                 if sim.scattering:
                     kx, ky = scattering_kick(energy, geometry.layer_thickness_x0, rng)
                     theta_x += kx
                     theta_y += ky
-    return Event(event_id=event_id, xi_label=sim.xi_label,
-                 hits=tuple(hits), particles=tuple(particles))
+    return event_of(event_id, hits, particles, sim.xi_label)
 
 
 _DEFAULT = SimConfig(mean_multiplicity=100)
@@ -292,8 +291,9 @@ def test_batched_draws_replay_per_draw_loop(monkeypatch, sim, geometry_config, s
         reference_rng = fastsim.event_rng(sim, event_id)
         reference = per_draw_event(sim, geometry, event_id, reference_rng)
         assert event.event_id == reference.event_id and event.xi_label == reference.xi_label
-        assert list(map(repr, event.particles)) == list(map(repr, reference.particles))
-        assert list(map(repr, event.hits)) == list(map(repr, reference.hits))
+        for table in ("particles", "hits"):
+            assert repr(column_values(getattr(event, table))) == repr(column_values(
+                getattr(reference, table)))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert event.hits
 

@@ -6,8 +6,8 @@ import pytest
 
 from qubotrack.fastsim import SimConfig, generate_event
 from qubotrack.config import RunConfig
-from qubotrack.geometry import (Event, GeometryConfig, GeometryError, Hit,
-                                TruthParticle, build_geometry, shared_hits,
+from qubotrack.geometry import (GeometryConfig, GeometryError, build_geometry,
+                                particle_fault, shared_hits,
                                 windowed_key_pairs)
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
@@ -64,12 +64,12 @@ def test_config_dict_holds_no_derived_geometry():
 
 
 def test_direction_normalization_enforced():
-    with pytest.raises(ValueError, match="normalized"):
-        TruthParticle(particle_id=0, energy=1.0, origin=(0, 0, 0),
-                      direction=(0.0, 0.0, 1.1))
-    with pytest.raises(ValueError, match="positive"):
-        TruthParticle(particle_id=0, energy=0.0, origin=(0, 0, 0),
-                      direction=(0.0, 0.0, 1.0))
+    """The particle rule names the first bad row and what it fails."""
+    assert particle_fault([1.0, 2.0], [(0.0, 0.0, 1.0), (0.6, 0.0, 0.8)]) is None
+    assert particle_fault([1.0, 1.0], [(0.0, 0.0, 1.0), (0.0, 0.0, 1.1)]) == (
+        1, "direction not normalized: |d| = 1.1")
+    assert particle_fault([0.0, 1.0], [(0.0, 0.0, 1.0), (0.0, 0.0, 1.1)]) == (
+        0, "particle energy must be positive, got 0.0")
 
 
 def test_generated_events_always_validate(geometry):

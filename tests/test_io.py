@@ -11,10 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_qubo
+from conftest import HitRow, column_values, event_of, random_qubo
 from qubotrack import io
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.geometry import Event, Hit, TruthParticle
+from qubotrack.geometry import Hits
 from qubotrack.io import (HITS_HEADER, PARTICLES_HEADER, TRACKS_HEADER, DataFormatError,
                           config_hash, fmt, read_counts_csv,
                           read_events, read_qubo, read_tracks_csv, write_counts_csv,
@@ -146,6 +146,21 @@ def test_integer_beyond_64_bits_names_file_line_and_column(tmp_path, row, messag
     path.write_text(",".join(HITS_HEADER) + "\n0,0,0,0.03,0,1.0,-9223372036854775808,\n")
     hit, = read_events(path, path_particles(tmp_path))[0].hits
     assert hit.truth_particle_id == -2 ** 63
+
+
+@pytest.mark.parametrize("text", ["7", " 7\t", "+7", "-7", "1_000", "٧", "0" * 70 + "3",
+                                  "9223372036854775807", ""])
+def test_optional_id_spellings_take_the_numpy_path(tmp_path, monkeypatch, text):
+    """NumPy's cast reads a truth id as int() does, so a block of them is
+    never read row by row."""
+    def row_by_row(*args):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(io, "_read_rows", row_by_row)
+    path = tmp_path / "hits.csv"
+    path.write_text(",".join(HITS_HEADER) + f"\n0,0,0,0.03,0,1.0,{text},\n")
+    hit, = read_events(path, path_particles(tmp_path))[0].hits
+    assert hit.truth_particle_id == (int(text) if text else None)
 
 
 def path_particles(tmp_path):
@@ -285,7 +300,7 @@ def test_debug_dumps(tmp_path, geometry):
     assert (tmp_path / "d.csv").read_text().count("\n") == len(ds) + 1
     assert (tmp_path / "t.csv").read_text().count("\n") == len(ts) + 1
     # an event without doublets writes the headers alone
-    ds = build_doublets((), geometry, w)
+    ds = build_doublets(Hits(), geometry, w)
     write_doublet_debug_csv(tmp_path / "d.csv", 0, ds)
     write_triplet_debug_csv(tmp_path / "t.csv", 0, build_triplets(ds, w))
     assert (tmp_path / "d.csv").read_text().startswith("event_id,id,layer_inner,")
@@ -307,13 +322,20 @@ def csv_writer_hits(path, events):
         w = csv.writer(f)
         w.writerow(HITS_HEADER)
         for e in sorted(events, key=lambda e: e.event_id):
-            particles = {p.particle_id: p for p in e.particles}
+            energies = dict(zip(e.particles.ids.tolist(), e.particles.energies.tolist()))
             for h in sorted(e.hits, key=lambda h: h.hit_id):
                 pid = h.truth_particle_id
-                energy = fmt(particles[pid].energy) if pid in particles else ""
+                energy = fmt(energies[pid]) if pid in energies else ""
                 w.writerow([e.event_id, h.hit_id, h.layer,
                             fmt(h.position[0]), fmt(h.position[1]), fmt(h.position[2]),
                             "" if pid is None else pid, energy])
+
+
+def particles_as_rows(particles):
+    """(id, energy, origin, direction) of each particle, in table order."""
+    return list(zip(particles.ids.tolist(), particles.energies.tolist(),
+                    map(tuple, particles.origins.tolist()),
+                    map(tuple, particles.directions.tolist())))
 
 
 def csv_writer_particles(path, events):
@@ -321,9 +343,10 @@ def csv_writer_particles(path, events):
         w = csv.writer(f)
         w.writerow(PARTICLES_HEADER)
         for e in sorted(events, key=lambda e: e.event_id):
-            for p in sorted(e.particles, key=lambda p: p.particle_id):
-                w.writerow([e.event_id, p.particle_id, fmt(p.energy),
-                            *(fmt(v) for v in p.origin), *(fmt(v) for v in p.direction)])
+            for pid, energy, origin, direction in sorted(particles_as_rows(e.particles),
+                                                         key=lambda p: p[0]):
+                w.writerow([e.event_id, pid, fmt(energy),
+                            *(fmt(v) for v in origin), *(fmt(v) for v in direction)])
 
 
 def csv_writer_tracks(path, tracks):
@@ -349,29 +372,28 @@ def awkward_events(geometry):
     block holds."""
     d = 1.0 / math.sqrt(2.0)
     low, high = INT64_EXTREMES
-    edges = Event(event_id=low, xi_label=0.0, hits=tuple(
-        Hit(hid, k % 4, tuple(EDGE_FLOATS[(k + j) % 6] for j in range(3)), pid)
+    edges = event_of(low, [
+        HitRow(hid, k % 4, tuple(EDGE_FLOATS[(k + j) % 6] for j in range(3)), pid)
         for k, (hid, pid) in enumerate([(high, high), (low, low), (0, high), (1, None),
                                         (2, low), (3, 5)])
-    ), particles=(
-        TruthParticle(high, 9.9999999995, (1e16, -1.797e308, 5e-324), (0.0, -0.0, 1.0)),
-        TruthParticle(low, 1.797e308, (-0.0, 1.797e308, 9.9999999995), (0.6, 0.0, -0.8)),
-    ))
-    hand = Event(event_id=9, xi_label=0.0, hits=(
-        Hit(3, 0, (-0.0, 1e-300, 1.0), 0),
-        Hit(1, 1, (1e300, -1e300, 1.1), None),
-        Hit(2, 2, (0.1234567891, -0.0, 1.2), 7),
-        Hit(0, 3, (-1e-300, 5e-324, -0.0), 1),
-    ), particles=(
-        TruthParticle(1, 1e300, (1e-300, -1e-300, 2.5), (d, -d, 0.0)),
-        TruthParticle(0, 1e-300, (-0.0, 1e300, 0.0), (-0.0, 0.0, 1.0)),
-    ))
+    ], [
+        (high, 9.9999999995, (1e16, -1.797e308, 5e-324), (0.0, -0.0, 1.0)),
+        (low, 1.797e308, (-0.0, 1.797e308, 9.9999999995), (0.6, 0.0, -0.8)),
+    ])
+    hand = event_of(9, [
+        HitRow(3, 0, (-0.0, 1e-300, 1.0), 0),
+        HitRow(1, 1, (1e300, -1e300, 1.1), None),
+        HitRow(2, 2, (0.1234567891, -0.0, 1.2), 7),
+        HitRow(0, 3, (-1e-300, 5e-324, -0.0), 1),
+    ], [
+        (1, 1e300, (1e-300, -1e-300, 2.5), (d, -d, 0.0)),
+        (0, 1e-300, (-0.0, 1e300, 0.0), (-0.0, 0.0, 1.0)),
+    ])
     sim = SimConfig(mean_multiplicity=300, rng_seed=3)
     simulated = [generate_event(sim, geometry, i) for i in (4, 1, 0, 2)]
     assert sum(len(e.hits) for e in simulated) > io.BLOCK_ROWS
     assert sum(len(e.particles) for e in simulated) > io.BLOCK_ROWS
-    return [hand, *simulated, edges, Event(event_id=high, xi_label=0.0, hits=(), particles=()),
-            Event(event_id=5, xi_label=0.0, hits=(), particles=())]
+    return [hand, *simulated, edges, event_of(high), event_of(5)]
 
 
 def test_event_writers_give_csv_writer_bytes(tmp_path, geometry):
@@ -446,14 +468,13 @@ def test_block_read_keeps_every_value(tmp_path, geometry):
             (h.hit_id, h.layer, h.truth_particle_id, tuple(float(fmt(c)) for c in h.position))
             for h in sorted(orig.hits, key=lambda h: h.hit_id)]
         expected = []
-        for p in sorted(orig.particles, key=lambda p: p.particle_id):
-            direction = [float(fmt(c)) for c in p.direction]
+        for pid, energy, origin, direction in sorted(particles_as_rows(orig.particles),
+                                                     key=lambda p: p[0]):
+            direction = [float(fmt(c)) for c in direction]
             norm = math.sqrt(sum(c * c for c in direction))
-            expected.append((p.particle_id, float(fmt(p.energy)),
-                             tuple(float(fmt(c)) for c in p.origin),
+            expected.append((pid, float(fmt(energy)), tuple(float(fmt(c)) for c in origin),
                              tuple(c / norm for c in direction)))
-        assert [(p.particle_id, p.energy, p.origin, p.direction)
-                for p in event.particles] == expected
+        assert particles_as_rows(event.particles) == expected
 
 
 # blank lines after these rows, and two at the end of the file
@@ -734,14 +755,20 @@ def reference_events(rows, table):
     for e, *values in rows:
         if table == "hits":
             hid, layer, x, y, z, pid = values
-            by_event.setdefault(e, ([], []))[0].append(Hit(hid, layer, (x, y, z), pid))
+            by_event.setdefault(e, ([], []))[0].append(HitRow(hid, layer, (x, y, z), pid))
         else:
             pid, energy, ox, oy, oz, dx, dy, dz = values
             n = math.sqrt(dx * dx + dy * dy + dz * dz)
             by_event.setdefault(e, ([], []))[1].append(
-                TruthParticle(pid, energy, (ox, oy, oz), (dx / n, dy / n, dz / n)))
-    return [Event(e, 0.0, tuple(hits), tuple(particles))
-            for e, (hits, particles) in sorted(by_event.items())]
+                (pid, energy, (ox, oy, oz), (dx / n, dy / n, dz / n)))
+    return [event_of(e, hits, particles) for e, (hits, particles) in sorted(by_event.items())]
+
+
+def event_values(events):
+    """Each event's ids and :func:`column_values`, whose repr tells every
+    value apart."""
+    return [(e.event_id, e.xi_label, column_values(e.hits), column_values(e.particles))
+            for e in events]
 
 
 FLOATS = ["0", "-0.0", "0.5", "-1.25", "3e-05", "1e10", "7"]
@@ -895,6 +922,7 @@ def test_reader_agrees_with_row_by_row_reference(table_dir, table, fault, data, 
         else:
             paths = ((path, table_dir / "no_particles.csv") if table == "hits"
                      else (table_dir / "no_hits.csv", path))
-            got = outcome(lambda: read_events(*paths))
-            expected = outcome(lambda: reference_events(reference_read(path, table), table))
+            got = outcome(lambda: event_values(read_events(*paths)))
+            expected = outcome(lambda: event_values(
+                reference_events(reference_read(path, table), table)))
     assert got == expected

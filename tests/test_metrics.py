@@ -4,33 +4,30 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import particle_by_id
+from conftest import HitRow, event_of, particle_energy
 from metrics_reference import (hexed, match_hits, reconstructable_particles, reference_report,
                                truth_by_hit)
 
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.geometry import Event, GeometryConfig, Hit, TruthParticle, build_geometry
+from qubotrack.geometry import Event, GeometryConfig, Hits, Particles, build_geometry
 from qubotrack.metrics import TrackRecord, build_report, match_truth, wilson_interval
 from qubotrack.pipeline import reconstruct_events, simulate_events
 
 
 def toy_event(n_particles=3, event_id=0):
-    particles = tuple(
-        TruthParticle(particle_id=i, energy=float(2 + i), origin=(0, 0, 0),
-                      direction=(0, 0, 1.0)) for i in range(n_particles))
-    hits = tuple(
-        Hit(hit_id=10 * p + l, layer=l, position=(0.03 + 0.01 * p, 0, 1.0 + 0.1 * l),
-            truth_particle_id=p)
-        for p in range(n_particles) for l in range(4))
-    return Event(event_id=event_id, xi_label=0.0, hits=hits, particles=particles)
+    particles = [(i, float(2 + i), (0, 0, 0), (0, 0, 1.0)) for i in range(n_particles)]
+    hits = [HitRow(hit_id=10 * p + l, layer=l, position=(0.03 + 0.01 * p, 0, 1.0 + 0.1 * l),
+                   truth_particle_id=p)
+            for p in range(n_particles) for l in range(4)]
+    return event_of(event_id, hits, particles)
 
 
 def track_for(event, pid, track_id=0, energy=None, chi2=1.0):
     hit_ids = tuple(h.hit_id for h in sorted(
         (h for h in event.hits if h.truth_particle_id == pid),
         key=lambda h: h.layer))
-    e = energy if energy is not None else particle_by_id(event, pid).energy
+    e = energy if energy is not None else particle_energy(event, pid)
     return TrackRecord(event_id=event.event_id, track_id=track_id,
                        hit_ids=hit_ids, chi2=chi2, ndf=4, energy=e)
 
@@ -61,14 +58,15 @@ def test_efficiency_no_tracks():
 
 
 def test_efficiency_absent_without_denominator():
-    empty = Event(event_id=0, xi_label=0.0, hits=(), particles=())
+    empty = event_of(0)
     assert build_report([empty], []).efficiency is None
 
 
 def test_reconstructable_requires_all_layers():
     e = toy_event()
+    kept = e.hits.ids != 0
     partial = Event(event_id=1, xi_label=0.0, particles=e.particles,
-                    hits=tuple(h for h in e.hits if h.hit_id != 0))
+                    hits=Hits(*(column[kept] for column in vars(e.hits).values())))
     assert reconstructable_particles(partial) == [1, 2]
     assert build_report([partial], []).counts["generated"] == 2
 
@@ -131,7 +129,7 @@ def test_resolution_grows_with_hit_resolution():
                     continue
                 ordered = sorted(hits, key=lambda h: h.layer)
                 positions.append([h.position for h in ordered])
-                truth.append(particle_by_id(e, pid).energy)
+                truth.append(particle_energy(e, pid))
         fit = fit_track(np.array(positions, dtype=float), geometry)
         rel = (fit.energy - np.array(truth)) / np.array(truth)
         values.append(math.sqrt(np.mean(np.square(rel))))
@@ -261,24 +259,21 @@ def _report_scenario():
     events, tracks = [], []
     for event_id, xi in enumerate([0.0, 0.0, 2.5, 2.5, 5.0]):
         n_particles = 6 + event_id
-        particles = tuple(
-            TruthParticle(particle_id=p, energy=float(rng.uniform(1.0, 15.0)),
-                          origin=(0, 0, 0), direction=(0, 0, 1.0))
-            for p in range(n_particles))
+        energies = [float(rng.uniform(1.0, 15.0)) for _ in range(n_particles)]
+        particles = [(p, energies[p], (0, 0, 0), (0, 0, 1.0)) for p in range(n_particles)]
         hits, by_particle = [], {}
         for p in range(n_particles):
             for layer in range(3 if p % 5 == 4 else 4):  # every 5th misses a layer
-                hits.append(Hit(hit_id=len(hits), layer=layer,
-                                position=(0.0, 0.0, 1.0 + 0.1 * layer),
-                                truth_particle_id=p))
+                hits.append(HitRow(hit_id=len(hits), layer=layer,
+                                   position=(0.0, 0.0, 1.0 + 0.1 * layer),
+                                   truth_particle_id=p))
                 by_particle.setdefault(p, []).append(hits[-1].hit_id)
         noise = []
         for layer in range(4):
-            hits.append(Hit(hit_id=len(hits), layer=layer,
-                            position=(0.01, 0.0, 1.0 + 0.1 * layer)))
+            hits.append(HitRow(hit_id=len(hits), layer=layer,
+                               position=(0.01, 0.0, 1.0 + 0.1 * layer)))
             noise.append(hits[-1].hit_id)
-        events.append(Event(event_id=event_id, xi_label=xi, hits=tuple(hits),
-                            particles=particles))
+        events.append(event_of(event_id, hits, particles, xi_label=xi))
 
         def add(hit_ids, energy):
             tracks.append(TrackRecord(event_id=event_id, track_id=len(tracks),
@@ -289,8 +284,8 @@ def _report_scenario():
             if p % 4 == 3 or p % 5 == 4:
                 continue  # missed, or not reconstructable
             smear = 1.0 + 0.04 * (float(rng.uniform()) - 0.5)
-            add(by_particle[p], math.nan if p == 2 else particles[p].energy * smear)
-        add(by_particle[0][:3] + [noise[3]], particles[0].energy * 1.01)  # duplicate
+            add(by_particle[p], math.nan if p == 2 else energies[p] * smear)
+        add(by_particle[0][:3] + [noise[3]], energies[0] * 1.01)  # duplicate
         add([by_particle[p][p] for p in range(4)], 5.0)                    # four owners
         add(by_particle[1][:2] + by_particle[5][2:4], float(rng.uniform(1, 15)))
         add(noise, 2.0)
@@ -373,24 +368,24 @@ def random_run(rng):
         n_particles = int(rng.integers(0, 7))
         pids = rng.integers(-2, n_particles + 1, size=n_particles)  # repeats allowed
         energies = [edge_or_uniform() for _ in pids]
-        particles = tuple(TruthParticle(int(p), e, (0, 0, 0), (0, 0, 1.0))
-                          for p, e in zip(pids.tolist(), energies))
+        particles = [(p, e, (0, 0, 0), (0, 0, 1.0)) for p, e in zip(pids.tolist(), energies)]
         owners = sorted(set(pids.tolist()))
         hit_ids = rng.choice(500, size=60, replace=False).tolist()
         hits = []
         for pid in owners:
             layers = range(4) if rng.random() < 0.6 else rng.integers(0, 4, size=4).tolist()
-            hits += [Hit(hit_ids.pop(), int(layer), (0.0, 0.0, 1.0 + 0.1 * layer), pid)
+            hits += [HitRow(hit_ids.pop(), int(layer), (0.0, 0.0, 1.0 + 0.1 * layer), pid)
                      for layer in layers]
-        hits += [Hit(hit_ids.pop(), int(rng.integers(0, 4)), (0.01, 0.0, 1.0))
+        hits += [HitRow(hit_ids.pop(), int(rng.integers(0, 4)), (0.01, 0.0, 1.0))
                  for _ in range(int(rng.integers(0, 4)))]
         if hits and rng.random() < 0.2:  # a hand-made event may reuse a hit id
             twin = hits[int(rng.integers(len(hits)))]
             hits.insert(int(rng.integers(len(hits) + 1)),
-                        Hit(twin.hit_id, twin.layer, twin.position, rng.choice(owners or [None])))
+                        HitRow(twin.hit_id, twin.layer, twin.position,
+                               rng.choice(owners or [None])))
         if rng.random() < 0.15:
             hits = []
-        events.append(Event(event_id, float(rng.choice([0.0, 2.5])), tuple(hits), particles))
+        events.append(event_of(event_id, hits, particles, float(rng.choice([0.0, 2.5]))))
         by_owner = {}
         for h in hits:
             by_owner.setdefault(h.truth_particle_id, []).append(h.hit_id)
@@ -448,7 +443,8 @@ def test_random_runs_cover_every_case():
 
 def test_errors_equal_reference():
     e = toy_event()
-    lost = Event(1, 0.0, e.hits, tuple(e.particles)[1:])  # particle 0 owns hits, unlisted
+    # particle 0 owns hits, unlisted
+    lost = Event(1, 0.0, e.hits, Particles(*(c[1:] for c in vars(e.particles).values())))
     cases = [
         ([e], [TrackRecord(5, 0, (0, 1, 2, 3), 1.0, 4, 2.0)], None),  # unknown event
         ([lost], [TrackRecord(1, 0, (0, 1, 2, 3), 1.0, 4, 2.0)], None),

@@ -1,11 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from calibration_reference import truth_triplets
+from conftest import HitRow, event_of, hits_of
 from qubotrack.fastsim import SimConfig, generate_event
-from qubotrack.geometry import Event, Hit, equal_key_pairs
+from qubotrack.geometry import equal_key_pairs
 from qubotrack.preselect import (HYPOT_MARGIN, CalibrationError, DoubletDiagnostics,
                                  Doublets, PreselectionWindow, _chain,
                                  build_doublets, build_triplets,
@@ -14,7 +16,7 @@ from qubotrack.preselect import (HYPOT_MARGIN, CalibrationError, DoubletDiagnost
 
 def hit(hid, layer, x, y=0.0, pid=None):
     z = 1.0 + 0.1 * layer
-    return Hit(hit_id=hid, layer=layer, position=(x, y, z), truth_particle_id=pid)
+    return HitRow(hit_id=hid, layer=layer, position=(x, y, z), truth_particle_id=pid)
 
 
 def wide_window(**kw):
@@ -30,7 +32,7 @@ def doublets_of(*pairs):
     hits = {h.hit_id: h for pair in pairs for h in pair}
     position = {hid: k for k, hid in enumerate(hits)}
     inner, outer = zip(*((position[a.hit_id], position[b.hit_id]) for a, b in pairs))
-    return Doublets(list(hits.values()), inner, outer)
+    return Doublets(hits_of(list(hits.values())), inner, outer)
 
 
 def delta_theta(*pairs):
@@ -132,7 +134,7 @@ def test_window_center_kept_and_boundaries_inclusive(geometry):
     at_center = hit(1, 1, 0.03 * 1.2)
     at_edge = hit(2, 1, 0.03 * (1 + 0.2 + 3 * 0.01))
     beyond = hit(3, 1, 0.03 * (1 + 0.2 + 3.0001 * 0.01))
-    ds = build_doublets([inner, at_center, at_edge, beyond], geometry, w)
+    ds = build_doublets(hits_of([inner, at_center, at_edge, beyond]), geometry, w)
     assert ds.hit_ids[ds.outer].tolist() == [1, 2]
 
 
@@ -144,12 +146,14 @@ def test_single_noiseless_particle_three_doublets(geometry):
     assert len(event.hits) == 4
     ds = build_doublets(event.hits, geometry, wide_window())
     assert len(ds) == 3
-    assert sorted(d.layers for d in ds) == [(0, 1), (1, 2), (2, 3)]
+    layers = ds.hits.layers
+    assert sorted(zip(layers[ds.inner].tolist(), layers[ds.outer].tolist())) == [
+        (0, 1), (1, 2), (2, 3)]
 
 
 def test_x0_zero_skipped_and_counted(geometry):
     diag = DoubletDiagnostics()
-    ds = build_doublets([hit(0, 0, 0.0), hit(1, 1, 0.036)], geometry,
+    ds = build_doublets(hits_of([hit(0, 0, 0.0), hit(1, 1, 0.036)]), geometry,
                         wide_window(), diagnostics=diag)
     assert len(ds) == 0
     assert diag.n_skipped_x0_zero == 1
@@ -159,11 +163,11 @@ def test_x0_zero_skipped_and_counted(geometry):
 def test_doublet_counters_account_for_every_pair(geometry, x0_zero):
     sim = SimConfig(mean_multiplicity=60, rng_seed=2024)
     event = generate_event(sim, geometry, 0)
-    hits = list(event.hits)
+    hits = event.hits
     if x0_zero:
-        h = next(h for h in hits if h.layer == 1)
-        hits[hits.index(h)] = Hit(h.hit_id, h.layer, (0.0, *h.position[1:]),
-                                  h.truth_particle_id)
+        positions = hits.positions.copy()
+        positions[np.flatnonzero(hits.layers == 1)[0], 0] = 0.0
+        hits = dataclasses.replace(hits, positions=positions)
     diag = DoubletDiagnostics()
     ds = build_doublets(hits, geometry, wide_window(), diagnostics=diag)
     assert len(ds) > 0 and diag.n_rejected_window > 0
@@ -212,8 +216,9 @@ def test_noiseless_particle_two_triplets(geometry):
     ds = build_doublets(event.hits, geometry, wide_window())
     ts = build_triplets(ds, wide_window())
     assert len(ts) == 2
-    assert sorted(t.layer_span for t in ts) == [(0, 2), (1, 3)]
-    assert all(t.delta_theta < 1e-12 for t in ts)
+    spans = ds.hits.layers[ts.hit_index()[:, [0, 2]]]
+    assert sorted(map(tuple, spans.tolist())) == [(0, 2), (1, 3)]
+    assert (ts.delta_theta < 1e-12).all()
 
 
 def test_triplet_cut_boundary():
@@ -277,10 +282,11 @@ def test_high_energy_truth_triplets_retained(desk_events, geometry):
         for h in event.hits:
             if h.truth_particle_id is not None:
                 layers.setdefault(h.truth_particle_id, set()).add(h.layer)
-        for p in event.particles:
-            if p.energy > 3.0 and len(layers.get(p.particle_id, ())) == 4:
+        for p, energy in zip(event.particles.ids.tolist(),
+                             event.particles.energies.tolist()):
+            if energy > 3.0 and len(layers.get(p, ())) == 4:
                 total += 1
-                if per_pid.get(p.particle_id, 0) >= 2:
+                if per_pid.get(p, 0) >= 2:
                     retained += 1
     assert total > 500
     assert retained / total >= 0.99
@@ -296,15 +302,15 @@ def truth_doublet_pairs_oracle(event):
     return [(k, by_particle_layer[(pid, layer + 1)])
             for (pid, layer), k in sorted(by_particle_layer.items())
             if (pid, layer + 1) in by_particle_layer
-            and event.hits[k].position[0] != 0.0]
+            and event.hits.positions[k, 0] != 0.0]
 
 
 def test_truth_doublets_match_dict_oracle(desk_events):
-    crafted = Event(0, 0.0, (hit(0, 1, 0.036, pid=7), hit(1, 0, 0.03, pid=7),
-                             hit(2, 1, 0.037, pid=7),   # a second hit on layer 1
-                             hit(3, 2, 0.042, pid=7), hit(4, 0, 0.0, pid=3),
-                             hit(5, 1, 0.036, pid=3), hit(6, 2, 0.04),
-                             hit(7, 3, 0.05, pid=3), hit(8, 3, 0.048, pid=7)), ())
+    crafted = event_of(0, [hit(0, 1, 0.036, pid=7), hit(1, 0, 0.03, pid=7),
+                           hit(2, 1, 0.037, pid=7),   # a second hit on layer 1
+                           hit(3, 2, 0.042, pid=7), hit(4, 0, 0.0, pid=3),
+                           hit(5, 1, 0.036, pid=3), hit(6, 2, 0.04),
+                           hit(7, 3, 0.05, pid=3), hit(8, 3, 0.048, pid=7)])
     for event in [crafted, *desk_events[:2]]:
         ds = truth_doublets(event)
         assert list(zip(ds.inner.tolist(), ds.outer.tolist())) == \
@@ -312,17 +318,19 @@ def test_truth_doublets_match_dict_oracle(desk_events):
     assert list(zip(ds.inner.tolist(), ds.outer.tolist()))  # desk events have some
     ds = truth_doublets(crafted)
     assert ds.hit_ids[ds.inner].tolist() == [1, 2, 3]       # pid 7; pid 3 has x0 = 0
-    assert len(truth_doublets(Event(0, 0.0, (), ()))) == 0
+    assert len(truth_doublets(event_of(0))) == 0
 
 
 def test_truth_triplets_helper(desk_events):
     event = desk_events[0]
     ts = truth_triplets(truth_doublets(event))
-    assert ts.truth_particle_ids()[1].all()
+    pid, common = ts.truth_particle_ids()
+    assert common.all()
     assert all(t.truth_particle_id() is not None for t in ts)
+    spans = ts.doublets.hits.layers[ts.hit_index()[:, [0, 2]]]
     per_pid: dict = {}
-    for t in ts:
-        per_pid.setdefault(t.truth_particle_id(), []).append(t.layer_span)
+    for p, span in zip(pid.tolist(), map(tuple, spans.tolist())):
+        per_pid.setdefault(p, []).append(span)
     for spans in per_pid.values():
         assert len(spans) <= 2 and len(set(spans)) == len(spans)
 
@@ -413,7 +421,8 @@ def fan():
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_windowed_join_tied_theta_xz(cap):
-    ts = assert_chain_matches_oracle(*fan(), cap)
+    hits, inner, outer = fan()
+    ts = assert_chain_matches_oracle(hits_of(hits), inner, outer, cap)
     # four ties on theta_xz; the y = 3e-4 doublet is 3 mrad off
     assert len(ts) == {1e-3: 4, 0.5: 5, math.inf: 5}.get(cap, len(ts))
 
@@ -424,8 +433,8 @@ def test_windowed_join_keys_on_hit_ids(cap):
     id chains like it (ids are unique in read events, not in a bare
     Doublets)."""
     hits, inner, outer = fan()
-    hits[2] = Hit(1, 1, hits[2].position)
-    ts = assert_chain_matches_oracle(hits, inner, outer, cap)
+    hits[2] = HitRow(1, 1, hits[2].position)
+    ts = assert_chain_matches_oracle(hits_of(hits), inner, outer, cap)
     assert (6 in ts.second.tolist()) == (cap >= 1e-12)  # the same theta_xz
 
 
@@ -436,12 +445,12 @@ def test_windowed_join_pair_at_the_reach_to_the_last_bit():
     theta = math.atan2(0.006, 0.1) + 0.7e-3
     d2 = (hit(1, 1, 0.036), hit(2, 2, 0.036 + 0.1 * math.tan(theta)))
     hits = [d1[0], d1[1], d2[1]]
-    ds = Doublets(hits, [0, 1], [1, 2])
+    ds = Doublets(hits_of(hits), [0, 1], [1, 2])
     (dt,) = _chain(ds, math.inf).delta_theta
     assert ds.theta_yz.tolist() == [0.0, 0.0]
     assert dt == ds.theta_xz[1] - ds.theta_xz[0] == pytest.approx(0.7e-3, rel=1e-9)
     for cap in (dt, float(np.nextafter(dt, 0.0)), float(np.nextafter(dt, 1.0))):
-        ts = assert_chain_matches_oracle(hits, [0, 1], [1, 2], cap)
+        ts = assert_chain_matches_oracle(ds.hits, [0, 1], [1, 2], cap)
         assert len(ts) == (cap >= dt)
 
 
@@ -451,22 +460,21 @@ def test_windowed_join_nan_coordinate(coordinate, cap):
     hits, inner, outer = fan()
     position = list(hits[4].position)
     position[coordinate] = math.nan
-    hits[4] = Hit(hits[4].hit_id, hits[4].layer, tuple(position))
-    ts = assert_chain_matches_oracle(hits, inner, outer, cap)
+    hits[4] = HitRow(hits[4].hit_id, hits[4].layer, tuple(position))
+    ts = assert_chain_matches_oracle(hits_of(hits), inner, outer, cap)
     assert 2 not in ts.second.tolist()
 
 
 @pytest.mark.parametrize("cap", CAPS)
 def test_windowed_join_empty_and_single_doublet(cap):
-    hits = [hit(0, 0, 0.03), hit(1, 1, 0.036)]
+    hits = hits_of([hit(0, 0, 0.03), hit(1, 1, 0.036)])
     assert len(assert_chain_matches_oracle(hits, [], [], cap)) == 0
     assert len(assert_chain_matches_oracle(hits, [0], [1], cap)) == 0
 
 
 def test_angles_equal_math_atan2_before_and_after_the_join(desk_doublets):
     hits, inner, outer = desk_doublets[0]
-    positions = np.array([h.position for h in hits])
-    d = positions[outer] - positions[inner]
+    d = hits.positions[outer] - hits.positions[inner]
     expected_xz = [math.atan2(x, z) for x, z in zip(d[:, 0].tolist(), d[:, 2].tolist())]
     expected_yz = [math.atan2(y, z) for y, z in zip(d[:, 1].tolist(), d[:, 2].tolist())]
     window = wide_window()
@@ -479,6 +487,6 @@ def test_angles_equal_math_atan2_before_and_after_the_join(desk_doublets):
     assert 0 < after._known.sum() < len(after)  # the join read some angles only
     assert after.theta_xz.tolist() == expected_xz
     assert after.theta_yz.tolist() == expected_yz
-    assert [after[k].theta_xz for k in (0, len(after) - 1)] == [expected_xz[0],
-                                                               expected_xz[-1]]
+    assert after.angles([0, len(after) - 1])[0].tolist() == [expected_xz[0],
+                                                             expected_xz[-1]]
     assert len(ts) > 0

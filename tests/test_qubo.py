@@ -29,10 +29,15 @@ def clean_two_particle_triplets(geometry, energies=(4.0, 9.0)):
     return event, triplets
 
 
+def layer_span(t):
+    """A triplet view's first and last layer."""
+    return t.doublet_first.hit_inner.layer, t.doublet_second.hit_outer.layer
+
+
 def truth_index(triplets, span):
     """{truth particle id: index} of the truth triplets with the layer span."""
     return {t.truth_particle_id(): k for k, t in enumerate(triplets)
-            if t.truth_particle_id() is not None and t.layer_span == span}
+            if t.truth_particle_id() is not None and layer_span(t) == span}
 
 
 # -- linear coefficient ---------------------------------------------------------
@@ -64,9 +69,9 @@ def chained_pairs_oracle(triplets):
     for i, t_i in enumerate(triplets):
         for j in range(i + 1, len(triplets)):
             t_j = triplets[j]
-            if t_i.layer_span == t_j.layer_span:
+            if layer_span(t_i) == layer_span(t_j):
                 continue
-            first, second = (i, j) if t_i.layer_span < t_j.layer_span else (j, i)
+            first, second = (i, j) if layer_span(t_i) < layer_span(t_j) else (j, i)
             d = triplets[first].doublet_second
             e = triplets[second].doublet_first
             if (d.hit_inner.hit_id, d.hit_outer.hit_id) == (e.hit_inner.hit_id,

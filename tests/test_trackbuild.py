@@ -2,12 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import particle_by_id
+from conftest import HitRow, event_of, particle_energy
 from metrics_reference import match_hits, truth_by_hit
 from scenarios import two_nearby_particles_event
 
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
-from qubotrack.geometry import Event, Hit, TruthParticle, shared_hits
+from qubotrack.geometry import shared_hits
 from qubotrack.metrics import match_truth
 from qubotrack.preselect import PreselectionWindow, build_doublets, build_triplets
 from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
@@ -17,8 +17,8 @@ from qubotrack.trackbuild import (NDF, FitError, estimate_energy, fit_track,
 def quad_hits(xs, ys=None, hid0=0, pid=None):
     ys = ys or [0.0] * 4
     return tuple(
-        Hit(hit_id=hid0 + k, layer=k, position=(xs[k], ys[k], 1.0 + 0.1 * k),
-            truth_particle_id=pid)
+        HitRow(hit_id=hid0 + k, layer=k, position=(xs[k], ys[k], 1.0 + 0.1 * k),
+               truth_particle_id=pid)
         for k in range(4)
     )
 
@@ -62,7 +62,7 @@ def test_one_clean_particle_one_candidate(geometry):
     assert len(triplets) == 2
     candidates = triplets_to_candidates(triplets)
     assert candidates.shape == (1, 4)
-    assert [triplets.doublets.hits[k].layer for k in candidates[0]] == [0, 1, 2, 3]
+    assert triplets.doublets.hits.layers[candidates[0]].tolist() == [0, 1, 2, 3]
 
 
 def test_disjoint_triplets_no_candidate(geometry):
@@ -110,8 +110,7 @@ def test_candidate_layer_invariant(desk_triplets):
     n_rows = 0
     for triplets in desk_triplets:
         rows = triplets_to_candidates(triplets)
-        layers = np.array([h.layer for h in triplets.doublets.hits], dtype=np.int64)
-        assert (layers[rows] == np.arange(4)).all()
+        assert (triplets.doublets.hits.layers[rows] == np.arange(4)).all()
         n_rows += len(rows)
     assert n_rows > 1000
 
@@ -227,7 +226,7 @@ def test_energy_resolution_on_smeared_tracks(geometry):
         event = generate_event(sim, geometry, event_id)
         tracks = truth_tracks(event)
         fit = fit_track(positions_of(*tracks.values()), geometry)
-        truth = np.array([particle_by_id(event, pid).energy for pid in tracks])
+        truth = np.array([particle_energy(event, pid) for pid in tracks])
         rel.extend(((fit.energy - truth) / truth).tolist())
     assert len(rel) >= 1000
     rms = math.sqrt(np.mean(np.square(rel)))
@@ -237,10 +236,7 @@ def test_energy_resolution_on_smeared_tracks(geometry):
 # -- truth matching -----------------------------------------------------------------
 
 def make_event(hits, n_particles=3):
-    particles = tuple(
-        TruthParticle(particle_id=i, energy=1.0, origin=(0, 0, 0),
-                      direction=(0, 0, 1.0)) for i in range(n_particles))
-    return Event(event_id=0, xi_label=0.0, hits=tuple(hits), particles=particles)
+    return event_of(0, hits, [(i, 1.0, (0, 0, 0), (0, 0, 1.0)) for i in range(n_particles)])
 
 
 def matched_id(event, hits):
@@ -262,7 +258,7 @@ def test_match_all_four_hits():
 
 def test_match_three_of_four():
     hits = list(quad_hits([0.03, 0.036, 0.042, 0.048], pid=1))
-    hits[3] = Hit(hit_id=3, layer=3, position=hits[3].position, truth_particle_id=2)
+    hits[3] = HitRow(hit_id=3, layer=3, position=hits[3].position, truth_particle_id=2)
     event = make_event(hits)
     assert matched_id(event, hits) == 1
 
@@ -270,8 +266,8 @@ def test_match_three_of_four():
 def test_two_two_split_is_fake():
     hits = list(quad_hits([0.03, 0.036, 0.042, 0.048], pid=1))
     for k in (2, 3):
-        hits[k] = Hit(hit_id=k, layer=k, position=hits[k].position,
-                      truth_particle_id=2)
+        hits[k] = HitRow(hit_id=k, layer=k, position=hits[k].position,
+                         truth_particle_id=2)
     event = make_event(hits)
     assert matched_id(event, hits) is None
 
@@ -299,8 +295,8 @@ def test_disjoint_candidates_both_kept():
 def test_two_hit_overlap_keeps_better_chi2():
     base = quad_hits([0.03, 0.036, 0.042, 0.048])
     other = (base[0], base[1],
-             Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
-             Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
+             HitRow(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
+             HitRow(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
     rows = ids_of(base, other)
     assert resolve_ambiguities(rows, chi2_ndf(0.5 * 4, 3.0 * 4)) == [0]
     assert resolve_ambiguities(rows, chi2_ndf(3.0 * 4, 0.5 * 4)) == [1]
@@ -309,17 +305,17 @@ def test_two_hit_overlap_keeps_better_chi2():
 def test_equal_chi2_keeps_lower_index():
     base = quad_hits([0.03, 0.036, 0.042, 0.048])
     other = (base[0], base[1],
-             Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
-             Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
+             HitRow(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
+             HitRow(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
     assert resolve_ambiguities(ids_of(base, other), chi2_ndf(1.0, 1.0)) == [0]
 
 
 def test_single_hit_overlap_not_a_conflict():
     base = quad_hits([0.03, 0.036, 0.042, 0.048])
     other = (base[0],
-             Hit(hit_id=11, layer=1, position=(0.037, 0, 1.1)),
-             Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
-             Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
+             HitRow(hit_id=11, layer=1, position=(0.037, 0, 1.1)),
+             HitRow(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
+             HitRow(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
     assert resolve_ambiguities(ids_of(base, other), chi2_ndf(1.0, 9.0)) == [0, 1]
 
 
@@ -329,10 +325,10 @@ def test_pivot_comparison_batch_rejects_all_worse_partners():
     # (worse than a) is rejected in the same batch
     a_hits = quad_hits([0.03, 0.036, 0.042, 0.048])
     b_hits = (a_hits[0], a_hits[1],
-              Hit(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
-              Hit(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
-    c_hits = (Hit(hit_id=20, layer=0, position=(0.031, 0, 1.0)),
-              Hit(hit_id=21, layer=1, position=(0.037, 0, 1.1)),
+              HitRow(hit_id=12, layer=2, position=(0.043, 0, 1.2)),
+              HitRow(hit_id=13, layer=3, position=(0.049, 0, 1.3)))
+    c_hits = (HitRow(hit_id=20, layer=0, position=(0.031, 0, 1.0)),
+              HitRow(hit_id=21, layer=1, position=(0.037, 0, 1.1)),
               a_hits[2], a_hits[3])
     keep = resolve_ambiguities(ids_of(a_hits, b_hits, c_hits), chi2_ndf(2.0, 1.0, 3.0))
     assert keep == [1]
@@ -388,7 +384,8 @@ def test_resolution_does_not_raise_low_chi2_fake_fraction(geometry, desk_events,
 def test_post_resolution_no_pair_shares_two_hits(geometry):
     rng = np.random.default_rng(3)
     layers_z = [1.0, 1.1, 1.2, 1.3]
-    pool = [[Hit(hit_id=100 * l + i, layer=l, position=(0.03 + 0.002 * i, 0, layers_z[l]))
+    pool = [[HitRow(hit_id=100 * l + i, layer=l,
+                    position=(0.03 + 0.002 * i, 0, layers_z[l]))
              for i in range(4)] for l in range(4)]
     candidates, chi2 = [], []
     for _ in range(30):
@@ -488,8 +485,8 @@ def test_resolution_matches_all_pairs_oracle(seed):
     rng = np.random.default_rng(seed)
     layers_z = [1.0, 1.1, 1.2, 1.3]
     width = int(rng.integers(3, 7))
-    pool = [[Hit(hit_id=100 * l + i, layer=l,
-                 position=(0.03 + 0.002 * i, 0, layers_z[l]))
+    pool = [[HitRow(hit_id=100 * l + i, layer=l,
+                    position=(0.03 + 0.002 * i, 0, layers_z[l]))
              for i in range(width)] for l in range(4)]
     n = int(rng.integers(30, 201))
     rows = ids_of(*(tuple(pool[l][rng.integers(0, width)] for l in range(4))
