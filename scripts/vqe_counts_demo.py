@@ -15,7 +15,7 @@ from qubotrack.io import write_counts_csv, write_qubo
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets)
-from qubotrack.qubo import assemble_qubo, objective, to_ising
+from qubotrack.qubo import assemble_qubo, objective
 from qubotrack.solvers import solve_exact
 from qubotrack.vqe import VqeConfig, run_vqe, selection_bits
 from scenarios import two_nearby_particles_event
@@ -43,14 +43,14 @@ if __name__ == "__main__":
         print(f"  T{i}: hits {tuple(hit_ids)}  span {(inner, outer)}  "
               f"dtheta {dtheta * 1e3:.3f} mrad  [{kind}]")
 
-    exact_bits = solve_exact(problem)
+    exact_bits = solve_exact(problem.linear, problem.dense())
     target = "".join(str(int(b)) for b in exact_bits)
     print(f"\nenumerated optimum: {target}  "
           f"(objective {objective(problem, exact_bits):.4f})")
 
     config = VqeConfig(shots=args.shots, max_evaluations=300, seed=args.seed,
                        readout_flip_probability=args.readout_flip)
-    result = run_vqe(to_ising(problem), config)
+    result = run_vqe(problem.linear, problem.dense(), config)
 
     def bitstring(index: int) -> str:
         return "".join(map(str, selection_bits(index, len(triplets)).tolist()))

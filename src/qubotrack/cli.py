@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import ConfigError, RunConfig, SOLVERS
-from .fastsim import xi_to_multiplicity
+from .fastsim import SimulationError, xi_to_multiplicity
 from .geometry import Event, GeometryConfig, build_geometry, shared_hits
 from .io import (DataFormatError, _write_table, config_hash, read_counts_csv, read_events,
                  read_json, read_tracks_csv, write_curves_csv, write_hits_csv, write_json,
@@ -40,6 +41,20 @@ class InvariantViolation(Exception):
     pass
 
 
+class OutputError(Exception):
+    """An output that cannot be written (exit 2)."""
+
+
+@contextmanager
+def _writing(out: Path):
+    """Report an ``OSError`` raised inside, such as a file where the
+    output directory should be, as an :class:`OutputError` naming ``out``."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot write to {out}: {exc}") from exc
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on usage errors; the interface reserves 2 for
     # data errors, so remap to 1
@@ -54,7 +69,11 @@ def _load_config(args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         config = config.with_seed(args.seed)
     if getattr(args, "xi", None) is not None:
-        config = config.with_xi(args.xi, xi_to_multiplicity(args.xi))
+        try:
+            multiplicity = xi_to_multiplicity(args.xi)
+        except SimulationError as exc:
+            raise ConfigError(str(exc)) from exc
+        config = config.with_xi(args.xi, multiplicity)
     for key in ("solver", "subqubo_size", "iterations", "shots"):
         value = getattr(args, key, None)
         if value is not None:
@@ -67,23 +86,20 @@ def _load_config(args) -> RunConfig:
 def cmd_simulate(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
-    try:
+    with _writing(out):
         out.mkdir(parents=True, exist_ok=True)
         events = simulate_events(config, args.events)
         write_hits_csv(out / "hits.csv", events)
         write_particles_csv(out / "particles.csv", events)
-    except OSError as exc:
-        print(f"cannot write to {out}: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    write_json(out / "simulate_meta.json", {
-        "command": "simulate",
-        "config": config.to_dict(),
-        "config_hash": config_hash(config.to_dict()),
-        "seed": config.seed,
-        "n_events": args.events,
-        "xi_label": config.sim.xi_label,
-        "mean_multiplicity": config.sim.mean_multiplicity,
-    })
+        write_json(out / "simulate_meta.json", {
+            "command": "simulate",
+            "config": config.to_dict(),
+            "config_hash": config_hash(config.to_dict()),
+            "seed": config.seed,
+            "n_events": args.events,
+            "xi_label": config.sim.xi_label,
+            "mean_multiplicity": config.sim.mean_multiplicity,
+        })
     print(f"simulated {args.events} events -> {out}")
     return EXIT_OK
 
@@ -97,7 +113,11 @@ def _read_run_dir(run_dir: Path) -> tuple[list[Event], float]:
     xi_label = 0.0
     meta_path = run_dir / "simulate_meta.json"
     if meta_path.exists():
-        xi_label = float(read_json(meta_path).get("xi_label", 0.0))
+        value = read_json(meta_path).get("xi_label", 0.0)
+        try:
+            xi_label = float(value)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{meta_path}: xi_label {value!r} is not a number") from None
     return read_events(hits, particles, xi_label=xi_label), xi_label
 
 
@@ -122,33 +142,35 @@ def cmd_reconstruct(args) -> int:
     out = Path(args.out) if args.out else run_dir
     events, _ = _read_run_dir(run_dir)
     _check_planes(events, build_geometry(config.geometry), run_dir / "hits.csv")
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
     results, calib_info = reconstruct_events(
         events, config, args.jobs, EventDumps(out, args.dump_qubo, args.debug_dump))
 
     tracks = [t for r in results for t in r.tracks]
-    write_tracks_csv(out / "tracks.csv", tracks)
-    write_json(out / "solve_report.json", {
-        "command": "reconstruct",
-        "config": config.to_dict(),
-        "config_hash": config_hash(config.to_dict()),
-        "seed": config.seed,
-        "solver": config.solver,
-        "subqubo_size": config.subqubo_size,
-        "iterations": config.iterations,
-        "shots": config.shots,
-        "calibration": calib_info,
-        "events": [
-            {
-                "event_id": r.event_id,
-                "n_doublets": r.n_doublets,
-                "n_triplets": r.n_triplets,
-                "n_tracks": len(r.tracks),
-                "solve": None if r.report is None else r.report.to_dict(),
-            }
-            for r in results
-        ],
-    })
+    with _writing(out):
+        write_tracks_csv(out / "tracks.csv", tracks)
+        write_json(out / "solve_report.json", {
+            "command": "reconstruct",
+            "config": config.to_dict(),
+            "config_hash": config_hash(config.to_dict()),
+            "seed": config.seed,
+            "solver": config.solver,
+            "subqubo_size": config.subqubo_size,
+            "iterations": config.iterations,
+            "shots": config.shots,
+            "calibration": calib_info,
+            "events": [
+                {
+                    "event_id": r.event_id,
+                    "n_doublets": r.n_doublets,
+                    "n_triplets": r.n_triplets,
+                    "n_tracks": len(r.tracks),
+                    "solve": None if r.report is None else r.report.to_dict(),
+                }
+                for r in results
+            ],
+        })
 
     print(f"reconstructed {len(events)} events, {len(tracks)} tracks -> {out}")
     return EXIT_OK
@@ -229,16 +251,17 @@ def cmd_evaluate(args) -> int:
         raise InvariantViolation("; ".join(problems))
 
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "metrics.json", {
-        "command": "evaluate",
-        "config_hash": config_hash(config.to_dict()),
-        "seed": config.seed,
-        "inputs": [str(p) for p in args.inputs],
-        **report.to_dict(),
-    })
-    for name, bins in report.curves.items():
-        write_curves_csv(out / f"curve_{name}.csv", bins)
+    with _writing(out):
+        out.mkdir(parents=True, exist_ok=True)
+        write_json(out / "metrics.json", {
+            "command": "evaluate",
+            "config_hash": config_hash(config.to_dict()),
+            "seed": config.seed,
+            "inputs": [str(p) for p in args.inputs],
+            **report.to_dict(),
+        })
+        for name, bins in report.curves.items():
+            write_curves_csv(out / f"curve_{name}.csv", bins)
     print(f"evaluated {len(all_events)} events, {len(all_tracks)} tracks -> {out}")
     return EXIT_OK
 
@@ -285,9 +308,10 @@ def cmd_plotdata(args) -> int:
                     for bits, count in read_counts_csv(Path(path)))
 
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_table(out, PLOT_HEADER, ",".join(["%s"] * len(PLOT_HEADER)),
-                 (tuple(map(_plot_field, row)) for row in rows))
+    with _writing(out):
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write_table(out, PLOT_HEADER, ",".join(["%s"] * len(PLOT_HEADER)),
+                     (tuple(map(_plot_field, row)) for row in rows))
     print(f"wrote {len(rows)} rows -> {out}")
     return EXIT_OK
 
@@ -383,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DataFormatError, CalibrationError, FileNotFoundError) as exc:
+    except (DataFormatError, CalibrationError, FileNotFoundError, OutputError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except MemoryError:

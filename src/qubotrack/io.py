@@ -515,5 +515,13 @@ def write_json(path: Path, payload: dict) -> None:
 
 
 def read_json(path: Path) -> dict:
+    """The JSON object in ``path``; a file that is not valid JSON, or whose
+    top level is not an object, raises :class:`DataFormatError` naming it."""
     with open(path) as f:
-        return json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # a JSONDecodeError or undecodable bytes
+            raise DataFormatError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise DataFormatError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload

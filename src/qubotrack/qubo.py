@@ -1,4 +1,4 @@
-"""Objective assembly for triplet selection and its spin-Hamiltonian form.
+"""Objective assembly for triplet selection.
 
 One binary variable per triplet: 1 keeps the triplet, 0 rejects it. The
 objective is
@@ -25,13 +25,9 @@ per angle. Variable k is triplet k.
 
 Storage: assembly emits the nonzero b_ij as aligned upper-triangle arrays
 (i, j, b_ij), i < j, and :class:`Qubo` stores them once, as the symmetric
-CSR that every solver, the dump writer and the spin mapping read.
-
-Spin form: substituting T_i = (1 + Z_i)/2 turns O into a diagonal
-Hamiltonian whose ground state encodes the optimal selection. With the
-computational-basis convention Z|0> = +|0>, a measured bit m corresponds to
-T = 1 - m; solvers invert at readout so that reported bitstrings use
-bit=1 <=> triplet selected.
+CSR that every solver and the dump writer read. A problem small enough to
+enumerate also has a dense form, the linear vector and the n x n block of
+:meth:`Qubo.dense`, which is the form the exact and VQE sub-solvers take.
 """
 
 from __future__ import annotations
@@ -121,6 +117,13 @@ class Qubo:
         rows = self.entry_rows()
         upper = self.indices > rows
         return rows[upper], self.indices[upper], self.data[upper]
+
+    def dense(self) -> np.ndarray:
+        """The n x n coupling block: b_ij at (i, j) and (j, i), zero
+        diagonal. For problems small enough to enumerate."""
+        block = np.zeros((self.n, self.n))
+        block[self.entry_rows(), self.indices] = self.data
+        return block
 
     @property
     def quadratic(self) -> dict[tuple[int, int], float]:
@@ -213,68 +216,3 @@ def objective(qubo: Qubo, bits: Assignment) -> float:
     if t.shape != (qubo.n,):
         raise ValueError(f"assignment length {t.shape} does not match n={qubo.n}")
     return float(qubo.linear @ t + 0.5 * t @ qubo.coupling_field(t))
-
-
-@dataclass
-class IsingHamiltonian:
-    """Diagonal spin Hamiltonian equivalent to a Qubo under T = (1 + Z)/2.
-
-    E(z) = constant + sum_i field_i z_i + sum_p coupling_p z_{pair_i[p]} z_{pair_j[p]}
-    over the objective's pairs, in its order, for spins z in {+1, -1};
-    z = +1 corresponds to T = 1 (selected).
-    """
-
-    constant: float
-    field: np.ndarray
-    pair_i: np.ndarray
-    pair_j: np.ndarray
-    coupling: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.field)
-
-    def measured_energy_table(self) -> np.ndarray:
-        """Energies of all 2^n computational basis states.
-
-        Index s uses qubit 0 as the most significant bit. Measured bit m
-        maps to spin z = 1 - 2m (Z|0> = +|0>), i.e. m = 0 means selected.
-        """
-        n = self.n
-        s = np.arange(2 ** n)
-        z = np.empty((n, 2 ** n))
-        for q in range(n):
-            z[q] = 1.0 - 2.0 * ((s >> (n - 1 - q)) & 1)
-        e = np.full(2 ** n, self.constant)
-        e += self.field @ z
-        for i, j, c in zip(self.pair_i.tolist(), self.pair_j.tolist(),
-                           self.coupling.tolist()):
-            e += c * z[i] * z[j]
-        return e
-
-
-def to_ising(qubo: Qubo) -> IsingHamiltonian:
-    """Substitute T_i = (1 + Z_i)/2 and collect constant, field and coupling;
-    each pair adds b/4 to the constant and both its fields, in pair order."""
-    return _ising(qubo.linear, *qubo.upper_triangle())
-
-
-def dense_to_ising(linear: np.ndarray, block: np.ndarray) -> IsingHamiltonian:
-    """:func:`to_ising` of the objective with coefficients ``linear`` and,
-    as its pairs, the nonzero couplings above the diagonal of ``block``,
-    without building the CSR: those couplings, row-major, are already the
-    pairs in ascending order."""
-    i, j = np.nonzero(np.triu(block, 1))
-    return _ising(np.asarray(linear, dtype=float), i, j, block[i, j])
-
-
-def _ising(linear: np.ndarray, i: np.ndarray, j: np.ndarray,
-           b: np.ndarray) -> IsingHamiltonian:
-    coupling = b / 4.0
-    constant = float(linear.sum() / 2.0)
-    h = linear / 2.0
-    for a, c, quarter in zip(i.tolist(), j.tolist(), coupling.tolist()):
-        constant += quarter
-        h[a] += quarter
-        h[c] += quarter
-    return IsingHamiltonian(constant, h, i, j, coupling)

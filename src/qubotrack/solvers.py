@@ -108,44 +108,44 @@ def _state_table(n: int) -> np.ndarray:
     return table
 
 
-def solve_exact(problem: Qubo | tuple[np.ndarray, np.ndarray]) -> Assignment:
-    """Globally minimal assignment by full enumeration (n <= 24).
+def state_energies(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Energies ``t @ a + 0.5 * (t @ B) @ t`` of every state t of the dense
+    sub-problem ``(a, B)``: the linear coefficients and the symmetric
+    n x n coupling block with zero diagonal, as :func:`_restrict` cuts it.
 
-    ``problem`` is an objective or its dense form ``(a, B)``: the linear
-    coefficients and the symmetric n x n coupling block with zero diagonal,
-    as :func:`_restrict` cuts it. A state t scores ``t @ a + 0.5 * (t @ B) @ t``.
-    States are enumerated as integers with variable 0 in the least
-    significant bit, 2^16 at a time from a cached state table; ties resolve
-    to the first (smallest) state index, so the all-zero assignment wins on
-    a fully degenerate objective.
-    """
-    if isinstance(problem, Qubo):
-        a = problem.linear
-        b = np.zeros((problem.n, problem.n))
-        b[problem.entry_rows(), problem.indices] = problem.data
-    else:
-        a, b = problem
+    States are integers with variable 0 in the least significant bit; they
+    come 2^16 at a time (all 2^n when fewer), from a cached state table, as
+    ``(first state, energies)``."""
     n = len(a)
-    if n > EXACT_ENUMERATION_LIMIT:
-        raise ProblemSizeError(
-            f"exact enumeration limited to n <= {EXACT_ENUMERATION_LIMIT}, got {n}"
-        )
     table = _state_table(min(n, _CHUNK_BITS))
-    var_bits = np.arange(n)
-    best_energy = np.inf
-    best_state = 0
+    high = np.arange(_CHUNK_BITS, n)
     for start in range(0, 2 ** n, len(table)):
         bits = table
         if n > _CHUNK_BITS:  # the chunk's high bits are those of its start
             bits = np.empty((len(table), n))
             bits[:, :_CHUNK_BITS] = table
-            bits[:, _CHUNK_BITS:] = (start >> var_bits[_CHUNK_BITS:]) & 1
-        energies = bits @ a + 0.5 * np.einsum("si,si->s", bits @ b, bits)
+            bits[:, _CHUNK_BITS:] = (start >> high) & 1
+        yield start, bits @ a + 0.5 * np.einsum("si,si->s", bits @ b, bits)
+
+
+def solve_exact(a: np.ndarray, b: np.ndarray) -> Assignment:
+    """Globally minimal assignment of the dense sub-problem ``(a, B)`` by
+    full enumeration (n <= 24), over :func:`state_energies`.
+
+    Ties resolve to the first (smallest) state index, so the all-zero
+    assignment wins on a fully degenerate objective.
+    """
+    n = len(a)
+    if n > EXACT_ENUMERATION_LIMIT:
+        raise ProblemSizeError(f"exact enumeration limited to n <= "
+                               f"{EXACT_ENUMERATION_LIMIT}, got {n}")
+    best_energy, best_state = np.inf, 0
+    for start, energies in state_energies(a, b):
         local = int(np.argmin(energies))
         if energies[local] < best_energy:
             best_energy = float(energies[local])
             best_state = start + local
-    return ((best_state >> var_bits) & 1).astype(np.int8)
+    return ((best_state >> np.arange(n)) & 1).astype(np.int8)
 
 
 def _impact_groups(qubo: Qubo, bits: Assignment, k: int,
@@ -385,7 +385,7 @@ class SolveReport:
 
 def exact_subsolver(a: np.ndarray, block: np.ndarray,
                     entropy: tuple[int, int, int]) -> Assignment:
-    return solve_exact((a, block))
+    return solve_exact(a, block)
 
 
 def solve_iterative(qubo: Qubo, subsolver: SubSolver, k: int = 7,

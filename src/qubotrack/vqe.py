@@ -14,12 +14,14 @@ matching bitstrings printed with variable 0 leftmost. The first R_Y layer on
 and the second layer a Kronecker product applied as one small matmul per run
 of at most 4 qubits (two at n = 7), for a batch of states at once.
 
-Because the target Hamiltonian is diagonal, the energy of every sampled
-bitstring is evaluated classically; no Pauli-term measurement batching is
-needed. With the spin convention Z|0> = +|0> and T = (1 + Z)/2, a measured
-bit m corresponds to the selection bit t = 1 - m; results are measured basis
-indices, which :func:`selection_bits` turns into selection bits (bit=1 <=>
-triplet selected).
+The target Hamiltonian, the objective under T = (1 + Z)/2, is diagonal: the
+energy of a basis state is the objective of its selection, so no Pauli-term
+measurement is needed. With Z|0> = +|0>, a measured bit m is the selection
+bit t = 1 - m. :func:`basis_energies` takes the energies from the exact
+solver's enumeration (:func:`~qubotrack.solvers.state_energies`) and gathers
+them into measured-index order; results are measured basis indices, which
+:func:`selection_bits` turns into selection bits (bit=1 <=> triplet
+selected). These two functions are the only place that convention lives.
 
 The optimizer is coordinate-wise: the cost along any single R_Y angle is an
 exact sinusoid c0 + c1*cos(theta - c2), reconstructed from three evaluations
@@ -52,7 +54,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .qubo import Assignment, IsingHamiltonian, dense_to_ising
+from .qubo import Assignment
+from .solvers import state_energies
 
 MAX_QUBITS = 20
 
@@ -97,6 +100,31 @@ def _cnot_chain_gather(n: int) -> np.ndarray:
     gather = j ^ (j >> 1)
     gather.setflags(write=False)
     return gather
+
+
+@functools.lru_cache(maxsize=None)
+def _measured_gather(n: int) -> np.ndarray:
+    # measured index s holds t_q = 1 - m_q with qubit 0 most significant, so
+    # it is state (2^n - 1) - reverse(s) of the enumeration (variable 0
+    # least significant): the enumeration reversed, at the bit-reversed index
+    s = np.arange(2 ** n)
+    reverse = np.zeros_like(s)
+    for q in range(n):
+        reverse |= ((s >> q) & 1) << (n - 1 - q)
+    gather = (2 ** n - 1) - reverse
+    gather.setflags(write=False)
+    return gather
+
+
+def basis_energies(linear: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """Energy of every measured basis index of the sub-problem ``(a, B)``
+    (:func:`~qubotrack.solvers.state_energies`' form): entry s is the
+    objective at :func:`selection_bits` of s."""
+    n = len(linear)
+    if n > MAX_QUBITS:
+        raise ResourceError(f"statevector simulation limited to {MAX_QUBITS} qubits")
+    energies = np.concatenate([e for _, e in state_energies(linear, block)])
+    return energies.take(_measured_gather(n))
 
 
 def _rotations(angles: np.ndarray) -> np.ndarray:
@@ -266,8 +294,10 @@ def _nft_sweep(thetas: np.ndarray, n: int, steps: int, score) -> np.ndarray:
     return pair[0]
 
 
-def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResult:
-    """Minimize <H> by cycling sinusoid updates over all 2n parameters.
+def run_vqe(linear: np.ndarray, block: np.ndarray,
+            config: VqeConfig | None = None) -> VqeResult:
+    """Minimize <H> of the sub-problem ``(a, B)`` (:func:`basis_energies`)
+    by cycling sinusoid updates over all 2n parameters.
 
     Returns the lowest-energy basis index sampled anywhere during the run
     plus the ``shots`` indices of a final measurement. With shots=0 the
@@ -284,12 +314,10 @@ def run_vqe(ising: IsingHamiltonian, config: VqeConfig | None = None) -> VqeResu
     0 evaluations. A NaN or infinite energy raises ``ValueError``.
     """
     config = config or VqeConfig()
-    n = ising.n
-    if n > MAX_QUBITS:
-        raise ResourceError(f"statevector simulation limited to {MAX_QUBITS} qubits")
-    table = ising.measured_energy_table()
+    n = len(linear)
+    table = basis_energies(linear, block)
     if not np.isfinite(table).all():
-        raise ValueError("energy table not finite: the Hamiltonian has a NaN or "
+        raise ValueError("energy table not finite: the sub-problem has a NaN or "
                          "infinite coefficient")
     if n == 0:  # no angle to optimise: the one (empty) state is the answer
         energy = float(table[0])
@@ -405,7 +433,7 @@ class VqeSubsolver:
                  entropy: tuple[int, int, int]) -> Assignment:
         rng = np.random.default_rng(np.random.SeedSequence(entropy))
         config = dataclasses.replace(self.config, seed=int(rng.integers(2 ** 31)))
-        return selection_bits(run_vqe(dense_to_ising(a, block), config).best_index, len(a))
+        return selection_bits(run_vqe(a, block, config).best_index, len(a))
 
 
 def make_vqe_subsolver(shots: int = 512, max_evaluations: int = 300) -> VqeSubsolver:

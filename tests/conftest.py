@@ -159,14 +159,6 @@ def impacts(qubo, bits):
     return (1.0 - 2.0 * t) * (qubo.linear + qubo.coupling_field(t))
 
 
-def ising_energy_of_bits(ising, bits) -> float:
-    """Energy of an ``IsingHamiltonian`` at selection bits ``bits``
-    (bit=1 <=> T=1 <=> z=+1)."""
-    z = 2 * np.asarray(bits, dtype=float) - 1.0
-    return (ising.constant + float(ising.field @ z)
-            + float(ising.coupling @ (z[ising.pair_i] * z[ising.pair_j])))
-
-
 def particle_energy(event, pid: int) -> float:
     """The energy of the first of ``event``'s particles with id ``pid``."""
     found = np.flatnonzero(event.particles.ids == pid).tolist()

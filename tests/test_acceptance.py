@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ising_energy_of_bits, qubo_from_dict, random_qubo, vqe_counts
+from conftest import qubo_from_dict, random_qubo, vqe_counts
 from qubotrack.cli import EXIT_OK, main
 from qubotrack.config import RunConfig
 from qubotrack.fastsim import SimConfig, generate_event
@@ -20,10 +20,10 @@ from qubotrack.pipeline import reconstruct_events, simulate_events
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  build_triplets, calibrate_dx_window,
                                  truth_doublets)
-from qubotrack.qubo import Qubo, assemble_qubo, objective, to_ising
+from qubotrack.qubo import Qubo, assemble_qubo, objective
 from qubotrack.solvers import exact_subsolver, solve_exact, solve_iterative
-from qubotrack.vqe import (NFT_SHIFTS, VqeConfig, nft_update, prepare_state,
-                           run_vqe, selection_bits)
+from qubotrack.vqe import (NFT_SHIFTS, VqeConfig, basis_energies, nft_update,
+                           prepare_state, run_vqe, selection_bits)
 from scenarios import two_nearby_particles_event
 
 
@@ -59,7 +59,7 @@ def test_criterion_01_oracle_equivalence():
     for _ in range(200):
         n = int(rng.integers(1, 17))
         q = random_qubo(rng, n, coupling_prob=0.3)
-        if not np.array_equal(solve_exact(q), enumeration_oracle(q)[0]):
+        if not np.array_equal(solve_exact(q.linear, q.dense()), enumeration_oracle(q)[0]):
             mismatches += 1
     elapsed = time.time() - t0
     report("criterion 1 (exact solver vs brute force, 200 instances n<=16)",
@@ -73,10 +73,9 @@ def test_criterion_02_ising_consistency():
     for _ in range(50):
         n = int(rng.integers(1, 11))
         q = random_qubo(rng, n, coupling_prob=0.5)
-        ising = to_ising(q)
-        for state in range(2 ** n):
-            bits = np.array([(state >> i) & 1 for i in range(n)], dtype=np.int8)
-            worst = max(worst, abs(ising_energy_of_bits(ising, bits) - objective(q, bits)))
+        table = basis_energies(q.linear, q.dense())
+        for index in range(2 ** n):
+            worst = max(worst, abs(table[index] - objective(q, selection_bits(index, n))))
     report("criterion 2 (spin mapping energy equality, 50 instances n<=10)",
            worst < 1e-12, f"max |delta| = {worst:.2e}")
 
@@ -88,8 +87,8 @@ def test_criterion_03_vqe_correctness():
     for trial in range(100):
         q = random_qubo(rng, 7, paper_like=True)
         exact_bits, exact_energy = enumeration_oracle(q)
-        result = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=300,
-                                                seed=trial))
+        result = run_vqe(q.linear, q.dense(), VqeConfig(shots=512, max_evaluations=300,
+                                                        seed=trial))
         got = selection_bits(result.best_index, 7)
         # a degenerate co-ground-state counts as found
         if np.array_equal(got, exact_bits) or \
@@ -103,8 +102,8 @@ def test_criterion_03_vqe_correctness():
     for trial in range(50):
         n = int(rng.integers(1, 4))
         q = random_qubo(rng, n, coupling_prob=0.6)
-        result = run_vqe(to_ising(q), VqeConfig(shots=0, max_evaluations=1000,
-                                                seed=trial))
+        result = run_vqe(q.linear, q.dense(), VqeConfig(shots=0, max_evaluations=1000,
+                                                        seed=trial))
         if abs(objective(q, selection_bits(result.best_index, n))
                - enumeration_oracle(q)[1]) < 1e-9:
             exact_ok += 1
@@ -121,7 +120,7 @@ def test_criterion_04_seven_triplet_analogue():
     window = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
     q = assemble_qubo(triplets)
-    exact_bits = solve_exact(q)
+    exact_bits = solve_exact(q.linear, q.dense())
     truth_selection = np.array(
         [1 if t.truth_particle_id() is not None else 0 for t in triplets],
         dtype=np.int8)
@@ -130,11 +129,10 @@ def test_criterion_04_seven_triplet_analogue():
                     and np.array_equal(exact_bits, truth_selection))
 
     target = "".join(str(int(b)) for b in exact_bits)
-    ising = to_ising(q)
+    a, block = q.linear, q.dense()
     wins = 0
     for seed in range(100):
-        result = run_vqe(ising, VqeConfig(shots=512, max_evaluations=300,
-                                          seed=seed))
+        result = run_vqe(a, block, VqeConfig(shots=512, max_evaluations=300, seed=seed))
         if vqe_counts(result).most_common(1)[0][0] == target:
             wins += 1
     report("criterion 4 (two nearby particles, 7 triplets, VQE mode)",

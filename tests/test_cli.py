@@ -192,6 +192,62 @@ def test_missing_and_malformed_inputs_exit_two(tmp_path):
     assert main(["reconstruct", "--in", str(run)]) == EXIT_DATA
 
 
+def test_simulate_xi_outside_the_lookup_is_a_configuration_error(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--events", "1", "--xi", "9"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "configuration error: xi=9.0 outside multiplicity lookup range [3.0, 7.0]\n"
+    assert not run.exists()
+
+
+@pytest.fixture
+def small_run(tmp_path):
+    """A reconstructed one-event run and its metrics report."""
+    run_pipeline(tmp_path, events=1)
+    return tmp_path / "run", tmp_path / "metrics" / "metrics.json"
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "evaluate", "plotdata"])
+def test_an_out_that_cannot_be_made_is_a_data_error(small_run, tmp_path, capsys, command):
+    """A file where the output directory (for plotdata, the table's
+    directory) should be used to end in a FileExistsError traceback."""
+    run, report = small_run
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "plot.csv" if command == "plotdata" else blocker
+    args = {"simulate": ["--events", "1"], "reconstruct": ["--in", str(run)],
+            "evaluate": ["--in", str(run)], "plotdata": ["--report", str(report)]}[command]
+    capsys.readouterr()
+    assert main([command, *args, "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: cannot write to {out}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{not json", "not valid JSON"),
+    ("[1, 2]", "expected a JSON object, got list"),
+    ('{"xi_label": "high"}', "xi_label 'high' is not a number"),
+], ids=["not-json", "a-list", "xi-label-not-a-number"])
+def test_malformed_json_input_is_a_data_error(small_run, tmp_path, capsys, text, message):
+    """Each used to end in a traceback (JSONDecodeError, AttributeError or
+    ValueError); the one line names the file."""
+    run, report = small_run
+    meta = run / "simulate_meta.json"
+    meta.write_text(text)
+    commands = [["reconstruct", "--in", str(run)],
+                ["evaluate", "--in", str(run), "--out", str(tmp_path / "m")]]
+    if "xi_label" not in text:
+        report.write_text(text)
+        commands.append(["plotdata", "--report", str(report), "--out", str(tmp_path / "p.csv")])
+    for command in commands:
+        capsys.readouterr()
+        assert main(command) == EXIT_DATA, command
+        path = report if command[0] == "plotdata" else meta
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {path}: ") and message in err, err
+        assert err.count("\n") == 1, err
+
+
 def test_unreadable_hits_row_is_a_data_error(tmp_path, capsys):
     """A truth_energy field longer than the csv module reads is named by
     file and line, with exit 2 and no traceback."""

@@ -52,7 +52,7 @@ def exact_optimum(qubo):
         inside = (label[rows] == root)
         block = np.zeros((len(members), len(members)))
         block[pos[rows[inside]], pos[qubo.indices[inside]]] = qubo.data[inside]
-        bits[members] = solve_exact((qubo.linear[members], block))
+        bits[members] = solve_exact(qubo.linear[members], block)
     return objective(qubo, bits)
 
 

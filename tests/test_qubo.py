@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from calibration_reference import truth_chain_spreads, truth_triplets
-from conftest import (brute_force_objective, impacts, ising_energy_of_bits, qubo_from_dict,
-                      random_qubo, sub_problems)
+from conftest import (brute_force_objective, dense_qubo, impacts, qubo_from_dict,
+                      random_qubo)
 from qubotrack.fastsim import EnergySpectrum, SimConfig, generate_event
 from qubotrack.metrics import build_report
 from qubotrack.preselect import (PreselectionWindow, build_doublets,
@@ -13,8 +13,9 @@ from qubotrack.preselect import (PreselectionWindow, build_doublets,
                                  truth_doublets)
 from qubotrack.qubo import (Qubo, assemble_qubo, chained_angle_spreads,
                             chained_pairs, linear_coefficients,
-                            objective, to_ising)
+                            objective)
 from qubotrack.solvers import solve_exact
+from qubotrack.vqe import basis_energies, selection_bits
 from scenarios import two_nearby_particles_event
 
 
@@ -259,42 +260,16 @@ def test_impact_is_an_involution(seed, n):
 
 # -- spin mapping -----------------------------------------------------------------
 
-def test_to_ising_single_variable():
-    c = 0.7
-    ising = to_ising(qubo_from_dict(1, np.array([c]), {}))
-    assert ising.constant == pytest.approx(c / 2)
-    assert ising.field[0] == pytest.approx(c / 2)
-    assert ising.coupling.size == 0
-
-
-def test_to_ising_zero_qubo():
-    ising = to_ising(qubo_from_dict(3, np.zeros(3), {}))
-    assert ising.constant == 0.0
-    assert np.all(ising.field == 0.0)
-    assert ising.coupling.size == 0
-
-
 def test_ising_energy_equals_objective_exhaustively():
+    # the diagonal Hamiltonian's energy of measured index s is the objective
+    # at its selection bits
     rng = np.random.default_rng(51)
     for _ in range(50):
         n = int(rng.integers(1, 11))
         q = random_qubo(rng, n)
-        ising = to_ising(q)
-        for state in range(2 ** n):
-            bits = np.array([(state >> i) & 1 for i in range(n)], dtype=np.int8)
-            assert abs(ising_energy_of_bits(ising, bits) - objective(q, bits)) < 1e-12
-
-
-def test_measured_energy_table_convention():
-    # qubit 0 is the most significant index bit; measured 0 means selected
-    q = qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
-    table = to_ising(q).measured_energy_table()
-    # index 0 = measured 00 = T (1, 1)
-    assert table[0] == pytest.approx(objective(q, np.array([1, 1])))
-    # index 1 = measured 01 = T (1, 0)
-    assert table[1] == pytest.approx(objective(q, np.array([1, 0])))
-    assert table[2] == pytest.approx(objective(q, np.array([0, 1])))
-    assert table[3] == pytest.approx(objective(q, np.array([0, 0])))
+        table = basis_energies(q.linear, q.dense())
+        for s in range(2 ** n):
+            assert abs(table[s] - objective(q, selection_bits(s, n))) < 1e-12
 
 
 def test_ground_state_equivalence_under_mapping():
@@ -302,8 +277,8 @@ def test_ground_state_equivalence_under_mapping():
     for _ in range(20):
         n = int(rng.integers(1, 9))
         q = random_qubo(rng, n)
-        best = solve_exact(q)
-        table = to_ising(q).measured_energy_table()
+        best = solve_exact(q.linear, q.dense())
+        table = basis_energies(q.linear, q.dense())
         assert table.min() == pytest.approx(objective(q, best), abs=1e-12)
 
 
@@ -312,7 +287,7 @@ def test_ground_state_equivalence_under_mapping():
 def test_enumeration_selects_exactly_the_truth_triplets(geometry):
     event, triplets = clean_two_particle_triplets(geometry)
     q = assemble_qubo(triplets)
-    best = solve_exact(q)
+    best = solve_exact(q.linear, q.dense())
     assert np.array_equal(best.astype(bool), triplets.truth_particle_ids()[1])
     assert best.sum() == 4
 
@@ -421,64 +396,14 @@ def test_assemble_retains_only_the_csr_arrays():
     assert retained <= 1.25 * arrays
 
 
-# -- spin mapping against the dict-loop reference -----------------------------------------
+# -- dense form -------------------------------------------------------------------------
 
-def dict_loop_to_ising(qubo):
-    """The spin mapping as it read a ``{(i, j): b}`` dict, pair by pair:
-    (constant, field, coupling dict, energy table)."""
-    constant = float(qubo.linear.sum() / 2.0)
-    h = qubo.linear / 2.0
-    coupling = {}
-    for (i, j), b in qubo.quadratic.items():
-        constant += b / 4.0
-        h[i] += b / 4.0
-        h[j] += b / 4.0
-        coupling[(i, j)] = b / 4.0
-    n = qubo.n
-    s = np.arange(2 ** n)
-    z = np.empty((n, 2 ** n))
-    for q in range(n):
-        z[q] = 1.0 - 2.0 * ((s >> (n - 1 - q)) & 1)
-    e = np.full(2 ** n, constant)
-    e += h @ z
-    for (i, j), cij in coupling.items():
-        e += cij * z[i] * z[j]
-    return constant, h, coupling, e
-
-
-def assert_ising_equals_dict_loop(qubo):
-    ising = to_ising(qubo)
-    constant, field, coupling, table = dict_loop_to_ising(qubo)
-    assert ising.constant == constant
-    assert np.array_equal(ising.field, field)
-    assert dict(zip(zip(ising.pair_i.tolist(), ising.pair_j.tolist()),
-                    ising.coupling.tolist())) == coupling
-    assert list(zip(ising.pair_i.tolist(), ising.pair_j.tolist())) == list(coupling)
-    assert np.array_equal(ising.measured_energy_table(), table)
-
-
-def test_to_ising_equals_dict_loop_on_random_problems():
-    rng = np.random.default_rng(77)
-    for trial in range(200):
-        n = int(rng.integers(0, 13))
-        assert_ising_equals_dict_loop(
-            random_qubo(rng, n, coupling_prob=float(rng.uniform(0.1, 0.9)),
-                        paper_like=bool(trial % 2)))
-
-
-def test_to_ising_equals_dict_loop_on_restricted_event_problems(desk_config, desk_events):
-    from qubotrack.geometry import build_geometry
-    from qubotrack.pipeline import calibrate
-    window, scaling, _ = calibrate(desk_events, desk_config)
-    triplets = build_triplets(build_doublets(
-        desk_events[0].hits, build_geometry(desk_config.geometry), window), window)
-    q = assemble_qubo(triplets, scaling)
-    rng = np.random.default_rng(5)
-    checked = coupled = 0
-    for bits in (np.ones(q.n, dtype=np.int8),
-                 rng.integers(0, 2, q.n).astype(np.int8)):
-        for _, sub in sub_problems(q, bits, 7):
-            assert_ising_equals_dict_loop(sub)
-            checked += 1
-            coupled += len(sub.indices) > 0
-    assert checked >= 20 and coupled >= 10
+def test_dense_block_round_trips_through_the_qubo():
+    rng = np.random.default_rng(15)
+    for trial in range(60):
+        n = int(rng.integers(0, 11))
+        block = np.triu(rng.uniform(-1, 1, (n, n)), 1)
+        block[rng.random((n, n)) < rng.uniform(0, 1)] = 0.0  # zero couplings
+        block = block + block.T
+        got = dense_qubo(rng.uniform(-1, 1, n), block).dense()
+        assert got.dtype == float and got.tobytes() == block.tobytes()

@@ -18,7 +18,7 @@ from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
                                _anneal, _block_objective, _impact_groups, _restrict,
                                _split_groups, _state_table, _sweep_draws, _update_field,
                                exact_subsolver, solve_annealing, solve_exact,
-                               solve_iterative)
+                               solve_iterative, state_energies)
 from qubotrack.vqe import make_vqe_subsolver
 
 
@@ -26,7 +26,7 @@ from qubotrack.vqe import make_vqe_subsolver
 
 def test_exact_hand_example():
     q = qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
-    best = solve_exact(q)
+    best = solve_exact(q.linear, q.dense())
     assert best.tolist() == [1, 1]
     assert objective(q, best) == pytest.approx(-1.45)
 
@@ -35,12 +35,12 @@ def test_exact_tie_break():
     # degenerate minimum at T=(1,0) and T=(0,1); the enumeration order
     # (variable 0 = least significant state bit) prefers (1,0)
     q = qubo_from_dict(2, np.array([-0.5, -0.5]), {(0, 1): 1.0})
-    assert solve_exact(q).tolist() == [1, 0]
+    assert solve_exact(q.linear, q.dense()).tolist() == [1, 0]
 
 
 def test_exact_zero_qubo_gives_all_zeros():
     q = qubo_from_dict(5, np.zeros(5), {})
-    assert solve_exact(q).tolist() == [0] * 5
+    assert solve_exact(q.linear, q.dense()).tolist() == [0] * 5
 
 
 def test_exact_matches_brute_force():
@@ -48,7 +48,7 @@ def test_exact_matches_brute_force():
     for _ in range(60):
         n = int(rng.integers(1, 13))
         q = random_qubo(rng, n)
-        best = solve_exact(q)
+        best = solve_exact(q.linear, q.dense())
         oracle_bits, oracle_value = brute_force_minimum(q)
         assert best.tolist() == oracle_bits.tolist()
         assert objective(q, best) == pytest.approx(oracle_value, abs=1e-12)
@@ -57,14 +57,14 @@ def test_exact_matches_brute_force():
 def test_exact_size_limit():
     q = qubo_from_dict(25, np.zeros(25), {})
     with pytest.raises(ProblemSizeError):
-        solve_exact(q)
+        solve_exact(q.linear, q.dense())
 
 
 def test_exact_spans_chunk_boundaries():
     # n=17 exercises the chunked enumeration path (chunk width 2^16)
     rng = np.random.default_rng(8)
     q = random_qubo(rng, 17, coupling_prob=0.2)
-    best = solve_exact(q)
+    best = solve_exact(q.linear, q.dense())
     flip_any = [objective(q, best)]
     for i in range(17):
         other = best.copy()
@@ -135,12 +135,6 @@ def reference_restrict(qubo, bits, indices):
                 local_row[upper], slot[upper], vals[upper])
 
 
-def dense_form(sub):
-    block = np.zeros((sub.n, sub.n))
-    block[sub.entry_rows(), sub.indices] = sub.data
-    return sub.linear, block
-
-
 def cut_bound(qubo):
     """Per variable, how far a cut's linear coefficient may lie from
     :func:`reference_restrict`'s: 1e-12 (1 + sum_j |b_ij|). The cut reads
@@ -171,14 +165,14 @@ def test_split_equals_dense_sparse_sub_problems_on_desk_events(desk_config, desk
             for g, indices in enumerate(groups):
                 a, block = _restrict(split, g, bits)
                 sub = reference_restrict(q, bits, indices)
-                ref_a, ref_block = dense_form(sub)
+                ref_a, ref_block = sub.linear, sub.dense()
                 assert np.all(np.abs(a - ref_a) <= bound[indices])
                 assert block.tolist() == ref_block.tolist()
                 assert block.flags.c_contiguous
                 sub = Qubo(sub.n, a, *sub.upper_triangle())  # the cut's linear vector
                 old = bits[indices]
-                new = solve_exact((a, block))
-                assert new.tolist() == solve_exact(sub).tolist()
+                new = solve_exact(a, block)
+                assert new.tolist() == solve_exact(sub.linear, sub.dense()).tolist()
                 for t in (old, new):
                     assert _block_objective(a, block, t).hex() == objective(sub, t).hex()
                 checked += 1
@@ -195,7 +189,7 @@ def test_block_objective_is_sparse_objective_bit_for_bit(k):
     rng = np.random.default_rng(k)
     for _ in range(40):
         sub = random_qubo(rng, k, coupling_prob=0.7, paper_like=bool(rng.integers(2)))
-        a, block = dense_form(sub)
+        a, block = sub.linear, sub.dense()
         t = rng.integers(0, 2, k).astype(np.int8)
         assert _block_objective(a, block, t).hex() == objective(sub, t).hex()
 
@@ -206,9 +200,9 @@ def test_block_kernel_picks_the_smallest_state_on_a_degenerate_block():
     a = np.array([-0.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
     block = np.zeros((7, 7))
     block[0, 1] = block[1, 0] = 1.0
-    assert solve_exact((a, block)).tolist() == [1, 0, 0, 0, 0, 0, 0]
+    assert solve_exact(a, block).tolist() == [1, 0, 0, 0, 0, 0, 0]
     assert exact_subsolver(a, block, (0, 0, 0)).tolist() == [1, 0, 0, 0, 0, 0, 0]
-    assert solve_exact((np.zeros(7), np.zeros((7, 7)))).tolist() == [0] * 7
+    assert solve_exact(np.zeros(7), np.zeros((7, 7))).tolist() == [0] * 7
 
 
 def test_state_table_is_cached_and_read_only():
@@ -223,7 +217,19 @@ def test_dense_and_sparse_enumeration_agree_across_chunks():
     rng = np.random.default_rng(23)
     for n in (0, 1, 5, 16, 17):
         q = random_qubo(rng, n, coupling_prob=0.3)
-        assert solve_exact(dense_form(q)).tolist() == solve_exact(q).tolist()
+        chunks = list(state_energies(q.linear, q.dense()))
+        assert [start for start, _ in chunks] == list(range(0, 2 ** n, 2 ** 16))
+        energies = np.concatenate([e for _, e in chunks])
+        assert len(energies) == 2 ** n
+        # the dense energies on both sides of every chunk boundary and at
+        # random states are the sparse objective's
+        states = {0, 2 ** n - 1, *rng.integers(0, 2 ** n, 20).tolist()}
+        states |= {s for start, _ in chunks[1:] for s in (start - 1, start)}
+        for s in sorted(states):
+            bits = (s >> np.arange(n)) & 1
+            assert energies[s] == pytest.approx(objective(q, bits), abs=1e-12)
+        best = solve_exact(q.linear, q.dense())
+        assert int(best @ (1 << np.arange(n))) == int(np.argmin(energies))
 
 
 # -- iterative decomposition -----------------------------------------------------------
@@ -234,13 +240,13 @@ def test_iterative_equals_exact_when_k_covers_n():
         n = int(rng.integers(1, 11))
         q = random_qubo(rng, n)
         report = solve_iterative(q, exact_subsolver, k=max(n, 7), seed=trial)
-        assert report.best_assignment.tolist() == solve_exact(q).tolist()
+        assert report.best_assignment.tolist() == solve_exact(q.linear, q.dense()).tolist()
 
 
 def test_iterative_matches_exact_tie_break_bit_for_bit():
     q = qubo_from_dict(2, np.array([-0.5, -0.5]), {(0, 1): 1.0})
     report = solve_iterative(q, exact_subsolver, k=7)
-    assert report.best_assignment.tolist() == solve_exact(q).tolist() == [1, 0]
+    assert report.best_assignment.tolist() == solve_exact(q.linear, q.dense()).tolist() == [1, 0]
 
 
 def test_iterative_block_diagonal_two_blocks():
@@ -263,7 +269,7 @@ def test_iterative_block_diagonal_two_blocks():
                     sub_quad[(i, j)] = v
         blocks.append(qubo_from_dict(7, sub_lin, sub_quad))
     q = qubo_from_dict(14, linear, quadratic)
-    composed = np.concatenate([solve_exact(b) for b in blocks])
+    composed = np.concatenate([solve_exact(b.linear, b.dense()) for b in blocks])
     optimum = objective(q, composed)
 
     report = solve_iterative(q, exact_subsolver, k=7, max_iterations=10, seed=0)
@@ -285,7 +291,7 @@ def test_iterative_never_beats_enumeration():
     for trial in range(20):
         n = int(rng.integers(8, 18))
         q = random_qubo(rng, n, coupling_prob=0.3)
-        minimum = objective(q, solve_exact(q))
+        minimum = objective(q, solve_exact(q.linear, q.dense()))
         report = solve_iterative(q, exact_subsolver, k=5, seed=trial)
         assert report.best_objective >= minimum - 1e-12
 
@@ -299,7 +305,7 @@ def test_iterative_subsolver_failure_returns_last_accepted():
         calls["n"] += 1
         if calls["n"] > 2:
             raise RuntimeError("backend lost")
-        return solve_exact((a, block))
+        return solve_exact(a, block)
 
     report = solve_iterative(q, flaky, k=4, seed=1)
     assert report.warning is not None and "backend lost" in report.warning
@@ -322,7 +328,7 @@ def test_annealing_matches_exact_on_random_instances():
     hits = 0
     for trial in range(100):
         q = random_qubo(rng, 10, coupling_prob=0.3)
-        target = objective(q, solve_exact(q))
+        target = objective(q, solve_exact(q.linear, q.dense()))
         bits = solve_annealing(q, seed=trial)
         if objective(q, bits) == pytest.approx(target, abs=1e-12):
             hits += 1
@@ -733,7 +739,7 @@ def test_anneal_solver_selects_the_truth_triplets_of_two_nearby_particles():
     report = result.report
     truth = [int(t.truth_particle_id() is not None) for t in triplets]
     assert len(triplets) == 7 and sum(truth) == 4
-    assert report.best_assignment.tolist() == truth == solve_exact(q).tolist()
+    assert report.best_assignment.tolist() == truth == solve_exact(q.linear, q.dense()).tolist()
     assert report.best_objective == objective(q, report.best_assignment)
     assert report.objective_trace == [objective(q, np.ones(q.n, dtype=np.int8)),
                                       report.best_objective]
@@ -992,9 +998,9 @@ def test_group_size_above_the_batch_limit_uses_solve_exact(k, monkeypatch):
     exact = solvers.solve_exact
     sizes = []
 
-    def counting_exact(problem):
-        sizes.append(len(problem[0]))
-        return exact(problem)
+    def counting_exact(a, block):
+        sizes.append(len(a))
+        return exact(a, block)
 
     monkeypatch.setattr(solvers, "solve_exact", counting_exact)
     report = assert_batched_equals_reference(q, k)
@@ -1029,7 +1035,7 @@ def test_coupling_free_objective_is_solved_whole(k):
     assert report.warning is None
 
 
-@pytest.mark.parametrize("subsolver", [exact_subsolver, lambda a, b, e: solve_exact((a, b))],
+@pytest.mark.parametrize("subsolver", [exact_subsolver, lambda a, b, e: solve_exact(a, b)],
                          ids=["exact", "other"])
 def test_bookkeeping_error_propagates(subsolver, monkeypatch):
     def out_of_memory(qubo, groups, k, field, rows):

@@ -82,7 +82,8 @@ def test_seven_triplet_solution_two_candidates():
     mean, sigma = calibrate_dx_window([truth_doublets(event)])
     w = PreselectionWindow.from_calibration(mean, sigma)
     triplets = build_triplets(build_doublets(event.hits, geometry, w), w)
-    best = solve_exact(assemble_qubo(triplets))
+    q = assemble_qubo(triplets)
+    best = solve_exact(q.linear, q.dense())
     selected = triplets[np.flatnonzero(best)]
     assert len(selected) == 4
     candidates = triplets_to_candidates(selected)

@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 
 import qubotrack
 import qubotrack.vqe as vqe
-from conftest import (best_bitstring, dense_qubo, measured_index_to_bitstring,
-                      qubo_from_dict, random_qubo, vqe_counts)
-from qubotrack.qubo import (IsingHamiltonian, Qubo, dense_to_ising, objective,
-                            to_ising)
+from conftest import (best_bitstring, measured_index_to_bitstring, qubo_from_dict,
+                      random_qubo, sub_problems, vqe_counts)
+from qubotrack.qubo import Qubo, objective
 from qubotrack.solvers import solve_exact
 from qubotrack.vqe import (NFT_SHIFTS, ResourceError, VqeConfig, VqeResult,
-                           nft_update, prepare_state, prepare_states, run_vqe,
-                           selection_bits)
+                           basis_energies, nft_update, prepare_state, prepare_states,
+                           run_vqe, selection_bits)
 
 
 # -- state preparation -----------------------------------------------------------
@@ -149,6 +148,83 @@ def test_param_count_and_qubit_limit():
         prepare_state(np.zeros(42), 21)
 
 
+# -- basis energies ------------------------------------------------------------------
+
+def assert_basis_energies_are_the_objective(q):
+    """Entry s of the basis energies is the objective at the selection bits
+    of measured index s, to rounding."""
+    table = basis_energies(q.linear, q.dense())
+    assert table.shape == (2 ** q.n,)
+    for s in range(2 ** q.n):
+        want = objective(q, selection_bits(s, q.n))
+        assert abs(table[s] - want) <= 1e-12 * (1.0 + abs(want)), (q.n, s)
+
+
+def test_basis_energies_single_variable():
+    # measured 0 is the selected state
+    assert basis_energies(np.array([0.7]), np.zeros((1, 1))).tolist() == [0.7, 0.0]
+
+
+def test_basis_energies_zero_objective():
+    assert basis_energies(np.zeros(3), np.zeros((3, 3))).tolist() == [0.0] * 8
+    assert basis_energies(np.zeros(0), np.zeros((0, 0))).tolist() == [0.0]
+
+
+def test_basis_energies_measured_convention():
+    # qubit 0 is the most significant index bit; measured 0 means selected
+    q = qubo_from_dict(2, np.array([-1.0, 0.5]), {(0, 1): -0.95})
+    table = basis_energies(q.linear, q.dense())
+    # index 0 = measured 00 = T (1, 1)
+    assert table[0] == pytest.approx(objective(q, np.array([1, 1])))
+    # index 1 = measured 01 = T (1, 0)
+    assert table[1] == pytest.approx(objective(q, np.array([1, 0])))
+    assert table[2] == pytest.approx(objective(q, np.array([0, 1])))
+    assert table[3] == pytest.approx(objective(q, np.array([0, 0])))
+
+
+def test_basis_energies_are_the_objective_on_random_problems():
+    rng = np.random.default_rng(77)
+    for trial in range(140):
+        n = trial % 7
+        assert_basis_energies_are_the_objective(
+            random_qubo(rng, n, coupling_prob=float(rng.uniform(0.1, 0.9)),
+                        paper_like=bool(trial % 2)))
+
+
+def test_basis_energies_are_the_objective_on_restricted_event_problems(desk_config,
+                                                                        desk_events):
+    from qubotrack.geometry import build_geometry
+    from qubotrack.pipeline import calibrate
+    from qubotrack.preselect import build_doublets, build_triplets
+    from qubotrack.qubo import assemble_qubo
+    window, scaling, _ = calibrate(desk_events, desk_config)
+    triplets = build_triplets(build_doublets(
+        desk_events[0].hits, build_geometry(desk_config.geometry), window), window)
+    q = assemble_qubo(triplets, scaling)
+    rng = np.random.default_rng(5)
+    checked = coupled = 0
+    for bits in (np.ones(q.n, dtype=np.int8),
+                 rng.integers(0, 2, q.n).astype(np.int8)):
+        for _, sub in sub_problems(q, bits, 7):
+            assert_basis_energies_are_the_objective(sub)
+            checked += 1
+            coupled += len(sub.indices) > 0
+    assert checked >= 20 and coupled >= 10
+
+
+def test_basis_energies_check_the_qubit_limit_first():
+    # 2^21 states would be enumerated; the limit is checked before any is
+    with pytest.raises(ResourceError):
+        basis_energies(np.zeros(21), np.zeros((21, 21)))
+
+
+def test_measured_gather_is_cached_and_read_only():
+    gather = vqe._measured_gather(5)
+    assert gather is vqe._measured_gather(5)
+    assert not gather.flags.writeable
+    assert sorted(gather.tolist()) == list(range(32))
+
+
 # -- energy expectation ------------------------------------------------------------
 
 def sample_counts(state, shots, rng):
@@ -156,9 +232,9 @@ def sample_counts(state, shots, rng):
     return vqe._sample(np.asarray(state)[None], rng.random((1, shots)))[0]
 
 
-def energy_expectation(state, ising, shots, rng=None):
-    """<H> exactly (shots=0) or as a Monte Carlo estimate from sampled indices."""
-    table = ising.measured_energy_table()
+def energy_expectation(state, table, shots, rng=None):
+    """<H> of the basis energies ``table``, exactly (shots=0) or as a Monte
+    Carlo estimate from sampled indices."""
     if shots == 0:
         return float(vqe._probabilities(state) @ table)
     return float(table[sample_counts(state, shots, rng)].mean())
@@ -166,41 +242,39 @@ def energy_expectation(state, ising, shots, rng=None):
 
 def test_basis_state_energy_exact_for_any_shots():
     q = random_qubo(np.random.default_rng(1), 3)
-    ising = to_ising(q)
-    table = ising.measured_energy_table()
+    table = basis_energies(q.linear, q.dense())
     n = 3
     for index in (0, 3, 7):
         state = np.zeros(2 ** n, dtype=complex)
         state[index] = 1.0
-        exact = energy_expectation(state, ising, shots=0)
+        exact = energy_expectation(state, table, shots=0)
         assert exact == pytest.approx(table[index], abs=1e-12)
-        sampled = energy_expectation(state, ising, shots=64,
+        sampled = energy_expectation(state, table, shots=64,
                                      rng=np.random.default_rng(0))
         assert sampled == pytest.approx(table[index], abs=1e-12)
 
 
 def test_uniform_superposition_energy_is_mean():
     q = random_qubo(np.random.default_rng(2), 2)
-    ising = to_ising(q)
+    table = basis_energies(q.linear, q.dense())
     params = np.array([math.pi / 2, math.pi / 2, 0.0, 0.0])
     state = prepare_state(params, 2)
-    assert energy_expectation(state, ising, shots=0) == pytest.approx(
-        ising.measured_energy_table().mean(), abs=1e-12)
+    assert energy_expectation(state, table, shots=0) == pytest.approx(
+        table.mean(), abs=1e-12)
 
 
 def test_shot_estimate_consistent_with_exact():
     rng = np.random.default_rng(3)
     q = random_qubo(rng, 4)
-    ising = to_ising(q)
+    table = basis_energies(q.linear, q.dense())
     state = prepare_state(rng.uniform(0, 2 * math.pi, 8), 4)
-    exact = energy_expectation(state, ising, shots=0)
-    table = ising.measured_energy_table()
+    exact = energy_expectation(state, table, shots=0)
     probs = np.abs(state) ** 2
     var = float(probs @ (table - exact) ** 2)
     shots = 256
     stderr = math.sqrt(var / shots)
     estimates = np.array([
-        energy_expectation(state, ising, shots=shots, rng=np.random.default_rng(i))
+        energy_expectation(state, table, shots=shots, rng=np.random.default_rng(i))
         for i in range(100)
     ])
     assert np.all(np.abs(estimates - exact) < 5 * stderr + 1e-12)
@@ -316,7 +390,7 @@ def test_nft_exact_reconstruction_random_sinusoids():
 
 def test_run_vqe_single_variable():
     q = qubo_from_dict(1, np.array([-1.0]), {})
-    result = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=0))
+    result = run_vqe(q.linear, q.dense(), VqeConfig(shots=512, max_evaluations=60, seed=0))
     assert best_bitstring(result) == "1"
     assert result.best_energy == pytest.approx(-1.0)
 
@@ -325,9 +399,9 @@ def test_run_vqe_variational_bound_exact_mode():
     rng = np.random.default_rng(7)
     for trial in range(10):
         q = random_qubo(rng, 4)
-        ising = to_ising(q)
-        ground = ising.measured_energy_table().min()
-        result = run_vqe(ising, VqeConfig(shots=0, max_evaluations=200, seed=trial))
+        ground = basis_energies(q.linear, q.dense()).min()
+        result = run_vqe(q.linear, q.dense(),
+                         VqeConfig(shots=0, max_evaluations=200, seed=trial))
         assert result.final_expectation >= ground - 1e-9
         state = prepare_state(result.thetas, 4)
         if (np.abs(state) ** 2).max() > 1.0 - 1e-10:
@@ -343,22 +417,22 @@ def test_run_vqe_exact_mode_finds_tiny_ground_states():
     for trial in range(25):
         n = int(rng.integers(1, 4))
         q = random_qubo(rng, n, coupling_prob=0.6)
-        result = run_vqe(to_ising(q), VqeConfig(shots=0, max_evaluations=1000,
-                                                seed=trial))
+        result = run_vqe(q.linear, q.dense(), VqeConfig(shots=0, max_evaluations=1000,
+                                                        seed=trial))
         assert objective(q, selection_bits(result.best_index, n)) == pytest.approx(
-            objective(q, solve_exact(q)), abs=1e-9)
-        quick = run_vqe(to_ising(q), VqeConfig(shots=0,
-                                               max_evaluations=5 * (2 * n) * 3,
-                                               seed=trial))
+            objective(q, solve_exact(q.linear, q.dense())), abs=1e-9)
+        quick = run_vqe(q.linear, q.dense(), VqeConfig(shots=0,
+                                                       max_evaluations=5 * (2 * n) * 3,
+                                                       seed=trial))
         if objective(q, selection_bits(quick.best_index, n)) == pytest.approx(
-                objective(q, solve_exact(q)), abs=1e-9):
+                objective(q, solve_exact(q.linear, q.dense())), abs=1e-9):
             fast += 1
     assert fast >= 20  # five sweeps suffice in the typical case
 
 
 def test_counts_sum_to_shots_and_use_selection_convention():
     q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
-    result = run_vqe(to_ising(q), VqeConfig(shots=128, max_evaluations=100, seed=1))
+    result = run_vqe(q.linear, q.dense(), VqeConfig(shots=128, max_evaluations=100, seed=1))
     counts = vqe_counts(result)
     assert sum(counts.values()) == 128
     assert best_bitstring(result) == "11"  # both selected, measured bits 00
@@ -385,8 +459,8 @@ def test_selection_bits_equal_the_bitstring_path():
 
 def test_run_vqe_deterministic_per_seed():
     q = random_qubo(np.random.default_rng(9), 5)
-    a = run_vqe(to_ising(q), VqeConfig(shots=256, max_evaluations=120, seed=11))
-    b = run_vqe(to_ising(q), VqeConfig(shots=256, max_evaluations=120, seed=11))
+    a = run_vqe(q.linear, q.dense(), VqeConfig(shots=256, max_evaluations=120, seed=11))
+    b = run_vqe(q.linear, q.dense(), VqeConfig(shots=256, max_evaluations=120, seed=11))
     assert a.best_index == b.best_index
     assert np.array_equal(a.samples, b.samples)
     assert np.array_equal(a.thetas, b.thetas)
@@ -394,7 +468,7 @@ def test_run_vqe_deterministic_per_seed():
 
 def test_run_vqe_respects_budget():
     q = random_qubo(np.random.default_rng(10), 4)
-    result = run_vqe(to_ising(q), VqeConfig(shots=64, max_evaluations=50, seed=0))
+    result = run_vqe(q.linear, q.dense(), VqeConfig(shots=64, max_evaluations=50, seed=0))
     assert result.evaluations <= 50
 
 
@@ -403,11 +477,11 @@ def test_run_vqe_zero_variables_returns_at_once():
     # timeout instead of hanging the suite
     code = """
 import numpy as np
-from qubotrack.qubo import Qubo, to_ising
+from qubotrack.qubo import Qubo
 from qubotrack.vqe import VqeConfig, run_vqe
-ising = to_ising(Qubo(n=0, linear=np.zeros(0)))
+q = Qubo(n=0, linear=np.zeros(0))
 for shots in (0, 512):
-    r = run_vqe(ising, VqeConfig(shots=shots, seed=1))
+    r = run_vqe(q.linear, q.dense(), VqeConfig(shots=shots, seed=1))
     print(r.best_index, r.evaluations, r.best_energy, r.samples.size, r.thetas.size)
 """
     src = str(Path(qubotrack.__file__).resolve().parents[1])
@@ -420,8 +494,8 @@ for shots in (0, 512):
 
 def test_readout_error_hook_off_by_default_and_usable():
     q = qubo_from_dict(2, np.array([-1.0, -1.0]), {})
-    noisy = run_vqe(to_ising(q), VqeConfig(shots=512, max_evaluations=60, seed=2,
-                                           readout_flip_probability=0.25))
+    noisy = run_vqe(q.linear, q.dense(), VqeConfig(shots=512, max_evaluations=60, seed=2,
+                                                   readout_flip_probability=0.25))
     counts = vqe_counts(noisy)
     assert sum(counts.values()) == 512
     assert len(counts) > 1  # flips spread the histogram
@@ -468,7 +542,7 @@ GOLDEN_FLIP_COUNTS = {
 ], ids=["shots", "exact-restarts", "readout-flips"])
 def test_run_vqe_outputs_pinned(config, evaluations, counts, thetas):
     q = random_qubo(np.random.default_rng(2), 7)
-    result = run_vqe(to_ising(q), config)
+    result = run_vqe(q.linear, q.dense(), config)
     assert best_bitstring(result) == "1101010"
     assert result.evaluations == evaluations
     assert dict(vqe_counts(result)) == counts
@@ -506,8 +580,8 @@ def test_exact_mode_prepares_each_angle_vector_once(seed, monkeypatch):
         return prepare_state(params, n)
 
     monkeypatch.setattr(vqe, "prepare_state", counting)
-    ising = to_ising(random_qubo(np.random.default_rng(2), 7))
-    result = run_vqe(ising, VqeConfig(shots=0, max_evaluations=300, seed=seed))
+    q = random_qubo(np.random.default_rng(2), 7)
+    result = run_vqe(q.linear, q.dense(), VqeConfig(shots=0, max_evaluations=300, seed=seed))
     assert len(prepared) == len(set(prepared)) <= 9  # 8 sweeps, one maybe restarted
     expectation, thetas = EXACT_300_PINNED[seed]
     assert (best_bitstring(result), result.evaluations,
@@ -516,18 +590,18 @@ def test_exact_mode_prepares_each_angle_vector_once(seed, monkeypatch):
     assert result.final_expectation == pytest.approx(expectation, rel=1e-12)
     assert np.allclose(result.thetas, thetas, rtol=0.0, atol=1e-12)
     prepared.clear()
-    run_vqe(ising, VqeConfig(shots=512, max_evaluations=300, seed=seed))
+    run_vqe(q.linear, q.dense(), VqeConfig(shots=512, max_evaluations=300, seed=seed))
     assert len(prepared) == 1
 
 
 # -- the two-vector sweep against the loop that prepared every trial state ----------
 
-def reference_run_vqe(ising, config):
+def reference_run_vqe(linear, block, config):
     """run_vqe with shots > 0 as it was before the two-vector sweep: each
     coordinate step prepares its three trial states from the angles and
     samples them one at a time. Returns the result and its generator."""
-    n = ising.n
-    table = ising.measured_energy_table()
+    n = len(linear)
+    table = basis_energies(linear, block)
     rng = np.random.default_rng(config.seed)
     thetas = rng.uniform(0.0, 2.0 * math.pi, size=2 * n)
     best_index, best_energy = None, math.inf
@@ -568,7 +642,7 @@ def reference_run_vqe(ising, config):
     return result, rng
 
 
-def _run_vqe_and_generator(ising, config):
+def _run_vqe_and_generator(linear, block, config):
     """run_vqe's result and the generator it drew from."""
     made = []
     real = np.random.default_rng
@@ -579,7 +653,7 @@ def _run_vqe_and_generator(ising, config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(np.random, "default_rng", recording)
-        result = run_vqe(ising, config)
+        result = run_vqe(linear, block, config)
     assert len(made) == 1
     return result, made[0]
 
@@ -602,13 +676,12 @@ def test_two_vector_sweep_equals_per_trial_loop(flip):
             # samples is kept decides the best bitstring
             i, j, b = q.upper_triangle()
             q = Qubo(n, np.round(2 * q.linear), i, j, np.sign(b))
-        ising = to_ising(q)
         config = VqeConfig(shots=int(meta.choice([1, 5, 64, 512])),
                            max_evaluations=budgets[trial % len(budgets)],
                            seed=int(meta.integers(2 ** 31)),
                            readout_flip_probability=flip)
-        got, got_rng = _run_vqe_and_generator(ising, config)
-        want, want_rng = reference_run_vqe(ising, config)
+        got, got_rng = _run_vqe_and_generator(q.linear, q.dense(), config)
+        want, want_rng = reference_run_vqe(q.linear, q.dense(), config)
         assert got.best_index == want.best_index, (trial, config)
         assert _hex([got.best_energy]) == _hex([want.best_energy])
         assert np.array_equal(got.samples, want.samples)
@@ -630,8 +703,8 @@ def test_running_state_does_not_drift_within_a_sweep(monkeypatch, shots):
         return state
 
     monkeypatch.setattr(vqe, "_nft_sweep", checked)
-    ising = to_ising(random_qubo(np.random.default_rng(12), n))
-    run_vqe(ising, VqeConfig(shots=shots, max_evaluations=300, seed=3))
+    q = random_qubo(np.random.default_rng(12), n)
+    run_vqe(q.linear, q.dense(), VqeConfig(shots=shots, max_evaluations=300, seed=3))
     assert len(seen) == 5  # four full sweeps of 24 steps, then 4 steps
     assert max(seen) <= 1e-12
 
@@ -639,41 +712,28 @@ def test_running_state_does_not_drift_within_a_sweep(monkeypatch, shots):
 def test_nan_state_is_not_normalized():
     with pytest.raises(ValueError, match="not normalized"):
         sample_counts(np.full(8, np.nan), 16, np.random.default_rng(0))
+    q = random_qubo(np.random.default_rng(0), 3)
     with pytest.raises(ValueError, match="not normalized"):
-        energy_expectation(np.full(8, np.nan), to_ising(random_qubo(
-            np.random.default_rng(0), 3)), shots=0)
+        energy_expectation(np.full(8, np.nan), basis_energies(q.linear, q.dense()),
+                           shots=0)
 
 
 @pytest.mark.parametrize("shots", [512, 0], ids=["shots", "exact"])
 def test_nan_coefficient_is_named(shots):
-    ising = to_ising(random_qubo(np.random.default_rng(14), 4))
-    ising.field[2] = np.nan
+    q = random_qubo(np.random.default_rng(14), 4)
+    config = VqeConfig(shots=shots, max_evaluations=30, seed=0)
+    linear, block = q.linear.copy(), q.dense()
+    linear[2] = np.nan
     with pytest.raises(ValueError, match="energy table not finite"):
-        run_vqe(ising, VqeConfig(shots=shots, max_evaluations=30, seed=0))
-
-
-def test_dense_to_ising_equals_the_qubo_round_trip():
-    rng = np.random.default_rng(15)
-    for trial in range(60):
-        n = int(rng.integers(0, 11))
-        block = np.triu(rng.uniform(-1, 1, (n, n)), 1)
-        block[rng.random((n, n)) < rng.uniform(0, 1)] = 0.0  # zero couplings
-        block = block + block.T
-        linear = rng.uniform(-1, 1, n)
-        got = dense_to_ising(linear, block)
-        want = to_ising(dense_qubo(linear, block))
-        assert got.measured_energy_table().tobytes() == want.measured_energy_table().tobytes()
-        assert _hex([got.constant]) == _hex([want.constant])
-        assert got.field.tobytes() == want.field.tobytes()
-        assert got.coupling.tobytes() == want.coupling.tobytes()
-        assert np.array_equal(got.pair_i, want.pair_i)
-        assert np.array_equal(got.pair_j, want.pair_j)
+        run_vqe(linear, q.dense(), config)
+    block[1, 3] = block[3, 1] = np.nan
+    with pytest.raises(ValueError, match="energy table not finite"):
+        run_vqe(q.linear, block, config)
 
 
 def test_vqe_subsolver_pickles_to_the_same_answers():
     q = random_qubo(np.random.default_rng(8), 7, coupling_prob=0.5, paper_like=True)
-    a, block = q.linear, np.zeros((7, 7))
-    block[q.entry_rows(), q.indices] = q.data
+    a, block = q.linear, q.dense()
     subsolver = vqe.make_vqe_subsolver(shots=64, max_evaluations=30)
     copy = pickle.loads(pickle.dumps(subsolver))
     assert copy == subsolver
@@ -685,9 +745,9 @@ def test_vqe_subsolver_calls_run_vqe_through_the_module(monkeypatch):
     seen = []
     run = vqe.run_vqe
 
-    def counting(ising, config):
+    def counting(linear, block, config):
         seen.append(config.seed)
-        return run(ising, config)
+        return run(linear, block, config)
 
     monkeypatch.setattr(vqe, "run_vqe", counting)
     vqe.make_vqe_subsolver(shots=8, max_evaluations=9)(np.zeros(2), np.zeros((2, 2)), (0, 0, 0))
