@@ -279,6 +279,15 @@ def _plot_field(value) -> str:
     return text
 
 
+def _shaped(value, kind: type, path, part: str):
+    """``value`` if it is a ``kind`` (a dict or a list); otherwise a
+    :class:`DataFormatError` naming the file and the part."""
+    if not isinstance(value, kind):
+        raise DataFormatError(f"{path}: {part} is {type(value).__name__}, not "
+                              f"{'an object' if kind is dict else 'a list'}")
+    return value
+
+
 def cmd_plotdata(args) -> int:
     rows: list[tuple] = []
     for path in args.reports:
@@ -288,13 +297,15 @@ def cmd_plotdata(args) -> int:
             value = payload.get(metric)
             if value is not None:
                 rows.append((metric, "", "", value, "", ""))
-        for label, metrics in payload.get("per_xi_label", {}).items():
-            for metric, value in metrics.items():
+        labels = _shaped(payload.get("per_xi_label", {}), dict, path, "per_xi_label")
+        for label, metrics in labels.items():
+            for metric, value in _shaped(metrics, dict, path, f"per_xi_label {label!r}").items():
                 if metric in ("events", "tracks") or value is None:
                     continue
                 rows.append((metric, label, "", value, "", ""))
-        for curve, bins in payload.get("curves", {}).items():
-            for k, b in enumerate(bins):
+        for curve, bins in _shaped(payload.get("curves", {}), dict, path, "curves").items():
+            for k, b in enumerate(_shaped(bins, list, path, f"curve {curve!r}")):
+                _shaped(b, dict, path, f"bin {k} of curve {curve!r}")
                 missing = [key for key in BIN_KEYS if key not in b]
                 if missing:
                     raise DataFormatError(f"{path}: bin {k} of curve {curve!r} lacks "

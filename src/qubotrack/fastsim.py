@@ -1,9 +1,15 @@
 """Toy event generation: positron sampling, dipole kick, straight-line
 propagation with multiple scattering, and Gaussian hit smearing.
 
-The generator is pure given (config, geometry, event_id): the per-event RNG
-seed is ``rng_seed ^ event_id``, so events can be produced in any order or in
-parallel with identical results.
+The generator is pure given (config, geometry, event_id): each event draws
+from its own stream, ``SeedSequence((rng_seed, event_id))``
+(:func:`event_rng`), so events can be produced in any order or in parallel
+with identical results, and two seeds share no event. An event's particles
+are drawn as arrays and moved through the layers together; the draw order
+is set out in :func:`generate_event`. Every transcendental value (tan,
+asin, the Highland log) comes from ``math``, one value at a time, so the
+events do not depend on NumPy's SIMD dispatch; the plain arithmetic and the
+square roots are NumPy's, which round exactly.
 
 Also here: :func:`xi_to_multiplicity`, the ``--xi`` presets' lookup from
 an intensity label to the mean positron count of an event.
@@ -45,28 +51,33 @@ def xi_to_multiplicity(xi: float) -> float:
     raise AssertionError("unreachable")
 
 
-def dipole_deflection(energy: float, field: float, length: float) -> float:
+def dipole_deflection(energy, field: float, length: float):
     """Bend angle of the dipole: theta = asin(0.2998 * B * L / E).
 
-    ``energy`` in GeV, ``field`` in T, ``length`` in m. Monotonically
-    decreasing in energy. Raises if the transverse kick reaches the particle
-    energy (the particle would not exit the field region forward).
+    ``energy`` in GeV, ``field`` in T, ``length`` in m: a float, or an array
+    of energies, whose angles come from ``math.asin`` element by element.
+    Monotonically decreasing in energy. Raises if an energy is not positive,
+    or if the transverse kick reaches it (the particle would not exit the
+    field region forward); the message names the first such energy.
     """
-    if energy <= 0:
-        raise SimulationError(f"energy must be positive, got {energy}")
+    e = np.asarray(energy, dtype=float)
     kick = PT_KICK_PER_TESLA_METER * field * length
-    if kick >= energy:
-        raise SimulationError(
-            f"energy {energy} GeV below magnetic cutoff {kick} GeV"
-        )
-    return math.asin(kick / energy)
+    if (e <= 0).any():
+        raise SimulationError(f"energy must be positive, got {float(e[e <= 0].flat[0])}")
+    if (kick >= e).any():
+        raise SimulationError(f"energy {float(e[kick >= e].flat[0])} GeV below "
+                              f"magnetic cutoff {kick} GeV")
+    if e.ndim == 0:
+        return math.asin(kick / energy)
+    return _by_math(math.asin, kick / e)
 
 
-def scattering_sigma(energy: float, thickness_x0: float) -> float:
+def scattering_sigma(energy, thickness_x0: float):
     """Highland angular width for one layer crossing.
 
     sigma = (13.6e-3 / E[GeV]) * sqrt(t) * (1 + 0.038 ln t), t in radiation
-    lengths. Returns 0 for t = 0.
+    lengths; ``energy`` a float or an array of energies (the square root
+    and the log are of t alone, from ``math``). Returns 0 for t = 0.
     """
     if thickness_x0 < 0:
         raise SimulationError("thickness_x0 must be non-negative")
@@ -74,6 +85,12 @@ def scattering_sigma(energy: float, thickness_x0: float) -> float:
         return 0.0
     t = thickness_x0
     return 13.6e-3 / energy * math.sqrt(t) * (1.0 + 0.038 * math.log(t))
+
+
+def _by_math(f, values: np.ndarray) -> np.ndarray:
+    """``f`` from ``math`` applied element by element, so that the values do
+    not depend on which SIMD loop NumPy dispatches to."""
+    return np.array(list(map(f, values.ravel().tolist())), dtype=float).reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -103,15 +120,22 @@ class EnergySpectrum:
             raise SimulationError("energy spectrum needs 0 < minimum <= maximum < inf, got "
                                   f"{self.minimum!r} and {self.maximum!r}")
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """``n`` energies. ``gamma`` draws all n with one call, then redraws
+        the ones outside [minimum, maximum] with one call of their count, in
+        row order, until none is left: at most 10 000 rounds, after which
+        :class:`SimulationError` is raised. ``uniform`` is one call of n;
+        ``fixed`` draws nothing."""
         if self.kind == "fixed":
-            return self.fixed_value
+            return np.full(n, self.fixed_value)
         if self.kind == "uniform":
-            return float(rng.uniform(self.minimum, self.maximum))
-        for _ in range(10000):  # gamma
-            e = float(rng.gamma(self.shape, self.scale))
-            if self.minimum <= e <= self.maximum:
-                return e
+            return rng.uniform(self.minimum, self.maximum, n)
+        energies, redraw = np.empty(n), np.arange(n)
+        for _ in range(10000):
+            energies[redraw] = e = rng.gamma(self.shape, self.scale, len(redraw))
+            redraw = redraw[~((self.minimum <= e) & (e <= self.maximum))]
+            if not len(redraw):
+                return energies
         raise SimulationError("energy spectrum rejection sampling did not converge")
 
 
@@ -142,7 +166,10 @@ class SimConfig:
 
 
 def event_rng(sim: SimConfig, event_id: int) -> np.random.Generator:
-    return np.random.default_rng(sim.rng_seed ^ event_id)
+    """The event's generator, seeded by ``SeedSequence((rng_seed, event_id
+    mod 2^64))``: every (seed, event) pair has a stream of its own, and any
+    int64 event id is taken."""
+    return np.random.default_rng(np.random.SeedSequence((sim.rng_seed, event_id % 2 ** 64)))
 
 
 def generate_event(sim: SimConfig, geometry: GeometryConfig, event_id: int) -> Event:
@@ -153,93 +180,75 @@ def generate_event(sim: SimConfig, geometry: GeometryConfig, event_id: int) -> E
     propagates in straight segments through the layers. Multiple scattering
     tilts the direction at every crossed layer; the recorded hit is the true
     crossing point smeared in-plane by ``hit_resolution``. Crossings outside
-    the layer extents produce no hit.
+    the layer extents produce no hit and no kick.
 
-    Draw order, per particle: three standard normals for the IP smear
-    (x, y, z), the energy, two for the emittance angles (x, y), then one
-    ``standard_normal(k)`` call per crossed layer: smear x and y if
-    ``smear_hits``, then kick x and y if ``scattering`` and the particle's
-    Highland width is not zero. Each normal is scaled as ``0.0 + sigma * z``,
-    the arithmetic of ``Generator.normal``, so the events and the
-    generator's state afterwards equal one ``normal`` call per value.
+    All particles move together, as arrays. Draw order, from
+    :func:`event_rng`: the multiplicity (one ``poisson``, or none when it is
+    the rounded mean); the IP smear, ``standard_normal((n, 3))``; the
+    energies (:meth:`EnergySpectrum.sample`); the emittance angles,
+    ``standard_normal((n, 2))``; then one ``standard_normal((n, layers,
+    k))`` for every crossing: smear x and y if ``smear_hits``, then kick x
+    and y if ``scattering`` and the layers have thickness. A crossing's
+    normals are drawn whether or not the particle is inside; one outside
+    uses none of them. Each normal is scaled as ``0.0 + sigma * z``, the
+    arithmetic of ``Generator.normal``. Every tan, asin and the Highland log
+    come from ``math``, one value at a time.
+
+    Hits are particle-major, layers ascending, their ids the row numbers.
     """
     rng = event_rng(sim, event_id)
     if sim.poisson_multiplicity:
-        n_particles = int(rng.poisson(sim.mean_multiplicity))
+        n = int(rng.poisson(sim.mean_multiplicity))
     else:
-        n_particles = int(round(sim.mean_multiplicity))
+        n = int(round(sim.mean_multiplicity))
+    origins = (np.asarray(geometry.ip_position, dtype=float)
+               + (0.0 + np.asarray(sim.ip_smear, dtype=float) * rng.standard_normal((n, 3))))
+    energies = sim.energy_spectrum.sample(rng, n)
+    theta = 0.0 + sim.emittance_angle_sigma * rng.standard_normal((n, 2))  # x, y
+    kicks = sim.scattering and geometry.layer_thickness_x0 != 0.0
+    layer_z = geometry.layer_z
+    draws = rng.standard_normal((n, len(layer_z), 2 * sim.smear_hits + 2 * kicks))
 
-    # the columns, ids being row numbers; vectors laid flat, x, y, z
-    energies: list[float] = []
-    origins: list[float] = []
-    directions: list[float] = []
-    layers: list[int] = []
-    positions: list[float] = []
-    truth: list[int] = []
-    kick_z = geometry.dipole_kick_z
-    resolution = geometry.hit_resolution
-    half_x, half_y = geometry.layer_half_extent_x, geometry.layer_half_extent_y
-    for pid in range(n_particles):
-        sx, sy, sz = rng.standard_normal(3).tolist()
-        ox = geometry.ip_position[0] + (0.0 + sim.ip_smear[0] * sx)
-        oy = geometry.ip_position[1] + (0.0 + sim.ip_smear[1] * sy)
-        oz = geometry.ip_position[2] + (0.0 + sim.ip_smear[2] * sz)
-        energy = sim.energy_spectrum.sample(rng)
-        ex, ey = rng.standard_normal(2).tolist()
-        theta_x0 = 0.0 + sim.emittance_angle_sigma * ex
-        theta_y0 = 0.0 + sim.emittance_angle_sigma * ey
-
-        tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
-        norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
-        energies.append(energy)
-        origins += ox, oy, oz
-        directions += tx0 / norm, ty0 / norm, 1.0 / norm
-
-        # the same Highland width at every crossing; a zero width draws no kick
-        sigma = (scattering_sigma(energy, geometry.layer_thickness_x0)
-                 if sim.scattering else 0.0)
-        if sigma < 0.0:
+    if kicks:  # the same Highland width at every crossing of a particle
+        sigma = scattering_sigma(energies, geometry.layer_thickness_x0)
+        if (sigma < 0.0).any():
             raise SimulationError(
-                f"negative scattering width {sigma} at thickness "
+                f"negative scattering width {float(sigma[sigma < 0.0][0])} at thickness "
                 f"{geometry.layer_thickness_x0} X0 (Highland's log term)")
-        kicks = sigma != 0.0
-        n_draws = (2 if sim.smear_hits else 0) + (2 if kicks else 0)
+        kick = 0.0 + sigma[:, None, None] * draws[:, :, -2:]
+    slopes = _by_math(math.tan, theta)
+    norm = np.sqrt(slopes[:, 0] * slopes[:, 0] + slopes[:, 1] * slopes[:, 1] + 1.0)
+    directions = np.ones((n, 3))
+    directions[:, :2] = slopes
+    directions /= norm[:, None]
 
-        # straight to the magnet centre, then a single thin-lens kick in +x
-        x = ox + tx0 * (kick_z - oz)
-        y = oy + ty0 * (kick_z - oz)
-        theta_x = theta_x0 + dipole_deflection(energy, geometry.dipole_field,
-                                               geometry.dipole_length)
-        theta_y = theta_y0
-        z = kick_z
-        for layer, layer_z in enumerate(geometry.layer_z):
-            dz = layer_z - z
-            x += math.tan(theta_x) * dz
-            y += math.tan(theta_y) * dz
-            z = layer_z
-            if abs(x) <= half_x and abs(y) <= half_y:
-                # smear x, y first, kick x, y last
-                draws = rng.standard_normal(n_draws).tolist()
-                if sim.smear_hits:
-                    mx = x + (0.0 + resolution * draws[0])
-                    my = y + (0.0 + resolution * draws[1])
-                else:
-                    mx, my = x, y
-                if abs(mx) <= half_x and abs(my) <= half_y:
-                    layers.append(layer)
-                    positions += mx, my, layer_z
-                    truth.append(pid)
-                if kicks:
-                    theta_x += 0.0 + sigma * draws[-2]
-                    theta_y += 0.0 + sigma * draws[-1]
+    # straight to the magnet centre, then a single thin-lens kick in +x
+    z = geometry.dipole_kick_z
+    xy = origins[:, :2] + slopes * (z - origins[:, 2:])
+    theta[:, 0] += dipole_deflection(energies, geometry.dipole_field, geometry.dipole_length)
+    half = np.array([geometry.layer_half_extent_x, geometry.layer_half_extent_y])
+    crossings = np.empty((n, len(layer_z), 2))
+    inside = np.empty((n, len(layer_z)), dtype=bool)
+    for layer, plane in enumerate(layer_z):
+        xy = xy + _by_math(math.tan, theta) * (plane - z)
+        z = plane
+        crossings[:, layer] = xy
+        within = np.abs(xy) <= half
+        inside[:, layer] = within = within[:, 0] & within[:, 1]
+        if kicks:
+            theta = np.where(within[:, None], theta + kick[:, layer], theta)
+    if sim.smear_hits:  # the crossings become the measured points
+        crossings += 0.0 + geometry.hit_resolution * draws[:, :, :2]
+    within = np.abs(crossings) <= half
+    recorded = inside & within[..., 0] & within[..., 1]
 
-    origins, directions, positions = (np.array(v, dtype=float).reshape(-1, 3)
-                                      for v in (origins, directions, positions))
     fault = particle_fault(energies, directions)
     if fault is not None:
         raise SimulationError(f"event {event_id} particle {fault[0]}: {fault[1]}")
-    hits = Hits(np.arange(len(truth)), np.array(layers, dtype=np.int64), positions,
-                np.array(truth, dtype=np.int64), np.ones(len(truth), dtype=bool))
-    particles = Particles(np.arange(n_particles), np.array(energies, dtype=float),
-                          origins, directions)
+    truth, layers = np.nonzero(recorded)  # particle-major, layers ascending
+    positions = np.empty((len(truth), 3))
+    positions[:, :2] = crossings[truth, layers]
+    positions[:, 2] = np.asarray(layer_z)[layers]
+    hits = Hits(np.arange(len(truth)), layers, positions, truth, np.ones(len(truth), dtype=bool))
+    particles = Particles(np.arange(n), energies, origins, directions)
     return Event(event_id=event_id, xi_label=sim.xi_label, hits=hits, particles=particles)

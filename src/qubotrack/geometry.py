@@ -56,7 +56,7 @@ class GeometryConfig:
     dipole_length: float = 1.0        # m, effective field length
     ip_position: tuple[float, float, float] = (0.0, 0.0, 0.0)  # m
 
-    @functools.cached_property  # simulation reads it once per particle
+    @functools.cached_property  # simulation reads it once per event
     def layer_z(self) -> tuple[float, ...]:
         return tuple(self.first_layer_z + k * self.layer_spacing
                      for k in range(self.n_layers))

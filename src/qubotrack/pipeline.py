@@ -175,14 +175,24 @@ class EventDumps:
     debug: bool  # the doublet and triplet feature tables
 
 
+def solver_seed(seed: int, event_id: int) -> int:
+    """The event's solver seed: a 64-bit word of the first child of
+    ``SeedSequence((seed, event_id mod 2^64))``. The event's simulation
+    draws from that sequence itself at ``rng_seed == seed`` (as
+    ``with_seed`` sets it), so the two streams differ; any int64 event id
+    gives a non-negative seed."""
+    sequence = np.random.SeedSequence((seed, event_id % 2 ** 64), spawn_key=(0,))
+    return int(sequence.generate_state(1, np.uint64)[0])
+
+
 def reconstruct_event(event: Event, geometry: GeometryConfig,
                       window: PreselectionWindow, scaling: QuboScaling,
                       config: RunConfig, dumps: EventDumps | None = None
                       ) -> EventResult:
     """Pre-selection, objective assembly (both written to ``dumps``),
     solving and track building for one event. Deterministic given the
-    config seed (per-event solver seed is ``seed ^ event_id``); ``anneal``
-    solves the whole objective, the others its sub-problems."""
+    config seed (the per-event solver seed is :func:`solver_seed`);
+    ``anneal`` solves the whole objective, the others its sub-problems."""
     doublets = build_doublets(event.hits, geometry, window)
     triplets = build_triplets(doublets, window)
     problem = assemble_qubo(triplets, scaling) if triplets else None
@@ -195,12 +205,13 @@ def reconstruct_event(event: Event, geometry: GeometryConfig,
     if problem is None:
         return EventResult(eid, [], None, len(doublets), 0)
 
+    seed = solver_seed(config.seed, eid)
     if config.solver == "anneal":
-        report = solve_annealing_report(problem, seed=config.seed ^ eid)
+        report = solve_annealing_report(problem, seed=seed)
     else:
         report = solve_iterative(
             problem, _make_subsolver(config), k=config.subqubo_size,
-            max_iterations=config.iterations, seed=config.seed ^ eid,
+            max_iterations=config.iterations, seed=seed,
             executor=_speculation_pool() if config.solver == "vqe" else None)
     selected = triplets[np.flatnonzero(report.best_assignment)]
 

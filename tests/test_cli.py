@@ -86,6 +86,31 @@ def test_reconstruct_echoes_solver_flags(tmp_path):
     assert report["config"]["solver"] == "vqe"
 
 
+@pytest.mark.parametrize("solver", ["exact", "anneal", "vqe"])
+def test_negative_event_id_is_reconstructed(tmp_path, capsys, solver):
+    """Event 1 renamed -1 in both tables. The solver seed used to be
+    ``seed ^ event_id``, negative here: the anneal ended in a ValueError
+    traceback and the VQE kept the event at its all-ones start with a
+    sub-solver warning. Any int64 event id now gives a seed."""
+    run = tmp_path / "run"
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"sim": {"mean_multiplicity": 8.0}}))
+    assert main(["simulate", "--config", str(cfg), "--out", str(run), "--events", "2",
+                 "--seed", "3"]) == EXIT_OK
+    for name in ("hits.csv", "particles.csv"):
+        lines = (run / name).read_text().splitlines(keepends=True)
+        (run / name).write_text("".join("-" + line if line.startswith("1,") else line
+                                        for line in lines), newline="")
+    capsys.readouterr()
+    assert main(["reconstruct", "--config", str(cfg), "--in", str(run), "--seed", "3",
+                 "--solver", solver]) == EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    events = read_json(run / "solve_report.json")["events"]
+    assert [e["event_id"] for e in events] == [-1, 0]
+    assert events[0]["n_triplets"] > 0
+    assert [e["solve"]["warning"] for e in events] == [None, None]
+
+
 def test_empty_input_gives_empty_tracks_exit_zero(tmp_path):
     run = tmp_path / "run"
     assert main(["simulate", "--out", str(run), "--events", "0"]) == EXIT_OK
@@ -246,6 +271,25 @@ def test_malformed_json_input_is_a_data_error(small_run, tmp_path, capsys, text,
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {path}: ") and message in err, err
         assert err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"per_xi_label": []}, "per_xi_label is list, not an object"),
+    ({"per_xi_label": {"3": 5}}, "per_xi_label '3' is int, not an object"),
+    ({"curves": {"c": [1]}}, "bin 0 of curve 'c' is int, not an object"),
+    ({"curves": {"c": 1}}, "curve 'c' is int, not a list"),
+    ({"curves": []}, "curves is list, not an object"),
+], ids=["labels-a-list", "label-a-number", "bin-a-number", "curve-a-number", "curves-a-list"])
+def test_misshapen_report_is_a_data_error(tmp_path, capsys, payload, message):
+    """The first three used to end in an AttributeError or a TypeError
+    traceback; each is one line naming the file and the part."""
+    report = tmp_path / "r.json"
+    report.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["plotdata", "--report", str(report), "--out", str(tmp_path / "p.csv")]) \
+        == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err == f"data error: {report}: {message}\n", err
 
 
 def test_unreadable_hits_row_is_a_data_error(tmp_path, capsys):
@@ -564,9 +608,9 @@ def test_plotdata_tidy_output(tmp_path):
 
 
 # sha256 of qubo_event0.txt from "simulate --events 2 --seed 5", then
-# "reconstruct --seed 5 --dump-qubo --debug-dump", recorded when the dumps
-# were still written by a second pass over the events
-QUBO_EVENT0_SHA256 = "71b640d35f855c4e3d35077f9fc8f7e2ffebf5e2da444ba4f8ab20700a57d318"
+# "reconstruct --seed 5 --dump-qubo --debug-dump", recorded when events
+# were first drawn as arrays from a SeedSequence stream per (seed, event)
+QUBO_EVENT0_SHA256 = "89e543d787c075b7b7d308c148cedf8f3a68e0c11aeb3f17d84561057152e094"
 
 
 def test_dump_flags_write_extra_artifacts(tmp_path, monkeypatch):
@@ -602,15 +646,15 @@ def test_dump_flags_write_extra_artifacts(tmp_path, monkeypatch):
 
 
 # sha256 of the files "simulate --seed 2024 --events 3" writes at mean
-# multiplicity 10, 100 and 200, recorded while events were still made of
-# one object per hit and per particle
+# multiplicity 10, 100 and 200, recorded when events were first drawn as
+# arrays from a SeedSequence stream per (seed, event)
 SIMULATE_SHA256 = {
-    10: ("cb13128cd76dc7b70e7dc0390a1598b5c24e37e157d02d897dcbf8557e45b963",
-         "02136348feae56668ad393079b0d13ef84ff81d810d28132dc92a7efc187a2d0"),
-    100: ("7a7a087965f17fe0768b6d1211642af7a7772f804437f72afb4dab545a4b982a",
-          "d5af9828546f94b177d52605318bd478e79d3b4eb9f5aed05882a92c617db1f3"),
-    200: ("15de9c052c60091a362e87f82c7a06aa602ec8891198e9972b1f2b997a4e0f13",
-          "c781333aff2b433c26983d5c9a86f33ba038de9a181e4930f52cbfee33946537"),
+    10: ("e7e3a9e849ed35918cf571bbd7d50fd24745a0e1a84175f4401882b9d2fca964",
+         "e905cda3f43cf547063299c5c5e35c11e07ea007ee8dcd2001c9d5c69cf04337"),
+    100: ("1ba458a15de3ab4376555a842204a09496157c05fa6605a32019de2f52b11c09",
+          "6fdce3ab09317787d9561ac15c76d3ffa103b5f60e234ac82a9ec543da25a9e5"),
+    200: ("ed43a56fbc4b60c299b5590d3e64cbc29c00e966a232b9575f6f2a0103abc2fc",
+          "f93da3697cababffda696329de1fc26b368a1bac8be19bbfd660259637750aef"),
 }
 
 

@@ -68,8 +68,7 @@ def test_dipole_below_cutoff():
 
 def scattering_kick(energy, thickness_x0, rng):
     """Independent Gaussian angle kicks (dtheta_x, dtheta_y) for one
-    crossing, one ``Generator.normal`` call for both: the per-draw oracle's
-    kick, which ``generate_event`` draws batched."""
+    crossing, one ``Generator.normal`` call for both."""
     sigma = scattering_sigma(energy, thickness_x0)
     if sigma == 0.0:
         return 0.0, 0.0
@@ -168,7 +167,7 @@ def test_energy_spectrum_sample_mean():
 
     rng = np.random.default_rng(11)
     n = 20_000
-    samples = np.array([spec.sample(rng) for _ in range(n)])
+    samples = spec.sample(rng, n)
     assert samples.min() >= spec.minimum and samples.max() <= spec.maximum
     stderr = math.sqrt(var / n)
     assert abs(samples.mean() - mean) < 3 * stderr
@@ -182,7 +181,7 @@ def test_mean_hits_per_layer_matches_ray_trace_acceptance(geometry):
     acc = np.zeros(4)
     kick_z = geometry.dipole_kick_z
     for _ in range(n_rays):
-        energy = sim.energy_spectrum.sample(rng)
+        energy = float(sim.energy_spectrum.sample(rng, 1)[0])
         tx = math.tan(rng.normal(0, sim.emittance_angle_sigma)
                       + dipole_deflection(energy, geometry.dipole_field,
                                           geometry.dipole_length))
@@ -212,25 +211,49 @@ def test_event_generation_is_pure(seed, geometry):
     assert generate_event(sim, geometry, 1) == generate_event(sim, geometry, 1)
 
 
-def per_draw_event(sim, geometry, event_id, rng):
-    """The generator as it was with one ``Generator.normal`` call per value:
-    the oracle the batched draws must replay."""
+def reference_energies(spectrum, rng, n):
+    """The energies with one scalar ``Generator`` call per value: all n
+    first, then the out-of-range ones again in row order, round by round."""
+    if spectrum.kind == "fixed":
+        return [spectrum.fixed_value] * n
+    if spectrum.kind == "uniform":
+        return [float(rng.uniform(spectrum.minimum, spectrum.maximum)) for _ in range(n)]
+    energies, redraw = [0.0] * n, list(range(n))
+    while redraw:
+        for i in redraw:
+            energies[i] = float(rng.gamma(spectrum.shape, spectrum.scale))
+        redraw = [i for i in redraw if not spectrum.minimum <= energies[i] <= spectrum.maximum]
+    return energies
+
+
+def particle_reference(sim, geometry, event_id, rng):
+    """The generator particle by particle: the draws of ``generate_event``
+    in its order (multiplicity, IP smear, energies, emittance, then every
+    crossing's normals, smear before kick), each normal scaled as
+    ``Generator.normal`` scales it, and every value computed with scalar
+    ``math``: the oracle the array code must replay."""
     if sim.poisson_multiplicity:
         n_particles = int(rng.poisson(sim.mean_multiplicity))
     else:
         n_particles = int(round(sim.mean_multiplicity))
-    particles, hits, hit_id = [], [], 0
+    smear = rng.standard_normal((n_particles, 3)).tolist()
+    energies = reference_energies(sim.energy_spectrum, rng, n_particles)
+    emittance = rng.standard_normal((n_particles, 2)).tolist()
+    kicks = sim.scattering and geometry.layer_thickness_x0 != 0.0
+    crossings = rng.standard_normal(
+        (n_particles, len(geometry.layer_z), 2 * sim.smear_hits + 2 * kicks)).tolist()
+    particles, hits = [], []
     kick_z = geometry.dipole_kick_z
+    half_x, half_y = geometry.layer_half_extent_x, geometry.layer_half_extent_y
     for pid in range(n_particles):
-        ox = geometry.ip_position[0] + rng.normal(0.0, sim.ip_smear[0])
-        oy = geometry.ip_position[1] + rng.normal(0.0, sim.ip_smear[1])
-        oz = geometry.ip_position[2] + rng.normal(0.0, sim.ip_smear[2])
-        energy = sim.energy_spectrum.sample(rng)
-        theta_x0 = rng.normal(0.0, sim.emittance_angle_sigma)
-        theta_y0 = rng.normal(0.0, sim.emittance_angle_sigma)
+        ox, oy, oz = (p + (0.0 + s * z)
+                      for p, s, z in zip(geometry.ip_position, sim.ip_smear, smear[pid]))
+        energy = energies[pid]
+        theta_x0, theta_y0 = (0.0 + sim.emittance_angle_sigma * z for z in emittance[pid])
         tx0, ty0 = math.tan(theta_x0), math.tan(theta_y0)
         norm = math.sqrt(tx0 * tx0 + ty0 * ty0 + 1.0)
         particles.append((pid, energy, (ox, oy, oz), (tx0 / norm, ty0 / norm, 1.0 / norm)))
+        sigma = scattering_sigma(energy, geometry.layer_thickness_x0) if kicks else 0.0
         x = ox + tx0 * (kick_z - oz)
         y = oy + ty0 * (kick_z - oz)
         theta_x = theta_x0 + dipole_deflection(energy, geometry.dipole_field,
@@ -242,21 +265,20 @@ def per_draw_event(sim, geometry, event_id, rng):
             x += math.tan(theta_x) * dz
             y += math.tan(theta_y) * dz
             z = layer_z
-            if abs(x) <= geometry.layer_half_extent_x and abs(y) <= geometry.layer_half_extent_y:
-                if sim.smear_hits:
-                    mx = x + rng.normal(0.0, geometry.hit_resolution)
-                    my = y + rng.normal(0.0, geometry.hit_resolution)
-                else:
-                    mx, my = x, y
-                if (abs(mx) <= geometry.layer_half_extent_x
-                        and abs(my) <= geometry.layer_half_extent_y):
-                    hits.append(HitRow(hit_id=hit_id, layer=layer, position=(mx, my, layer_z),
-                                       truth_particle_id=pid))
-                    hit_id += 1
-                if sim.scattering:
-                    kx, ky = scattering_kick(energy, geometry.layer_thickness_x0, rng)
-                    theta_x += kx
-                    theta_y += ky
+            if not (abs(x) <= half_x and abs(y) <= half_y):
+                continue  # outside: no hit and no kick
+            draws = crossings[pid][layer]
+            if sim.smear_hits:
+                mx = x + (0.0 + geometry.hit_resolution * draws[0])
+                my = y + (0.0 + geometry.hit_resolution * draws[1])
+            else:
+                mx, my = x, y
+            if abs(mx) <= half_x and abs(my) <= half_y:
+                hits.append(HitRow(hit_id=len(hits), layer=layer, position=(mx, my, layer_z),
+                                   truth_particle_id=pid))
+            if kicks:
+                theta_x += 0.0 + sigma * draws[-2]
+                theta_y += 0.0 + sigma * draws[-1]
     return event_of(event_id, hits, particles, sim.xi_label)
 
 
@@ -275,12 +297,16 @@ _DEFAULT = SimConfig(mean_multiplicity=100)
      GeometryConfig()),
     (dataclasses.replace(_DEFAULT, energy_spectrum=EnergySpectrum(kind="uniform")),
      GeometryConfig()),
+    (dataclasses.replace(_DEFAULT, energy_spectrum=EnergySpectrum(minimum=4.0, maximum=4.5)),
+     GeometryConfig()),
 ], ids=["default", "no-smear", "no-scattering", "zero-thickness", "zero-ip-and-emittance",
-        "no-smear-no-scattering", "fixed-multiplicity", "uniform-energy"])
+        "no-smear-no-scattering", "fixed-multiplicity", "uniform-energy",
+        "narrow-energy-window"])
 @pytest.mark.parametrize("seed", [0, 1, 2024])
 def test_batched_draws_replay_per_draw_loop(monkeypatch, sim, geometry_config, seed):
     """The same events, bit for bit (repr shows -0.0 and every digit), and
-    the same generator state afterwards as one ``normal`` call per value."""
+    the same generator state afterwards as the particle-by-particle
+    reference."""
     sim = dataclasses.replace(sim, rng_seed=seed)
     geometry = build_geometry(geometry_config)
     for event_id in range(3):
@@ -289,13 +315,71 @@ def test_batched_draws_replay_per_draw_loop(monkeypatch, sim, geometry_config, s
         event = generate_event(sim, geometry, event_id)
         monkeypatch.undo()
         reference_rng = fastsim.event_rng(sim, event_id)
-        reference = per_draw_event(sim, geometry, event_id, reference_rng)
+        reference = particle_reference(sim, geometry, event_id, reference_rng)
         assert event.event_id == reference.event_id and event.xi_label == reference.xi_label
         for table in ("particles", "hits"):
             assert repr(column_values(getattr(event, table))) == repr(column_values(
                 getattr(reference, table)))
         assert rng.bit_generator.state == reference_rng.bit_generator.state
         assert event.hits
+
+
+def test_distinct_seeds_share_no_event():
+    """Under ``rng_seed ^ event_id`` seeds 0 and 2 simulated the same four
+    events in another order; with a stream per (seed, event) no two of
+    these 16 events are alike."""
+    from qubotrack.config import RunConfig
+    from qubotrack.pipeline import simulate_events
+    energies = [tuple(event.particles.energies.tolist())
+                for seed in range(4) for event in simulate_events(RunConfig().with_seed(seed), 4)]
+    assert len(set(energies)) == len(energies) == 16
+
+
+def test_solver_seed_is_not_the_event_stream():
+    """``with_seed`` gives the solver and the simulation the same seed; the
+    solver's generator still draws other numbers than the event's, and
+    under ``seed ^ event_id`` seeds 0 and 2 would share solver seeds."""
+    from qubotrack.pipeline import solver_seed
+    for event_id in (0, 1, 5, -1, -(2 ** 63), 2 ** 63 - 1):
+        seed = solver_seed(7, event_id)
+        assert 0 <= seed < 2 ** 64
+        simulated = fastsim.event_rng(SimConfig(rng_seed=7), event_id).random(4)
+        assert not np.array_equal(np.random.default_rng(seed).random(4), simulated)
+    assert len({solver_seed(seed, e) for seed in range(4) for e in range(4)}) == 16
+
+
+def test_any_int64_event_id_is_taken(geometry):
+    sim = SimConfig(mean_multiplicity=20, rng_seed=3)
+    for event_id in (-1, -(2 ** 63), 2 ** 63 - 1):
+        event = generate_event(sim, geometry, event_id)
+        assert event.event_id == event_id and event.hits
+    assert generate_event(sim, geometry, -1).hits != generate_event(sim, geometry, 1).hits
+
+
+def test_outside_crossing_records_no_hit_and_takes_no_kick():
+    """A particle that starts beyond the -x edge and is bent into the
+    planes: no hit on layer 0, where it is outside, and no kick there, so
+    at layer 1 it sits on the unkicked straight line (y exactly 0); the
+    kick it takes inside at layer 1 moves y off 0 at layer 2."""
+    geometry = build_geometry(GeometryConfig(ip_position=(-0.3, 0.0, 0.0)))
+    sim = SimConfig(mean_multiplicity=1, poisson_multiplicity=False, ip_smear=(0.0, 0.0, 0.0),
+                    emittance_angle_sigma=0.0, smear_hits=False, rng_seed=5,
+                    energy_spectrum=EnergySpectrum(kind="fixed", fixed_value=5.0))
+    event = generate_event(sim, geometry, 0)
+    slope = math.tan(dipole_deflection(5.0, geometry.dipole_field, geometry.dipole_length))
+    kick_z, (z0, z1, _, _) = geometry.dipole_kick_z, geometry.layer_z
+    x0 = -0.3 + slope * (z0 - kick_z)
+    assert abs(x0) > geometry.layer_half_extent_x
+    assert event.hits.layers.tolist() == [1, 2, 3]
+    assert event.hits.positions[0].tolist() == [x0 + slope * (z1 - z0), 0.0, z1]
+    assert event.hits.positions[1, 1] != 0.0
+
+
+def test_unreachable_energy_window_raises(geometry):
+    sim = SimConfig(mean_multiplicity=5, rng_seed=1,
+                    energy_spectrum=EnergySpectrum(minimum=1000.0, maximum=1001.0))
+    with pytest.raises(SimulationError, match="did not converge"):
+        generate_event(sim, geometry, 0)
 
 
 def test_negative_highland_width_raises():

@@ -31,126 +31,126 @@ GOLDEN = {
     10: [
         {
             "linear":
-                "fc383bc18d504743eeee5cb09eeb8c1c0084b6b3e251517759ab36b2043a8300",
+                "9f658718dde1e9cc7b111ba351258aa73b0b8cf99a26ce575f20cecdbfa24948",
             "upper_triangle":
-                "8b97195d18fb60cef4c07cee6ed17e5e62bcea8619d2ba270257915377f0f219",
+                "1e7abb7066aa43a0439f66db74a7cda39323e6e5bc09e4cfe3571ff83652bfb4",
             "doublets_csv":
-                "ac19da471ce140526afb2517670cf3f65f883f95457825e6964384213a9660b6",
+                "684f5e0479ddac29f98b576e8d127f1ced3fe012f8f85270330ce25290a1e08c",
             "triplets_csv":
-                "92f6990f318e421df93d6fd64743353561c8c26c7be02506d2c30f0fcebc009a",
+                "50444852414e31e9665155f5cdd3404ffcd515846ead2e72c87df789cfee929d",
         },
         {
             "linear":
-                "8eb2cad18cd9a4c2bfe393082b185dc546edab608d16d4418d21b8cf97fd75ea",
+                "64dba4469200a68b767cae7fa8044759f2b60bd51dde94e29356990f28dd552a",
             "upper_triangle":
-                "d7b7a61eb61148a44b43b3ccbe495fa581ae577bbb791a32bce8b8887c1dc143",
+                "156f1f88a737780147b0453778a03219d80e473543848c90fddc56cdd99ce6a1",
             "doublets_csv":
-                "f205ed46e09224c3caafe6d862691a0f318b425b8f802a7d94a2864efa11b954",
+                "55d868e1d47c3e9af1913390c7a8850a766d64eb4304da0427e636a631864266",
             "triplets_csv":
-                "573cf315e2c75a672daa1f2b5a7b3cafae8d7926615cfdc3da9145c5777aaf50",
+                "c7d9577f867179655025c7c6eac5ebe217b7f19f5378e6d92767ab7fc6c6f304",
         },
         {
             "linear":
-                "8605a6640166e38dd64a350aaed13112bb8c04d1f9e68475d8f5636845b9123f",
+                "8664738830c21ea4b5043aa217bc2073720c50c5f7be559daf3cec017a41755a",
             "upper_triangle":
-                "7301b05cacc2088cb390f0e206b091aa8e52a2c22be08740369db39e3002b386",
+                "94ed50b388e217cdb3bcaf332e7459257ff85ebed8f5bfda5394eb37519b1168",
             "doublets_csv":
-                "580417e37d6d4aae1885d040aa3a58547005864520d9a22492a2aa308fe6565d",
+                "d771d626cb8af0a437f6a06bdb5b88363e7895cbd4d83ac82c25ab31bc547109",
             "triplets_csv":
-                "b448fa64d15a4aeb8c6d8b17e4fc0266ed2e57bdd0b70c8598839a54277834e5",
+                "b60f1473a5f6a284a9007ee5debdbe942ec236c0ba947d606e114782f8c767fe",
         },
     ],
     100: [
         {
             "linear":
-                "8bae3ac00a072f9dedd3c2f760c1a62c683129aa8cbedaa51493f78f314aaad0",
+                "a2b9ea369ba9c42b3867155c4673d21750a0f3127063a3f90030ceaf69d50b15",
             "upper_triangle":
-                "435bd9422f969129c71405d8847495c4c09434157cfc8ff8bf45d2d902c1d7f2",
+                "2a2a347645823fd8deaf0b375e29e2c6bc52aeb7e3fcf68ac165abcb8d35e9fc",
             "doublets_csv":
-                "9fe03b8936f52bdc49d430612e8730c6729e805274ec1ad96dd6d642e98927e5",
+                "88d9bb4a810ad788628107d8ff319437b33fca6d0660f4ed0a0956bf20d00692",
             "triplets_csv":
-                "c278e799b73cbab3552232af86b6867147402dcef71bbf8fc7e7e9214d494db8",
+                "2d2983008946b21b6073f315821766895d0b784edc7ae7c760e36b8ade2bced8",
         },
         {
             "linear":
-                "95da4330ba56a8b28b7bd2cc3506278fe728bd4078d2a530cd3b989f7093673f",
+                "d9fd7895cd0ef7f961761c1a75a943c91b8fd10d5aa4ee4dc21dafb3884d7391",
             "upper_triangle":
-                "29267497fd3912f47544b1ab14eeae997c36ea1a274c6cea7ce5c6a75caa4787",
+                "b803f625369cf3ddb1f924369c93d24378860a43d3bd318a1430cb02a02a2e1a",
             "doublets_csv":
-                "8bb5be276a820da0e44be7348282b990d80a8085cca23c12a1b8b7e22445c238",
+                "31193c4c2583056b1541aa27b2eb94a999a50aba6d430295340d05bc24e92396",
             "triplets_csv":
-                "b42ad320a464da02cd4a27b487f8ae5bf05eb6d37d148ee49b0555da62a13d3b",
+                "d06223700155e0f40f8e4f43a920d0958ac15b3002b4106612861816c86df7ac",
         },
         {
             "linear":
-                "47f7209e3af342f4fac5c3af9936ac6985ba9b29e9bcba4f8c15556fbf170958",
+                "6d82d3324b21f24f6bbf91f9d543beba6d7995743d8bf28d377f89c96286759e",
             "upper_triangle":
-                "8dcb7f1875ef0bbc0cc364575dd15e8b3a1adbcd8441be364d209e74254330f8",
+                "d29a828186886e510c97584cd9d42b5c1d5b7b3d859283b3f15d0713e6035cb0",
             "doublets_csv":
-                "171456f4a929fa5ded6b92597dd7a211f5887071420c954df2ca29778b589820",
+                "c589838f8916da3da49e1ef3ccf489a8f46318a539c17eb4884007035e2bb44e",
             "triplets_csv":
-                "2b9035f9256da9a53b511f67852adf5129be9b311db7badf75e0d6216cf3e0c8",
+                "873d3714f34c3242ab22e56c87608506478f0e8d22aa6f677ac8a044e2e1e6de",
         },
     ],
     200: [
         {
             "linear":
-                "476ba8df2c6177cf3e4cd1cc2dbe3d8534876867441abfca91e1e7a58970c346",
+                "c6d422b4555aebf451ecb71fe6f53b4cfb9db234adb40dd2e8fef5cd24f1c778",
             "upper_triangle":
-                "230cd8442040174947814f2f4d10655f0282754f958bca62017010dee6c28ecd",
+                "83dfde4190136eec1d20cb5b01d8e6a8fc9e96317757341b1807b2dd99a95625",
             "doublets_csv":
-                "9f52054790ce17ca906b97070318df4a6d17219c1785c199db853c71aeee484a",
+                "253206c380a9728db929393d278d6c37463d16d46f7b9fd54be917573d1fd79e",
             "triplets_csv":
-                "13a1ceacc0f955d96fa2faf18f57fec32ec9d98b482a0ee0fc057cf19c13a5df",
+                "a421494f76b61fdcf0a721a1225f12447f60587815bfb6b86d331e88cdca4a91",
         },
         {
             "linear":
-                "bd50365d6e1a8e2bad816b336b6cf0202b3a83bf8e510217ab2d7d3b7ef518da",
+                "5f5d07e014ceb838743a6fc47380bcf08ea2e14421541e2c741d5e7d4724f3c0",
             "upper_triangle":
-                "7b988efbaa06b459f6ebf92729cf26e51b643eadb6f667ef7124db62a138b783",
+                "863466ca3a0b159d2089e5bdb16cbcf937196b0c8ffa594ef22bb529d8cf27b1",
             "doublets_csv":
-                "afe303ec622350d03ddaaf79d45813990875b1c22f31e682fe0cb47a3b5b63a4",
+                "10adc22af9f7c4e87b9a236839ed85bcbb539d2ca077e3103c4acf63bb9d3db9",
             "triplets_csv":
-                "3a09f426e20ea417b8802e3d8676a4c6f28f3c18fe1f45166f5743b79e004a7c",
+                "432ee235a033ca375fbd29e96996db802f0442eb364956a347d5bef0831e71ba",
         },
         {
             "linear":
-                "4cf40c46575faa80df15b78756c5bc2776c1d54a46c669026f8ff28525e890b1",
+                "08c027c474a2fba60e0ce3c70be5dbcaebf9dfc4f5a227b8d87548722b64473b",
             "upper_triangle":
-                "be60553a00b292d27bc988308415e65b3ed648489d83f45b3641b43ecd8cd5fa",
+                "67f286582a1186bcf4b55a614448933ec1a1092fb6ec30a4ec51b3210d4ecea9",
             "doublets_csv":
-                "77dc7962645c7c340a9ea7859eba2ac2bb8c81e7045dfdb99d711e0fab42ec18",
+                "6243bcb58af915b1c336c9f7d0e9945a17dabaed00cafe6ee135d38c1bbc2072",
             "triplets_csv":
-                "9a1d2fe766d99f459101ab652eb879c8bdc065913cde9ae606ff8a2f261ac980",
+                "c41a867cc47c592da644ff404b54f608668e2d21dc1fe01c796cb872ba74a95b",
         },
     ],
 }
 
 
 CALIBRATION_GOLDEN = {
-    10: {"dx_mean": "0x1.5bb314a4b390dp-3", "dx_sigma": "0x1.8216c8ab7108dp-6",
-         "s_max": "0x1.118de376d2045p-11"},
-    100: {"dx_mean": "0x1.5c2c06c8f2408p-3", "dx_sigma": "0x1.80b2df00053c1p-6",
-          "s_max": "0x1.54800f5c07036p-11"},
-    200: {"dx_mean": "0x1.5c0f1819c0d14p-3", "dx_sigma": "0x1.809d46eb611bfp-6",
-          "s_max": "0x1.4532dc593eaffp-11"},
+    10: {"dx_mean": "0x1.5bec022309f0dp-3", "dx_sigma": "0x1.83215af86358dp-6",
+         "s_max": "0x1.8ea544060c5e3p-12"},
+    100: {"dx_mean": "0x1.5c30bab3f14f3p-3", "dx_sigma": "0x1.80d3f29a8504dp-6",
+          "s_max": "0x1.4d095d9158befp-11"},
+    200: {"dx_mean": "0x1.5c0f9ac07f696p-3", "dx_sigma": "0x1.805c733195f06p-6",
+          "s_max": "0x1.4e32077be0e1fp-11"},
 }
 
 TRACKS_GOLDEN = {
     10: [
-        "20c689e3c79822665dc59bbe33472baefdf5bdd4f99f0ccd0eb63f00b356df5d",
-        "fbd5a73e6054345fcb2f63f6523bc15d71117d030ac2854d25b184b86e7a8eb6",
-        "3b85a13826812141aa7e4e2c3fd78c63c9f798ac33238bf40aed429f82214775",
+        "5a28758cc3e2ac82bd68c7573b4addc4da3fa2e14c6ee52ab71ec4bcb19116bf",
+        "9e57f7985437c2317dc597c5b644df8335bf4454c30d89d631856ada57fc2bdf",
+        "33a3b94b3776e7d518731b6fbe897e29e858f601a830ffa671db91cd1dc91c5b",
     ],
     100: [
-        "46918b93163f404b33e9b8ea9c764718c5706a46ba5d3e082d28463d93502614",
-        "a35d266f1f61af18df18bf6c026596a097652ae910f22df02173d2b0df523b20",
-        "4d4a0c716ef5aca4beda3efec4773988641afa2859984e2c9a8b942824278a2e",
+        "551be125cb9c57cc9ff5003d82404bdfaf7d6c58f3283381b6a9bce23ed37a80",
+        "2ac83753c6f58ff8777209753d8ed14918bd56b02a8935a4049098b5baf14f24",
+        "6a31ca1d34408b4df5e1f5e8c584be8342fa33d0adab2f0122d314f253c27d06",
     ],
     200: [
-        "844ec4a160c203eae8bf4b82dce9119c8fb151d819cb316bd0525c280d2d4eeb",
-        "e750ea2116153758216fecdfa7f3f3f80c725e104d1267a0f991593a2e2cdf6a",
-        "148bbb0bdeb18e872eb9220c07caf18c0eba450fbaf9a07ce27fabd6c617f3f0",
+        "f96d5066bbda52b86146ea05d7ff6542ece05f7b672da61c0b38d9f5912b6dbb",
+        "1520e066a94d4e56c1a3cc1bd22309a3785d4ea87b21c5541751aa95296c980b",
+        "4a174adb3dd585f76dfb047d4a90d25b157512c28e2665f6ecca94d3868a0ba6",
     ],
 }
 

@@ -13,7 +13,7 @@ import pytest
 from conftest import brute_force_minimum, random_qubo
 from qubotrack.config import RunConfig
 from qubotrack.geometry import build_geometry
-from qubotrack.pipeline import calibrate, simulate_events
+from qubotrack.pipeline import calibrate, simulate_events, solver_seed
 from qubotrack.preselect import build_doublets, build_triplets
 from qubotrack.qubo import Qubo, assemble_qubo, objective
 from qubotrack.solvers import (exact_subsolver, solve_annealing_report, solve_exact,
@@ -75,7 +75,7 @@ def judged_events():
         if optimum is None:
             skipped += 1
         else:
-            judged.append((qubo, config.seed ^ event.event_id, optimum))
+            judged.append((qubo, solver_seed(config.seed, event.event_id), optimum))
     return judged, skipped
 
 
@@ -94,11 +94,11 @@ def test_exact_optimum_is_the_brute_force_minimum():
 
 def test_solvers_reach_the_exact_optimum_at_mult_50(judged_events):
     judged, skipped = judged_events
-    assert (len(judged), skipped) == (16, 4)
+    assert (len(judged), skipped) == (14, 6)
     decomposed = sum(
         solve_iterative(q, exact_subsolver, k=7, seed=seed).best_objective <= optimum + 1e-9
         for q, seed, optimum in judged)
     annealed = sum(solve_annealing_report(q, seed=seed).best_objective <= optimum + 1e-9
                    for q, seed, optimum in judged)
-    assert decomposed >= 13
+    assert decomposed >= 11
     assert annealed >= 14

@@ -111,7 +111,7 @@ def test_calibration_reproduces_generating_width(geometry):
     values, smear_vars = [], []
     kick_z = geometry.dipole_kick_z
     for _ in range(40_000):
-        energy = sim.energy_spectrum.sample(rng)
+        energy = float(sim.energy_spectrum.sample(rng, 1)[0])
         tx = math.tan(rng.normal(0, sim.emittance_angle_sigma)
                       + dipole_deflection(energy, geometry.dipole_field,
                                           geometry.dipole_length))

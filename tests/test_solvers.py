@@ -13,6 +13,7 @@ import pytest
 from conftest import (brute_force_minimum, dense_qubo, impacts, qubo_from_dict, random_qubo,
                       sub_problems)
 from qubotrack import solvers
+from qubotrack.pipeline import solver_seed
 from qubotrack.qubo import Qubo, objective
 from qubotrack.solvers import (AnnealSchedule, ProblemSizeError, SolveReport,
                                _anneal, _block_objective, _impact_groups, _restrict,
@@ -752,7 +753,7 @@ def test_anneal_solver_anneals_the_whole_objective_once_per_event(desk_config, d
                                                                  monkeypatch):
     """One ``solve_annealing`` call per event, looked up on the solvers
     module at call time, on the event's whole objective with the default
-    schedule and the seed ``seed ^ event_id``."""
+    schedule and the event's ``solver_seed``."""
     import dataclasses
     config = dataclasses.replace(desk_config, solver="anneal", subqubo_size=3, iterations=1)
     calls = []
@@ -768,10 +769,10 @@ def test_anneal_solver_anneals_the_whole_objective_once_per_event(desk_config, d
         result, q, _ = reconstruct_with(config, event, events=desk_events)
         assert len(calls) == 1
         qubo, schedule, seed = calls[0]
-        assert schedule == AnnealSchedule() and seed == config.seed ^ event.event_id
+        assert schedule == AnnealSchedule() and seed == solver_seed(config.seed, event.event_id)
         assert qubo.n == q.n > 7
         assert result.report.best_assignment.tolist() == \
-            solve(q, seed=config.seed ^ event.event_id).tolist()
+            solve(q, seed=seed).tolist()
         assert result.report.best_objective == objective(q, result.report.best_assignment)
 
 
@@ -790,7 +791,8 @@ def desk_objectives(desk_config, desk_events, count):
     for event in desk_events:
         triplets = build_triplets(build_doublets(event.hits, geometry, window), window)
         if triplets:
-            out.append((assemble_qubo(triplets, scaling), desk_config.seed ^ event.event_id))
+            out.append((assemble_qubo(triplets, scaling),
+                        solver_seed(desk_config.seed, event.event_id)))
         if len(out) == count:
             return out
     return out
@@ -806,13 +808,15 @@ def report_digest(report):
     return h.hexdigest()
 
 
-# recorded with the per-group sub-Qubo decomposition (restrict, then build a
-# Qubo, then enumerate or anneal it), before the dense block kernel replaced it
+# random-vqe-k7 recorded with the per-group sub-Qubo decomposition (restrict,
+# then build a Qubo, then enumerate or anneal it), before the dense block
+# kernel replaced it; the desk cases recorded when events were first drawn
+# from a SeedSequence stream per (seed, event)
 DECOMPOSITION_GOLDEN = {
     "desk-exact-k7":
-        "9580ca708b1fa9cc2c7c86702d4597f59001a2e6eb316f86c86af85e8cac8276",
+        "19ad4fd6c30465bf9135de2dc3379442053edbb47cbdad06423fab5d5e253fb1",
     "desk-exact-k10":
-        "dbff50605354d5c6338819c4824e4ebb0f5cdcbf1546e1b3a440a76c01907a5a",
+        "6b4f212ca98eca4456162a39e4ad7a57891eb8e442d7985b3800f3f7d3151809",
     "random-vqe-k7":
         "8dccf091371bbf5a843b84c70f77984f592d3f5bf378986cb0e277a6c6499b79",
 }
